@@ -11,6 +11,7 @@
 //! `correct`, `attempted`, `failed` and `metrics`.
 
 mod check;
+mod host;
 mod measure;
 mod service_mix;
 mod sweep;

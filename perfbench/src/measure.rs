@@ -3,6 +3,8 @@
 
 use std::time::Instant;
 
+use crate::host::HostSpeed;
+
 /// Median of `values` (0 for an empty slice).
 pub fn median(values: &[f64]) -> f64 {
     percentile(values, 0.5)
@@ -52,34 +54,67 @@ pub fn peak_rss_mb() -> f64 {
 
 /// Runs `setup` repeatedly — at least `min_reps` times and until about
 /// `budget_s` seconds are spent, at most `max_reps` times — and returns the
-/// median seconds of one set-up.
+/// median seconds of one set-up, divided by the host's slowdown over them.
 pub fn repeated_setup(
     min_reps: usize,
     max_reps: usize,
     budget_s: f64,
+    host: &mut HostSpeed,
     mut setup: impl FnMut(),
 ) -> f64 {
     let start = Instant::now();
+    let mark = host.mark();
     let mut samples = Vec::new();
     loop {
+        host.checkpoint();
         let ((), s) = timed(&mut setup);
         samples.push(s);
         if samples.len() >= max_reps || (samples.len() >= min_reps && secs(start) >= budget_s) {
-            return median(&samples);
+            host.sample();
+            let slowdown = host.slowdown(mark..host.mark());
+            eprintln!(
+                "set-up: {} repetitions, median {:.6} s measured, host slowdown {slowdown:.3}",
+                samples.len(),
+                median(&samples)
+            );
+            return median(&samples) / slowdown;
         }
     }
 }
 
+/// One measured pass of a workload.
+pub struct Pass<T> {
+    pub result: T,
+    /// Wall-clock seconds of the pass, host sampling excluded, divided by
+    /// `slowdown`.
+    pub wall: f64,
+    /// The host slowdown over the pass; divide the pass's own timings by it.
+    pub slowdown: f64,
+}
+
 /// Runs `pass` back to back for about `seconds`: always once, and another
-/// time only while the previous pass would still fit. Returns each pass's
-/// result with its wall-clock seconds.
-pub fn passes<T>(seconds: f64, mut pass: impl FnMut() -> T) -> Vec<(T, f64)> {
+/// time only while the previous pass would still fit. `pass` calls
+/// [`HostSpeed::checkpoint`] between its units of work.
+pub fn passes<T>(
+    seconds: f64,
+    host: &mut HostSpeed,
+    mut pass: impl FnMut(&mut HostSpeed) -> T,
+) -> Vec<Pass<T>> {
     let start = Instant::now();
     let mut done = Vec::new();
     loop {
-        let (result, wall) = timed(&mut pass);
-        done.push((result, wall));
-        if secs(start) + wall > seconds {
+        let (mark, sampling) = (host.mark(), host.spent_s());
+        let (result, elapsed) = timed(|| pass(host));
+        let raw = elapsed - (host.spent_s() - sampling);
+        host.sample();
+        let slowdown = host.slowdown(mark..host.mark());
+        eprintln!("pass: {raw:.3} s measured, host slowdown {slowdown:.3}");
+        done.push(Pass {
+            result,
+            wall: raw / slowdown,
+            slowdown,
+        });
+        if secs(start) + raw > seconds {
             return done;
         }
     }

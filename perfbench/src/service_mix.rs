@@ -1,6 +1,6 @@
 //! `service_mix`: a closed loop of job batches through `advbist::service`.
 //!
-//! Twelve rounds, each one `JobService` batch on two workers, all sharing
+//! Twelve rounds, each one `JobService` batch on one worker, all sharing
 //! one `SolveCache`; a round is submitted once the previous one has
 //! answered. Jobs run `SynthesisConfig::budgeted(Budget::nodes(3000))` over
 //! figure1 and the six paper circuits.
@@ -18,7 +18,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 use advbist::core::{SynthesisConfig, SynthesisEngine};
@@ -27,7 +27,8 @@ use advbist::service::{JobReport, JobRow, JobService, SolveCache, SynthesisJob};
 use advbist::Budget;
 
 use crate::check::Checks;
-use crate::measure::{passes, repeated_setup, EndToEnd, Metrics, Rng};
+use crate::host::HostSpeed;
+use crate::measure::{median, passes, repeated_setup, timed, EndToEnd, Metrics, Pass, Rng};
 use crate::trace::{self, Layers, ServiceLayer};
 use crate::{Args, Outcome};
 
@@ -36,8 +37,9 @@ const NODES: u64 = 3000;
 const ROUNDS: usize = 12;
 const JOBS_PER_ROUND: usize = 10;
 const READS_PER_ROUND: usize = 4;
-/// One worker per core of the two-core reference machine.
-const WORKERS: usize = 2;
+/// One worker: the reference machine's two vCPUs are shared with other
+/// tenants, and a second worker measured their load more than the service.
+const WORKERS: usize = 1;
 /// Large enough that nothing is evicted: which entry an eviction picks
 /// would depend on which worker stored first.
 const CACHE_MB: u64 = 512;
@@ -215,30 +217,54 @@ fn job_name(round: usize, job: &Planned, circuits: &[(&str, SynthesisInput)]) ->
     )
 }
 
+/// The reports of one pass, round by round, with each round's wall-clock
+/// seconds and the span of host samples it ran over.
+struct Rounds {
+    reports: Vec<Vec<JobReport>>,
+    seconds: Vec<f64>,
+    spans: Vec<Range<usize>>,
+}
+
+impl Rounds {
+    /// The host's slowdown over each round.
+    fn slowdowns<'a>(&'a self, host: &'a HostSpeed) -> impl Iterator<Item = f64> + 'a {
+        self.spans.iter().map(|span| host.slowdown(span.clone()))
+    }
+}
+
 /// One pass: every round submitted as one batch, answered before the next.
 fn service_pass(
     plan: &[Vec<Planned>],
     circuits: &[(&str, SynthesisInput)],
     config: &SynthesisConfig,
-) -> Vec<Vec<JobReport>> {
+    host: &mut HostSpeed,
+) -> Rounds {
     let cache = Arc::new(SolveCache::new(CACHE_MB));
-    plan.iter()
-        .enumerate()
-        .map(|(r, round)| {
-            let mut service = JobService::new()
-                .with_workers(WORKERS)
-                .with_cache(Arc::clone(&cache));
-            for job in round {
-                service.submit(
-                    SynthesisJob::new(job_name(r, job, circuits), circuits[job.circuit].1.clone())
-                        .with_config(config.clone())
-                        .with_sessions(job.ks.clone())
-                        .with_budget(job.budget()),
-                );
-            }
-            service.run()
-        })
-        .collect()
+    let mut rounds = Rounds {
+        reports: Vec::new(),
+        seconds: Vec::new(),
+        spans: Vec::new(),
+    };
+    for (r, round) in plan.iter().enumerate() {
+        host.checkpoint();
+        let mark = host.mark();
+        let mut service = JobService::new()
+            .with_workers(WORKERS)
+            .with_cache(Arc::clone(&cache));
+        for job in round {
+            service.submit(
+                SynthesisJob::new(job_name(r, job, circuits), circuits[job.circuit].1.clone())
+                    .with_config(config.clone())
+                    .with_sessions(job.ks.clone())
+                    .with_budget(job.budget()),
+            );
+        }
+        let (reports, seconds) = timed(|| service.run());
+        rounds.reports.push(reports);
+        rounds.seconds.push(seconds);
+        rounds.spans.push(mark..mark + 1);
+    }
+    rounds
 }
 
 fn same_result(a: &JobRow, b: &JobRow) -> bool {
@@ -398,8 +424,9 @@ fn check_resumes(
 
 pub fn run(args: &Args) -> Outcome {
     let config = SynthesisConfig::budgeted(Budget::nodes(NODES));
+    let mut host = HostSpeed::new();
     // Set-up: the inputs, the job plan, and one engine per circuit.
-    let setup_s = repeated_setup(11, 201, 1.0, || {
+    let setup_s = repeated_setup(11, 2001, 1.0, &mut host, || {
         let circuits = circuits();
         std::hint::black_box(plan(args.seed, &circuits));
         for (_, input) in &circuits {
@@ -409,15 +436,16 @@ pub fn run(args: &Args) -> Outcome {
     });
     let circuits = circuits();
     let plan = plan(args.seed, &circuits);
-    let runs = passes(if args.trace { 0.0 } else { args.seconds }, || {
-        service_pass(&plan, &circuits, &config)
+    let seconds = if args.trace { 0.0 } else { args.seconds };
+    let runs = passes(seconds, &mut host, |host| {
+        service_pass(&plan, &circuits, &config, host)
     });
 
     let mut checks = Checks::default();
-    let first = check_pass(&plan, &runs[0].0, &mut checks);
-    let digest = digest(&runs[0].0);
-    for (i, (reports, _)) in runs.iter().enumerate().skip(1) {
-        if self::digest(reports) != digest {
+    let first = check_pass(&plan, &runs[0].result.reports, &mut checks);
+    let digest = digest(&runs[0].result.reports);
+    for (i, pass) in runs.iter().enumerate().skip(1) {
+        if self::digest(&pass.result.reports) != digest {
             checks.fail_run(format!("pass {i} did not repeat pass 0"));
         }
     }
@@ -436,11 +464,21 @@ pub fn run(args: &Args) -> Outcome {
     } else {
         EndToEnd {
             setup_s,
-            walls: runs.iter().map(|(_, wall)| *wall).collect(),
-            latencies: runs
+            // Each round's seconds, and each job's, over the host's
+            // slowdown during that round.
+            walls: runs
                 .iter()
-                .flat_map(|(reports, _)| reports.iter().flatten().map(|r| r.seconds))
+                .map(|pass| {
+                    let rounds = &pass.result;
+                    rounds
+                        .seconds
+                        .iter()
+                        .zip(rounds.slowdowns(&host))
+                        .map(|(s, d)| s / d)
+                        .sum()
+                })
                 .collect(),
+            latencies: job_latencies(&runs, &host),
             // Each key once: replays are checked to be bit-identical copies.
             area_sum: first.canonical.values().map(|row| row.area).sum(),
             optimal_rows: first.canonical.values().filter(|row| row.optimal).count() as u64,
@@ -453,6 +491,29 @@ pub fn run(args: &Args) -> Outcome {
         metrics,
         digest,
     }
+}
+
+/// Each job's latency: its seconds over the host's slowdown during its
+/// round, the median over the run's passes. Every pass submits the same
+/// jobs in the same order, and the median of a job's repeats keeps one
+/// unlucky solve from moving the 90th percentile, which sits on a dozen
+/// solving jobs.
+fn job_latencies(runs: &[Pass<Rounds>], host: &HostSpeed) -> Vec<f64> {
+    let per_pass: Vec<Vec<f64>> = runs
+        .iter()
+        .map(|pass| {
+            let rounds = &pass.result;
+            rounds
+                .reports
+                .iter()
+                .zip(rounds.slowdowns(host))
+                .flat_map(|(reports, slowdown)| reports.iter().map(move |r| r.seconds / slowdown))
+                .collect()
+        })
+        .collect();
+    (0..per_pass[0].len())
+        .map(|job| median(&per_pass.iter().map(|pass| pass[job]).collect::<Vec<_>>()))
+        .collect()
 }
 
 /// The traced run: every key solved through the traced pipeline exactly as

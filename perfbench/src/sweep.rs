@@ -1,22 +1,26 @@
-//! The two engine-sweep workloads, each run with
-//! `SynthesisEngine::sweep_chained` on one thread:
+//! The two engine-sweep workloads, each swept k = 1..N on one thread as
+//! `SynthesisEngine::sweep_chained` sweeps:
 //!
 //! * `sweep_lp` — figure1, tseng and paulin swept k = 1..N under the
 //!   canonical 1000-node budget with LP bounds at every node, the
 //!   repository's sweep baseline. Node LPs take most of its time, so the LP
 //!   kernel and warm/cold basis handling decide it.
-//! * `exact_random` — 100 small random DFGs swept k = 1..2 to proven
+//! * `exact_random` — 108 small random DFGs swept k = 1..2 to proven
 //!   optimality with RTL validation on. Per-solve fixed costs (formulate,
 //!   reduce, root, extract, RTL simulation) are a visible share here, and
 //!   proof speed shows up as time to verdict.
 
-use advbist::core::{SweepOutcome, SynthesisConfig, SynthesisEngine};
+use std::ops::Range;
+
+use advbist::core::{CoreError, SweepOutcome, SynthesisConfig, SynthesisEngine};
+use advbist::dfg::allocate::RegisterAssignment;
 use advbist::dfg::benchmarks::{self, RandomDfgConfig};
 use advbist::dfg::SynthesisInput;
-use advbist::ilp::{BoundMode, Budget, SolverConfig};
+use advbist::ilp::{BoundMode, Budget, SolveEvent, SolverConfig};
 
 use crate::check::{check_design, Checks, Row};
-use crate::measure::{passes, repeated_setup, EndToEnd, Metrics, Rng};
+use crate::host::HostSpeed;
+use crate::measure::{passes, repeated_setup, EndToEnd, Metrics, Pass, Rng};
 use crate::trace::{self, Layers, ServiceLayer};
 use crate::{Args, Outcome};
 
@@ -30,7 +34,7 @@ pub enum Kind {
 const SWEEP_NODES: u64 = 1000;
 /// Size of the fixed random-circuit pool, and how many of it one seed draws.
 const POOL: usize = 110;
-const DRAWN: usize = 105;
+const DRAWN: usize = 108;
 const POOL_SEED: u64 = 0xB157_0000;
 
 struct Circuit {
@@ -84,8 +88,10 @@ fn circuits(kind: Kind, seed: u64) -> Vec<Circuit> {
 ///
 /// A fresh draw of circuits per seed moves the total solve work by
 /// about 10 % between seeds (per-circuit time varies about as much as its
-/// mean), more than the bounds allow. Drawing 105 of one fixed pool of 110
-/// keeps the work comparable while every seed still solves a different set.
+/// mean), more than the bounds allow. Drawing 108 of one fixed pool of 110
+/// keeps the work comparable while every seed still solves a different set;
+/// with 105 of 110, which heavy circuits a seed left out still moved the
+/// 90th-percentile latency by about 10 %.
 fn random_pool() -> Vec<Circuit> {
     let mut pool = Vec::with_capacity(POOL);
     let mut stream = 0;
@@ -117,9 +123,10 @@ fn random_pool() -> Vec<Circuit> {
 
 pub fn run(kind: Kind, args: &Args) -> Outcome {
     let config = config(kind);
+    let mut host = HostSpeed::new();
     // Set-up: the inputs and one engine (base formulation + base reduce)
     // per circuit.
-    let setup_s = repeated_setup(11, 201, 1.0, || {
+    let setup_s = repeated_setup(11, 2001, 1.0, &mut host, || {
         for circuit in circuits(kind, args.seed) {
             let engine = SynthesisEngine::new(&circuit.input, &config);
             std::hint::black_box(engine.map(|e| e.max_sessions()).ok());
@@ -130,22 +137,33 @@ pub fn run(kind: Kind, args: &Args) -> Outcome {
         .iter()
         .map(|c| SynthesisEngine::new(&c.input, &config).map_err(|e| e.to_string()))
         .collect();
-    let sweep_all = || -> Vec<Result<Vec<SweepOutcome>, String>> {
+    let sweep_all = |host: &mut HostSpeed| -> Vec<Result<Vec<_>, String>> {
         engines
             .iter()
             .map(|engine| {
                 let engine = engine.as_ref().map_err(Clone::clone)?;
-                engine.sweep_chained().map_err(|e| e.to_string())
+                sweep_chained(engine, host).map_err(|e| e.to_string())
             })
             .collect()
     };
     // The traced run needs one untraced pass to compare against.
-    let runs = passes(if args.trace { 0.0 } else { args.seconds }, sweep_all);
+    let seconds = if args.trace { 0.0 } else { args.seconds };
+    let runs: Vec<Pass<Vec<Result<Vec<SweepOutcome>, String>>>> =
+        passes(seconds, &mut host, sweep_all)
+            .into_iter()
+            .map(|pass| Pass {
+                result: (pass.result.into_iter())
+                    .map(|sweep| sweep.map(|sweep| normalise(sweep, &host)))
+                    .collect(),
+                wall: pass.wall,
+                slowdown: pass.slowdown,
+            })
+            .collect();
 
     let mut checks = Checks::default();
     let mut attempted = 0;
     let mut rows = Vec::new();
-    for (circuit, result) in circuits.iter().zip(&runs[0].0) {
+    for (circuit, result) in circuits.iter().zip(&runs[0].result) {
         attempted += circuit.input.binding().num_modules() as u64;
         match result {
             Err(e) => checks.fail(&circuit.name, e),
@@ -153,10 +171,10 @@ pub fn run(kind: Kind, args: &Args) -> Outcome {
         }
     }
     let digest = digest(&rows);
-    for (i, (pass, _)) in runs.iter().enumerate().skip(1) {
+    for (i, pass) in runs.iter().enumerate().skip(1) {
         let again: Vec<Row> = circuits
             .iter()
-            .zip(pass)
+            .zip(&pass.result)
             .filter_map(|(c, result)| result.as_ref().ok().map(|outcomes| (c, outcomes)))
             .flat_map(|(c, outcomes)| outcomes.iter().map(|o| Row::new(&c.name, &o.design)))
             .collect();
@@ -166,14 +184,22 @@ pub fn run(kind: Kind, args: &Args) -> Outcome {
     }
 
     let metrics = if args.trace {
-        traced(&circuits, &config, &rows, runs[0].1, &mut checks, args.seed)
+        let untraced_wall = runs[0].wall * runs[0].slowdown;
+        traced(
+            &circuits,
+            &config,
+            &rows,
+            untraced_wall,
+            &mut checks,
+            args.seed,
+        )
     } else {
         EndToEnd {
             setup_s,
-            walls: runs.iter().map(|(_, wall)| *wall).collect(),
+            walls: runs.iter().map(|pass| pass.wall).collect(),
             latencies: runs
                 .iter()
-                .flat_map(|(pass, _)| pass.iter().flatten())
+                .flat_map(|pass| pass.result.iter().flatten())
                 .flat_map(|outcomes| request_seconds(kind, outcomes))
                 .collect(),
             area_sum: rows.iter().map(|r| r.area).sum(),
@@ -187,6 +213,40 @@ pub fn run(kind: Kind, args: &Args) -> Outcome {
         metrics,
         digest,
     }
+}
+
+/// `SynthesisEngine::sweep_chained`, call for call, with the host's speed
+/// sampled between search nodes. Each outcome's seconds exclude the
+/// sampling; it comes with the span of host samples it ran over.
+fn sweep_chained(
+    engine: &SynthesisEngine,
+    host: &mut HostSpeed,
+) -> Result<Vec<(SweepOutcome, Range<usize>)>, CoreError> {
+    let mut outcomes = Vec::with_capacity(engine.max_sessions());
+    let mut previous: Option<RegisterAssignment> = None;
+    for k in 1..=engine.max_sessions() {
+        let (mark, sampling) = (host.mark(), host.spent_s());
+        let mut outcome = engine.synthesize_observed(k, previous.as_ref(), &mut |event| {
+            if matches!(event, SolveEvent::NodeMilestone { .. }) {
+                host.checkpoint();
+            }
+        })?;
+        outcome.seconds -= host.spent_s() - sampling;
+        previous = Some(outcome.registers.clone());
+        outcomes.push((outcome, mark..host.mark()));
+    }
+    Ok(outcomes)
+}
+
+/// Divides each solve's seconds by the host's slowdown over that solve.
+fn normalise(sweep: Vec<(SweepOutcome, Range<usize>)>, host: &HostSpeed) -> Vec<SweepOutcome> {
+    sweep
+        .into_iter()
+        .map(|(mut outcome, span)| {
+            outcome.seconds /= host.slowdown(span);
+            outcome
+        })
+        .collect()
 }
 
 /// The latency samples of one circuit's sweep. On `exact_random` a request
