@@ -20,10 +20,10 @@
 //! container is single-core with no crate registry, so wall-clock numbers
 //! are noisy and unportable, while node counts are bit-reproducible.
 //!
-//! Reading the artifact: on the paper circuits the `reduced` and `cuts`
-//! columns coincide (their root LPs violate no cover/clique inequality, so
-//! `cuts_added` is 0 and the node win is the reduce pipeline's, chiefly the
-//! implication disaggregation); the `cuts` column is still the one gated,
+//! Reading the artifact: the `cuts` column adds the Gomory cuts and
+//! conflict no-goods of the default solver; on the paper circuits most of
+//! the node win over `baseline` is already the reduce pipeline's, chiefly
+//! the implication disaggregation. The `cuts` column is the one gated,
 //! because it is the default solver configuration.
 
 use bist_core::engine::SynthesisEngine;

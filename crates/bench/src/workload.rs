@@ -82,12 +82,6 @@ pub fn ablation_nodes(legacy_var: &str, default: u64) -> u64 {
     }
 }
 
-/// Reads the per-instance ILP budget from `BIST_TIME_LIMIT_SECS`.
-#[deprecated(note = "use `budget_from_env` / `table_time_budget` and `Budget`")]
-pub fn time_limit_from_env() -> Duration {
-    table_time_budget()
-}
-
 /// The synthesis configuration used by the harness: the paper's 8-bit cost
 /// model with the given time budget per ILP solve.
 pub fn quick_config(limit: Duration) -> SynthesisConfig {
@@ -113,16 +107,6 @@ pub fn sweep_config(node_limit: u64) -> SynthesisConfig {
         },
         ..SynthesisConfig::default()
     }
-}
-
-/// Reads the per-solve node budget of the sweep comparison from the
-/// environment (default [`DEFAULT_SWEEP_NODES`]).
-#[deprecated(note = "use `budget_from_env` and `Budget`")]
-pub fn sweep_nodes_from_env() -> u64 {
-    budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit")
 }
 
 /// Maps a closure over circuits on a scoped thread pool and returns the

@@ -54,7 +54,7 @@ pub fn synthesize_reference(
     let mut solver_config = config.solver.clone();
     if config.warm_start {
         if let Some(values) = formulation.baseline_warm_values() {
-            solver_config.initial_solution = Some(values);
+            solver_config.initial_solutions.push(values);
         }
     }
     solve_reference_formulation(config, &formulation, &solver_config, None)

@@ -93,7 +93,7 @@ pub fn synthesize_bist(
     let mut solver_config = config.solver.clone();
     if config.warm_start {
         if let Some(values) = formulation.baseline_warm_values() {
-            solver_config.initial_solution = Some(values);
+            solver_config.initial_solutions.push(values);
         }
     }
     solve_bist_formulation(input, config, &formulation, &solver_config, k, None, None)

@@ -1,29 +1,16 @@
-//! Cutting planes: a pool of knapsack-cover and clique cuts.
+//! Cutting planes: the cut row type, the conflict no-good builder and the
+//! dedup pool every emitted cut passes through.
 //!
-//! The BIST formulations are dominated by two structures the LP relaxation is
-//! weak on: knapsack-style rows (the one-hot multiplexer-sizing selectors and
-//! the OR-reduction rows) and packing/partitioning rows (the register
-//! assignment cliques and the `≤ 1` signature/TPG sharing rows). Both admit
-//! classic families of valid inequalities:
-//!
-//! * **cover cuts** — for `Σ aᵢ·xᵢ ≤ b` over binaries with `aᵢ > 0`, any
-//!   *cover* `C` (a set with `Σ_{C} aᵢ > b`) yields `Σ_{C} xᵢ ≤ |C| − 1`,
-//! * **clique cuts** — for any clique `K` of the conflict graph (pairs of
-//!   binaries that cannot both be 1), `Σ_{K} xᵢ ≤ 1`.
-//!
-//! [`CutGenerator`] mines the model for both structures once, then separates
-//! violated members on demand from a fractional LP point. The branch and
-//! bound keeps the accepted cuts in its row set (see
-//! [`crate::solver::BranchAndBound`]): they are globally valid, so the
-//! propagator and the simplex consume them exactly like model rows, at the
-//! root and at every node.
+//! The branch and bound emits two families of globally valid cuts: Gomory
+//! mixed-integer cuts read off an optimal simplex basis (see
+//! [`crate::simplex::gomory_cuts`]) and conflict no-goods learned from
+//! infeasibility-refuted subtrees ([`nogood_from_fixings`]). Both pass
+//! through the [`CutGenerator`] dedup pool, so no row enters the row set
+//! twice. The accepted cuts live in the solver's row set (see
+//! [`crate::solver::BranchAndBound`]): the propagator and the simplex
+//! consume them exactly like model rows, at the root and at every node.
 
-use crate::model::{CmpOp, Model, VarKind};
-use crate::EPS;
 use std::collections::BTreeSet;
-
-/// Minimum violation for a cut to be worth adding.
-const MIN_VIOLATION: f64 = 0.02;
 
 /// A generated cut `Σ terms ≤ rhs` (cuts are always `≤` rows).
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +23,10 @@ pub struct CutRow {
     pub kind: CutKind,
 }
 
-/// The cut families of the pool.
+/// The cut families of the pool. The solver emits [`CutKind::Gomory`] and
+/// [`CutKind::NoGood`] cuts. The knapsack families (`Cover`, `Clique`,
+/// `LiftedCover`) stay because snapshots at wire versions 1 and 2 may carry
+/// them, and a resumed solve reinstalls them like any other row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CutKind {
     /// A knapsack cover inequality.
@@ -56,274 +46,39 @@ pub enum CutKind {
     NoGood,
 }
 
-/// One knapsack source row, normalised to `Σ aᵢ·xᵢ ≤ b` with `aᵢ > 0`.
-#[derive(Debug, Clone)]
-struct Knapsack {
-    terms: Vec<(usize, f64)>,
-    rhs: f64,
-}
-
-/// Mines a model for cut sources and separates violated cuts from LP points.
-///
-/// The generator deduplicates by support, so re-separating at a later
-/// incumbent never re-emits a cut that is already in the row set.
-#[derive(Debug, Clone)]
+/// The dedup pool of emitted cuts. Every Gomory cut and no-good is
+/// registered through [`CutGenerator::admit`] before it is installed, so a
+/// later round never installs a row that is already in the row set.
+#[derive(Debug, Clone, Default)]
 pub struct CutGenerator {
-    knapsacks: Vec<Knapsack>,
-    /// Sorted conflict-graph neighbour lists (binaries only).
-    adjacency: Vec<Vec<u32>>,
-    /// Supports (plus rhs) of every cut emitted so far.
+    /// Dedup keys (see `cut_key`) of every cut emitted so far.
     emitted: BTreeSet<(Vec<u32>, i64)>,
 }
 
 impl CutGenerator {
-    /// Scans the model's rows for knapsack and conflict structure.
-    pub fn new(model: &Model) -> Self {
-        let binary: Vec<bool> = model
-            .vars()
-            .iter()
-            .map(|v| matches!(v.kind, VarKind::Binary))
-            .collect();
-        let mut knapsacks = Vec::new();
-        let mut adjacency: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); model.num_vars()];
-
-        for constraint in model.constraints() {
-            // Normalised ≤ views of the row (both halves of an equality).
-            let views: &[f64] = match constraint.op {
-                CmpOp::Le => &[1.0],
-                CmpOp::Ge => &[-1.0],
-                CmpOp::Eq => &[1.0, -1.0],
-            };
-            for &sign in views {
-                let rhs = sign * constraint.rhs;
-                let mut terms: Vec<(usize, f64)> = Vec::with_capacity(constraint.expr.len());
-                let mut all_positive_binary = true;
-                for (var, coeff) in constraint.expr.iter() {
-                    let a = sign * coeff;
-                    if a <= EPS || !binary[var.index()] {
-                        all_positive_binary = false;
-                        break;
-                    }
-                    terms.push((var.index(), a));
-                }
-                if !all_positive_binary || terms.len() < 2 || rhs <= EPS {
-                    continue;
-                }
-                let weight: f64 = terms.iter().map(|&(_, a)| a).sum();
-                if weight <= rhs + EPS {
-                    continue; // no cover exists, the row is redundant
-                }
-                // Conflict edges: pairs that cannot both be 1.
-                if terms.len() <= 32 {
-                    for (i, &(x, ax)) in terms.iter().enumerate() {
-                        for &(y, ay) in &terms[i + 1..] {
-                            if ax + ay > rhs + EPS {
-                                adjacency[x].insert(y as u32);
-                                adjacency[y].insert(x as u32);
-                            }
-                        }
-                    }
-                }
-                knapsacks.push(Knapsack { terms, rhs });
-            }
-        }
-
-        Self {
-            knapsacks,
-            adjacency: adjacency
-                .into_iter()
-                .map(|s| s.into_iter().collect())
-                .collect(),
-            emitted: BTreeSet::new(),
-        }
-    }
-
-    /// Whether the model offered any structure to cut on.
-    pub fn has_sources(&self) -> bool {
-        !self.knapsacks.is_empty() || self.adjacency.iter().any(|a| !a.is_empty())
-    }
-
-    /// Number of cuts emitted so far (over all separation rounds).
-    pub fn emitted(&self) -> usize {
-        self.emitted.len()
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Re-registers previously emitted cuts in the dedup set, so a
     /// snapshot-resumed search (which reinstalls the serialized cut pool
-    /// into the row set) never separates a duplicate of a cut it already
-    /// carries. The keys are rebuilt by the same `cut_key` every emission
-    /// path uses: sorted support plus a coefficient/rhs bit signature.
+    /// into the row set) never admits a duplicate of a cut it already
+    /// carries. The keys are rebuilt by the same `cut_key` that
+    /// [`CutGenerator::admit`] uses: sorted support plus a coefficient/rhs
+    /// bit signature.
     pub fn restore_emitted(&mut self, cuts: &[CutRow]) {
         for cut in cuts {
             self.emitted.insert(cut_key(&cut.terms, cut.rhs));
         }
     }
 
-    /// Registers an externally derived cut (Gomory, no-good) in the dedup
-    /// set. Returns `false` — and the caller must not install the cut —
-    /// when an identical row was already emitted in an earlier round.
+    /// Registers a cut in the dedup set. Returns `false` — and the caller
+    /// must not install the cut — when an identical row was already
+    /// emitted in an earlier round.
     pub fn admit(&mut self, cut: &CutRow) -> bool {
         self.emitted.insert(cut_key(&cut.terms, cut.rhs))
     }
-
-    /// Separates cuts violated by the fractional point `x`, at most `max_new`
-    /// of them, most violated families first. Already-emitted cuts are never
-    /// returned again.
-    pub fn separate(&mut self, x: &[f64], max_new: usize) -> Vec<CutRow> {
-        let mut cuts = Vec::new();
-        self.separate_covers(x, max_new, &mut cuts);
-        if cuts.len() < max_new {
-            self.separate_cliques(x, max_new, &mut cuts);
-        }
-        if cuts.len() < max_new {
-            self.separate_lifted_covers(x, max_new, &mut cuts);
-        }
-        cuts
-    }
-
-    /// Greedy cover separation: per knapsack, build the cover minimising
-    /// `Σ_{C} (1 − xᵢ)` (items closest to 1 first, weighted by coefficient).
-    fn separate_covers(&mut self, x: &[f64], max_new: usize, cuts: &mut Vec<CutRow>) {
-        for knap in &self.knapsacks {
-            if cuts.len() >= max_new {
-                return;
-            }
-            let Some(cover) = greedy_cover(knap, x) else {
-                continue;
-            };
-            let lp_sum: f64 = cover.iter().map(|&j| x[j]).sum();
-            let rhs = cover.len() as f64 - 1.0;
-            if lp_sum <= rhs + MIN_VIOLATION {
-                continue;
-            }
-            push_cut(&mut self.emitted, cover, rhs, CutKind::Cover, cuts);
-        }
-    }
-
-    /// Lifted cover separation: the greedy cover of `separate_covers`
-    /// strengthened with sequence-independent lifting coefficients for
-    /// heavy out-of-cover items. With `μ_h` the sum of the `h` largest
-    /// cover weights and `π_j = max{h : μ_h ≤ a_j}`, the inequality
-    /// `Σ_{i∈C} x_i + Σ_{j∉C} π_j·x_j ≤ |C| − 1` is valid for the
-    /// knapsack: any 0-1 point with lifted LHS ≥ |C| carries at least the
-    /// cover's total weight (each lifted item `j` stands in for `π_j` of
-    /// the largest cover items, the chosen cover items for the smallest),
-    /// which exceeds `b`. Only emitted when some `π_j ≥ 1` — otherwise the
-    /// plain cover already says it.
-    fn separate_lifted_covers(&mut self, x: &[f64], max_new: usize, cuts: &mut Vec<CutRow>) {
-        for knap in &self.knapsacks {
-            if cuts.len() >= max_new {
-                return;
-            }
-            let Some(cover) = greedy_cover(knap, x) else {
-                continue;
-            };
-            // μ prefix sums over the cover weights, largest first.
-            let mut weights: Vec<f64> = cover.iter().map(|&j| knap.weight_of(j)).collect();
-            weights.sort_by(|a, b| b.total_cmp(a));
-            let mut mu = vec![0.0];
-            for &w in &weights {
-                mu.push(mu.last().unwrap() + w);
-            }
-            let in_cover: BTreeSet<usize> = cover.iter().copied().collect();
-            let mut terms: Vec<(usize, f64)> = cover.iter().map(|&j| (j, 1.0)).collect();
-            let mut lifted_any = false;
-            for &(j, a) in &knap.terms {
-                if in_cover.contains(&j) {
-                    continue;
-                }
-                let pi = mu[1..].iter().take_while(|&&m| m <= a + EPS).count();
-                if pi >= 1 {
-                    terms.push((j, pi as f64));
-                    lifted_any = true;
-                }
-            }
-            if !lifted_any {
-                continue;
-            }
-            let rhs = cover.len() as f64 - 1.0;
-            let lhs: f64 = terms.iter().map(|&(j, w)| w * x[j]).sum();
-            if lhs <= rhs + MIN_VIOLATION {
-                continue;
-            }
-            terms.sort_by_key(|&(j, _)| j);
-            push_cut_row(&mut self.emitted, terms, rhs, CutKind::LiftedCover, cuts);
-        }
-    }
-
-    /// Greedy clique separation: grow cliques from the most fractional
-    /// variables, highest LP value first.
-    fn separate_cliques(&mut self, x: &[f64], max_new: usize, cuts: &mut Vec<CutRow>) {
-        let mut seeds: Vec<usize> = (0..x.len().min(self.adjacency.len()))
-            .filter(|&j| x[j] > MIN_VIOLATION && !self.adjacency[j].is_empty())
-            .collect();
-        seeds.sort_by(|&i, &j| {
-            x[j].partial_cmp(&x[i])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(i.cmp(&j))
-        });
-        seeds.truncate(100);
-        for &seed in &seeds {
-            if cuts.len() >= max_new {
-                return;
-            }
-            let mut clique = vec![seed];
-            let mut lp_sum = x[seed];
-            for &c in &self.adjacency[seed] {
-                let c = c as usize;
-                if x[c] <= EPS {
-                    continue;
-                }
-                if clique
-                    .iter()
-                    .all(|&m| self.adjacency[c].binary_search(&(m as u32)).is_ok())
-                {
-                    clique.push(c);
-                    lp_sum += x[c];
-                }
-            }
-            if clique.len() < 2 || lp_sum <= 1.0 + MIN_VIOLATION {
-                continue;
-            }
-            push_cut(&mut self.emitted, clique, 1.0, CutKind::Clique, cuts);
-        }
-    }
-}
-
-impl Knapsack {
-    /// Coefficient of variable `j` in the normalised row (0 if absent).
-    fn weight_of(&self, j: usize) -> f64 {
-        self.terms
-            .iter()
-            .find(|&&(v, _)| v == j)
-            .map_or(0.0, |&(_, a)| a)
-    }
-}
-
-/// The greedy cover of a knapsack at the LP point `x`: items closest to 1
-/// first (weighted by coefficient) until the weight exceeds the capacity.
-/// `None` when no cover forms.
-fn greedy_cover(knap: &Knapsack, x: &[f64]) -> Option<Vec<usize>> {
-    let mut order: Vec<usize> = (0..knap.terms.len()).collect();
-    order.sort_by(|&i, &j| {
-        let (vi, ai) = (x[knap.terms[i].0], knap.terms[i].1);
-        let (vj, aj) = (x[knap.terms[j].0], knap.terms[j].1);
-        let ki = (1.0 - vi) / ai;
-        let kj = (1.0 - vj) / aj;
-        ki.partial_cmp(&kj)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(knap.terms[i].0.cmp(&knap.terms[j].0))
-    });
-    let mut cover = Vec::new();
-    let mut weight = 0.0;
-    for &t in &order {
-        cover.push(knap.terms[t].0);
-        weight += knap.terms[t].1;
-        if weight > knap.rhs + EPS {
-            return Some(cover);
-        }
-    }
-    None
 }
 
 /// Builds the conflict no-good of a refuted subtree: with `ones` the
@@ -362,127 +117,76 @@ fn cut_key(terms: &[(usize, f64)], rhs: f64) -> (Vec<u32>, i64) {
     (support, h as i64)
 }
 
-/// Installs a unit-coefficient cut over `support` unless an identical cut was
-/// already emitted.
-fn push_cut(
-    emitted: &mut BTreeSet<(Vec<u32>, i64)>,
-    mut support: Vec<usize>,
-    rhs: f64,
-    kind: CutKind,
-    cuts: &mut Vec<CutRow>,
-) {
-    support.sort_unstable();
-    support.dedup();
-    let terms: Vec<(usize, f64)> = support.into_iter().map(|j| (j, 1.0)).collect();
-    push_cut_row(emitted, terms, rhs, kind, cuts);
-}
-
-/// Installs a general-coefficient cut unless an identical row was already
-/// emitted. `terms` must be sorted by variable index.
-fn push_cut_row(
-    emitted: &mut BTreeSet<(Vec<u32>, i64)>,
-    terms: Vec<(usize, f64)>,
-    rhs: f64,
-    kind: CutKind,
-    cuts: &mut Vec<CutRow>,
-) {
-    if !emitted.insert(cut_key(&terms, rhs)) {
-        return;
-    }
-    cuts.push(CutRow { terms, rhs, kind });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Model;
+    use crate::model::{Model, Sense};
+    use crate::propagate::Domains;
+    use crate::simplex::{gomory_cuts, solve_lp_basis, LpStatus};
+    use crate::sparse::SparseModel;
 
-    #[test]
-    fn cover_cut_is_separated_from_a_fractional_point() {
-        // 3a + 2b + 2c ≤ 4: {b, c} is a cover (2+2 > 4 fails.. use {a, b}).
-        let mut m = Model::new("knap");
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_leq([(a, 3.0), (b, 2.0), (c, 2.0)], 4.0, "cap");
-        let mut generator = CutGenerator::new(&m);
-        assert!(generator.has_sources());
-        // The LP point a = 1, b = 0.5, c = 0 violates the cover {a, b}:
-        // 1 + 0.5 > 1.
-        let cuts = generator.separate(&[1.0, 0.5, 0.0], 8);
-        assert!(!cuts.is_empty());
-        let cover = &cuts[0];
-        assert_eq!(cover.kind, CutKind::Cover);
-        assert_eq!(cover.rhs, cover.terms.len() as f64 - 1.0);
-        // The cut must be valid for every 0-1 point of the knapsack.
-        for mask in 0u32..8 {
-            let point = [
-                f64::from(mask & 1),
-                f64::from((mask >> 1) & 1),
-                f64::from((mask >> 2) & 1),
-            ];
-            let weight = 3.0 * point[a.index()] + 2.0 * point[b.index()] + 2.0 * point[c.index()];
-            if weight <= 4.0 {
-                let lhs: f64 = cover.terms.iter().map(|&(j, w)| w * point[j]).sum();
-                assert!(lhs <= cover.rhs + 1e-9, "cover cut cuts off {point:?}");
-            }
-        }
-        // Re-separating the same point returns nothing new for that support.
-        let again = generator.separate(&[1.0, 0.5, 0.0], 8);
-        assert!(again.iter().all(|cut| cut.terms != cuts[0].terms));
-    }
-
-    #[test]
-    fn clique_cut_merges_pairwise_conflicts() {
-        let mut m = Model::new("clique");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_leq([(x, 1.0), (y, 1.0)], 1.0, "xy");
-        m.add_leq([(y, 1.0), (z, 1.0)], 1.0, "yz");
-        m.add_leq([(x, 1.0), (z, 1.0)], 1.0, "xz");
-        let mut generator = CutGenerator::new(&m);
-        // x = y = z = 0.5 satisfies every pair but violates the triangle.
-        let cuts = generator.separate(&[0.5, 0.5, 0.5], 8);
-        let clique = cuts
-            .iter()
-            .find(|c| c.kind == CutKind::Clique)
-            .expect("triangle clique cut");
-        assert_eq!(clique.terms.len(), 3);
-        assert_eq!(clique.rhs, 1.0);
-    }
-
-    #[test]
-    fn partitioning_rows_feed_the_conflict_graph() {
-        let mut m = Model::new("assign");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_eq([(x, 1.0), (y, 1.0), (z, 1.0)], 1.0, "one_of");
-        let generator = CutGenerator::new(&m);
-        assert!(generator.has_sources());
-        assert!(generator.adjacency[x.index()].contains(&(y.index() as u32)));
-        assert!(generator.adjacency[y.index()].contains(&(z.index() as u32)));
+    /// The Gomory cuts read off the optimal root basis of `m`, with
+    /// `integral` marking the integer columns.
+    fn root_gomory_cuts(m: &Model, integral: &[bool]) -> Vec<(Vec<(usize, f64)>, f64)> {
+        let matrix = SparseModel::from_model(m);
+        let objective: Vec<f64> = m.vars().iter().map(|v| v.objective).collect();
+        let domains = Domains::from_model(m);
+        let (lp, basis) = solve_lp_basis(&matrix, &objective, 0.0, &domains, 1_000);
+        assert_eq!(lp.status, LpStatus::Optimal);
+        let basis = basis.expect("optimal basis");
+        gomory_cuts(
+            &matrix, &objective, 0.0, &basis, &domains, &domains, integral, 8,
+        )
     }
 
     #[test]
     fn integral_points_yield_no_cuts() {
+        // The LP optimum b = 1 is already integral, so no basic row is
+        // fractional and there is nothing to cut.
         let mut m = Model::new("int");
         let a = m.add_binary("a");
         let b = m.add_binary("b");
-        m.add_leq([(a, 3.0), (b, 2.0)], 4.0, "cap");
-        let mut generator = CutGenerator::new(&m);
-        assert!(generator.separate(&[0.0, 1.0], 8).is_empty());
-        assert_eq!(generator.emitted(), 0);
+        m.add_leq([(a, 1.0), (b, 1.0)], 1.0, "cap");
+        m.set_objective([(a, -1.0), (b, -2.0)], Sense::Minimize);
+        assert!(root_gomory_cuts(&m, &[true, true]).is_empty());
     }
 
     #[test]
     fn models_without_structure_have_no_sources() {
+        // The LP optimum is fractional, but on continuous columns: Gomory
+        // cuts need integral basic variables, and no-goods need binaries.
         let mut m = Model::new("cont");
         let x = m.add_continuous("x", 0.0, 1.0);
         let y = m.add_continuous("y", 0.0, 1.0);
-        m.add_leq([(x, 1.0), (y, 1.0)], 1.0, "row");
-        let generator = CutGenerator::new(&m);
-        assert!(!generator.has_sources());
+        m.add_leq([(x, 1.0), (y, 1.0)], 1.5, "row");
+        m.set_objective([(x, -1.0), (y, -1.0)], Sense::Minimize);
+        assert!(root_gomory_cuts(&m, &[false, false]).is_empty());
+    }
+
+    fn row(terms: &[(usize, f64)], rhs: f64) -> CutRow {
+        CutRow {
+            terms: terms.to_vec(),
+            rhs,
+            kind: CutKind::Gomory,
+        }
+    }
+
+    #[test]
+    fn the_pool_admits_each_row_once() {
+        let mut pool = CutGenerator::new();
+        let cut = row(&[(0, 1.0), (2, 0.5)], 1.0);
+        assert!(pool.admit(&cut));
+        assert!(!pool.admit(&cut), "an identical second row is rejected");
+        // The key ignores term order but not coefficients.
+        assert!(!pool.admit(&row(&[(2, 0.5), (0, 1.0)], 1.0)));
+        let other = row(&[(0, 1.0), (2, 0.25)], 1.0);
+        assert!(pool.admit(&other), "one coefficient apart is a new row");
+
+        // A pool rebuilt from a serialized cut list rejects what it holds.
+        let mut restored = CutGenerator::new();
+        restored.restore_emitted(&[cut.clone(), other.clone()]);
+        assert!(!restored.admit(&cut));
+        assert!(!restored.admit(&other));
+        assert!(restored.admit(&row(&[(0, 1.0), (2, 0.5)], 2.0)));
     }
 }

@@ -1,24 +1,13 @@
-//! Primal heuristics used to obtain an early incumbent and to improve it
-//! during the search.
+//! Primal heuristics that supply incumbents: [`greedy_dive`] runs once
+//! before the tree search, and [`round_and_repair`] rounds the LP
+//! relaxation at shallow nodes.
 //!
 //! A good incumbent found before the tree search starts dramatically improves
 //! pruning for the BIST formulations, whose constraint structure (assignment
 //! rows plus implication chains) makes greedy, propagation-repaired dives
-//! succeed very often. On top of the pre-search [`greedy_dive`] /
-//! [`round_and_repair`] pair, the search layer invokes a *scheduled*
-//! heuristic rotation on a node-count period: [`lp_guided_dive`] (fix along
-//! the relaxation, backtracking a bounded number of failed decisions), a
-//! feasibility pump built from [`pump_target`] plus distance-objective LPs
-//! driven by the solver, and a RINS-style [`rins_dive`] that fixes the
-//! variables on which the incumbent and the node relaxation agree before
-//! diving on the rest.
+//! succeed very often.
 
 use crate::propagate::{Domains, PropagationResult, Propagator};
-
-/// First-choice failures tolerated by [`lp_guided_dive`] before aborting;
-/// each failure costs an extra propagation pass, so unbounded repair could
-/// degenerate into enumeration on adversarial boxes.
-const DIVE_MAX_BACKTRACKS: usize = 32;
 
 /// Tries to build a feasible assignment by repeatedly fixing an unfixed
 /// integral variable to its objective-cheapest bound and propagating.
@@ -93,147 +82,6 @@ pub fn greedy_dive(
         }
     }
     Some(values)
-}
-
-/// Dives along an LP relaxation: unfixed integral variables are fixed to
-/// their rounded relaxation value, least-fractional first, propagating after
-/// every decision. A failed first choice backtracks that single decision to
-/// the opposite bound; after `DIVE_MAX_BACKTRACKS` such repairs (or one
-/// two-sided failure) the dive aborts. Continuous variables are completed at
-/// their objective-cheapest bound, exactly as in [`greedy_dive`].
-pub fn lp_guided_dive(
-    propagator: &Propagator,
-    start: &Domains,
-    lp_values: &[f64],
-    objective: &[f64],
-) -> Option<Vec<f64>> {
-    let n = start.len();
-    if lp_values.len() != n {
-        return None;
-    }
-    let mut domains = start.clone();
-    if propagator.propagate(&mut domains) == PropagationResult::Infeasible {
-        return None;
-    }
-
-    // Most-decided variables first: the relaxation is most confident about
-    // the near-integral ones, so fixing them first leaves propagation and
-    // the backtrack budget for the genuinely fractional tail.
-    let mut order: Vec<usize> = (0..n)
-        .filter(|&j| domains.is_integral(j) && !domains.is_fixed(j))
-        .collect();
-    let frac = |j: usize| {
-        let v = lp_values[j];
-        (v - v.round()).abs()
-    };
-    order.sort_by(|&a, &b| frac(a).total_cmp(&frac(b)).then(a.cmp(&b)));
-
-    let mut backtracks = 0usize;
-    for &j in &order {
-        if domains.is_fixed(j) {
-            continue; // propagation got there first
-        }
-        let lower = domains.lower(j);
-        let upper = domains.upper(j);
-        let first = lp_values[j].round().clamp(lower, upper);
-        let mut attempt = domains.clone();
-        attempt.fix(j, first);
-        if propagator.propagate_seeded(&mut attempt, &[j]) == PropagationResult::Consistent {
-            domains = attempt;
-            continue;
-        }
-        backtracks += 1;
-        if backtracks > DIVE_MAX_BACKTRACKS {
-            return None;
-        }
-        // The rounded value refuted; the only other integral candidate that
-        // propagation has not excluded sits on the other side of the box.
-        let second = if first <= lower { upper } else { lower };
-        let mut attempt = domains.clone();
-        attempt.fix(j, second);
-        if propagator.propagate_seeded(&mut attempt, &[j]) == PropagationResult::Consistent {
-            domains = attempt;
-            continue;
-        }
-        return None;
-    }
-
-    if !domains.all_integral_fixed() {
-        return None;
-    }
-    let mut values = domains.assignment();
-    for j in 0..n {
-        if !domains.is_integral(j) && !domains.is_fixed(j) {
-            values[j] = if objective[j] >= 0.0 {
-                domains.lower(j)
-            } else {
-                domains.upper(j)
-            };
-        }
-    }
-    Some(values)
-}
-
-/// The feasibility-pump rounding step: the integral point of the box nearest
-/// to an LP solution. The solver alternates this with a distance-objective
-/// LP until the two meet (an LP-feasible integral point) or the pump cycles.
-pub fn pump_target(domains: &Domains, lp_values: &[f64]) -> Vec<f64> {
-    lp_values
-        .iter()
-        .enumerate()
-        .map(|(j, &v)| {
-            if domains.is_integral(j) {
-                v.round().clamp(domains.lower(j), domains.upper(j))
-            } else {
-                v.clamp(domains.lower(j), domains.upper(j))
-            }
-        })
-        .collect()
-}
-
-/// RINS-style improvement dive: fixes every unfixed integral variable on
-/// which the incumbent and the node relaxation agree (the relaxation rounds
-/// to the incumbent's value), then dives LP-guided on the remaining
-/// neighbourhood. Returns a feasible assignment when the sub-dive succeeds —
-/// the caller decides whether it actually improves the incumbent.
-pub fn rins_dive(
-    propagator: &Propagator,
-    start: &Domains,
-    incumbent: &[f64],
-    lp_values: &[f64],
-    objective: &[f64],
-) -> Option<Vec<f64>> {
-    let n = start.len();
-    if incumbent.len() != n || lp_values.len() != n {
-        return None;
-    }
-    let mut domains = start.clone();
-    let mut fixed = Vec::new();
-    let mut free = 0usize;
-    for j in 0..n {
-        if !domains.is_integral(j) || domains.is_fixed(j) {
-            continue;
-        }
-        let agree = (lp_values[j].round() - incumbent[j].round()).abs() < 0.5;
-        let target = incumbent[j].round();
-        if agree && target >= domains.lower(j) - 0.5 && target <= domains.upper(j) + 0.5 {
-            if !domains.fix(j, target.clamp(domains.lower(j), domains.upper(j))) {
-                return None;
-            }
-            fixed.push(j);
-        } else {
-            free += 1;
-        }
-    }
-    // A neighbourhood with nothing left to decide re-derives the incumbent;
-    // one with nothing fixed is a plain dive the scheduler already runs.
-    if fixed.is_empty() || free == 0 {
-        return None;
-    }
-    if propagator.propagate_seeded(&mut domains, &fixed) == PropagationResult::Infeasible {
-        return None;
-    }
-    lp_guided_dive(propagator, &domains, lp_values, objective)
 }
 
 /// Rounds a fractional LP solution to the nearest integers and repairs it by
@@ -339,75 +187,6 @@ mod tests {
         let sol = round_and_repair(&prop, &dom, &[1.0, 0.0], &obj).expect("feasible");
         assert!(m.is_feasible(&sol, 1e-6));
         assert!(sol[x.index()] > 0.5);
-    }
-
-    #[test]
-    fn lp_guided_dive_follows_the_relaxation() {
-        // Either bin works; the LP hint points at the expensive one and the
-        // dive should follow it rather than the objective.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        m.add_eq([(x, 1.0), (y, 1.0)], 1.0, "pick-one");
-        m.set_objective([(x, 1.0), (y, 3.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        let sol = lp_guided_dive(&prop, &dom, &[0.1, 0.9], &obj).expect("feasible");
-        assert!(m.is_feasible(&sol, 1e-6));
-        assert!(sol[y.index()] > 0.5);
-    }
-
-    #[test]
-    fn lp_guided_dive_backtracks_a_refuted_rounding() {
-        // The hint rounds x to 0 but x >= 1 forces it back up.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        m.add_geq([(x, 1.0)], 1.0, "force");
-        m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        let sol = lp_guided_dive(&prop, &dom, &[0.2], &obj).expect("feasible");
-        assert!(sol[x.index()] > 0.5);
-    }
-
-    #[test]
-    fn pump_target_rounds_into_the_box() {
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let c = m.add_continuous("c", 0.0, 2.0);
-        m.set_objective([(x, 1.0)], Sense::Minimize);
-        let dom = Domains::from_model(&m);
-        let target = pump_target(&dom, &[0.7, 3.5]);
-        assert_eq!(target[x.index()], 1.0);
-        assert_eq!(target[c.index()], 2.0);
-    }
-
-    #[test]
-    fn rins_dive_fixes_agreements_and_completes() {
-        // Incumbent and relaxation agree on x = 1; y stays free and the
-        // sub-dive must pick it to satisfy the covering row.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_geq([(x, 1.0), (y, 1.0), (z, 1.0)], 2.0, "cover");
-        m.set_objective([(x, 1.0), (y, 2.0), (z, 3.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        let incumbent = [1.0, 0.0, 1.0];
-        let lp = [0.9, 0.6, 0.5];
-        let sol = rins_dive(&prop, &dom, &incumbent, &lp, &obj).expect("feasible");
-        assert!(m.is_feasible(&sol, 1e-6));
-        assert!(sol[x.index()] > 0.5);
-    }
-
-    #[test]
-    fn rins_dive_declines_trivial_neighbourhoods() {
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (prop, dom, obj) = setup(&m);
-        // Full agreement: nothing left free, nothing to improve.
-        assert!(rins_dive(&prop, &dom, &[1.0], &[1.0], &obj).is_none());
-        // No agreement: plain dive territory, not a RINS neighbourhood.
-        assert!(rins_dive(&prop, &dom, &[1.0], &[0.1], &obj).is_none());
     }
 
     #[test]

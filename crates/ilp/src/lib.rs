@@ -24,14 +24,15 @@
 //!   elimination, redundant-row removal, clique merging, coefficient
 //!   tightening, singleton substitution) producing a smaller
 //!   [`reduce::ReducedModel`] with round-trip solution lifting,
-//! * a [`cuts`] pool of knapsack-cover and clique cutting planes, separated
-//!   at the root and re-checked at improved incumbents,
+//! * [`cuts`]: Gomory mixed-integer cuts read off the optimal root and
+//!   shallow-node bases plus conflict no-goods from refuted subtrees, both
+//!   deduplicated through one pool,
 //! * a branch-and-bound [`solver`] with configurable bounding
 //!   (LP relaxation, propagation-only, or hybrid), branching rules up to
 //!   pseudo-cost / reliability branching with strong-branching
 //!   initialisation, reduced-cost bound fixing against the incumbent,
-//!   search strategies, a greedy diving primal heuristic and wall-clock
-//!   limits,
+//!   search strategies, the [`heuristics`] (a greedy dive before the search
+//!   and LP rounding at shallow nodes) and wall-clock limits,
 //! * a CPLEX-style `.lp` file writer ([`lpfile`]) for debugging and for
 //!   feeding the very same model to an external solver if one is available,
 //! * a [`session`] layer — [`SolveSession`] with a unified [`Budget`]
@@ -67,7 +68,6 @@ pub mod heuristics;
 pub mod json;
 pub mod lpfile;
 pub mod model;
-pub mod presolve;
 pub mod propagate;
 pub mod reduce;
 pub mod session;
@@ -86,13 +86,8 @@ pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
 pub use simplex::{Basis, LpSolution, LpStatus, Pricing, ReducedCosts};
 pub use snapshot::{model_fingerprint, SnapshotError, SolveSnapshot};
 pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
-pub use solver::{BoundMode, BranchRule, SearchOrder, SolverConfig, SolverConfigBuilder};
+pub use solver::{BoundMode, BranchRule, SearchOrder, SolverConfig};
 pub use sparse::{RowRef, SparseModel};
-
-/// Backwards-compatible alias: the branching enum was named `Branching`
-/// before the pseudo-cost rule landed in the search layer.
-#[deprecated(since = "0.2.0", note = "use `BranchRule` instead")]
-pub type Branching = BranchRule;
 
 /// Numerical tolerance used throughout the crate when comparing floating
 /// point activities, bounds and objective values.

@@ -1,9 +1,8 @@
 //! Reducing presolve: composable model-to-model transformations.
 //!
-//! The [`crate::presolve`] module *inspects* a model (fixed variables,
-//! redundant rows) without changing it. This module goes further: it rewrites
-//! the model into a smaller, tighter [`ReducedModel`] that the solver
-//! explores instead, with a round-trip [`ReducedModel::lift`] that maps any
+//! This module rewrites a model into a smaller, tighter [`ReducedModel`]
+//! that the solver explores instead, with a round-trip [`ReducedModel::lift`]
+//! that maps any
 //! reduced-space assignment back to the original variable indexing (and
 //! [`ReducedModel::project`] for warm starts travelling the other way).
 //!
@@ -1330,10 +1329,6 @@ pub fn solve_reduced_with_events(
     }
 
     let mut inner_config = config.clone();
-    inner_config.initial_solution = config
-        .initial_solution
-        .as_ref()
-        .and_then(|v| reduced.project(v));
     inner_config.initial_solutions = config
         .initial_solutions
         .iter()
@@ -1612,7 +1607,7 @@ mod tests {
         assert!(m.is_feasible(&warm, 1e-6));
         let projected = reduced.project(&warm).expect("warm start survives");
         assert_eq!(projected.len(), reduced.model.num_vars());
-        let config = SolverConfig::exact().with_initial_solution(warm);
+        let config = SolverConfig::exact().with_warm_candidate(warm);
         let sol = solve_reduced(&m, &reduced, &config).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() - 1.0).abs() < 1e-9);

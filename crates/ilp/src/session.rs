@@ -24,9 +24,7 @@
 //! model.add_leq([(x, 1.0), (y, 1.0)], 1.0, "cap");
 //! model.set_objective([(x, 1.0), (y, 2.0)], Sense::Maximize);
 //!
-//! let config = SolverConfig::builder()
-//!     .budget(Budget::unlimited().with_nodes(10_000))
-//!     .build();
+//! let config = SolverConfig::default().with_budget(Budget::unlimited().with_nodes(10_000));
 //! let mut incumbents = 0;
 //! let solution = SolveSession::with_config(&model, config)
 //!     .on_event(|event| {
@@ -394,8 +392,9 @@ pub enum SolveEvent {
         /// dual-simplex re-solves (see [`crate::SolveStats`]).
         pivots: (u64, u64),
         /// Simplex iterations split by pricing rule actually charged:
-        /// `(devex, dantzig, bland)`. The first two reflect the configured
-        /// [`crate::Pricing`]; Bland pivots are anti-cycling fallbacks.
+        /// `(devex, dantzig, bland)`. The search prices with
+        /// [`crate::Pricing::Devex`], so `dantzig` stays 0; Bland pivots are
+        /// anti-cycling fallbacks.
         pricing_pivots: (u64, u64, u64),
         /// Cutting planes emitted into the pool over the whole solve,
         /// by kind.
@@ -423,8 +422,8 @@ impl<'m> SolveSession<'m> {
         Self::with_config(model, SolverConfig::default())
     }
 
-    /// A session over `model` with an explicit configuration (typically
-    /// from [`SolverConfig::builder`]).
+    /// A session over `model` with an explicit configuration (a struct
+    /// literal over [`SolverConfig::default`], or its `with_*` setters).
     pub fn with_config(model: &'m Model, config: SolverConfig) -> Self {
         Self {
             model,

@@ -56,14 +56,17 @@ pub struct Improvement {
     /// The new incumbent objective, in the model's external sense.
     pub objective: f64,
     /// Which layer produced the incumbent: `"warm-start"`, `"dive"`,
-    /// `"root-lp"`, `"node-lp"`, `"rounding"`, `"lp-dive"`, `"pump"`,
-    /// `"rins"` or `"lp"` (pure LP models).
+    /// `"root-lp"`, `"node-lp"`, `"rounding"`, `"presolve"` (the reducing
+    /// presolve decided every variable) or `"lp"` (pure LP models).
     pub source: &'static str,
 }
 
 /// Cuts counted separately per [`CutKind`] — the observability half of the
 /// cut pool: how many of each kind were emitted during a solve and how many
-/// sit in the active row set at the end.
+/// sit in the active row set at the end. The solver emits only Gomory cuts
+/// and no-goods; the knapsack counters (`cover`, `clique`, `lifted_cover`)
+/// can only be nonzero in the active set of a solve resumed from an older
+/// snapshot that carries such rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CutCounts {
     /// Knapsack cover cuts.
@@ -160,8 +163,8 @@ pub struct SolveStats {
     pub gap: f64,
     /// True when the wall-clock or node limit stopped the search.
     pub limit_reached: bool,
-    /// Cutting planes added to the row set (root separation plus the
-    /// re-checks at improved incumbents).
+    /// Cutting planes added to the row set (root and shallow-node Gomory
+    /// rounds plus flushed no-goods).
     pub cuts: u64,
     /// Cuts emitted during this solve, counted per kind (learned no-goods
     /// count when they enter the pending pool, which may be after the

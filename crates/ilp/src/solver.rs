@@ -30,28 +30,26 @@ use std::time::{Duration, Instant};
 
 use crate::cuts::{nogood_from_fixings, CutGenerator, CutKind, CutRow};
 use crate::error::IlpError;
-use crate::heuristics::{greedy_dive, lp_guided_dive, pump_target, rins_dive, round_and_repair};
+use crate::heuristics::{greedy_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    gomory_cuts, instance_fingerprint, resolve_with_basis_priced, solve_lp_basis_priced,
-    solve_lp_priced, Basis, LpSolution, LpStatus, Pricing, ReducedCosts,
+    gomory_cuts, instance_fingerprint, resolve_with_basis, solve_lp, solve_lp_basis, Basis,
+    LpSolution, LpStatus, ReducedCosts,
 };
 use crate::snapshot::{PseudoSnapshot, RootLpSnapshot, SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
 use crate::{EPS, INT_EPS};
 
-/// Maximum separation rounds at the root node.
+/// Maximum Gomory rounds at the root node.
 const ROOT_CUT_ROUNDS: usize = 4;
-/// Maximum in-tree separation passes (re-checks at improved incumbents).
+/// Maximum in-tree Gomory rounds (at shallow nodes).
 const TREE_SEPARATIONS: usize = 6;
 /// In-tree separation budget for eager (chained warm-started) solves: the
 /// anchoring incumbent makes extra shallow rounds pay for themselves.
 const TREE_SEPARATIONS_EAGER: usize = 12;
-/// Maximum cuts accepted per separation call.
-const CUTS_PER_ROUND: usize = 24;
 /// Capacity of the node-basis cache. Bases are only kept for the most
 /// recently solved LP nodes — with depth-first search that is the active
 /// DFS spine (a child is popped right after its parent), with best-first it
@@ -107,10 +105,6 @@ const NOGOOD_MAX_TERMS: usize = 24;
 /// pending, so one matrix rebuild (which invalidates every cached basis)
 /// amortises over several conflicts.
 const NOGOOD_FLUSH: usize = 8;
-/// Node-count period of the scheduled heuristic layer; the slot rotation is
-/// a pure function of the node counter, so the schedule survives
-/// snapshot/resume and engine-vs-rebuild comparisons unchanged.
-const HEUR_PERIOD: u64 = 128;
 
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
@@ -178,7 +172,8 @@ pub enum SearchOrder {
     BestFirst,
 }
 
-/// Configuration of a branch-and-bound run.
+/// Configuration of a branch-and-bound run. Every LP the search solves is
+/// priced with [`crate::Pricing::Devex`].
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// The unified solve budget: node limit, wall-clock limit and absolute
@@ -195,39 +190,27 @@ pub struct SolverConfig {
     pub branching: BranchRule,
     /// Node exploration order.
     pub search: SearchOrder,
-    /// Stop as soon as the relative gap drops below this value.
-    pub gap_tolerance: f64,
     /// Pivot budget per LP relaxation solve.
     pub max_lp_pivots: u64,
-    /// Simplex pricing rule for every LP solved during the search (node
-    /// relaxations, root cut loop, strong branching, heuristic LPs).
-    /// Defaults to [`Pricing::Devex`]; [`Pricing::Dantzig`] is kept as the
-    /// differential baseline.
-    pub pricing: Pricing,
     /// Record a verbatim copy of every emitted cut in
     /// [`SolveStats::emitted_cuts`]. Off by default — it exists for the cut
     /// validity test suite, which re-checks every cut against known integer
     /// optima.
     pub record_cuts: bool,
-    /// Run the greedy dive heuristic before the tree search.
-    pub dive_heuristic: bool,
-    /// Optional warm-start assignment; used as the initial incumbent when it
-    /// is feasible for the model.
-    pub initial_solution: Option<Vec<f64>>,
-    /// Additional warm-start candidates. Every feasible candidate competes
-    /// for the initial incumbent and the best one wins; the synthesis engine
-    /// uses this to chain the k−1 sweep incumbent alongside the sequential
-    /// baseline design.
+    /// Warm-start candidates. Every feasible candidate competes for the
+    /// initial incumbent and the best one wins (the earliest on a tie); the
+    /// synthesis engine pushes the sequential baseline design first and the
+    /// chained k−1 sweep incumbent after it.
     pub initial_solutions: Vec<Vec<f64>>,
     /// Run the reducing presolve pipeline ([`crate::reduce`]) and solve the
     /// reduced model instead of the raw one (solutions are lifted back
     /// transparently). On by default.
     pub presolve: bool,
-    /// Seed a cut pool with knapsack-cover and clique cuts
-    /// ([`crate::cuts`]), separated at the root and re-checked at improved
-    /// incumbents. On by default. Has no effect under
-    /// [`BoundMode::Propagation`], which never produces the LP points
-    /// separation needs.
+    /// Keep a cut pool ([`crate::cuts`]): Gomory mixed-integer cuts read
+    /// off the optimal basis in the root loop and at shallow nodes, and
+    /// conflict no-goods learned from infeasible subtrees. On by default.
+    /// Gomory cuts need LP bases, so under [`BoundMode::Propagation`] only
+    /// no-goods are learned.
     pub cuts: bool,
     /// Re-solve child-node LPs with the dual simplex from the parent's
     /// cached optimal [`Basis`] instead of cold two-phase primal. On by
@@ -272,12 +255,8 @@ impl Default for SolverConfig {
             bound_mode: BoundMode::Hybrid { lp_depth: 4 },
             branching: BranchRule::PseudoCost,
             search: SearchOrder::DepthFirst,
-            gap_tolerance: 1e-9,
             max_lp_pivots: 50_000,
-            pricing: Pricing::default(),
             record_cuts: false,
-            dive_heuristic: true,
-            initial_solution: None,
             initial_solutions: Vec::new(),
             presolve: true,
             cuts: true,
@@ -291,37 +270,12 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// Starts a typed builder from the default configuration. Presets:
-    /// [`SolverConfigBuilder::exact`], [`SolverConfigBuilder::budgeted`],
-    /// [`SolverConfigBuilder::prop_only`].
-    pub fn builder() -> SolverConfigBuilder {
-        SolverConfigBuilder::default()
-    }
-
     /// A configuration tuned for exhaustive solving of small models in tests:
     /// no limits at all, LP relaxation bound everywhere.
     pub fn exact() -> Self {
         Self {
             budget: Budget::unlimited(),
             bound_mode: BoundMode::LpRelaxation,
-            ..Self::default()
-        }
-    }
-
-    /// The default configuration under the given [`Budget`].
-    pub fn budgeted(budget: Budget) -> Self {
-        Self {
-            budget,
-            ..Self::default()
-        }
-    }
-
-    /// A cheap configuration for large models: propagation bounds only and
-    /// the given wall-clock budget.
-    pub fn time_boxed(limit: Duration) -> Self {
-        Self {
-            budget: Budget::time(limit),
-            bound_mode: BoundMode::Propagation,
             ..Self::default()
         }
     }
@@ -338,13 +292,6 @@ impl SolverConfig {
         self
     }
 
-    /// Builder-style setter for the time limit.
-    #[deprecated(note = "set a `Budget` via `SolverConfig::builder()` or the `budget` field")]
-    pub fn with_time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.budget.time_limit = limit;
-        self
-    }
-
     /// Builder-style setter for the bound mode.
     pub fn with_bound_mode(mut self, mode: BoundMode) -> Self {
         self.bound_mode = mode;
@@ -354,12 +301,6 @@ impl SolverConfig {
     /// Builder-style setter for the branching rule.
     pub fn with_branching(mut self, branching: BranchRule) -> Self {
         self.branching = branching;
-        self
-    }
-
-    /// Builder-style setter for the simplex pricing rule.
-    pub fn with_pricing(mut self, pricing: Pricing) -> Self {
-        self.pricing = pricing;
         self
     }
 
@@ -384,12 +325,6 @@ impl SolverConfig {
     /// Builder-style setter for the search order.
     pub fn with_search(mut self, search: SearchOrder) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Builder-style setter for a warm-start assignment.
-    pub fn with_initial_solution(mut self, values: Vec<f64>) -> Self {
-        self.initial_solution = Some(values);
         self
     }
 
@@ -422,177 +357,6 @@ impl SolverConfig {
     pub fn with_resume(mut self, snapshot: Arc<SolveSnapshot>) -> Self {
         self.resume = Some(snapshot);
         self
-    }
-}
-
-/// Typed builder for [`SolverConfig`], with presets for the three common
-/// shapes of a solve. Obtained from [`SolverConfig::builder`] or one of the
-/// preset constructors.
-///
-/// ```
-/// use std::time::Duration;
-/// use bist_ilp::{Budget, SearchOrder, SolverConfig, SolverConfigBuilder};
-///
-/// // A deterministic, node-limited best-first search with a 10 s cap.
-/// let config = SolverConfig::builder()
-///     .budget(Budget::nodes(500).with_time(Duration::from_secs(10)))
-///     .search(SearchOrder::BestFirst)
-///     .build();
-/// assert_eq!(config.budget.node_limit, Some(500));
-///
-/// // Presets: exhaustive, budgeted, and LP-free propagation-only solving.
-/// let exact = SolverConfigBuilder::exact().build();
-/// assert!(exact.budget.is_unlimited());
-/// let prop = SolverConfigBuilder::prop_only().build();
-/// assert!(!prop.cuts);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SolverConfigBuilder {
-    config: SolverConfig,
-}
-
-impl SolverConfigBuilder {
-    /// Preset: exhaustive solving (no limits, LP bounds everywhere), as
-    /// [`SolverConfig::exact`].
-    pub fn exact() -> Self {
-        Self {
-            config: SolverConfig::exact(),
-        }
-    }
-
-    /// Preset: the default configuration under `budget`.
-    pub fn budgeted(budget: Budget) -> Self {
-        Self {
-            config: SolverConfig::budgeted(budget),
-        }
-    }
-
-    /// Preset: propagation-only bounding — no LP relaxations anywhere, so
-    /// the LP-dependent layers (cut pool, warm starts, reduced-cost fixing)
-    /// are switched off rather than left as inert flags.
-    pub fn prop_only() -> Self {
-        let config = SolverConfig {
-            bound_mode: BoundMode::Propagation,
-            cuts: false,
-            lp_warm_start: false,
-            rc_fixing: false,
-            ..SolverConfig::default()
-        };
-        Self { config }
-    }
-
-    /// Sets the solve budget.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Installs a cancellation token.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.config.cancel = Some(token);
-        self
-    }
-
-    /// Sets the dual bound mode.
-    pub fn bound_mode(mut self, mode: BoundMode) -> Self {
-        self.config.bound_mode = mode;
-        self
-    }
-
-    /// Sets the branching rule.
-    pub fn branch_rule(mut self, rule: BranchRule) -> Self {
-        self.config.branching = rule;
-        self
-    }
-
-    /// Sets the node exploration order.
-    pub fn search(mut self, order: SearchOrder) -> Self {
-        self.config.search = order;
-        self
-    }
-
-    /// Sets the relative gap tolerance.
-    pub fn gap_tolerance(mut self, tolerance: f64) -> Self {
-        self.config.gap_tolerance = tolerance;
-        self
-    }
-
-    /// Sets the pivot budget per LP solve.
-    pub fn max_lp_pivots(mut self, pivots: u64) -> Self {
-        self.config.max_lp_pivots = pivots;
-        self
-    }
-
-    /// Sets the simplex pricing rule.
-    pub fn pricing(mut self, pricing: Pricing) -> Self {
-        self.config.pricing = pricing;
-        self
-    }
-
-    /// Toggles recording emitted cuts in the stats.
-    pub fn record_cuts(mut self, enabled: bool) -> Self {
-        self.config.record_cuts = enabled;
-        self
-    }
-
-    /// Toggles the greedy dive heuristic.
-    pub fn dive_heuristic(mut self, enabled: bool) -> Self {
-        self.config.dive_heuristic = enabled;
-        self
-    }
-
-    /// Adds a warm-start candidate (may be called repeatedly).
-    pub fn warm_start(mut self, values: Vec<f64>) -> Self {
-        self.config.initial_solutions.push(values);
-        self
-    }
-
-    /// Toggles the reducing presolve.
-    pub fn presolve(mut self, enabled: bool) -> Self {
-        self.config.presolve = enabled;
-        self
-    }
-
-    /// Toggles the cut pool.
-    pub fn cuts(mut self, enabled: bool) -> Self {
-        self.config.cuts = enabled;
-        self
-    }
-
-    /// Toggles dual-simplex warm starts of node LPs.
-    pub fn lp_warm_start(mut self, enabled: bool) -> Self {
-        self.config.lp_warm_start = enabled;
-        self
-    }
-
-    /// Toggles reduced-cost bound fixing.
-    pub fn rc_fixing(mut self, enabled: bool) -> Self {
-        self.config.rc_fixing = enabled;
-        self
-    }
-
-    /// Toggles eager shallow Gomory rounds (see
-    /// [`SolverConfig::eager_tree_cuts`]).
-    pub fn eager_tree_cuts(mut self, enabled: bool) -> Self {
-        self.config.eager_tree_cuts = enabled;
-        self
-    }
-
-    /// Toggles snapshot capture on early stop.
-    pub fn snapshot(mut self, enabled: bool) -> Self {
-        self.config.snapshot = enabled;
-        self
-    }
-
-    /// Installs a snapshot to resume from.
-    pub fn resume(mut self, snapshot: Arc<SolveSnapshot>) -> Self {
-        self.config.resume = Some(snapshot);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> SolverConfig {
-        self.config
     }
 }
 
@@ -858,18 +622,17 @@ pub struct BranchAndBound<'a> {
     objective_constant: f64,
     sense_factor: f64,
     occurrence: Vec<usize>,
-    /// Cut pool: the generator mines the model once, `cut_rows` holds every
-    /// accepted cut. The rows live in the shared sparse matrix, so the
-    /// propagator, the simplex and the branching rules consume them exactly
-    /// like model rows.
+    /// Cut pool: the generator deduplicates every emitted cut, `cut_rows`
+    /// holds every accepted one. The rows live in the shared sparse matrix,
+    /// so the propagator, the simplex and the branching rules consume them
+    /// exactly like model rows.
     cut_source: Option<CutGenerator>,
     cut_rows: Vec<CutRow>,
     /// Learned no-good cuts awaiting their batched install (see
     /// [`NOGOOD_FLUSH`]); already registered in the generator's dedup pool,
     /// and serialized with snapshots so a resume flushes the same batch.
     pending_cuts: Vec<CutRow>,
-    /// Remaining in-tree separation passes (re-checks at improved
-    /// incumbents and Gomory rounds at shallow nodes).
+    /// Remaining in-tree Gomory rounds at shallow nodes.
     tree_separations_left: usize,
     /// Whether shallow Gomory rounds run from the first descent:
     /// [`SolverConfig::eager_tree_cuts`] was requested *and* a warm-start
@@ -940,12 +703,7 @@ impl<'a> BranchAndBound<'a> {
         let occurrence: Vec<usize> = (0..model.num_vars())
             .map(|j| propagator.matrix().occurrences(j))
             .collect();
-        // The generator is kept even without mined knapsack/clique sources:
-        // it owns the dedup pool that Gomory and no-good emission go
-        // through, and the paper circuits are exactly the models where the
-        // mined separators never fire but the basis-derived cuts do.
-        let cut_source =
-            (config.cuts && model.num_integral() > 0).then(|| CutGenerator::new(model));
+        let cut_source = (config.cuts && model.num_integral() > 0).then(CutGenerator::new);
         let num_vars = model.num_vars();
         let root_box = Domains::from_model(model);
         let integral_mask: Vec<bool> = (0..num_vars).map(|j| root_box.is_integral(j)).collect();
@@ -1075,44 +833,12 @@ impl<'a> BranchAndBound<'a> {
         self.root_basis_key = None;
     }
 
-    /// Separates cuts violated by `lp_values`, installs them in the row set
-    /// and re-propagates `domains`. Returns `false` when the tightened row
-    /// set proves the box empty.
-    fn install_cuts(
-        &mut self,
-        lp_values: &[f64],
-        domains: &mut Domains,
-        stats: &mut SolveStats,
-    ) -> Option<bool> {
-        let generator = self.cut_source.as_mut()?;
-        let new_cuts = generator.separate(lp_values, CUTS_PER_ROUND);
-        if new_cuts.is_empty() {
-            return None;
-        }
-        for cut in &new_cuts {
-            stats.cuts_emitted.bump(cut.kind);
-            if self.config.record_cuts {
-                stats.emitted_cuts.push(cut.clone());
-            }
-        }
-        stats.cuts += new_cuts.len() as u64;
-        self.emit(SolveEvent::CutRound {
-            nodes: stats.nodes,
-            added: new_cuts.len() as u64,
-            total: stats.cuts,
-        });
-        self.cut_rows.extend(new_cuts);
-        self.rebuild_matrix();
-        stats.propagations += 1;
-        Some(self.propagator.propagate(domains) != PropagationResult::Infeasible)
-    }
-
     /// Reads Gomory mixed-integer cuts off the fractional rows of `basis`,
     /// installs the ones the LP point violates and re-propagates `domains`.
     /// Cuts are unshifted to the *root* box (not the node's), so they are
     /// valid for the whole tree even when derived at a branched node.
-    /// Returns `None` when nothing was installed, `Some(feasible)`
-    /// otherwise, mirroring [`BranchAndBound::install_cuts`].
+    /// Returns `None` when nothing was installed, and otherwise whether the
+    /// re-propagated box is still feasible.
     fn install_gomory(
         &mut self,
         basis: &Basis,
@@ -1230,9 +956,10 @@ impl<'a> BranchAndBound<'a> {
         self.rebuild_matrix();
     }
 
-    /// Root cut loop: solve the root LP, separate violated covers/cliques,
-    /// tighten and repeat. Returns `false` when the root becomes infeasible
-    /// (only possible numerically, since cuts preserve every integer point).
+    /// Root cut loop: solve the root LP, read Gomory cuts off its optimal
+    /// basis, tighten and repeat. Returns `false` when the root becomes
+    /// infeasible (only possible numerically, since cuts preserve every
+    /// integer point).
     fn root_cuts(
         &mut self,
         domains: &mut Domains,
@@ -1248,23 +975,21 @@ impl<'a> BranchAndBound<'a> {
                 return true;
             }
             let (lp, basis) = if self.config.lp_warm_start {
-                solve_lp_basis_priced(
+                solve_lp_basis(
                     self.propagator.matrix(),
                     &self.objective,
                     self.objective_constant,
                     domains,
                     self.config.max_lp_pivots,
-                    self.config.pricing,
                 )
             } else {
                 (
-                    solve_lp_priced(
+                    solve_lp(
                         self.propagator.matrix(),
                         &self.objective,
                         self.objective_constant,
                         domains,
                         self.config.max_lp_pivots,
-                        self.config.pricing,
                     ),
                     None,
                 )
@@ -1285,28 +1010,18 @@ impl<'a> BranchAndBound<'a> {
                 self.cache_root_lp(lp, basis);
                 return true;
             }
-            match self.install_cuts(&lp.values, domains, stats) {
-                None => {
-                    // The mined cover/clique pool is dry; read Gomory cuts
-                    // off the optimal basis instead. The paper circuits'
-                    // root LPs violate no mined cut at all, so this is
-                    // where their root tightening actually happens.
-                    if let Some(b) = basis.as_ref() {
-                        match self.install_gomory(b, &lp.values, domains, stats) {
-                            Some(true) => continue,
-                            Some(false) => return false,
-                            None => {}
-                        }
-                    }
-                    // No violated cuts: this LP is valid for the final row
-                    // set, so hand it to the root node instead of having it
-                    // re-solve the identical relaxation.
-                    self.cache_root_lp(lp, basis);
-                    return true;
+            if let Some(b) = basis.as_ref() {
+                match self.install_gomory(b, &lp.values, domains, stats) {
+                    Some(true) => continue,
+                    Some(false) => return false,
+                    None => {}
                 }
-                Some(true) => {}
-                Some(false) => return false,
             }
+            // No violated cuts: this LP is valid for the final row set, so
+            // hand it to the root node instead of having it re-solve the
+            // identical relaxation.
+            self.cache_root_lp(lp, basis);
+            return true;
         }
         true
     }
@@ -1381,14 +1096,7 @@ impl<'a> BranchAndBound<'a> {
         // warm-start candidates compete; the cheapest feasible one wins.
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
 
-        let warm_candidates: Vec<Vec<f64>> = self
-            .config
-            .initial_solution
-            .take()
-            .into_iter()
-            .chain(std::mem::take(&mut self.config.initial_solutions))
-            .collect();
-        for warm in warm_candidates {
+        for warm in std::mem::take(&mut self.config.initial_solutions) {
             if self.model.is_feasible(&warm, 1e-6) {
                 let obj = self.internal_objective(&warm);
                 if incumbent.as_ref().map(|(b, _)| obj < *b).unwrap_or(true) {
@@ -1418,7 +1126,7 @@ impl<'a> BranchAndBound<'a> {
         // solve never descends past the root.
         let skip_root_work = self.config.budget.time_expired(start) || self.is_cancelled();
 
-        if self.config.dive_heuristic && !skip_root_work {
+        if !skip_root_work {
             if let Some(values) = greedy_dive(&self.propagator, &root, &self.objective) {
                 if self.model.is_feasible(&values, 1e-6) {
                     let obj = self.internal_objective(&values);
@@ -1462,11 +1170,11 @@ impl<'a> BranchAndBound<'a> {
             return Ok(self.solve_pure_lp(&root, start, stats, incumbent));
         }
 
-        // Seed the cut pool at the root: separate covers/cliques against the
-        // root LP, tighten, repeat. The accepted cuts join the shared row set
+        // Seed the cut pool at the root: read Gomory cuts off the root LP's
+        // basis, tighten, repeat. The accepted cuts join the shared row set
         // for the whole search. Propagation-only runs skip this — their
-        // point is to avoid the simplex, and without LP points neither the
-        // root loop nor the in-tree re-checks could separate anything.
+        // point is to avoid the simplex, and without LP bases there is
+        // nothing to read cuts off.
         let mut root_closed = false;
         if self.cut_source.is_some()
             && self.use_lp_at(0)
@@ -1739,49 +1447,21 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            // In-tree separation: re-check the mined pool whenever the
-            // incumbent improved at this node (the new incumbent's
-            // neighbourhood is where violated covers/cliques are most
-            // likely), and at shallow nodes additionally read Gomory cuts
-            // off the node's optimal basis — tightening the relaxation near
-            // the top of the tree prunes almost everything below it.
-            let improved =
-                incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY) < incumbent_obj - EPS;
+            // In-tree separation: at shallow nodes, read Gomory cuts off the
+            // node's optimal basis — tightening the relaxation near the top
+            // of the tree prunes almost everything below it.
             let shallow = node.depth <= TREE_CUT_DEPTH
                 && (self.eager_separation || stats.nodes >= TREE_CUT_MIN_NODES);
-            if (improved || shallow) && self.tree_separations_left > 0 && self.cut_source.is_some()
-            {
+            if shallow && self.tree_separations_left > 0 && self.cut_source.is_some() {
                 if let Some(lp) = bound.as_ref() {
                     self.tree_separations_left -= 1;
-                    let mined = self.install_cuts(&lp.values, &mut node.domains, &mut stats);
-                    if mined == Some(false) {
-                        continue;
-                    }
-                    // A mined install rebuilt the matrix and invalidated
-                    // the basis, so Gomory only runs when nothing was
-                    // mined (the usual case on the paper circuits).
-                    if mined.is_none() && shallow {
-                        if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                            if self.install_gomory(
-                                &basis,
-                                &lp.values,
-                                &mut node.domains,
-                                &mut stats,
-                            ) == Some(false)
-                            {
-                                continue;
-                            }
+                    if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
+                        if self.install_gomory(&basis, &lp.values, &mut node.domains, &mut stats)
+                            == Some(false)
+                        {
+                            continue;
                         }
                     }
-                }
-            }
-
-            // The scheduled heuristic layer: every HEUR_PERIOD nodes one of
-            // the LP-seeded improvement heuristics runs against this node's
-            // relaxation.
-            if stats.nodes.is_multiple_of(HEUR_PERIOD) {
-                if let Some(lp) = bound.as_ref() {
-                    self.scheduled_heuristics(&node, lp, &mut incumbent, &mut stats, start);
                 }
             }
 
@@ -1944,13 +1624,12 @@ impl<'a> BranchAndBound<'a> {
         mut stats: SolveStats,
         incumbent: Option<(f64, Vec<f64>)>,
     ) -> Solution {
-        let lp = solve_lp_priced(
+        let lp = solve_lp(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
             root,
             self.config.max_lp_pivots,
-            self.config.pricing,
         );
         stats.lp_solves += 1;
         tally_lp(&mut stats, &lp);
@@ -2006,111 +1685,6 @@ impl<'a> BranchAndBound<'a> {
             nodes: stats.nodes,
             objective,
         });
-    }
-
-    /// The node-count-scheduled heuristic layer: rotates deterministically
-    /// through LP-guided diving, the feasibility pump and RINS improvement
-    /// (a pure function of the node counter, so the schedule survives
-    /// snapshot/resume and engine-vs-rebuild comparisons unchanged). A
-    /// produced assignment only replaces the incumbent when it improves it.
-    fn scheduled_heuristics(
-        &mut self,
-        node: &Node,
-        lp: &NodeLp,
-        incumbent: &mut Option<(f64, Vec<f64>)>,
-        stats: &mut SolveStats,
-        start: Instant,
-    ) {
-        let found = match (stats.nodes / HEUR_PERIOD) % 3 {
-            0 => lp_guided_dive(&self.propagator, &node.domains, &lp.values, &self.objective)
-                .map(|values| ("lp-dive", values)),
-            1 => self
-                .feasibility_pump(node, lp, stats)
-                .map(|values| ("pump", values)),
-            _ => incumbent
-                .as_ref()
-                .and_then(|(_, inc)| {
-                    rins_dive(
-                        &self.propagator,
-                        &node.domains,
-                        inc,
-                        &lp.values,
-                        &self.objective,
-                    )
-                })
-                .map(|values| ("rins", values)),
-        };
-        let Some((source, values)) = found else {
-            return;
-        };
-        if !self.model.is_feasible(&values, 1e-6) {
-            return;
-        }
-        let obj = self.internal_objective(&values);
-        let current = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-        if obj < current - EPS {
-            *incumbent = Some((obj, values));
-            self.record_improvement(stats, start, obj, source);
-        }
-    }
-
-    /// One bounded feasibility-pump run from the node relaxation: alternate
-    /// rounding the current LP point to the nearest integral box point with
-    /// an LP minimising the (binary-variable) L1 distance back to it. The
-    /// pump succeeds when a distance LP lands integral — an LP-feasible
-    /// integral point is a feasible assignment — and gives up on a cycle
-    /// (repeated rounding target; deterministic runs stop rather than
-    /// perturb) or after a fixed number of iterations.
-    fn feasibility_pump(
-        &mut self,
-        node: &Node,
-        lp: &NodeLp,
-        stats: &mut SolveStats,
-    ) -> Option<Vec<f64>> {
-        const PUMP_ITERS: usize = 8;
-        let n = node.domains.len();
-        let mut point = lp.values.clone();
-        let mut last_target: Option<Vec<f64>> = None;
-        for _ in 0..PUMP_ITERS {
-            let target = pump_target(&node.domains, &point);
-            if last_target.as_ref() == Some(&target) {
-                return None;
-            }
-            let mut distance = vec![0.0; n];
-            for (j, coeff) in distance.iter_mut().enumerate() {
-                if self.binary_mask[j] {
-                    *coeff = if target[j] > 0.5 { -1.0 } else { 1.0 };
-                }
-            }
-            let dist_lp = solve_lp_priced(
-                self.propagator.matrix(),
-                &distance,
-                0.0,
-                &node.domains,
-                self.config.max_lp_pivots,
-                self.config.pricing,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &dist_lp);
-            if dist_lp.status != LpStatus::Optimal {
-                return None;
-            }
-            point = dist_lp.values;
-            let integral = (0..n).all(|j| {
-                !node.domains.is_integral(j) || (point[j] - point[j].round()).abs() <= INT_EPS
-            });
-            if integral {
-                let mut values = point;
-                for (j, v) in values.iter_mut().enumerate() {
-                    if node.domains.is_integral(j) {
-                        *v = v.round();
-                    }
-                }
-                return Some(values);
-            }
-            last_target = Some(target);
-        }
-        None
     }
 
     fn internal_objective(&self, values: &[f64]) -> f64 {
@@ -2283,14 +1857,13 @@ impl<'a> BranchAndBound<'a> {
         if self.config.lp_warm_start {
             if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
                 if basis.age() < BASIS_MAX_AGE {
-                    if let Some((lp, next)) = resolve_with_basis_priced(
+                    if let Some((lp, next)) = resolve_with_basis(
                         self.propagator.matrix(),
                         &self.objective,
                         self.objective_constant,
                         &basis,
                         &node.domains,
                         warm_budget,
-                        self.config.pricing,
                     ) {
                         tally_lp(stats, &lp);
                         stats.warm_lp_pivots += lp.pivots;
@@ -2318,13 +1891,12 @@ impl<'a> BranchAndBound<'a> {
                     }
                 }
             }
-            let (lp, new_basis) = solve_lp_basis_priced(
+            let (lp, new_basis) = solve_lp_basis(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
                 &node.domains,
                 max_pivots,
-                self.config.pricing,
             );
             stats.lp_solves += 1;
             tally_lp(stats, &lp);
@@ -2344,13 +1916,12 @@ impl<'a> BranchAndBound<'a> {
                 LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
             }
         } else {
-            let lp = solve_lp_priced(
+            let lp = solve_lp(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
                 &node.domains,
                 max_pivots,
-                self.config.pricing,
             );
             stats.lp_solves += 1;
             tally_lp(stats, &lp);
@@ -2376,13 +1947,12 @@ impl<'a> BranchAndBound<'a> {
         }
         // Optimise the remaining continuous variables with the integral part
         // fixed.
-        let lp = solve_lp_priced(
+        let lp = solve_lp(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
             domains,
             self.config.max_lp_pivots,
-            self.config.pricing,
         );
         stats.lp_solves += 1;
         tally_lp(stats, &lp);
@@ -2506,14 +2076,13 @@ impl<'a> BranchAndBound<'a> {
             if !tightened || child.is_infeasible() {
                 continue;
             }
-            let Some((child_lp, _)) = resolve_with_basis_priced(
+            let Some((child_lp, _)) = resolve_with_basis(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
                 basis,
                 &child,
                 STRONG_PIVOTS,
-                self.config.pricing,
             ) else {
                 continue;
             };
@@ -2919,7 +2488,7 @@ mod tests {
         let y = m.add_binary("y");
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, 1.0), (y, 2.0)], Sense::Minimize);
-        let config = SolverConfig::exact().with_initial_solution(vec![1.0, 0.0]);
+        let config = SolverConfig::exact().with_warm_candidate(vec![1.0, 0.0]);
         let sol = m.solve(&config).expect("solve");
         assert!(sol.is_optimal());
         assert!((sol.objective() - 1.0).abs() < 1e-6);
@@ -2942,7 +2511,6 @@ mod tests {
         );
         let config = SolverConfig {
             budget: Budget::nodes(1),
-            dive_heuristic: false,
             bound_mode: BoundMode::Propagation,
             ..SolverConfig::default()
         };
@@ -3013,7 +2581,7 @@ mod tests {
             .with_bound_mode(BoundMode::Propagation)
             .with_presolve(false)
             .with_cuts(false)
-            .with_initial_solution(warm.clone());
+            .with_warm_candidate(warm.clone());
         let optimal = m.solve(&config).expect("reference solve");
         assert!(optimal.is_optimal());
         assert!(
@@ -3069,7 +2637,7 @@ mod tests {
             .with_presolve(false)
             .with_cuts(false)
             .with_budget(Budget::unlimited().with_deadline(Instant::now()))
-            .with_initial_solution(warm.clone());
+            .with_warm_candidate(warm.clone());
         let sol = m.solve(&config).expect("solve");
         // The warm incumbent is kept, but the tree is never entered: no
         // nodes, no LPs, no cut rounds.

@@ -469,7 +469,6 @@ fn config_digest(config: &SynthesisConfig) -> u64 {
     let mut solver = config.solver.clone();
     solver.budget = Budget::unlimited();
     solver.cancel = None;
-    solver.initial_solution = None;
     solver.initial_solutions = Vec::new();
     solver.snapshot = false;
     solver.resume = None;

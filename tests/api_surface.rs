@@ -1,12 +1,9 @@
 //! Public-API smoke test: the facade's session/service surface must stay
-//! re-exported, and the deprecated `Branching` alias must not be used
-//! anywhere in the repository's own code.
+//! re-exported.
 //!
 //! This is the offline-registry substitute for a `cargo-public-api` check:
 //! an accidental removal of a facade re-export fails tier-1 instead of
 //! surfacing in downstream builds.
-
-use std::path::{Path, PathBuf};
 
 // Every name here must resolve from the facade root — that *is* the test.
 use advbist::service::{JobHandle, JobOutcome, JobReport, JobRow, JobService, SynthesisJob};
@@ -53,76 +50,4 @@ fn facade_re_exports_resolve_and_are_usable() {
     let _outcome_type: JobOutcome = JobOutcome::Completed;
     let _row_type: Option<JobRow> = None;
     let _report_type: Option<JobReport> = None;
-}
-
-/// Collects every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            // Skip build output; everything else under the repo is ours.
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-#[test]
-fn deprecated_branching_alias_is_not_used_in_repo() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    // The only allowed occurrences of the old name: its deprecated alias
-    // definition in the ilp crate root, and this scanner itself.
-    let allowed = [
-        root.join("crates/ilp/src/lib.rs"),
-        root.join("tests/api_surface.rs"),
-    ];
-    let mut files = Vec::new();
-    for dir in ["src", "crates", "tests", "examples"] {
-        rust_files(&root.join(dir), &mut files);
-    }
-    assert!(
-        files.len() > 40,
-        "scanner found too few sources ({}) — wrong root?",
-        files.len()
-    );
-    let mut offenders = Vec::new();
-    for file in files {
-        if allowed.contains(&file) {
-            continue;
-        }
-        let text = std::fs::read_to_string(&file).expect("readable source");
-        for (number, line) in text.lines().enumerate() {
-            // Prose in comments may use the word; only code references count.
-            let trimmed = line.trim_start();
-            if trimmed.starts_with("//") {
-                continue;
-            }
-            // Word-boundary match without a regex dependency.
-            let mut rest = line;
-            let mut column = 0;
-            while let Some(pos) = rest.find("Branching") {
-                let before = line[..column + pos].chars().next_back();
-                let after = rest[pos + "Branching".len()..].chars().next();
-                let word_start = !before.is_some_and(|c| c.is_alphanumeric() || c == '_');
-                let word_end = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-                if word_start && word_end {
-                    offenders.push(format!("{}:{}: {line}", file.display(), number + 1));
-                }
-                column += pos + "Branching".len();
-                rest = &rest[pos + "Branching".len()..];
-            }
-        }
-    }
-    assert!(
-        offenders.is_empty(),
-        "the deprecated `Branching` alias is still referenced:\n{}",
-        offenders.join("\n")
-    );
 }

@@ -145,7 +145,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1424,
-        golden_pivots: 7685,
+        golden_pivots: 7521,
     },
     CorpusCase {
         name: "r71k1",

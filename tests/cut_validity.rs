@@ -1,10 +1,10 @@
 //! Validity suite for the cutting-plane layer: a cut may tighten the LP
 //! relaxation but must never cut off an integer-feasible point. Every cut
-//! the solver emits — mined covers/cliques, Gomory mixed-integer cuts,
-//! lifted covers and conflict no-goods — is checked against (a) **every**
-//! feasible 0/1 point of brute-forceable PRNG models and (b) the proven
-//! integer optimum of each pinned corpus instance, solved without presolve
-//! so cut indices and solution values share one variable space.
+//! the solver emits — Gomory mixed-integer cuts and conflict no-goods — is
+//! checked against (a) **every** feasible 0/1 point of brute-forceable PRNG
+//! models and (b) the proven integer optimum of each pinned corpus
+//! instance, solved without presolve so cut indices and solution values
+//! share one variable space.
 
 mod common;
 
@@ -122,8 +122,8 @@ fn corpus_optima_satisfy_every_emitted_cut() {
             case.name
         );
     }
-    // The suite is only meaningful if the new separators actually fire
-    // somewhere in the corpus.
+    // The suite is only meaningful if cuts actually fire somewhere in the
+    // corpus.
     assert!(
         by_kind.iter().sum::<u64>() > 0,
         "no cuts emitted anywhere in the corpus"
