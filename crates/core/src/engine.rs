@@ -41,9 +41,11 @@
 //! overhaul, every per-k solve re-solves its child-node LPs with the
 //! bounded dual simplex from the parent's cached basis (see
 //! `bist_ilp::simplex::Basis` — since the revised-simplex rebuild that is
-//! a factorized eta file plus column statuses, not a tableau), so the
-//! dominant per-node cost inside each solve of the sweep is a handful of
-//! dual pivots instead of a cold two-phase factorization. Bases do *not*
+//! a factorized eta file plus column statuses, not a tableau), so a node
+//! whose parent's basis is still cached costs a handful of dual pivots
+//! instead of a cold two-phase solve. The cache is small, though: on
+//! paulin, 612 node LPs go cold on basis-cache misses, and cold solves
+//! carry ~70 % of the simplex iterations. Bases do *not*
 //! cross `k` boundaries: the per-k BIST delta changes the row set (Eqs.
 //! 6–23 and the objective differ per `k`), and a basis is only valid for
 //! the exact rows it was factorized from — what crosses `k` is the reduced

@@ -25,10 +25,25 @@
 //!   as a product of sparse *eta* matrices: each pivot appends one eta
 //!   vector, and the file is periodically collapsed by refactorization
 //!   (Gauss-Jordan over the basic columns with partial pivoting), which
-//!   bounds both memory and accumulated rounding error. A [`Basis`] is just
-//!   the column statuses, the basic set and the eta file — a few kilobytes,
-//!   not a tableau — so the branch-and-bound solver can cache one per node
-//!   cheaply.
+//!   bounds both memory and accumulated rounding error. A [`Basis`] is the
+//!   column statuses, the basic set and the eta file. That is no tableau,
+//!   but it is not small either: paulin's warm bases carry ~21.5k eta
+//!   terms, about 340 KB at 16 bytes per `(u32, f64)` term.
+//!
+//! Nearly all of a node LP's time is BTRAN (one serial dot product per
+//! eta), refactorization and FTRAN. The kernel is built to compute exactly
+//! the bits the plain dense code computes, because this search is
+//! degenerate: a single changed rounding moves pivots, nodes and even the
+//! areas and proofs of capped solves. Within that contract:
+//!
+//! * refactorization eliminates each basic column over the rows it has
+//!   touched instead of all `m` rows, so a slack column (most basic
+//!   columns are slacks) costs `O(1)`; the dense elimination stays in the
+//!   unit tests as the reference it must match bit for bit;
+//! * two BTRANs over the same eta file share one pass with two
+//!   accumulators — ρ and `y` in the dual simplex, and a primal devex
+//!   pivot's ρ together with the next iteration's `y` — which hides the
+//!   latency of the serial dot product.
 //!
 //! Two solve paths share the kernel:
 //!
@@ -224,9 +239,9 @@ const GOMORY_MAX_DYNAMISM: f64 = 1e6;
 ///
 /// Produced by [`solve_lp_basis`] and [`resolve_with_basis`]; consumed by
 /// [`resolve_with_basis`]. The basis is only valid for the exact constraint
-/// matrix it was factorized from — a structural fingerprint (row, column and
-/// nonzero counts) guards against accidental reuse after the
-/// branch-and-bound solver rebuilds its row set with cutting planes.
+/// matrix and objective it was factorized under — an FNV content hash of
+/// both guards against accidental reuse after the branch-and-bound solver
+/// rebuilds its row set with cutting planes.
 #[derive(Debug, Clone)]
 pub struct Basis {
     status: Vec<ColStatus>,
@@ -366,18 +381,33 @@ impl Basis {
             vars: get_usize(v, "vars")?,
             fingerprint: get_u64(v, "fingerprint")?,
         };
-        if rebuilt.basis.len() != rebuilt.rows
-            || rebuilt.status.len() != rebuilt.vars + rebuilt.rows
-            || rebuilt
-                .basis
-                .iter()
-                .any(|&j| j >= rebuilt.vars + rebuilt.rows)
+        // Everything the kernel indexes or divides by is checked here, so a
+        // corrupt document fails with a typed error instead of a panic (or
+        // a silently wrong basis) once a resumed solve applies it.
+        let rows = rebuilt.rows;
+        if rebuilt.basis.len() != rows
+            || rebuilt.status.len() != rebuilt.vars + rows
+            || rebuilt.basis.iter().any(|&j| j >= rebuilt.vars + rows)
             || rebuilt
                 .etas
                 .iter()
-                .any(|e| (e.row as usize) >= rebuilt.rows)
+                .any(|e| e.row as usize >= rows || e.terms.iter().any(|&(i, _)| i as usize >= rows))
         {
             return Err(SnapshotError::new("basis shape mismatch"));
+        }
+        if rebuilt
+            .basis
+            .iter()
+            .any(|&j| rebuilt.status[j] != ColStatus::Basic)
+        {
+            return Err(SnapshotError::new("basis column not marked basic"));
+        }
+        if rebuilt
+            .etas
+            .iter()
+            .any(|e| e.pivot == 0.0 || !e.pivot.is_finite())
+        {
+            return Err(SnapshotError::new("eta pivot zero or not finite"));
         }
         Ok(rebuilt)
     }
@@ -421,6 +451,27 @@ impl Eta {
         }
     }
 
+    /// [`Eta::ftran`] on a vector whose nonzeros are listed in `nz`
+    /// (`seen[i]` marks the listed rows): every row the step writes joins
+    /// the list. The arithmetic is exactly that of [`Eta::ftran`].
+    #[inline]
+    fn ftran_tracked(&self, v: &mut [f64], nz: &mut Vec<usize>, seen: &mut [bool]) {
+        let r = self.row as usize;
+        if v[r] == 0.0 {
+            return;
+        }
+        let p = v[r] / self.pivot;
+        v[r] = p;
+        for &(i, a) in &self.terms {
+            let i = i as usize;
+            v[i] -= a * p;
+            if !seen[i] {
+                seen[i] = true;
+                nz.push(i);
+            }
+        }
+    }
+
     /// Applies `E⁻ᵀ` to `v` in place (backward transformation step).
     #[inline]
     fn btran(&self, v: &mut [f64]) {
@@ -431,6 +482,38 @@ impl Eta {
         }
         v[r] = s / self.pivot;
     }
+
+    /// [`Eta::btran`] on two vectors in one pass over the terms. Each
+    /// accumulator sees exactly the operations of its own `btran`, so both
+    /// results are bit-identical to two separate calls; the two serial dot
+    /// products simply overlap in the pipeline.
+    #[inline]
+    fn btran2(&self, u: &mut [f64], v: &mut [f64]) {
+        let r = self.row as usize;
+        let mut s = u[r];
+        let mut t = v[r];
+        for &(i, a) in &self.terms {
+            let i = i as usize;
+            s -= a * u[i];
+            t -= a * v[i];
+        }
+        u[r] = s / self.pivot;
+        v[r] = t / self.pivot;
+    }
+}
+
+/// BTRAN over an eta file in place: `v ← B⁻ᵀ·v`.
+fn btran_file(etas: &[Eta], v: &mut [f64]) {
+    for eta in etas.iter().rev() {
+        eta.btran(v);
+    }
+}
+
+/// Two BTRANs over one eta file in a single pass (see [`Eta::btran2`]).
+fn btran_file2(etas: &[Eta], u: &mut [f64], v: &mut [f64]) {
+    for eta in etas.iter().rev() {
+        eta.btran2(u, v);
+    }
 }
 
 /// Builds an eta from a dense FTRANed column, dropping negligible entries.
@@ -438,8 +521,15 @@ impl Eta {
 /// entries) — applying it would be a no-op, and skipping it keeps the
 /// factorization of a mostly-slack basis near-empty.
 fn make_eta(row: usize, w: &[f64]) -> Option<Eta> {
+    make_eta_over(row, w, 0..w.len())
+}
+
+/// [`make_eta`] reading only the rows `rows` yields, which must be in
+/// ascending order and include every nonzero of `w`.
+fn make_eta_over(row: usize, w: &[f64], rows: impl Iterator<Item = usize>) -> Option<Eta> {
     let mut terms = Vec::new();
-    for (i, &a) in w.iter().enumerate() {
+    for i in rows {
+        let a = w[i];
         if i != row && a.abs() > DROP_TOL {
             terms.push((i as u32, a));
         }
@@ -681,8 +771,26 @@ impl<'a> Kernel<'a> {
 
     /// BTRAN in place: `v ← B⁻ᵀ·v`.
     fn btran(&self, v: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
-            eta.btran(v);
+        btran_file(&self.etas, v);
+    }
+
+    /// Loads the basic costs priced by [`Kernel::run_phase`] into `y`
+    /// (before its BTRAN): phase 1 charges each basic variable `±1` by the
+    /// side of its box it violates, phase 2 its true cost.
+    fn load_basic_costs(&self, phase1: bool, y: &mut [f64]) {
+        for (slot, &b) in y.iter_mut().zip(&self.basis) {
+            *slot = if phase1 {
+                let v = self.x[b];
+                if v < self.lower[b] - FEAS_TOL {
+                    -1.0
+                } else if v > self.upper[b] + FEAS_TOL {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else {
+                self.cost(b)
+            };
         }
     }
 
@@ -765,14 +873,9 @@ impl<'a> Kernel<'a> {
         self.compute_basics();
     }
 
-    /// Collapses the eta file: re-factorizes the current basis from scratch
-    /// by Gauss-Jordan with partial pivoting (sparsest columns first).
-    /// Returns `false` when the basis proves numerically singular, in which
-    /// case the state is unchanged except for the cleared eta file and the
-    /// caller must reset or abandon.
-    fn refactorize(&mut self) -> bool {
-        self.counters.refactorizations += 1;
-        self.etas.clear();
+    /// Basic columns in refactorization order: sparsest first, ties by
+    /// column index.
+    fn refactor_order(&self) -> Vec<usize> {
         let mut cols: Vec<usize> = self.basis.clone();
         cols.sort_by_key(|&c| {
             let nnz = if c < self.n {
@@ -782,21 +885,59 @@ impl<'a> Kernel<'a> {
             };
             (nnz, c)
         });
+        cols
+    }
+
+    /// Collapses the eta file: re-factorizes the current basis from scratch
+    /// by Gauss-Jordan with partial pivoting (sparsest columns first).
+    /// Returns `false` when the basis proves numerically singular, in which
+    /// case the state is unchanged except for the cleared eta file and the
+    /// caller must reset or abandon.
+    ///
+    /// Each column is eliminated over the list of rows it has touched
+    /// rather than over all `m` rows, so a column whose FTRAN stays sparse
+    /// — a slack, most of all — costs time in its nonzeros, not in `m`.
+    /// The arithmetic, the pivot choice (largest magnitude, lowest row on
+    /// ties) and the emitted etas are bit for bit those of the dense
+    /// elimination, which the unit tests keep as the reference.
+    fn refactorize(&mut self) -> bool {
+        self.counters.refactorizations += 1;
+        self.etas.clear();
+        let cols = self.refactor_order();
         let mut assigned = vec![false; self.m];
         let mut new_basis = vec![usize::MAX; self.m];
         let mut w = std::mem::take(&mut self.scratch);
+        w.fill(0.0);
+        // Rows of `w` written while building the current column.
+        let mut touched: Vec<usize> = Vec::new();
+        let mut seen = vec![false; self.m];
         let mut ok = true;
         for &c in &cols {
-            w.fill(0.0);
-            self.scatter_col(c, &mut w);
-            for eta in &self.etas {
-                eta.ftran(&mut w);
+            if c < self.n {
+                let (rows, vals) = self.matrix.col(c);
+                for (&r, &a) in rows.iter().zip(vals) {
+                    let r = r as usize;
+                    w[r] = a;
+                    if !seen[r] {
+                        seen[r] = true;
+                        touched.push(r);
+                    }
+                }
+            } else {
+                let r = c - self.n;
+                w[r] = 1.0;
+                seen[r] = true;
+                touched.push(r);
             }
+            for eta in &self.etas {
+                eta.ftran_tracked(&mut w, &mut touched, &mut seen);
+            }
+            touched.sort_unstable();
             let mut best = PIVOT_TOL;
             let mut row = usize::MAX;
-            for (i, &wi) in w.iter().enumerate() {
-                if !assigned[i] && wi.abs() > best {
-                    best = wi.abs();
+            for &i in &touched {
+                if !assigned[i] && w[i].abs() > best {
+                    best = w[i].abs();
                     row = i;
                 }
             }
@@ -806,9 +947,14 @@ impl<'a> Kernel<'a> {
             }
             assigned[row] = true;
             new_basis[row] = c;
-            if let Some(eta) = make_eta(row, &w) {
+            if let Some(eta) = make_eta_over(row, &w, touched.iter().copied()) {
                 self.etas.push(eta);
             }
+            for &i in &touched {
+                w[i] = 0.0;
+                seen[i] = false;
+            }
+            touched.clear();
         }
         self.scratch = w;
         if !ok {
@@ -865,6 +1011,10 @@ impl<'a> Kernel<'a> {
         // iteration threshold.
         let mut last_measure = f64::INFINITY;
         let mut stall = 0u32;
+        // Whether `y` already holds this iteration's duals: computed by the
+        // previous iteration (fused with its devex ρ), or unchanged by its
+        // phase-2 bound flip.
+        let mut y_ready = false;
         loop {
             // The budget counter charges every iteration — bound flips
             // included. A flip skips only the eta push; it still pays the
@@ -875,8 +1025,11 @@ impl<'a> Kernel<'a> {
             if *pivots >= max_pivots {
                 return Inner::IterationLimit;
             }
-            if self.etas.len() >= self.base_etas + REFACTOR_EVERY && !self.refactorize() {
-                return Inner::Stalled;
+            if self.etas.len() >= self.base_etas + REFACTOR_EVERY {
+                y_ready = false;
+                if !self.refactorize() {
+                    return Inner::Stalled;
+                }
             }
             let (infeasibility_sum, infeasibility_max) = self.infeasibility();
             // The exit test must match the pricing below, which only sees
@@ -899,22 +1052,11 @@ impl<'a> Kernel<'a> {
                 stall += 1;
             }
             // Pricing: y = B⁻ᵀ·c_B, then reduced costs over the nonbasics.
-            for (i, slot) in y.iter_mut().enumerate() {
-                let b = self.basis[i];
-                *slot = if phase1 {
-                    let v = self.x[b];
-                    if v < self.lower[b] - FEAS_TOL {
-                        -1.0
-                    } else if v > self.upper[b] + FEAS_TOL {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    self.cost(b)
-                };
+            if !y_ready {
+                self.load_basic_costs(phase1, &mut y);
+                self.btran(&mut y);
             }
-            self.btran(&mut y);
+            y_ready = false;
             let use_bland = stall >= STALL_LIMIT;
             let devex = self.pricing == Pricing::Devex && !use_bland;
             let mut entering: Option<usize> = None;
@@ -1075,23 +1217,60 @@ impl<'a> Kernel<'a> {
                         self.x[q] = self.lower[q];
                         self.status[q] = ColStatus::Lower;
                     }
+                    // Phase-2 costs do not depend on `x`, and the basis is
+                    // unchanged, so the duals carry over.
+                    y_ready = !phase1;
                 }
                 Some(r) => {
                     self.counters.primal += 1;
                     self.counters.attribute(self.pricing, use_bland);
+                    for (i, &wi) in w.iter().enumerate() {
+                        if wi != 0.0 {
+                            self.x[self.basis[i]] -= dir * t * wi;
+                        }
+                    }
+                    let leaving = self.basis[r];
+                    self.x[q] += dir * t;
+                    self.x[leaving] = leave_to;
+                    self.status[leaving] = if leave_to == self.lower[leaving] {
+                        ColStatus::Lower
+                    } else {
+                        ColStatus::Upper
+                    };
+                    self.status[q] = ColStatus::Basic;
+                    let old_file = self.etas.len();
+                    if let Some(eta) = make_eta(r, &w) {
+                        self.etas.push(eta);
+                    }
+                    self.basis[r] = q;
                     if devex {
                         // Reference-framework update (Forrest–Goldfarb):
-                        // the pivot row of the *old* basis rescales every
-                        // nonbasic weight, the leaving column inherits the
-                        // entering one's weight through the pivot element.
+                        // the pivot row ρ of the *old* basis (the eta file
+                        // before this pivot's eta) rescales every nonbasic
+                        // weight, the leaving column inherits the entering
+                        // one's weight through the pivot element. Unless
+                        // the next iteration refactorizes, its duals share
+                        // ρ's pass: the new basis' BTRAN is this pivot's
+                        // eta followed by the old file.
                         let alpha_rq = w[r];
                         let gamma_q = self.weights[q].max(1.0);
                         rho.fill(0.0);
                         rho[r] = 1.0;
-                        self.btran(&mut rho);
+                        if self.etas.len() < self.base_etas + REFACTOR_EVERY {
+                            self.load_basic_costs(phase1, &mut y);
+                            btran_file(&self.etas[old_file..], &mut y);
+                            btran_file2(&self.etas[..old_file], &mut rho, &mut y);
+                            y_ready = true;
+                        } else {
+                            btran_file(&self.etas[..old_file], &mut rho);
+                        }
                         let mut peak = 1.0f64;
                         for j in 0..self.ncols {
-                            if j == q || self.status[j] == ColStatus::Basic || self.is_fixed_col(j)
+                            // `q` is basic by now and `leaving` no longer
+                            // is; the update ranges over the old nonbasics.
+                            if j == leaving
+                                || self.status[j] == ColStatus::Basic
+                                || self.is_fixed_col(j)
                             {
                                 continue;
                             }
@@ -1107,30 +1286,12 @@ impl<'a> Kernel<'a> {
                             }
                         }
                         let leaving_weight = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
-                        self.weights[self.basis[r]] = leaving_weight;
+                        self.weights[leaving] = leaving_weight;
                         peak = peak.max(leaving_weight);
                         if peak > DEVEX_RESET {
                             self.weights.fill(1.0);
                         }
                     }
-                    for (i, &wi) in w.iter().enumerate() {
-                        if wi != 0.0 {
-                            self.x[self.basis[i]] -= dir * t * wi;
-                        }
-                    }
-                    let leaving = self.basis[r];
-                    self.x[q] += dir * t;
-                    self.x[leaving] = leave_to;
-                    self.status[leaving] = if leave_to == self.lower[leaving] {
-                        ColStatus::Lower
-                    } else {
-                        ColStatus::Upper
-                    };
-                    self.status[q] = ColStatus::Basic;
-                    if let Some(eta) = make_eta(r, &w) {
-                        self.etas.push(eta);
-                    }
-                    self.basis[r] = q;
                 }
             }
             self.scratch = w;
@@ -1241,14 +1402,12 @@ impl<'a> Kernel<'a> {
                 self.upper[b_r]
             };
 
-            // ρ = B⁻ᵀ·e_r gives the pivot row; y = B⁻ᵀ·c_B the duals.
+            // ρ = B⁻ᵀ·e_r gives the pivot row; y = B⁻ᵀ·c_B the duals. Both
+            // BTRANs share one pass over the eta file.
             rho.fill(0.0);
             rho[r] = 1.0;
-            self.btran(&mut rho);
-            for (i, slot) in y.iter_mut().enumerate() {
-                *slot = self.cost(self.basis[i]);
-            }
-            self.btran(&mut y);
+            self.load_basic_costs(false, &mut y);
+            btran_file2(&self.etas, &mut rho, &mut y);
 
             // Dual ratio test: among nonbasic columns whose movement pushes
             // `x_B[r]` towards its violated bound, the smallest
@@ -1438,9 +1597,7 @@ impl<'a> Kernel<'a> {
     /// per-variable up/down marginal costs by nonbasic status.
     fn reduced_costs(&mut self) -> ReducedCosts {
         let mut y = std::mem::take(&mut self.scratch);
-        for (i, slot) in y.iter_mut().enumerate() {
-            *slot = self.cost(self.basis[i]);
-        }
+        self.load_basic_costs(false, &mut y);
         self.btran(&mut y);
         let mut up = vec![0.0f64; self.n];
         let mut down = vec![0.0f64; self.n];
@@ -2492,5 +2649,352 @@ mod tests {
             8,
         );
         assert!(cuts.is_empty(), "stale basis must yield no cuts");
+    }
+
+    // ---- bit-identity of the kernel's linear algebra ----
+
+    impl Kernel<'_> {
+        /// The dense Gauss-Jordan refactorization [`Kernel::refactorize`]
+        /// must reproduce bit for bit: every column is zero-filled,
+        /// FTRANed, pivot-scanned and turned into an eta over all `m` rows.
+        fn refactorize_dense(&mut self) -> bool {
+            self.counters.refactorizations += 1;
+            self.etas.clear();
+            let cols = self.refactor_order();
+            let mut assigned = vec![false; self.m];
+            let mut new_basis = vec![usize::MAX; self.m];
+            let mut w = std::mem::take(&mut self.scratch);
+            let mut ok = true;
+            for &c in &cols {
+                w.fill(0.0);
+                self.scatter_col(c, &mut w);
+                for eta in &self.etas {
+                    eta.ftran(&mut w);
+                }
+                let mut best = PIVOT_TOL;
+                let mut row = usize::MAX;
+                for (i, &wi) in w.iter().enumerate() {
+                    if !assigned[i] && wi.abs() > best {
+                        best = wi.abs();
+                        row = i;
+                    }
+                }
+                if row == usize::MAX {
+                    ok = false;
+                    break;
+                }
+                assigned[row] = true;
+                new_basis[row] = c;
+                if let Some(eta) = make_eta(row, &w) {
+                    self.etas.push(eta);
+                }
+            }
+            self.scratch = w;
+            if !ok {
+                self.etas.clear();
+                self.base_etas = 0;
+                return false;
+            }
+            self.basis = new_basis;
+            self.base_etas = self.etas.len();
+            self.compute_basics();
+            true
+        }
+    }
+
+    /// SplitMix64, the seeded generator of the randomized kernel tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A value of magnitude in [0.25, 4) with a full-width mantissa.
+        fn coeff(&mut self) -> f64 {
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            let magnitude = 0.25 + 3.75 * unit;
+            if self.next() & 1 == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+    }
+
+    /// A random `m × n` matrix whose first `singletons` columns have one
+    /// nonzero and the rest two to four; every row gets at least one term.
+    fn random_matrix(mix: &mut Mix, m: usize, n: usize, singletons: usize) -> SparseModel {
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+        for j in 0..n {
+            let count = if j < singletons { 1 } else { 2 + mix.below(3) };
+            let mut picked: Vec<usize> = Vec::new();
+            while picked.len() < count {
+                let i = mix.below(m);
+                if !picked.contains(&i) {
+                    picked.push(i);
+                }
+            }
+            for i in picked {
+                rows[i].push((j, mix.coeff()));
+            }
+        }
+        for row in rows.iter_mut().filter(|row| row.is_empty()) {
+            let j = singletons + mix.below(n - singletons);
+            row.push((j, mix.coeff()));
+        }
+        SparseModel::from_rows(
+            n,
+            rows.into_iter().enumerate().map(|(i, terms)| {
+                let op = [CmpOp::Le, CmpOp::Ge, CmpOp::Eq][i % 3];
+                (terms, op, 1.0 + (i % 5) as f64 * 0.5)
+            }),
+        )
+    }
+
+    /// A basis of about `structurals` structural columns — each matched to
+    /// a distinct row among its nonzeros, so the basis is structurally
+    /// nonsingular — completed by the slacks of the unmatched rows.
+    fn random_basis(mix: &mut Mix, matrix: &SparseModel, structurals: usize) -> Vec<usize> {
+        let (m, n) = (matrix.num_rows(), matrix.num_vars());
+        let mut claimed = vec![false; m];
+        let mut basis = Vec::new();
+        for _ in 0..structurals {
+            let j = mix.below(n);
+            if basis.contains(&j) {
+                continue;
+            }
+            let (rows, _) = matrix.col(j);
+            if let Some(&r) = rows.iter().find(|&&r| !claimed[r as usize]) {
+                claimed[r as usize] = true;
+                basis.push(j);
+            }
+        }
+        basis.extend((0..m).filter(|&i| !claimed[i]).map(|i| n + i));
+        // The kernel's row order is arbitrary before a refactorization.
+        for i in (1..basis.len()).rev() {
+            basis.swap(i, mix.below(i + 1));
+        }
+        basis
+    }
+
+    /// A kernel over `matrix` holding `basis`, with a dirty scratch vector
+    /// (the solve paths leave one behind).
+    fn kernel_with_basis<'a>(
+        matrix: &'a SparseModel,
+        objective: &'a [f64],
+        domains: &Domains,
+        basis: &[usize],
+        mix: &mut Mix,
+    ) -> Kernel<'a> {
+        let mut k = Kernel::shell(matrix, objective, 0.0, domains);
+        k.status.fill(ColStatus::Lower);
+        for &j in basis {
+            k.status[j] = ColStatus::Basic;
+        }
+        k.basis = basis.to_vec();
+        k.snap_nonbasics();
+        for slot in &mut k.scratch {
+            *slot = mix.coeff();
+        }
+        k
+    }
+
+    type EtaBits = (u32, u64, Vec<(u32, u64)>);
+
+    fn eta_bits(etas: &[Eta]) -> Vec<EtaBits> {
+        etas.iter()
+            .map(|e| {
+                let terms = e.terms.iter().map(|&(i, a)| (i, a.to_bits())).collect();
+                (e.row, e.pivot.to_bits(), terms)
+            })
+            .collect()
+    }
+
+    /// Continuous domains `x_j ∈ [0, 1 + j]`.
+    fn box_domains(n: usize) -> Domains {
+        let mut model = Model::new("box");
+        for j in 0..n {
+            model.add_continuous(format!("x{j}"), 0.0, 1.0 + j as f64);
+        }
+        Domains::from_model(&model)
+    }
+
+    /// Refactorizes the same basis with the sparse kernel and the dense
+    /// reference; both must agree on success, row order, eta file and
+    /// basic values, bit for bit. Returns the number of off-pivot eta
+    /// terms, or `None` if both found the basis singular.
+    fn assert_refactorizations_agree(
+        matrix: &SparseModel,
+        basis: &[usize],
+        mix: &mut Mix,
+    ) -> Option<usize> {
+        let n = matrix.num_vars();
+        let objective: Vec<f64> = (0..n).map(|_| mix.coeff()).collect();
+        let domains = box_domains(n);
+        let mut sparse = kernel_with_basis(matrix, &objective, &domains, basis, mix);
+        let mut dense = kernel_with_basis(matrix, &objective, &domains, basis, mix);
+        let ok = sparse.refactorize();
+        assert_eq!(ok, dense.refactorize_dense(), "singularity verdicts differ");
+        assert_eq!(sparse.basis, dense.basis);
+        assert_eq!(sparse.base_etas, dense.base_etas);
+        assert_eq!(eta_bits(&sparse.etas), eta_bits(&dense.etas));
+        let x_bits = |k: &Kernel| k.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(x_bits(&sparse), x_bits(&dense));
+        ok.then(|| sparse.etas.iter().map(|e| e.terms.len()).sum())
+    }
+
+    #[test]
+    fn sparse_refactorization_matches_the_dense_reference_bit_for_bit() {
+        let mut factorized = 0;
+        let mut terms = 0;
+        for seed in 0..40u64 {
+            let mut mix = Mix(seed);
+            let m = 20 + mix.below(40);
+            let n = m + mix.below(m);
+            let singletons = n / 5;
+            let matrix = random_matrix(&mut mix, m, n, singletons);
+            // Slack-heavy bases (about one structural in five, as on the
+            // BIST models) and structural-heavy ones.
+            for structurals in [m / 5, m / 2, m] {
+                let basis = random_basis(&mut mix, &matrix, structurals);
+                if let Some(t) = assert_refactorizations_agree(&matrix, &basis, &mut mix) {
+                    factorized += 1;
+                    terms += t;
+                }
+            }
+            // Structural singletons on distinct rows plus slacks: every
+            // basic column has one nonzero.
+            let mut claimed = vec![false; m];
+            let mut basis: Vec<usize> = Vec::new();
+            for j in 0..singletons {
+                let r = matrix.col(j).0[0] as usize;
+                if !claimed[r] {
+                    claimed[r] = true;
+                    basis.push(j);
+                }
+            }
+            basis.extend((0..m).filter(|&i| !claimed[i]).map(|i| n + i));
+            assert_eq!(
+                assert_refactorizations_agree(&matrix, &basis, &mut mix),
+                Some(0),
+                "a singleton basis factorizes into term-free etas"
+            );
+        }
+        assert!(
+            factorized >= 100,
+            "only {factorized} of 120 bases factorized"
+        );
+        assert!(
+            terms > 1000,
+            "eta files too sparse to compare: {terms} terms"
+        );
+    }
+
+    #[test]
+    fn both_refactorizations_reject_a_singular_basis() {
+        // Column 1 is exactly twice column 0: after column 0's eta the
+        // second column FTRANs to zero on every unassigned row.
+        let matrix = SparseModel::from_rows(
+            3,
+            [
+                (vec![(0, 1.5), (1, 3.0)], CmpOp::Le, 4.0),
+                (vec![(0, -0.75), (1, -1.5)], CmpOp::Ge, -2.0),
+                (vec![(2, 2.0)], CmpOp::Eq, 1.0),
+            ],
+        );
+        let mut mix = Mix(7);
+        // A structural singleton (column 2, row 2) next to its own row's
+        // slack is singular too.
+        for basis in [vec![0, 1, 5], vec![2, 5, 3]] {
+            let objective = [1.0, 2.0, 3.0];
+            let domains = box_domains(3);
+            let mut sparse = kernel_with_basis(&matrix, &objective, &domains, &basis, &mut mix);
+            let mut dense = kernel_with_basis(&matrix, &objective, &domains, &basis, &mut mix);
+            assert!(!sparse.refactorize(), "{basis:?} is singular");
+            assert!(!dense.refactorize_dense());
+            assert_eq!(sparse.basis, basis);
+            assert_eq!(dense.basis, basis);
+            assert!(sparse.etas.is_empty() && dense.etas.is_empty());
+            assert_eq!((sparse.base_etas, dense.base_etas), (0, 0));
+        }
+    }
+
+    /// A random eta file over `m` rows in which every eta reads the rows
+    /// of its neighbours in the file (and a few random ones), so
+    /// consecutive BTRAN steps feed each other.
+    fn chained_etas(mix: &mut Mix, m: usize, len: usize) -> Vec<Eta> {
+        let rows: Vec<usize> = (0..len).map(|_| mix.below(m)).collect();
+        (0..len)
+            .map(|k| {
+                let row = rows[k];
+                let mut picked: Vec<usize> = Vec::new();
+                for neighbour in [k.wrapping_sub(1), k + 1] {
+                    if let Some(&r) = rows.get(neighbour) {
+                        picked.push(r);
+                    }
+                }
+                for _ in 0..mix.below(6) {
+                    picked.push(mix.below(m));
+                }
+                picked.sort_unstable();
+                picked.dedup();
+                picked.retain(|&i| i != row);
+                let pivot = mix.coeff();
+                let terms = picked
+                    .into_iter()
+                    .map(|i| (i as u32, mix.coeff()))
+                    .collect();
+                Eta {
+                    row: row as u32,
+                    pivot,
+                    terms,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_btran_matches_two_sequential_btrans_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..50u64 {
+            let mut mix = Mix(1000 + seed);
+            let m = 8 + mix.below(40);
+            let len = 1 + mix.below(80);
+            let etas = chained_etas(&mut mix, m, len);
+            // A unit vector (as for ρ) and a dense one with zeros (as for y).
+            let mut rho = vec![0.0; m];
+            rho[mix.below(m)] = 1.0;
+            let y: Vec<f64> = (0..m)
+                .map(|_| if mix.below(3) == 0 { 0.0 } else { mix.coeff() })
+                .collect();
+
+            let (mut rho_seq, mut y_seq) = (rho.clone(), y.clone());
+            btran_file(&etas, &mut rho_seq);
+            btran_file(&etas, &mut y_seq);
+            let (mut rho_fused, mut y_fused) = (rho.clone(), y.clone());
+            btran_file2(&etas, &mut rho_fused, &mut y_fused);
+            assert_eq!(bits(&rho_fused), bits(&rho_seq), "seed {seed}: ρ");
+            assert_eq!(bits(&y_fused), bits(&y_seq), "seed {seed}: y");
+
+            // The primal devex split: ρ over the file before the newest
+            // eta, fused with y over the whole file (newest eta first).
+            let old = etas.len() - 1;
+            let mut rho_old = rho.clone();
+            btran_file(&etas[..old], &mut rho_old);
+            let (mut rho_split, mut y_split) = (rho.clone(), y.clone());
+            btran_file(&etas[old..], &mut y_split);
+            btran_file2(&etas[..old], &mut rho_split, &mut y_split);
+            assert_eq!(bits(&rho_split), bits(&rho_old), "seed {seed}: old-file ρ");
+            assert_eq!(bits(&y_split), bits(&y_seq), "seed {seed}: new-file y");
+        }
     }
 }

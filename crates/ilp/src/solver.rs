@@ -53,8 +53,11 @@ const TREE_SEPARATIONS_EAGER: usize = 12;
 /// Capacity of the node-basis cache. Bases are only kept for the most
 /// recently solved LP nodes — with depth-first search that is the active
 /// DFS spine (a child is popped right after its parent), with best-first it
-/// is the top of the heap. A revised-simplex [`Basis`] is only statuses
-/// plus an eta file, so the cap is about keeping lookups cheap, not memory.
+/// is the top of the heap. A revised-simplex [`Basis`] is statuses plus an
+/// eta file, and the eta file is not small: paulin's warm bases carry
+/// ~21.5k eta terms, about 340 KB each, so the cap bounds memory as well as
+/// lookup cost. A miss (a DFS backtrack past the cached spine) costs a cold
+/// node LP.
 const BASIS_CACHE_CAP: usize = 6;
 /// Maximum dual-simplex re-solves chained off one cold factorisation
 /// before the node re-factorises (cold-solves) to flush the eta file's

@@ -7,8 +7,10 @@
 
 mod common;
 
+use advbist::core::engine::SynthesisEngine;
 use advbist::core::{synthesis, SynthesisConfig};
-use advbist::ilp::{BranchRule, SolverConfig};
+use advbist::dfg::benchmarks;
+use advbist::ilp::{BoundMode, BranchRule, Budget, SolverConfig};
 use common::corpus::CORPUS;
 
 /// The new default search configuration (warm dual simplex + pseudo-cost
@@ -72,6 +74,58 @@ fn corpus_golden_optima_match_the_legacy_search() {
             case.name
         );
     }
+}
+
+/// The benchmark's `sweep_lp` configuration: 1000 nodes per solve and LP
+/// bounds at every node.
+fn sweep_lp() -> SynthesisConfig {
+    SynthesisConfig {
+        solver: SolverConfig {
+            budget: Budget::nodes(1000),
+            bound_mode: BoundMode::LpRelaxation,
+            ..SolverConfig::default()
+        },
+        ..SynthesisConfig::default()
+    }
+}
+
+#[test]
+fn figure1_sweep_lp_trail_is_pinned() {
+    // figure1's chained k-sweep under `sweep_lp` runs the chained,
+    // cut-laden, refactorizing LP path the benchmark times. Per k, in
+    // order: nodes, simplex pivots, bound flips, Bland pivots, kernel
+    // refactorizations and the objective (compared bit for bit). A kernel
+    // change that moves a single pivot decision moves this trail.
+    const TRAIL: [(u64, u64, u64, u64, u64, f64); 2] = [
+        (21, 1580, 82, 7, 6, 1316.0),
+        (79, 3532, 344, 257, 32, 1136.0),
+    ];
+    let input = benchmarks::figure1();
+    let config = sweep_lp();
+    let outcomes = SynthesisEngine::new(&input, &config)
+        .and_then(|engine| engine.sweep_chained())
+        .expect("figure1 sweep");
+    let trail: Vec<_> = outcomes
+        .iter()
+        .map(|outcome| {
+            let stats = &outcome.design.stats;
+            (
+                stats.nodes,
+                stats.lp_pivots,
+                stats.lp_bound_flips,
+                stats.bland_pivots,
+                stats.lp_basis_refactorizations,
+                outcome.design.objective.to_bits(),
+            )
+        })
+        .collect();
+    let expected: Vec<_> = TRAIL
+        .iter()
+        .map(|&(nodes, pivots, flips, bland, refactors, objective)| {
+            (nodes, pivots, flips, bland, refactors, objective.to_bits())
+        })
+        .collect();
+    assert_eq!(trail, expected);
 }
 
 /// Regenerates the golden corpus table. Run with

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use advbist::core::engine::SynthesisEngine;
 use advbist::core::SynthesisConfig;
+use advbist::ilp::json::Value;
 use advbist::ilp::SolverConfig;
 use advbist::ilp::{Model, Sense};
 use advbist::{Budget, SolveSession, SolveSnapshot};
@@ -188,8 +189,7 @@ fn fresh_session_resumes_a_file_round_tripped_snapshot() {
 /// back to 1, the `pending_cuts` batch and `eager_separation` flag dropped,
 /// and the per-node `"ng"` (no-good learning allowed) flag stripped. This
 /// is exactly what a snapshot written by the previous release looks like.
-fn downgrade_to_v1(value: &mut advbist::ilp::json::Value) {
-    use advbist::ilp::json::Value;
+fn downgrade_to_v1(value: &mut Value) {
     let Value::Object(fields) = value else {
         panic!("snapshot document must be an object");
     };
@@ -226,7 +226,7 @@ fn v1_snapshots_still_load_and_resume() {
     let text = snapshot.to_json().expect("snapshot serializes");
     assert!(text.contains("\"version\":2"), "current wire version is 2");
 
-    let mut doc = advbist::ilp::json::Value::parse(&text).expect("valid json");
+    let mut doc = Value::parse(&text).expect("valid json");
     downgrade_to_v1(&mut doc);
     let v1_text = doc.write();
     assert!(v1_text.contains("\"version\":1"));
@@ -274,6 +274,103 @@ fn resume_rejects_a_snapshot_of_a_different_instance() {
         message.contains("snapshot") || message.contains("fingerprint"),
         "unexpected error: {message}"
     );
+}
+
+/// The value under `key` of a JSON object.
+fn field_mut<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = value else {
+        panic!("expected an object holding `{key}`");
+    };
+    &mut fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("missing `{key}`"))
+        .1
+}
+
+/// The items of a JSON array.
+fn items_mut(value: &mut Value) -> &mut Vec<Value> {
+    let Value::Array(items) = value else {
+        panic!("expected an array");
+    };
+    items
+}
+
+/// Whether a stored basis has an eta with an off-pivot term.
+fn has_eta_terms(basis: &Value) -> bool {
+    basis
+        .get("etas")
+        .and_then(Value::as_array)
+        .is_some_and(|etas| {
+            etas.iter().any(
+                |eta| matches!(eta.as_array(), Some([_, _, Value::Array(terms)]) if !terms.is_empty()),
+            )
+        })
+}
+
+/// The first eta of a stored basis that has an off-pivot term, as its
+/// `[row, pivot bits, [[row, value bits], ...]]` array.
+fn first_eta_with_terms(basis: &mut Value) -> Option<&mut Vec<Value>> {
+    items_mut(field_mut(basis, "etas"))
+        .iter_mut()
+        .map(items_mut)
+        .find(|eta| matches!(&eta[2], Value::Array(terms) if !terms.is_empty()))
+}
+
+#[test]
+fn corrupt_snapshot_bases_fail_with_a_typed_error() {
+    // Each edit corrupts one stored basis of a real snapshot in a way the
+    // document's shape still allows. Resuming from any of them used to
+    // index out of bounds or divide by zero inside the LP kernel; parsing
+    // must refuse them instead.
+    let model = knapsack_model();
+    let partial = SolveSession::new(&model)
+        .budget(Budget::nodes(1).with_snapshot(true))
+        .solve()
+        .expect("interrupted solve");
+    let text = partial
+        .snapshot()
+        .expect("snapshot captured")
+        .to_json()
+        .expect("snapshot serializes");
+    SolveSnapshot::from_json(&text).expect("the unedited snapshot loads");
+
+    type Edit = (&'static str, fn(&mut Value));
+    let edits: [Edit; 4] = [
+        ("eta term index past the rows", |basis| {
+            let eta = first_eta_with_terms(basis).expect("an eta with terms");
+            items_mut(&mut items_mut(&mut eta[2])[0])[0] = Value::Int(1_000_000);
+        }),
+        ("zero eta pivot", |basis| {
+            let eta = first_eta_with_terms(basis).expect("an eta with terms");
+            eta[1] = Value::Int(0.0f64.to_bits());
+        }),
+        ("non-finite eta pivot", |basis| {
+            let eta = first_eta_with_terms(basis).expect("an eta with terms");
+            eta[1] = Value::Int(f64::INFINITY.to_bits());
+        }),
+        ("basis entry not marked basic", |basis| {
+            let Value::Int(j) = items_mut(field_mut(basis, "basis"))[0] else {
+                panic!("basis entries are column indices");
+            };
+            items_mut(field_mut(basis, "status"))[j as usize] = Value::Int(1);
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut doc = Value::parse(&text).expect("valid json");
+        let entry = items_mut(field_mut(&mut doc, "bases"))
+            .iter_mut()
+            .map(|entry| field_mut(entry, "basis"))
+            .find(|basis| has_eta_terms(basis))
+            .expect("a stored basis with an eta term");
+        edit(entry);
+        let err = SolveSnapshot::from_json(&doc.write())
+            .expect_err(&format!("{what}: corrupt snapshot must be refused"));
+        assert!(
+            err.to_string().contains("invalid solve snapshot"),
+            "{what}: unexpected error {err}"
+        );
+    }
 }
 
 #[test]
