@@ -1,12 +1,15 @@
 //! Runs the presolve/cuts ablation (reducing pipeline + cut pool vs the
 //! PR-1 solver) over the small circuits, writes `BENCH_presolve.json` and
 //! exits non-zero if the default solver regresses against the no-reduce
-//! baseline on `figure1` — CI uses this as the perf gate for the reduce
+//! baseline on `figure1`, or if the engine path diverges from the rebuild
+//! path on any circuit — CI uses this as the perf gate for the reduce
 //! layer.
 
 fn main() {
-    // Canonical BIST_NODE_LIMIT first, legacy BIST_PRESOLVE_NODES second.
-    let node_limit = bist_bench::workload::ablation_nodes("BIST_PRESOLVE_NODES", 300);
+    let node_limit = bist_bench::budget_from_env()
+        .or_nodes(300)
+        .node_limit
+        .expect("or_nodes fills the limit");
     eprintln!(
         "# presolve ablation node budget: {node_limit} nodes/solve \
          (set BIST_NODE_LIMIT to change)"
@@ -28,12 +31,15 @@ fn main() {
         Err(e) => eprintln!("could not write BENCH_presolve.json: {e}"),
     }
 
-    let violations = ablation.figure1_violations();
+    let violations = ablation.violations();
     if !violations.is_empty() {
         for violation in &violations {
             eprintln!("presolve regression: {violation}");
         }
         std::process::exit(1);
     }
-    println!("figure1 gate: reduce+cuts strictly below the no-reduce baseline.");
+    println!(
+        "presolve gate: reduce+cuts strictly below the no-reduce baseline on figure1, and the \
+         engine reproduces every rebuild row."
+    );
 }

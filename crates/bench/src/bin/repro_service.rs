@@ -5,8 +5,10 @@
 //! for the solve-state cache.
 
 fn main() {
-    // Canonical BIST_NODE_LIMIT first, legacy BIST_SERVICE_NODES second.
-    let node_limit = bist_bench::workload::ablation_nodes("BIST_SERVICE_NODES", 1000);
+    let node_limit = bist_bench::budget_from_env()
+        .or_nodes(1000)
+        .node_limit
+        .expect("or_nodes fills the limit");
     eprintln!(
         "# service benchmark node budget: {node_limit} nodes/solve \
          (set BIST_NODE_LIMIT to change)"

@@ -97,7 +97,7 @@ impl MethodRow {
 }
 
 /// Serialises a per-kind cut counter block ([`bist_ilp::CutCounts`]) as a
-/// nested JSON object — shared by the sweep and search artifact rows.
+/// nested JSON object, as the sweep artifact rows carry it.
 pub fn cut_counts_json(counts: &bist_ilp::CutCounts) -> String {
     json::Obj::new()
         .u64("cover", counts.cover)

@@ -62,11 +62,8 @@ pub struct SweepKRow {
     pub nodes: u64,
     /// Simplex pivots across all LP relaxations.
     pub lp_pivots: u64,
-    /// Pivots charged under devex pricing (the default rule).
-    pub devex_pivots: u64,
-    /// Pivots charged under Dantzig pricing (the differential baseline).
-    pub dantzig_pivots: u64,
-    /// Pivots charged under the Bland anti-cycling fallback.
+    /// Pivots charged under the Bland anti-cycling fallback (devex priced
+    /// the rest).
     pub bland_pivots: u64,
     /// Cutting planes emitted into the pool, by kind.
     pub cuts_emitted: bist_ilp::CutCounts,
@@ -94,8 +91,6 @@ impl SweepKRow {
             nodes_to_baseline: None,
             nodes: design.stats.nodes,
             lp_pivots: design.stats.lp_pivots,
-            devex_pivots: design.stats.devex_pivots,
-            dantzig_pivots: design.stats.dantzig_pivots,
             bland_pivots: design.stats.bland_pivots,
             cuts_emitted: design.stats.cuts_emitted,
             cuts_active: design.stats.cuts_active,
@@ -126,8 +121,6 @@ impl SweepKRow {
             .opt_u64("nodes_to_baseline", self.nodes_to_baseline)
             .u64("nodes", self.nodes)
             .u64("lp_pivots", self.lp_pivots)
-            .u64("devex_pivots", self.devex_pivots)
-            .u64("dantzig_pivots", self.dantzig_pivots)
             .u64("bland_pivots", self.bland_pivots)
             .raw(
                 "cuts_emitted",
@@ -195,10 +188,9 @@ impl CircuitSweep {
             .f64("chained_quality_seconds", self.chained_quality_seconds)
             .u64("rebuild_quality_nodes", self.rebuild_quality_nodes)
             .u64("chained_quality_nodes", self.chained_quality_nodes)
-            // Reported for the artifact trail only — never gated, matching
-            // the `wall_ms` precedent in the search ablation: it is a ratio
-            // of two wall-clock sums, and wall-clock is noisy on shared
-            // runners. The deterministic twin the gates may read is the
+            // Reported for the artifact trail only — never gated: it is a
+            // ratio of two wall-clock sums, and wall-clock is noisy on
+            // shared runners. The deterministic twin the gates may read is the
             // `*_quality_nodes` pair above.
             .f64(
                 "quality_speedup",

@@ -53,35 +53,6 @@ pub fn table_time_budget() -> Duration {
     table_budget().time_limit.expect("or_time fills the limit")
 }
 
-/// Node budget for an ablation binary: the canonical `BIST_NODE_LIMIT`
-/// first, then the binary's legacy variable (`legacy_var`), then `default`.
-/// The sweep-specific legacy `BIST_SWEEP_NODES` deliberately does *not*
-/// apply here — the single [`Budget`] parser runs with the binary's own
-/// legacy variable routed into its legacy slot instead. Malformed values
-/// exit with a diagnostic.
-pub fn ablation_nodes(legacy_var: &str, default: u64) -> u64 {
-    let parsed = Budget::from_lookup(|key| {
-        let var = if key == "BIST_SWEEP_NODES" {
-            legacy_var
-        } else {
-            key
-        };
-        std::env::var(var).ok()
-    });
-    match parsed {
-        Ok(budget) => budget.node_limit.unwrap_or(default),
-        Err(mut e) => {
-            // The parser saw the binary's variable under the legacy slot's
-            // name; report the variable the operator actually set.
-            if e.var == "BIST_SWEEP_NODES" {
-                e.var = legacy_var.to_string();
-            }
-            eprintln!("solver budget: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// The synthesis configuration used by the harness: the paper's 8-bit cost
 /// model with the given time budget per ILP solve.
 pub fn quick_config(limit: Duration) -> SynthesisConfig {

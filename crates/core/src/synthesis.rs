@@ -163,21 +163,7 @@ pub(crate) fn solve_formulation(
         None => reduce::solve_reduced(&formulation.model, &full, solver_config)?,
     };
     if let Some(observer) = observer.as_mut() {
-        observer(&SolveEvent::Done {
-            status: solution.status(),
-            nodes: solution.stats().nodes,
-            pivots: (
-                solution.stats().lp_primal_pivots,
-                solution.stats().lp_dual_pivots,
-            ),
-            pricing_pivots: (
-                solution.stats().devex_pivots,
-                solution.stats().dantzig_pivots,
-                solution.stats().bland_pivots,
-            ),
-            cuts_emitted: solution.stats().cuts_emitted,
-            cuts_active: solution.stats().cuts_active,
-        });
+        observer(&SolveEvent::done(&solution));
     }
     Ok(solution)
 }

@@ -27,12 +27,12 @@
 //! * [`cuts`]: Gomory mixed-integer cuts read off the optimal root and
 //!   shallow-node bases plus conflict no-goods from refuted subtrees, both
 //!   deduplicated through one pool,
-//! * a branch-and-bound [`solver`] with configurable bounding
-//!   (LP relaxation, propagation-only, or hybrid), branching rules up to
-//!   pseudo-cost / reliability branching with strong-branching
-//!   initialisation, reduced-cost bound fixing against the incumbent,
-//!   search strategies, the [`heuristics`] (a greedy dive before the search
-//!   and LP rounding at shallow nodes) and wall-clock limits,
+//! * a depth-first branch-and-bound [`solver`] with configurable bounding
+//!   (LP relaxation, propagation-only, or hybrid), pseudo-cost /
+//!   reliability branching with strong-branching initialisation,
+//!   warm-started node LPs, reduced-cost bound fixing against the
+//!   incumbent, the [`heuristics`] (a greedy dive before the search and LP
+//!   rounding at shallow nodes) and wall-clock limits,
 //! * a CPLEX-style `.lp` file writer ([`lpfile`]) for debugging and for
 //!   feeding the very same model to an external solver if one is available,
 //! * a [`session`] layer — [`SolveSession`] with a unified [`Budget`]
@@ -83,10 +83,10 @@ pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId, VarKind};
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
 pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
-pub use simplex::{Basis, LpSolution, LpStatus, Pricing, ReducedCosts};
+pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};
 pub use snapshot::{model_fingerprint, SnapshotError, SolveSnapshot};
 pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
-pub use solver::{BoundMode, BranchRule, SearchOrder, SolverConfig};
+pub use solver::{BoundMode, SolverConfig};
 pub use sparse::{RowRef, SparseModel};
 
 /// Numerical tolerance used throughout the crate when comparing floating

@@ -391,17 +391,27 @@ pub enum SolveEvent {
         /// `(primal, dual)` — cold two-phase factorisations vs warm
         /// dual-simplex re-solves (see [`crate::SolveStats`]).
         pivots: (u64, u64),
-        /// Simplex iterations split by pricing rule actually charged:
-        /// `(devex, dantzig, bland)`. The search prices with
-        /// [`crate::Pricing::Devex`], so `dantzig` stays 0; Bland pivots are
-        /// anti-cycling fallbacks.
-        pricing_pivots: (u64, u64, u64),
         /// Cutting planes emitted into the pool over the whole solve,
         /// by kind.
         cuts_emitted: crate::CutCounts,
         /// Cutting planes still active in the row set at the end, by kind.
         cuts_active: crate::CutCounts,
     },
+}
+
+impl SolveEvent {
+    /// The [`SolveEvent::Done`] event closing a solve that returned
+    /// `solution`.
+    pub fn done(solution: &Solution) -> Self {
+        let stats = solution.stats();
+        SolveEvent::Done {
+            status: solution.status(),
+            nodes: stats.nodes,
+            pivots: (stats.lp_primal_pivots, stats.lp_dual_pivots),
+            cuts_emitted: stats.cuts_emitted,
+            cuts_active: stats.cuts_active,
+        }
+    }
 }
 
 /// Event observer callbacks attached to a [`SolveSession`].
@@ -454,9 +464,9 @@ impl<'m> SolveSession<'m> {
     }
 
     /// Resumes a previous solve from its snapshot instead of starting a
-    /// fresh tree. The session must target the same model content and use
-    /// the same search order the snapshot was captured under, or the solve
-    /// fails with [`IlpError::Snapshot`]. Presolve must also match: a
+    /// fresh tree. The session must target the same model content the
+    /// snapshot was captured from, or the solve fails with
+    /// [`IlpError::Snapshot`]. Presolve must also match: a
     /// snapshot captured with presolve on fingerprints the *reduced*
     /// instance, so resume it from a presolve-enabled session (the
     /// default).
@@ -555,21 +565,7 @@ pub(crate) fn solve_with_events(
         }
     };
     if let Some(sink) = sink.as_mut() {
-        sink(&SolveEvent::Done {
-            status: solution.status(),
-            nodes: solution.stats().nodes,
-            pivots: (
-                solution.stats().lp_primal_pivots,
-                solution.stats().lp_dual_pivots,
-            ),
-            pricing_pivots: (
-                solution.stats().devex_pivots,
-                solution.stats().dantzig_pivots,
-                solution.stats().bland_pivots,
-            ),
-            cuts_emitted: solution.stats().cuts_emitted,
-            cuts_active: solution.stats().cuts_active,
-        });
+        sink(&SolveEvent::done(&solution));
     }
     Ok(solution)
 }
@@ -769,18 +765,12 @@ mod tests {
                 status,
                 nodes,
                 pivots,
-                pricing_pivots,
                 cuts_emitted,
                 cuts_active,
             } => {
                 assert_eq!(*status, Status::Optimal);
                 assert_eq!(*nodes, solution.stats().nodes);
                 assert_eq!(pivots.0 + pivots.1, solution.stats().lp_pivots);
-                // Every pivot is attributed to exactly one pricing rule.
-                assert_eq!(
-                    pricing_pivots.0 + pricing_pivots.1 + pricing_pivots.2,
-                    solution.stats().lp_pivots
-                );
                 assert_eq!(*cuts_emitted, solution.stats().cuts_emitted);
                 assert_eq!(*cuts_active, solution.stats().cuts_active);
                 assert!(cuts_active.total() <= cuts_emitted.total());

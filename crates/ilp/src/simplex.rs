@@ -19,8 +19,8 @@
 //!   ([`SparseModel::col`]); each row contributes one slack column (an
 //!   implicit unit vector), turning every row into an equality
 //!   `Σ aᵢⱼ·xⱼ + sᵢ = bᵢ` with the row sense encoded in the slack's bounds.
-//!   Pricing, FTRAN and the ratio tests therefore cost `O(nnz)` instead of
-//!   touching a dense tableau row.
+//!   The pricing pass, FTRAN and the ratio tests therefore cost `O(nnz)`
+//!   instead of touching a dense tableau row.
 //! * **Factorized basis (product form).** The basis inverse is represented
 //!   as a product of sparse *eta* matrices: each pivot appends one eta
 //!   vector, and the file is periodically collapsed by refactorization
@@ -45,13 +45,12 @@
 //!   pivot's ρ together with the next iteration's `y` — which hides the
 //!   latency of the serial dot product.
 //!
-//! Two solve paths share the kernel:
+//! Two entry points share the kernel:
 //!
-//! * [`solve_lp`] / [`solve_lp_basis`] — the cold solve: slack basis,
-//!   composite phase-1 primal (minimising the sum of bound violations of
-//!   the basic variables), then phase-2 primal on the true objective. The
-//!   warm-capable variant additionally returns the optimal [`Basis`] and
-//!   reports [`ReducedCosts`].
+//! * [`solve_lp_basis`] — the cold solve: slack basis, composite phase-1
+//!   primal (minimising the sum of bound violations of the basic
+//!   variables), then phase-2 primal on the true objective. Returns the
+//!   optimal [`Basis`] for descendants to re-solve from.
 //! * [`resolve_with_basis`] — the warm path: a child's bound changes leave
 //!   the parent's optimal basis *dual feasible* (reduced costs do not
 //!   depend on bound values), so the **bounded dual simplex** drives out
@@ -59,33 +58,19 @@
 //!   flipping entering variables across their boxes when the dual ratio
 //!   test says a pivot would overshoot.
 //!
-//! Both warm-capable paths report [`ReducedCosts`] at optimality, which the
-//! solver uses for reduced-cost bound fixing against the incumbent.
+//! Both report [`ReducedCosts`] at optimality, which the solver uses for
+//! reduced-cost bound fixing against the incumbent. Both price with
+//! **devex** (Forrest & Goldfarb's reference-framework approximation of
+//! steepest edge): a weight per column (per row on the dual side) scores
+//! candidates by `violation² / weight`, which steers the simplex away from
+//! the near-degenerate max-violation columns of the BIST formulations.
+//! While the phase measure stalls, pricing falls back to Bland's
+//! anti-cycling rule (counted in [`LpSolution::bland_pivots`]).
 
 use crate::model::CmpOp;
 use crate::propagate::Domains;
 use crate::sparse::SparseModel;
 use crate::EPS;
-
-/// Entering-column (primal) / leaving-row (dual) pricing rule of the
-/// kernel.
-///
-/// **Devex** (the default) keeps a reference-framework weight per column
-/// (per row on the dual side) that approximates the steepest-edge norm and
-/// prices by `violation² / weight`, which steers the simplex away from the
-/// near-degenerate max-violation columns Dantzig pricing chases on the BIST
-/// formulations. **Dantzig** is the classic max-violation rule, kept as the
-/// differential baseline — both rules must reach the same optima, only the
-/// pivot trail differs. Either rule falls back to Bland's anti-cycling rule
-/// while the phase measure stalls (see [`LpSolution`]'s per-mode counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Reference-framework devex pricing (approximate steepest edge).
-    #[default]
-    Devex,
-    /// Classic max-violation Dantzig pricing.
-    Dantzig,
-}
 
 /// Outcome of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +103,7 @@ pub struct ReducedCosts {
     pub down: Vec<f64>,
 }
 
-/// Result of [`solve_lp`] / [`solve_lp_basis`] / [`resolve_with_basis`].
+/// Result of [`solve_lp_basis`] / [`resolve_with_basis`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Solve status.
@@ -145,17 +130,11 @@ pub struct LpSolution {
     /// cold solves start from the trivially factorized slack basis, so this
     /// counts only mid-solve collapses).
     pub refactorizations: u64,
-    /// Pivots priced by devex (entering column on the primal side, leaving
-    /// row on the dual side). `devex_pivots + dantzig_pivots + bland_pivots`
-    /// always equals [`LpSolution::pivots`].
-    pub devex_pivots: u64,
-    /// Pivots priced by the Dantzig max-violation rule.
-    pub dantzig_pivots: u64,
-    /// Pivots priced by Bland's anti-cycling fallback (either mode switches
-    /// to it while the phase measure stalls).
+    /// Pivots priced by Bland's anti-cycling fallback (pricing switches to
+    /// it while the phase measure stalls); devex priced the rest of
+    /// [`LpSolution::pivots`].
     pub bland_pivots: u64,
-    /// Reduced costs at optimality. Only produced by the warm-capable
-    /// paths; `None` from the plain cold solve.
+    /// Reduced costs at optimality; `None` unless `status` is `Optimal`.
     pub reduced_costs: Option<ReducedCosts>,
 }
 
@@ -170,8 +149,6 @@ impl LpSolution {
             dual_pivots: counters.dual,
             bound_flips: counters.flips,
             refactorizations: counters.refactorizations,
-            devex_pivots: counters.devex,
-            dantzig_pivots: counters.dantzig,
             bland_pivots: counters.bland,
             reduced_costs: None,
         }
@@ -185,25 +162,8 @@ struct Counters {
     dual: u64,
     flips: u64,
     refactorizations: u64,
-    /// Per-pricing-mode attribution of the basis-change pivots.
-    devex: u64,
-    dantzig: u64,
+    /// Basis-change pivots priced by the Bland fallback.
     bland: u64,
-}
-
-impl Counters {
-    /// Attributes one basis-change pivot to the rule that priced it.
-    #[inline]
-    fn attribute(&mut self, pricing: Pricing, bland: bool) {
-        if bland {
-            self.bland += 1;
-        } else {
-            match pricing {
-                Pricing::Devex => self.devex += 1,
-                Pricing::Dantzig => self.dantzig += 1,
-            }
-        }
-    }
 }
 
 /// Primal feasibility tolerance: a variable this far outside its bounds
@@ -605,8 +565,6 @@ struct Kernel<'a> {
     counters: Counters,
     /// Dense scratch vector (length `m`), threaded through FTRANs.
     scratch: Vec<f64>,
-    /// Pricing rule for this run.
-    pricing: Pricing,
     /// Primal devex reference weights, one per column (meaningful for
     /// nonbasic columns). Reset to 1 with each new reference framework.
     weights: Vec<f64>,
@@ -671,7 +629,6 @@ impl<'a> Kernel<'a> {
             base_etas: 0,
             counters: Counters::default(),
             scratch: vec![0.0; m],
-            pricing: Pricing::default(),
             weights: vec![1.0; ncols],
             row_weights: vec![1.0; m],
         }
@@ -684,10 +641,8 @@ impl<'a> Kernel<'a> {
         objective: &'a [f64],
         objective_constant: f64,
         domains: &Domains,
-        pricing: Pricing,
     ) -> Self {
         let mut k = Self::shell(matrix, objective, objective_constant, domains);
-        k.pricing = pricing;
         k.reset_to_slack_basis();
         k
     }
@@ -702,10 +657,8 @@ impl<'a> Kernel<'a> {
         objective_constant: f64,
         domains: &Domains,
         basis: &Basis,
-        pricing: Pricing,
     ) -> Self {
         let mut k = Self::shell(matrix, objective, objective_constant, domains);
-        k.pricing = pricing;
         k.status.copy_from_slice(&basis.status);
         k.basis = basis.basis.clone();
         k.etas = basis.etas.clone();
@@ -1003,7 +956,7 @@ impl<'a> Kernel<'a> {
         let mut y = vec![0.0f64; self.m];
         // Pivot-row scratch for the devex weight update.
         let mut rho = vec![0.0f64; self.m];
-        // Degeneracy guard: Dantzig pricing switches to Bland's rule while
+        // Degeneracy guard: devex pricing switches to Bland's rule while
         // the phase measure (infeasibility sum in phase 1, objective in
         // phase 2) has made no progress for `STALL_LIMIT` iterations, and
         // back once it moves again. This keeps the anti-cycling cost
@@ -1051,16 +1004,14 @@ impl<'a> Kernel<'a> {
             } else {
                 stall += 1;
             }
-            // Pricing: y = B⁻ᵀ·c_B, then reduced costs over the nonbasics.
+            // Price: y = B⁻ᵀ·c_B, then reduced costs over the nonbasics.
             if !y_ready {
                 self.load_basic_costs(phase1, &mut y);
                 self.btran(&mut y);
             }
             y_ready = false;
             let use_bland = stall >= STALL_LIMIT;
-            let devex = self.pricing == Pricing::Devex && !use_bland;
             let mut entering: Option<usize> = None;
-            let mut best = COST_TOL;
             let mut best_score = 0.0f64;
             for j in 0..self.ncols {
                 let status = self.status[j];
@@ -1081,18 +1032,13 @@ impl<'a> Kernel<'a> {
                     entering = Some(j);
                     break;
                 }
-                if devex {
-                    // Reference-framework devex: the largest rate of
-                    // objective change per unit of (approximate) edge
-                    // length, instead of the raw reduced cost.
-                    let score = violation * violation / self.weights[j];
-                    if score > best_score {
-                        best_score = score;
-                        entering = Some(j);
-                    }
-                } else if violation > best {
+                // Reference-framework devex: the largest rate of objective
+                // change per unit of (approximate) edge length, instead of
+                // the raw reduced cost.
+                let score = violation * violation / self.weights[j];
+                if score > best_score {
+                    best_score = score;
                     entering = Some(j);
-                    best = violation;
                 }
             }
             let Some(q) = entering else {
@@ -1223,7 +1169,7 @@ impl<'a> Kernel<'a> {
                 }
                 Some(r) => {
                     self.counters.primal += 1;
-                    self.counters.attribute(self.pricing, use_bland);
+                    self.counters.bland += u64::from(use_bland);
                     for (i, &wi) in w.iter().enumerate() {
                         if wi != 0.0 {
                             self.x[self.basis[i]] -= dir * t * wi;
@@ -1243,7 +1189,7 @@ impl<'a> Kernel<'a> {
                         self.etas.push(eta);
                     }
                     self.basis[r] = q;
-                    if devex {
+                    if !use_bland {
                         // Reference-framework update (Forrest–Goldfarb):
                         // the pivot row ρ of the *old* basis (the eta file
                         // before this pivot's eta) rescales every nonbasic
@@ -1355,12 +1301,10 @@ impl<'a> Kernel<'a> {
                 stall += 1;
             }
             let use_bland = stall >= STALL_LIMIT;
-            let devex = self.pricing == Pricing::Devex && !use_bland;
-            // Leaving row: the basic variable with the largest bound
-            // violation — devex-weighted in the default mode, raw under
-            // Dantzig (first violating row under Bland).
+            // Leaving row: the basic variable with the largest
+            // devex-weighted bound violation (the first violating row under
+            // Bland).
             let mut leaving: Option<usize> = None;
-            let mut worst = FEAS_TOL;
             let mut worst_score = 0.0f64;
             for i in 0..self.m {
                 let b = self.basis[i];
@@ -1379,15 +1323,10 @@ impl<'a> Kernel<'a> {
                     leaving = Some(i);
                     break;
                 }
-                if devex {
-                    let score = violation * violation / self.row_weights[i];
-                    if score > worst_score {
-                        worst_score = score;
-                        leaving = Some(i);
-                    }
-                } else if violation > worst {
+                let score = violation * violation / self.row_weights[i];
+                if score > worst_score {
+                    worst_score = score;
                     leaving = Some(i);
-                    worst = violation;
                 }
             }
             let Some(r) = leaving else {
@@ -1512,8 +1451,8 @@ impl<'a> Kernel<'a> {
             }
 
             self.counters.dual += 1;
-            self.counters.attribute(self.pricing, use_bland);
-            if devex {
+            self.counters.bland += u64::from(use_bland);
+            if !use_bland {
                 // Dual devex update off the FTRANed entering column (free —
                 // it is already in hand): every row the pivot touches
                 // inherits a rescaled weight through the pivot element.
@@ -1558,8 +1497,9 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Extracts the optimal solution from the current state.
-    fn extract(&mut self, with_rc: bool) -> LpSolution {
+    /// Extracts the optimal solution, reduced costs included, from the
+    /// current state.
+    fn extract(&mut self) -> LpSolution {
         let mut values = Vec::with_capacity(self.n);
         for j in 0..self.n {
             let v = if self.lower[j] <= self.upper[j] {
@@ -1576,7 +1516,7 @@ impl<'a> Kernel<'a> {
                 .zip(&values)
                 .map(|(c, v)| c * v)
                 .sum::<f64>();
-        let reduced_costs = with_rc.then(|| self.reduced_costs());
+        let reduced_costs = Some(self.reduced_costs());
         LpSolution {
             status: LpStatus::Optimal,
             objective,
@@ -1586,8 +1526,6 @@ impl<'a> Kernel<'a> {
             dual_pivots: self.counters.dual,
             bound_flips: self.counters.flips,
             refactorizations: self.counters.refactorizations,
-            devex_pivots: self.counters.devex,
-            dantzig_pivots: self.counters.dantzig,
             bland_pivots: self.counters.bland,
             reduced_costs,
         }
@@ -1636,51 +1574,13 @@ impl<'a> Kernel<'a> {
 }
 
 /// Solves the LP `minimise Σ objective[j]·x[j] + objective_constant` subject
-/// to the rows of `matrix` and the variable box described by `domains`.
+/// to the rows of `matrix` and the variable box described by `domains`, cold
+/// from the slack basis. At optimality it returns the optimal [`Basis`], so
+/// descendant nodes can re-solve from it with the dual simplex
+/// ([`resolve_with_basis`]), and the solution reports [`ReducedCosts`].
 ///
 /// `matrix` must reference variable indices smaller than `domains.len()`.
 /// Integrality of the domains is ignored (this is the relaxation).
-pub fn solve_lp(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    domains: &Domains,
-    max_pivots: u64,
-) -> LpSolution {
-    solve_lp_priced(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        max_pivots,
-        Pricing::default(),
-    )
-}
-
-/// [`solve_lp`] under an explicit [`Pricing`] rule.
-pub fn solve_lp_priced(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    domains: &Domains,
-    max_pivots: u64,
-    pricing: Pricing,
-) -> LpSolution {
-    solve_cold(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        max_pivots,
-        false,
-        pricing,
-    )
-    .0
-}
-
-/// Warm-capable cold solve: like [`solve_lp`], but returns the optimal
-/// [`Basis`] so descendant nodes can re-solve from it with the dual simplex
-/// ([`resolve_with_basis`]), and the solution reports [`ReducedCosts`].
 pub fn solve_lp_basis(
     matrix: &SparseModel,
     objective: &[f64],
@@ -1688,60 +1588,19 @@ pub fn solve_lp_basis(
     domains: &Domains,
     max_pivots: u64,
 ) -> (LpSolution, Option<Basis>) {
-    solve_lp_basis_priced(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        max_pivots,
-        Pricing::default(),
-    )
-}
-
-/// [`solve_lp_basis`] under an explicit [`Pricing`] rule.
-pub fn solve_lp_basis_priced(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    domains: &Domains,
-    max_pivots: u64,
-    pricing: Pricing,
-) -> (LpSolution, Option<Basis>) {
-    solve_cold(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        max_pivots,
-        true,
-        pricing,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_cold(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    domains: &Domains,
-    max_pivots: u64,
-    warm_capable: bool,
-    pricing: Pricing,
-) -> (LpSolution, Option<Basis>) {
     if domains.is_infeasible() {
         return (
             LpSolution::no_solution(LpStatus::Infeasible, Counters::default()),
             None,
         );
     }
-    let mut kernel = Kernel::cold(matrix, objective, objective_constant, domains, pricing);
+    let mut kernel = Kernel::cold(matrix, objective, objective_constant, domains);
     let mut pivots = 0u64;
     let inner = kernel.solve_two_phase(max_pivots, &mut pivots);
     match inner {
         Inner::Optimal => {
-            let solution = kernel.extract(warm_capable);
-            let basis = warm_capable.then(|| kernel.into_basis(0));
-            (solution, basis)
+            let solution = kernel.extract();
+            (solution, Some(kernel.into_basis(0)))
         }
         Inner::Infeasible => (
             LpSolution::no_solution(LpStatus::Infeasible, kernel.counters),
@@ -1769,7 +1628,8 @@ fn solve_cold(
 /// branch-and-bound solver rebuilt the row set with cuts), in which case
 /// the caller should fall back to a cold solve. Otherwise returns the
 /// solution and, at optimality, the re-solved basis (age incremented) for
-/// further descendants.
+/// further descendants. The dual devex row weights start a fresh reference
+/// framework per re-solve.
 pub fn resolve_with_basis(
     matrix: &SparseModel,
     objective: &[f64],
@@ -1777,29 +1637,6 @@ pub fn resolve_with_basis(
     basis: &Basis,
     domains: &Domains,
     max_pivots: u64,
-) -> Option<(LpSolution, Option<Basis>)> {
-    resolve_with_basis_priced(
-        matrix,
-        objective,
-        objective_constant,
-        basis,
-        domains,
-        max_pivots,
-        Pricing::default(),
-    )
-}
-
-/// [`resolve_with_basis`] under an explicit [`Pricing`] rule (the devex row
-/// weights of the dual path start a fresh reference framework per re-solve).
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_with_basis_priced(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    basis: &Basis,
-    domains: &Domains,
-    max_pivots: u64,
-    pricing: Pricing,
 ) -> Option<(LpSolution, Option<Basis>)> {
     if basis.vars != domains.len()
         || basis.vars != matrix.num_vars()
@@ -1814,19 +1651,12 @@ pub fn resolve_with_basis_priced(
             None,
         ));
     }
-    let mut kernel = Kernel::warm(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        basis,
-        pricing,
-    );
+    let mut kernel = Kernel::warm(matrix, objective, objective_constant, domains, basis);
     let mut pivots = 0u64;
     let inner = kernel.run_dual(max_pivots, &mut pivots);
     match inner {
         Inner::Optimal => {
-            let solution = kernel.extract(true);
+            let solution = kernel.extract();
             let next = kernel.into_basis(basis.age + 1);
             Some((solution, Some(next)))
         }
@@ -2049,14 +1879,7 @@ pub fn gomory_cuts(
     {
         return Vec::new();
     }
-    let kernel = Kernel::warm(
-        matrix,
-        objective,
-        objective_constant,
-        domains,
-        basis,
-        Pricing::default(),
-    );
+    let kernel = Kernel::warm(matrix, objective, objective_constant, domains, basis);
     let mut candidates: Vec<(f64, usize)> = Vec::new();
     for r in 0..kernel.m {
         let b = kernel.basis[r];
@@ -2109,7 +1932,7 @@ mod tests {
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, 1.0), (y, 1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-6);
     }
@@ -2124,7 +1947,7 @@ mod tests {
         m.add_leq([(x, 1.0), (y, 1.0)], 4.0, "cap");
         m.set_objective([(x, -3.0), (y, -2.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(
             (sol.objective + 10.0).abs() < 1e-6,
@@ -2145,7 +1968,7 @@ mod tests {
         m.add_eq([(x, 1.0), (y, 1.0)], 5.0, "sum");
         m.set_objective([(x, 2.0), (y, 3.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 12.0).abs() < 1e-6);
     }
@@ -2158,7 +1981,7 @@ mod tests {
         m.add_geq([(x, 1.0)], 2.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
 
@@ -2172,7 +1995,7 @@ mod tests {
         m.set_objective([(x, 1.0), (y, 1.0)], Sense::Minimize);
         let (rows, obj, k, mut dom) = relax(&m);
         dom.fix(y.index(), 2.0);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.values[x.index()] - 1.0).abs() < 1e-6);
         assert!((sol.values[y.index()] - 2.0).abs() < 1e-6);
@@ -2191,7 +2014,7 @@ mod tests {
         m.add_leq([(a, 3.0), (b, 2.0), (c, 2.0)], 4.0, "cap");
         m.set_objective([(a, -6.0), (b, -5.0), (c, -4.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(sol.objective <= -9.0 + 1e-6);
     }
@@ -2204,7 +2027,7 @@ mod tests {
         m.add_leq([(x, -1.0)], -1.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-6);
     }
@@ -2221,7 +2044,7 @@ mod tests {
         m.add_leq([(y, 1.0)], 2.0, "d");
         m.set_objective([(x, -1.0), (y, -1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 2.0).abs() < 1e-6);
     }
@@ -2236,11 +2059,11 @@ mod tests {
         m.set_objective([(x, 1.0)], Sense::Minimize);
         let (rows, obj, k, mut dom) = relax(&m);
         dom.fix(x.index(), 1.0); // violates x >= 3
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Infeasible);
         let (rows, obj, k, mut dom) = relax(&m);
         dom.fix(x.index(), 3.5);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 3.5).abs() < 1e-6);
     }
@@ -2257,7 +2080,7 @@ mod tests {
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, -1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Unbounded);
         assert!(sol.values.is_empty());
         // The same box with a finite ceiling solves at that ceiling.
@@ -2266,7 +2089,7 @@ mod tests {
         m2.add_geq([(x2, 1.0)], 1.0, "c");
         m2.set_objective([(x2, -1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m2);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 1e12).abs() < 1.0);
     }
@@ -2290,7 +2113,7 @@ mod tests {
             Sense::Minimize,
         );
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 100_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 100_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(sol.pivots > 0);
         assert_eq!(sol.pivots, sol.primal_pivots + sol.dual_pivots);
@@ -2309,13 +2132,22 @@ mod tests {
         m.add_geq([(x, 1.0), (z, 1.0)], 1.0, "c");
         m.set_objective([(x, -6.0), (y, -5.0), (z, -4.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let cold = solve_lp(&rows, &obj, k, &dom, 10_000);
-        let (warm, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
+        let (cold, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(cold.status, LpStatus::Optimal);
+        assert!(cold.reduced_costs.is_some());
+        // Re-solving the cold optimum's own basis under unchanged bounds
+        // is already optimal: no dual pivot, the same point and duals.
+        let basis = basis.expect("an optimal cold solve returns its basis");
+        let (warm, next) =
+            resolve_with_basis(&rows, &obj, k, &basis, &dom, 10_000).expect("compatible");
         assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((cold.objective - warm.objective).abs() < 1e-9);
-        assert!(basis.is_some());
-        assert!(warm.reduced_costs.is_some());
+        assert_eq!(warm.pivots, 0);
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+        for (w, c) in warm.values.iter().zip(&cold.values) {
+            assert!((w - c).abs() < 1e-9, "warm {w} vs cold {c}");
+        }
+        assert_eq!(warm.reduced_costs, cold.reduced_costs);
+        assert_eq!(next.expect("optimal re-solve returns a basis").age(), 1);
     }
 
     #[test]
@@ -2347,7 +2179,7 @@ mod tests {
             for value in [0.0, 1.0] {
                 let mut child = dom.clone();
                 assert!(child.fix(j, value));
-                let cold = solve_lp(&rows, &obj, k, &child, 10_000);
+                let (cold, _) = solve_lp_basis(&rows, &obj, k, &child, 10_000);
                 let (warm, _) =
                     resolve_with_basis(&rows, &obj, k, &basis, &child, 10_000).expect("compatible");
                 assert_eq!(warm.status, cold.status, "x{j} := {value}");
@@ -2418,7 +2250,7 @@ mod tests {
         {
             domains.tighten_lower(j, lo);
             domains.tighten_upper(j, hi);
-            let cold = solve_lp(&rows, &obj, k, &domains, 10_000);
+            let (cold, _) = solve_lp_basis(&rows, &obj, k, &domains, 10_000);
             let (warm, next) =
                 resolve_with_basis(&rows, &obj, k, &basis, &domains, 10_000).expect("compatible");
             assert_eq!(warm.status, cold.status, "step {step}");
@@ -2532,7 +2364,7 @@ mod tests {
         );
         m.set_objective([(vars[0], 0.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(
             sol.bound_flips >= 18,
@@ -2553,7 +2385,7 @@ mod tests {
         m2.add_leq([(y, 1.0)], 100.0, "loose");
         m2.set_objective([(y, -1.0)], Sense::Minimize);
         let (rows, obj, k, dom) = relax(&m2);
-        let sol = solve_lp(&rows, &obj, k, &dom, 10_000);
+        let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 5.0).abs() < 1e-9);
         assert_eq!(sol.pivots + sol.bound_flips, 0, "crash start is optimal");

@@ -14,10 +14,8 @@
 //! Resuming must be **results-neutral**: a solve that runs `c` nodes, is
 //! snapshotted, and resumes for the remaining budget must visit the same
 //! nodes, find the same incumbents and prove the same objective as an
-//! uninterrupted run (under the default deterministic depth-first order; the
-//! best-first heap restores the same node *set* but may permute exact-tie
-//! pops, which layout-dependent heap internals do not pin down). Every `f64`
-//! is therefore serialized as its [`f64::to_bits`] integer through the
+//! uninterrupted run: the depth-first stack is restored verbatim. Every
+//! `f64` is therefore serialized as its [`f64::to_bits`] integer through the
 //! exact-integer [`crate::json`] layer — a decimal round-trip that moved a
 //! bound by one ulp would change pruning decisions.
 //!
@@ -28,8 +26,8 @@
 //! matrix + objective it was solving, and the resume path rejects a
 //! mismatch loudly ([`crate::IlpError::Snapshot`]) instead of silently
 //! continuing a different tree. The solver *configuration* is not part of
-//! the snapshot — resuming under a different bound mode or branching rule
-//! is well-defined (the tree stays valid) but forfeits the
+//! the snapshot — resuming under a different bound mode or budget is
+//! well-defined (the tree stays valid) but forfeits the
 //! identical-to-uninterrupted guarantee; callers that need it (the job
 //! service cache) key snapshots by configuration as well.
 
@@ -39,7 +37,6 @@ use crate::cuts::{CutKind, CutRow};
 use crate::json::Value;
 use crate::model::{Model, Sense};
 use crate::simplex::{instance_fingerprint, Basis};
-use crate::solver::SearchOrder;
 use crate::sparse::SparseModel;
 
 /// Content fingerprint of a model: a hash over the sparse constraint
@@ -84,6 +81,11 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// Oldest snapshot version the parser still accepts.
 pub const MIN_FORMAT_VERSION: u64 = 1;
+
+/// The `search` value of every snapshot: the solver explores its tree
+/// depth-first. Older solvers could also write `"best_first"`; such
+/// documents are rejected on load.
+const DEPTH_FIRST: &str = "depth_first";
 
 /// A malformed, inconsistent or incompatible snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -465,7 +467,6 @@ pub struct SolveSnapshot {
     /// tree belongs to; checked on resume.
     pub(crate) fingerprint: u64,
     pub(crate) num_vars: usize,
-    pub(crate) search: SearchOrder,
     /// Nodes explored when the snapshot was taken; the resumed run's node
     /// counter continues from here, so node budgets keep whole-tree
     /// semantics across interrupts.
@@ -597,15 +598,11 @@ impl SolveSnapshot {
     /// surface this loudly rather than drop the solve state.
     pub fn to_json(&self) -> Result<String, SnapshotError> {
         self.validate()?;
-        let search = match self.search {
-            SearchOrder::DepthFirst => "depth_first",
-            SearchOrder::BestFirst => "best_first",
-        };
         let doc = Value::Object(vec![
             ("version".into(), Value::Int(FORMAT_VERSION)),
             ("fingerprint".into(), Value::Int(self.fingerprint)),
             ("num_vars".into(), Value::Int(self.num_vars as u64)),
-            ("search".into(), Value::Str(search.into())),
+            ("search".into(), Value::Str(DEPTH_FIRST.into())),
             ("nodes".into(), Value::Int(self.nodes)),
             ("root_bound".into(), bits(self.root_bound)),
             ("pruned_bound_min".into(), bits(self.pruned_bound_min)),
@@ -682,11 +679,16 @@ impl SolveSnapshot {
                 "unsupported snapshot version {version} (expected {MIN_FORMAT_VERSION}..={FORMAT_VERSION})"
             )));
         }
-        let search = match doc.get("search").and_then(Value::as_str) {
-            Some("depth_first") => SearchOrder::DepthFirst,
-            Some("best_first") => SearchOrder::BestFirst,
-            _ => return Err(SnapshotError::field("search")),
-        };
+        match doc.get("search").and_then(Value::as_str) {
+            Some(DEPTH_FIRST) => {}
+            Some(other) => {
+                return Err(SnapshotError::new(format!(
+                    "snapshot was captured under {other:?} search; only {DEPTH_FIRST:?} trees \
+                     can be resumed"
+                )))
+            }
+            None => return Err(SnapshotError::field("search")),
+        }
         let incumbent = match doc.get("incumbent") {
             Some(Value::Null) => None,
             Some(obj) => Some((
@@ -727,7 +729,6 @@ impl SolveSnapshot {
         let snapshot = Self {
             fingerprint: get_u64(&doc, "fingerprint")?,
             num_vars: get_usize(&doc, "num_vars")?,
-            search,
             nodes: get_u64(&doc, "nodes")?,
             frontier,
             incumbent,
@@ -762,7 +763,6 @@ mod tests {
         SolveSnapshot {
             fingerprint: 0xdead_beef_cafe_f00d,
             num_vars: 3,
-            search: SearchOrder::DepthFirst,
             nodes: 17,
             frontier: vec![
                 SnapshotNode {

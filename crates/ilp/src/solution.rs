@@ -114,14 +114,8 @@ pub struct SolveStats {
     /// Simplex iterations spent in the *dual* simplex (warm re-solves from
     /// a cached basis, including strong-branching probes).
     pub lp_dual_pivots: u64,
-    /// Simplex iterations priced by the devex reference framework.
-    /// `devex_pivots + dantzig_pivots + bland_pivots == lp_pivots`.
-    pub devex_pivots: u64,
-    /// Simplex iterations priced by the classic Dantzig rule (most-negative
-    /// reduced cost / most-violated basic).
-    pub dantzig_pivots: u64,
-    /// Simplex iterations taken under the Bland anti-cycling fallback,
-    /// whichever pricing mode was configured.
+    /// Simplex iterations taken under the Bland anti-cycling fallback;
+    /// devex pricing chose the other `lp_pivots - bland_pivots`.
     pub bland_pivots: u64,
     /// Bound flips performed inside the LP kernel: nonbasic variables
     /// crossing their box without a basis change (rank-0 updates — the

@@ -10,20 +10,23 @@
 //!
 //! The search layer on top of that skeleton:
 //!
+//! * **Depth-first node order** — open nodes live on a stack, and the
+//!   preferred child of every branching is explored first.
 //! * **Warm-started node LPs** — each LP node's optimal [`Basis`] is cached
-//!   (bounded to the most recent nodes: the active DFS spine, or the top of
-//!   the best-first heap) and children re-solve with the dual simplex from
-//!   it instead of running two-phase primal from scratch; chains
-//!   re-factorise cold after a bounded number of re-solves.
-//! * **Pseudo-cost / reliability branching** ([`BranchRule::PseudoCost`],
-//!   the default) with strong-branching initialisation at shallow depth,
-//!   learning per-variable dual-bound degradations from every branching.
+//!   (bounded to the most recent nodes, i.e. the active DFS spine) and
+//!   children re-solve with the dual simplex from it instead of running
+//!   two-phase primal from scratch; chains re-factorise cold after a
+//!   bounded number of re-solves, and a miss falls back to a cold solve.
+//! * **Pseudo-cost / reliability branching** (Achterberg, Koch & Martin,
+//!   "Branching rules revisited") with strong-branching initialisation at
+//!   shallow depth, learning per-variable dual-bound degradations from
+//!   every branching; nodes without LP values branch on the most
+//!   constrained variable instead.
 //! * **Reduced-cost bound fixing** — at LP nodes with an incumbent, duals
 //!   prove some integral variables cannot leave their bound in any
 //!   improving solution; the tightened bounds feed the propagation
 //!   worklist.
 
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,8 +38,8 @@ use crate::model::{CmpOp, Model, Sense};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    gomory_cuts, instance_fingerprint, resolve_with_basis, solve_lp, solve_lp_basis, Basis,
-    LpSolution, LpStatus, ReducedCosts,
+    gomory_cuts, instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, LpSolution,
+    LpStatus, ReducedCosts,
 };
 use crate::snapshot::{PseudoSnapshot, RootLpSnapshot, SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
@@ -51,9 +54,9 @@ const TREE_SEPARATIONS: usize = 6;
 /// anchoring incumbent makes extra shallow rounds pay for themselves.
 const TREE_SEPARATIONS_EAGER: usize = 12;
 /// Capacity of the node-basis cache. Bases are only kept for the most
-/// recently solved LP nodes — with depth-first search that is the active
-/// DFS spine (a child is popped right after its parent), with best-first it
-/// is the top of the heap. A revised-simplex [`Basis`] is statuses plus an
+/// recently solved LP nodes, which under depth-first search is the active
+/// DFS spine (a child is popped right after its parent). A revised-simplex
+/// [`Basis`] is statuses plus an
 /// eta file, and the eta file is not small: paulin's warm bases carry
 /// ~21.5k eta terms, about 340 KB each, so the cap bounds memory as well as
 /// lookup cost. A miss (a DFS backtrack past the cached spine) costs a cold
@@ -117,8 +120,6 @@ fn tally_lp(stats: &mut SolveStats, lp: &LpSolution) {
     stats.lp_pivots += lp.pivots;
     stats.lp_primal_pivots += lp.primal_pivots;
     stats.lp_dual_pivots += lp.dual_pivots;
-    stats.devex_pivots += lp.devex_pivots;
-    stats.dantzig_pivots += lp.dantzig_pivots;
     stats.bland_pivots += lp.bland_pivots;
     stats.lp_bound_flips += lp.bound_flips;
     stats.lp_basis_refactorizations += lp.refactorizations;
@@ -141,42 +142,7 @@ pub enum BoundMode {
     },
 }
 
-/// Variable selection strategy for branching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Branch on the first unfixed integral variable (model order).
-    InputOrder,
-    /// Branch on the unfixed integral variable that appears in the largest
-    /// number of constraints.
-    MostConstrained,
-    /// Branch on the variable whose LP relaxation value is most fractional;
-    /// falls back to [`BranchRule::MostConstrained`] when no LP value is
-    /// available at the node.
-    MostFractional,
-    /// Pseudo-cost (reliability) branching: keep per-variable averages of
-    /// the observed dual-bound degradation per unit of fractionality in
-    /// each direction, pick the fractional variable maximising the product
-    /// of its estimated up/down degradations, and initialise unobserved
-    /// variables at shallow depth by *strong branching* (solving both
-    /// child LPs warm from the node's basis under a small pivot budget).
-    /// Falls back to [`BranchRule::MostConstrained`] when the node has no
-    /// LP values (propagation-only bounds).
-    PseudoCost,
-}
-
-/// Node exploration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchOrder {
-    /// Depth-first (default): finds feasible solutions quickly and keeps the
-    /// open-node set small.
-    DepthFirst,
-    /// Best-bound-first: explores the node with the smallest dual bound
-    /// first; proves optimality with fewer nodes at the price of memory.
-    BestFirst,
-}
-
-/// Configuration of a branch-and-bound run. Every LP the search solves is
-/// priced with [`crate::Pricing::Devex`].
+/// Configuration of a branch-and-bound run.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// The unified solve budget: node limit, wall-clock limit and absolute
@@ -189,10 +155,6 @@ pub struct SolverConfig {
     pub cancel: Option<CancelToken>,
     /// Dual bound computation mode.
     pub bound_mode: BoundMode,
-    /// Branching variable selection.
-    pub branching: BranchRule,
-    /// Node exploration order.
-    pub search: SearchOrder,
     /// Pivot budget per LP relaxation solve.
     pub max_lp_pivots: u64,
     /// Record a verbatim copy of every emitted cut in
@@ -215,18 +177,6 @@ pub struct SolverConfig {
     /// Gomory cuts need LP bases, so under [`BoundMode::Propagation`] only
     /// no-goods are learned.
     pub cuts: bool,
-    /// Re-solve child-node LPs with the dual simplex from the parent's
-    /// cached optimal [`Basis`] instead of cold two-phase primal. On by
-    /// default; node LPs fall back to a cold factorisation whenever the
-    /// basis was evicted, aged out, or invalidated by new cutting planes.
-    /// Has no effect under [`BoundMode::Propagation`].
-    pub lp_warm_start: bool,
-    /// Reduced-cost bound fixing: at every LP node with an incumbent, fix
-    /// integral variables whose reduced cost proves they cannot move off
-    /// their bound in any improving solution, and feed the tightened
-    /// bounds to the propagation worklist. On by default. Requires the
-    /// warm-capable LP path (`lp_warm_start`) for the reduced costs.
-    pub rc_fixing: bool,
     /// Run shallow in-tree Gomory rounds from the first descent instead of
     /// waiting for the node counter to mature. Off by default: early extra
     /// rows perturb degenerate vertex selection and with it pseudo-cost
@@ -243,8 +193,7 @@ pub struct SolverConfig {
     pub snapshot: bool,
     /// Resume a previous solve from a [`SolveSnapshot`] instead of starting
     /// a fresh tree. The snapshot must belong to the same instance (content
-    /// fingerprint over matrix and objective) and use the same
-    /// [`SearchOrder`]; mismatches fail loudly with
+    /// fingerprint over matrix and objective); a mismatch fails loudly with
     /// [`IlpError::Snapshot`]. Root preprocessing (warm candidates, dive,
     /// root cuts) is skipped — the restored state already reflects it.
     pub resume: Option<Arc<SolveSnapshot>>,
@@ -256,15 +205,11 @@ impl Default for SolverConfig {
             budget: Budget::time(Duration::from_secs(60)),
             cancel: None,
             bound_mode: BoundMode::Hybrid { lp_depth: 4 },
-            branching: BranchRule::PseudoCost,
-            search: SearchOrder::DepthFirst,
             max_lp_pivots: 50_000,
             record_cuts: false,
             initial_solutions: Vec::new(),
             presolve: true,
             cuts: true,
-            lp_warm_start: true,
-            rc_fixing: true,
             eager_tree_cuts: false,
             snapshot: false,
             resume: None,
@@ -301,33 +246,9 @@ impl SolverConfig {
         self
     }
 
-    /// Builder-style setter for the branching rule.
-    pub fn with_branching(mut self, branching: BranchRule) -> Self {
-        self.branching = branching;
-        self
-    }
-
     /// Builder-style toggle for recording emitted cuts in the stats.
     pub fn with_record_cuts(mut self, enabled: bool) -> Self {
         self.record_cuts = enabled;
-        self
-    }
-
-    /// Builder-style toggle for dual-simplex warm starts of node LPs.
-    pub fn with_lp_warm_start(mut self, enabled: bool) -> Self {
-        self.lp_warm_start = enabled;
-        self
-    }
-
-    /// Builder-style toggle for reduced-cost bound fixing.
-    pub fn with_rc_fixing(mut self, enabled: bool) -> Self {
-        self.rc_fixing = enabled;
-        self
-    }
-
-    /// Builder-style setter for the search order.
-    pub fn with_search(mut self, search: SearchOrder) -> Self {
-        self.search = search;
         self
     }
 
@@ -394,83 +315,6 @@ struct Node {
     nogood_ok: bool,
 }
 
-/// Wrapper giving the binary heap min-heap semantics on the node bound.
-struct HeapNode(Node);
-
-impl PartialEq for HeapNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.bound == other.0.bound
-    }
-}
-impl Eq for HeapNode {}
-impl PartialOrd for HeapNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: smaller bound = higher priority.
-        other
-            .0
-            .bound
-            .partial_cmp(&self.0.bound)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
-
-enum Frontier {
-    Stack(Vec<Node>),
-    Heap(BinaryHeap<HeapNode>),
-}
-
-impl Frontier {
-    fn new(order: SearchOrder) -> Self {
-        match order {
-            SearchOrder::DepthFirst => Frontier::Stack(Vec::new()),
-            SearchOrder::BestFirst => Frontier::Heap(BinaryHeap::new()),
-        }
-    }
-    fn push(&mut self, node: Node) {
-        match self {
-            Frontier::Stack(s) => s.push(node),
-            Frontier::Heap(h) => h.push(HeapNode(node)),
-        }
-    }
-    fn pop(&mut self) -> Option<Node> {
-        match self {
-            Frontier::Stack(s) => s.pop(),
-            Frontier::Heap(h) => h.pop().map(|n| n.0),
-        }
-    }
-    fn min_bound(&self) -> Option<f64> {
-        match self {
-            Frontier::Stack(s) => s
-                .iter()
-                .map(|n| n.bound)
-                .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)),
-            Frontier::Heap(h) => h.peek().map(|n| n.0.bound),
-        }
-    }
-    fn is_empty(&self) -> bool {
-        match self {
-            Frontier::Stack(s) => s.is_empty(),
-            Frontier::Heap(h) => h.is_empty(),
-        }
-    }
-    /// Drains the frontier into a vector whose *last* element is the node
-    /// `pop` would have returned next, so pushing the elements back in order
-    /// reconstructs an equivalent frontier. A stack drains verbatim; a heap
-    /// drains in descending-bound order (ties in heap-internal order, which
-    /// a rebuilt heap is free to permute — see [`crate::snapshot`]).
-    fn into_nodes(self) -> Vec<Node> {
-        match self {
-            Frontier::Stack(s) => s,
-            Frontier::Heap(h) => h.into_sorted_vec().into_iter().map(|n| n.0).collect(),
-        }
-    }
-}
-
 /// Serializes an open node as bound deltas against the model's root box.
 /// Bit-pattern comparison (not `==`) so a signed-zero tightening still
 /// round-trips exactly.
@@ -519,7 +363,7 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
 /// Per-variable pseudo-cost accumulators: average observed dual-bound
 /// degradation per unit of fractionality, per branching direction. Fed by
 /// real branchings and by strong-branching probes; consulted by
-/// [`BranchRule::PseudoCost`].
+/// [`BranchAndBound::select_branch_var`].
 #[derive(Debug, Default)]
 struct PseudoCosts {
     up_sum: Vec<f64>,
@@ -627,8 +471,8 @@ pub struct BranchAndBound<'a> {
     occurrence: Vec<usize>,
     /// Cut pool: the generator deduplicates every emitted cut, `cut_rows`
     /// holds every accepted one. The rows live in the shared sparse matrix,
-    /// so the propagator, the simplex and the branching rules consume them
-    /// exactly like model rows.
+    /// so the propagator, the simplex and branching consume them exactly
+    /// like model rows.
     cut_source: Option<CutGenerator>,
     cut_rows: Vec<CutRow>,
     /// Learned no-good cuts awaiting their batched install (see
@@ -805,8 +649,8 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Rebuilds the shared sparse matrix from the model rows plus every
-    /// accepted cut, and refreshes the occurrence counts the branching rules
-    /// read. Called whenever the cut pool grows.
+    /// accepted cut, and refreshes the occurrence counts branching reads.
+    /// Called whenever the cut pool grows.
     fn rebuild_matrix(&mut self) {
         let rows: Vec<DenseRow> = self
             .model
@@ -977,26 +821,13 @@ impl<'a> BranchAndBound<'a> {
             if self.is_cancelled() || self.config.budget.time_expired(start) {
                 return true;
             }
-            let (lp, basis) = if self.config.lp_warm_start {
-                solve_lp_basis(
-                    self.propagator.matrix(),
-                    &self.objective,
-                    self.objective_constant,
-                    domains,
-                    self.config.max_lp_pivots,
-                )
-            } else {
-                (
-                    solve_lp(
-                        self.propagator.matrix(),
-                        &self.objective,
-                        self.objective_constant,
-                        domains,
-                        self.config.max_lp_pivots,
-                    ),
-                    None,
-                )
-            };
+            let (lp, basis) = solve_lp_basis(
+                self.propagator.matrix(),
+                &self.objective,
+                self.objective_constant,
+                domains,
+                self.config.max_lp_pivots,
+            );
             stats.lp_solves += 1;
             tally_lp(stats, &lp);
             match lp.status {
@@ -1190,7 +1021,7 @@ impl<'a> BranchAndBound<'a> {
             root_closed = true;
         }
 
-        let mut frontier = Frontier::new(self.config.search);
+        let mut frontier = Vec::new();
         if !root_closed {
             frontier.push(Node {
                 domains: root,
@@ -1244,12 +1075,6 @@ impl<'a> BranchAndBound<'a> {
                 snap.fingerprint, self.base_fingerprint
             )));
         }
-        if snap.search != self.config.search {
-            return Err(fail(
-                "snapshot was captured under a different search order".into(),
-            ));
-        }
-
         if !snap.cuts.is_empty() {
             self.cut_rows = snap.cuts.clone();
             self.rebuild_matrix();
@@ -1284,10 +1109,11 @@ impl<'a> BranchAndBound<'a> {
         });
 
         let base = Domains::from_model(self.model);
-        let mut frontier = Frontier::new(self.config.search);
-        for node in &snap.frontier {
-            frontier.push(restore_node(node, &base));
-        }
+        let frontier = snap
+            .frontier
+            .iter()
+            .map(|node| restore_node(node, &base))
+            .collect();
         // The node counter continues from the capture point, so node
         // budgets keep their whole-tree meaning across interrupts.
         stats.nodes = snap.nodes;
@@ -1307,7 +1133,7 @@ impl<'a> BranchAndBound<'a> {
     /// the resumed entry points.
     fn search(
         mut self,
-        mut frontier: Frontier,
+        mut frontier: Vec<Node>,
         mut incumbent: Option<(f64, Vec<f64>)>,
         mut root_bound: f64,
         mut pruned_bound_min: f64,
@@ -1420,31 +1246,29 @@ impl<'a> BranchAndBound<'a> {
             // duals prove some integral variables cannot leave their bound
             // in any improving solution. Tightened bounds feed the regular
             // propagation worklist.
-            if self.config.rc_fixing {
-                let incumbent_now = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-                if let Some(lp) = bound.as_ref() {
-                    if let Some(rc) = &lp.reduced_costs {
-                        let changed = reduced_cost_fixing(
-                            &mut node.domains,
-                            lp.objective,
-                            rc,
-                            &lp.values,
-                            incumbent_now,
-                        );
-                        if !changed.is_empty() {
-                            stats.rc_fixed_bounds += changed.len() as u64;
-                            // The box now encodes "improves on the
-                            // incumbent", not plain feasibility; conflicts
-                            // below this node must not become global cuts.
-                            node.nogood_ok = false;
-                            stats.propagations += 1;
-                            if self
-                                .propagator
-                                .propagate_seeded(&mut node.domains, &changed)
-                                == PropagationResult::Infeasible
-                            {
-                                continue;
-                            }
+            let incumbent_now = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
+            if let Some(lp) = bound.as_ref() {
+                if let Some(rc) = &lp.reduced_costs {
+                    let changed = reduced_cost_fixing(
+                        &mut node.domains,
+                        lp.objective,
+                        rc,
+                        &lp.values,
+                        incumbent_now,
+                    );
+                    if !changed.is_empty() {
+                        stats.rc_fixed_bounds += changed.len() as u64;
+                        // The box now encodes "improves on the incumbent",
+                        // not plain feasibility; conflicts below this node
+                        // must not become global cuts.
+                        node.nogood_ok = false;
+                        stats.propagations += 1;
+                        if self
+                            .propagator
+                            .propagate_seeded(&mut node.domains, &changed)
+                            == PropagationResult::Infeasible
+                        {
+                            continue;
                         }
                     }
                 }
@@ -1498,7 +1322,11 @@ impl<'a> BranchAndBound<'a> {
         // the pre-fold value, because on resume that node is re-processed,
         // not pruned.
         let stopped_early = limit_reached || interrupted;
-        let open_min = frontier.min_bound().unwrap_or(f64::INFINITY);
+        let open_min = frontier
+            .iter()
+            .map(|n| n.bound)
+            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .unwrap_or(f64::INFINITY);
         let snapshot_pruned = pruned_bound_min;
         if let Some(node) = &pending {
             pruned_bound_min = pruned_bound_min.min(node.bound);
@@ -1575,7 +1403,7 @@ impl<'a> BranchAndBound<'a> {
     /// was detected, so the restored frontier pops it first.
     fn capture_snapshot(
         &self,
-        frontier: Frontier,
+        frontier: Vec<Node>,
         incumbent: &Option<(f64, Vec<f64>)>,
         nodes: u64,
         root_bound: f64,
@@ -1585,10 +1413,8 @@ impl<'a> BranchAndBound<'a> {
         SolveSnapshot {
             fingerprint: self.base_fingerprint,
             num_vars: self.model.num_vars(),
-            search: self.config.search,
             nodes,
             frontier: frontier
-                .into_nodes()
                 .iter()
                 .map(|node| snapshot_node(node, &base))
                 .collect(),
@@ -1627,7 +1453,7 @@ impl<'a> BranchAndBound<'a> {
         mut stats: SolveStats,
         incumbent: Option<(f64, Vec<f64>)>,
     ) -> Solution {
-        let lp = solve_lp(
+        let (lp, _) = solve_lp_basis(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
@@ -1857,88 +1683,65 @@ impl<'a> BranchAndBound<'a> {
         // path at a small multiple of the expected incremental work and let
         // an overrun fall through to the cold factorization below.
         let warm_budget = max_pivots.min(128 + self.propagator.matrix().num_rows() as u64 / 4);
-        if self.config.lp_warm_start {
-            if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
-                if basis.age() < BASIS_MAX_AGE {
-                    if let Some((lp, next)) = resolve_with_basis(
-                        self.propagator.matrix(),
-                        &self.objective,
-                        self.objective_constant,
-                        &basis,
-                        &node.domains,
-                        warm_budget,
-                    ) {
-                        tally_lp(stats, &lp);
-                        stats.warm_lp_pivots += lp.pivots;
-                        match lp.status {
-                            LpStatus::Infeasible | LpStatus::Optimal => {
-                                stats.lp_solves += 1;
-                                stats.warm_lp_solves += 1;
-                                stats.node_lp_pivots.push(lp.pivots);
-                                if lp.status == LpStatus::Infeasible {
-                                    return SolvedNodeLp::Infeasible;
-                                }
-                                let basis_key = next.map(|b| self.store_basis(b));
-                                return SolvedNodeLp::Optimal {
-                                    objective: lp.objective,
-                                    values: lp.values,
-                                    reduced_costs: lp.reduced_costs,
-                                    basis_key,
-                                };
+        if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
+            if basis.age() < BASIS_MAX_AGE {
+                if let Some((lp, next)) = resolve_with_basis(
+                    self.propagator.matrix(),
+                    &self.objective,
+                    self.objective_constant,
+                    &basis,
+                    &node.domains,
+                    warm_budget,
+                ) {
+                    tally_lp(stats, &lp);
+                    stats.warm_lp_pivots += lp.pivots;
+                    match lp.status {
+                        LpStatus::Infeasible | LpStatus::Optimal => {
+                            stats.lp_solves += 1;
+                            stats.warm_lp_solves += 1;
+                            stats.node_lp_pivots.push(lp.pivots);
+                            if lp.status == LpStatus::Infeasible {
+                                return SolvedNodeLp::Infeasible;
                             }
-                            // A dual re-solve that hits its pivot budget is
-                            // abandoned (its pivots were counted above); the
-                            // node re-factorises cold below.
-                            LpStatus::Unbounded | LpStatus::IterationLimit => {}
+                            let basis_key = next.map(|b| self.store_basis(b));
+                            return SolvedNodeLp::Optimal {
+                                objective: lp.objective,
+                                values: lp.values,
+                                reduced_costs: lp.reduced_costs,
+                                basis_key,
+                            };
                         }
+                        // A dual re-solve that hits its pivot budget is
+                        // abandoned (its pivots were counted above); the
+                        // node re-factorises cold below.
+                        LpStatus::Unbounded | LpStatus::IterationLimit => {}
                     }
                 }
             }
-            let (lp, new_basis) = solve_lp_basis(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                &node.domains,
-                max_pivots,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &lp);
-            stats.refactorizations += 1;
-            stats.node_lp_pivots.push(lp.pivots);
-            match lp.status {
-                LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-                LpStatus::Optimal => {
-                    let basis_key = new_basis.map(|b| self.store_basis(b));
-                    SolvedNodeLp::Optimal {
-                        objective: lp.objective,
-                        values: lp.values,
-                        reduced_costs: lp.reduced_costs,
-                        basis_key,
-                    }
-                }
-                LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
-            }
-        } else {
-            let lp = solve_lp(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                &node.domains,
-                max_pivots,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &lp);
-            stats.node_lp_pivots.push(lp.pivots);
-            match lp.status {
-                LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-                LpStatus::Optimal => SolvedNodeLp::Optimal {
+        }
+        let (lp, new_basis) = solve_lp_basis(
+            self.propagator.matrix(),
+            &self.objective,
+            self.objective_constant,
+            &node.domains,
+            max_pivots,
+        );
+        stats.lp_solves += 1;
+        tally_lp(stats, &lp);
+        stats.refactorizations += 1;
+        stats.node_lp_pivots.push(lp.pivots);
+        match lp.status {
+            LpStatus::Infeasible => SolvedNodeLp::Infeasible,
+            LpStatus::Optimal => {
+                let basis_key = new_basis.map(|b| self.store_basis(b));
+                SolvedNodeLp::Optimal {
                     objective: lp.objective,
                     values: lp.values,
                     reduced_costs: lp.reduced_costs,
-                    basis_key: None,
-                },
-                LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
+                    basis_key,
+                }
             }
+            LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
         }
     }
 
@@ -1950,7 +1753,7 @@ impl<'a> BranchAndBound<'a> {
         }
         // Optimise the remaining continuous variables with the integral part
         // fixed.
-        let lp = solve_lp(
+        let (lp, _) = solve_lp_basis(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
@@ -1965,6 +1768,14 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
+    /// Picks the branching variable by pseudo-cost (reliability) branching:
+    /// maximise the product of the estimated up/down dual-bound
+    /// degradations, where a variable's estimate is its average observed
+    /// degradation per unit of fractionality; unobserved variables are
+    /// initialised at shallow depth by strong branching (both child LPs
+    /// solved warm from the node's basis under a small pivot budget). Nodes
+    /// without LP values (propagation-only bounds), or whose LP point is
+    /// integral on every candidate, branch on the most constrained variable.
     fn select_branch_var(
         &mut self,
         node: &Node,
@@ -1984,76 +1795,52 @@ impl<'a> BranchAndBound<'a> {
                 .copied()
                 .max_by_key(|&j| (self.occurrence[j], usize::MAX - j))
         };
-        let lp_values = lp.map(|l| l.values.as_slice());
-        match self.config.branching {
-            BranchRule::InputOrder => candidates.first().copied(),
-            BranchRule::MostConstrained => most_constrained(&candidates),
-            BranchRule::MostFractional => {
-                if let Some(values) = lp_values {
-                    let most = candidates
-                        .iter()
-                        .copied()
-                        .map(|j| {
-                            let frac = (values[j] - values[j].round()).abs();
-                            (j, frac)
-                        })
-                        .filter(|(_, frac)| *frac > INT_EPS)
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-                    if let Some((j, _)) = most {
-                        return Some(j);
-                    }
-                }
-                most_constrained(&candidates)
-            }
-            BranchRule::PseudoCost => {
-                let Some(lp) = lp else {
-                    // Propagation-only nodes carry no LP point to learn
-                    // from; use the static structural rule.
-                    return most_constrained(&candidates);
-                };
-                let fractional: Vec<(usize, f64)> = candidates
+        let Some(lp) = lp else {
+            // Propagation-only nodes carry no LP point to learn from; use
+            // the static structural rule.
+            return most_constrained(&candidates);
+        };
+        let fractional: Vec<(usize, f64)> = candidates
+            .iter()
+            .copied()
+            .filter(|&j| (lp.values[j] - lp.values[j].round()).abs() > INT_EPS)
+            .map(|j| (j, lp.values[j]))
+            .collect();
+        if fractional.is_empty() {
+            return most_constrained(&candidates);
+        }
+        // Reliability pass: at shallow depth, seed the pseudo-costs of
+        // unobserved fractional candidates by strong branching (both child
+        // LPs, warm from this node's basis).
+        if node.depth <= STRONG_DEPTH {
+            if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
+                let mut unreliable: Vec<usize> = fractional
                     .iter()
-                    .copied()
-                    .filter(|&j| (lp.values[j] - lp.values[j].round()).abs() > INT_EPS)
-                    .map(|j| (j, lp.values[j]))
+                    .map(|&(j, _)| j)
+                    .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
                     .collect();
-                if fractional.is_empty() {
-                    return most_constrained(&candidates);
+                unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
+                unreliable.truncate(STRONG_CANDIDATES);
+                for j in unreliable {
+                    self.strong_branch(&basis, &node.domains, j, lp, stats);
                 }
-                // Reliability pass: at shallow depth, seed the pseudo-costs
-                // of unobserved fractional candidates by strong branching
-                // (both child LPs, warm from this node's basis).
-                if node.depth <= STRONG_DEPTH {
-                    if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                        let mut unreliable: Vec<usize> = fractional
-                            .iter()
-                            .map(|&(j, _)| j)
-                            .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
-                            .collect();
-                        unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
-                        unreliable.truncate(STRONG_CANDIDATES);
-                        for j in unreliable {
-                            self.strong_branch(&basis, &node.domains, j, lp, stats);
-                        }
-                    }
-                }
-                fractional
-                    .into_iter()
-                    .map(|(j, v)| {
-                        let f = v - v.floor();
-                        let down = self.pseudo.estimate(j, false) * f.max(INT_EPS);
-                        let up = self.pseudo.estimate(j, true) * (1.0 - f).max(INT_EPS);
-                        (j, down.max(1e-9) * up.max(1e-9))
-                    })
-                    .max_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            // Ties break towards the smaller variable index.
-                            .then_with(|| b.0.cmp(&a.0))
-                    })
-                    .map(|(j, _)| j)
             }
         }
+        fractional
+            .into_iter()
+            .map(|(j, v)| {
+                let f = v - v.floor();
+                let down = self.pseudo.estimate(j, false) * f.max(INT_EPS);
+                let up = self.pseudo.estimate(j, true) * (1.0 - f).max(INT_EPS);
+                (j, down.max(1e-9) * up.max(1e-9))
+            })
+            .max_by(|a, b| {
+                a.1.partial_cmp(&b.1)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    // Ties break towards the smaller variable index.
+                    .then_with(|| b.0.cmp(&a.0))
+            })
+            .map(|(j, _)| j)
     }
 
     /// Strong-branches variable `j` at an LP node: solves both child LPs
@@ -2108,7 +1895,7 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    fn push_children(&self, frontier: &mut Frontier, node: &Node, j: usize, lp: Option<&NodeLp>) {
+    fn push_children(&self, frontier: &mut Vec<Node>, node: &Node, j: usize, lp: Option<&NodeLp>) {
         let lower = node.domains.lower(j);
         let upper = node.domains.upper(j);
         debug_assert!(upper > lower + EPS);
@@ -2252,7 +2039,8 @@ struct NodeLp {
     objective: f64,
     /// Optimal LP point over the original variables.
     values: Vec<f64>,
-    /// Reduced costs at optimality (warm-capable path only).
+    /// Reduced costs at optimality (`None` only for a root LP restored
+    /// from a snapshot that carried none).
     reduced_costs: Option<ReducedCosts>,
     /// Cache key of the stored optimal basis, if it was kept.
     basis_key: Option<u64>,
@@ -2288,20 +2076,7 @@ mod tests {
         vec![
             SolverConfig::exact(),
             SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
-            SolverConfig::exact()
-                .with_bound_mode(BoundMode::Hybrid { lp_depth: 2 })
-                .with_branching(BranchRule::MostFractional),
-            SolverConfig::exact().with_search(SearchOrder::BestFirst),
-            SolverConfig::exact().with_branching(BranchRule::InputOrder),
-            SolverConfig::exact().with_branching(BranchRule::PseudoCost),
-            SolverConfig::exact()
-                .with_branching(BranchRule::PseudoCost)
-                .with_lp_warm_start(false)
-                .with_rc_fixing(false),
-            SolverConfig::exact()
-                .with_branching(BranchRule::MostConstrained)
-                .with_lp_warm_start(false)
-                .with_rc_fixing(false),
+            SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 2 }),
         ]
     }
 
@@ -2347,8 +2122,8 @@ mod tests {
 
     #[test]
     fn search_layer_counters_are_recorded() {
-        // A model that needs real branching at LP bound mode, solved with
-        // the warm default: every new counter must be populated coherently.
+        // A model that needs real branching at LP bound mode: every
+        // search-layer counter must be populated coherently.
         let mut m = Model::new("counters");
         let vars: Vec<_> = (0..10).map(|i| m.add_binary(format!("x{i}"))).collect();
         for w in vars.windows(3).step_by(2) {
@@ -2381,20 +2156,6 @@ mod tests {
         assert!(stats.node_lp_pivots.iter().sum::<u64>() <= stats.lp_pivots);
         assert!(stats.warm_lp_pivots <= stats.lp_pivots);
         assert!(stats.refactorizations >= 1, "the root factorises cold");
-        // The cold configuration records none of the warm-path counters.
-        let cold = config
-            .with_lp_warm_start(false)
-            .with_rc_fixing(false)
-            .with_branching(BranchRule::MostConstrained);
-        let cold_sol = m.solve(&cold).expect("solve");
-        assert!(cold_sol.is_optimal());
-        assert!((cold_sol.objective() - sol.objective()).abs() < 1e-6);
-        let cold_stats = cold_sol.stats();
-        assert_eq!(cold_stats.warm_lp_solves, 0);
-        assert_eq!(cold_stats.refactorizations, 0);
-        assert_eq!(cold_stats.strong_branch_solves, 0);
-        assert_eq!(cold_stats.rc_fixed_bounds, 0);
-        assert!(!cold_stats.node_lp_pivots.is_empty());
     }
 
     #[test]

@@ -6,11 +6,11 @@
 mod common;
 
 use advbist::dfg::benchmarks;
-use advbist::ilp::{lpfile, BoundMode, BranchRule, SearchOrder, SolverConfig};
+use advbist::ilp::{lpfile, BoundMode, SolverConfig};
 use common::{brute_force, random_binary_model};
 
 /// Branch and bound agrees with exhaustive enumeration on random small 0-1
-/// models, for every bounding and search strategy.
+/// models, for every bounding strategy.
 #[test]
 fn solver_matches_brute_force() {
     for seed in 0..40u64 {
@@ -19,10 +19,7 @@ fn solver_matches_brute_force() {
         for config in [
             SolverConfig::exact(),
             SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
-            SolverConfig::exact()
-                .with_bound_mode(BoundMode::Hybrid { lp_depth: 2 })
-                .with_search(SearchOrder::BestFirst),
-            SolverConfig::exact().with_branching(BranchRule::MostFractional),
+            SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 2 }),
         ] {
             let solution = model.solve(&config).unwrap();
             match expected {

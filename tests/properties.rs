@@ -17,9 +17,9 @@ use advbist::dfg::benchmarks::{random_dfg, RandomDfgConfig};
 use advbist::dfg::lifetime::{InputTiming, LifetimeTable};
 use advbist::ilp::propagate::Domains;
 use advbist::ilp::reduce::{reduce, solve_reduced, ReduceOptions, VarDisposition};
-use advbist::ilp::simplex::{resolve_with_basis, solve_lp, solve_lp_basis, LpStatus};
+use advbist::ilp::simplex::{resolve_with_basis, solve_lp_basis, LpStatus};
 use advbist::ilp::sparse::SparseModel;
-use advbist::ilp::{BoundMode, BranchRule, CmpOp, Model, SolverConfig};
+use advbist::ilp::{BoundMode, CmpOp, Model, SolverConfig};
 use common::{brute_force, random_binary_model, Rng};
 
 /// Draws a random DFG configuration from a seeded PRNG, mirroring the
@@ -265,36 +265,27 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
         corpus += 1;
         let (matrix, objective, constant, root_domains) = relaxation(&reduced.model);
         let legacy_root = solve_dense(&matrix, &objective, constant, &root_domains, 50_000);
-        let (warm_root, basis) =
-            solve_lp_basis(&matrix, &objective, constant, &root_domains, 50_000);
-        let cold_root = solve_lp(&matrix, &objective, constant, &root_domains, 50_000);
-        assert_eq!(warm_root.status, cold_root.status, "seed {seed} (root)");
+        let (root, basis) = solve_lp_basis(&matrix, &objective, constant, &root_domains, 50_000);
         assert!(
-            agree(warm_root.status, legacy_root.status),
+            agree(root.status, legacy_root.status),
             "seed {seed} (root): revised {:?} vs legacy {:?}",
-            warm_root.status,
+            root.status,
             legacy_root.status
         );
-        if warm_root.status != LpStatus::Optimal {
+        if root.status != LpStatus::Optimal {
             continue;
         }
         assert!(
-            (warm_root.objective - legacy_root.objective).abs() < 1e-6,
+            (root.objective - legacy_root.objective).abs() < 1e-6,
             "seed {seed} (root): revised {} vs legacy {}",
-            warm_root.objective,
+            root.objective,
             legacy_root.objective
         );
         assert!(
-            (warm_root.objective - cold_root.objective).abs() < 1e-6,
-            "seed {seed} (root): basis path {} vs plain cold {}",
-            warm_root.objective,
-            cold_root.objective
-        );
-        assert!(
-            lp_feasible(&matrix, &root_domains, &warm_root.values),
+            lp_feasible(&matrix, &root_domains, &root.values),
             "seed {seed} (root): revised point infeasible"
         );
-        let mut basis = basis.expect("warm-capable solve always returns a basis now");
+        let mut basis = basis.expect("an optimal cold solve returns its basis");
         let mut domains = root_domains;
         // A random branch-and-bound descent: fix one free variable at a
         // time and re-solve warm from the previous basis, checking every
@@ -310,7 +301,7 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
             let value = f64::from(u8::from(rng.next_u64().is_multiple_of(2)));
             assert!(domains.fix(j, value), "seed {seed} step {step}");
             let legacy = solve_dense(&matrix, &objective, constant, &domains, 50_000);
-            let cold = solve_lp(&matrix, &objective, constant, &domains, 50_000);
+            let (cold, _) = solve_lp_basis(&matrix, &objective, constant, &domains, 50_000);
             let (warm, next) =
                 resolve_with_basis(&matrix, &objective, constant, &basis, &domains, 50_000)
                     .unwrap_or_else(|| panic!("seed {seed} step {step}: basis incompatible"));
@@ -354,126 +345,12 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
     );
 }
 
-/// Pricing is a performance knob, never a correctness one: over the same
-/// PRNG corpus of reduced models as the legacy-oracle differential, devex
-/// and Dantzig pricing must agree on status and objective — cold at the
-/// root *and* along warm dual-simplex descents re-solved from each rule's
-/// own basis chain.
-#[test]
-fn devex_and_dantzig_agree_on_reduced_models() {
-    use advbist::ilp::simplex::{resolve_with_basis_priced, solve_lp_basis_priced, Pricing};
-    let mut rng = Rng::new(0xdeef);
-    let mut corpus = 0usize;
-    let mut warm_pairs = 0usize;
-    let mut seed = 0u64;
-    while corpus < 220 {
-        seed += 1;
-        let model = random_binary_model(seed.wrapping_mul(9176) + 5, 8, 6);
-        let reduced = reduce(&model, &ReduceOptions::full());
-        if reduced.report.infeasible || reduced.model.num_vars() == 0 {
-            continue;
-        }
-        corpus += 1;
-        let (matrix, objective, constant, root) = relaxation(&reduced.model);
-        let (devex, devex_basis) =
-            solve_lp_basis_priced(&matrix, &objective, constant, &root, 50_000, Pricing::Devex);
-        let (dantzig, dantzig_basis) = solve_lp_basis_priced(
-            &matrix,
-            &objective,
-            constant,
-            &root,
-            50_000,
-            Pricing::Dantzig,
-        );
-        assert_eq!(devex.status, dantzig.status, "seed {seed} (root)");
-        if devex.status != LpStatus::Optimal {
-            continue;
-        }
-        assert!(
-            (devex.objective - dantzig.objective).abs() < 1e-6,
-            "seed {seed} (root): devex {} vs dantzig {}",
-            devex.objective,
-            dantzig.objective
-        );
-        assert!(
-            lp_feasible(&matrix, &root, &devex.values),
-            "seed {seed} (root): devex point infeasible"
-        );
-        let mut bases = (
-            devex_basis.expect("devex basis"),
-            dantzig_basis.expect("dantzig basis"),
-        );
-        let mut domains = root;
-        // Descend by random fixings, each pricing rule warm-resolving from
-        // its own basis chain; the objectives must stay in lockstep.
-        for step in 0..4 {
-            let free: Vec<usize> = (0..domains.len())
-                .filter(|&j| !domains.is_fixed(j))
-                .collect();
-            if free.is_empty() {
-                break;
-            }
-            let j = free[rng.range(0, free.len() as u64) as usize];
-            let value = f64::from(u8::from(rng.next_u64().is_multiple_of(2)));
-            assert!(domains.fix(j, value), "seed {seed} step {step}");
-            let devex_warm = resolve_with_basis_priced(
-                &matrix,
-                &objective,
-                constant,
-                &bases.0,
-                &domains,
-                50_000,
-                Pricing::Devex,
-            );
-            let dantzig_warm = resolve_with_basis_priced(
-                &matrix,
-                &objective,
-                constant,
-                &bases.1,
-                &domains,
-                50_000,
-                Pricing::Dantzig,
-            );
-            let (Some((devex, next_devex)), Some((dantzig, next_dantzig))) =
-                (devex_warm, dantzig_warm)
-            else {
-                panic!("seed {seed} step {step}: basis incompatible");
-            };
-            warm_pairs += 1;
-            assert_eq!(devex.status, dantzig.status, "seed {seed} step {step}");
-            if devex.status != LpStatus::Optimal {
-                break;
-            }
-            assert!(
-                (devex.objective - dantzig.objective).abs() < 1e-6,
-                "seed {seed} step {step}: devex {} vs dantzig {}",
-                devex.objective,
-                dantzig.objective
-            );
-            bases = (
-                next_devex.expect("optimal devex re-solve returns a basis"),
-                next_dantzig.expect("optimal dantzig re-solve returns a basis"),
-            );
-        }
-    }
-    assert!(
-        warm_pairs >= 200,
-        "only {warm_pairs} warm pricing pairs exercised"
-    );
-}
-
-/// Every branching rule is an exact oracle: on random small 0-1 models all
-/// `BranchRule` variants reach the brute-force optimum under **all three**
-/// dual-bound modes (pseudo-cost branching falls back gracefully where no
-/// LP values exist).
+/// Both branching paths are exact: on random small 0-1 models the solver
+/// reaches the brute-force optimum under **all three** dual-bound modes,
+/// branching on pseudo-costs where the mode supplies LP values and falling
+/// back to the most-constrained variable where it does not.
 #[test]
 fn branch_rules_agree_with_brute_force_across_bound_modes() {
-    let rules = [
-        BranchRule::InputOrder,
-        BranchRule::MostConstrained,
-        BranchRule::MostFractional,
-        BranchRule::PseudoCost,
-    ];
     let modes = [
         BoundMode::Propagation,
         BoundMode::LpRelaxation,
@@ -482,63 +359,25 @@ fn branch_rules_agree_with_brute_force_across_bound_modes() {
     for seed in 0..25u64 {
         let model = random_binary_model(seed.wrapping_mul(4243) + 9, 8, 6);
         let expected = brute_force(&model);
-        for rule in rules {
-            for mode in modes {
-                let config = SolverConfig::exact()
-                    .with_bound_mode(mode)
-                    .with_branching(rule);
-                let solution = model.solve(&config).unwrap();
-                match expected {
-                    None => assert!(
-                        !solution.is_feasible(),
-                        "seed {seed}, rule {rule:?}, mode {mode:?}: expected infeasible"
-                    ),
-                    Some(best) => {
-                        assert!(
-                            solution.is_optimal(),
-                            "seed {seed}, rule {rule:?}, mode {mode:?}: not optimal"
-                        );
-                        assert!(
-                            (solution.objective() - best).abs() < 1e-6,
-                            "seed {seed}, rule {rule:?}, mode {mode:?}: solver {} vs brute force {best}",
-                            solution.objective(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// All branching rules reach the same proven optimum on the exactly
-/// solvable circuit (figure1), for every session count — the circuit-level
-/// counterpart of the brute-force oracle above.
-#[test]
-fn branch_rules_agree_on_the_exactly_solvable_circuit() {
-    use advbist::core::synthesis::synthesize_bist;
-    use advbist::dfg::benchmarks;
-    let input = benchmarks::figure1();
-    let rules = [
-        BranchRule::InputOrder,
-        BranchRule::MostConstrained,
-        BranchRule::MostFractional,
-        BranchRule::PseudoCost,
-    ];
-    for k in 1..=input.binding().num_modules() {
-        let mut reference: Option<f64> = None;
-        for rule in rules {
-            let mut config = SynthesisConfig::exact();
-            config.solver.branching = rule;
-            let design = synthesize_bist(&input, k, &config).unwrap();
-            assert!(design.optimal, "k={k}, rule {rule:?}");
-            match reference {
-                None => reference = Some(design.objective),
-                Some(expected) => assert!(
-                    (design.objective - expected).abs() < 1e-6,
-                    "k={k}, rule {rule:?}: objective {} vs {}",
-                    design.objective,
-                    expected
+        for mode in modes {
+            let config = SolverConfig::exact().with_bound_mode(mode);
+            let solution = model.solve(&config).unwrap();
+            match expected {
+                None => assert!(
+                    !solution.is_feasible(),
+                    "seed {seed}, mode {mode:?}: expected infeasible"
                 ),
+                Some(best) => {
+                    assert!(
+                        solution.is_optimal(),
+                        "seed {seed}, mode {mode:?}: not optimal"
+                    );
+                    assert!(
+                        (solution.objective() - best).abs() < 1e-6,
+                        "seed {seed}, mode {mode:?}: solver {} vs brute force {best}",
+                        solution.objective(),
+                    );
+                }
             }
         }
     }

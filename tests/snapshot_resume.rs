@@ -374,6 +374,32 @@ fn corrupt_snapshot_bases_fail_with_a_typed_error() {
 }
 
 #[test]
+fn best_first_snapshots_fail_with_a_typed_error() {
+    // The solver searches depth-first, and every snapshot it writes says
+    // so. A document naming another node order must be refused with a
+    // typed error, never resumed in the wrong order and never a panic.
+    let model = knapsack_model();
+    let partial = SolveSession::new(&model)
+        .budget(Budget::nodes(1).with_snapshot(true))
+        .solve()
+        .expect("interrupted solve");
+    let text = partial
+        .snapshot()
+        .expect("snapshot captured")
+        .to_json()
+        .expect("snapshot serializes");
+    let mut doc = Value::parse(&text).expect("valid json");
+    assert_eq!(field_mut(&mut doc, "search").as_str(), Some("depth_first"));
+    *field_mut(&mut doc, "search") = Value::Str("best_first".into());
+    let err =
+        SolveSnapshot::from_json(&doc.write()).expect_err("a best-first snapshot must be refused");
+    assert!(
+        err.to_string().contains("best_first"),
+        "unexpected error {err}"
+    );
+}
+
+#[test]
 fn snapshot_capture_is_off_by_default() {
     let model = knapsack_model();
     let partial = SolveSession::new(&model)
