@@ -1,22 +1,22 @@
 //! Runs the whole evaluation (Tables 1-3, Figures 1-3, the k-sweep engine
 //! comparison) and prints a JSON summary at the end, suitable for pasting
-//! into EXPERIMENTS.md. The sweep comparison is also written to
-//! `BENCH_sweep.json` so the perf trajectory can be tracked across PRs, and
-//! re-served through the `advbist::service` job queue as the front-door
-//! acceptance gate (identical objectives under the per-job budgets).
+//! into EXPERIMENTS.md. The sweep comparison runs the same gates as
+//! `repro_sweep` (see [`bist_bench::sweep::run_gated`]): it is written to
+//! `BENCH_sweep.json`, held to the exactness gate at the default budget,
+//! and re-served through the `advbist::service` job queue, which must
+//! reproduce every rebuild row under the per-job budgets.
 //!
-//! The solve budget comes from one [`bist_ilp::Budget::from_env`] read:
-//! `BIST_TIME_LIMIT_SECS` (default 5 s) per table/figure ILP solve,
-//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`, default 1000) per sweep
-//! solve.
+//! The solve budgets come from the environment (see
+//! [`bist_ilp::Budget::from_env`]): `BIST_TIME_LIMIT_SECS` (default 5 s) per
+//! table/figure ILP solve, `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`,
+//! default 1000) per sweep solve.
 
 use bist_bench::report::ExperimentReport;
-use bist_bench::workload::DEFAULT_SWEEP_NODES;
 use bist_datapath::CostModel;
 
 fn main() {
-    // One env read covers the whole run: wall-clock (plus any absolute
-    // deadline) for the tables/figures, node budget for the sweep.
+    // Wall-clock (plus any absolute deadline) for the tables/figures; the
+    // sweep reads its node budget itself.
     let table_budget = bist_bench::workload::table_budget();
     let limit = table_budget.time_limit.expect("or_time fills the limit");
     let config = bist_bench::workload::quick_config_budget(table_budget);
@@ -65,62 +65,17 @@ fn main() {
         }
     };
 
-    // The rebuild-vs-engine sweep comparison, under a deterministic node
-    // budget so the per-k objectives can be cross-checked.
-    let sweep_nodes = bist_bench::budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit");
-    eprintln!("# sweep node budget: {sweep_nodes} nodes/solve (set BIST_NODE_LIMIT to change)");
-    let sweep_config = bist_bench::workload::sweep_config(sweep_nodes);
-    let sweep_circuits = bist_bench::small_circuits();
-    let sweep = match bist_bench::sweep::run_all(&sweep_circuits, &sweep_config) {
-        Ok(sweeps) => {
-            println!("{}", bist_bench::sweep::render(&sweeps));
-            sweeps
-        }
-        Err(e) => {
-            // The sweep feeds the service acceptance gate below; a sweep
-            // that cannot run must fail the harness, not skip the gate.
-            eprintln!("sweep comparison failed: {e}");
+    // The rebuild-vs-engine sweep comparison and its gates, under a
+    // deterministic node budget.
+    let sweep = match bist_bench::sweep::run_gated() {
+        Ok(sweeps) => sweeps,
+        Err(failures) => {
+            for failure in &failures {
+                eprintln!("{failure}");
+            }
             std::process::exit(1);
         }
     };
-    if !sweep.is_empty() {
-        let body = sweep
-            .iter()
-            .map(bist_bench::CircuitSweep::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!("[\n{body}\n]\n");
-        match std::fs::write("BENCH_sweep.json", &json) {
-            Ok(()) => eprintln!("# wrote BENCH_sweep.json"),
-            Err(e) => eprintln!("could not write BENCH_sweep.json: {e}"),
-        }
-
-        // The tseng/paulin exactness gate (active only at the canonical
-        // 1000-node budget the committed baselines were recorded under).
-        let violations = bist_bench::sweep::exactness_violations(&sweep, sweep_nodes);
-        if !violations.is_empty() {
-            for violation in &violations {
-                eprintln!("exactness regression: {violation}");
-            }
-            std::process::exit(1);
-        }
-
-        // Front-door gate: a single service batch must reproduce the engine
-        // sweep rows with identical objectives under the per-job budgets.
-        match bist_bench::sweep::service_cross_check(&sweep_circuits, &sweep, sweep_nodes) {
-            Ok(()) => println!(
-                "service gate: one job-queue batch reproduced every engine sweep row \
-                 (identical objectives, per-job node budgets honoured)."
-            ),
-            Err(message) => {
-                eprintln!("service gate failed: {message}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     let report = ExperimentReport {
         time_limit_seconds: limit.as_secs_f64(),

@@ -1,70 +1,22 @@
-//! Runs the k-sweep comparison (rebuild baseline vs the layered engine) on
-//! its own, writes `BENCH_sweep.json`, and applies two gates:
+//! Runs the k-sweep comparison (rebuild baseline vs the chained engine) on
+//! its own, writes `BENCH_sweep.json`, and applies two gates (see
+//! [`bist_bench::sweep::run_gated`]):
 //!
-//! * the engine-vs-rebuild cross-check (`objectives_match` must hold for
-//!   every circuit — the parallel engine sweep repeats the rebuild searches
-//!   bit-identically), and
 //! * at the canonical 1000-node LP budget, the tseng/paulin **exactness
 //!   gate**: either `tseng k=2` is proven optimal for the first time, or
 //!   every previously-capped chained row ends strictly below its committed
-//!   capped objective (see [`bist_bench::sweep::exactness_violations`]).
+//!   capped objective (see [`bist_bench::sweep::exactness_violations`]), and
+//! * the service cross-check: one job-queue batch, which solves every k on
+//!   the shared-base engine, must reproduce every rebuild row (see
+//!   [`bist_bench::sweep::service_cross_check`]).
 //!
 //! CI runs this as the perf gate for the pricing/cuts/heuristics layer.
 
-use bist_bench::workload::DEFAULT_SWEEP_NODES;
-
 fn main() {
-    let node_limit = bist_bench::budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit");
-    eprintln!("# sweep node budget: {node_limit} nodes/solve (set BIST_NODE_LIMIT to change)");
-
-    let circuits = bist_bench::small_circuits();
-    let config = bist_bench::workload::sweep_config(node_limit);
-    let sweeps = match bist_bench::sweep::run_all(&circuits, &config) {
-        Ok(sweeps) => sweeps,
-        Err(e) => {
-            eprintln!("sweep comparison failed: {e}");
-            std::process::exit(1);
+    if let Err(failures) = bist_bench::sweep::run_gated() {
+        for failure in &failures {
+            eprintln!("{failure}");
         }
-    };
-    println!("{}", bist_bench::sweep::render(&sweeps));
-
-    let body = sweeps
-        .iter()
-        .map(bist_bench::CircuitSweep::to_json)
-        .collect::<Vec<_>>()
-        .join(",\n");
-    match std::fs::write("BENCH_sweep.json", format!("[\n{body}\n]\n")) {
-        Ok(()) => eprintln!("# wrote BENCH_sweep.json"),
-        Err(e) => eprintln!("could not write BENCH_sweep.json: {e}"),
-    }
-
-    let mut failed = false;
-    for sweep in &sweeps {
-        if !sweep.objectives_match {
-            eprintln!(
-                "sweep regression: {} parallel objectives diverged from the rebuild baseline",
-                sweep.circuit
-            );
-            failed = true;
-        }
-    }
-    let violations = bist_bench::sweep::exactness_violations(&sweeps, node_limit);
-    if !violations.is_empty() {
-        for violation in &violations {
-            eprintln!("exactness regression: {violation}");
-        }
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
-    }
-    if node_limit == DEFAULT_SWEEP_NODES {
-        println!(
-            "exactness gate: tseng k=2 proven optimal, or every previously-capped row \
-             strictly below its committed capped objective."
-        );
     }
 }

@@ -3,18 +3,20 @@
 //! Every table and figure of the paper's evaluation has a regeneration path
 //! here:
 //!
-//! | Paper item | Module | Binary | Criterion bench |
-//! |------------|--------|--------|-----------------|
-//! | Table 1 (cost model) | [`table1`] | `repro_table1` | `cost_model` |
-//! | Table 2 (ADVBIST per k-test session) | [`table2`] | `repro_table2` | `table2_advbist` |
-//! | Table 3 (method comparison) | [`table3`] | `repro_table3` | `table3_methods` |
-//! | Figure 1 (example DFG / data path) | [`figures`] | `repro_fig1` | `figure1` |
-//! | Figures 2–3 (SR / TPG assignment) | [`figures`] | `repro_fig2_fig3` | — |
-//! | Ablations (ours) | [`ablation`] | — | `ablation_solver`, `ilp_solver` |
-//! | Presolve + cut pool vs no reduction (ours, `BENCH_presolve.json`) | [`presolve`] | `repro_presolve` | — |
-//! | k-sweep engine vs rebuild (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_all` | — |
-//! | Service cache + resume (ours, `BENCH_service.json`) | [`service`] | `repro_service` | — |
-//! | RTL netlists + simulated BIST coverage (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_rtl` | — |
+//! | Paper item | Module | Binary |
+//! |------------|--------|--------|
+//! | Table 1 (cost model) | [`table1`] | `repro_table1` |
+//! | Table 2 (ADVBIST per k-test session) | [`table2`] | `repro_table2` |
+//! | Table 3 (method comparison) | [`table3`] | `repro_table3` |
+//! | Figure 1 (example DFG / data path) | [`figures`] | `repro_fig1` |
+//! | Figures 2–3 (SR / TPG assignment) | [`figures`] | `repro_fig2_fig3` |
+//! | Presolve + cut pool vs no reduction (ours, `BENCH_presolve.json`) | [`presolve`] | `repro_presolve` |
+//! | k-sweep: rebuild vs chained engine, exactness and service gates (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_sweep`, `repro_all` |
+//! | Service cache + resume (ours, `BENCH_service.json`) | [`service`] | `repro_service` |
+//! | RTL netlists + simulated BIST coverage (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_rtl` |
+//!
+//! Wall-clock performance is measured by the separate `perfbench/`
+//! workspace, the repository benchmark.
 //!
 //! Every `repro_*` binary reads its solve budget through one
 //! [`bist_ilp::Budget::from_env`] call ([`workload::budget_from_env`]):
@@ -28,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod figures;
 pub mod presolve;
 pub mod report;

@@ -2,38 +2,40 @@
 //! rebuild-per-k baseline, per circuit.
 //!
 //! This is the machine-readable perf trail the repository tracks across PRs
-//! (`BENCH_sweep.json`). For every circuit the sweep is run three ways under
+//! (`BENCH_sweep.json`). For every circuit the sweep is run two ways under
 //! the *same deterministic node budget* (see
 //! [`crate::workload::sweep_config`]):
 //!
 //! * **rebuild** — a fresh formulation per `k`, solved sequentially with the
 //!   left-edge warm start (the seed behaviour),
 //! * **chained** — the shared-base engine, sequentially, with the k−1
-//!   incumbent chained in as an extra warm start,
-//! * **parallel** — the shared-base engine across a scoped thread pool.
+//!   incumbent chained in as an extra warm start.
 //!
-//! The parallel variant runs bit-identical searches to the rebuild variant,
-//! so its objectives must match exactly — that hard invariant is
-//! [`CircuitSweep::objectives_match`]. The chained variant starts every
-//! solve from an equal-or-better incumbent; on instances solved to proven
-//! optimality its objectives are identical, but under a node cap the
-//! stronger initial pruning redirects the search, and the capped incumbent
-//! can land either side of the baseline's — that soft signal is reported
-//! separately as [`CircuitSweep::chained_not_worse`], not folded into the
-//! invariant. Two wall-clock comparisons are recorded: the raw sweep times,
-//! and the *time-to-quality* — how long each variant needed to reach the
-//! rebuild baseline's final objective for every `k`. The latter is where
+//! The engine without chaining runs searches bit-identical to the rebuild
+//! variant; [`service_cross_check`] holds it to that, because the job
+//! service solves every `k` through exactly that engine path. The chained
+//! variant starts every solve from an equal-or-better incumbent; on
+//! instances solved to proven optimality its objectives are identical, but
+//! under a node cap the stronger initial pruning redirects the search, and
+//! the capped incumbent can land either side of the baseline's — that soft
+//! signal is reported separately as [`CircuitSweep::chained_not_worse`],
+//! never gated. Two wall-clock comparisons are recorded: the raw sweep
+//! times, and the *time-to-quality* — how long each variant needed to reach
+//! the rebuild baseline's final objective for every `k`. The latter is where
 //! warm-start chaining shows up even on a single-core machine: for `k ≥ 2`
 //! the chained incumbent usually meets the baseline's final quality before
 //! the tree search even starts.
+//!
+//! [`run_gated`] is the whole gate `repro_sweep` and `repro_all` run.
 
 use std::time::Instant;
 
-use bist_core::engine::{SweepOutcome, SynthesisEngine};
+use bist_core::engine::SynthesisEngine;
 use bist_core::{synthesis, BistDesign, CoreError, SynthesisConfig};
 use bist_dfg::SynthesisInput;
 
 use crate::report::json;
+use crate::workload::DEFAULT_SWEEP_NODES;
 
 /// Per-k record of one sweep variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +139,7 @@ impl SweepKRow {
     }
 }
 
-/// The three sweep variants compared for one circuit.
+/// The two sweep variants compared for one circuit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitSweep {
     /// Circuit name.
@@ -146,8 +148,6 @@ pub struct CircuitSweep {
     pub rebuild_seconds: f64,
     /// Wall-clock of the engine sweep with chained warm starts.
     pub chained_seconds: f64,
-    /// Wall-clock of the engine sweep across the thread pool.
-    pub parallel_seconds: f64,
     /// Time the rebuild baseline needed to find its own final incumbents
     /// (summed over k).
     pub rebuild_quality_seconds: f64,
@@ -159,10 +159,6 @@ pub struct CircuitSweep {
     pub rebuild_quality_nodes: u64,
     /// Node count behind [`CircuitSweep::chained_quality_seconds`].
     pub chained_quality_nodes: u64,
-    /// Whether the parallel objectives are identical to the rebuild
-    /// objectives — the engine-vs-rebuild bit-identical cross-check. Must
-    /// always hold.
-    pub objectives_match: bool,
     /// Whether every chained objective is equal-or-better than the rebuild
     /// baseline's. Guaranteed on instances solved to proven optimality;
     /// under a node cap the chained incumbent's redirected search may end
@@ -172,8 +168,6 @@ pub struct CircuitSweep {
     pub rebuild: Vec<SweepKRow>,
     /// Per-k rows of the chained engine sweep.
     pub chained: Vec<SweepKRow>,
-    /// Per-k rows of the parallel engine sweep.
-    pub parallel: Vec<SweepKRow>,
 }
 
 impl CircuitSweep {
@@ -183,7 +177,6 @@ impl CircuitSweep {
             .str("circuit", &self.circuit)
             .f64("rebuild_seconds", self.rebuild_seconds)
             .f64("chained_seconds", self.chained_seconds)
-            .f64("parallel_seconds", self.parallel_seconds)
             .f64("rebuild_quality_seconds", self.rebuild_quality_seconds)
             .f64("chained_quality_seconds", self.chained_quality_seconds)
             .u64("rebuild_quality_nodes", self.rebuild_quality_nodes)
@@ -196,28 +189,19 @@ impl CircuitSweep {
                 "quality_speedup",
                 self.rebuild_quality_seconds / self.chained_quality_seconds.max(1e-9),
             )
-            .bool("objectives_match", self.objectives_match)
             .bool("chained_not_worse", self.chained_not_worse)
             .array("rebuild", self.rebuild.iter().map(SweepKRow::to_json))
             .array("chained", self.chained.iter().map(SweepKRow::to_json))
-            .array("parallel", self.parallel.iter().map(SweepKRow::to_json))
             .finish()
     }
 }
 
-fn rows_from_outcomes(outcomes: &[SweepOutcome]) -> Vec<SweepKRow> {
-    outcomes
-        .iter()
-        .map(|o| SweepKRow::from_design(&o.design, o.seconds, o.chained))
-        .collect()
-}
-
-/// Runs the three sweep variants on one circuit, cross-checks objectives and
-/// computes the time-to-quality comparison.
+/// Runs the two sweep variants on one circuit and computes the
+/// time-to-quality comparison.
 ///
 /// # Errors
 ///
-/// Propagates the first synthesis error of any variant.
+/// Propagates the first synthesis error of either variant.
 pub fn run_circuit(
     name: &str,
     input: &SynthesisInput,
@@ -247,14 +231,10 @@ pub fn run_circuit(
     let engine = SynthesisEngine::new(input, config)?;
     let chained_outcomes = engine.sweep_chained()?;
     let chained_seconds = start.elapsed().as_secs_f64();
-    let mut chained = rows_from_outcomes(&chained_outcomes);
-
-    // Engine, parallel across k.
-    let start = Instant::now();
-    let engine = SynthesisEngine::new(input, config)?;
-    let parallel_outcomes = engine.sweep_parallel()?;
-    let parallel_seconds = start.elapsed().as_secs_f64();
-    let parallel = rows_from_outcomes(&parallel_outcomes);
+    let mut chained: Vec<SweepKRow> = chained_outcomes
+        .iter()
+        .map(|o| SweepKRow::from_design(&o.design, o.seconds, o.chained))
+        .collect();
 
     // Time-to-quality: when did each chained solve first reach the rebuild
     // baseline's final objective for the same k?
@@ -282,15 +262,8 @@ pub fn run_circuit(
         .map(|r| r.nodes_to_baseline.unwrap_or(r.nodes))
         .sum();
 
-    // The parallel variant repeats the rebuild searches exactly (the hard
-    // cross-check); the chained variant usually improves on them but may
+    // The chained variant usually improves on the rebuild searches but may
     // end worse under a node cap (soft signal, reported separately).
-    let objectives_match = rebuild.len() == chained.len()
-        && rebuild.len() == parallel.len()
-        && rebuild
-            .iter()
-            .zip(&parallel)
-            .all(|(r, p)| (r.objective - p.objective).abs() < 1e-6);
     let chained_not_worse = rebuild.len() == chained.len()
         && rebuild
             .iter()
@@ -301,16 +274,13 @@ pub fn run_circuit(
         circuit: name.to_string(),
         rebuild_seconds,
         chained_seconds,
-        parallel_seconds,
         rebuild_quality_seconds,
         chained_quality_seconds,
         rebuild_quality_nodes,
         chained_quality_nodes,
-        objectives_match,
         chained_not_worse,
         rebuild,
         chained,
-        parallel,
     })
 }
 
@@ -353,7 +323,7 @@ const CAPPED_BASELINES: &[(&str, usize, f64)] = &[
 ///
 /// Empty means the gate passes.
 pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<String> {
-    if node_limit != crate::workload::DEFAULT_SWEEP_NODES {
+    if node_limit != DEFAULT_SWEEP_NODES {
         return Vec::new();
     }
     let chained_row = |circuit: &str, k: usize| -> Option<&SweepKRow> {
@@ -389,10 +359,12 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
 
 /// Re-runs the sweep through the `advbist::service` job queue — one
 /// node-budgeted [`SynthesisJob`](advbist::service::SynthesisJob) per
-/// circuit — and verifies the reported rows against the engine sweep:
+/// circuit — and verifies the reported rows against the rebuild rows:
 /// identical objectives and areas per k, every solve within the per-job
-/// node budget, every job completed. This is the front-door acceptance
-/// gate: the service must *serve* exactly what the engine computes.
+/// node budget, every job completed. The service solves each k on the
+/// shared-base engine without chaining, so this is both the front-door
+/// acceptance gate (the service must *serve* exactly what the solver
+/// computes) and the engine-vs-rebuild cross-check.
 ///
 /// # Errors
 ///
@@ -434,22 +406,22 @@ pub fn service_cross_check(
                 report.name, report.outcome
             ));
         }
-        if report.rows.len() != sweep.parallel.len() {
+        if report.rows.len() != sweep.rebuild.len() {
             return Err(format!(
-                "job {}: {} rows vs {} engine rows",
+                "job {}: {} rows vs {} rebuild rows",
                 report.name,
                 report.rows.len(),
-                sweep.parallel.len()
+                sweep.rebuild.len()
             ));
         }
-        for (row, engine) in report.rows.iter().zip(&sweep.parallel) {
-            if row.k != engine.sessions
-                || (row.objective - engine.objective).abs() > 1e-9
-                || row.area != engine.area
+        for (row, rebuild) in report.rows.iter().zip(&sweep.rebuild) {
+            if row.k != rebuild.sessions
+                || (row.objective - rebuild.objective).abs() > 1e-9
+                || row.area != rebuild.area
             {
                 return Err(format!(
-                    "job {} k={}: service objective {} / area {} vs engine objective {} / area {}",
-                    report.name, row.k, row.objective, row.area, engine.objective, engine.area
+                    "job {} k={}: service objective {} / area {} vs rebuild objective {} / area {}",
+                    report.name, row.k, row.objective, row.area, rebuild.objective, rebuild.area
                 ));
             }
             if row.nodes > node_limit {
@@ -466,10 +438,10 @@ pub fn service_cross_check(
 /// Renders a human-readable summary of the sweep comparison.
 pub fn render(sweeps: &[CircuitSweep]) -> String {
     let mut out = String::new();
-    out.push_str("k-sweep: rebuild-per-k baseline vs layered engine\n");
+    out.push_str("k-sweep: rebuild-per-k baseline vs chained engine\n");
     out.push_str(&format!(
-        "{:<10} {:>11} {:>11} {:>11} {:>12} {:>12} {:>10}  objectives\n",
-        "Ckt", "rebuild(s)", "chained(s)", "parallel(s)", "rb-q(nodes)", "ch-q(nodes)", "q-speedup"
+        "{:<10} {:>11} {:>11} {:>12} {:>12} {:>10}\n",
+        "Ckt", "rebuild(s)", "chained(s)", "rb-q(nodes)", "ch-q(nodes)", "q-speedup"
     ));
     for s in sweeps {
         // The quality speedup is quoted on the deterministic node counts:
@@ -477,27 +449,78 @@ pub fn render(sweeps: &[CircuitSweep]) -> String {
         // rebuild baseline's final objectives (wall-clock twins of these
         // numbers are in the JSON).
         out.push_str(&format!(
-            "{:<10} {:>11.3} {:>11.3} {:>11.3} {:>12} {:>12} {:>9.2}x  {}{}\n",
+            "{:<10} {:>11.3} {:>11.3} {:>12} {:>12} {:>9.2}x{}\n",
             s.circuit,
             s.rebuild_seconds,
             s.chained_seconds,
-            s.parallel_seconds,
             s.rebuild_quality_nodes,
             s.chained_quality_nodes,
             s.rebuild_quality_nodes as f64 / s.chained_quality_nodes.max(1) as f64,
-            if s.objectives_match {
-                "match"
-            } else {
-                "MISMATCH"
-            },
             if s.chained_not_worse {
                 ""
             } else {
-                " (chained worse under cap)"
+                "  (chained worse under cap)"
             }
         ));
     }
     out
+}
+
+/// The sweep gate `repro_sweep` and `repro_all` share. It reads the node
+/// budget from the environment (`BIST_NODE_LIMIT`, default
+/// [`DEFAULT_SWEEP_NODES`]), sweeps the small circuits, prints the
+/// comparison table and writes `BENCH_sweep.json` to the working directory.
+/// Then it applies the exactness gate ([`exactness_violations`], active at
+/// the default budget only) and the service cross-check
+/// ([`service_cross_check`]).
+///
+/// # Errors
+///
+/// Returns one message per failure: a synthesis error, each exactness
+/// regression, or the service divergence.
+pub fn run_gated() -> Result<Vec<CircuitSweep>, Vec<String>> {
+    let node_limit = crate::budget_from_env()
+        .or_nodes(DEFAULT_SWEEP_NODES)
+        .node_limit
+        .expect("or_nodes fills the limit");
+    eprintln!("# sweep node budget: {node_limit} nodes/solve (set BIST_NODE_LIMIT to change)");
+    let circuits = crate::small_circuits();
+    let config = crate::workload::sweep_config(node_limit);
+    let sweeps =
+        run_all(&circuits, &config).map_err(|e| vec![format!("sweep comparison failed: {e}")])?;
+    println!("{}", render(&sweeps));
+
+    let body = sweeps
+        .iter()
+        .map(CircuitSweep::to_json)
+        .collect::<Vec<_>>()
+        .join(",\n");
+    match std::fs::write("BENCH_sweep.json", format!("[\n{body}\n]\n")) {
+        Ok(()) => eprintln!("# wrote BENCH_sweep.json"),
+        Err(e) => eprintln!("could not write BENCH_sweep.json: {e}"),
+    }
+
+    let mut failures: Vec<String> = exactness_violations(&sweeps, node_limit)
+        .into_iter()
+        .map(|violation| format!("exactness regression: {violation}"))
+        .collect();
+    if let Err(message) = service_cross_check(&circuits, &sweeps, node_limit) {
+        failures.push(format!("service gate failed: {message}"));
+    }
+    if !failures.is_empty() {
+        return Err(failures);
+    }
+    if node_limit == DEFAULT_SWEEP_NODES {
+        println!(
+            "exactness gate: tseng k=2 proven optimal, or every previously-capped row \
+             strictly below its committed capped objective."
+        );
+    }
+    println!(
+        "service gate: one job-queue batch reproduced every rebuild sweep row \
+         (identical objectives, per-job node budgets honoured)."
+    );
+    Ok(sweeps)
 }
 
 #[cfg(test)]
@@ -508,30 +531,24 @@ mod tests {
 
     #[test]
     fn figure1_sweep_objectives_identical_across_variants() {
-        // figure1 is solved to proven optimality, so all three variants must
+        // figure1 is solved to proven optimality, so both variants must
         // report exactly the same objectives.
         let input = benchmarks::figure1();
         let config = SynthesisConfig::exact();
         let sweep = run_circuit("figure1", &input, &config).unwrap();
-        assert!(sweep.objectives_match, "{sweep:?}");
         assert!(sweep.chained_not_worse, "{sweep:?}");
         assert_eq!(sweep.rebuild.len(), 2);
-        for ((r, c), p) in sweep
-            .rebuild
-            .iter()
-            .zip(&sweep.chained)
-            .zip(&sweep.parallel)
-        {
-            assert!(r.optimal && c.optimal && p.optimal);
+        assert_eq!(sweep.chained.len(), 2);
+        for (r, c) in sweep.rebuild.iter().zip(&sweep.chained) {
+            assert!(r.optimal && c.optimal);
             assert!((r.objective - c.objective).abs() < 1e-6);
-            assert!((r.objective - p.objective).abs() < 1e-6);
         }
         // Chaining must be exercised for every k >= 2.
         for row in sweep.chained.iter().filter(|r| r.sessions >= 2) {
             assert!(row.chained, "k={} not chained", row.sessions);
         }
         let json = sweep.to_json();
-        assert!(json.contains("\"objectives_match\": true"));
+        assert!(json.contains("\"chained_not_worse\": true"));
         let text = render(&[sweep]);
         assert!(text.contains("figure1"));
     }
@@ -544,7 +561,7 @@ mod tests {
         service_cross_check(&circuits, &sweeps, 80).unwrap();
         // A diverging expectation must be caught, not silently accepted.
         let mut broken = sweeps.clone();
-        broken[0].parallel[0].objective += 1.0;
+        broken[0].rebuild[0].objective += 1.0;
         assert!(service_cross_check(&circuits, &broken, 80).is_err());
     }
 
@@ -555,11 +572,14 @@ mod tests {
         let sweep = run_circuit("tseng", &input, &config).unwrap();
         assert_eq!(sweep.rebuild.len(), 3);
         assert_eq!(sweep.chained.len(), 3);
-        assert_eq!(sweep.parallel.len(), 3);
-        // Node-limited searches are deterministic: parallel must equal the
-        // rebuild baseline exactly; at this budget the chained variant also
-        // holds its equal-or-better property on tseng.
-        assert!(sweep.objectives_match, "{sweep:?}");
+        // Node-limited searches are deterministic: solving each k again
+        // repeats the rebuild row exactly. At this budget the chained
+        // variant also holds its equal-or-better property on tseng.
+        for row in &sweep.rebuild {
+            let again = synthesis::synthesize_bist(&input, row.sessions, &config).unwrap();
+            assert_eq!(again.objective.to_bits(), row.objective.to_bits());
+            assert_eq!(again.stats.nodes, row.nodes);
+        }
         assert!(sweep.chained_not_worse, "{sweep:?}");
         for row in sweep.chained.iter().filter(|r| r.sessions >= 2) {
             assert!(row.chained, "k={} not chained", row.sessions);

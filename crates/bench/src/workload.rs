@@ -1,4 +1,4 @@
-//! Workloads and solver budgets shared by the harness binaries and benches.
+//! Workloads and solver budgets shared by the harness binaries.
 
 use std::time::Duration;
 
@@ -16,8 +16,8 @@ pub fn circuits() -> Vec<(&'static str, SynthesisInput)> {
     benchmarks::all()
 }
 
-/// The circuits small enough for exact solving in seconds (used by quick
-/// benches and smoke tests).
+/// figure1, tseng and paulin: the circuits the node-budgeted gates (sweep,
+/// presolve, service, RTL) run on.
 pub fn small_circuits() -> Vec<(&'static str, SynthesisInput)> {
     benchmarks::small()
 }

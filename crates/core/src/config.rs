@@ -6,16 +6,6 @@ use bist_datapath::CostModel;
 use bist_dfg::InputTiming;
 use bist_ilp::{BoundMode, Budget, SolverConfig};
 
-/// How the operation→module binding enters the formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ModuleBindingMode {
-    /// Use the binding carried by the [`bist_dfg::SynthesisInput`] as fixed
-    /// constants (the paper's setting: "scheduling and module assignment have
-    /// been completed", Section 2).
-    #[default]
-    Fixed,
-}
-
 /// Configuration shared by the reference and the BIST synthesis ILPs.
 #[derive(Debug, Clone)]
 pub struct SynthesisConfig {
@@ -32,8 +22,6 @@ pub struct SynthesisConfig {
     /// Model pseudo-input-port swapping for commutative operations
     /// (Eq. (3)); operations with a constant operand are never swapped.
     pub commutative_swapping: bool,
-    /// How module binding is handled.
-    pub binding_mode: ModuleBindingMode,
     /// Solve the register-assignment-only ILP first and use its solution to
     /// warm-start the full concurrent model. Guarantees a feasible design
     /// even when the time limit is too small to explore the joint space.
@@ -58,7 +46,6 @@ impl Default for SynthesisConfig {
             input_timing: InputTiming::JustInTime,
             search_space_reduction: true,
             commutative_swapping: false,
-            binding_mode: ModuleBindingMode::Fixed,
             warm_start: true,
             rtl_validation: false,
             solver: SolverConfig {
@@ -149,7 +136,6 @@ mod tests {
         assert_eq!(config.cost.width(), 8);
         assert!(config.num_registers.is_none());
         assert!(config.search_space_reduction);
-        assert_eq!(config.binding_mode, ModuleBindingMode::Fixed);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod formulation;
 pub mod reference;
 pub mod synthesis;
 
-pub use config::{ModuleBindingMode, SynthesisConfig};
+pub use config::SynthesisConfig;
 pub use engine::{SweepOutcome, SynthesisEngine};
 pub use error::CoreError;
 pub use reference::ReferenceDesign;

@@ -105,9 +105,9 @@ pub fn synthesize_bist(
 ///
 /// With [`SolverConfig::presolve`] enabled (the default) the circuit-level
 /// base prefix of the model (everything before the BIST delta, see
-/// [`BistFormulation::base_dims`]) is reduced with the delta-safe pass set
-/// and the delta rows plus the objective are replayed through the variable
-/// map; the branch and bound then explores the reduced model and the
+/// [`BistFormulation::base_dims`]) is reduced, and the delta rows plus the
+/// objective are replayed through the variable map and reduced once more;
+/// the branch and bound then explores the reduced model and the
 /// solution is lifted back. The caller may pass a pre-computed reduced base
 /// (the [`SynthesisEngine`] builds it once per circuit); when `None`, the
 /// reduction is computed here from the same prefix, so the rebuild-per-k
@@ -146,7 +146,7 @@ pub(crate) fn solve_formulation(
         }
     };
     // Replay the BIST delta and the objective through the base's variable
-    // map, then run the full pipeline once more so the delta rows (the
+    // map, then run the pipeline once more so the delta rows (the
     // aggregated OR/BILBO structure) get reduced and disaggregated too.
     let extended = base.extend(&formulation.model)?;
     let full = extended.compose(reduce::reduce(&extended.model, &ReduceOptions::full()));
@@ -237,9 +237,9 @@ pub(crate) fn solve_bist_formulation(
 /// concurrent solves share the machine, trading some per-solve search depth
 /// for sweep wall-clock; under deterministic budgets (node limits) the per-k
 /// results are identical to independent solves. Results are returned in
-/// ascending-k order regardless of thread scheduling. Use
-/// [`synthesize_all_sessions_rebuild`] for the sequential rebuild-per-k
-/// behaviour (kept as the benchmark baseline).
+/// ascending-k order regardless of thread scheduling. Calling
+/// [`synthesize_bist`] for each `k` gives the sequential rebuild-per-k
+/// behaviour (the benchmark baseline).
 ///
 /// # Errors
 ///
@@ -254,21 +254,6 @@ pub fn synthesize_all_sessions(
         .into_iter()
         .map(|outcome| outcome.design)
         .collect())
-}
-
-/// The pre-engine sweep: a fresh formulation is built and solved for every
-/// `k`, sequentially. This is the baseline the `BENCH_sweep.json` comparison
-/// measures the engine against.
-///
-/// # Errors
-///
-/// Propagates the first error of any individual synthesis.
-pub fn synthesize_all_sessions_rebuild(
-    input: &SynthesisInput,
-    config: &SynthesisConfig,
-) -> Result<Vec<BistDesign>, CoreError> {
-    let n = input.binding().num_modules();
-    (1..=n).map(|k| synthesize_bist(input, k, config)).collect()
 }
 
 #[cfg(test)]

@@ -28,15 +28,6 @@ pub enum IlpError {
     },
     /// The model was proven infeasible before or during the solve.
     Infeasible,
-    /// The LP relaxation (and therefore the MILP) is unbounded.
-    Unbounded,
-    /// The model has no objective and the caller required one.
-    MissingObjective,
-    /// An internal invariant of the simplex tableau was violated.
-    Numerical {
-        /// Description of the numerical failure.
-        message: String,
-    },
     /// An LP-format text could not be parsed (see [`crate::lpfile`]).
     Parse {
         /// 1-based line number of the offending text.
@@ -69,9 +60,6 @@ impl fmt::Display for IlpError {
                 write!(f, "invalid bounds for variable {name}: [{lower}, {upper}]")
             }
             IlpError::Infeasible => write!(f, "model is infeasible"),
-            IlpError::Unbounded => write!(f, "model is unbounded"),
-            IlpError::MissingObjective => write!(f, "model has no objective"),
-            IlpError::Numerical { message } => write!(f, "numerical failure: {message}"),
             IlpError::Parse { line, message } => {
                 write!(f, "lp parse error at line {line}: {message}")
             }
@@ -99,7 +87,6 @@ mod tests {
         };
         assert!(err.to_string().contains('x'));
         assert!(IlpError::Infeasible.to_string().contains("infeasible"));
-        assert!(IlpError::Unbounded.to_string().contains("unbounded"));
     }
 
     #[test]

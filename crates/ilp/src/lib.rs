@@ -21,8 +21,8 @@
 //! * a worklist-driven interval [`propagate`] engine (bound tightening over
 //!   linear constraints) used both for presolve and for node pruning,
 //! * a [`reduce`] pipeline of model-rewriting presolve passes (fixed-variable
-//!   elimination, redundant-row removal, clique merging, coefficient
-//!   tightening, singleton substitution) producing a smaller
+//!   elimination, redundant-row removal, dominated packing rows, coefficient
+//!   tightening, implication disaggregation) producing a smaller
 //!   [`reduce::ReducedModel`] with round-trip solution lifting,
 //! * [`cuts`]: Gomory mixed-integer cuts read off the optimal root and
 //!   shallow-node bases plus conflict no-goods from refuted subtrees, both

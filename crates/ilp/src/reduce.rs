@@ -2,9 +2,9 @@
 //!
 //! This module rewrites a model into a smaller, tighter [`ReducedModel`]
 //! that the solver explores instead, with a round-trip [`ReducedModel::lift`]
-//! that maps any
-//! reduced-space assignment back to the original variable indexing (and
-//! [`ReducedModel::project`] for warm starts travelling the other way).
+//! that maps any reduced-space assignment back to the original variable
+//! indexing (and [`ReducedModel::project`] for warm starts travelling the
+//! other way).
 //!
 //! The pipeline composes these passes, iterated to a fixpoint:
 //!
@@ -13,23 +13,23 @@
 //!   right-hand sides and the objective constant,
 //! * **redundant-row removal** — rows satisfied by every point of the
 //!   propagated box are dropped,
-//! * **clique merging** — set-packing rows (`Σ x ≤ 1` over binaries) that are
-//!   dominated by a wider packing/partitioning row are dropped, and surviving
-//!   packing rows are *extended* with every variable in conflict with all of
-//!   their members (the ≤ 1 assignment cliques of the BIST register rows),
+//! * **dominated packing rows** — set-packing rows (`Σ x ≤ 1` over binaries)
+//!   whose support lies inside a wider packing or partitioning row are
+//!   dropped,
 //! * **coefficient tightening** — knapsack-style rows over binaries get their
 //!   coefficients reduced to the strongest values that keep the same integer
 //!   solutions (cuts off fractional LP vertices for free),
-//! * **singleton-column substitution** — an implied-free continuous variable
-//!   appearing in exactly one equality row is solved out of the model,
-//! * **empty-column fixing** — a variable mentioned by no row moves to its
-//!   objective-cheapest bound.
+//! * **implication disaggregation** — aggregated implication rows over
+//!   binaries (the big-M OR/AND rows of the BIST formulation) become their
+//!   per-term implications.
 //!
-//! The last two passes assume the model is *final*; [`ReduceOptions::base`]
-//! disables them so a reduced model can later be [`ReducedModel::extend`]ed
-//! with delta rows that reference base variables — this is how the synthesis
-//! engine reduces a circuit's base model once and replays every per-k BIST
-//! delta through the variable map.
+//! Every pass follows from the rows alone and never reads the objective: a
+//! fixing, a dropped row or a tightened coefficient holds at every integer
+//! point of the rows, so it stays valid under any rows added later. One
+//! pass set therefore serves both a model solved as-is and a base that is
+//! [`ReducedModel::extend`]ed with delta rows referencing its variables —
+//! this is how the synthesis engine reduces a circuit's base model once and
+//! replays every per-k BIST delta through the variable map.
 //!
 //! Domains the pipeline tightens are written into the reduced model's
 //! *declared variable bounds*, never synthesized as extra rows. The revised
@@ -41,7 +41,7 @@
 
 use crate::error::IlpError;
 use crate::expr::LinExpr;
-use crate::model::{CmpOp, Model, Sense, VarKind};
+use crate::model::{CmpOp, Model, VarId, VarKind};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::SolveEvent;
 use crate::solution::{Improvement, Solution, Status};
@@ -50,56 +50,26 @@ use crate::sparse::SparseModel;
 use crate::EPS;
 use std::collections::BTreeSet;
 
-/// Which passes the reduce pipeline runs.
+/// Maximum number of pipeline fixpoint rounds.
+const MAX_ROUNDS: usize = 8;
+
+/// Settings of the reduce pipeline. It has none: every pass follows from
+/// the rows alone (see the module docs), so a final model and a base that
+/// will be extended are reduced the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReduceOptions {
-    /// Drop rows satisfied by every point of the propagated box.
-    pub remove_redundant_rows: bool,
-    /// Drop dominated set-packing rows and extend packing rows to maximal
-    /// cliques of the conflict graph.
-    pub merge_cliques: bool,
-    /// Tighten coefficients of knapsack-style rows over binary variables.
-    pub coefficient_tightening: bool,
-    /// Replace aggregated implication rows (`Σ aᵢ·xᵢ ≤ M·y` with
-    /// `Σ aᵢ ≤ M`, and the symmetric `M·y ≤ Σ aᵢ·xᵢ` with `Σ aᵢ = M`) by
-    /// their per-term implications `xᵢ ≤ y` / `y ≤ xᵢ`. Integer-equivalent
-    /// but strictly tighter in the LP relaxation — this is what defuses the
-    /// big-M OR-reduction rows of the BIST formulation.
-    pub disaggregate_implications: bool,
-    /// Solve implied-free continuous singleton columns out of equality rows.
-    /// Only sound on a *final* model (no rows will be added later).
-    pub substitute_continuous: bool,
-    /// Fix variables that appear in no row to their objective-cheapest
-    /// bound. Only sound on a *final* model.
-    pub fix_empty_columns: bool,
-    /// Maximum number of pipeline fixpoint rounds.
-    pub max_rounds: usize,
-}
+pub struct ReduceOptions;
 
 impl ReduceOptions {
-    /// Every pass, for a model that will be solved as-is.
+    /// The pipeline, for a model that will be solved as-is.
     pub fn full() -> Self {
-        Self {
-            remove_redundant_rows: true,
-            merge_cliques: true,
-            coefficient_tightening: true,
-            disaggregate_implications: true,
-            substitute_continuous: true,
-            fix_empty_columns: true,
-            max_rounds: 8,
-        }
+        Self
     }
 
-    /// The passes that stay sound when delta rows referencing the reduced
-    /// variables are appended later (see [`ReducedModel::extend`]): every
-    /// transformation is implied by the base constraints alone, so it remains
-    /// valid under any additional constraints.
+    /// The pipeline, for a base model that delta rows referencing the
+    /// reduced variables are appended to later (see
+    /// [`ReducedModel::extend`]). The same value as [`ReduceOptions::full`].
     pub fn base() -> Self {
-        Self {
-            substitute_continuous: false,
-            fix_empty_columns: false,
-            ..Self::full()
-        }
+        Self
     }
 }
 
@@ -110,9 +80,6 @@ pub enum VarDisposition {
     Kept(usize),
     /// The variable was eliminated at this fixed value.
     Fixed(f64),
-    /// The variable was solved out of an equality row; its value is
-    /// recomputed from the stored substitution during [`ReducedModel::lift`].
-    Substituted(usize),
 }
 
 /// Counters describing the reductions performed by the pipeline.
@@ -124,18 +91,12 @@ pub struct ReduceReport {
     pub original_rows: usize,
     /// Variables eliminated at a propagation-forced value.
     pub fixed_vars: usize,
-    /// Continuous variables solved out of singleton equality rows.
-    pub substituted_vars: usize,
-    /// Variables fixed because no row mentions them.
-    pub empty_column_vars: usize,
     /// Rows dropped as redundant over the propagated box.
     pub redundant_rows: usize,
     /// Set-packing rows dropped because a wider row dominates them.
     pub dominated_rows: usize,
     /// Aggregated implication rows replaced by per-term implications.
     pub disaggregated_rows: usize,
-    /// Variables added to packing rows by clique extension.
-    pub clique_extensions: usize,
     /// Coefficients strengthened by the tightening pass.
     pub tightened_coefficients: usize,
     /// Pipeline rounds executed before the fixpoint (or the round cap).
@@ -150,8 +111,7 @@ impl ReduceReport {
         if self.original_vars == 0 {
             return 0.0;
         }
-        (self.fixed_vars + self.substituted_vars + self.empty_column_vars) as f64
-            / self.original_vars as f64
+        self.fixed_vars as f64 / self.original_vars as f64
     }
 
     /// Fraction of original rows removed, in `[0, 1]`.
@@ -161,16 +121,6 @@ impl ReduceReport {
         }
         (self.redundant_rows + self.dominated_rows) as f64 / self.original_rows as f64
     }
-}
-
-/// A recorded singleton substitution `coeff · x_var + Σ terms = rhs`.
-#[derive(Debug, Clone)]
-struct Substitution {
-    var: usize,
-    coeff: f64,
-    rhs: f64,
-    /// The other terms of the defining row, in original indices.
-    terms: Vec<(usize, f64)>,
 }
 
 /// A reduced model together with the maps back to the original indexing.
@@ -190,12 +140,6 @@ pub struct ReducedModel {
     kept: Vec<usize>,
     /// Original row index -> reduced row index (`None` when removed).
     row_map: Vec<Option<usize>>,
-    substitutions: Vec<Substitution>,
-    /// Per original variable: whether its `Fixed` disposition was chosen by
-    /// the *objective* (empty-column fixing) rather than implied by the
-    /// constraints. Objective-driven fixings must not invalidate warm
-    /// starts — see [`ReducedModel::project`].
-    objective_fixed: Vec<bool>,
     /// Dimensions of the prefix this reduction was computed from.
     prefix_vars: usize,
     prefix_rows: usize,
@@ -224,57 +168,40 @@ impl ReducedModel {
     }
 
     /// Maps a reduced-space assignment back to the original indexing:
-    /// kept variables copy their value, fixed variables take their fixed
-    /// value and substituted variables are recomputed from their defining
-    /// rows (in reverse substitution order, so chained substitutions
-    /// resolve).
+    /// kept variables copy their value and fixed variables take their fixed
+    /// value.
     ///
     /// # Panics
     ///
     /// Panics if `reduced_values` is shorter than the reduced model's
     /// variable count.
     pub fn lift(&self, reduced_values: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.dispositions.len()];
-        for (j, disposition) in self.dispositions.iter().enumerate() {
-            match *disposition {
-                VarDisposition::Kept(r) => out[j] = reduced_values[r],
-                VarDisposition::Fixed(v) => out[j] = v,
-                VarDisposition::Substituted(_) => {}
-            }
-        }
-        // A substitution's defining row only references variables that are
-        // kept, fixed, or substituted *later*, so resolving in reverse
-        // creation order sees every dependency already lifted.
-        for sub in self.substitutions.iter().rev() {
-            let rest: f64 = sub.terms.iter().map(|&(i, a)| a * out[i]).sum();
-            out[sub.var] = (sub.rhs - rest) / sub.coeff;
-        }
-        out
+        self.dispositions
+            .iter()
+            .map(|disposition| match *disposition {
+                VarDisposition::Kept(r) => reduced_values[r],
+                VarDisposition::Fixed(v) => v,
+            })
+            .collect()
     }
 
     /// Projects an original-space assignment onto the reduced variables, for
-    /// warm starts. Returns `None` when the assignment contradicts a value
-    /// the reduction fixed *because of the constraints* (such an assignment
-    /// is infeasible for the original model, since every constraint-implied
-    /// fixing holds in every feasible point). Disagreement on an
-    /// *objective-driven* fixing (empty-column fixing picks the cheapest
-    /// bound of a variable no row mentions) is tolerated: the candidate's
-    /// value is simply replaced by the fixed one, which is feasible (the
-    /// variable constrains nothing) and never objective-worse.
+    /// warm starts. Returns `None` when the assignment contradicts a fixed
+    /// value: every fixing is implied by the rows, so such an assignment is
+    /// infeasible for the original model.
     pub fn project(&self, original_values: &[f64]) -> Option<Vec<f64>> {
         if original_values.len() != self.dispositions.len() {
             return None;
         }
         let mut out = vec![0.0; self.kept.len()];
-        for (j, disposition) in self.dispositions.iter().enumerate() {
+        for (&value, disposition) in original_values.iter().zip(&self.dispositions) {
             match *disposition {
-                VarDisposition::Kept(r) => out[r] = original_values[j],
+                VarDisposition::Kept(r) => out[r] = value,
                 VarDisposition::Fixed(v) => {
-                    if (original_values[j] - v).abs() > 1e-6 && !self.objective_fixed[j] {
+                    if (value - v).abs() > 1e-6 {
                         return None;
                     }
                 }
-                VarDisposition::Substituted(_) => {}
             }
         }
         Some(out)
@@ -293,9 +220,7 @@ impl ReducedModel {
     /// # Errors
     ///
     /// Returns [`IlpError::UnknownVariable`] if `full` is smaller than the
-    /// reduced prefix, or [`IlpError::Numerical`] if a delta row references a
-    /// substituted variable (impossible when the reduction was built with
-    /// [`ReduceOptions::base`]).
+    /// reduced prefix.
     pub fn extend(&self, full: &Model) -> Result<ReducedModel, IlpError> {
         if full.num_vars() < self.prefix_vars || full.num_constraints() < self.prefix_rows {
             return Err(IlpError::UnknownVariable {
@@ -319,7 +244,6 @@ impl ReducedModel {
             out.kept.push(out.dispositions.len());
             out.dispositions
                 .push(VarDisposition::Kept(reduced_index.index()));
-            out.objective_fixed.push(false);
         }
 
         // Delta rows travel through the variable map.
@@ -327,11 +251,11 @@ impl ReducedModel {
             let mut expr = LinExpr::new();
             let mut rhs = constraint.rhs;
             for (var, coeff) in constraint.expr.iter() {
-                match self.map_term(&out.dispositions, var.index(), &constraint.name)? {
-                    MappedTerm::Var(r) => {
-                        expr.add_term(crate::model::VarId(r), coeff);
+                match map_var(&out.dispositions, var)? {
+                    VarDisposition::Kept(r) => {
+                        expr.add_term(VarId(r), coeff);
                     }
-                    MappedTerm::Fixed(v) => rhs -= coeff * v,
+                    VarDisposition::Fixed(v) => rhs -= coeff * v,
                 }
             }
             let index = out
@@ -343,11 +267,11 @@ impl ReducedModel {
         // Objective: kept terms map, fixed terms fold into the constant.
         let mut objective = LinExpr::constant(full.objective().offset());
         for (var, coeff) in full.objective().iter() {
-            match self.map_term(&out.dispositions, var.index(), "objective")? {
-                MappedTerm::Var(r) => {
-                    objective.add_term(crate::model::VarId(r), coeff);
+            match map_var(&out.dispositions, var)? {
+                VarDisposition::Kept(r) => {
+                    objective.add_term(VarId(r), coeff);
                 }
-                MappedTerm::Fixed(v) => {
+                VarDisposition::Fixed(v) => {
                     objective.add_constant(coeff * v);
                 }
             }
@@ -365,7 +289,7 @@ impl ReducedModel {
     /// [`reduce`]) from `self.model`. The result maps the *original* space
     /// straight to `second`'s reduced model, so one [`ReducedModel::lift`] /
     /// [`ReducedModel::project`] crosses both reductions. This is how the
-    /// per-k solve composes the shared base reduction with a full-pipeline
+    /// per-k solve composes the shared base reduction with one more pipeline
     /// pass over the extended (base + BIST delta) model.
     ///
     /// # Panics
@@ -380,64 +304,28 @@ impl ReducedModel {
         );
         assert_eq!(second.original_rows(), self.model.num_constraints());
 
-        let substitution_offset = self.substitutions.len();
         let dispositions: Vec<VarDisposition> = self
             .dispositions
             .iter()
             .map(|d| match *d {
-                VarDisposition::Kept(r) => match second.dispositions[r] {
-                    VarDisposition::Kept(r2) => VarDisposition::Kept(r2),
-                    VarDisposition::Fixed(v) => VarDisposition::Fixed(v),
-                    VarDisposition::Substituted(s) => {
-                        VarDisposition::Substituted(substitution_offset + s)
-                    }
-                },
-                other => other,
+                VarDisposition::Kept(r) => second.dispositions[r],
+                fixed => fixed,
             })
             .collect();
         let kept: Vec<usize> = second.kept.iter().map(|&r| self.kept[r]).collect();
-        let objective_fixed: Vec<bool> = self
-            .dispositions
-            .iter()
-            .enumerate()
-            .map(|(j, d)| {
-                self.objective_fixed[j]
-                    || matches!(*d, VarDisposition::Kept(r) if second.objective_fixed[r])
-            })
-            .collect();
         let row_map: Vec<Option<usize>> = self
             .row_map
             .iter()
             .map(|entry| entry.and_then(|r| second.row_map[r]))
             .collect();
-        // Remap the second reduction's substitutions (stated in `self`'s
-        // reduced indices) into original indices and append them after
-        // `self`'s own, preserving the "later substitutions resolve first"
-        // invariant of `lift`.
-        let mut substitutions = self.substitutions.clone();
-        substitutions.extend(second.substitutions.into_iter().map(|sub| {
-            Substitution {
-                var: self.kept[sub.var],
-                coeff: sub.coeff,
-                rhs: sub.rhs,
-                terms: sub
-                    .terms
-                    .into_iter()
-                    .map(|(r, a)| (self.kept[r], a))
-                    .collect(),
-            }
-        }));
 
         let report = ReduceReport {
             original_vars: self.report.original_vars,
             original_rows: self.report.original_rows,
             fixed_vars: self.report.fixed_vars + second.report.fixed_vars,
-            substituted_vars: self.report.substituted_vars + second.report.substituted_vars,
-            empty_column_vars: self.report.empty_column_vars + second.report.empty_column_vars,
             redundant_rows: self.report.redundant_rows + second.report.redundant_rows,
             dominated_rows: self.report.dominated_rows + second.report.dominated_rows,
             disaggregated_rows: self.report.disaggregated_rows + second.report.disaggregated_rows,
-            clique_extensions: self.report.clique_extensions + second.report.clique_extensions,
             tightened_coefficients: self.report.tightened_coefficients
                 + second.report.tightened_coefficients,
             rounds: self.report.rounds + second.report.rounds,
@@ -450,47 +338,28 @@ impl ReducedModel {
             dispositions,
             kept,
             row_map,
-            substitutions,
-            objective_fixed,
             prefix_vars: self.prefix_vars,
             prefix_rows: self.prefix_rows,
         }
     }
-
-    fn map_term(
-        &self,
-        dispositions: &[VarDisposition],
-        index: usize,
-        location: &str,
-    ) -> Result<MappedTerm, IlpError> {
-        match dispositions.get(index) {
-            Some(&VarDisposition::Kept(r)) => Ok(MappedTerm::Var(r)),
-            Some(&VarDisposition::Fixed(v)) => Ok(MappedTerm::Fixed(v)),
-            Some(&VarDisposition::Substituted(_)) => Err(IlpError::Numerical {
-                message: format!("{location} references a substituted variable (index {index})"),
-            }),
-            None => Err(IlpError::UnknownVariable {
-                index,
-                len: dispositions.len(),
-            }),
-        }
-    }
 }
 
-enum MappedTerm {
-    Var(usize),
-    Fixed(f64),
+/// The disposition of `var`, or [`IlpError::UnknownVariable`] when the map
+/// does not cover it.
+fn map_var(dispositions: &[VarDisposition], var: VarId) -> Result<VarDisposition, IlpError> {
+    dispositions
+        .get(var.index())
+        .copied()
+        .ok_or(IlpError::UnknownVariable {
+            index: var.index(),
+            len: dispositions.len(),
+        })
 }
 
-/// Runs the full pipeline on a complete model (objective included).
-pub fn reduce(model: &Model, options: &ReduceOptions) -> ReducedModel {
-    run_pipeline(
-        model,
-        model.num_constraints(),
-        model.num_vars(),
-        options,
-        true,
-    )
+/// Runs the pipeline on a complete model, objective included. `options`
+/// holds no setting (see [`ReduceOptions`]).
+pub fn reduce(model: &Model, _options: &ReduceOptions) -> ReducedModel {
+    run_pipeline(model, model.num_constraints(), model.num_vars(), true)
 }
 
 thread_local! {
@@ -508,6 +377,7 @@ pub fn prefix_reductions_on_thread() -> usize {
 /// Runs the pipeline on the first `prefix_rows` rows / `prefix_vars`
 /// variables of `model` only, ignoring the objective. The result can be
 /// [`ReducedModel::extend`]ed with the remaining (or later-added) rows.
+/// `options` holds no setting (see [`ReduceOptions`]).
 ///
 /// # Panics
 ///
@@ -516,10 +386,10 @@ pub fn reduce_prefix(
     model: &Model,
     prefix_rows: usize,
     prefix_vars: usize,
-    options: &ReduceOptions,
+    _options: &ReduceOptions,
 ) -> ReducedModel {
     PREFIX_REDUCTIONS.with(|c| c.set(c.get() + 1));
-    run_pipeline(model, prefix_rows, prefix_vars, options, false)
+    run_pipeline(model, prefix_rows, prefix_vars, false)
 }
 
 /// One working row of the pipeline.
@@ -563,7 +433,6 @@ fn run_pipeline(
     model: &Model,
     prefix_rows: usize,
     prefix_vars: usize,
-    options: &ReduceOptions,
     with_objective: bool,
 ) -> ReducedModel {
     let mut report = ReduceReport {
@@ -582,25 +451,8 @@ fn run_pipeline(
             alive: true,
         })
         .collect();
-    let mut substituted: Vec<Option<usize>> = vec![None; prefix_vars];
-    let mut substitutions: Vec<Substitution> = Vec::new();
-    // Which fixings were chosen by the objective (empty columns) instead of
-    // being implied by the constraints; `project` treats them leniently.
-    let mut objective_fixed: Vec<bool> = vec![false; prefix_vars];
-    // Working objective (raw sense), used by the final-model passes.
-    let mut obj_coeffs: Vec<f64> = vec![0.0; model.num_vars()];
-    let mut obj_const = model.objective().offset();
-    if with_objective {
-        for (var, coeff) in model.objective().iter() {
-            obj_coeffs[var.index()] = coeff;
-        }
-    }
-    let sense_factor = match model.sense() {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
 
-    for _ in 0..options.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         report.rounds += 1;
         let mut changed = false;
 
@@ -620,98 +472,30 @@ fn run_pipeline(
 
         // 2. Redundant rows. Only rows of the original prefix count in the
         // report; rows appended by disaggregation are bookkeeping-free.
-        if options.remove_redundant_rows {
-            for (row_index, row) in rows.iter_mut().enumerate().filter(|(_, r)| r.alive) {
-                if row.is_redundant(&domains) {
-                    row.alive = false;
-                    if row_index < prefix_rows {
-                        report.redundant_rows += 1;
-                    }
-                    changed = true;
+        for (row_index, row) in rows.iter_mut().enumerate().filter(|(_, r)| r.alive) {
+            if row.is_redundant(&domains) {
+                row.alive = false;
+                if row_index < prefix_rows {
+                    report.redundant_rows += 1;
                 }
+                changed = true;
             }
         }
 
-        // 3. Clique merging on the ≤ 1 assignment structure.
-        if options.merge_cliques {
-            changed |= merge_cliques(&mut rows, &domains, &mut report);
-        }
+        // 3. Dominated packing rows on the ≤ 1 assignment structure.
+        changed |= drop_dominated_packing_rows(&mut rows, &domains, &mut report);
 
         // 4. Coefficient tightening.
-        if options.coefficient_tightening {
-            for row in rows.iter_mut().filter(|r| r.alive) {
-                let tightened = tighten_row(row, &domains);
-                if tightened > 0 {
-                    report.tightened_coefficients += tightened;
-                    changed = true;
-                }
+        for row in rows.iter_mut().filter(|r| r.alive) {
+            let tightened = tighten_row(row, &domains);
+            if tightened > 0 {
+                report.tightened_coefficients += tightened;
+                changed = true;
             }
         }
 
         // 5. Implication disaggregation.
-        if options.disaggregate_implications {
-            changed |= disaggregate(&mut rows, &domains, &mut report);
-        }
-
-        // Occurrence counts over the live rows, for the column passes.
-        let needs_columns = options.substitute_continuous || options.fix_empty_columns;
-        if needs_columns {
-            let mut occurrence = vec![0usize; prefix_vars];
-            let mut row_of_singleton = vec![usize::MAX; prefix_vars];
-            for (i, row) in rows.iter().enumerate().filter(|(_, r)| r.alive) {
-                for &(j, a) in &row.terms {
-                    if a.abs() > EPS && substituted[j].is_none() && !domains.is_fixed(j) {
-                        occurrence[j] += 1;
-                        row_of_singleton[j] = i;
-                    }
-                }
-            }
-
-            // 6. Singleton-column substitution (final models only).
-            if options.substitute_continuous {
-                for j in 0..prefix_vars {
-                    if occurrence[j] != 1
-                        || domains.is_integral(j)
-                        || domains.is_fixed(j)
-                        || substituted[j].is_some()
-                    {
-                        continue;
-                    }
-                    let row_index = row_of_singleton[j];
-                    if try_substitute(
-                        j,
-                        row_index,
-                        &mut rows,
-                        &domains,
-                        &mut obj_coeffs,
-                        &mut obj_const,
-                        &mut substitutions,
-                    ) {
-                        substituted[j] = Some(substitutions.len() - 1);
-                        report.substituted_vars += 1;
-                        changed = true;
-                    }
-                }
-            }
-
-            // 7. Empty-column fixing (final models only).
-            if options.fix_empty_columns {
-                for j in 0..prefix_vars {
-                    if occurrence[j] != 0 || domains.is_fixed(j) || substituted[j].is_some() {
-                        continue;
-                    }
-                    let value = if sense_factor * obj_coeffs[j] >= 0.0 {
-                        domains.lower(j)
-                    } else {
-                        domains.upper(j)
-                    };
-                    domains.fix(j, value);
-                    objective_fixed[j] = true;
-                    report.empty_column_vars += 1;
-                    changed = true;
-                }
-            }
-        }
+        changed |= disaggregate(&mut rows, &domains, &mut report);
 
         if !changed {
             break;
@@ -725,17 +509,17 @@ fn run_pipeline(
         with_objective,
         domains,
         rows,
-        substituted,
-        substitutions,
-        objective_fixed,
-        obj_coeffs,
-        obj_const,
         report,
     )
 }
 
-/// Drops dominated packing rows and extends packing rows to larger cliques.
-fn merge_cliques(rows: &mut [WorkRow], domains: &Domains, report: &mut ReduceReport) -> bool {
+/// Drops set-packing rows whose support lies inside a wider packing or
+/// partitioning row.
+fn drop_dominated_packing_rows(
+    rows: &mut [WorkRow],
+    domains: &Domains,
+    report: &mut ReduceReport,
+) -> bool {
     let binary = |j: usize| {
         domains.is_integral(j)
             && !domains.is_fixed(j)
@@ -787,56 +571,11 @@ fn merge_cliques(rows: &mut [WorkRow], domains: &Domains, report: &mut ReduceRep
             CmpOp::Ge => {}
         }
     }
-    if packing.is_empty() {
-        return false;
-    }
-
-    // Conflict graph: every pair inside a packing/partitioning support, plus
-    // two-variable knapsack rows that exclude the (1, 1) point.
-    let mut adjacency: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); domains.len()];
-    let add_clique = |support: &BTreeSet<usize>, adjacency: &mut Vec<BTreeSet<usize>>| {
-        let members: Vec<usize> = support.iter().copied().collect();
-        for (a, &x) in members.iter().enumerate() {
-            for &y in &members[a + 1..] {
-                adjacency[x].insert(y);
-                adjacency[y].insert(x);
-            }
-        }
-    };
-    for (_, s) in &packing {
-        add_clique(s, &mut adjacency);
-    }
-    for s in &dominators {
-        add_clique(s, &mut adjacency);
-    }
-    for row in rows.iter().filter(|r| r.alive) {
-        let (sign, rhs) = match row.op {
-            CmpOp::Le => (1.0, row.rhs),
-            CmpOp::Ge => (-1.0, -row.rhs),
-            CmpOp::Eq => continue,
-        };
-        if row.terms.len() == 2 {
-            let (x, ax) = row.terms[0];
-            let (y, ay) = row.terms[1];
-            let (ax, ay) = (sign * ax, sign * ay);
-            if ax > EPS && ay > EPS && ax + ay > rhs + EPS && ax <= rhs + EPS && ay <= rhs + EPS {
-                // x = y = 1 violates the row while each alone is allowed.
-                if binary(x) && binary(y) {
-                    adjacency[x].insert(y);
-                    adjacency[y].insert(x);
-                }
-            }
-        }
-    }
-
-    let mut changed = false;
 
     // Dominance: a packing row implied by a wider packing/partitioning row.
+    let mut changed = false;
     let mut dead: Vec<bool> = vec![false; packing.len()];
     for a in 0..packing.len() {
-        if dead[a] {
-            continue;
-        }
         let dominated_by_eq = dominators.iter().any(|d| packing[a].1.is_subset(d));
         if dominated_by_eq {
             dead[a] = true;
@@ -856,36 +595,6 @@ fn merge_cliques(rows: &mut [WorkRow], domains: &Domains, report: &mut ReduceRep
         if dead[a] {
             rows[packing[a].0].alive = false;
             report.dominated_rows += 1;
-            changed = true;
-        }
-    }
-
-    // Clique extension on the survivors: add every variable in conflict with
-    // all current members (ascending index for determinism).
-    for (a, (row_index, support)) in packing.iter().enumerate() {
-        if dead[a] {
-            continue;
-        }
-        let mut members: Vec<usize> = support.iter().copied().collect();
-        let mut added = Vec::new();
-        let candidates: Vec<usize> = adjacency[members[0]]
-            .iter()
-            .copied()
-            .filter(|c| !support.contains(c) && binary(*c))
-            .collect();
-        for c in candidates {
-            if members.iter().all(|&m| adjacency[c].contains(&m)) {
-                members.push(c);
-                added.push(c);
-            }
-        }
-        if !added.is_empty() {
-            let row = &mut rows[*row_index];
-            for c in added {
-                row.terms.push((c, 1.0));
-                report.clique_extensions += 1;
-            }
-            row.terms.sort_unstable_by_key(|&(j, _)| j);
             changed = true;
         }
     }
@@ -1049,77 +758,6 @@ fn disaggregate(rows: &mut Vec<WorkRow>, domains: &Domains, report: &mut ReduceR
     changed
 }
 
-/// Attempts to solve continuous singleton `var` out of `rows[row_index]`.
-fn try_substitute(
-    var: usize,
-    row_index: usize,
-    rows: &mut [WorkRow],
-    domains: &Domains,
-    obj_coeffs: &mut [f64],
-    obj_const: &mut f64,
-    substitutions: &mut Vec<Substitution>,
-) -> bool {
-    let row = &rows[row_index];
-    if !row.alive || row.op != CmpOp::Eq {
-        return false;
-    }
-    let coeff = row
-        .terms
-        .iter()
-        .find(|&&(j, _)| j == var)
-        .map(|&(_, a)| a)
-        .unwrap_or(0.0);
-    if coeff.abs() <= EPS {
-        return false;
-    }
-    // Implied-free check: the bounds the row forces on `var` (given the
-    // others' boxes) must lie inside its declared bounds, otherwise dropping
-    // the row would lose the bound constraints.
-    let terms: Vec<(usize, f64)> = row
-        .terms
-        .iter()
-        .copied()
-        .filter(|&(j, _)| j != var)
-        .collect();
-    let (mut rest_min, mut rest_max) = (0.0, 0.0);
-    for &(i, a) in &terms {
-        if a >= 0.0 {
-            rest_min += a * domains.lower(i);
-            rest_max += a * domains.upper(i);
-        } else {
-            rest_min += a * domains.upper(i);
-            rest_max += a * domains.lower(i);
-        }
-    }
-    let (implied_lo, implied_hi) = if coeff > 0.0 {
-        ((row.rhs - rest_max) / coeff, (row.rhs - rest_min) / coeff)
-    } else {
-        ((row.rhs - rest_min) / coeff, (row.rhs - rest_max) / coeff)
-    };
-    if implied_lo < domains.lower(var) - EPS || implied_hi > domains.upper(var) + EPS {
-        return false;
-    }
-    // Fold the objective: c·x = c·(rhs − Σ a_i x_i)/coeff.
-    let c = obj_coeffs[var];
-    if c != 0.0 {
-        *obj_const += c * row.rhs / coeff;
-        for &(i, a) in &terms {
-            obj_coeffs[i] -= c * a / coeff;
-        }
-        obj_coeffs[var] = 0.0;
-    }
-    let rhs = row.rhs;
-    rows[row_index].alive = false;
-    substitutions.push(Substitution {
-        var,
-        coeff,
-        rhs,
-        terms,
-    });
-    true
-}
-
-#[allow(clippy::too_many_arguments)]
 fn finalize(
     model: &Model,
     prefix_rows: usize,
@@ -1127,24 +765,16 @@ fn finalize(
     with_objective: bool,
     domains: Domains,
     rows: Vec<WorkRow>,
-    substituted: Vec<Option<usize>>,
-    substitutions: Vec<Substitution>,
-    objective_fixed: Vec<bool>,
-    obj_coeffs: Vec<f64>,
-    obj_const: f64,
     mut report: ReduceReport,
 ) -> ReducedModel {
     let mut reduced = Model::new(format!("{}_reduced", model.name()));
     let mut dispositions: Vec<VarDisposition> = Vec::with_capacity(prefix_vars);
     let mut kept: Vec<usize> = Vec::new();
     for (j, def) in model.vars()[..prefix_vars].iter().enumerate() {
-        if let Some(s) = substituted[j] {
-            dispositions.push(VarDisposition::Substituted(s));
-            continue;
-        }
         if domains.is_fixed(j) {
             let value = domains.fixed_value(j).unwrap_or(domains.lower(j));
             dispositions.push(VarDisposition::Fixed(value));
+            report.fixed_vars += 1;
             continue;
         }
         let (lo, hi) = (domains.lower(j), domains.upper(j));
@@ -1160,11 +790,6 @@ fn finalize(
         dispositions.push(VarDisposition::Kept(id.index()));
         kept.push(j);
     }
-    report.fixed_vars = dispositions
-        .iter()
-        .filter(|d| matches!(d, VarDisposition::Fixed(_)))
-        .count()
-        .saturating_sub(report.empty_column_vars);
 
     // The first `prefix_rows` entries are the original rows (tracked in the
     // row map); anything beyond was appended by disaggregation.
@@ -1182,10 +807,9 @@ fn finalize(
         for &(j, a) in &row.terms {
             match dispositions[j] {
                 VarDisposition::Kept(r) => {
-                    expr.add_term(crate::model::VarId(r), a);
+                    expr.add_term(VarId(r), a);
                 }
                 VarDisposition::Fixed(v) => rhs -= a * v,
-                VarDisposition::Substituted(_) => unreachable!("substituted var in a live row"),
             }
         }
         if expr.is_empty() {
@@ -1211,21 +835,18 @@ fn finalize(
         }
     }
 
+    // Kept terms map in ascending variable order; fixed terms fold into the
+    // constant.
     if with_objective {
-        let mut objective = LinExpr::constant(obj_const);
-        for (j, disposition) in dispositions.iter().enumerate() {
-            let c = obj_coeffs[j];
-            if c == 0.0 {
-                continue;
-            }
-            match *disposition {
+        let mut objective = LinExpr::constant(model.objective().offset());
+        for (var, c) in model.objective().iter() {
+            match dispositions[var.index()] {
                 VarDisposition::Kept(r) => {
-                    objective.add_term(crate::model::VarId(r), c);
+                    objective.add_term(VarId(r), c);
                 }
                 VarDisposition::Fixed(v) => {
                     objective.add_constant(c * v);
                 }
-                VarDisposition::Substituted(_) => {}
             }
         }
         reduced.set_objective(objective, model.sense());
@@ -1237,8 +858,6 @@ fn finalize(
         dispositions,
         kept,
         row_map,
-        substitutions,
-        objective_fixed,
         prefix_vars,
         prefix_rows,
     }
@@ -1393,21 +1012,26 @@ mod tests {
         let z = m.add_binary("z");
         m.add_geq([(x, 1.0)], 1.0, "fix_x");
         m.add_leq([(x, 1.0), (y, 1.0)], 1.0, "x_excludes_y");
+        m.add_leq([(x, 1.0), (z, 1.0)], 1.0, "x_excludes_z");
         m.add_leq([(z, 1.0)], 1.0, "slack");
         m.set_objective([(z, 1.0)], Sense::Minimize);
         let reduced = reduce(&m, &ReduceOptions::full());
         assert!(!reduced.report.infeasible);
-        // x = 1 and y = 0 are eliminated; the slack row is redundant; z has
-        // no live row left so the empty-column pass fixes it too.
+        // Propagation alone decides every variable: x = 1, which forces
+        // y = 0 and z = 0; every row is then redundant.
         assert_eq!(reduced.model.num_vars(), 0);
+        assert_eq!(reduced.model.num_constraints(), 0);
+        assert_eq!(reduced.report.fixed_vars, 3);
         assert!(matches!(
             reduced.var_map()[x.index()],
             VarDisposition::Fixed(v) if (v - 1.0).abs() < 1e-9
         ));
-        assert!(matches!(
-            reduced.var_map()[y.index()],
-            VarDisposition::Fixed(v) if v.abs() < 1e-9
-        ));
+        for var in [y, z] {
+            assert!(matches!(
+                reduced.var_map()[var.index()],
+                VarDisposition::Fixed(v) if v.abs() < 1e-9
+            ));
+        }
         let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
         assert!(sol.is_optimal());
         assert_eq!(sol.values(), &[1.0, 0.0, 0.0]);
@@ -1456,27 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn clique_extension_strengthens_pairwise_conflicts() {
-        // Pairwise x+y ≤ 1, y+z ≤ 1, x+z ≤ 1 merge into one clique row.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_leq([(x, 1.0), (y, 1.0)], 1.0, "xy");
-        m.add_leq([(y, 1.0), (z, 1.0)], 1.0, "yz");
-        m.add_leq([(x, 1.0), (z, 1.0)], 1.0, "xz");
-        m.set_objective([(x, -1.0), (y, -1.0), (z, -1.0)], Sense::Minimize);
-        let reduced = reduce(&m, &ReduceOptions::full());
-        assert!(reduced.report.clique_extensions >= 1);
-        assert!(reduced.report.dominated_rows >= 2);
-        assert_eq!(reduced.model.num_constraints(), 1);
-        let row = &reduced.model.constraints()[0];
-        assert_eq!(row.expr.len(), 3);
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
-        assert!((sol.objective() + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn coefficient_tightening_preserves_integer_solutions() {
         // 3x + 3y ≤ 5 over binaries has the same 0-1 points as x + y ≤ 1 but
         // a weaker LP relaxation; tightening must strengthen the row.
@@ -1496,30 +1099,6 @@ mod tests {
         let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() + 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn continuous_singleton_is_substituted_and_lifted() {
-        // w appears only in the equality w + x + y = 2 and is implied free.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let w = m.add_continuous("w", 0.0, 2.0);
-        m.add_eq([(w, 1.0), (x, 1.0), (y, 1.0)], 2.0, "def_w");
-        m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "use_xy");
-        m.set_objective([(w, 1.0), (x, 3.0), (y, 3.0)], Sense::Minimize);
-        let reduced = reduce(&m, &ReduceOptions::full());
-        assert_eq!(reduced.report.substituted_vars, 1);
-        assert!(matches!(
-            reduced.var_map()[w.index()],
-            VarDisposition::Substituted(_)
-        ));
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
-        assert!(sol.is_optimal());
-        assert!(m.is_feasible(sol.values(), 1e-6));
-        // Optimal: one of x/y at 1, w = 1 → 1 + 3 = 4.
-        assert!((sol.objective() - 4.0).abs() < 1e-6);
-        assert!((sol.values()[w.index()] - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1582,42 +1161,6 @@ mod tests {
         assert!(reduced.project(&[0.0, 1.0]).is_none(), "x must be 1");
         let projected = reduced.project(&[1.0, 1.0]).unwrap();
         assert_eq!(projected.len(), reduced.model.num_vars());
-    }
-
-    #[test]
-    fn projection_tolerates_objective_driven_empty_column_fixings() {
-        // z appears only in a redundant row, so the full pipeline fixes it
-        // to its cheapest bound (0). A feasible warm start carrying z = 1
-        // must NOT be rejected — the fixing is an objective choice, not a
-        // constraint implication — and the surviving candidate must still
-        // drive the solve to the optimum.
-        let mut m = Model::new("m");
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "cover");
-        m.add_leq([(z, 1.0)], 1.0, "slack_only_z");
-        m.set_objective([(x, 1.0), (y, 2.0), (z, 1.0)], Sense::Minimize);
-        let reduced = reduce(&m, &ReduceOptions::full());
-        assert!(matches!(
-            reduced.var_map()[z.index()],
-            VarDisposition::Fixed(v) if v.abs() < 1e-9
-        ));
-        let warm = vec![1.0, 0.0, 1.0]; // feasible, z at the expensive bound
-        assert!(m.is_feasible(&warm, 1e-6));
-        let projected = reduced.project(&warm).expect("warm start survives");
-        assert_eq!(projected.len(), reduced.model.num_vars());
-        let config = SolverConfig::exact().with_warm_candidate(warm);
-        let sol = solve_reduced(&m, &reduced, &config).unwrap();
-        assert!(sol.is_optimal());
-        assert!((sol.objective() - 1.0).abs() < 1e-9);
-        // Constraint-implied fixings still reject contradicting candidates.
-        let mut m2 = Model::new("m2");
-        let a = m2.add_binary("a");
-        m2.add_geq([(a, 1.0)], 1.0, "force");
-        m2.set_objective([(a, 1.0)], Sense::Minimize);
-        let r2 = reduce(&m2, &ReduceOptions::full());
-        assert!(r2.project(&[0.0]).is_none());
     }
 
     #[test]

@@ -8,9 +8,11 @@
 mod common;
 
 use advbist::core::engine::SynthesisEngine;
+use advbist::core::formulation::BistFormulation;
 use advbist::core::{synthesis, SynthesisConfig};
 use advbist::dfg::benchmarks;
-use advbist::ilp::{BoundMode, Budget, SolverConfig};
+use advbist::ilp::reduce::{reduce, reduce_prefix, ReduceOptions};
+use advbist::ilp::{model_fingerprint, BoundMode, Budget, SolverConfig};
 use common::corpus::CORPUS;
 
 #[test]
@@ -89,6 +91,83 @@ fn figure1_sweep_lp_trail_is_pinned() {
         })
         .collect();
     assert_eq!(trail, expected);
+}
+
+/// The composed reduced model of every figure1 and paper-circuit solve, as
+/// `(circuit, k, model_fingerprint, vars, rows)`; `k = 0` is the reference
+/// objective.
+const REDUCED_MODELS: &[(&str, usize, u64, usize, usize)] = &[
+    ("figure1", 0, 15150622805599309959, 45, 44),
+    ("figure1", 1, 14056522528789518964, 83, 143),
+    ("figure1", 2, 15156880592551044010, 109, 207),
+    ("tseng", 0, 14308643268208329761, 104, 107),
+    ("tseng", 1, 9296511999135623129, 176, 297),
+    ("tseng", 2, 12492860128063940424, 228, 421),
+    ("tseng", 3, 14337395365849076113, 280, 545),
+    ("paulin", 0, 12503620053647506053, 157, 161),
+    ("paulin", 1, 990822399259591179, 259, 423),
+    ("paulin", 2, 14205645916995364199, 339, 612),
+    ("paulin", 3, 2652452907788235441, 416, 790),
+    ("paulin", 4, 3224390537227410933, 493, 968),
+    ("fir6", 0, 16825796683553618755, 128, 149),
+    ("fir6", 1, 5053917034874743973, 198, 327),
+    ("fir6", 2, 7658770702110838562, 248, 441),
+    ("fir6", 3, 1827071672353355814, 298, 555),
+    ("iir3", 0, 3024793722896148777, 126, 152),
+    ("iir3", 1, 8137922935769238668, 208, 355),
+    ("iir3", 2, 5682775686533323563, 266, 487),
+    ("iir3", 3, 6247905541193870493, 324, 619),
+    ("dct4", 0, 10936208275043579608, 158, 180),
+    ("dct4", 1, 3376834626908367591, 251, 427),
+    ("dct4", 2, 11144807933696184975, 320, 589),
+    ("dct4", 3, 16319698662608649596, 389, 751),
+    ("dct4", 4, 17359134870803743993, 458, 913),
+    ("wavelet6", 0, 18022825933266584572, 230, 299),
+    ("wavelet6", 1, 12477323317470953102, 340, 570),
+    ("wavelet6", 2, 7131738460687042539, 418, 746),
+    ("wavelet6", 3, 15863076429354703755, 496, 922),
+];
+
+#[test]
+fn reduced_models_are_pinned() {
+    // The engine's reduce path rebuilt from public calls: the base prefix
+    // is reduced once, then each objective's model replays its delta
+    // through the base map and gets one more pass. No solve runs; a change
+    // to any reduction moves a fingerprint or a dimension here.
+    let config = SynthesisConfig::default();
+    let mut circuits = vec![("figure1", benchmarks::figure1())];
+    circuits.extend(benchmarks::all());
+    let mut models = Vec::new();
+    for (name, input) in &circuits {
+        let mut base = BistFormulation::new(input, &config).expect("base formulation");
+        base.add_interconnect();
+        base.add_mux_sizing();
+        let reduced_base = reduce_prefix(
+            &base.model,
+            base.model.num_constraints(),
+            base.model.num_vars(),
+            &ReduceOptions::base(),
+        );
+        for k in 0..=input.binding().num_modules() {
+            let mut formulation = base.clone();
+            if k == 0 {
+                formulation.set_reference_objective();
+            } else {
+                formulation.add_bist(k).expect("BIST delta");
+                formulation.set_bist_objective();
+            }
+            let extended = reduced_base.extend(&formulation.model).expect("extend");
+            let full = extended.compose(reduce(&extended.model, &ReduceOptions::full()));
+            models.push((
+                *name,
+                k,
+                model_fingerprint(&full.model),
+                full.model.num_vars(),
+                full.model.num_constraints(),
+            ));
+        }
+    }
+    assert_eq!(models, REDUCED_MODELS);
 }
 
 /// Regenerates the golden corpus table. Run with

@@ -10,6 +10,7 @@ use advbist::datapath::validate::{validate_design, validate_structure};
 use advbist::datapath::TestRegisterKind;
 use advbist::dfg::benchmarks;
 use advbist::dfg::lifetime::LifetimeTable;
+use advbist::ilp::BoundMode;
 
 fn quick(limit_ms: u64) -> SynthesisConfig {
     SynthesisConfig::time_boxed(Duration::from_millis(limit_ms))
@@ -38,6 +39,55 @@ fn figure1_full_pipeline_exact() {
                 design.plan.required_kind(r),
                 "register {r} of the k={k} design"
             );
+        }
+    }
+}
+
+#[test]
+fn figure1_solver_variants_reach_the_same_optimum() {
+    // Search-space reduction, the warm start and the bound mode change how
+    // the optimum is found, never what it is.
+    let input = benchmarks::figure1();
+    let lifetimes = LifetimeTable::new(&input).unwrap();
+    let with_bound_mode = |bound_mode| {
+        let mut config = SynthesisConfig::exact();
+        config.solver.bound_mode = bound_mode;
+        config
+    };
+    let variants = [
+        ("exact", SynthesisConfig::exact()),
+        (
+            "no search-space reduction",
+            SynthesisConfig::exact().with_search_space_reduction(false),
+        ),
+        (
+            "cold start",
+            SynthesisConfig {
+                warm_start: false,
+                ..SynthesisConfig::exact()
+            },
+        ),
+        (
+            "propagation bounds",
+            with_bound_mode(BoundMode::Propagation),
+        ),
+        (
+            "hybrid bounds",
+            with_bound_mode(BoundMode::Hybrid { lp_depth: 2 }),
+        ),
+    ];
+    let mut expected_areas: Option<Vec<u64>> = None;
+    for (label, config) in &variants {
+        let mut areas = Vec::new();
+        for k in 1..=2 {
+            let design = synthesis::synthesize_bist(&input, k, config).unwrap();
+            assert!(design.optimal, "{label}, k = {k}");
+            validate_design(&design.datapath, &design.plan, &input, &lifetimes).unwrap();
+            areas.push(design.area.total());
+        }
+        match &expected_areas {
+            Some(expected) => assert_eq!(&areas, expected, "{label}"),
+            None => expected_areas = Some(areas),
         }
     }
 }
