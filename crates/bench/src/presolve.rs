@@ -21,11 +21,11 @@
 //! bit-reproducible under a node budget; wall-clock is measured by the
 //! host-normalised repository benchmark (`perfbench/`) instead.
 //!
-//! Reading the artifact: the `cuts` column adds the Gomory cuts and
-//! conflict no-goods of the default solver; on the paper circuits most of
-//! the node win over `baseline` is already the reduce pipeline's, chiefly
-//! the implication disaggregation. The `cuts` column is the one gated,
-//! because it is the default solver configuration.
+//! Reading the artifact: the `cuts` column adds the Gomory cuts of the
+//! default solver; on the paper circuits most of the node win over
+//! `baseline` is already the reduce pipeline's, chiefly the implication
+//! disaggregation. The `cuts` column is the one gated, because it is the
+//! default solver configuration.
 
 use bist_core::engine::SynthesisEngine;
 use bist_core::formulation::BistFormulation;

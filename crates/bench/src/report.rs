@@ -143,22 +143,17 @@ impl ExperimentReport {
 /// object/array writer covering string keys, the scalar types used by the
 /// reports, and pre-serialised nested values. Non-finite floats are written
 /// as `null` (JSON has no NaN/Inf).
+///
+/// Strings are quoted by [`bist_ilp::json`]'s escaper. The writer itself
+/// stays separate on purpose: it writes 4-decimal floats in the indented
+/// layout CI diffs byte for byte, while [`bist_ilp::json`] writes compact
+/// shortest-repr floats for the bit-exact snapshot wire.
 pub mod json {
-    /// Escapes a string for inclusion in a JSON string literal.
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
+    use bist_ilp::json::Value;
+
+    /// Quotes and escapes `s` as a JSON string literal.
+    fn quote(s: &str) -> String {
+        Value::Str(s.to_string()).write()
     }
 
     /// Renders a float as JSON (4 decimal places, `null` for non-finite).
@@ -189,8 +184,7 @@ pub mod json {
 
         /// Adds a string field.
         pub fn str(self, key: &str, value: &str) -> Self {
-            let raw = format!("\"{}\"", escape(value));
-            self.push(key, raw)
+            self.push(key, quote(value))
         }
 
         /// Adds an unsigned integer field.
@@ -234,7 +228,7 @@ pub mod json {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\n  \"{}\": {}", escape(key), raw));
+                out.push_str(&format!("\n  {}: {}", quote(key), raw));
             }
             out.push_str("\n}");
             out
@@ -310,8 +304,9 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json::escape("\u{1}"), "\\u0001");
+        // Keys and string values both go through the shared escaper.
+        let text = json::Obj::new().str("k\"", "a\\b\n\u{1}").finish();
+        assert_eq!(text, "{\n  \"k\\\"\": \"a\\\\b\\n\\u0001\"\n}");
         assert_eq!(json::fmt_f64(f64::INFINITY), "null");
     }
 }

@@ -118,8 +118,11 @@ mod tests {
     fn conversions_and_display() {
         let e: CoreError = DfgError::Cyclic.into();
         assert!(e.to_string().contains("cycle"));
-        let e: CoreError = IlpError::Infeasible.into();
-        assert!(e.to_string().contains("infeasible"));
+        let e: CoreError = IlpError::Snapshot {
+            message: "fingerprint mismatch".into(),
+        }
+        .into();
+        assert!(e.to_string().contains("fingerprint mismatch"));
         let e = CoreError::InvalidSessionCount {
             requested: 9,
             modules: 3,

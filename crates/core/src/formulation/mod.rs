@@ -258,21 +258,6 @@ impl<'a> BistFormulation<'a> {
             }
         }
     }
-
-    /// Equality constraints pinning the complete register assignment to the
-    /// left-edge baseline. Used to build the *sequential* warm-start model
-    /// (register assignment first, BIST assignment second), which always has
-    /// a feasible solution and solves quickly.
-    pub fn fix_to_baseline(&mut self) {
-        let dfg = self.input.dfg();
-        for v in dfg.register_variables() {
-            if let Some(r) = self.baseline.register_of(v) {
-                let var = self.x[&(v.index(), r)];
-                self.model
-                    .add_eq([(var, 1.0)], 1.0, format!("warm_{}", dfg.var(v).name));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
-//! Cutting planes: the cut row type, the conflict no-good builder and the
-//! dedup pool every emitted cut passes through.
+//! Cutting planes: the cut row type and the dedup pool every emitted cut
+//! passes through.
 //!
-//! The branch and bound emits two families of globally valid cuts: Gomory
+//! The branch and bound emits one family of globally valid cuts: Gomory
 //! mixed-integer cuts read off an optimal simplex basis (see
-//! [`crate::simplex::gomory_cuts`]) and conflict no-goods learned from
-//! infeasibility-refuted subtrees ([`nogood_from_fixings`]). Both pass
-//! through the [`CutGenerator`] dedup pool, so no row enters the row set
-//! twice. The accepted cuts live in the solver's row set (see
+//! [`crate::simplex::gomory_cuts`]). Each passes through the
+//! [`CutGenerator`] dedup pool, so no row enters the row set twice. The
+//! accepted cuts live in the solver's row set (see
 //! [`crate::solver::BranchAndBound`]): the propagator and the simplex
 //! consume them exactly like model rows, at the root and at every node.
 
@@ -23,10 +22,9 @@ pub struct CutRow {
     pub kind: CutKind,
 }
 
-/// The cut families of the pool. The solver emits [`CutKind::Gomory`] and
-/// [`CutKind::NoGood`] cuts. The knapsack families (`Cover`, `Clique`,
-/// `LiftedCover`) stay because snapshots at wire versions 1 and 2 may carry
-/// them, and a resumed solve reinstalls them like any other row.
+/// The cut families of the pool. The solver emits only [`CutKind::Gomory`]
+/// cuts. The other kinds stay because snapshots at wire versions 1 and 2
+/// may carry them, and a resumed solve reinstalls them like any other row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CutKind {
     /// A knapsack cover inequality.
@@ -40,15 +38,15 @@ pub enum CutKind {
     /// coefficients `π_j = max{h : μ_h ≤ a_j}` for heavy out-of-cover
     /// items, where `μ_h` is the sum of the `h` largest cover weights.
     LiftedCover,
-    /// A conflict no-good `Σ_{S⁺} x − Σ_{S⁻} x ≤ |S⁺| − 1` learned from an
-    /// infeasibility-refuted subtree with fixings `S⁺` (at 1) and `S⁻`
-    /// (at 0).
+    /// A conflict no-good `Σ_{S⁺} x − Σ_{S⁻} x ≤ |S⁺| − 1` that an older
+    /// solver learned from an infeasibility-refuted subtree with fixings
+    /// `S⁺` (at 1) and `S⁻` (at 0).
     NoGood,
 }
 
-/// The dedup pool of emitted cuts. Every Gomory cut and no-good is
-/// registered through [`CutGenerator::admit`] before it is installed, so a
-/// later round never installs a row that is already in the row set.
+/// The dedup pool of emitted cuts. Every Gomory cut is registered through
+/// [`CutGenerator::admit`] before it is installed, so a later round never
+/// installs a row that is already in the row set.
 #[derive(Debug, Clone, Default)]
 pub struct CutGenerator {
     /// Dedup keys (see `cut_key`) of every cut emitted so far.
@@ -78,25 +76,6 @@ impl CutGenerator {
     /// emitted in an earlier round.
     pub fn admit(&mut self, cut: &CutRow) -> bool {
         self.emitted.insert(cut_key(&cut.terms, cut.rhs))
-    }
-}
-
-/// Builds the conflict no-good of a refuted subtree: with `ones` the
-/// binaries fixed to 1 and `zeros` those fixed to 0 on the subtree's path,
-/// `Σ_{ones} x − Σ_{zeros} x ≤ |ones| − 1` excludes exactly the assignments
-/// that agree with every fixing, and nothing else — any feasible point must
-/// flip at least one of them.
-pub fn nogood_from_fixings(ones: &[usize], zeros: &[usize]) -> CutRow {
-    let mut terms: Vec<(usize, f64)> = ones
-        .iter()
-        .map(|&j| (j, 1.0))
-        .chain(zeros.iter().map(|&j| (j, -1.0)))
-        .collect();
-    terms.sort_by_key(|&(j, _)| j);
-    CutRow {
-        terms,
-        rhs: ones.len() as f64 - 1.0,
-        kind: CutKind::NoGood,
     }
 }
 
@@ -154,7 +133,7 @@ mod tests {
     #[test]
     fn models_without_structure_have_no_sources() {
         // The LP optimum is fractional, but on continuous columns: Gomory
-        // cuts need integral basic variables, and no-goods need binaries.
+        // cuts need integral basic variables.
         let mut m = Model::new("cont");
         let x = m.add_continuous("x", 0.0, 1.0);
         let y = m.add_continuous("y", 0.0, 1.0);

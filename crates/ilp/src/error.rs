@@ -26,15 +26,6 @@ pub enum IlpError {
         /// Declared upper bound.
         upper: f64,
     },
-    /// The model was proven infeasible before or during the solve.
-    Infeasible,
-    /// An LP-format text could not be parsed (see [`crate::lpfile`]).
-    Parse {
-        /// 1-based line number of the offending text.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
     /// A solve-state snapshot could not be applied: it is malformed, from
     /// an incompatible format version, or belongs to a different instance
     /// than the one being resumed (see [`crate::snapshot::SolveSnapshot`]).
@@ -59,10 +50,6 @@ impl fmt::Display for IlpError {
             IlpError::InvalidBounds { name, lower, upper } => {
                 write!(f, "invalid bounds for variable {name}: [{lower}, {upper}]")
             }
-            IlpError::Infeasible => write!(f, "model is infeasible"),
-            IlpError::Parse { line, message } => {
-                write!(f, "lp parse error at line {line}: {message}")
-            }
             IlpError::Snapshot { message } => {
                 write!(f, "cannot resume from snapshot: {message}")
             }
@@ -86,7 +73,11 @@ mod tests {
             upper: 1.0,
         };
         assert!(err.to_string().contains('x'));
-        assert!(IlpError::Infeasible.to_string().contains("infeasible"));
+        let err = IlpError::Snapshot {
+            message: "fingerprint mismatch".into(),
+        };
+        assert!(err.to_string().contains("cannot resume from snapshot"));
+        assert!(err.to_string().contains("fingerprint mismatch"));
     }
 
     #[test]

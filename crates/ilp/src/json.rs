@@ -525,6 +525,15 @@ mod tests {
     }
 
     #[test]
+    fn strings_write_with_exact_escapes() {
+        assert_eq!(
+            Value::Str("a\"b\\c\nd".into()).write(),
+            "\"a\\\"b\\\\c\\nd\""
+        );
+        assert_eq!(Value::Str("\u{1}".into()).write(), "\"\\u0001\"");
+    }
+
+    #[test]
     fn string_escapes_parse() {
         let v = Value::parse(r#""a\"b\\c\ndAé😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndAé😀"));

@@ -25,8 +25,7 @@
 //!   tightening, implication disaggregation) producing a smaller
 //!   [`reduce::ReducedModel`] with round-trip solution lifting,
 //! * [`cuts`]: Gomory mixed-integer cuts read off the optimal root and
-//!   shallow-node bases plus conflict no-goods from refuted subtrees, both
-//!   deduplicated through one pool,
+//!   shallow-node bases, deduplicated through one pool,
 //! * a depth-first branch-and-bound [`solver`] with configurable bounding
 //!   (LP relaxation, propagation-only, or hybrid), pseudo-cost /
 //!   reliability branching with strong-branching initialisation,

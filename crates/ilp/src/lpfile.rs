@@ -6,42 +6,16 @@
 //! solver for cross-checking our built-in branch and bound.
 
 use crate::model::{CmpOp, Model, Sense, VarKind};
-use crate::propagate::Domains;
 use std::fmt::Write as _;
-
-/// Renders the model in CPLEX LP format with an explicit `Bounds` section
-/// for **every** variable, taken from `domains` instead of the declared
-/// variable kinds.
-///
-/// Since the revised simplex kernel keeps tightened domains purely implicit
-/// (no bound rows exist anywhere in the matrix), this is the only way a
-/// mid-search or post-presolve model state can round-trip through the LP
-/// text format: pass the current [`Domains`] and the tightened box is
-/// written out verbatim — including for binaries, which the plain
-/// [`to_lp_string`] leaves to the `Binaries` section's implied `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if `domains.len() != model.num_vars()`.
-pub fn to_lp_string_with_domains(model: &Model, domains: &Domains) -> String {
-    assert_eq!(
-        domains.len(),
-        model.num_vars(),
-        "domains must describe exactly the model's variables"
-    );
-    render(model, Some(domains))
-}
 
 /// Renders the model in CPLEX LP format.
 ///
 /// Variable names are sanitised (characters outside `[A-Za-z0-9_]` become
 /// `_`) and deduplicated by suffixing the variable index, because the LP
-/// format requires unique identifiers.
+/// format requires unique identifiers. Integer and continuous variables get
+/// a `Bounds` line from their declared box; binaries get none, because the
+/// `Binaries` section implies `[0, 1]`.
 pub fn to_lp_string(model: &Model) -> String {
-    render(model, None)
-}
-
-fn render(model: &Model, domains: Option<&Domains>) -> String {
     let names: Vec<String> = model
         .vars()
         .iter()
@@ -85,27 +59,14 @@ fn render(model: &Model, domains: Option<&Domains>) -> String {
 
     out.push_str("Bounds\n");
     for (i, v) in model.vars().iter().enumerate() {
-        match domains {
-            // Domain-aware export: the tightened box of every variable,
-            // binaries included (their tightenings live nowhere else).
-            Some(domains) => {
-                let _ = writeln!(
-                    out,
-                    " {} <= {} <= {}",
-                    domains.lower(i),
-                    names[i],
-                    domains.upper(i)
-                );
+        match v.kind {
+            VarKind::Binary => {}
+            VarKind::Integer { lower, upper } => {
+                let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
             }
-            None => match v.kind {
-                VarKind::Binary => {}
-                VarKind::Integer { lower, upper } => {
-                    let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
-                }
-                VarKind::Continuous { lower, upper } => {
-                    let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
-                }
-            },
+            VarKind::Continuous { lower, upper } => {
+                let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
+            }
         }
     }
 
@@ -147,225 +108,6 @@ fn append_term(out: &mut String, coeff: f64, name: &str) {
     } else {
         let _ = write!(out, " - {} {name}", -coeff);
     }
-}
-
-/// A constraint read back from LP text.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedConstraint {
-    /// Label of the constraint (the part before the `:`).
-    pub name: String,
-    /// `(variable name, coefficient)` terms in text order.
-    pub terms: Vec<(String, f64)>,
-    /// Comparison operator.
-    pub op: CmpOp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-/// A structural image of an LP-format file, as produced by
-/// [`parse_lp`]. Covers the subset of the format [`to_lp_string`] emits,
-/// which is enough to round-trip-check any model this crate writes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParsedLp {
-    /// Problem name from the leading comment, if present.
-    pub name: String,
-    /// Whether the objective is maximised.
-    pub maximize: bool,
-    /// `(variable name, coefficient)` objective terms.
-    pub objective: Vec<(String, f64)>,
-    /// The constraints, in file order.
-    pub constraints: Vec<ParsedConstraint>,
-    /// Explicit `lower <= name <= upper` bounds, in file order.
-    pub bounds: Vec<(String, f64, f64)>,
-    /// Names listed in the `Generals` section.
-    pub generals: Vec<String>,
-    /// Names listed in the `Binaries` section.
-    pub binaries: Vec<String>,
-}
-
-impl ParsedLp {
-    /// Number of distinct variable names mentioned anywhere in the file.
-    pub fn num_vars(&self) -> usize {
-        let mut names: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        names.extend(self.objective.iter().map(|(n, _)| n.as_str()));
-        for c in &self.constraints {
-            names.extend(c.terms.iter().map(|(n, _)| n.as_str()));
-        }
-        names.extend(self.bounds.iter().map(|(n, _, _)| n.as_str()));
-        names.extend(self.generals.iter().map(String::as_str));
-        names.extend(self.binaries.iter().map(String::as_str));
-        names.len()
-    }
-}
-
-/// Parses LP-format text (the dialect [`to_lp_string`] writes) back into a
-/// structural summary, so tests can assert that variable/constraint counts,
-/// bounds and integrality sections survive a write/read round trip.
-///
-/// # Errors
-///
-/// Returns [`crate::error::IlpError::Parse`] with the offending line on malformed input.
-pub fn parse_lp(text: &str) -> Result<ParsedLp, crate::error::IlpError> {
-    use crate::error::IlpError;
-
-    #[derive(PartialEq, Clone, Copy)]
-    enum Section {
-        Preamble,
-        Objective,
-        Constraints,
-        Bounds,
-        Generals,
-        Binaries,
-        Done,
-    }
-
-    let fail = |line: usize, message: &str| IlpError::Parse {
-        line,
-        message: message.to_string(),
-    };
-    let parse_f64 = |token: &str, line: usize| {
-        token
-            .parse::<f64>()
-            .map_err(|_| fail(line, &format!("expected a number, found `{token}`")))
-    };
-    // Parses a `+ c name - c name ...` term sequence; returns the terms and
-    // any trailing tokens (used for the `op rhs` tail of constraints).
-    fn parse_terms(
-        tokens: &[&str],
-        line: usize,
-    ) -> Result<(Vec<(String, f64)>, usize), crate::error::IlpError> {
-        let mut terms = Vec::new();
-        let mut i = 0;
-        if tokens == ["0"] {
-            return Ok((terms, 1));
-        }
-        while i < tokens.len() {
-            let sign = match tokens.get(i) {
-                Some(&"+") => 1.0,
-                Some(&"-") => -1.0,
-                _ => break,
-            };
-            let coeff: f64 = tokens.get(i + 1).and_then(|t| t.parse().ok()).ok_or(
-                crate::error::IlpError::Parse {
-                    line,
-                    message: "expected a coefficient after the sign".to_string(),
-                },
-            )?;
-            let name = tokens
-                .get(i + 2)
-                .ok_or(crate::error::IlpError::Parse {
-                    line,
-                    message: "expected a variable name after the coefficient".to_string(),
-                })?
-                .to_string();
-            terms.push((name, sign * coeff));
-            i += 3;
-        }
-        Ok((terms, i))
-    }
-
-    let mut parsed = ParsedLp::default();
-    let mut section = Section::Preamble;
-    for (index, raw) in text.lines().enumerate() {
-        let line_no = index + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('\\') {
-            if let Some(name) = comment.trim().strip_prefix("Problem:") {
-                parsed.name = name.trim().to_string();
-            }
-            continue;
-        }
-        section = match line {
-            "Minimize" => {
-                parsed.maximize = false;
-                section = Section::Objective;
-                continue;
-            }
-            "Maximize" => {
-                parsed.maximize = true;
-                section = Section::Objective;
-                continue;
-            }
-            "Subject To" => {
-                section = Section::Constraints;
-                continue;
-            }
-            "Bounds" => {
-                section = Section::Bounds;
-                continue;
-            }
-            "Generals" => {
-                section = Section::Generals;
-                continue;
-            }
-            "Binaries" => {
-                section = Section::Binaries;
-                continue;
-            }
-            "End" => {
-                section = Section::Done;
-                continue;
-            }
-            _ => section,
-        };
-        match section {
-            Section::Preamble | Section::Done => {
-                return Err(fail(line_no, &format!("unexpected text `{line}`")));
-            }
-            Section::Objective => {
-                let body = line
-                    .strip_prefix("obj:")
-                    .ok_or_else(|| fail(line_no, "expected `obj:`"))?;
-                let tokens: Vec<&str> = body.split_whitespace().collect();
-                let (terms, used) = parse_terms(&tokens, line_no)?;
-                if used != tokens.len() {
-                    return Err(fail(line_no, "trailing tokens after the objective"));
-                }
-                parsed.objective = terms;
-            }
-            Section::Constraints => {
-                let (label, body) = line
-                    .split_once(':')
-                    .ok_or_else(|| fail(line_no, "expected `name:` before the constraint"))?;
-                let tokens: Vec<&str> = body.split_whitespace().collect();
-                let (terms, used) = parse_terms(&tokens, line_no)?;
-                if tokens.len() != used + 2 {
-                    return Err(fail(line_no, "expected `op rhs` after the terms"));
-                }
-                let op = match tokens[used] {
-                    "<=" => CmpOp::Le,
-                    ">=" => CmpOp::Ge,
-                    "=" => CmpOp::Eq,
-                    other => return Err(fail(line_no, &format!("unknown operator `{other}`"))),
-                };
-                let rhs = parse_f64(tokens[used + 1], line_no)?;
-                parsed.constraints.push(ParsedConstraint {
-                    name: label.trim().to_string(),
-                    terms,
-                    op,
-                    rhs,
-                });
-            }
-            Section::Bounds => {
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                if tokens.len() != 5 || tokens[1] != "<=" || tokens[3] != "<=" {
-                    return Err(fail(line_no, "expected `lower <= name <= upper`"));
-                }
-                let lower = parse_f64(tokens[0], line_no)?;
-                let upper = parse_f64(tokens[4], line_no)?;
-                parsed.bounds.push((tokens[2].to_string(), lower, upper));
-            }
-            Section::Generals => parsed.generals.push(line.to_string()),
-            Section::Binaries => parsed.binaries.push(line.to_string()),
-        }
-    }
-    if section != Section::Done {
-        return Err(fail(text.lines().count(), "missing `End`"));
-    }
-    Ok(parsed)
 }
 
 fn sanitize(name: &str, index: usize) -> String {
@@ -426,10 +168,11 @@ mod tests {
     }
 
     #[test]
-    fn lp_round_trip_preserves_structure() {
-        // Write a model with every variable kind, re-parse the text and
-        // check that counts, bounds and integrality sections survive.
-        let mut m = Model::new("round_trip");
+    fn writes_every_variable_kind_and_row_sense() {
+        // A binary, an integer and a continuous variable under `<=`, `>=`
+        // and `=` rows. The binary gets no bounds line: the `Binaries`
+        // section implies its [0, 1] box.
+        let mut m = Model::new("all_kinds");
         let x = m.add_binary("x[0,1]");
         let y = m.add_integer("y", -2, 7);
         let z = m.add_continuous("z", 0.5, 2.5);
@@ -438,84 +181,23 @@ mod tests {
         m.add_eq([(y, 1.0)], 4.0, "pin");
         m.set_objective([(x, 5.0), (z, -1.5)], Sense::Minimize);
 
-        let text = to_lp_string(&m);
-        let parsed = parse_lp(&text).expect("round trip parses");
-        assert_eq!(parsed.name, "round_trip");
-        assert!(!parsed.maximize);
-        assert_eq!(parsed.num_vars(), m.num_vars());
-        assert_eq!(parsed.constraints.len(), m.num_constraints());
-        assert_eq!(parsed.objective.len(), 2);
-        assert_eq!(parsed.binaries.len(), m.num_binary());
-        assert_eq!(parsed.generals.len(), 1);
-        // Bounds survive for the integer and continuous variables.
-        assert_eq!(parsed.bounds.len(), 2);
-        assert_eq!(parsed.bounds[0].1, -2.0);
-        assert_eq!(parsed.bounds[0].2, 7.0);
-        assert_eq!(parsed.bounds[1].1, 0.5);
-        assert_eq!(parsed.bounds[1].2, 2.5);
-        // Operators and right-hand sides survive in order.
-        let (ops, rhs): (Vec<CmpOp>, Vec<f64>) =
-            parsed.constraints.iter().map(|c| (c.op, c.rhs)).unzip();
-        assert_eq!(ops, vec![CmpOp::Le, CmpOp::Ge, CmpOp::Eq]);
-        assert_eq!(rhs, vec![3.0, 0.0, 4.0]);
-        // Per-constraint term counts match the model.
-        for (parsed_c, model_c) in parsed.constraints.iter().zip(m.constraints()) {
-            assert_eq!(parsed_c.terms.len(), model_c.expr.len());
-        }
-    }
-
-    #[test]
-    fn tightened_domains_round_trip_through_the_bounds_section() {
-        // The revised kernel keeps tightened bounds implicit (no rows), so
-        // the domain-aware writer is the only faithful export of a
-        // mid-search model state. Tighten a binary, an integer and a
-        // continuous variable, write, re-parse, and check every bound —
-        // including the binary's, which the plain writer never emits.
-        let mut m = Model::new("boxed");
-        let b = m.add_binary("b");
-        let y = m.add_integer("y", 0, 9);
-        let z = m.add_continuous("z", 0.0, 8.0);
-        m.add_leq([(b, 1.0), (y, 1.0), (z, 1.0)], 12.0, "cap");
-        m.set_objective([(b, 1.0), (y, 1.0), (z, 1.0)], Sense::Minimize);
-        let mut domains = Domains::from_model(&m);
-        assert!(domains.fix(b.index(), 1.0));
-        assert!(domains.tighten_lower(y.index(), 2.0));
-        assert!(domains.tighten_upper(y.index(), 6.0));
-        assert!(domains.tighten_upper(z.index(), 4.5));
-
-        let text = to_lp_string_with_domains(&m, &domains);
-        let parsed = parse_lp(&text).expect("domain-aware text parses");
-        // One bounds line per variable, in variable order.
-        assert_eq!(parsed.bounds.len(), m.num_vars());
-        let by_pos: Vec<(f64, f64)> = parsed.bounds.iter().map(|(_, l, u)| (*l, *u)).collect();
-        assert_eq!(by_pos[b.index()], (1.0, 1.0));
-        assert_eq!(by_pos[y.index()], (2.0, 6.0));
-        assert_eq!(by_pos[z.index()], (0.0, 4.5));
-        // Integrality sections are unchanged by the domain-aware writer.
-        assert_eq!(parsed.binaries.len(), 1);
-        assert_eq!(parsed.generals.len(), 1);
-        // The plain writer still omits binary bounds.
-        let plain = parse_lp(&to_lp_string(&m)).expect("plain text parses");
-        assert_eq!(plain.bounds.len(), 2);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_text() {
-        assert!(matches!(
-            parse_lp("Minimize\n obj: 0\n"),
-            Err(crate::error::IlpError::Parse { .. })
-        ));
-        assert!(matches!(
-            parse_lp("Minimize\n obj: + 1\nEnd\n"),
-            Err(crate::error::IlpError::Parse { .. })
-        ));
-        assert!(matches!(
-            parse_lp("garbage\n"),
-            Err(crate::error::IlpError::Parse { .. })
-        ));
-        let ok = parse_lp("\\ Problem: p\nMinimize\n obj: 0\nSubject To\nBounds\nEnd\n").unwrap();
-        assert_eq!(ok.name, "p");
-        assert_eq!(ok.num_vars(), 0);
+        let expected = "\\ Problem: all_kinds
+Minimize
+ obj: + 5 x_0_1__0 - 1.5 z_2
+Subject To
+ c0_cap_0: + 1 x_0_1__0 + 2 y_1 <= 3
+ c1_link_1: - 1 x_0_1__0 + 1 z_2 >= 0
+ c2_pin_2: + 1 y_1 = 4
+Bounds
+ -2 <= y_1 <= 7
+ 0.5 <= z_2 <= 2.5
+Generals
+ y_1
+Binaries
+ x_0_1__0
+End
+";
+        assert_eq!(to_lp_string(&m), expected);
     }
 
     #[test]

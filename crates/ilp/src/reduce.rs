@@ -35,9 +35,9 @@
 //! *declared variable bounds*, never synthesized as extra rows. The revised
 //! simplex kernel keeps variable boxes implicit (nonbasic-at-bound status,
 //! no bound rows at all), so a tightened declared bound flows straight into
-//! the kernel's per-column bound arrays at zero matrix cost — and the
-//! domain-aware LP exporter ([`crate::lpfile::to_lp_string_with_domains`])
-//! is the way to round-trip such a box through the text format.
+//! the kernel's per-column bound arrays at zero matrix cost — and
+//! [`crate::lpfile::to_lp_string`] of the reduced model exports the
+//! tightened box through the text format.
 
 use crate::error::IlpError;
 use crate::expr::LinExpr;

@@ -73,11 +73,19 @@ pub fn model_fingerprint(model: &Model) -> u64 {
 
 /// Snapshot format version; bumped on any layout change so a stale file
 /// fails loudly instead of deserializing garbage. Version 2 added the
-/// Gomory / lifted-cover / no-good cut kinds, the `pending_cuts` batch, the
-/// per-node `ng` (no-good learning allowed) flag and the `eager_separation`
-/// schedule flag; version-1 documents (which cannot contain any of those)
-/// still load, with an empty pending batch and the conservative defaults.
-pub const FORMAT_VERSION: u64 = 2;
+/// Gomory / lifted-cover / no-good cut kinds, a batch of learned no-goods
+/// not yet installed, a per-node `ng` (no-good learning allowed) flag and
+/// the `eager_separation` schedule flag. Version 3 drops the batch and the
+/// `ng` flag again, with the conflict learning that wrote them.
+///
+/// Version-1 and version-2 documents still load. A v1 document has no
+/// `eager_separation` key and resumes on the conservative late-separation
+/// schedule. The reader ignores an old document's pending batch and `ng`
+/// flags: a pending no-good only tightens the relaxation, so dropping it
+/// removes no feasible point and the resumed search still proves the same
+/// optimum. Installed no-goods in a v2 document's `cuts` are reinstalled
+/// like every other row.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Oldest snapshot version the parser still accepts.
 pub const MIN_FORMAT_VERSION: u64 = 1;
@@ -275,12 +283,6 @@ pub(crate) struct SnapshotNode {
     pub(crate) parent_bound_is_lp: bool,
     pub(crate) branch_up: bool,
     pub(crate) branch_step: f64,
-    /// Whether the node's whole decision path consists of binary fixings
-    /// untainted by incumbent-dependent (reduced-cost) tightenings — the
-    /// eligibility condition for learning a globally valid no-good from an
-    /// infeasibility refutation. Wire key `"ng"`; absent in v1 snapshots,
-    /// which parse as `false` so restored v1 nodes never learn.
-    pub(crate) nogood_ok: bool,
 }
 
 impl SnapshotNode {
@@ -316,7 +318,6 @@ impl SnapshotNode {
             ("lp".into(), Value::Bool(self.parent_bound_is_lp)),
             ("up".into(), Value::Bool(self.branch_up)),
             ("step".into(), bits(self.branch_step)),
-            ("ng".into(), Value::Bool(self.nogood_ok)),
         ])
     }
 
@@ -347,7 +348,6 @@ impl SnapshotNode {
             parent_bound_is_lp: get_bool(v, "lp")?,
             branch_up: get_bool(v, "up")?,
             branch_step: get_f64_bits(v, "step")?,
-            nogood_ok: v.get("ng").and_then(Value::as_bool).unwrap_or(false),
         })
     }
 }
@@ -488,10 +488,6 @@ pub struct SolveSnapshot {
     /// Accepted cut pool; reinstalled into the row set before the frontier
     /// is restored.
     pub(crate) cuts: Vec<CutRow>,
-    /// Learned cuts (conflict no-goods) batched but not yet flushed into
-    /// the row set when the solve stopped; the resumed search flushes them
-    /// at the same deterministic trigger the uninterrupted run would have.
-    pub(crate) pending_cuts: Vec<CutRow>,
     pub(crate) pseudo: PseudoSnapshot,
     /// Warm basis cache entries as `(cache key, basis)`, oldest first.
     pub(crate) bases: Vec<(u64, Basis)>,
@@ -531,12 +527,7 @@ impl SolveSnapshot {
             .incumbent
             .as_ref()
             .map_or(0, |(_, values)| 16 + 8 * values.len());
-        let cut_bytes: usize = self
-            .cuts
-            .iter()
-            .chain(&self.pending_cuts)
-            .map(|c| 24 + 16 * c.terms.len())
-            .sum();
+        let cut_bytes: usize = self.cuts.iter().map(|c| 24 + 16 * c.terms.len()).sum();
         let pseudo_bytes = 12 * self.pseudo.up_sum.len() + 12 * self.pseudo.down_sum.len();
         let basis_bytes: usize = self.bases.iter().map(|(_, b)| 16 + 12 * b.cells()).sum();
         let root_lp_bytes = self.root_lp.as_ref().map_or(0, |lp| {
@@ -576,7 +567,7 @@ impl SolveSnapshot {
         {
             return Err(SnapshotError::new("pseudo-cost table length mismatch"));
         }
-        for cut in self.cuts.iter().chain(&self.pending_cuts) {
+        for cut in &self.cuts {
             if cut.terms.iter().any(|&(j, _)| j >= n) {
                 return Err(SnapshotError::new("cut term variable out of range"));
             }
@@ -630,7 +621,6 @@ impl SolveSnapshot {
                 Value::Array(self.frontier.iter().map(SnapshotNode::to_value).collect()),
             ),
             ("cuts".into(), cuts_value(&self.cuts)),
-            ("pending_cuts".into(), cuts_value(&self.pending_cuts)),
             ("pseudo".into(), self.pseudo.to_value()),
             (
                 "bases".into(),
@@ -702,15 +692,6 @@ impl SolveSnapshot {
             .map(SnapshotNode::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         let cuts = cuts_from(get_array(&doc, "cuts")?)?;
-        // Version 1 predates the pending batch: absent means empty.
-        let pending_cuts = match doc.get("pending_cuts") {
-            Some(value) => cuts_from(
-                value
-                    .as_array()
-                    .ok_or_else(|| SnapshotError::field("pending_cuts"))?,
-            )?,
-            None => Vec::new(),
-        };
         let mut bases = Vec::new();
         for entry in get_array(&doc, "bases")? {
             let key = get_u64(entry, "key")?;
@@ -740,7 +721,6 @@ impl SolveSnapshot {
             // conservative late-separation schedule.
             eager_separation: matches!(doc.get("eager_separation"), Some(Value::Bool(true))),
             cuts,
-            pending_cuts,
             pseudo: PseudoSnapshot::from_value(
                 doc.get("pseudo")
                     .ok_or_else(|| SnapshotError::field("pseudo"))?,
@@ -774,7 +754,6 @@ mod tests {
                     parent_bound_is_lp: true,
                     branch_up: true,
                     branch_step: 0.375,
-                    nogood_ok: true,
                 },
                 SnapshotNode {
                     deltas: vec![],
@@ -785,7 +764,6 @@ mod tests {
                     parent_bound_is_lp: false,
                     branch_up: false,
                     branch_step: 0.0,
-                    nogood_ok: false,
                 },
             ],
             incumbent: Some((-10.0, vec![1.0, 0.0, 1.0])),
@@ -811,11 +789,6 @@ mod tests {
                     kind: CutKind::LiftedCover,
                 },
             ],
-            pending_cuts: vec![CutRow {
-                terms: vec![(0, 1.0), (1, -1.0)],
-                rhs: 0.0,
-                kind: CutKind::NoGood,
-            }],
             pseudo: PseudoSnapshot {
                 up_sum: vec![0.1, 0.0, 2.5],
                 up_cnt: vec![1, 0, 2],
@@ -856,7 +829,7 @@ mod tests {
     fn version_and_shape_mismatches_are_loud() {
         let snap = sample();
         let text = snap.to_json().unwrap();
-        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
+        let wrong_version = text.replacen("\"version\":3", "\"version\":99", 1);
         let err = SolveSnapshot::from_json(&wrong_version).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
         assert!(SolveSnapshot::from_json("{}").is_err());

@@ -63,10 +63,9 @@ pub struct Improvement {
 
 /// Cuts counted separately per [`CutKind`] — the observability half of the
 /// cut pool: how many of each kind were emitted during a solve and how many
-/// sit in the active row set at the end. The solver emits only Gomory cuts
-/// and no-goods; the knapsack counters (`cover`, `clique`, `lifted_cover`)
-/// can only be nonzero in the active set of a solve resumed from an older
-/// snapshot that carries such rows.
+/// sit in the active row set at the end. The solver emits only Gomory cuts;
+/// the other counters can only be nonzero in the active set of a solve
+/// resumed from an older snapshot that carries such rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CutCounts {
     /// Knapsack cover cuts.
@@ -77,7 +76,8 @@ pub struct CutCounts {
     pub gomory: u64,
     /// Cover cuts lifted with non-cover knapsack items.
     pub lifted_cover: u64,
-    /// Conflict no-goods learned from infeasibility-refuted subtrees.
+    /// Conflict no-goods, which older solvers learned from
+    /// infeasibility-refuted subtrees.
     pub nogood: u64,
 }
 
@@ -158,11 +158,9 @@ pub struct SolveStats {
     /// True when the wall-clock or node limit stopped the search.
     pub limit_reached: bool,
     /// Cutting planes added to the row set (root and shallow-node Gomory
-    /// rounds plus flushed no-goods).
+    /// rounds).
     pub cuts: u64,
-    /// Cuts emitted during this solve, counted per kind (learned no-goods
-    /// count when they enter the pending pool, which may be after the
-    /// install that flushes them).
+    /// Cuts emitted during this solve, counted per kind.
     pub cuts_emitted: CutCounts,
     /// Cuts sitting in the active row set when the solve finished, per
     /// kind. After a resume this covers the restored pool too.

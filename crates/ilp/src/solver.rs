@@ -31,7 +31,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cuts::{nogood_from_fixings, CutGenerator, CutKind, CutRow};
+use crate::cuts::{CutGenerator, CutKind, CutRow};
 use crate::error::IlpError;
 use crate::heuristics::{greedy_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
@@ -104,13 +104,6 @@ const GOMORY_MIN_VIOLATION: f64 = 1e-4;
 /// relaxation but still perturb degenerate vertex selection, which
 /// derails pseudo-cost learning on small instances.
 const GOMORY_MIN_EFFICACY: f64 = 1e-2;
-/// Longest no-good (term count) worth learning: a conflict touching half
-/// the model excludes a vanishing fraction of the search space.
-const NOGOOD_MAX_TERMS: usize = 24;
-/// Learned no-goods are batched and installed together once this many are
-/// pending, so one matrix rebuild (which invalidates every cached basis)
-/// amortises over several conflicts.
-const NOGOOD_FLUSH: usize = 8;
 
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
@@ -172,10 +165,9 @@ pub struct SolverConfig {
     /// transparently). On by default.
     pub presolve: bool,
     /// Keep a cut pool ([`crate::cuts`]): Gomory mixed-integer cuts read
-    /// off the optimal basis in the root loop and at shallow nodes, and
-    /// conflict no-goods learned from infeasible subtrees. On by default.
-    /// Gomory cuts need LP bases, so under [`BoundMode::Propagation`] only
-    /// no-goods are learned.
+    /// off the optimal basis in the root loop and at shallow nodes. On by
+    /// default. Gomory cuts need LP bases, so under
+    /// [`BoundMode::Propagation`] no cut is ever installed.
     pub cuts: bool,
     /// Run shallow in-tree Gomory rounds from the first descent instead of
     /// waiting for the node counter to mature. Off by default: early extra
@@ -307,12 +299,6 @@ struct Node {
     /// variable (the pseudo-cost normalisation denominator); 0 when the
     /// parent had no LP value.
     branch_step: f64,
-    /// Whether the node's whole decision path consists of binary fixings
-    /// and carries no incumbent-dependent (reduced-cost) tightenings. Only
-    /// such nodes may learn a no-good when refuted by infeasibility: their
-    /// box is exactly the propagation closure of the recorded fixings, so
-    /// the conflict is valid for the whole tree.
-    nogood_ok: bool,
 }
 
 /// Serializes an open node as bound deltas against the model's root box.
@@ -335,7 +321,6 @@ fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
         parent_bound_is_lp: node.parent_bound_is_lp,
         branch_up: node.branch_up,
         branch_step: node.branch_step,
-        nogood_ok: node.nogood_ok,
     }
 }
 
@@ -356,7 +341,6 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
         parent_bound_is_lp: snap.parent_bound_is_lp,
         branch_up: snap.branch_up,
         branch_step: snap.branch_step,
-        nogood_ok: snap.nogood_ok,
     }
 }
 
@@ -475,10 +459,6 @@ pub struct BranchAndBound<'a> {
     /// like model rows.
     cut_source: Option<CutGenerator>,
     cut_rows: Vec<CutRow>,
-    /// Learned no-good cuts awaiting their batched install (see
-    /// [`NOGOOD_FLUSH`]); already registered in the generator's dedup pool,
-    /// and serialized with snapshots so a resume flushes the same batch.
-    pending_cuts: Vec<CutRow>,
     /// Remaining in-tree Gomory rounds at shallow nodes.
     tree_separations_left: usize,
     /// Whether shallow Gomory rounds run from the first descent:
@@ -501,9 +481,6 @@ pub struct BranchAndBound<'a> {
     /// and on the paper's transistor-count objectives the step that turns
     /// a 0.4-area LP gap into a closed node.
     integral_objective: bool,
-    /// Variables that are binary in the root box (integral with bounds
-    /// {0, 1}) — the only fixings a learned no-good may mention.
-    binary_mask: Vec<bool>,
     /// The last root LP solved by the cut loop, valid for the *current*
     /// matrix; the root node consumes it instead of re-solving the most
     /// expensive LP of the tree.
@@ -554,11 +531,6 @@ impl<'a> BranchAndBound<'a> {
         let num_vars = model.num_vars();
         let root_box = Domains::from_model(model);
         let integral_mask: Vec<bool> = (0..num_vars).map(|j| root_box.is_integral(j)).collect();
-        let binary_mask: Vec<bool> = (0..num_vars)
-            .map(|j| {
-                root_box.is_integral(j) && root_box.lower(j) == 0.0 && root_box.upper(j) == 1.0
-            })
-            .collect();
         let integral_objective = objective_constant.fract() == 0.0
             && objective
                 .iter()
@@ -576,13 +548,11 @@ impl<'a> BranchAndBound<'a> {
             occurrence,
             cut_source,
             cut_rows: Vec::new(),
-            pending_cuts: Vec::new(),
             tree_separations_left: TREE_SEPARATIONS,
             eager_separation: false,
             root_box,
             integral_mask,
             integral_objective,
-            binary_mask,
             root_lp_cache: None,
             root_basis_key: None,
             basis_cache: Vec::new(),
@@ -745,62 +715,6 @@ impl<'a> BranchAndBound<'a> {
         self.rebuild_matrix();
         stats.propagations += 1;
         Some(self.propagator.propagate(domains) != PropagationResult::Infeasible)
-    }
-
-    /// Learns a conflict no-good from an infeasibility-refuted node: the
-    /// binary fixings that led here can never all hold together in a
-    /// feasible assignment, so `Σ₁ x − Σ₀ x ≤ |ones| − 1` is valid
-    /// globally. Only [`Node::nogood_ok`] nodes are eligible — a path
-    /// containing interval branchings or reduced-cost tightenings proves
-    /// something weaker ("no *improving* solution here"), and a cut from it
-    /// could slice off the optimum. Bound-pruned subtrees are never
-    /// learned from for the same reason.
-    fn learn_nogood(&mut self, node: &Node, stats: &mut SolveStats) {
-        if !node.nogood_ok || node.depth == 0 || self.cut_source.is_none() {
-            return;
-        }
-        let mut ones = Vec::new();
-        let mut zeros = Vec::new();
-        for j in 0..node.domains.len() {
-            if !self.binary_mask[j] || !node.domains.is_fixed(j) {
-                continue;
-            }
-            if node.domains.lower(j) > 0.5 {
-                ones.push(j);
-            } else {
-                zeros.push(j);
-            }
-        }
-        let terms = ones.len() + zeros.len();
-        if terms == 0 || terms > NOGOOD_MAX_TERMS {
-            return;
-        }
-        let cut = nogood_from_fixings(&ones, &zeros);
-        if self.cut_source.as_mut().is_some_and(|g| g.admit(&cut)) {
-            stats.cuts_emitted.bump(CutKind::NoGood);
-            if self.config.record_cuts {
-                stats.emitted_cuts.push(cut.clone());
-            }
-            self.pending_cuts.push(cut);
-        }
-    }
-
-    /// Installs the batched no-goods into the shared row set (one matrix
-    /// rebuild for the whole batch).
-    fn flush_pending_cuts(&mut self, stats: &mut SolveStats) {
-        if self.pending_cuts.is_empty() {
-            return;
-        }
-        let added = self.pending_cuts.len() as u64;
-        stats.cuts += added;
-        self.emit(SolveEvent::CutRound {
-            nodes: stats.nodes,
-            added,
-            total: stats.cuts,
-        });
-        let pending = std::mem::take(&mut self.pending_cuts);
-        self.cut_rows.extend(pending);
-        self.rebuild_matrix();
     }
 
     /// Root cut loop: solve the root LP, read Gomory cuts off its optimal
@@ -1032,7 +946,6 @@ impl<'a> BranchAndBound<'a> {
                 parent_bound_is_lp: false,
                 branch_up: false,
                 branch_step: 0.0,
-                nogood_ok: true,
             });
         }
 
@@ -1079,13 +992,8 @@ impl<'a> BranchAndBound<'a> {
             self.cut_rows = snap.cuts.clone();
             self.rebuild_matrix();
         }
-        // Pending no-goods were already deduplicated when learned, so both
-        // pools feed the emitted set; the pending batch flushes on the same
-        // node-count trigger the uninterrupted run would have hit.
-        self.pending_cuts = snap.pending_cuts.clone();
         if let Some(generator) = self.cut_source.as_mut() {
             generator.restore_emitted(&snap.cuts);
-            generator.restore_emitted(&snap.pending_cuts);
         }
         self.tree_separations_left = snap.tree_separations_left;
         self.eager_separation = snap.eager_separation;
@@ -1173,23 +1081,14 @@ impl<'a> BranchAndBound<'a> {
                 incumbent: incumbent.as_ref().map(|(b, _)| self.sense_factor * *b),
             });
 
-            // Install the batched no-goods before this node's work so its
-            // propagation and LP already see them.
-            let flushed = self.pending_cuts.len() >= NOGOOD_FLUSH;
-            if flushed {
-                self.flush_pending_cuts(&mut stats);
-            }
-
             stats.propagations += 1;
             // The parent's domains were propagated to fixpoint, so only the
-            // rows of the just-branched variable can fire initially — unless
-            // a flush just added rows the fixpoint never saw.
+            // rows of the just-branched variable can fire initially.
             let propagated = match node.branched {
-                Some(j) if !flushed => self.propagator.propagate_seeded(&mut node.domains, &[j]),
-                _ => self.propagator.propagate(&mut node.domains),
+                Some(j) => self.propagator.propagate_seeded(&mut node.domains, &[j]),
+                None => self.propagator.propagate(&mut node.domains),
             };
             if propagated == PropagationResult::Infeasible {
-                self.learn_nogood(&node, &mut stats);
                 continue;
             }
 
@@ -1206,7 +1105,6 @@ impl<'a> BranchAndBound<'a> {
                                     .record(j, node.branch_up, INFEASIBLE_DEGRADATION);
                             }
                         }
-                        self.learn_nogood(&node, &mut stats);
                         continue;
                     }
                     NodeBound::Bound { value, lp } => {
@@ -1258,10 +1156,6 @@ impl<'a> BranchAndBound<'a> {
                     );
                     if !changed.is_empty() {
                         stats.rc_fixed_bounds += changed.len() as u64;
-                        // The box now encodes "improves on the incumbent",
-                        // not plain feasibility; conflicts below this node
-                        // must not become global cuts.
-                        node.nogood_ok = false;
                         stats.propagations += 1;
                         if self
                             .propagator
@@ -1425,7 +1319,6 @@ impl<'a> BranchAndBound<'a> {
             tree_separations_left: self.tree_separations_left,
             eager_separation: self.eager_separation,
             cuts: self.cut_rows.clone(),
-            pending_cuts: self.pending_cuts.clone(),
             pseudo: self.pseudo.to_snapshot(),
             bases: self
                 .basis_cache
@@ -1939,10 +1832,6 @@ impl<'a> BranchAndBound<'a> {
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
-                        // Fixing a binary keeps the path describable as a
-                        // set of 0/1 decisions, so no-good learning stays
-                        // sound below this child.
-                        nogood_ok: node.nogood_ok && self.binary_mask[j],
                     });
                 }
             }
@@ -1974,9 +1863,6 @@ impl<'a> BranchAndBound<'a> {
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
-                        // An interval split is not a 0/1 decision; a no-good
-                        // over fixed binaries would not cover it.
-                        nogood_ok: false,
                     });
                 }
             }

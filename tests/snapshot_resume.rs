@@ -185,71 +185,79 @@ fn fresh_session_resumes_a_file_round_tripped_snapshot() {
     }
 }
 
-/// Rewrites a v2 snapshot document into the v1 wire shape: version field
-/// back to 1, the `pending_cuts` batch and `eager_separation` flag dropped,
-/// and the per-node `"ng"` (no-good learning allowed) flag stripped. This
-/// is exactly what a snapshot written by the previous release looks like.
-fn downgrade_to_v1(value: &mut Value) {
-    let Value::Object(fields) = value else {
+/// Rewrites a current (v3) snapshot document into the shape an earlier
+/// release wrote at wire `version`: v1 has no `eager_separation` key, and
+/// v2 has an `"ng": true` flag on every frontier node and a `pending_cuts`
+/// batch, here holding one learned no-good.
+fn downgrade(doc: &mut Value, version: u64) {
+    *field_mut(doc, "version") = Value::Int(version);
+    let Value::Object(fields) = doc else {
         panic!("snapshot document must be an object");
     };
-    fields.retain(|(key, _)| key != "pending_cuts" && key != "eager_separation");
-    for (key, field) in fields.iter_mut() {
-        match (key.as_str(), &mut *field) {
-            ("version", v) => *v = Value::Int(1),
-            ("frontier", Value::Array(nodes)) => {
-                for node in nodes {
-                    if let Value::Object(node_fields) = node {
-                        node_fields.retain(|(k, _)| k != "ng");
-                    }
-                }
-            }
-            _ => {}
-        }
+    if version == 1 {
+        fields.retain(|(key, _)| key != "eager_separation");
+        return;
+    }
+    // x0 + x3 <= 1 repeats the conflict row `c0`: a valid no-good.
+    let one = 1.0f64.to_bits();
+    let batch = format!(r#"[{{"terms":[[0,{one}],[3,{one}]],"rhs":{one},"kind":"nogood"}}]"#);
+    fields.push((
+        "pending_cuts".into(),
+        Value::parse(&batch).expect("valid json"),
+    ));
+    for node in items_mut(field_mut(doc, "frontier")) {
+        let Value::Object(node_fields) = node else {
+            panic!("frontier nodes are objects");
+        };
+        node_fields.push(("ng".into(), Value::Bool(true)));
     }
 }
 
 #[test]
-fn v1_snapshots_still_load_and_resume() {
-    // Forward compatibility: the current engine must accept the previous
-    // wire version (`MIN_FORMAT_VERSION`), defaulting the fields that did
-    // not exist yet, and still finish the tree exactly.
+fn old_snapshots_resume_the_uninterrupted_tree() {
+    // Backward compatibility: the current engine must accept every older
+    // wire version down to `MIN_FORMAT_VERSION`. It defaults the fields
+    // that did not exist yet and ignores the ones that no longer exist,
+    // and the resumed search finishes the very tree the uninterrupted run
+    // explores.
     let model = knapsack_model();
     let cold = SolveSession::new(&model).solve().expect("cold solve");
     assert!(cold.is_optimal());
+    let total_nodes = cold.stats().nodes;
 
-    let partial = SolveSession::new(&model)
-        .budget(Budget::nodes(3).with_snapshot(true))
-        .solve()
-        .expect("interrupted solve");
-    let snapshot = partial.snapshot().expect("snapshot captured");
-    let text = snapshot.to_json().expect("snapshot serializes");
-    assert!(text.contains("\"version\":2"), "current wire version is 2");
+    for interrupt in 1..total_nodes {
+        let partial = SolveSession::new(&model)
+            .budget(Budget::nodes(interrupt).with_snapshot(true))
+            .solve()
+            .expect("interrupted solve");
+        let snapshot = partial.snapshot().expect("snapshot captured");
+        let text = snapshot.to_json().expect("snapshot serializes");
+        assert!(text.contains("\"version\":3"), "current wire version is 3");
+        assert!(!text.contains("pending_cuts") && !text.contains("\"ng\""));
 
-    let mut doc = Value::parse(&text).expect("valid json");
-    downgrade_to_v1(&mut doc);
-    let v1_text = doc.write();
-    assert!(v1_text.contains("\"version\":1"));
-    assert!(!v1_text.contains("pending_cuts"));
-    assert!(!v1_text.contains("eager_separation"));
-    assert!(!v1_text.contains("\"ng\""));
-
-    let reloaded = SolveSnapshot::from_json(&v1_text).expect("v1 snapshot loads");
-    let resumed = SolveSession::new(&model)
-        .resume(Arc::new(reloaded))
-        .solve()
-        .expect("resumed solve");
-    // The missing `ng` flags default to *false* (conservative: never learn
-    // a no-good from a restored node), so the resumed tree may prune
-    // slightly differently — but it must still prove the same optimum.
-    assert!(resumed.is_optimal());
-    assert!(resumed.stats().resumed);
-    assert!(
-        (resumed.objective() - cold.objective()).abs() < 1e-9,
-        "v1 resume optimum {} != cold optimum {}",
-        resumed.objective(),
-        cold.objective()
-    );
+        for version in [1, 2] {
+            let mut doc = Value::parse(&text).expect("valid json");
+            downgrade(&mut doc, version);
+            let reloaded = SolveSnapshot::from_json(&doc.write())
+                .unwrap_or_else(|e| panic!("v{version}@{interrupt}: old snapshot loads: {e}"));
+            let resumed = SolveSession::new(&model)
+                .resume(Arc::new(reloaded))
+                .solve()
+                .expect("resumed solve");
+            assert!(resumed.is_optimal(), "v{version}@{interrupt}");
+            assert!(resumed.stats().resumed, "v{version}@{interrupt}");
+            assert_eq!(
+                resumed.stats().nodes,
+                total_nodes,
+                "v{version}@{interrupt}: resumed total node count"
+            );
+            assert_eq!(
+                resumed.objective().to_bits(),
+                cold.objective().to_bits(),
+                "v{version}@{interrupt}: resumed objective"
+            );
+        }
+    }
 }
 
 #[test]
