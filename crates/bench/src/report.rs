@@ -142,18 +142,26 @@ impl ExperimentReport {
 /// Minimal JSON writing helpers shared by the harness reports: a tiny JSON
 /// object/array writer covering string keys, the scalar types used by the
 /// reports, and pre-serialised nested values. Non-finite floats are written
-/// as `null` (JSON has no NaN/Inf).
-///
-/// Strings are quoted by [`bist_ilp::json`]'s escaper. The writer itself
-/// stays separate on purpose: it writes 4-decimal floats in the indented
-/// layout CI diffs byte for byte, while [`bist_ilp::json`] writes compact
-/// shortest-repr floats for the bit-exact snapshot wire.
+/// as `null` (JSON has no NaN/Inf). This is the workspace's one JSON
+/// writer.
 pub mod json {
-    use bist_ilp::json::Value;
-
     /// Quotes and escapes `s` as a JSON string literal.
     fn quote(s: &str) -> String {
-        Value::Str(s.to_string()).write()
+        let mut out = String::with_capacity(s.len() + 2);
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
     }
 
     /// Renders a float as JSON (4 decimal places, `null` for non-finite).
@@ -304,7 +312,7 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        // Keys and string values both go through the shared escaper.
+        // Keys and string values both go through the one escaper.
         let text = json::Obj::new().str("k\"", "a\\b\n\u{1}").finish();
         assert_eq!(text, "{\n  \"k\\\"\": \"a\\\\b\\n\\u0001\"\n}");
         assert_eq!(json::fmt_f64(f64::INFINITY), "null");

@@ -264,8 +264,10 @@ impl<'a> SynthesisEngine<'a> {
     }
 
     /// [`SynthesisEngine::synthesize_seeded`] with solve-state snapshots:
-    /// capture is switched on (an early-stopped solve carries a resumable
-    /// [`SolveSnapshot`] on [`BistDesign::snapshot`]) and, when `resume` is
+    /// capture is switched on (the solve runs with
+    /// [`bist_ilp::Budget::snapshot`] set to `Some(true)`, so an
+    /// early-stopped solve carries a resumable [`SolveSnapshot`] on
+    /// [`BistDesign::snapshot`]) and, when `resume` is
     /// given, the search continues the snapshotted tree instead of starting
     /// a fresh one. A resumed solve that runs to completion reaches exactly
     /// the objective and total node count of an uninterrupted solve — the
@@ -343,8 +345,8 @@ impl<'a> SynthesisEngine<'a> {
         formulation.set_bist_objective();
 
         let mut solver_config = self.config.solver.clone();
-        if snapshots || solver_config.budget.snapshot == Some(true) {
-            solver_config.snapshot = true;
+        if snapshots {
+            solver_config.budget.snapshot = Some(true);
         }
         solver_config.resume = resume;
         if self.config.warm_start {

@@ -18,30 +18,6 @@ pub struct CutRow {
     pub terms: Vec<(usize, f64)>,
     /// Right-hand side.
     pub rhs: f64,
-    /// Which family produced the cut.
-    pub kind: CutKind,
-}
-
-/// The cut families of the pool. The solver emits only [`CutKind::Gomory`]
-/// cuts. The other kinds stay because snapshots at wire versions 1 and 2
-/// may carry them, and a resumed solve reinstalls them like any other row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutKind {
-    /// A knapsack cover inequality.
-    Cover,
-    /// A conflict-graph clique inequality.
-    Clique,
-    /// A Gomory mixed-integer cut read off a fractional row of an optimal
-    /// simplex basis (see [`crate::simplex::gomory_cuts`]).
-    Gomory,
-    /// A cover inequality strengthened with sequence-independent lifting
-    /// coefficients `π_j = max{h : μ_h ≤ a_j}` for heavy out-of-cover
-    /// items, where `μ_h` is the sum of the `h` largest cover weights.
-    LiftedCover,
-    /// A conflict no-good `Σ_{S⁺} x − Σ_{S⁻} x ≤ |S⁺| − 1` that an older
-    /// solver learned from an infeasibility-refuted subtree with fixings
-    /// `S⁺` (at 1) and `S⁻` (at 0).
-    NoGood,
 }
 
 /// The dedup pool of emitted cuts. Every Gomory cut is registered through
@@ -60,7 +36,7 @@ impl CutGenerator {
     }
 
     /// Re-registers previously emitted cuts in the dedup set, so a
-    /// snapshot-resumed search (which reinstalls the serialized cut pool
+    /// snapshot-resumed search (which reinstalls the captured cut pool
     /// into the row set) never admits a duplicate of a cut it already
     /// carries. The keys are rebuilt by the same `cut_key` that
     /// [`CutGenerator::admit`] uses: sorted support plus a coefficient/rhs
@@ -82,7 +58,7 @@ impl CutGenerator {
 /// Coefficient-aware dedup key: the sorted support plus an FNV fold of the
 /// coefficient and rhs bit patterns. A pure function of the canonical cut
 /// row, so [`CutGenerator::restore_emitted`] rebuilds identical keys from a
-/// deserialized pool and a resumed search stays deterministic.
+/// snapshot's cut pool and a resumed search stays deterministic.
 fn cut_key(terms: &[(usize, f64)], rhs: f64) -> (Vec<u32>, i64) {
     use crate::sparse::{fnv_fold, FNV_OFFSET};
     let mut sorted: Vec<(usize, f64)> = terms.to_vec();
@@ -146,7 +122,6 @@ mod tests {
         CutRow {
             terms: terms.to_vec(),
             rhs,
-            kind: CutKind::Gomory,
         }
     }
 
@@ -161,7 +136,7 @@ mod tests {
         let other = row(&[(0, 1.0), (2, 0.25)], 1.0);
         assert!(pool.admit(&other), "one coefficient apart is a new row");
 
-        // A pool rebuilt from a serialized cut list rejects what it holds.
+        // A pool rebuilt from a snapshot's cut list rejects what it holds.
         let mut restored = CutGenerator::new();
         restored.restore_emitted(&[cut.clone(), other.clone()]);
         assert!(!restored.admit(&cut));

@@ -26,9 +26,9 @@ pub enum IlpError {
         /// Declared upper bound.
         upper: f64,
     },
-    /// A solve-state snapshot could not be applied: it is malformed, from
-    /// an incompatible format version, or belongs to a different instance
-    /// than the one being resumed (see [`crate::snapshot::SolveSnapshot`]).
+    /// A solve-state snapshot could not be applied: its variable count or
+    /// content fingerprint shows it belongs to a different instance than
+    /// the one being resumed (see [`crate::snapshot::SolveSnapshot`]).
     Snapshot {
         /// Description of the mismatch.
         message: String,

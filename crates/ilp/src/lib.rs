@@ -37,7 +37,11 @@
 //! * a [`session`] layer — [`SolveSession`] with a unified [`Budget`]
 //!   (nodes + wall-clock + absolute deadline), a shareable [`CancelToken`]
 //!   checked inside the search loop, and a live [`SolveEvent`] stream —
-//!   the API the `advbist` job service is built on.
+//!   the API the `advbist` job service is built on,
+//! * [`snapshot`]s: an early-stopped search captured as an in-memory
+//!   [`SolveSnapshot`] (switched on by [`Budget::snapshot`]), shared as
+//!   `Arc<SolveSnapshot>` within the process and resumed through
+//!   [`SolverConfig::resume`] to finish the very same tree.
 //!
 //! # Quick example
 //!
@@ -64,7 +68,6 @@ pub mod cuts;
 pub mod error;
 pub mod expr;
 pub mod heuristics;
-pub mod json;
 pub mod lpfile;
 pub mod model;
 pub mod propagate;
@@ -76,14 +79,14 @@ pub mod solution;
 pub mod solver;
 pub mod sparse;
 
-pub use cuts::{CutGenerator, CutKind, CutRow};
+pub use cuts::{CutGenerator, CutRow};
 pub use error::IlpError;
 pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId, VarKind};
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
 pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};
-pub use snapshot::{model_fingerprint, SnapshotError, SolveSnapshot};
+pub use snapshot::{model_fingerprint, SolveSnapshot};
 pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
 pub use solver::{BoundMode, SolverConfig};
 pub use sparse::{RowRef, SparseModel};

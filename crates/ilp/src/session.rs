@@ -81,8 +81,10 @@ pub struct Budget {
     /// threads through (`BIST_CACHE_MB`).
     pub cache_mb: Option<u64>,
     /// Whether early-stopped solves capture a resumable
-    /// [`crate::SolveSnapshot`] (`None` = caller default: off for plain
-    /// sessions, on in the job service). Set from `BIST_SNAPSHOT`.
+    /// [`crate::SolveSnapshot`]: the one capture switch. Only `Some(true)`
+    /// captures; `None` and `Some(false)` do not, in a plain session and
+    /// in the job service alike (a job that resumes a cached snapshot
+    /// captures again regardless). Set from `BIST_SNAPSHOT`.
     pub snapshot: Option<bool>,
 }
 
@@ -442,24 +444,13 @@ impl<'m> SolveSession<'m> {
         }
     }
 
-    /// Replaces the session's budget. A budget carrying an explicit
-    /// [`Budget::snapshot`] policy (e.g. from `BIST_SNAPSHOT`) also toggles
-    /// snapshot capture on the session; `None` leaves the session setting
-    /// untouched.
-    pub fn budget(mut self, budget: Budget) -> Self {
-        if let Some(enabled) = budget.snapshot {
-            self.config.snapshot = enabled;
-        }
-        self.config.budget = budget;
-        self
-    }
-
-    /// Toggles capture of a resumable [`crate::SolveSnapshot`] when the
-    /// solve stops early (cancellation, node budget, time budget or
-    /// deadline). Off by default; the captured snapshot is returned on the
+    /// Replaces the session's budget. Its [`Budget::snapshot`] switch
+    /// decides whether a solve that stops early (cancellation, node
+    /// budget, time budget or deadline) captures a resumable
+    /// [`crate::SolveSnapshot`]; the captured snapshot is returned on the
     /// solution (see [`Solution::snapshot`]).
-    pub fn snapshots(mut self, enabled: bool) -> Self {
-        self.config.snapshot = enabled;
+    pub fn budget(mut self, budget: Budget) -> Self {
+        self.config.budget = budget;
         self
     }
 

@@ -225,152 +225,6 @@ impl Basis {
     pub fn cells(&self) -> usize {
         self.basis.len() + self.etas.iter().map(|e| e.terms.len() + 1).sum::<usize>()
     }
-
-    /// Serialises the basis into the snapshot JSON tree. Pivot values are
-    /// stored as exact bit patterns: a basis whose eta file moved by one
-    /// ulp would re-solve to different pivots and break the resumed run's
-    /// determinism.
-    pub(crate) fn snapshot_value(&self) -> crate::json::Value {
-        use crate::json::Value;
-        use crate::snapshot::bits;
-        Value::Object(vec![
-            (
-                "status".into(),
-                Value::Array(
-                    self.status
-                        .iter()
-                        .map(|s| {
-                            Value::Int(match s {
-                                ColStatus::Basic => 0,
-                                ColStatus::Lower => 1,
-                                ColStatus::Upper => 2,
-                            })
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "basis".into(),
-                Value::Array(self.basis.iter().map(|&j| Value::Int(j as u64)).collect()),
-            ),
-            (
-                "etas".into(),
-                Value::Array(
-                    self.etas
-                        .iter()
-                        .map(|eta| {
-                            Value::Array(vec![
-                                Value::Int(u64::from(eta.row)),
-                                bits(eta.pivot),
-                                Value::Array(
-                                    eta.terms
-                                        .iter()
-                                        .map(|&(i, a)| {
-                                            Value::Array(vec![Value::Int(u64::from(i)), bits(a)])
-                                        })
-                                        .collect(),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("age".into(), Value::Int(u64::from(self.age))),
-            ("rows".into(), Value::Int(self.rows as u64)),
-            ("vars".into(), Value::Int(self.vars as u64)),
-            ("fingerprint".into(), Value::Int(self.fingerprint)),
-        ])
-    }
-
-    /// Rebuilds a basis from its snapshot tree; the inverse of
-    /// [`Basis::snapshot_value`].
-    pub(crate) fn from_snapshot_value(
-        v: &crate::json::Value,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{get_array, get_u64, get_usize, SnapshotError};
-        let field = |key: &str| SnapshotError::field(key);
-        let status = get_array(v, "status")?
-            .iter()
-            .map(|s| match s.as_u64() {
-                Some(0) => Ok(ColStatus::Basic),
-                Some(1) => Ok(ColStatus::Lower),
-                Some(2) => Ok(ColStatus::Upper),
-                _ => Err(field("status")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let basis = get_array(v, "basis")?
-            .iter()
-            .map(|j| {
-                j.as_u64()
-                    .and_then(|j| usize::try_from(j).ok())
-                    .ok_or_else(|| field("basis"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut etas = Vec::new();
-        for eta in get_array(v, "etas")? {
-            let parts = eta.as_array().ok_or_else(|| field("etas"))?;
-            let [row, pivot, terms] = parts else {
-                return Err(field("etas"));
-            };
-            let terms = terms
-                .as_array()
-                .ok_or_else(|| field("etas"))?
-                .iter()
-                .map(|term| match term.as_array() {
-                    Some([i, a]) => Ok((
-                        u32::try_from(i.as_u64().ok_or_else(|| field("etas"))?)
-                            .map_err(|_| field("etas"))?,
-                        f64::from_bits(a.as_u64().ok_or_else(|| field("etas"))?),
-                    )),
-                    _ => Err(field("etas")),
-                })
-                .collect::<Result<Vec<_>, SnapshotError>>()?;
-            etas.push(Eta {
-                row: u32::try_from(row.as_u64().ok_or_else(|| field("etas"))?)
-                    .map_err(|_| field("etas"))?,
-                pivot: f64::from_bits(pivot.as_u64().ok_or_else(|| field("etas"))?),
-                terms,
-            });
-        }
-        let rebuilt = Self {
-            status,
-            basis,
-            etas,
-            age: u32::try_from(get_u64(v, "age")?).map_err(|_| field("age"))?,
-            rows: get_usize(v, "rows")?,
-            vars: get_usize(v, "vars")?,
-            fingerprint: get_u64(v, "fingerprint")?,
-        };
-        // Everything the kernel indexes or divides by is checked here, so a
-        // corrupt document fails with a typed error instead of a panic (or
-        // a silently wrong basis) once a resumed solve applies it.
-        let rows = rebuilt.rows;
-        if rebuilt.basis.len() != rows
-            || rebuilt.status.len() != rebuilt.vars + rows
-            || rebuilt.basis.iter().any(|&j| j >= rebuilt.vars + rows)
-            || rebuilt
-                .etas
-                .iter()
-                .any(|e| e.row as usize >= rows || e.terms.iter().any(|&(i, _)| i as usize >= rows))
-        {
-            return Err(SnapshotError::new("basis shape mismatch"));
-        }
-        if rebuilt
-            .basis
-            .iter()
-            .any(|&j| rebuilt.status[j] != ColStatus::Basic)
-        {
-            return Err(SnapshotError::new("basis column not marked basic"));
-        }
-        if rebuilt
-            .etas
-            .iter()
-            .any(|e| e.pivot == 0.0 || !e.pivot.is_finite())
-        {
-            return Err(SnapshotError::new("eta pivot zero or not finite"));
-        }
-        Ok(rebuilt)
-    }
 }
 
 /// Where a column currently sits.

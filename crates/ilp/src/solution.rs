@@ -1,6 +1,6 @@
 //! Solve results: status, variable values and statistics.
 
-use crate::cuts::{CutKind, CutRow};
+use crate::cuts::CutRow;
 use crate::model::VarId;
 use crate::snapshot::SolveSnapshot;
 use std::sync::Arc;
@@ -61,11 +61,11 @@ pub struct Improvement {
     pub source: &'static str,
 }
 
-/// Cuts counted separately per [`CutKind`] — the observability half of the
-/// cut pool: how many of each kind were emitted during a solve and how many
-/// sit in the active row set at the end. The solver emits only Gomory cuts;
-/// the other counters can only be nonzero in the active set of a solve
-/// resumed from an older snapshot that carries such rows.
+/// Cuts counted per family — the observability half of the cut pool: how
+/// many were emitted during a solve and how many sit in the active row set
+/// at the end. The solver emits only Gomory cuts, so the other four
+/// counters are always zero; they stay so that every report keeps its
+/// per-family fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CutCounts {
     /// Knapsack cover cuts.
@@ -85,17 +85,6 @@ impl CutCounts {
     /// Sum over every kind.
     pub fn total(&self) -> u64 {
         self.cover + self.clique + self.gomory + self.lifted_cover + self.nogood
-    }
-
-    /// Increments the counter for `kind`.
-    pub(crate) fn bump(&mut self, kind: CutKind) {
-        match kind {
-            CutKind::Cover => self.cover += 1,
-            CutKind::Clique => self.clique += 1,
-            CutKind::Gomory => self.gomory += 1,
-            CutKind::LiftedCover => self.lifted_cover += 1,
-            CutKind::NoGood => self.nogood += 1,
-        }
     }
 }
 
@@ -228,7 +217,7 @@ pub struct Solution {
     objective: f64,
     stats: SolveStats,
     /// Resumable solve state, present only when the search stopped early
-    /// with [`crate::SolverConfig::snapshot`] on.
+    /// under a budget with [`crate::Budget::snapshot`] set to `Some(true)`.
     snapshot: Option<Arc<SolveSnapshot>>,
 }
 

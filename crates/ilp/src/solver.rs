@@ -31,7 +31,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cuts::{CutGenerator, CutKind, CutRow};
+use crate::cuts::{CutGenerator, CutRow};
 use crate::error::IlpError;
 use crate::heuristics::{greedy_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
@@ -41,7 +41,7 @@ use crate::simplex::{
     gomory_cuts, instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, LpSolution,
     LpStatus, ReducedCosts,
 };
-use crate::snapshot::{PseudoSnapshot, RootLpSnapshot, SnapshotNode, SolveSnapshot};
+use crate::snapshot::{SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
 use crate::{EPS, INT_EPS};
@@ -176,18 +176,13 @@ pub struct SolverConfig {
     /// synthesis engine enables it for chained sweep solves, where the k−1
     /// incumbent anchors the search and early tightening only prunes.
     pub eager_tree_cuts: bool,
-    /// Capture a resumable [`SolveSnapshot`] of the open tree whenever the
-    /// search stops early (cancellation, node budget, time budget or
-    /// deadline). Off by default: capture clones the open frontier, the
-    /// basis cache and the pseudo-cost tables, so plain solves should not
-    /// pay for it. When a snapshot was captured it travels on the returned
-    /// [`Solution`] (see [`Solution::snapshot`]).
-    pub snapshot: bool,
     /// Resume a previous solve from a [`SolveSnapshot`] instead of starting
-    /// a fresh tree. The snapshot must belong to the same instance (content
-    /// fingerprint over matrix and objective); a mismatch fails loudly with
-    /// [`IlpError::Snapshot`]. Root preprocessing (warm candidates, dive,
-    /// root cuts) is skipped — the restored state already reflects it.
+    /// a fresh tree. The snapshot is the in-memory value an earlier solve
+    /// captured under [`Budget::snapshot`] and must belong to the same
+    /// instance: a variable-count or content-fingerprint (matrix and
+    /// objective) mismatch fails loudly with [`IlpError::Snapshot`]. Root
+    /// preprocessing (warm candidates, dive, root cuts) is skipped — the
+    /// restored state already reflects it.
     pub resume: Option<Arc<SolveSnapshot>>,
 }
 
@@ -203,7 +198,6 @@ impl Default for SolverConfig {
             presolve: true,
             cuts: true,
             eager_tree_cuts: false,
-            snapshot: false,
             resume: None,
         }
     }
@@ -263,12 +257,6 @@ impl SolverConfig {
         self
     }
 
-    /// Builder-style toggle for snapshot capture on early stop.
-    pub fn with_snapshot(mut self, enabled: bool) -> Self {
-        self.snapshot = enabled;
-        self
-    }
-
     /// Builder-style installation of a snapshot to resume from.
     pub fn with_resume(mut self, snapshot: Arc<SolveSnapshot>) -> Self {
         self.resume = Some(snapshot);
@@ -301,9 +289,9 @@ struct Node {
     branch_step: f64,
 }
 
-/// Serializes an open node as bound deltas against the model's root box.
-/// Bit-pattern comparison (not `==`) so a signed-zero tightening still
-/// round-trips exactly.
+/// Captures an open node as bound deltas against the model's root box.
+/// Bit-pattern comparison (not `==`) so a signed-zero tightening is still
+/// restored exactly.
 fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
     let deltas = (0..base.len())
         .filter_map(|j| {
@@ -324,7 +312,7 @@ fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
     }
 }
 
-/// Rebuilds an open node from its serialized bound deltas. Bounds are
+/// Rebuilds an open node from its captured bound deltas. Bounds are
 /// restored verbatim (no re-tightening), so the resumed node's domains are
 /// bit-identical to the captured ones.
 fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
@@ -347,12 +335,13 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
 /// Per-variable pseudo-cost accumulators: average observed dual-bound
 /// degradation per unit of fractionality, per branching direction. Fed by
 /// real branchings and by strong-branching probes; consulted by
-/// [`BranchAndBound::select_branch_var`].
-#[derive(Debug, Default)]
-struct PseudoCosts {
-    up_sum: Vec<f64>,
+/// [`BranchAndBound::select_branch_var`]. A [`SolveSnapshot`] carries a
+/// clone of the tables.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PseudoCosts {
+    pub(crate) up_sum: Vec<f64>,
     up_cnt: Vec<u32>,
-    down_sum: Vec<f64>,
+    pub(crate) down_sum: Vec<f64>,
     down_cnt: Vec<u32>,
     /// Running direction-wide totals (`[down, up]`), so the global-average
     /// fallback of [`PseudoCosts::estimate`] is O(1) instead of a scan over
@@ -362,7 +351,7 @@ struct PseudoCosts {
 }
 
 impl PseudoCosts {
-    fn new(num_vars: usize) -> Self {
+    pub(crate) fn new(num_vars: usize) -> Self {
         Self {
             up_sum: vec![0.0; num_vars],
             up_cnt: vec![0; num_vars],
@@ -408,38 +397,17 @@ impl PseudoCosts {
             1.0
         }
     }
-
-    fn to_snapshot(&self) -> PseudoSnapshot {
-        PseudoSnapshot {
-            up_sum: self.up_sum.clone(),
-            up_cnt: self.up_cnt.clone(),
-            down_sum: self.down_sum.clone(),
-            down_cnt: self.down_cnt.clone(),
-            global_sum: self.global_sum,
-            global_cnt: self.global_cnt,
-        }
-    }
-
-    fn from_snapshot(snap: &PseudoSnapshot) -> Self {
-        Self {
-            up_sum: snap.up_sum.clone(),
-            up_cnt: snap.up_cnt.clone(),
-            down_sum: snap.down_sum.clone(),
-            down_cnt: snap.down_cnt.clone(),
-            global_sum: snap.global_sum,
-            global_cnt: snap.global_cnt,
-        }
-    }
 }
 
 /// The root relaxation the cut loop already solved for the current row set,
 /// handed to the root node so the most expensive LP of the tree is not
 /// repeated.
-struct CachedRootLp {
-    objective: f64,
-    values: Vec<f64>,
-    reduced_costs: Option<ReducedCosts>,
-    pivots: u64,
+#[derive(Debug, Clone)]
+pub(crate) struct CachedRootLp {
+    pub(crate) objective: f64,
+    pub(crate) values: Vec<f64>,
+    pub(crate) reduced_costs: Option<ReducedCosts>,
+    pub(crate) pivots: u64,
 }
 
 /// The branch-and-bound engine. Construct with [`BranchAndBound::new`] and
@@ -465,8 +433,8 @@ pub struct BranchAndBound<'a> {
     /// [`SolverConfig::eager_tree_cuts`] was requested *and* a warm-start
     /// candidate actually established the incumbent before the tree opened.
     /// Cold or unseeded solves defer the rounds until the node counter
-    /// passes [`TREE_CUT_MIN_NODES`], protecting the quick ones. Serialized
-    /// with snapshots so a resume separates on the same schedule.
+    /// passes [`TREE_CUT_MIN_NODES`], protecting the quick ones. Captured
+    /// in snapshots so a resume separates on the same schedule.
     eager_separation: bool,
     /// The model's root box *before* propagation: the global bounds every
     /// Gomory cut is unshifted to, so cuts derived at tree nodes stay valid
@@ -506,7 +474,7 @@ pub struct BranchAndBound<'a> {
     /// Content fingerprint of the *pre-cut* instance (model matrix +
     /// internal objective): the identity a [`SolveSnapshot`] records and
     /// the resume path checks. Cut rows are excluded on purpose — they are
-    /// part of the serialized state, not of the instance.
+    /// part of the captured search state, not of the instance.
     base_fingerprint: u64,
 }
 
@@ -689,13 +657,9 @@ impl<'a> BranchAndBound<'a> {
             if (activity - rhs) / norm < GOMORY_MIN_EFFICACY {
                 continue;
             }
-            let cut = CutRow {
-                terms,
-                rhs,
-                kind: CutKind::Gomory,
-            };
+            let cut = CutRow { terms, rhs };
             if self.cut_source.as_mut().is_some_and(|g| g.admit(&cut)) {
-                stats.cuts_emitted.bump(CutKind::Gomory);
+                stats.cuts_emitted.gomory += 1;
                 if self.config.record_cuts {
                     stats.emitted_cuts.push(cut.clone());
                 }
@@ -960,7 +924,7 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Resumes a snapshotted search: checks the snapshot belongs to this
-    /// exact instance, reinstalls the serialized cut pool, pseudo-cost
+    /// exact instance, reinstalls the captured cut pool, pseudo-cost
     /// tables and warm basis cache, rebuilds the open frontier from the
     /// per-node bound deltas, and re-enters the main loop. Root
     /// preprocessing (warm candidates, dive, root cut loop) is skipped on
@@ -998,7 +962,7 @@ impl<'a> BranchAndBound<'a> {
         self.tree_separations_left = snap.tree_separations_left;
         self.eager_separation = snap.eager_separation;
         self.last_bound_emitted = snap.last_bound_emitted;
-        self.pseudo = PseudoCosts::from_snapshot(&snap.pseudo);
+        self.pseudo = snap.pseudo.clone();
         self.basis_cache = snap
             .bases
             .iter()
@@ -1006,15 +970,7 @@ impl<'a> BranchAndBound<'a> {
             .collect();
         self.next_basis_key = snap.next_basis_key;
         self.root_basis_key = snap.root_basis_key;
-        self.root_lp_cache = snap.root_lp.as_ref().map(|lp| CachedRootLp {
-            objective: lp.objective,
-            values: lp.values.clone(),
-            reduced_costs: lp.reduced_costs.as_ref().map(|(up, down)| ReducedCosts {
-                up: up.clone(),
-                down: down.clone(),
-            }),
-            pivots: lp.pivots,
-        });
+        self.root_lp_cache = snap.root_lp.clone();
 
         let base = Domains::from_model(self.model);
         let frontier = snap
@@ -1237,11 +1193,9 @@ impl<'a> BranchAndBound<'a> {
         stats.time = start.elapsed();
         stats.limit_reached = stopped_early;
         stats.best_bound = self.sense_factor * best_bound_internal;
-        for cut in &self.cut_rows {
-            stats.cuts_active.bump(cut.kind);
-        }
+        stats.cuts_active.gomory = self.cut_rows.len() as u64;
 
-        let snapshot = if self.config.snapshot && stopped_early {
+        let snapshot = if self.config.budget.snapshot == Some(true) && stopped_early {
             if let Some(node) = pending {
                 frontier.push(node);
             }
@@ -1292,7 +1246,7 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Serializes the open search state into a [`SolveSnapshot`].
+    /// Captures the open search state as a [`SolveSnapshot`].
     /// `frontier` already contains the node that was in hand when the stop
     /// was detected, so the restored frontier pops it first.
     fn capture_snapshot(
@@ -1319,22 +1273,14 @@ impl<'a> BranchAndBound<'a> {
             tree_separations_left: self.tree_separations_left,
             eager_separation: self.eager_separation,
             cuts: self.cut_rows.clone(),
-            pseudo: self.pseudo.to_snapshot(),
+            pseudo: self.pseudo.clone(),
             bases: self
                 .basis_cache
                 .iter()
                 .map(|(key, basis)| (*key, (**basis).clone()))
                 .collect(),
             next_basis_key: self.next_basis_key,
-            root_lp: self.root_lp_cache.as_ref().map(|lp| RootLpSnapshot {
-                objective: lp.objective,
-                values: lp.values.clone(),
-                reduced_costs: lp
-                    .reduced_costs
-                    .as_ref()
-                    .map(|rc| (rc.up.clone(), rc.down.clone())),
-                pivots: lp.pivots,
-            }),
+            root_lp: self.root_lp_cache.clone(),
             root_basis_key: self.root_basis_key,
         }
     }

@@ -60,8 +60,7 @@ pub use bist_ilp as ilp;
 pub use bist_rtl as rtl;
 
 pub use bist_ilp::{
-    model_fingerprint, Budget, BudgetError, CancelToken, SnapshotError, SolveEvent, SolveSession,
-    SolveSnapshot,
+    model_fingerprint, Budget, BudgetError, CancelToken, SolveEvent, SolveSession, SolveSnapshot,
 };
 
 /// The paper this workspace reproduces.

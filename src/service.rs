@@ -29,9 +29,10 @@
 //!   node-budget-exhausted) solve, keyed additionally by the node limit;
 //!   a hit replays the row verbatim without touching the solver,
 //! * **solve snapshots** — the resumable frontier of an interrupted solve
-//!   (see [`bist_ilp::SolveSnapshot`]); a hit *continues* the snapshotted
-//!   branch-and-bound tree instead of starting over, so no node is ever
-//!   explored twice.
+//!   (see [`bist_ilp::SolveSnapshot`]), held in memory as the very
+//!   `Arc<SolveSnapshot>` the solve captured; a hit *continues* the
+//!   snapshotted branch-and-bound tree instead of starting over, so no
+//!   node is ever explored twice.
 //!
 //! The cache changes performance, never results: entries are only consulted
 //! for **deterministic** budgets ([`Budget::is_deterministic`] — no
@@ -40,8 +41,10 @@
 //! (`BIST_CACHE_MB` / [`Budget::cache_mb`], default
 //! [`SolveCache::DEFAULT_CAPACITY_MB`]; `0` disables caching for that job).
 //! Snapshot capture is opt-in per job via `BIST_SNAPSHOT` /
-//! [`Budget::snapshot`]. Hit/miss/eviction counters are reported per job on
-//! the [`JobReport`] and globally via [`SolveCache::stats`].
+//! [`Budget::snapshot`] (`Some(true)` captures). Snapshots live only in
+//! the cache of the running process; nothing writes them out.
+//! Hit/miss/eviction counters are reported per job on the [`JobReport`]
+//! and globally via [`SolveCache::stats`].
 //!
 //! ```
 //! use advbist::dfg::benchmarks;
@@ -470,7 +473,6 @@ fn config_digest(config: &SynthesisConfig) -> u64 {
     solver.budget = Budget::unlimited();
     solver.cancel = None;
     solver.initial_solutions = Vec::new();
-    solver.snapshot = false;
     solver.resume = None;
     fnv64(format!("{:?}|warm_start={}", solver, config.warm_start).as_bytes())
 }
@@ -534,15 +536,20 @@ impl JobService {
     ///
     /// Without an explicit [`JobService::with_cache`], a fresh
     /// [`SolveCache`] is created for the batch, sized at the largest
-    /// [`Budget::cache_mb`] any job requests (default
-    /// [`SolveCache::DEFAULT_CAPACITY_MB`]).
+    /// nonzero [`Budget::cache_mb`] any job requests (default
+    /// [`SolveCache::DEFAULT_CAPACITY_MB`]). A job's `Some(0)` opts only
+    /// that job out of the cache.
     pub fn run(self) -> Vec<JobReport> {
         let workers = self.max_workers.unwrap_or(usize::MAX);
         let cache = self.cache.clone().unwrap_or_else(|| {
+            // A job that opts out with `Some(0)` skips the cache on its
+            // own (see `run_job`); it must not size the batch's cache to
+            // nothing for the jobs that did not.
             let mb = self
                 .jobs
                 .iter()
                 .filter_map(|(job, _)| job.budget.cache_mb)
+                .filter(|&mb| mb > 0)
                 .max()
                 .unwrap_or(SolveCache::DEFAULT_CAPACITY_MB);
             Arc::new(SolveCache::new(mb))
@@ -577,7 +584,6 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
     let cache_enabled = cache.capacity_bytes() > 0
         && job.budget.is_deterministic()
         && job.budget.cache_mb != Some(0);
-    let snapshots_wanted = job.budget.snapshot == Some(true);
     let digest = config_digest(&job.config);
 
     let finish = |outcome: JobOutcome, rows: Vec<JobRow>, counters: JobCounters| JobReport {
@@ -635,8 +641,11 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
             key = Some(fingerprint);
         }
 
+        // `config.solver.budget` is the job's budget, so a job with
+        // `Budget::snapshot == Some(true)` captures on either path; a
+        // resumed solve always captures again.
         let resumed = resume.is_some();
-        let result = if snapshots_wanted || resumed {
+        let result = if resumed {
             engine.synthesize_resumable(k, None, resume)
         } else {
             engine.synthesize_seeded(k, None)
@@ -653,32 +662,15 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
                 };
                 match outcome.design.snapshot {
                     // The solve stopped early with a resumable frontier:
-                    // prove the snapshot round-trips through its JSON wire
-                    // form *now* — a snapshot that cannot be serialized is
-                    // a loud failure, not silently dropped state.
-                    Some(snapshot) => match snapshot
-                        .to_json()
-                        .and_then(|text| SolveSnapshot::from_json(&text))
-                    {
-                        Ok(reparsed) => {
-                            counters.snapshot_captured = true;
-                            if let Some(fingerprint) = key {
-                                counters.evictions +=
-                                    cache.insert_snapshot(fingerprint, digest, Arc::new(reparsed));
-                            }
-                            rows.push(row);
+                    // the next submission of this instance continues it.
+                    Some(snapshot) => {
+                        counters.snapshot_captured = true;
+                        if let Some(fingerprint) = key {
+                            counters.evictions +=
+                                cache.insert_snapshot(fingerprint, digest, snapshot);
                         }
-                        Err(e) => {
-                            rows.push(row);
-                            return finish(
-                                JobOutcome::Failed(format!(
-                                    "snapshot serialization failed for k={k}: {e}"
-                                )),
-                                rows,
-                                counters,
-                            );
-                        }
-                    },
+                        rows.push(row);
+                    }
                     // Ran to the end of its (deterministic) budget: the row
                     // is replayable, and any now-stale snapshot of this
                     // instance can go.
@@ -910,6 +902,26 @@ mod tests {
         let reports = service.run();
         assert_eq!(reports[0].cache_hits + reports[0].cache_misses, 0);
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn one_opting_out_job_leaves_the_batch_cache_on() {
+        // The only job that sets `cache_mb` opts itself out with 0. The
+        // batch's own cache must still serve the other two jobs: the
+        // second solves and stores both rows, the third replays them.
+        let mut service = JobService::new().with_workers(1);
+        let budget = Budget::nodes(500);
+        service.submit(
+            exact_job("optout", benchmarks::figure1()).with_budget(budget.with_cache_mb(0)),
+        );
+        service.submit(exact_job("cold", benchmarks::figure1()).with_budget(budget));
+        service.submit(exact_job("warm", benchmarks::figure1()).with_budget(budget));
+        let reports = service.run();
+        let probes: Vec<(u64, u64)> = reports
+            .iter()
+            .map(|r| (r.cache_hits, r.cache_misses))
+            .collect();
+        assert_eq!(probes, [(0, 0), (0, 2), (2, 0)]);
     }
 
     #[test]
