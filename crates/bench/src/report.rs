@@ -108,6 +108,17 @@ pub fn cut_counts_json(counts: &bist_ilp::CutCounts) -> String {
         .finish()
 }
 
+/// Serialises one solve's cold LP solves, by reason, as a JSON object.
+pub fn cold_lp_json(counts: &bist_ilp::ColdLpCounts) -> String {
+    json::Obj::new()
+        .u64("root", counts.root)
+        .u64("no_parent_basis", counts.no_parent_basis)
+        .u64("unusable_basis", counts.unusable_basis)
+        .u64("over_budget", counts.over_budget)
+        .u64("leaf", counts.leaf)
+        .finish()
+}
+
 /// A complete harness run, serialisable to JSON for EXPERIMENTS.md.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentReport {

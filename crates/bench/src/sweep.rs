@@ -67,6 +67,8 @@ pub struct SweepKRow {
     /// Pivots charged under the Bland anti-cycling fallback (devex priced
     /// the rest).
     pub bland_pivots: u64,
+    /// Cold LP solves, by the reason no warm re-solve was possible.
+    pub cold_lp: bist_ilp::ColdLpCounts,
     /// Cutting planes emitted into the pool, by kind.
     pub cuts_emitted: bist_ilp::CutCounts,
     /// Cutting planes still active in the final row set, by kind.
@@ -94,6 +96,7 @@ impl SweepKRow {
             nodes: design.stats.nodes,
             lp_pivots: design.stats.lp_pivots,
             bland_pivots: design.stats.bland_pivots,
+            cold_lp: design.stats.cold_lp,
             cuts_emitted: design.stats.cuts_emitted,
             cuts_active: design.stats.cuts_active,
             incumbent_source: design
@@ -124,6 +127,7 @@ impl SweepKRow {
             .u64("nodes", self.nodes)
             .u64("lp_pivots", self.lp_pivots)
             .u64("bland_pivots", self.bland_pivots)
+            .raw("cold_lp", crate::report::cold_lp_json(&self.cold_lp))
             .raw(
                 "cuts_emitted",
                 crate::report::cut_counts_json(&self.cuts_emitted),
@@ -463,6 +467,29 @@ pub fn render(sweeps: &[CircuitSweep]) -> String {
             }
         ));
     }
+    out.push_str("\ncold LP solves by reason, summed over k\n");
+    out.push_str(&format!(
+        "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11} {:>5}\n",
+        "Ckt", "variant", "root", "no-basis", "unusable", "over-budget", "leaf"
+    ));
+    for s in sweeps {
+        for (variant, rows) in [("rebuild", &s.rebuild), ("chained", &s.chained)] {
+            let mut cold = bist_ilp::ColdLpCounts::default();
+            for row in rows {
+                cold += row.cold_lp;
+            }
+            out.push_str(&format!(
+                "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11} {:>5}\n",
+                s.circuit,
+                variant,
+                cold.root,
+                cold.no_parent_basis,
+                cold.unusable_basis,
+                cold.over_budget,
+                cold.leaf
+            ));
+        }
+    }
     out
 }
 
@@ -549,8 +576,10 @@ mod tests {
         }
         let json = sweep.to_json();
         assert!(json.contains("\"chained_not_worse\": true"));
+        assert!(json.contains("\"cold_lp\""));
         let text = render(&[sweep]);
         assert!(text.contains("figure1"));
+        assert!(text.contains("cold LP solves by reason"));
     }
 
     #[test]

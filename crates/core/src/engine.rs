@@ -37,16 +37,13 @@
 //! solves share the machine and an earlier incumbent changes where the
 //! budget is spent, so per-k results may differ from a sequential rebuild.
 //!
-//! **Warm bases and the per-k delta replay.** Since the search-layer
-//! overhaul, every per-k solve re-solves its child-node LPs with the
-//! bounded dual simplex from the parent's cached basis (see
-//! `bist_ilp::simplex::Basis` — since the revised-simplex rebuild that is
-//! a factorized eta file plus column statuses, not a tableau), so a node
-//! whose parent's basis is still cached costs a handful of dual pivots
-//! instead of a cold two-phase solve. The cache is small, though: on
-//! paulin, 612 node LPs go cold on basis-cache misses, and cold solves
-//! carry ~70 % of the simplex iterations. Bases do *not*
-//! cross `k` boundaries: the per-k BIST delta changes the row set (Eqs.
+//! **Warm bases and the per-k delta replay.** Every per-k solve re-solves
+//! its child-node LPs with the bounded dual simplex from the parent's basis
+//! (see `bist_ilp::simplex::Basis` — column statuses plus the basic set,
+//! which each warm start refactorizes), so a node costs a handful of dual
+//! pivots instead of a cold two-phase solve. Every child holds its
+//! parent's basis, and cut installs extend it, so cold node LPs are rare.
+//! Bases do *not* cross `k` boundaries: the per-k BIST delta changes the row set (Eqs.
 //! 6–23 and the objective differ per `k`), and a basis is only valid for
 //! the exact rows it was factorized from — what crosses `k` is the reduced
 //! base model and the k−1 incumbent values, while basis reuse lives inside

@@ -3,7 +3,7 @@
 //!
 //! The branch and bound emits one family of globally valid cuts: Gomory
 //! mixed-integer cuts read off an optimal simplex basis (see
-//! [`crate::simplex::gomory_cuts`]). Each passes through the
+//! `simplex::Factor::gomory_cuts`). Each passes through the
 //! [`CutGenerator`] dedup pool, so no row enters the row set twice. The
 //! accepted cuts live in the solver's row set (see
 //! [`crate::solver::BranchAndBound`]): the propagator and the simplex
@@ -77,7 +77,7 @@ mod tests {
     use super::*;
     use crate::model::{Model, Sense};
     use crate::propagate::Domains;
-    use crate::simplex::{gomory_cuts, solve_lp_basis, LpStatus};
+    use crate::simplex::{solve_lp_basis, LpStatus};
     use crate::sparse::SparseModel;
 
     /// The Gomory cuts read off the optimal root basis of `m`, with
@@ -89,9 +89,10 @@ mod tests {
         let (lp, basis) = solve_lp_basis(&matrix, &objective, 0.0, &domains, 1_000);
         assert_eq!(lp.status, LpStatus::Optimal);
         let basis = basis.expect("optimal basis");
-        gomory_cuts(
-            &matrix, &objective, 0.0, &basis, &domains, &domains, integral, 8,
-        )
+        let factor = basis
+            .factor(&matrix, &objective, 0.0)
+            .expect("factorizable");
+        factor.gomory_cuts(&matrix, &objective, 0.0, &domains, &domains, integral, 8)
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   (no bound rows), pricing fed from the CSC columns of the sparse
 //!   matrix, a product-form factorized basis with periodic
 //!   refactorization, and a bounded **dual simplex** path that re-solves
-//!   child-node LPs from the parent's optimal [`Basis`] after bound
-//!   changes,
+//!   child-node LPs from the parent's compact optimal [`Basis`] after bound
+//!   changes and appended cut rows,
 //! * a worklist-driven interval [`propagate`] engine (bound tightening over
 //!   linear constraints) used both for presolve and for node pruning,
 //! * a [`reduce`] pipeline of model-rewriting presolve passes (fixed-variable
@@ -87,7 +87,7 @@ pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
 pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};
 pub use snapshot::{model_fingerprint, SolveSnapshot};
-pub use solution::{CutCounts, Improvement, Solution, SolveStats, Status};
+pub use solution::{ColdLpCounts, CutCounts, Improvement, Solution, SolveStats, Status};
 pub use solver::{BoundMode, SolverConfig};
 pub use sparse::{RowRef, SparseModel};
 

@@ -25,10 +25,12 @@
 //!   as a product of sparse *eta* matrices: each pivot appends one eta
 //!   vector, and the file is periodically collapsed by refactorization
 //!   (Gauss-Jordan over the basic columns with partial pivoting), which
-//!   bounds both memory and accumulated rounding error. A [`Basis`] is the
-//!   column statuses, the basic set and the eta file. That is no tableau,
-//!   but it is not small either: paulin's warm bases carry ~21.5k eta
-//!   terms, about 340 KB at 16 bytes per `(u32, f64)` term.
+//!   bounds both memory and accumulated rounding error. A stored [`Basis`]
+//!   is compact: the column statuses and the basic set, one byte per column
+//!   plus four per row, with no eta file. A warm start refactorizes it;
+//!   the column order (sparsest first, then by index) and the pivot rule
+//!   make that factor a deterministic function of the basic set, so a warm
+//!   start never walks etas inherited from its ancestors.
 //!
 //! Nearly all of a node LP's time is BTRAN (one serial dot product per
 //! eta), refactorization and FTRAN. The kernel is built to compute exactly
@@ -56,7 +58,9 @@
 //!   depend on bound values), so the **bounded dual simplex** drives out
 //!   the handful of primal infeasibilities the new bounds introduced,
 //!   flipping entering variables across their boxes when the dual ratio
-//!   test says a pivot would overshoot.
+//!   test says a pivot would overshoot. Rows appended after a basis was
+//!   stored (cutting planes) keep it usable: [`Basis::extended`] makes each
+//!   new row's slack basic, which leaves every reduced cost unchanged.
 //!
 //! Both report [`ReducedCosts`] at optimality, which the solver uses for
 //! reduced-cost bound fixing against the incumbent. Both price with
@@ -126,9 +130,10 @@ pub struct LpSolution {
     pub dual_pivots: u64,
     /// Bound flips performed (rank-0 updates; see [`LpSolution::pivots`]).
     pub bound_flips: u64,
-    /// Basis refactorizations performed while solving (eta-file collapses;
-    /// cold solves start from the trivially factorized slack basis, so this
-    /// counts only mid-solve collapses).
+    /// Basis factorizations performed while solving: a warm start's own
+    /// factorization of its stored basis, plus every mid-solve eta-file
+    /// collapse. Cold solves start from the trivially factorized slack
+    /// basis, so for them this counts only the collapses.
     pub refactorizations: u64,
     /// Pivots priced by Bland's anti-cycling fallback (pricing switches to
     /// it while the phase measure stalls); devex priced the rest of
@@ -192,38 +197,214 @@ const GOMORY_MIN_FRAC: f64 = 0.02;
 /// discarded as numerically fragile.
 const GOMORY_MAX_DYNAMISM: f64 = 1e6;
 
-/// A reusable simplex basis: per-column statuses, the basic column of every
-/// row, and the product-form eta file of the basis inverse — everything
-/// needed to re-solve the *same rows* under changed variable bounds with the
-/// dual simplex, at a memory cost of `O(columns + eta nonzeros)`.
+/// A reusable simplex basis in compact form: the status of every column and
+/// the basic set — everything needed to re-solve the *same rows* under
+/// changed variable bounds with the dual simplex, at `O(columns + rows)`
+/// bytes. There is no eta file: a warm start refactorizes the basic set,
+/// which yields the same factor whatever solve produced the basis.
 ///
 /// Produced by [`solve_lp_basis`] and [`resolve_with_basis`]; consumed by
 /// [`resolve_with_basis`]. The basis is only valid for the exact constraint
-/// matrix and objective it was factorized under — an FNV content hash of
-/// both guards against accidental reuse after the branch-and-bound solver
-/// rebuilds its row set with cutting planes.
+/// matrix and objective it was stored under — an FNV content hash of both
+/// guards against accidental reuse — or, through [`Basis::extended`], for
+/// that matrix with rows appended.
 #[derive(Debug, Clone)]
 pub struct Basis {
     status: Vec<ColStatus>,
-    basis: Vec<usize>,
-    etas: Vec<Eta>,
-    age: u32,
-    rows: usize,
+    /// Basic column of each row.
+    basic: Vec<u32>,
     vars: usize,
     fingerprint: u64,
 }
 
 impl Basis {
-    /// Number of dual-simplex re-solves since the last cold factorisation.
-    /// The solver re-factorises (cold-solves) after a chain of warm
-    /// re-solves to keep accumulated rounding error bounded.
-    pub fn age(&self) -> u32 {
-        self.age
+    /// Number of constraint rows the basis covers.
+    pub(crate) fn rows(&self) -> usize {
+        self.basic.len()
     }
 
-    /// Number of stored factorization nonzeros (memory footprint proxy).
-    pub fn cells(&self) -> usize {
-        self.basis.len() + self.etas.iter().map(|e| e.terms.len() + 1).sum::<usize>()
+    /// Heap bytes the basis occupies: one status per column and one `u32`
+    /// per basic column.
+    pub(crate) fn bytes(&self) -> usize {
+        self.status.len() * std::mem::size_of::<ColStatus>()
+            + self.basic.len() * std::mem::size_of::<u32>()
+    }
+
+    /// This basis carried over to `matrix`, which must be the matrix the
+    /// basis was stored under with rows appended at its end (the
+    /// branch-and-bound solver only ever appends cut rows). Every appended
+    /// row's slack joins the basis. The duals of the old rows and every
+    /// reduced cost are unchanged, so the extension stays dual feasible,
+    /// and a dual-simplex re-solve repairs whatever the new rows cut off.
+    /// Returns `None` when `matrix` does not begin with the stored rows or
+    /// the objective differs.
+    pub fn extended(
+        &self,
+        matrix: &SparseModel,
+        objective: &[f64],
+        objective_constant: f64,
+    ) -> Option<Basis> {
+        let (rows, new_rows) = (self.rows(), matrix.num_rows());
+        if self.vars != matrix.num_vars()
+            || new_rows < rows
+            || fold_instance(
+                matrix.prefix_fingerprint(rows),
+                objective,
+                objective_constant,
+            ) != self.fingerprint
+        {
+            return None;
+        }
+        let mut status = self.status.clone();
+        status.resize(self.vars + new_rows, ColStatus::Basic);
+        let mut basic = self.basic.clone();
+        basic.extend((self.vars + rows..self.vars + new_rows).map(|c| c as u32));
+        Some(Basis {
+            status,
+            basic,
+            vars: self.vars,
+            fingerprint: instance_fingerprint(matrix, objective, objective_constant),
+        })
+    }
+
+    /// Whether the basis belongs to exactly this matrix and objective.
+    fn fits(&self, matrix: &SparseModel, objective: &[f64], objective_constant: f64) -> bool {
+        self.vars == matrix.num_vars()
+            && self.rows() == matrix.num_rows()
+            && self.fingerprint == instance_fingerprint(matrix, objective, objective_constant)
+    }
+
+    /// Factorizes the basis over its instance, or `None` when the instance
+    /// does not match or the basis is numerically singular.
+    pub(crate) fn factor(
+        &self,
+        matrix: &SparseModel,
+        objective: &[f64],
+        objective_constant: f64,
+    ) -> Option<Factor<'_>> {
+        if !self.fits(matrix, objective, objective_constant) {
+            return None;
+        }
+        let basic: Vec<usize> = self.basic.iter().map(|&c| c as usize).collect();
+        let mut w = vec![0.0; matrix.num_rows()];
+        let (order, etas) = factorize(matrix, &basic, &mut w)?;
+        Some(Factor {
+            basis: self,
+            order,
+            etas,
+        })
+    }
+}
+
+/// A stored [`Basis`] factorized over its instance: the row order and eta
+/// file that [`Kernel::refactorize`] builds for its basic set. The factor
+/// does not depend on any bounds, so warm kernels built from one factor
+/// under different boxes compute the same bits as kernels that each
+/// refactorize the basis themselves. The solver factors a node's basis once
+/// and shares it between Gomory separation and every strong-branching
+/// probe.
+pub(crate) struct Factor<'b> {
+    basis: &'b Basis,
+    /// Basic column of each row.
+    order: Vec<usize>,
+    etas: Vec<Eta>,
+}
+
+impl Factor<'_> {
+    /// [`resolve_with_basis`] from this factor. Returns `None` when the
+    /// factored basis does not belong to the instance.
+    pub(crate) fn resolve(
+        &self,
+        matrix: &SparseModel,
+        objective: &[f64],
+        objective_constant: f64,
+        domains: &Domains,
+        max_pivots: u64,
+    ) -> Option<(LpSolution, Option<Basis>)> {
+        if self.basis.vars != domains.len()
+            || !self.basis.fits(matrix, objective, objective_constant)
+        {
+            return None;
+        }
+        if domains.is_infeasible() {
+            return Some((
+                LpSolution::no_solution(LpStatus::Infeasible, Counters::default()),
+                None,
+            ));
+        }
+        let mut kernel = Kernel::warm(matrix, objective, objective_constant, domains, self);
+        let mut pivots = 0u64;
+        Some(match kernel.run_dual(max_pivots, &mut pivots) {
+            Inner::Optimal => {
+                let solution = kernel.extract();
+                (solution, Some(kernel.into_basis()))
+            }
+            inner => (
+                LpSolution::no_solution(inner.status(), kernel.counters),
+                None,
+            ),
+        })
+    }
+
+    /// Reads Gomory mixed-integer cuts off the fractional rows of the
+    /// factored optimal basis, returned in structural space as
+    /// `(terms, rhs)` rows meaning `Σ terms·x ≤ rhs`.
+    ///
+    /// `domains` is the box the basis was solved under (the node box);
+    /// `global` is the root box the cuts must stay valid over — pass the
+    /// same reference twice when separating at the root. `integral[j]`
+    /// marks the integer-constrained structurals. Rows whose basic variable
+    /// is an integral structural with fractional value are scanned
+    /// most-fractional first, and at most `max_cuts` cuts are returned. The
+    /// basis must match the instance (same fingerprint discipline as
+    /// [`resolve_with_basis`]); on any mismatch the result is empty rather
+    /// than wrong.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn gomory_cuts(
+        &self,
+        matrix: &SparseModel,
+        objective: &[f64],
+        objective_constant: f64,
+        domains: &Domains,
+        global: &Domains,
+        integral: &[bool],
+        max_cuts: usize,
+    ) -> Vec<(Vec<(usize, f64)>, f64)> {
+        if max_cuts == 0
+            || integral.len() != domains.len()
+            || global.len() != domains.len()
+            || self.basis.vars != domains.len()
+            || !self.basis.fits(matrix, objective, objective_constant)
+            || domains.is_infeasible()
+        {
+            return Vec::new();
+        }
+        let kernel = Kernel::warm(matrix, objective, objective_constant, domains, self);
+        let mut candidates: Vec<(f64, usize)> = Vec::new();
+        for r in 0..kernel.m {
+            let b = kernel.basis[r];
+            if b >= kernel.n || !integral[b] {
+                continue;
+            }
+            let frac = kernel.x[b] - kernel.x[b].floor();
+            if !(GOMORY_MIN_FRAC..=1.0 - GOMORY_MIN_FRAC).contains(&frac) {
+                continue;
+            }
+            candidates.push(((frac - 0.5).abs(), r));
+        }
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let mut cuts = Vec::new();
+        let mut rho = vec![0.0f64; kernel.m];
+        for &(_, r) in &candidates {
+            if cuts.len() >= max_cuts {
+                break;
+            }
+            if let Some(cut) = kernel.gomory_from_row(r, global, integral, &mut rho) {
+                cuts.push(cut);
+            }
+        }
+        cuts
     }
 }
 
@@ -370,14 +551,101 @@ pub(crate) fn instance_fingerprint(
     objective: &[f64],
     objective_constant: f64,
 ) -> u64 {
+    fold_instance(matrix.fingerprint(), objective, objective_constant)
+}
+
+/// [`instance_fingerprint`] from a matrix hash.
+fn fold_instance(matrix_hash: u64, objective: &[f64], objective_constant: f64) -> u64 {
     use crate::sparse::{fnv_fold, FNV_OFFSET};
     let mut h = FNV_OFFSET;
-    fnv_fold(&mut h, matrix.fingerprint());
+    fnv_fold(&mut h, matrix_hash);
     fnv_fold(&mut h, objective_constant.to_bits());
     for &c in objective {
         fnv_fold(&mut h, c.to_bits());
     }
     h
+}
+
+/// Basic columns in refactorization order: sparsest first, ties by column
+/// index. The order depends on the basic set alone, not on its row order.
+fn refactor_order(matrix: &SparseModel, basic: &[usize]) -> Vec<usize> {
+    let n = matrix.num_vars();
+    let mut cols = basic.to_vec();
+    cols.sort_by_key(|&c| {
+        let nnz = if c < n { matrix.col(c).0.len() } else { 1 };
+        (nnz, c)
+    });
+    cols
+}
+
+/// Gauss-Jordan factorization of the basic columns `basic` (structurals
+/// below `num_vars`, slacks above) with partial pivoting, in
+/// [`refactor_order`]. Returns the basic column of each row and the eta
+/// file of the inverse, or `None` when the basis proves numerically
+/// singular. `w` is an all-zero scratch vector of length `m`.
+///
+/// Each column is eliminated over the list of rows it has touched rather
+/// than over all `m` rows, so a column whose FTRAN stays sparse — a slack,
+/// most of all — costs time in its nonzeros, not in `m`. The arithmetic,
+/// the pivot choice (largest magnitude, lowest row on ties) and the
+/// emitted etas are bit for bit those of the dense elimination, which the
+/// unit tests keep as the reference.
+fn factorize(
+    matrix: &SparseModel,
+    basic: &[usize],
+    w: &mut [f64],
+) -> Option<(Vec<usize>, Vec<Eta>)> {
+    let (n, m) = (matrix.num_vars(), matrix.num_rows());
+    let mut etas: Vec<Eta> = Vec::new();
+    let mut assigned = vec![false; m];
+    let mut order = vec![usize::MAX; m];
+    // Rows of `w` written while building the current column.
+    let mut touched: Vec<usize> = Vec::new();
+    let mut seen = vec![false; m];
+    for c in refactor_order(matrix, basic) {
+        if c < n {
+            let (rows, vals) = matrix.col(c);
+            for (&r, &a) in rows.iter().zip(vals) {
+                let r = r as usize;
+                w[r] = a;
+                if !seen[r] {
+                    seen[r] = true;
+                    touched.push(r);
+                }
+            }
+        } else {
+            let r = c - n;
+            w[r] = 1.0;
+            seen[r] = true;
+            touched.push(r);
+        }
+        for eta in &etas {
+            eta.ftran_tracked(w, &mut touched, &mut seen);
+        }
+        touched.sort_unstable();
+        let mut best = PIVOT_TOL;
+        let mut row = usize::MAX;
+        for &i in &touched {
+            if !assigned[i] && w[i].abs() > best {
+                best = w[i].abs();
+                row = i;
+            }
+        }
+        if row == usize::MAX {
+            return None;
+        }
+        assigned[row] = true;
+        order[row] = c;
+        if let Some(eta) = make_eta_over(row, w, touched.iter().copied()) {
+            etas.push(eta);
+        }
+        for &i in &touched {
+            w[i] = 0.0;
+            seen[i] = false;
+        }
+        touched.clear();
+    }
+    Some((order, etas))
 }
 
 /// Inner loop outcome (richer than [`LpStatus`]: `Stalled` marks a
@@ -389,6 +657,18 @@ enum Inner {
     Unbounded,
     IterationLimit,
     Stalled,
+}
+
+impl Inner {
+    /// The reported status; a stall reports as an iteration limit.
+    fn status(self) -> LpStatus {
+        match self {
+            Inner::Optimal => LpStatus::Optimal,
+            Inner::Infeasible => LpStatus::Infeasible,
+            Inner::Unbounded => LpStatus::Unbounded,
+            Inner::IterationLimit | Inner::Stalled => LpStatus::IterationLimit,
+        }
+    }
 }
 
 /// The revised-simplex working state over one matrix + box.
@@ -501,21 +781,21 @@ impl<'a> Kernel<'a> {
         k
     }
 
-    /// Warm start from a stored basis: statuses, basic set and eta file are
-    /// restored, nonbasic values snap to the (possibly changed) bounds and
-    /// the basic values are recomputed through the factorization. Devex
+    /// Warm start from a factored basis: statuses, row order and eta file
+    /// are restored, nonbasic values snap to the (possibly changed) bounds
+    /// and the basic values are recomputed through the factorization. Devex
     /// weights start a fresh reference framework (all ones).
     fn warm(
         matrix: &'a SparseModel,
         objective: &'a [f64],
         objective_constant: f64,
         domains: &Domains,
-        basis: &Basis,
+        factor: &Factor,
     ) -> Self {
         let mut k = Self::shell(matrix, objective, objective_constant, domains);
-        k.status.copy_from_slice(&basis.status);
-        k.basis = basis.basis.clone();
-        k.etas = basis.etas.clone();
+        k.status.copy_from_slice(&factor.basis.status);
+        k.basis.clone_from(&factor.order);
+        k.etas.clone_from(&factor.etas);
         k.base_etas = k.etas.len();
         k.snap_nonbasics();
         k.compute_basics();
@@ -680,96 +960,23 @@ impl<'a> Kernel<'a> {
         self.compute_basics();
     }
 
-    /// Basic columns in refactorization order: sparsest first, ties by
-    /// column index.
-    fn refactor_order(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.basis.clone();
-        cols.sort_by_key(|&c| {
-            let nnz = if c < self.n {
-                self.matrix.col(c).0.len()
-            } else {
-                1
-            };
-            (nnz, c)
-        });
-        cols
-    }
-
     /// Collapses the eta file: re-factorizes the current basis from scratch
-    /// by Gauss-Jordan with partial pivoting (sparsest columns first).
-    /// Returns `false` when the basis proves numerically singular, in which
-    /// case the state is unchanged except for the cleared eta file and the
-    /// caller must reset or abandon.
-    ///
-    /// Each column is eliminated over the list of rows it has touched
-    /// rather than over all `m` rows, so a column whose FTRAN stays sparse
-    /// — a slack, most of all — costs time in its nonzeros, not in `m`.
-    /// The arithmetic, the pivot choice (largest magnitude, lowest row on
-    /// ties) and the emitted etas are bit for bit those of the dense
-    /// elimination, which the unit tests keep as the reference.
+    /// ([`factorize`]). Returns `false` when the basis proves numerically
+    /// singular, in which case the state is unchanged except for the
+    /// cleared eta file and the caller must reset or abandon.
     fn refactorize(&mut self) -> bool {
         self.counters.refactorizations += 1;
         self.etas.clear();
-        let cols = self.refactor_order();
-        let mut assigned = vec![false; self.m];
-        let mut new_basis = vec![usize::MAX; self.m];
+        self.base_etas = 0;
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
-        // Rows of `w` written while building the current column.
-        let mut touched: Vec<usize> = Vec::new();
-        let mut seen = vec![false; self.m];
-        let mut ok = true;
-        for &c in &cols {
-            if c < self.n {
-                let (rows, vals) = self.matrix.col(c);
-                for (&r, &a) in rows.iter().zip(vals) {
-                    let r = r as usize;
-                    w[r] = a;
-                    if !seen[r] {
-                        seen[r] = true;
-                        touched.push(r);
-                    }
-                }
-            } else {
-                let r = c - self.n;
-                w[r] = 1.0;
-                seen[r] = true;
-                touched.push(r);
-            }
-            for eta in &self.etas {
-                eta.ftran_tracked(&mut w, &mut touched, &mut seen);
-            }
-            touched.sort_unstable();
-            let mut best = PIVOT_TOL;
-            let mut row = usize::MAX;
-            for &i in &touched {
-                if !assigned[i] && w[i].abs() > best {
-                    best = w[i].abs();
-                    row = i;
-                }
-            }
-            if row == usize::MAX {
-                ok = false;
-                break;
-            }
-            assigned[row] = true;
-            new_basis[row] = c;
-            if let Some(eta) = make_eta_over(row, &w, touched.iter().copied()) {
-                self.etas.push(eta);
-            }
-            for &i in &touched {
-                w[i] = 0.0;
-                seen[i] = false;
-            }
-            touched.clear();
-        }
+        let factor = factorize(self.matrix, &self.basis, &mut w);
         self.scratch = w;
-        if !ok {
-            self.etas.clear();
-            self.base_etas = 0;
+        let Some((order, etas)) = factor else {
             return false;
-        }
-        self.basis = new_basis;
+        };
+        self.basis = order;
+        self.etas = etas;
         self.base_etas = self.etas.len();
         self.compute_basics();
         true
@@ -838,16 +1045,17 @@ impl<'a> Kernel<'a> {
                     return Inner::Stalled;
                 }
             }
-            let (infeasibility_sum, infeasibility_max) = self.infeasibility();
-            // The exit test must match the pricing below, which only sees
-            // per-variable violations beyond `FEAS_TOL`: testing the *sum*
-            // here would let several rounding-level violations add up past
-            // the tolerance, price every composite cost to zero and
-            // mislabel a feasible LP as infeasible.
-            if phase1 && infeasibility_max <= FEAS_TOL {
-                return Inner::Optimal;
-            }
             let measure = if phase1 {
+                let (infeasibility_sum, infeasibility_max) = self.infeasibility();
+                // The exit test must match the pricing below, which only
+                // sees per-variable violations beyond `FEAS_TOL`: testing
+                // the *sum* here would let several rounding-level
+                // violations add up past the tolerance, price every
+                // composite cost to zero and mislabel a feasible LP as
+                // infeasible.
+                if infeasibility_max <= FEAS_TOL {
+                    return Inner::Optimal;
+                }
                 infeasibility_sum
             } else {
                 self.objective_now()
@@ -1411,16 +1619,13 @@ impl<'a> Kernel<'a> {
         ReducedCosts { up, down }
     }
 
-    /// Packages the current basis for reuse by descendants.
-    fn into_basis(self, age: u32) -> Basis {
+    /// Packages the current basis, compactly, for reuse by descendants.
+    fn into_basis(self) -> Basis {
         let fingerprint =
             instance_fingerprint(self.matrix, self.objective, self.objective_constant);
         Basis {
             status: self.status,
-            basis: self.basis,
-            etas: self.etas,
-            age,
-            rows: self.m,
+            basic: self.basis.iter().map(|&c| c as u32).collect(),
             vars: self.n,
             fingerprint,
         }
@@ -1450,22 +1655,13 @@ pub fn solve_lp_basis(
     }
     let mut kernel = Kernel::cold(matrix, objective, objective_constant, domains);
     let mut pivots = 0u64;
-    let inner = kernel.solve_two_phase(max_pivots, &mut pivots);
-    match inner {
+    match kernel.solve_two_phase(max_pivots, &mut pivots) {
         Inner::Optimal => {
             let solution = kernel.extract();
-            (solution, Some(kernel.into_basis(0)))
+            (solution, Some(kernel.into_basis()))
         }
-        Inner::Infeasible => (
-            LpSolution::no_solution(LpStatus::Infeasible, kernel.counters),
-            None,
-        ),
-        Inner::Unbounded => (
-            LpSolution::no_solution(LpStatus::Unbounded, kernel.counters),
-            None,
-        ),
-        Inner::IterationLimit | Inner::Stalled => (
-            LpSolution::no_solution(LpStatus::IterationLimit, kernel.counters),
+        inner => (
+            LpSolution::no_solution(inner.status(), kernel.counters),
             None,
         ),
     }
@@ -1477,13 +1673,14 @@ pub fn solve_lp_basis(
 /// Because bounds are implicit (never rows), *any* bound change — tightened
 /// or relaxed — leaves the stored basis dual feasible; the reuse
 /// preconditions are that the matrix *and the objective* are exactly the
-/// ones the basis was factorized under (dual feasibility is a statement
-/// about the costs). Returns `None` when the fingerprint disagrees (the
-/// branch-and-bound solver rebuilt the row set with cuts), in which case
-/// the caller should fall back to a cold solve. Otherwise returns the
-/// solution and, at optimality, the re-solved basis (age incremented) for
-/// further descendants. The dual devex row weights start a fresh reference
-/// framework per re-solve.
+/// ones the basis was stored under (dual feasibility is a statement about
+/// the costs); a basis stored before rows were appended must be carried
+/// over with [`Basis::extended`] first. The warm start refactorizes the basis,
+/// which [`LpSolution::refactorizations`] counts. Returns `None` when the
+/// fingerprint disagrees or the basis proves singular, in which case the
+/// caller should fall back to a cold solve. Otherwise returns the solution
+/// and, at optimality, the re-solved basis for further descendants. The
+/// dual devex row weights start a fresh reference framework per re-solve.
 pub fn resolve_with_basis(
     matrix: &SparseModel,
     objective: &[f64],
@@ -1492,41 +1689,11 @@ pub fn resolve_with_basis(
     domains: &Domains,
     max_pivots: u64,
 ) -> Option<(LpSolution, Option<Basis>)> {
-    if basis.vars != domains.len()
-        || basis.vars != matrix.num_vars()
-        || basis.rows != matrix.num_rows()
-        || basis.fingerprint != instance_fingerprint(matrix, objective, objective_constant)
-    {
-        return None;
-    }
-    if domains.is_infeasible() {
-        return Some((
-            LpSolution::no_solution(LpStatus::Infeasible, Counters::default()),
-            None,
-        ));
-    }
-    let mut kernel = Kernel::warm(matrix, objective, objective_constant, domains, basis);
-    let mut pivots = 0u64;
-    let inner = kernel.run_dual(max_pivots, &mut pivots);
-    match inner {
-        Inner::Optimal => {
-            let solution = kernel.extract();
-            let next = kernel.into_basis(basis.age + 1);
-            Some((solution, Some(next)))
-        }
-        Inner::Infeasible => Some((
-            LpSolution::no_solution(LpStatus::Infeasible, kernel.counters),
-            None,
-        )),
-        Inner::Unbounded => Some((
-            LpSolution::no_solution(LpStatus::Unbounded, kernel.counters),
-            None,
-        )),
-        Inner::IterationLimit | Inner::Stalled => Some((
-            LpSolution::no_solution(LpStatus::IterationLimit, kernel.counters),
-            None,
-        )),
-    }
+    let factor = basis.factor(matrix, objective, objective_constant)?;
+    let (mut solution, next) =
+        factor.resolve(matrix, objective, objective_constant, domains, max_pivots)?;
+    solution.refactorizations += 1;
+    Some((solution, next))
 }
 
 /// One term of a Gomory row scan: nonbasic column, its shifted tableau
@@ -1697,68 +1864,6 @@ impl Kernel<'_> {
         rhs_le += 1e-7 * (1.0 + rhs_le.abs());
         Some((cut, rhs_le))
     }
-}
-
-/// Reads Gomory mixed-integer cuts off the fractional rows of an optimal
-/// basis, returned in structural space as `(terms, rhs)` rows meaning
-/// `Σ terms·x ≤ rhs`.
-///
-/// `domains` is the box the basis was solved under (the node box);
-/// `global` is the root box the cuts must stay valid over — pass the same
-/// reference twice when separating at the root. `integral[j]` marks the
-/// integer-constrained structurals. Rows whose basic variable is an
-/// integral structural with fractional value are scanned most-fractional
-/// first, and at most `max_cuts` cuts are returned. The basis must match
-/// the instance (same fingerprint discipline as [`resolve_with_basis`]);
-/// on any mismatch the result is empty rather than wrong.
-#[allow(clippy::too_many_arguments)]
-pub fn gomory_cuts(
-    matrix: &SparseModel,
-    objective: &[f64],
-    objective_constant: f64,
-    basis: &Basis,
-    domains: &Domains,
-    global: &Domains,
-    integral: &[bool],
-    max_cuts: usize,
-) -> Vec<(Vec<(usize, f64)>, f64)> {
-    if max_cuts == 0
-        || integral.len() != domains.len()
-        || global.len() != domains.len()
-        || basis.vars != domains.len()
-        || basis.vars != matrix.num_vars()
-        || basis.rows != matrix.num_rows()
-        || basis.fingerprint != instance_fingerprint(matrix, objective, objective_constant)
-        || domains.is_infeasible()
-    {
-        return Vec::new();
-    }
-    let kernel = Kernel::warm(matrix, objective, objective_constant, domains, basis);
-    let mut candidates: Vec<(f64, usize)> = Vec::new();
-    for r in 0..kernel.m {
-        let b = kernel.basis[r];
-        if b >= kernel.n || !integral[b] {
-            continue;
-        }
-        let frac = kernel.x[b] - kernel.x[b].floor();
-        if !(GOMORY_MIN_FRAC..=1.0 - GOMORY_MIN_FRAC).contains(&frac) {
-            continue;
-        }
-        candidates.push(((frac - 0.5).abs(), r));
-    }
-    candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut cuts = Vec::new();
-    let mut rho = vec![0.0f64; kernel.m];
-    for &(_, r) in &candidates {
-        if cuts.len() >= max_cuts {
-            break;
-        }
-        if let Some(cut) = kernel.gomory_from_row(r, global, integral, &mut rho) {
-            cuts.push(cut);
-        }
-    }
-    cuts
 }
 
 #[cfg(test)]
@@ -2001,7 +2106,9 @@ mod tests {
             assert!((w - c).abs() < 1e-9, "warm {w} vs cold {c}");
         }
         assert_eq!(warm.reduced_costs, cold.reduced_costs);
-        assert_eq!(next.expect("optimal re-solve returns a basis").age(), 1);
+        assert_eq!(warm.refactorizations, 1, "the warm start factorizes once");
+        let next = next.expect("optimal re-solve returns a basis");
+        assert_eq!(next.status, basis.status);
     }
 
     #[test]
@@ -2115,7 +2222,6 @@ mod tests {
                 cold.objective
             );
             basis = next.expect("optimal resolve returns a basis");
-            assert_eq!(basis.age(), step as u32 + 1);
         }
     }
 
@@ -2176,6 +2282,87 @@ mod tests {
         assert!(resolve_with_basis(&rows, &obj, k + 1.0, &basis, &dom, 10_000).is_none());
         // The unchanged instance still re-solves.
         assert!(resolve_with_basis(&rows, &obj, k, &basis, &dom, 10_000).is_some());
+    }
+
+    #[test]
+    fn extension_requires_the_stored_rows_as_a_prefix() {
+        let mut m = Model::new("m");
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
+        m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
+        m.set_objective([(x, 1.0), (y, 2.0)], Sense::Minimize);
+        let (rows, obj, k, dom) = relax(&m);
+        let (_, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
+        let basis = basis.unwrap();
+        // A cut appended after the stored row: the extension re-solves
+        // warm, dual-only, to the cold optimum of the grown matrix.
+        m.add_leq([(x, 1.0)], 0.5, "cut");
+        let (grown, _, _, _) = relax(&m);
+        let extended = basis.extended(&grown, &obj, k).expect("prefix matches");
+        assert_eq!(extended.rows(), 2);
+        let (warm, _) =
+            resolve_with_basis(&grown, &obj, k, &extended, &dom, 10_000).expect("compatible");
+        let (cold, _) = solve_lp_basis(&grown, &obj, k, &dom, 10_000);
+        assert_eq!(warm.primal_pivots, 0);
+        assert!((warm.objective - cold.objective).abs() < 1e-9);
+        // A matrix that changed a stored row, or another objective, is not
+        // an extension.
+        let mut other = Model::new("other");
+        let x2 = other.add_binary("x");
+        let y2 = other.add_binary("y");
+        other.add_geq([(x2, 1.0), (y2, 1.0)], 2.0, "c");
+        other.add_leq([(x2, 1.0)], 0.5, "cut");
+        let (changed, _, _, _) = relax(&other);
+        assert!(basis.extended(&changed, &obj, k).is_none());
+        let flipped: Vec<f64> = obj.iter().map(|c| -c).collect();
+        assert!(basis.extended(&grown, &flipped, k).is_none());
+    }
+
+    #[test]
+    fn a_shared_factor_matches_per_call_refactorization_bit_for_bit() {
+        // Strong branching factors a node's basis once for all its probes;
+        // each probe must compute the bits a probe that refactorizes the
+        // basis itself computes.
+        let mut m = Model::new("m");
+        let vars: Vec<_> = (0..6).map(|i| m.add_binary(format!("x{i}"))).collect();
+        m.add_leq(
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| (v, 1.0 + (i % 3) as f64))
+                .collect::<Vec<_>>(),
+            5.5,
+            "cap",
+        );
+        m.add_geq(
+            [(vars[0], 1.0), (vars[3], 1.0), (vars[5], 1.0)],
+            1.0,
+            "need",
+        );
+        m.set_objective(
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| (v, -1.0 - 0.7 * i as f64))
+                .collect::<Vec<_>>(),
+            Sense::Minimize,
+        );
+        let (rows, obj, k, dom) = relax(&m);
+        let (_, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
+        let basis = basis.unwrap();
+        let factor = basis.factor(&rows, &obj, k).expect("factorizable");
+        let bits = |sol: &LpSolution| {
+            let values: Vec<u64> = sol.values.iter().map(|v| v.to_bits()).collect();
+            (sol.status, sol.objective.to_bits(), values, sol.pivots)
+        };
+        for j in 0..6 {
+            for value in [0.0, 1.0] {
+                let mut child = dom.clone();
+                assert!(child.fix(j, value));
+                let (shared, _) = factor.resolve(&rows, &obj, k, &child, 100).unwrap();
+                let (own, _) = resolve_with_basis(&rows, &obj, k, &basis, &child, 100).unwrap();
+                assert_eq!(bits(&shared), bits(&own), "x{j} := {value}");
+                assert_eq!(own.refactorizations, shared.refactorizations + 1);
+            }
+        }
     }
 
     #[test]
@@ -2272,7 +2459,8 @@ mod tests {
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 1.5).abs() < 1e-9);
         let basis = basis.expect("optimal basis");
-        let cuts = gomory_cuts(&rows, &obj, k, &basis, &dom, &dom, &[true, true], 8);
+        let factor = basis.factor(&rows, &obj, k).expect("factorizable");
+        let cuts = factor.gomory_cuts(&rows, &obj, k, &dom, &dom, &[true, true], 8);
         assert_eq!(cuts.len(), 1, "exactly one fractional row");
         let (terms, rhs) = &cuts[0];
         let mut dense = [0.0f64; 2];
@@ -2324,11 +2512,12 @@ mod tests {
         other.add_leq([(y1, 2.0), (y2, 1.0)], 2.5, "cap");
         other.set_objective([(y1, -1.0), (y2, -1.0)], Sense::Minimize);
         let (other_rows, other_obj, other_k, other_dom) = relax(&other);
-        let cuts = gomory_cuts(
+        assert!(basis.factor(&other_rows, &other_obj, other_k).is_none());
+        let factor = basis.factor(&rows, &obj, k).expect("factorizable");
+        let cuts = factor.gomory_cuts(
             &other_rows,
             &other_obj,
             other_k,
-            &basis,
             &other_dom,
             &other_dom,
             &[true, true],
@@ -2346,7 +2535,7 @@ mod tests {
         fn refactorize_dense(&mut self) -> bool {
             self.counters.refactorizations += 1;
             self.etas.clear();
-            let cols = self.refactor_order();
+            let cols = refactor_order(self.matrix, &self.basis);
             let mut assigned = vec![false; self.m];
             let mut new_basis = vec![usize::MAX; self.m];
             let mut w = std::mem::take(&mut self.scratch);

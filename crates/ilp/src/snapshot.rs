@@ -4,8 +4,8 @@
 //! search needs to *continue the same tree* later in the same process: the
 //! open-node frontier (as per-node bound deltas against the model box), the
 //! incumbent, the global-bound bookkeeping, the pseudo-cost tables, the
-//! accepted cut pool, and the warm [`Basis`] eta files of the node-basis
-//! cache. Snapshots are produced by an interrupted or limit-stopped solve
+//! accepted cut pool, and the compact [`Basis`] each open node re-solves
+//! from. Snapshots are produced by an interrupted or limit-stopped solve
 //! when [`crate::Budget::snapshot`] is `Some(true)`, shared as
 //! `Arc<SolveSnapshot>`, and consumed by [`crate::SolverConfig::resume`] /
 //! [`crate::SolveSession::resume`]. A snapshot is a plain value: it is
@@ -16,8 +16,9 @@
 //! Resuming must be **results-neutral**: a solve that runs `c` nodes, is
 //! snapshotted, and resumes for the remaining budget must visit the same
 //! nodes, find the same incumbents and prove the same objective as an
-//! uninterrupted run. The depth-first stack is restored verbatim, and every
-//! bound, objective and eta entry is the captured `f64` itself.
+//! uninterrupted run. The depth-first stack is restored verbatim, every
+//! bound and objective is the captured `f64` itself, and each node's parent
+//! basis is the captured basic set, which refactorizes to the same factor.
 //!
 //! # Validity
 //!
@@ -81,7 +82,8 @@ pub(crate) struct SnapshotNode {
     pub(crate) depth: usize,
     pub(crate) bound: f64,
     pub(crate) branched: Option<usize>,
-    pub(crate) parent_basis: Option<u64>,
+    /// Index of the node's parent basis in [`SolveSnapshot::bases`].
+    pub(crate) parent_basis: Option<usize>,
     pub(crate) parent_bound_is_lp: bool,
     pub(crate) branch_up: bool,
     pub(crate) branch_step: f64,
@@ -118,13 +120,13 @@ pub struct SolveSnapshot {
     pub(crate) cuts: Vec<CutRow>,
     /// The branching rule's pseudo-cost tables.
     pub(crate) pseudo: PseudoCosts,
-    /// Warm basis cache entries as `(cache key, basis)`, oldest first.
-    pub(crate) bases: Vec<(u64, Basis)>,
-    pub(crate) next_basis_key: u64,
+    /// The open nodes' parent bases, each stored once however many
+    /// siblings share it.
+    pub(crate) bases: Vec<Basis>,
     /// The cut loop's cached root relaxation, if the root node had not
-    /// consumed it yet (an interrupt before the first pop).
+    /// consumed it yet (an interrupt before the first pop); the root node
+    /// in the frontier holds its basis.
     pub(crate) root_lp: Option<CachedRootLp>,
-    pub(crate) root_basis_key: Option<u64>,
 }
 
 impl SolveSnapshot {
@@ -138,6 +140,12 @@ impl SolveSnapshot {
         self.frontier.len()
     }
 
+    /// Distinct LP bases stored for the open nodes. Siblings share their
+    /// parent's, so this is at most [`SolveSnapshot::open_nodes`].
+    pub fn stored_bases(&self) -> usize {
+        self.bases.len()
+    }
+
     /// Approximate in-memory footprint in bytes (used by the job-service
     /// cache's LRU accounting).
     pub fn approx_bytes(&self) -> usize {
@@ -148,7 +156,11 @@ impl SolveSnapshot {
             .map_or(0, |(_, values)| 16 + 8 * values.len());
         let cut_bytes: usize = self.cuts.iter().map(|c| 24 + 16 * c.terms.len()).sum();
         let pseudo_bytes = 12 * self.pseudo.up_sum.len() + 12 * self.pseudo.down_sum.len();
-        let basis_bytes: usize = self.bases.iter().map(|(_, b)| 16 + 12 * b.cells()).sum();
+        let basis_bytes: usize = self
+            .bases
+            .iter()
+            .map(|b| std::mem::size_of::<Basis>() + b.bytes())
+            .sum();
         let root_lp_bytes = self.root_lp.as_ref().map_or(0, |lp| {
             8 * lp.values.len()
                 + lp.reduced_costs
@@ -175,7 +187,7 @@ mod tests {
                     depth: 2,
                     bound: -12.25,
                     branched: Some(0),
-                    parent_basis: Some(4),
+                    parent_basis: None,
                     parent_bound_is_lp: true,
                     branch_up: true,
                     branch_step: 0.375,
@@ -209,7 +221,6 @@ mod tests {
             ],
             pseudo: PseudoCosts::new(3),
             bases: Vec::new(),
-            next_basis_key: 5,
             root_lp: Some(CachedRootLp {
                 objective: -15.5,
                 values: vec![0.5, 0.5, 1.0],
@@ -219,7 +230,6 @@ mod tests {
                 }),
                 pivots: 42,
             }),
-            root_basis_key: None,
         }
     }
 
@@ -233,5 +243,39 @@ mod tests {
             ..sample()
         };
         assert!(small.approx_bytes() < sample().approx_bytes());
+    }
+
+    #[test]
+    fn approx_bytes_charges_a_basis_its_statuses_and_basic_set() {
+        // A 3-variable, 2-row LP: its basis has 5 column statuses and 2
+        // basic columns, and a snapshot is charged exactly for those plus
+        // the fixed-size struct — not for any factorization.
+        let mut m = Model::new("bytes");
+        let x: Vec<_> = (0..3).map(|i| m.add_binary(format!("x{i}"))).collect();
+        m.add_leq([(x[0], 2.0), (x[1], 3.0), (x[2], 1.0)], 4.0, "cap");
+        m.add_geq([(x[0], 1.0), (x[2], 1.0)], 1.0, "cover");
+        m.set_objective([(x[0], 1.0), (x[1], -2.0), (x[2], 1.5)], Sense::Minimize);
+        let matrix = SparseModel::from_model(&m);
+        let objective: Vec<f64> = m.vars().iter().map(|v| v.objective).collect();
+        let domains = crate::propagate::Domains::from_model(&m);
+        let (_, basis) = crate::simplex::solve_lp_basis(&matrix, &objective, 0.0, &domains, 100);
+        let basis = basis.expect("optimal basis");
+        assert_eq!(basis.rows(), 2);
+        assert_eq!(basis.bytes(), 5 + 2 * 4);
+
+        let without = sample();
+        let mut with = sample();
+        with.bases.push(basis.clone());
+        with.frontier[0].parent_basis = Some(0);
+        assert_eq!(
+            with.approx_bytes() - without.approx_bytes(),
+            std::mem::size_of::<Basis>() + basis.bytes()
+        );
+        // Siblings share one stored basis, so a second reference is free.
+        with.frontier[1].parent_basis = Some(0);
+        assert_eq!(
+            with.approx_bytes() - without.approx_bytes(),
+            std::mem::size_of::<Basis>() + basis.bytes()
+        );
     }
 }

@@ -88,6 +88,46 @@ impl CutCounts {
     }
 }
 
+/// Cold LP solves (two-phase primal from the slack basis), counted by the
+/// reason no warm re-solve was possible. Every other LP re-solves with the
+/// dual simplex from a stored basis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColdLpCounts {
+    /// The first root cut round, or the one LP of a model without integral
+    /// variables.
+    pub root: u64,
+    /// A node without a parent basis: the root node when the cut loop
+    /// handed it no LP, or a child whose parent was bounded by propagation
+    /// or whose LP did not solve to optimality.
+    pub no_parent_basis: u64,
+    /// A parent basis that could not be used: its fingerprint did not
+    /// match, its extension over appended cut rows failed, or it did not
+    /// refactorize.
+    pub unusable_basis: u64,
+    /// A warm re-solve that ran over its pivot budget.
+    pub over_budget: u64,
+    /// Leaf completion: the continuous remainder of a node whose integral
+    /// variables are all fixed.
+    pub leaf: u64,
+}
+
+impl ColdLpCounts {
+    /// Sum over every reason: the number of cold solves.
+    pub fn total(&self) -> u64 {
+        self.root + self.no_parent_basis + self.unusable_basis + self.over_budget + self.leaf
+    }
+}
+
+impl std::ops::AddAssign for ColdLpCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.root += other.root;
+        self.no_parent_basis += other.no_parent_basis;
+        self.unusable_basis += other.unusable_basis;
+        self.over_budget += other.over_budget;
+        self.leaf += other.leaf;
+    }
+}
+
 /// Counters describing the effort spent by the solver.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
@@ -101,7 +141,7 @@ pub struct SolveStats {
     /// lp_pivots`.
     pub lp_primal_pivots: u64,
     /// Simplex iterations spent in the *dual* simplex (warm re-solves from
-    /// a cached basis, including strong-branching probes).
+    /// a stored basis, including strong-branching probes).
     pub lp_dual_pivots: u64,
     /// Simplex iterations taken under the Bland anti-cycling fallback;
     /// devex pricing chose the other `lp_pivots - bland_pivots`.
@@ -110,9 +150,8 @@ pub struct SolveStats {
     /// crossing their box without a basis change (rank-0 updates — the
     /// implicit-bound replacement for the old kernel's bound-row pivots).
     pub lp_bound_flips: u64,
-    /// Basis refactorizations performed inside the LP kernel (periodic
-    /// eta-file collapses), distinct from [`SolveStats::refactorizations`],
-    /// which counts node-level cold factorisations.
+    /// Basis factorizations performed inside the LP kernel: warm starts
+    /// factorizing their stored basis and periodic eta-file collapses.
     pub lp_basis_refactorizations: u64,
     /// Number of LP relaxations solved.
     pub lp_solves: u64,
@@ -121,15 +160,15 @@ pub struct SolveStats {
     /// Strong-branching probes and leaf completion LPs are not node
     /// relaxations and are excluded.
     pub node_lp_pivots: Vec<u64>,
-    /// Node LPs re-solved with the dual simplex from a cached parent basis.
+    /// Node LPs and root cut rounds re-solved with the dual simplex from a
+    /// stored basis. Strong-branching probes are counted apart, in
+    /// [`SolveStats::strong_branch_solves`].
     pub warm_lp_solves: u64,
     /// Simplex iterations spent inside warm (dual-simplex) re-solves.
     pub warm_lp_pivots: u64,
-    /// Cold factorisations at nodes where the solver *wanted* a warm start
-    /// (basis evicted, stale, aged out, over the warm pivot budget, or the
-    /// root). Kernel-internal eta-file collapses are counted separately in
-    /// [`SolveStats::lp_basis_refactorizations`].
-    pub refactorizations: u64,
+    /// Cold LP solves by reason; their total is `lp_solves −
+    /// warm_lp_solves − strong_branch_solves`.
+    pub cold_lp: ColdLpCounts,
     /// Strong-branching child LPs solved to initialise pseudo-costs.
     pub strong_branch_solves: u64,
     /// Integral bounds tightened by reduced-cost fixing against the

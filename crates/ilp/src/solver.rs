@@ -12,11 +12,13 @@
 //!
 //! * **Depth-first node order** — open nodes live on a stack, and the
 //!   preferred child of every branching is explored first.
-//! * **Warm-started node LPs** — each LP node's optimal [`Basis`] is cached
-//!   (bounded to the most recent nodes, i.e. the active DFS spine) and
-//!   children re-solve with the dual simplex from it instead of running
-//!   two-phase primal from scratch; chains re-factorise cold after a
-//!   bounded number of re-solves, and a miss falls back to a cold solve.
+//! * **Warm-started node LPs** — each child node owns its parent's compact
+//!   optimal [`Basis`] (siblings share it through an `Rc`) and re-solves
+//!   its LP with the dual simplex from it instead of running two-phase
+//!   primal from scratch. A basis stored before a cut install is extended
+//!   over the appended rows. Cold solves remain only where no usable
+//!   parent basis exists or a warm re-solve overruns its budget, and
+//!   [`SolveStats::cold_lp`] counts each by its reason.
 //! * **Pseudo-cost / reliability branching** (Achterberg, Koch & Martin,
 //!   "Branching rules revisited") with strong-branching initialisation at
 //!   shallow depth, learning per-variable dual-bound degradations from
@@ -38,8 +40,8 @@ use crate::model::{CmpOp, Model, Sense};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    gomory_cuts, instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, LpSolution,
-    LpStatus, ReducedCosts,
+    instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, Factor, LpSolution, LpStatus,
+    ReducedCosts,
 };
 use crate::snapshot::{SnapshotNode, SolveSnapshot};
 use crate::solution::{Solution, SolveStats, Status};
@@ -53,19 +55,6 @@ const TREE_SEPARATIONS: usize = 6;
 /// In-tree separation budget for eager (chained warm-started) solves: the
 /// anchoring incumbent makes extra shallow rounds pay for themselves.
 const TREE_SEPARATIONS_EAGER: usize = 12;
-/// Capacity of the node-basis cache. Bases are only kept for the most
-/// recently solved LP nodes, which under depth-first search is the active
-/// DFS spine (a child is popped right after its parent). A revised-simplex
-/// [`Basis`] is statuses plus an
-/// eta file, and the eta file is not small: paulin's warm bases carry
-/// ~21.5k eta terms, about 340 KB each, so the cap bounds memory as well as
-/// lookup cost. A miss (a DFS backtrack past the cached spine) costs a cold
-/// node LP.
-const BASIS_CACHE_CAP: usize = 6;
-/// Maximum dual-simplex re-solves chained off one cold factorisation
-/// before the node re-factorises (cold-solves) to flush the eta file's
-/// accumulated rounding error.
-const BASIS_MAX_AGE: u32 = 24;
 /// Maximum node depth at which uninitialised pseudo-costs are seeded by
 /// strong branching (reliability branching); deeper nodes rely on the
 /// observations already gathered.
@@ -275,9 +264,10 @@ struct Node {
     /// parent's domains were at a propagation fixpoint, so the child's
     /// propagation can be seeded with just this variable's rows.
     branched: Option<usize>,
-    /// Cache key of the parent's optimal LP basis, if it was stored; the
-    /// child's LP re-solves from it with the dual simplex on a cache hit.
-    parent_basis: Option<u64>,
+    /// The parent's optimal LP basis, if its LP solved to optimality; the
+    /// node's LP re-solves from it with the dual simplex. The root node
+    /// holds the basis of the cut loop's cached LP.
+    parent_basis: Option<Rc<Basis>>,
     /// Whether the inherited `bound` came from an LP relaxation (pseudo-cost
     /// updates only compare LP bounds with LP bounds).
     parent_bound_is_lp: bool,
@@ -291,8 +281,9 @@ struct Node {
 
 /// Captures an open node as bound deltas against the model's root box.
 /// Bit-pattern comparison (not `==`) so a signed-zero tightening is still
-/// restored exactly.
-fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
+/// restored exactly. The parent basis is stored once in `bases`, however
+/// many siblings share it, and the node records its index there.
+fn snapshot_node(node: &Node, base: &Domains, bases: &mut Vec<Rc<Basis>>) -> SnapshotNode {
     let deltas = (0..base.len())
         .filter_map(|j| {
             let (lo, hi) = (node.domains.lower(j), node.domains.upper(j));
@@ -300,22 +291,31 @@ fn snapshot_node(node: &Node, base: &Domains) -> SnapshotNode {
                 .then_some((j, lo, hi))
         })
         .collect();
+    let parent_basis = node.parent_basis.as_ref().map(|basis| {
+        bases
+            .iter()
+            .position(|stored| Rc::ptr_eq(stored, basis))
+            .unwrap_or_else(|| {
+                bases.push(Rc::clone(basis));
+                bases.len() - 1
+            })
+    });
     SnapshotNode {
         deltas,
         depth: node.depth,
         bound: node.bound,
         branched: node.branched,
-        parent_basis: node.parent_basis,
+        parent_basis,
         parent_bound_is_lp: node.parent_bound_is_lp,
         branch_up: node.branch_up,
         branch_step: node.branch_step,
     }
 }
 
-/// Rebuilds an open node from its captured bound deltas. Bounds are
-/// restored verbatim (no re-tightening), so the resumed node's domains are
-/// bit-identical to the captured ones.
-fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
+/// Rebuilds an open node from its captured bound deltas and the restored
+/// snapshot `bases`. Bounds are restored verbatim (no re-tightening), so the
+/// resumed node's domains are bit-identical to the captured ones.
+fn restore_node(snap: &SnapshotNode, base: &Domains, bases: &[Rc<Basis>]) -> Node {
     let mut domains = base.clone();
     for &(j, lo, hi) in &snap.deltas {
         domains.restore_bounds(j, lo, hi);
@@ -325,7 +325,7 @@ fn restore_node(snap: &SnapshotNode, base: &Domains) -> Node {
         depth: snap.depth,
         bound: snap.bound,
         branched: snap.branched,
-        parent_basis: snap.parent_basis,
+        parent_basis: snap.parent_basis.map(|i| Rc::clone(&bases[i])),
         parent_bound_is_lp: snap.parent_bound_is_lp,
         branch_up: snap.branch_up,
         branch_step: snap.branch_step,
@@ -453,16 +453,9 @@ pub struct BranchAndBound<'a> {
     /// matrix; the root node consumes it instead of re-solving the most
     /// expensive LP of the tree.
     root_lp_cache: Option<CachedRootLp>,
-    /// Basis stored by the root cut loop for the root node to hand to its
-    /// children.
-    root_basis_key: Option<u64>,
-    /// Recently stored node bases (statuses + eta files), oldest first;
-    /// capacity-bounded to keep lookups cheap. Cleared whenever the cut
-    /// pool rebuilds the matrix (a basis is only valid for the exact row
-    /// set it was factorized from, and the fingerprint check would reject
-    /// stale entries anyway).
-    basis_cache: Vec<(u64, Rc<Basis>)>,
-    next_basis_key: u64,
+    /// The basis of [`Self::root_lp_cache`], which the root node takes as
+    /// its own.
+    root_basis: Option<Rc<Basis>>,
     /// Pseudo-cost state of the branching rule.
     pseudo: PseudoCosts,
     /// Live event sink (see [`SolveEvent`]); `None` when nobody listens.
@@ -522,9 +515,7 @@ impl<'a> BranchAndBound<'a> {
             integral_mask,
             integral_objective,
             root_lp_cache: None,
-            root_basis_key: None,
-            basis_cache: Vec::new(),
-            next_basis_key: 0,
+            root_basis: None,
             pseudo: PseudoCosts::new(num_vars),
             events: None,
             last_bound_emitted: f64::NEG_INFINITY,
@@ -566,29 +557,11 @@ impl<'a> BranchAndBound<'a> {
             .is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Looks up a stored basis by its cache key.
-    fn cached_basis(&self, key: u64) -> Option<Rc<Basis>> {
-        self.basis_cache
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, basis)| Rc::clone(basis))
-    }
-
-    /// Stores a basis, evicting the oldest entry once at capacity, and
-    /// returns its cache key.
-    fn store_basis(&mut self, basis: Basis) -> u64 {
-        let key = self.next_basis_key;
-        self.next_basis_key += 1;
-        if self.basis_cache.len() >= BASIS_CACHE_CAP {
-            self.basis_cache.remove(0);
-        }
-        self.basis_cache.push((key, Rc::new(basis)));
-        key
-    }
-
     /// Rebuilds the shared sparse matrix from the model rows plus every
     /// accepted cut, and refreshes the occurrence counts branching reads.
-    /// Called whenever the cut pool grows.
+    /// Called whenever the cut pool grows. Cuts are appended after the rows
+    /// already there, so every stored basis stays usable through
+    /// [`Basis::extended`].
     fn rebuild_matrix(&mut self) {
         let rows: Vec<DenseRow> = self
             .model
@@ -612,31 +585,27 @@ impl<'a> BranchAndBound<'a> {
         for (j, slot) in self.occurrence.iter_mut().enumerate() {
             *slot = self.propagator.matrix().occurrences(j);
         }
-        // Every stored basis was factorised from the old row set; nodes
-        // still pointing at one will miss and re-factorise cold.
-        self.basis_cache.clear();
-        self.root_basis_key = None;
     }
 
-    /// Reads Gomory mixed-integer cuts off the fractional rows of `basis`,
-    /// installs the ones the LP point violates and re-propagates `domains`.
+    /// Reads Gomory mixed-integer cuts off the fractional rows of a factored
+    /// basis, installs the ones the LP point violates and re-propagates
+    /// `domains`.
     /// Cuts are unshifted to the *root* box (not the node's), so they are
     /// valid for the whole tree even when derived at a branched node.
     /// Returns `None` when nothing was installed, and otherwise whether the
     /// re-propagated box is still feasible.
     fn install_gomory(
         &mut self,
-        basis: &Basis,
+        factor: &Factor,
         lp_values: &[f64],
         domains: &mut Domains,
         stats: &mut SolveStats,
     ) -> Option<bool> {
         self.cut_source.as_ref()?;
-        let candidates = gomory_cuts(
+        let candidates = factor.gomory_cuts(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
-            basis,
             domains,
             &self.root_box,
             &self.integral_mask,
@@ -682,7 +651,9 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Root cut loop: solve the root LP, read Gomory cuts off its optimal
-    /// basis, tighten and repeat. Returns `false` when the root becomes
+    /// basis, tighten and repeat. The first round solves cold; every later
+    /// round re-solves warm from the previous round's basis, extended over
+    /// the cuts that round installed. Returns `false` when the root becomes
     /// infeasible (only possible numerically, since cuts preserve every
     /// integer point).
     fn root_cuts(
@@ -692,6 +663,7 @@ impl<'a> BranchAndBound<'a> {
         incumbent: &mut Option<(f64, Vec<f64>)>,
         start: Instant,
     ) -> bool {
+        let mut previous: Option<Basis> = None;
         for _ in 0..ROOT_CUT_ROUNDS {
             // Separation is best-effort root tightening: stop the loop (but
             // not the solve) as soon as the budget or a cancellation makes
@@ -699,15 +671,7 @@ impl<'a> BranchAndBound<'a> {
             if self.is_cancelled() || self.config.budget.time_expired(start) {
                 return true;
             }
-            let (lp, basis) = solve_lp_basis(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                domains,
-                self.config.max_lp_pivots,
-            );
-            stats.lp_solves += 1;
-            tally_lp(stats, &lp);
+            let (lp, basis) = self.relaxation(previous.as_ref(), Cold::Root, domains, stats);
             match lp.status {
                 LpStatus::Infeasible => return false,
                 // Each cut round re-solves the root relaxation over a
@@ -722,12 +686,17 @@ impl<'a> BranchAndBound<'a> {
                 self.cache_root_lp(lp, basis);
                 return true;
             }
-            if let Some(b) = basis.as_ref() {
-                match self.install_gomory(b, &lp.values, domains, stats) {
-                    Some(true) => continue,
-                    Some(false) => return false,
-                    None => {}
+            let installed = basis
+                .as_ref()
+                .and_then(|b| self.factor(b))
+                .and_then(|factor| self.install_gomory(&factor, &lp.values, domains, stats));
+            match installed {
+                Some(true) => {
+                    previous = basis;
+                    continue;
                 }
+                Some(false) => return false,
+                None => {}
             }
             // No violated cuts: this LP is valid for the final row set, so
             // hand it to the root node instead of having it re-solve the
@@ -738,16 +707,26 @@ impl<'a> BranchAndBound<'a> {
         true
     }
 
-    /// Records the cut loop's final LP (and its basis, when available) for
-    /// the root node to consume.
-    fn cache_root_lp(&mut self, lp: crate::simplex::LpSolution, basis: Option<Basis>) {
+    /// Factorizes `basis` over the current matrix, or `None` when it does
+    /// not belong to it (see [`Basis::factor`]).
+    fn factor<'b>(&self, basis: &'b Basis) -> Option<Factor<'b>> {
+        basis.factor(
+            self.propagator.matrix(),
+            &self.objective,
+            self.objective_constant,
+        )
+    }
+
+    /// Records the cut loop's final LP and its basis for the root node to
+    /// consume.
+    fn cache_root_lp(&mut self, lp: LpSolution, basis: Option<Basis>) {
         self.root_lp_cache = Some(CachedRootLp {
             objective: lp.objective,
             values: lp.values,
             reduced_costs: lp.reduced_costs,
             pivots: lp.pivots,
         });
-        self.root_basis_key = basis.map(|b| self.store_basis(b));
+        self.root_basis = basis.map(Rc::new);
     }
 
     /// If `values` is integral over the box, round it, check feasibility and
@@ -906,7 +885,7 @@ impl<'a> BranchAndBound<'a> {
                 depth: 0,
                 bound: f64::NEG_INFINITY,
                 branched: None,
-                parent_basis: None,
+                parent_basis: self.root_basis.take(),
                 parent_bound_is_lp: false,
                 branch_up: false,
                 branch_step: 0.0,
@@ -924,9 +903,9 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Resumes a snapshotted search: checks the snapshot belongs to this
-    /// exact instance, reinstalls the captured cut pool, pseudo-cost
-    /// tables and warm basis cache, rebuilds the open frontier from the
-    /// per-node bound deltas, and re-enters the main loop. Root
+    /// exact instance, reinstalls the captured cut pool and pseudo-cost
+    /// tables, rebuilds the open frontier from the per-node bound deltas
+    /// and parent bases, and re-enters the main loop. Root
     /// preprocessing (warm candidates, dive, root cut loop) is skipped on
     /// purpose — the restored state already reflects it.
     fn run_resumed(
@@ -963,20 +942,14 @@ impl<'a> BranchAndBound<'a> {
         self.eager_separation = snap.eager_separation;
         self.last_bound_emitted = snap.last_bound_emitted;
         self.pseudo = snap.pseudo.clone();
-        self.basis_cache = snap
-            .bases
-            .iter()
-            .map(|(key, basis)| (*key, Rc::new(basis.clone())))
-            .collect();
-        self.next_basis_key = snap.next_basis_key;
-        self.root_basis_key = snap.root_basis_key;
         self.root_lp_cache = snap.root_lp.clone();
 
         let base = Domains::from_model(self.model);
+        let bases: Vec<Rc<Basis>> = snap.bases.iter().cloned().map(Rc::new).collect();
         let frontier = snap
             .frontier
             .iter()
-            .map(|node| restore_node(node, &base))
+            .map(|node| restore_node(node, &base, &bases))
             .collect();
         // The node counter continues from the capture point, so node
         // budgets keep their whole-tree meaning across interrupts.
@@ -1126,14 +1099,17 @@ impl<'a> BranchAndBound<'a> {
 
             // In-tree separation: at shallow nodes, read Gomory cuts off the
             // node's optimal basis — tightening the relaxation near the top
-            // of the tree prunes almost everything below it.
+            // of the tree prunes almost everything below it. The factor of
+            // that basis is kept for strong branching below.
             let shallow = node.depth <= TREE_CUT_DEPTH
                 && (self.eager_separation || stats.nodes >= TREE_CUT_MIN_NODES);
+            let mut factor = None;
             if shallow && self.tree_separations_left > 0 && self.cut_source.is_some() {
                 if let Some(lp) = bound.as_ref() {
                     self.tree_separations_left -= 1;
-                    if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                        if self.install_gomory(&basis, &lp.values, &mut node.domains, &mut stats)
+                    factor = lp.basis.as_deref().and_then(|basis| self.factor(basis));
+                    if let Some(factor) = factor.as_ref() {
+                        if self.install_gomory(factor, &lp.values, &mut node.domains, &mut stats)
                             == Some(false)
                         {
                             continue;
@@ -1155,7 +1131,7 @@ impl<'a> BranchAndBound<'a> {
                 continue;
             }
 
-            let branch_var = self.select_branch_var(&node, bound.as_ref(), &mut stats);
+            let branch_var = self.select_branch_var(&node, bound.as_ref(), factor, &mut stats);
             let Some(j) = branch_var else {
                 continue;
             };
@@ -1258,14 +1234,16 @@ impl<'a> BranchAndBound<'a> {
         pruned_bound_min: f64,
     ) -> SolveSnapshot {
         let base = Domains::from_model(self.model);
+        let mut bases = Vec::new();
+        let frontier = frontier
+            .iter()
+            .map(|node| snapshot_node(node, &base, &mut bases))
+            .collect();
         SolveSnapshot {
             fingerprint: self.base_fingerprint,
             num_vars: self.model.num_vars(),
             nodes,
-            frontier: frontier
-                .iter()
-                .map(|node| snapshot_node(node, &base))
-                .collect(),
+            frontier,
             incumbent: incumbent.clone(),
             root_bound,
             pruned_bound_min,
@@ -1274,14 +1252,8 @@ impl<'a> BranchAndBound<'a> {
             eager_separation: self.eager_separation,
             cuts: self.cut_rows.clone(),
             pseudo: self.pseudo.clone(),
-            bases: self
-                .basis_cache
-                .iter()
-                .map(|(key, basis)| (*key, (**basis).clone()))
-                .collect(),
-            next_basis_key: self.next_basis_key,
+            bases: bases.iter().map(|basis| (**basis).clone()).collect(),
             root_lp: self.root_lp_cache.clone(),
-            root_basis_key: self.root_basis_key,
         }
     }
 
@@ -1292,15 +1264,7 @@ impl<'a> BranchAndBound<'a> {
         mut stats: SolveStats,
         incumbent: Option<(f64, Vec<f64>)>,
     ) -> Solution {
-        let (lp, _) = solve_lp_basis(
-            self.propagator.matrix(),
-            &self.objective,
-            self.objective_constant,
-            root,
-            self.config.max_lp_pivots,
-        );
-        stats.lp_solves += 1;
-        tally_lp(&mut stats, &lp);
+        let (lp, _) = self.cold_lp(root, Cold::Root, &mut stats);
         stats.time = start.elapsed();
         match lp.status {
             LpStatus::Optimal => {
@@ -1434,14 +1398,15 @@ impl<'a> BranchAndBound<'a> {
         } else {
             None
         };
-        let (lp_objective, lp_values, lp_rc, basis_key) = match cached {
+        let (lp_objective, lp_values, lp_rc, basis) = match cached {
+            // The cached LP was solved from the basis the root node holds.
             Some(root) => {
                 stats.node_lp_pivots.push(root.pivots);
                 (
                     root.objective,
                     root.values,
                     root.reduced_costs,
-                    self.root_basis_key.take(),
+                    node.parent_basis.clone(),
                 )
             }
             None => match self.solve_node_lp(node, stats) {
@@ -1456,8 +1421,8 @@ impl<'a> BranchAndBound<'a> {
                     objective,
                     values,
                     reduced_costs,
-                    basis_key,
-                } => (objective, values, reduced_costs, basis_key),
+                    basis,
+                } => (objective, values, reduced_costs, basis),
             },
         };
         // If the relaxation happens to be integral it is a feasible MILP
@@ -1506,82 +1471,122 @@ impl<'a> BranchAndBound<'a> {
                 objective: lp_objective,
                 values: lp_values,
                 reduced_costs: lp_rc,
-                basis_key,
+                basis,
             }),
         }
     }
 
-    /// Solves the LP relaxation of a node, warm-starting from the parent's
-    /// cached basis with the dual simplex when possible and falling back to
-    /// a cold (re)factorisation otherwise.
-    fn solve_node_lp(&mut self, node: &Node, stats: &mut SolveStats) -> SolvedNodeLp {
-        let max_pivots = self.config.max_lp_pivots;
+    /// Solves the LP relaxation of a node, warm from the parent's basis when
+    /// it has one (see [`Self::relaxation`]).
+    fn solve_node_lp(&self, node: &Node, stats: &mut SolveStats) -> SolvedNodeLp {
+        let (lp, basis) = self.relaxation(
+            node.parent_basis.as_deref(),
+            Cold::NoParentBasis,
+            &node.domains,
+            stats,
+        );
+        stats.node_lp_pivots.push(lp.pivots);
+        match lp.status {
+            LpStatus::Infeasible => SolvedNodeLp::Infeasible,
+            LpStatus::Optimal => SolvedNodeLp::Optimal {
+                objective: lp.objective,
+                values: lp.values,
+                reduced_costs: lp.reduced_costs,
+                basis: basis.map(Rc::new),
+            },
+            LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
+        }
+    }
+
+    /// Solves the LP relaxation over `domains`. With a `parent` basis —
+    /// extended over any cut rows appended since it was stored — this is a
+    /// dual-simplex re-solve; a cold solve takes over when there is no
+    /// parent basis (counted as `missing`), when the basis is unusable, or
+    /// when the re-solve overruns its budget. Returns the solution and, at
+    /// optimality, its basis.
+    fn relaxation(
+        &self,
+        parent: Option<&Basis>,
+        missing: Cold,
+        domains: &Domains,
+        stats: &mut SolveStats,
+    ) -> (LpSolution, Option<Basis>) {
+        let Some(parent) = parent else {
+            return self.cold_lp(domains, missing, stats);
+        };
+        let matrix = self.propagator.matrix();
+        let extended;
+        let basis = if parent.rows() < matrix.num_rows() {
+            match parent.extended(matrix, &self.objective, self.objective_constant) {
+                Some(basis) => {
+                    extended = basis;
+                    &extended
+                }
+                None => return self.cold_lp(domains, Cold::UnusableBasis, stats),
+            }
+        } else {
+            parent
+        };
         // A dual re-solve is only worth it while it stays *incremental*: a
         // child whose propagation/fixing moved half the bounds is re-solving
         // from scratch, and the primal does that better. Budget the warm
         // path at a small multiple of the expected incremental work and let
-        // an overrun fall through to the cold factorization below.
-        let warm_budget = max_pivots.min(128 + self.propagator.matrix().num_rows() as u64 / 4);
-        if let Some(basis) = node.parent_basis.and_then(|key| self.cached_basis(key)) {
-            if basis.age() < BASIS_MAX_AGE {
-                if let Some((lp, next)) = resolve_with_basis(
-                    self.propagator.matrix(),
-                    &self.objective,
-                    self.objective_constant,
-                    &basis,
-                    &node.domains,
-                    warm_budget,
-                ) {
-                    tally_lp(stats, &lp);
-                    stats.warm_lp_pivots += lp.pivots;
-                    match lp.status {
-                        LpStatus::Infeasible | LpStatus::Optimal => {
-                            stats.lp_solves += 1;
-                            stats.warm_lp_solves += 1;
-                            stats.node_lp_pivots.push(lp.pivots);
-                            if lp.status == LpStatus::Infeasible {
-                                return SolvedNodeLp::Infeasible;
-                            }
-                            let basis_key = next.map(|b| self.store_basis(b));
-                            return SolvedNodeLp::Optimal {
-                                objective: lp.objective,
-                                values: lp.values,
-                                reduced_costs: lp.reduced_costs,
-                                basis_key,
-                            };
-                        }
-                        // A dual re-solve that hits its pivot budget is
-                        // abandoned (its pivots were counted above); the
-                        // node re-factorises cold below.
-                        LpStatus::Unbounded | LpStatus::IterationLimit => {}
-                    }
-                }
+        // an overrun fall through to a cold solve.
+        let warm_budget = self
+            .config
+            .max_lp_pivots
+            .min(128 + matrix.num_rows() as u64 / 4);
+        let Some((lp, next)) = resolve_with_basis(
+            matrix,
+            &self.objective,
+            self.objective_constant,
+            basis,
+            domains,
+            warm_budget,
+        ) else {
+            return self.cold_lp(domains, Cold::UnusableBasis, stats);
+        };
+        tally_lp(stats, &lp);
+        stats.warm_lp_pivots += lp.pivots;
+        match lp.status {
+            LpStatus::Infeasible | LpStatus::Optimal => {
+                stats.lp_solves += 1;
+                stats.warm_lp_solves += 1;
+                (lp, next)
+            }
+            // A re-solve that hits its budget is abandoned (its pivots were
+            // counted above).
+            LpStatus::Unbounded | LpStatus::IterationLimit => {
+                self.cold_lp(domains, Cold::OverBudget, stats)
             }
         }
-        let (lp, new_basis) = solve_lp_basis(
+    }
+
+    /// A cold LP solve over `domains`, counted under `reason`.
+    fn cold_lp(
+        &self,
+        domains: &Domains,
+        reason: Cold,
+        stats: &mut SolveStats,
+    ) -> (LpSolution, Option<Basis>) {
+        let (lp, basis) = solve_lp_basis(
             self.propagator.matrix(),
             &self.objective,
             self.objective_constant,
-            &node.domains,
-            max_pivots,
+            domains,
+            self.config.max_lp_pivots,
         );
         stats.lp_solves += 1;
         tally_lp(stats, &lp);
-        stats.refactorizations += 1;
-        stats.node_lp_pivots.push(lp.pivots);
-        match lp.status {
-            LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-            LpStatus::Optimal => {
-                let basis_key = new_basis.map(|b| self.store_basis(b));
-                SolvedNodeLp::Optimal {
-                    objective: lp.objective,
-                    values: lp.values,
-                    reduced_costs: lp.reduced_costs,
-                    basis_key,
-                }
-            }
-            LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
-        }
+        let counts = &mut stats.cold_lp;
+        *match reason {
+            Cold::Root => &mut counts.root,
+            Cold::NoParentBasis => &mut counts.no_parent_basis,
+            Cold::UnusableBasis => &mut counts.unusable_basis,
+            Cold::OverBudget => &mut counts.over_budget,
+            Cold::Leaf => &mut counts.leaf,
+        } += 1;
+        (lp, basis)
     }
 
     fn complete_assignment(&self, domains: &Domains, stats: &mut SolveStats) -> Option<Vec<f64>> {
@@ -1592,15 +1597,7 @@ impl<'a> BranchAndBound<'a> {
         }
         // Optimise the remaining continuous variables with the integral part
         // fixed.
-        let (lp, _) = solve_lp_basis(
-            self.propagator.matrix(),
-            &self.objective,
-            self.objective_constant,
-            domains,
-            self.config.max_lp_pivots,
-        );
-        stats.lp_solves += 1;
-        tally_lp(stats, &lp);
+        let (lp, _) = self.cold_lp(domains, Cold::Leaf, stats);
         match lp.status {
             LpStatus::Optimal => Some(lp.values),
             _ => None,
@@ -1615,10 +1612,12 @@ impl<'a> BranchAndBound<'a> {
     /// solved warm from the node's basis under a small pivot budget). Nodes
     /// without LP values (propagation-only bounds), or whose LP point is
     /// integral on every candidate, branch on the most constrained variable.
-    fn select_branch_var(
+    /// `factor` is the node basis' factor if separation already built it.
+    fn select_branch_var<'b>(
         &mut self,
         node: &Node,
-        lp: Option<&NodeLp>,
+        lp: Option<&'b NodeLp>,
+        factor: Option<Factor<'b>>,
         stats: &mut SolveStats,
     ) -> Option<usize> {
         let domains = &node.domains;
@@ -1650,18 +1649,28 @@ impl<'a> BranchAndBound<'a> {
         }
         // Reliability pass: at shallow depth, seed the pseudo-costs of
         // unobserved fractional candidates by strong branching (both child
-        // LPs, warm from this node's basis).
+        // LPs, warm from this node's basis). Every probe starts from one
+        // factorization of that basis.
         if node.depth <= STRONG_DEPTH {
-            if let Some(basis) = lp.basis_key.and_then(|key| self.cached_basis(key)) {
-                let mut unreliable: Vec<usize> = fractional
-                    .iter()
-                    .map(|&(j, _)| j)
-                    .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
-                    .collect();
-                unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
-                unreliable.truncate(STRONG_CANDIDATES);
+            let mut unreliable: Vec<usize> = fractional
+                .iter()
+                .map(|&(j, _)| j)
+                .filter(|&j| self.pseudo.observations(j) < RELIABILITY)
+                .collect();
+            unreliable.sort_by_key(|&j| (usize::MAX - self.occurrence[j], j));
+            unreliable.truncate(STRONG_CANDIDATES);
+            let factor = if unreliable.is_empty() {
+                None
+            } else {
+                factor.or_else(|| lp.basis.as_deref().and_then(|basis| self.factor(basis)))
+            };
+            if let Some(factor) = factor {
+                let mut probed = false;
                 for j in unreliable {
-                    self.strong_branch(&basis, &node.domains, j, lp, stats);
+                    probed |= self.strong_branch(&factor, &node.domains, j, lp, stats);
+                }
+                if probed {
+                    stats.lp_basis_refactorizations += 1;
                 }
             }
         }
@@ -1683,16 +1692,19 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Strong-branches variable `j` at an LP node: solves both child LPs
-    /// warm from the node's basis under a small pivot budget and records
-    /// the observed per-unit degradations as pseudo-cost observations.
+    /// warm from the node's factored basis under a small pivot budget and
+    /// records the observed per-unit degradations as pseudo-cost
+    /// observations. Returns whether any child LP ran: none does when cuts
+    /// installed at this node outdated the basis.
     fn strong_branch(
         &mut self,
-        basis: &Basis,
+        factor: &Factor,
         domains: &Domains,
         j: usize,
         lp: &NodeLp,
         stats: &mut SolveStats,
-    ) {
+    ) -> bool {
+        let mut probed = false;
         let v = lp.values[j];
         let floor = v.floor();
         for up in [false, true] {
@@ -1705,16 +1717,16 @@ impl<'a> BranchAndBound<'a> {
             if !tightened || child.is_infeasible() {
                 continue;
             }
-            let Some((child_lp, _)) = resolve_with_basis(
+            let Some((child_lp, _)) = factor.resolve(
                 self.propagator.matrix(),
                 &self.objective,
                 self.objective_constant,
-                basis,
                 &child,
                 STRONG_PIVOTS,
             ) else {
                 continue;
             };
+            probed = true;
             stats.lp_solves += 1;
             tally_lp(stats, &child_lp);
             stats.strong_branch_solves += 1;
@@ -1732,6 +1744,7 @@ impl<'a> BranchAndBound<'a> {
                 LpStatus::Unbounded | LpStatus::IterationLimit => {}
             }
         }
+        probed
     }
 
     fn push_children(&self, frontier: &mut Vec<Node>, node: &Node, j: usize, lp: Option<&NodeLp>) {
@@ -1739,7 +1752,7 @@ impl<'a> BranchAndBound<'a> {
         let upper = node.domains.upper(j);
         debug_assert!(upper > lower + EPS);
         let lp_values = lp.map(|l| l.values.as_slice());
-        let parent_basis = lp.and_then(|l| l.basis_key);
+        let parent_basis = lp.and_then(|l| l.basis.as_ref());
         let parent_bound_is_lp = lp.is_some();
         let v_lp = lp_values.map(|v| v[j]);
 
@@ -1774,7 +1787,7 @@ impl<'a> BranchAndBound<'a> {
                         depth: node.depth + 1,
                         bound: node.bound,
                         branched: Some(j),
-                        parent_basis,
+                        parent_basis: parent_basis.cloned(),
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
@@ -1805,7 +1818,7 @@ impl<'a> BranchAndBound<'a> {
                         depth: node.depth + 1,
                         bound: node.bound,
                         branched: Some(j),
-                        parent_basis,
+                        parent_basis: parent_basis.cloned(),
                         parent_bound_is_lp,
                         branch_up,
                         branch_step,
@@ -1874,8 +1887,8 @@ struct NodeLp {
     /// Reduced costs at optimality (`None` only for a root LP restored
     /// from a snapshot that carried none).
     reduced_costs: Option<ReducedCosts>,
-    /// Cache key of the stored optimal basis, if it was kept.
-    basis_key: Option<u64>,
+    /// The optimal basis, which the node's children inherit.
+    basis: Option<Rc<Basis>>,
 }
 
 enum NodeBound {
@@ -1895,8 +1908,19 @@ enum SolvedNodeLp {
         objective: f64,
         values: Vec<f64>,
         reduced_costs: Option<ReducedCosts>,
-        basis_key: Option<u64>,
+        basis: Option<Rc<Basis>>,
     },
+}
+
+/// Why an LP is solved cold; each maps to one [`crate::ColdLpCounts`]
+/// field.
+#[derive(Debug, Clone, Copy)]
+enum Cold {
+    Root,
+    NoParentBasis,
+    UnusableBasis,
+    OverBudget,
+    Leaf,
 }
 
 #[cfg(test)]
@@ -1987,7 +2011,14 @@ mod tests {
         assert!(stats.node_lp_pivots.len() as u64 <= stats.lp_solves);
         assert!(stats.node_lp_pivots.iter().sum::<u64>() <= stats.lp_pivots);
         assert!(stats.warm_lp_pivots <= stats.lp_pivots);
-        assert!(stats.refactorizations >= 1, "the root factorises cold");
+        // Without a cut loop the root node is the one node without a
+        // parent basis.
+        assert_eq!(stats.cold_lp.no_parent_basis, 1);
+        assert_eq!(stats.cold_lp.root, 0);
+        assert_eq!(
+            stats.cold_lp.total(),
+            stats.lp_solves - stats.warm_lp_solves - stats.strong_branch_solves
+        );
     }
 
     #[test]

@@ -132,10 +132,17 @@ impl SparseModel {
     }
 
     fn compute_fingerprint(&self) -> u64 {
+        self.prefix_fingerprint(self.num_rows())
+    }
+
+    /// The fingerprint of the matrix made of the first `rows` rows: a
+    /// matrix that only ever grows by appended rows can tell whether it
+    /// still begins with the rows an earlier fingerprint was taken of.
+    pub(crate) fn prefix_fingerprint(&self, rows: usize) -> u64 {
         let mut h = FNV_OFFSET;
-        fnv_fold(&mut h, self.num_rows() as u64);
+        fnv_fold(&mut h, rows as u64);
         fnv_fold(&mut h, self.num_vars() as u64);
-        for row in self.rows() {
+        for row in self.rows().take(rows) {
             fnv_fold(
                 &mut h,
                 match row.op {

@@ -75,7 +75,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1616,
-        golden_pivots: 1329,
+        golden_pivots: 1484,
     },
     CorpusCase {
         name: "r11k2",
@@ -85,7 +85,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1520,
-        golden_pivots: 4259,
+        golden_pivots: 3863,
     },
     CorpusCase {
         name: "r23k1",
@@ -95,7 +95,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1376,
-        golden_pivots: 379,
+        golden_pivots: 102,
     },
     CorpusCase {
         name: "r23k2",
@@ -105,7 +105,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1312,
-        golden_pivots: 1000,
+        golden_pivots: 705,
     },
     CorpusCase {
         name: "r37k1",
@@ -115,7 +115,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1876,
-        golden_pivots: 1280,
+        golden_pivots: 798,
     },
     CorpusCase {
         name: "r37k2",
@@ -125,7 +125,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1616,
-        golden_pivots: 4276,
+        golden_pivots: 2556,
     },
     CorpusCase {
         name: "r58k1",
@@ -135,7 +135,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1440,
-        golden_pivots: 1827,
+        golden_pivots: 1395,
     },
     CorpusCase {
         name: "r58k2",
@@ -145,7 +145,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1424,
-        golden_pivots: 7521,
+        golden_pivots: 4914,
     },
     CorpusCase {
         name: "r71k1",
@@ -155,7 +155,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 2,
         sessions: 1,
         golden_area: 1892,
-        golden_pivots: 2089,
+        golden_pivots: 1262,
     },
     CorpusCase {
         name: "r71k2",
@@ -165,7 +165,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 2,
         sessions: 2,
         golden_area: 1552,
-        golden_pivots: 2305,
+        golden_pivots: 1631,
     },
     CorpusCase {
         name: "r92k1",
@@ -175,7 +175,7 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 1,
         golden_area: 1920,
-        golden_pivots: 111,
+        golden_pivots: 56,
     },
     CorpusCase {
         name: "r92k2",
@@ -185,6 +185,6 @@ pub const CORPUS: &[CorpusCase] = &[
         multipliers: 1,
         sessions: 2,
         golden_area: 1920,
-        golden_pivots: 2331,
+        golden_pivots: 1202,
     },
 ];

@@ -9,7 +9,7 @@ mod common;
 
 use advbist::core::engine::SynthesisEngine;
 use advbist::core::formulation::BistFormulation;
-use advbist::core::{synthesis, SynthesisConfig};
+use advbist::core::{synthesis, SweepOutcome, SynthesisConfig};
 use advbist::dfg::benchmarks;
 use advbist::ilp::reduce::{reduce, reduce_prefix, ReduceOptions};
 use advbist::ilp::{model_fingerprint, BoundMode, Budget, SolverConfig};
@@ -41,17 +41,21 @@ fn corpus_reaches_golden_optima_with_the_default_search() {
     }
 }
 
-/// The benchmark's `sweep_lp` configuration: 1000 nodes per solve and LP
-/// bounds at every node.
-fn sweep_lp() -> SynthesisConfig {
-    SynthesisConfig {
+/// figure1's chained k-sweep under the benchmark's `sweep_lp`
+/// configuration: 1000 nodes per solve and LP bounds at every node.
+fn figure1_sweep_lp() -> Vec<SweepOutcome> {
+    let config = SynthesisConfig {
         solver: SolverConfig {
             budget: Budget::nodes(1000),
             bound_mode: BoundMode::LpRelaxation,
             ..SolverConfig::default()
         },
         ..SynthesisConfig::default()
-    }
+    };
+    let input = benchmarks::figure1();
+    SynthesisEngine::new(&input, &config)
+        .and_then(|engine| engine.sweep_chained())
+        .expect("figure1 sweep")
 }
 
 #[test]
@@ -62,15 +66,10 @@ fn figure1_sweep_lp_trail_is_pinned() {
     // refactorizations and the objective (compared bit for bit). A kernel
     // change that moves a single pivot decision moves this trail.
     const TRAIL: [(u64, u64, u64, u64, u64, f64); 2] = [
-        (21, 1580, 82, 7, 6, 1316.0),
-        (79, 3532, 344, 257, 32, 1136.0),
+        (13, 1228, 194, 21, 22, 1316.0),
+        (113, 2173, 477, 154, 102, 1136.0),
     ];
-    let input = benchmarks::figure1();
-    let config = sweep_lp();
-    let outcomes = SynthesisEngine::new(&input, &config)
-        .and_then(|engine| engine.sweep_chained())
-        .expect("figure1 sweep");
-    let trail: Vec<_> = outcomes
+    let trail: Vec<_> = figure1_sweep_lp()
         .iter()
         .map(|outcome| {
             let stats = &outcome.design.stats;
@@ -91,6 +90,37 @@ fn figure1_sweep_lp_trail_is_pinned() {
         })
         .collect();
     assert_eq!(trail, expected);
+}
+
+#[test]
+fn figure1_sweep_lp_cold_solves_each_have_one_reason() {
+    // Every LP is warm (a dual re-solve from a stored basis), a
+    // strong-branching probe, or cold; each cold solve is counted under
+    // exactly one reason. Per k, in order: first root cut round, node
+    // without a parent basis, unusable basis, warm re-solve over budget,
+    // leaf completion. Both roots exhaust their cut rounds, so the root
+    // node starts cold; the chained k=2 solve overruns one warm budget.
+    let reasons: Vec<_> = figure1_sweep_lp()
+        .iter()
+        .map(|outcome| {
+            let stats = &outcome.design.stats;
+            let cold = stats.cold_lp;
+            assert_eq!(
+                cold.total(),
+                stats.lp_solves - stats.warm_lp_solves - stats.strong_branch_solves,
+                "k={}: cold reasons must sum to the cold solves",
+                outcome.design.sessions
+            );
+            (
+                cold.root,
+                cold.no_parent_basis,
+                cold.unusable_basis,
+                cold.over_budget,
+                cold.leaf,
+            )
+        })
+        .collect();
+    assert_eq!(reasons, [(1, 1, 0, 0, 0), (1, 1, 0, 1, 0)]);
 }
 
 /// The composed reduced model of every figure1 and paper-circuit solve, as

@@ -239,7 +239,9 @@ fn lp_feasible(matrix: &SparseModel, domains: &Domains, values: &[f64]) -> bool 
 /// dense tableau** oracle (`common::reference_lp`, the pre-revised kernel
 /// preserved verbatim as a second opinion): same status, objectives within
 /// 1e-6 and an LP-feasible optimal point, at the root and at every step of
-/// the descent.
+/// the descent. Each root is also cut: one appended row its LP optimum
+/// violates, re-solved warm from the root basis carried over by
+/// `Basis::extended`, must match both the oracle and a cold solve.
 #[test]
 fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
     use common::reference_lp::{solve_dense, RefStatus};
@@ -254,6 +256,7 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
     let mut rng = Rng::new(0xd0a1);
     let mut corpus = 0usize;
     let mut warm_resolves = 0usize;
+    let mut extended_resolves = 0usize;
     let mut seed = 0u64;
     while corpus < 220 {
         seed += 1;
@@ -286,6 +289,82 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
             "seed {seed} (root): revised point infeasible"
         );
         let mut basis = basis.expect("an optimal cold solve returns its basis");
+
+        // A cut round: append one row the LP optimum violates by 0.5, carry
+        // the basis over with `Basis::extended` and re-solve warm. The
+        // un-extended basis must be refused by the grown matrix.
+        let mut cut_rng = Rng::new(seed);
+        let mut cut: Vec<(usize, f64)> = (0..matrix.num_vars())
+            .filter_map(|j| match cut_rng.range(0, 3) {
+                0 => None,
+                1 => Some((j, 1.0)),
+                _ => Some((j, -1.0)),
+            })
+            .collect();
+        if cut.is_empty() {
+            cut.push((0, 1.0));
+        }
+        let activity: f64 = cut.iter().map(|&(j, a)| a * root.values[j]).sum();
+        let cut_matrix = SparseModel::from_rows(
+            matrix.num_vars(),
+            matrix
+                .rows()
+                .map(|row| (row.terms().collect::<Vec<_>>(), row.op, row.rhs))
+                .chain(std::iter::once((cut, CmpOp::Le, activity - 0.5))),
+        );
+        assert!(
+            resolve_with_basis(
+                &cut_matrix,
+                &objective,
+                constant,
+                &basis,
+                &root_domains,
+                50_000
+            )
+            .is_none(),
+            "seed {seed}: a basis must not re-solve a grown matrix unextended"
+        );
+        let extended = basis
+            .extended(&cut_matrix, &objective, constant)
+            .unwrap_or_else(|| panic!("seed {seed}: appended rows must extend the basis"));
+        let legacy = solve_dense(&cut_matrix, &objective, constant, &root_domains, 50_000);
+        let (cold, _) = solve_lp_basis(&cut_matrix, &objective, constant, &root_domains, 50_000);
+        let (warm, _) = resolve_with_basis(
+            &cut_matrix,
+            &objective,
+            constant,
+            &extended,
+            &root_domains,
+            50_000,
+        )
+        .unwrap_or_else(|| panic!("seed {seed} (cut): extended basis incompatible"));
+        extended_resolves += 1;
+        assert_eq!(warm.status, cold.status, "seed {seed} (cut)");
+        assert!(
+            agree(warm.status, legacy.status),
+            "seed {seed} (cut): revised {:?} vs legacy {:?}",
+            warm.status,
+            legacy.status
+        );
+        assert_eq!(
+            warm.primal_pivots, 0,
+            "seed {seed} (cut): warm path is dual-only"
+        );
+        if warm.status == LpStatus::Optimal {
+            assert!(
+                (warm.objective - legacy.objective).abs() < 1e-6
+                    && (warm.objective - cold.objective).abs() < 1e-6,
+                "seed {seed} (cut): warm {} vs legacy {} vs cold {}",
+                warm.objective,
+                legacy.objective,
+                cold.objective
+            );
+            assert!(
+                lp_feasible(&cut_matrix, &root_domains, &warm.values),
+                "seed {seed} (cut): warm point infeasible"
+            );
+        }
+
         let mut domains = root_domains;
         // A random branch-and-bound descent: fix one free variable at a
         // time and re-solve warm from the previous basis, checking every
@@ -342,6 +421,11 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
     assert!(
         warm_resolves >= 200,
         "only {warm_resolves} warm re-solves exercised"
+    );
+    // One per model whose root LP is optimal (163 of the 220).
+    assert!(
+        extended_resolves >= 150,
+        "only {extended_resolves} extended re-solves exercised"
     );
 }
 

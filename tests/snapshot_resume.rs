@@ -237,3 +237,126 @@ fn budget_snapshot_knob_flows_through_the_solver_config() {
     assert!(!off.stats().snapshot_captured);
     assert!(off.snapshot().is_none());
 }
+
+#[test]
+fn resumed_siblings_share_one_stored_parent_basis() {
+    // Both children of a branching hold their parent's basis. A snapshot
+    // stores it once for the pair, and a resume from every interrupt point
+    // must still replay the uninterrupted tree exactly — down to the LP
+    // work, which is only equal when every resumed node re-solves from the
+    // basis it held.
+    // LP bounds at every node, so every open node below the root holds a
+    // basis and fewer stored bases than open nodes means sharing.
+    let model = knapsack_model();
+    let config = SolverConfig {
+        bound_mode: advbist::ilp::BoundMode::LpRelaxation,
+        ..SolverConfig::default()
+    };
+    let cold = SolveSession::with_config(&model, config.clone())
+        .solve()
+        .expect("cold solve");
+    assert!(cold.is_optimal());
+    let total_nodes = cold.stats().nodes;
+    let mut shared = 0;
+    for interrupt in 1..total_nodes {
+        let partial = SolveSession::with_config(&model, config.clone())
+            .budget(Budget::nodes(interrupt).with_snapshot(true))
+            .solve()
+            .expect("interrupted solve");
+        let snapshot = partial.shared_snapshot().expect("snapshot captured");
+        assert!(snapshot.stored_bases() <= snapshot.open_nodes());
+        if snapshot.stored_bases() < snapshot.open_nodes() {
+            shared += 1;
+        }
+        let resumed = SolveSession::with_config(&model, config.clone())
+            .resume(snapshot)
+            .solve()
+            .expect("resumed solve");
+        assert_eq!(resumed.stats().nodes, total_nodes, "@{interrupt}");
+        assert_eq!(
+            resumed.objective().to_bits(),
+            cold.objective().to_bits(),
+            "@{interrupt}"
+        );
+        assert_eq!(resumed.values(), cold.values(), "@{interrupt}");
+        assert_eq!(
+            partial.stats().lp_pivots + resumed.stats().lp_pivots,
+            cold.stats().lp_pivots,
+            "@{interrupt}"
+        );
+    }
+    assert!(shared > 0, "no snapshot had siblings sharing a basis");
+}
+
+#[test]
+fn resume_after_an_in_tree_cut_install_matches_the_uninterrupted_run() {
+    // Eager in-tree separation installs Gomory cuts at shallow nodes; the
+    // children of such a node hold a basis stored before the install, and
+    // a resumed search must carry it over the appended rows exactly as the
+    // uninterrupted search does.
+    use advbist::ilp::{BoundMode, SolveEvent};
+    let model = knapsack_model_weighted(12.5);
+    let config = SolverConfig {
+        bound_mode: BoundMode::LpRelaxation,
+        eager_tree_cuts: true,
+        budget: Budget::unlimited(),
+        ..SolverConfig::default()
+    }
+    // The empty knapsack is feasible; a warm incumbent enables the eager
+    // rounds.
+    .with_warm_candidate(vec![0.0; 10]);
+    let mut installs = Vec::new();
+    let cold = SolveSession::with_config(&model, config.clone())
+        .on_event(|event| {
+            if let SolveEvent::CutRound { nodes, .. } = event {
+                if *nodes > 0 {
+                    installs.push(*nodes);
+                }
+            }
+        })
+        .solve()
+        .expect("cold solve");
+    assert!(cold.is_optimal());
+    assert!(
+        !installs.is_empty(),
+        "no in-tree cut install to interrupt after"
+    );
+
+    for &node in &installs {
+        // Cancel right after the installing node: its children, which hold
+        // the pre-install basis, are the top of the captured frontier.
+        let mut session = SolveSession::with_config(&model, config.clone())
+            .budget(Budget::unlimited().with_snapshot(true));
+        let token = session.cancel_token();
+        let partial = session
+            .on_event(move |event| {
+                if let SolveEvent::NodeMilestone { nodes, .. } = event {
+                    if *nodes >= node {
+                        token.cancel();
+                    }
+                }
+            })
+            .solve()
+            .expect("interrupted solve");
+        assert_eq!(partial.stats().nodes, node);
+        let snapshot = partial.shared_snapshot().expect("snapshot captured");
+        let resumed = SolveSession::with_config(&model, config.clone())
+            .resume(snapshot)
+            .solve()
+            .expect("resumed solve");
+        assert!(resumed.is_optimal(), "@{node}");
+        assert_eq!(resumed.stats().nodes, cold.stats().nodes, "@{node}");
+        assert_eq!(
+            resumed.objective().to_bits(),
+            cold.objective().to_bits(),
+            "@{node}"
+        );
+        assert_eq!(resumed.values(), cold.values(), "@{node}");
+        assert_eq!(
+            partial.stats().lp_pivots + resumed.stats().lp_pivots,
+            cold.stats().lp_pivots,
+            "@{node}"
+        );
+        assert_eq!(resumed.stats().cold_lp.unusable_basis, 0, "@{node}");
+    }
+}
