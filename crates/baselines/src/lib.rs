@@ -20,7 +20,7 @@
 //!
 //! The original implementations are not available; these are re-implementations
 //! of the published algorithmic ideas at the level of detail the Table 3
-//! comparison requires (see DESIGN.md). All three produce the same
+//! comparison requires. All three produce the same
 //! [`bist_datapath::Datapath`] + [`bist_datapath::TestPlan`] structures as
 //! ADVBIST and are checked by the same validator, so the area comparison is
 //! apples-to-apples.

@@ -1,8 +1,7 @@
 //! Regenerates Figure 1 of the paper: the example DFG and its data path.
 
 fn main() {
-    let config = bist_bench::workload::quick_config_budget(bist_bench::workload::table_budget());
-    match bist_bench::figures::render_figure1(&config) {
+    match bist_bench::figures::render_figure1() {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("figure 1 reproduction failed: {e}");

@@ -2,8 +2,7 @@
 //! assignment on the example data path.
 
 fn main() {
-    let config = bist_bench::workload::quick_config_budget(bist_bench::workload::table_budget());
-    match bist_bench::figures::render_fig2_fig3(&config) {
+    match bist_bench::figures::render_fig2_fig3() {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("figures 2/3 reproduction failed: {e}");

@@ -16,18 +16,19 @@ use bist_datapath::test_plan::TpgSource;
 use bist_dfg::{benchmarks, dot};
 
 /// Regenerates Figure 1: the example DFG (as Graphviz DOT) and a description
-/// of the synthesised data path.
+/// of the synthesised data path, solved to proven optimality (figure1 takes
+/// milliseconds).
 ///
 /// # Errors
 ///
 /// Propagates synthesis errors (not expected for the Figure 1 example).
-pub fn render_figure1(config: &SynthesisConfig) -> Result<String, bist_core::CoreError> {
+pub fn render_figure1() -> Result<String, bist_core::CoreError> {
     let input = benchmarks::figure1();
     let mut out = String::new();
     let _ = writeln!(out, "Figure 1(a): data flow graph (Graphviz DOT)\n");
     out.push_str(&dot::to_dot_scheduled(&input));
 
-    let design = reference::synthesize_reference(&input, config)?;
+    let design = reference::synthesize_reference(&input, &SynthesisConfig::exact())?;
     let _ = writeln!(out, "\nFigure 1(b): synthesised data path");
     let _ = writeln!(
         out,
@@ -75,14 +76,14 @@ pub fn render_figure1(config: &SynthesisConfig) -> Result<String, bist_core::Cor
 /// Figure 1 data path, which registers could serve as its signature register
 /// (Figure 2) and which registers could serve as TPGs for each input port
 /// (Figure 3), plus the assignment actually chosen by the ILP for a 2-test
-/// session.
+/// session, solved to proven optimality.
 ///
 /// # Errors
 ///
 /// Propagates synthesis errors (not expected for the Figure 1 example).
-pub fn render_fig2_fig3(config: &SynthesisConfig) -> Result<String, bist_core::CoreError> {
+pub fn render_fig2_fig3() -> Result<String, bist_core::CoreError> {
     let input = benchmarks::figure1();
-    let design = synthesis::synthesize_bist(&input, 2, config)?;
+    let design = synthesis::synthesize_bist(&input, 2, &SynthesisConfig::exact())?;
     let dp = &design.datapath;
     let mut out = String::new();
 
@@ -155,15 +156,10 @@ pub fn render_fig2_fig3(config: &SynthesisConfig) -> Result<String, bist_core::C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    fn quick() -> SynthesisConfig {
-        crate::workload::quick_config(Duration::from_millis(300))
-    }
 
     #[test]
     fn figure1_rendering_mentions_every_register_and_module() {
-        let text = render_figure1(&quick()).unwrap();
+        let text = render_figure1().unwrap();
         assert!(text.contains("digraph"));
         assert!(text.contains("R0"));
         assert!(text.contains("R2"));
@@ -173,7 +169,7 @@ mod tests {
 
     #[test]
     fn fig2_fig3_rendering_shows_candidates_and_choices() {
-        let text = render_fig2_fig3(&quick()).unwrap();
+        let text = render_fig2_fig3().unwrap();
         assert!(text.contains("Figure 2"));
         assert!(text.contains("Figure 3"));
         assert!(text.contains("chosen SR"));

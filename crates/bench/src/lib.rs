@@ -6,27 +6,27 @@
 //! | Paper item | Module | Binary |
 //! |------------|--------|--------|
 //! | Table 1 (cost model) | [`table1`] | `repro_table1` |
-//! | Table 2 (ADVBIST per k-test session) | [`table2`] | `repro_table2` |
-//! | Table 3 (method comparison) | [`table3`] | `repro_table3` |
 //! | Figure 1 (example DFG / data path) | [`figures`] | `repro_fig1` |
 //! | Figures 2–3 (SR / TPG assignment) | [`figures`] | `repro_fig2_fig3` |
+//! | Table 2 (ADVBIST per k-test session) | [`table2`] | `repro_sweep`, `repro_all` |
+//! | Table 3 (method comparison) | [`table3`] | `repro_sweep`, `repro_all` |
+//! | k-sweep: rebuild vs chained engine, exactness, service and Table 3 gates (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_sweep`, `repro_all` |
+//! | RTL netlists + simulated BIST coverage of every swept design (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_sweep`, `repro_all` |
 //! | Presolve + cut pool vs no reduction (ours, `BENCH_presolve.json`) | [`presolve`] | `repro_presolve` |
-//! | k-sweep: rebuild vs chained engine, exactness and service gates (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_sweep`, `repro_all` |
 //! | Service cache + resume (ours, `BENCH_service.json`) | [`service`] | `repro_service` |
-//! | RTL netlists + simulated BIST coverage (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_rtl` |
 //!
-//! Wall-clock performance is measured by the separate `perfbench/`
-//! workspace, the repository benchmark.
+//! Tables 2 and 3 and the RTL artifacts are rendered from one node-budgeted
+//! k-sweep ([`sweep::run_gated`]), which solves each circuit's reference and
+//! every k once. Figures 1–3 solve figure1 to proven optimality.
 //!
-//! Every `repro_*` binary reads its solve budget through one
+//! Every solve here is exact or node-budgeted, so every design and work
+//! counter is deterministic. The binaries read the node budget through one
 //! [`bist_ilp::Budget::from_env`] call ([`workload::budget_from_env`]):
-//! `BIST_TIME_LIMIT_SECS` caps each table/figure ILP solve (default: 5
-//! seconds per instance), `BIST_NODE_LIMIT` caps the deterministic
-//! node-budgeted comparisons, and `BIST_DEADLINE_SECS` puts an absolute
-//! deadline on the table/figure solves of a run (the node-budgeted
-//! comparisons ignore it — they must stay deterministic). The paper used a
-//! 24-CPU-hour cap on CPLEX 6.0, so absolute runtimes are not comparable —
-//! see EXPERIMENTS.md.
+//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`) sets it, each binary
+//! supplying its own default.
+//! Wall-clock performance is measured by the separate `perfbench/`
+//! workspace, the repository benchmark. The paper ran CPLEX 6.0 under a
+//! 24-CPU-hour cap, so its runtimes are not comparable with anything here.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -41,6 +41,6 @@ pub mod table2;
 pub mod table3;
 pub mod workload;
 
-pub use report::{ExperimentReport, MethodRow, SessionRow};
 pub use sweep::CircuitSweep;
-pub use workload::{budget_from_env, circuits, quick_config, small_circuits, table_time_budget};
+pub use table3::MethodRow;
+pub use workload::{budget_from_env, small_circuits, sweep_circuits};

@@ -1,22 +1,20 @@
 //! RTL back-end benchmark: golden netlists and BIST signatures per circuit
 //! and per k (`BENCH_rtl.json` + `goldens/rtl/*.netlist`).
 //!
-//! For every circuit the canonical chained engine sweep is run under the
-//! deterministic node budget (the same rows `BENCH_sweep.json` tracks), and
-//! each extracted design is pushed through the full RTL pipeline:
+//! Every chained design of the node-budgeted sweep ([`crate::sweep`], the
+//! rows `BENCH_sweep.json` tracks) is pushed through the full RTL pipeline:
 //! [`bist_rtl::emit_bist_netlist`] → [`bist_rtl::validate_simulated`]. The
 //! record keeps the canonical netlist text (committed as a golden file by
-//! `repro_rtl`), its fingerprint, and every sub-test session's final MISR
-//! signatures — all bit-deterministic, so CI can diff them across PRs. A
-//! record only exists if simulated validation *passed*: every module of
+//! [`write_artifacts`]), its fingerprint, and every sub-test session's final
+//! MISR signatures — all bit-deterministic, so CI can diff them across PRs.
+//! A record only exists if simulated validation *passed*: every module of
 //! every test plan was provably exercised and observed.
 
-use bist_core::engine::SynthesisEngine;
-use bist_core::{CoreError, SynthesisConfig};
-use bist_dfg::SynthesisInput;
+use bist_core::{BistDesign, CoreError};
 use bist_rtl::{to_verilog, validate_simulated, SimConfig};
 
 use crate::report::json;
+use crate::sweep::CircuitSweep;
 
 /// The RTL artifacts of one synthesised design (one circuit at one k).
 #[derive(Debug, Clone, PartialEq)]
@@ -93,26 +91,19 @@ impl CircuitRtl {
     }
 }
 
-/// Runs the chained engine sweep on one circuit and lowers every extracted
-/// design through netlist emission and simulated validation.
+/// Lowers one circuit's designs (ascending in k) through netlist emission
+/// and simulated validation.
 ///
 /// # Errors
 ///
-/// Propagates synthesis errors, plus [`CoreError::RtlValidation`] when any
+/// Propagates emission errors, plus [`CoreError::RtlValidation`] when any
 /// design's test plan fails the simulated coverage/observability proof — the
 /// condition this benchmark exists to gate on.
-pub fn run_circuit(
-    name: &str,
-    input: &SynthesisInput,
-    config: &SynthesisConfig,
-) -> Result<CircuitRtl, CoreError> {
-    let engine = SynthesisEngine::new(input, config)?;
-    let outcomes = engine.sweep_chained()?;
+pub fn run_circuit(name: &str, designs: &[BistDesign]) -> Result<CircuitRtl, CoreError> {
     let sim_config = SimConfig::default();
 
-    let mut rows = Vec::with_capacity(outcomes.len());
-    for outcome in &outcomes {
-        let design = &outcome.design;
+    let mut rows = Vec::with_capacity(designs.len());
+    for design in designs {
         let netlist = bist_rtl::emit_bist_netlist(&design.datapath, &design.plan)?;
         let report = validate_simulated(&design.datapath, &design.plan, &sim_config)?;
 
@@ -172,19 +163,38 @@ pub fn run_circuit(
     })
 }
 
-/// Runs the RTL benchmark over the given circuits.
+/// Runs [`run_circuit`] over the chained designs of every sweep.
 ///
 /// # Errors
 ///
-/// Propagates the first synthesis or validation error.
-pub fn run_all(
-    circuits: &[(&str, SynthesisInput)],
-    config: &SynthesisConfig,
-) -> Result<Vec<CircuitRtl>, CoreError> {
-    circuits
+/// Propagates the first emission or validation error.
+pub fn run_all(sweeps: &[CircuitSweep]) -> Result<Vec<CircuitRtl>, CoreError> {
+    sweeps
         .iter()
-        .map(|(name, input)| run_circuit(name, input, config))
+        .map(|sweep| run_circuit(&sweep.circuit, &sweep.designs))
         .collect()
+}
+
+/// Writes `goldens/rtl/<circuit>_k<k>.netlist` for every row and
+/// `BENCH_rtl.json` for all of them, relative to the working directory.
+///
+/// # Errors
+///
+/// Propagates the first I/O error.
+pub fn write_artifacts(results: &[CircuitRtl]) -> std::io::Result<()> {
+    std::fs::create_dir_all("goldens/rtl")?;
+    for circuit in results {
+        for row in &circuit.rows {
+            let path = format!("goldens/rtl/{}_k{}.netlist", circuit.circuit, row.sessions);
+            std::fs::write(path, &row.netlist_text)?;
+        }
+    }
+    let body = results
+        .iter()
+        .map(CircuitRtl::to_json)
+        .collect::<Vec<_>>()
+        .join(",\n");
+    std::fs::write("BENCH_rtl.json", format!("[\n{body}\n]\n"))
 }
 
 /// Renders a human-readable summary.
@@ -218,13 +228,15 @@ pub fn render(results: &[CircuitRtl]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bist_core::SynthesisConfig;
     use bist_dfg::benchmarks;
 
     #[test]
     fn figure1_rtl_rows_are_deterministic_and_fully_covered() {
         let input = benchmarks::figure1();
         let config = SynthesisConfig::exact();
-        let first = run_circuit("figure1", &input, &config).unwrap();
+        let sweep = crate::sweep::run_circuit("figure1", &input, &config).unwrap();
+        let first = run_circuit("figure1", &sweep.designs).unwrap();
         assert_eq!(first.rows.len(), 2);
         for row in &first.rows {
             assert_eq!(row.modules_tested, 2);
@@ -233,9 +245,10 @@ mod tests {
             assert!(row.netlist_text.starts_with("netlist figure1"));
             assert!(row.verilog_lines > 10);
         }
-        // Bit-stable: a second full run reproduces fingerprints, signatures
-        // and the golden text exactly.
-        let second = run_circuit("figure1", &input, &config).unwrap();
+        // Bit-stable: a second full run, solve included, reproduces
+        // fingerprints, signatures and the golden text exactly.
+        let again = crate::sweep::run_circuit("figure1", &input, &config).unwrap();
+        let second = run_circuit("figure1", &again.designs).unwrap();
         assert_eq!(first, second);
         let json = first.to_json();
         assert!(json.contains("\"circuit\": \"figure1\""));

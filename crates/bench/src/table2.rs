@@ -1,97 +1,41 @@
-//! Reproduction of Table 2: ADVBIST area overhead and solve time for every
-//! k-test session of every circuit.
+//! Reproduction of Table 2: ADVBIST area overhead for every k-test session
+//! of every circuit, rendered from the chained rows of the node-budgeted
+//! sweep ([`crate::sweep`]).
 
-use bist_core::{SynthesisConfig, SynthesisEngine};
-use bist_dfg::SynthesisInput;
+use crate::sweep::CircuitSweep;
 
-use crate::report::SessionRow;
-use crate::workload;
-
-/// Runs ADVBIST for every `k = 1..=N` of one circuit and returns one row per
-/// test session.
-///
-/// The circuit runs on one [`SynthesisEngine`]: the base model is shared
-/// between the reference solve and every k-solve, and each k chains the
-/// previous incumbent as a warm start. Per-solve [`bist_ilp::SolveStats`]
-/// are threaded into the rows.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (none are expected for the bundled
-/// benchmarks).
-pub fn run_circuit(
-    name: &str,
-    input: &SynthesisInput,
-    config: &SynthesisConfig,
-) -> Result<Vec<SessionRow>, bist_core::CoreError> {
-    let engine = SynthesisEngine::new(input, config)?;
-    let reference = engine.synthesize_reference()?;
-    let rows = engine
-        .sweep_chained()?
-        .into_iter()
-        .map(|outcome| {
-            let design = outcome.design;
-            SessionRow {
-                circuit: name.to_string(),
-                sessions: design.sessions,
-                overhead_percent: design.overhead_percent(reference.area.total()),
-                time_seconds: design.stats.time.as_secs_f64(),
-                optimal: design.optimal,
-                area: design.area.total(),
-                reference_area: reference.area.total(),
-                nodes: design.stats.nodes,
-                lp_solves: design.stats.lp_solves,
-            }
-        })
-        .collect();
-    Ok(rows)
-}
-
-/// Runs the full Table 2 sweep over all six circuits, one circuit per worker
-/// thread. Row order is circuit order, independent of scheduling.
-///
-/// # Errors
-///
-/// Propagates the first synthesis error (in circuit order).
-pub fn run_all(budget: bist_ilp::Budget) -> Result<Vec<SessionRow>, bist_core::CoreError> {
-    let config = workload::quick_config_budget(budget);
-    let circuits = workload::circuits();
-    let results =
-        workload::par_map_circuits(&circuits, |name, input| run_circuit(name, input, &config));
-    let mut rows = Vec::new();
-    for result in results {
-        rows.extend(result?);
-    }
-    Ok(rows)
-}
-
-/// Renders rows in the layout of the paper's Table 2 (one circuit per block,
-/// one column per k). Rows whose optimality was not proven are marked with
-/// `*`, matching the paper's convention.
-pub fn render(rows: &[SessionRow]) -> String {
+/// Renders the chained sweep rows in the layout of the paper's Table 2 (one
+/// circuit per block, one row per k), pricing each design against the
+/// circuit's reference area. Rows whose optimality was not proven are marked
+/// with `*`, matching the paper's convention; an unproven reference area is
+/// marked the same way. `gap(%)` is the row's area gap
+/// ([`crate::sweep::SweepKRow::area_gap`]) and `nodes` its search effort.
+pub fn render(sweeps: &[CircuitSweep]) -> String {
     let mut out = String::new();
     out.push_str("Table 2: Performance of the proposed method ADVBIST\n");
     out.push_str(&format!(
-        "{:<10} {:>4} {:>12} {:>12} {:>10} {:>10}\n",
-        "Ckt", "k", "overhead(%)", "time(s)", "area", "ref.area"
+        "{:<10} {:>4} {:>12} {:>8} {:>6} {:>10} {:>10}\n",
+        "Ckt", "k", "overhead(%)", "gap(%)", "nodes", "area", "ref.area"
     ));
-    let mut last_circuit = "";
-    for row in rows {
-        if row.circuit != last_circuit && !last_circuit.is_empty() {
+    for (i, sweep) in sweeps.iter().enumerate() {
+        if i > 0 {
             out.push('\n');
         }
-        last_circuit = &row.circuit;
-        let marker = if row.optimal { "" } else { "*" };
-        out.push_str(&format!(
-            "{:<10} {:>4} {:>11.1}{} {:>12.2} {:>10} {:>10}\n",
-            row.circuit,
-            row.sessions,
-            row.overhead_percent,
-            if marker.is_empty() { " " } else { marker },
-            row.time_seconds,
-            row.area,
-            row.reference_area
-        ));
+        let reference = sweep.reference_area();
+        for (row, design) in sweep.chained.iter().zip(&sweep.designs) {
+            out.push_str(&format!(
+                "{:<10} {:>4} {:>11.1}{} {:>8.1} {:>6} {:>10} {:>9}{}\n",
+                sweep.circuit,
+                row.sessions,
+                design.overhead_percent(reference),
+                if row.optimal { " " } else { "*" },
+                row.area_gap * 100.0,
+                row.nodes,
+                row.area,
+                reference,
+                if sweep.reference.optimal { " " } else { "*" },
+            ));
+        }
     }
     out
 }
@@ -99,42 +43,41 @@ pub fn render(rows: &[SessionRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep;
+    use bist_core::SynthesisConfig;
     use bist_dfg::benchmarks;
-    use std::time::Duration;
 
     #[test]
     fn figure1_rows_have_nonnegative_overhead() {
         let input = benchmarks::figure1();
-        let config = workload::quick_config(Duration::from_millis(300));
-        let rows = run_circuit("figure1", &input, &config).unwrap();
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert!(row.overhead_percent >= 0.0);
-            assert!(row.area >= row.reference_area);
+        let sweep = sweep::run_circuit("figure1", &input, &SynthesisConfig::exact()).unwrap();
+        assert_eq!(sweep.designs.len(), 2);
+        for design in &sweep.designs {
+            assert!(design.overhead_percent(sweep.reference_area()) >= 0.0);
+            assert!(design.area.total() >= sweep.reference_area());
         }
-        let text = render(&rows);
+        let text = render(&[sweep]);
         assert!(text.contains("figure1"));
         assert!(text.contains("overhead"));
+        assert!(text.contains("gap(%)"));
+        // Every figure1 row and its reference are proven optimal.
+        assert!(!text.contains('*'), "{text}");
     }
 
     #[test]
     fn tseng_sweep_produces_reasonable_overheads() {
         // The paper's Table 2 shows overheads shrinking as k grows (more
         // sub-test sessions relax the concurrency constraints). Under the
-        // small time budgets used in tests the solver is heuristic, so we
-        // only check the sweep structure and that overheads stay in a sane
-        // band; the strict trend is checked by the harness run recorded in
-        // EXPERIMENTS.md.
-        let input = benchmarks::tseng();
-        let config = workload::quick_config(Duration::from_millis(600));
-        let rows = run_circuit("tseng", &input, &config).unwrap();
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert!(row.overhead_percent >= 0.0, "{row:?}");
-            assert!(row.overhead_percent <= 120.0, "{row:?}");
-            assert!(row.area >= row.reference_area, "{row:?}");
+        // small node budget used in tests the solver stops early, so we only
+        // check the sweep structure and that overheads stay in a sane band.
+        let sweep = sweep::tseng_at_60_nodes();
+        assert_eq!(sweep.chained.len(), 3);
+        for (row, design) in sweep.chained.iter().zip(&sweep.designs) {
+            let overhead = design.overhead_percent(sweep.reference_area());
+            assert!((0.0..=120.0).contains(&overhead), "{row:?}");
+            assert!(row.area >= sweep.reference_area(), "{row:?}");
         }
-        assert_eq!(rows[0].sessions, 1);
-        assert_eq!(rows[2].sessions, 3);
+        assert_eq!(sweep.chained[0].sessions, 1);
+        assert_eq!(sweep.chained[2].sessions, 3);
     }
 }

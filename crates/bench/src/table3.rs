@@ -1,14 +1,45 @@
 //! Reproduction of Table 3: ADVBIST vs ADVAN vs RALLOC vs BITS at the
 //! maximal test-session count of each circuit.
+//!
+//! The `Ref.` and `ADVBIST` rows are read off the node-budgeted sweep
+//! ([`crate::sweep`]): the circuit's reference design and its chained k=N
+//! design, the very rows Table 2 prints. Only the three heuristic baselines
+//! are computed here.
 
 use bist_baselines::{synthesize_advan, synthesize_bits, synthesize_ralloc};
-use bist_core::{reference, synthesis, SynthesisConfig};
 use bist_datapath::report::DesignReport;
-use bist_datapath::AreaBreakdown;
+use bist_datapath::{AreaBreakdown, CostModel};
 use bist_dfg::SynthesisInput;
 
-use crate::report::MethodRow;
-use crate::workload;
+use crate::sweep::CircuitSweep;
+
+/// One row of the Table 3 reproduction: one method on one circuit at the
+/// maximal test-session count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MethodRow {
+    /// Circuit name.
+    pub circuit: String,
+    /// Method name (`Ref.`, `ADVBIST`, `ADVAN`, `RALLOC`, `BITS`).
+    pub method: String,
+    /// Number of sub-test sessions.
+    pub sessions: usize,
+    /// Total registers (column R).
+    pub registers: usize,
+    /// TPG-only registers (column T).
+    pub tpgs: usize,
+    /// SR-only registers (column S).
+    pub srs: usize,
+    /// BILBOs (column B).
+    pub bilbos: usize,
+    /// CBILBOs (column C).
+    pub cbilbos: usize,
+    /// Total multiplexer inputs (column M).
+    pub mux_inputs: usize,
+    /// Total area in transistors (column Area).
+    pub area: u64,
+    /// Area overhead in percent (column OH).
+    pub overhead_percent: f64,
+}
 
 fn method_row(
     circuit: &str,
@@ -33,66 +64,55 @@ fn method_row(
     }
 }
 
-/// Runs all four methods (plus the reference) on one circuit at its maximal
-/// test-session count and returns one row per method.
+/// Builds one circuit's rows at its maximal test-session count: the
+/// reference and the chained k=N design from `sweep`, then the three
+/// heuristic baselines under `cost`.
 ///
 /// # Errors
 ///
-/// Propagates synthesis errors from any of the methods.
+/// Fails when `sweep` has no design, and propagates baseline synthesis
+/// errors.
 pub fn run_circuit(
     name: &str,
     input: &SynthesisInput,
-    config: &SynthesisConfig,
+    sweep: &CircuitSweep,
+    cost: &CostModel,
 ) -> Result<Vec<MethodRow>, Box<dyn std::error::Error + Send + Sync>> {
     let k = input.binding().num_modules();
-    let reference_design = reference::synthesize_reference(input, config)?;
-    let reference_area = reference_design.area.total();
-
-    let mut rows = vec![method_row(
-        name,
-        "Ref.",
-        k,
-        &reference_design.area,
-        reference_area,
-    )];
-
-    let advbist = synthesis::synthesize_bist(input, k, config)?;
-    rows.push(method_row(
-        name,
-        "ADVBIST",
-        k,
-        &advbist.area,
-        reference_area,
-    ));
-
-    let advan = synthesize_advan(input, k, &config.cost)?;
-    rows.push(method_row(name, "ADVAN", k, &advan.area, reference_area));
-
-    let ralloc = synthesize_ralloc(input, k, &config.cost)?;
-    rows.push(method_row(name, "RALLOC", k, &ralloc.area, reference_area));
-
-    let bits = synthesize_bits(input, k, &config.cost)?;
-    rows.push(method_row(name, "BITS", k, &bits.area, reference_area));
-
-    Ok(rows)
+    let reference_area = sweep.reference_area();
+    let advbist = sweep
+        .designs
+        .last()
+        .ok_or_else(|| format!("{name}: the sweep has no designs"))?;
+    let advan = synthesize_advan(input, k, cost)?;
+    let ralloc = synthesize_ralloc(input, k, cost)?;
+    let bits = synthesize_bits(input, k, cost)?;
+    Ok([
+        ("Ref.", &sweep.reference.area),
+        ("ADVBIST", &advbist.area),
+        ("ADVAN", &advan.area),
+        ("RALLOC", &ralloc.area),
+        ("BITS", &bits.area),
+    ]
+    .into_iter()
+    .map(|(method, area)| method_row(name, method, k, area, reference_area))
+    .collect())
 }
 
-/// Runs the full Table 3 comparison over all six circuits, one circuit per
-/// worker thread. Row order is circuit order, independent of scheduling.
+/// Runs [`run_circuit`] over the circuits and their sweeps (in the same
+/// order), concatenating the rows.
 ///
 /// # Errors
 ///
-/// Propagates the first synthesis error (in circuit order).
+/// Propagates the first error (in circuit order).
 pub fn run_all(
-    budget: bist_ilp::Budget,
+    circuits: &[(&str, SynthesisInput)],
+    sweeps: &[CircuitSweep],
+    cost: &CostModel,
 ) -> Result<Vec<MethodRow>, Box<dyn std::error::Error + Send + Sync>> {
-    let config = workload::quick_config_budget(budget);
-    let circuits = workload::circuits();
-    let results =
-        workload::par_map_circuits(&circuits, |name, input| run_circuit(name, input, &config));
     let mut rows = Vec::new();
-    for result in results {
-        rows.extend(result?);
+    for ((name, input), sweep) in circuits.iter().zip(sweeps) {
+        rows.extend(run_circuit(name, input, sweep, cost)?);
     }
     Ok(rows)
 }
@@ -165,14 +185,16 @@ pub fn advbist_wins(rows: &[MethodRow]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{sweep, workload};
+    use bist_core::SynthesisConfig;
     use bist_dfg::benchmarks;
-    use std::time::Duration;
 
     #[test]
     fn figure1_comparison_produces_five_rows() {
         let input = benchmarks::figure1();
-        let config = workload::quick_config(Duration::from_millis(300));
-        let rows = run_circuit("figure1", &input, &config).unwrap();
+        let config = SynthesisConfig::exact();
+        let sweep = sweep::run_circuit("figure1", &input, &config).unwrap();
+        let rows = run_circuit("figure1", &input, &sweep, &config.cost).unwrap();
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].method, "Ref.");
         assert_eq!(rows[1].method, "ADVBIST");
@@ -184,10 +206,48 @@ mod tests {
     #[test]
     fn advbist_beats_or_ties_baselines_on_tseng() {
         let input = benchmarks::tseng();
-        // Enough budget for the small tseng model to reach a good solution.
-        let config = workload::quick_config(Duration::from_secs(2));
-        let rows = run_circuit("tseng", &input, &config).unwrap();
+        let cost = workload::sweep_config(60).cost;
+        let rows = run_circuit("tseng", &input, sweep::tseng_at_60_nodes(), &cost).unwrap();
         let violations = advbist_wins(&rows);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn both_tables_render_the_same_sweep_rows() {
+        let circuits = vec![
+            ("figure1", benchmarks::figure1()),
+            ("tseng", benchmarks::tseng()),
+        ];
+        let sweeps = vec![
+            sweep::run_circuit("figure1", &circuits[0].1, &SynthesisConfig::exact()).unwrap(),
+            sweep::tseng_at_60_nodes().clone(),
+        ];
+        let rows = run_all(&circuits, &sweeps, &SynthesisConfig::default().cost).unwrap();
+        let table2 = crate::table2::render(&sweeps);
+        let table3 = render(&rows);
+        for sweep in &sweeps {
+            let of = |method: &str| {
+                rows.iter()
+                    .find(|r| r.circuit == sweep.circuit && r.method == method)
+                    .unwrap()
+            };
+            // Table 3's ADVBIST row is Table 2's k=N row ...
+            let last = sweep.chained.last().unwrap();
+            let design = sweep.designs.last().unwrap();
+            let advbist = of("ADVBIST");
+            assert_eq!(advbist.sessions, last.sessions);
+            assert_eq!(advbist.area, last.area);
+            assert_eq!(
+                advbist.overhead_percent,
+                design.overhead_percent(sweep.reference_area())
+            );
+            // ... and its Ref. row is Table 2's ref.area.
+            assert_eq!(of("Ref.").area, sweep.reference_area());
+            assert_eq!(of("Ref.").overhead_percent, 0.0);
+            for area in [last.area, sweep.reference_area()] {
+                assert!(table2.contains(&format!(" {area}")), "{table2}");
+                assert!(table3.contains(&format!(" {area}")), "{table3}");
+            }
+        }
     }
 }

@@ -16,8 +16,9 @@
 //! * the [`benchmarks`] used in the paper's evaluation (the Figure 1
 //!   example, *tseng*, *paulin*, and the four HYPER-derived filters
 //!   *fir6*, *iir3*, *dct4*, *wavelet6* — reconstructed from their textbook
-//!   definitions, see DESIGN.md for the substitution note), plus a random
-//!   DFG generator for stress tests,
+//!   definitions, because the HYPER outputs the paper used are not
+//!   available; the [`benchmarks`] module documents the substitution), plus
+//!   a random DFG generator for stress tests,
 //! * Graphviz [`dot`] export.
 //!
 //! # Example

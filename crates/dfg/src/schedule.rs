@@ -3,7 +3,7 @@
 //! The paper assumes scheduling is already done; these algorithms are the
 //! substrate we use to produce schedules for the benchmark DFGs (the authors
 //! used HYPER for the filter benchmarks — see the substitution note in
-//! DESIGN.md). All operations take a single control step.
+//! [`crate::benchmarks`]). All operations take a single control step.
 
 use std::collections::BTreeMap;
 
