@@ -9,7 +9,8 @@
 //!   previously-capped chained row ends strictly below its committed capped
 //!   objective (see [`bist_bench::sweep::exactness_violations`]);
 //! * the service cross-check: one job-queue batch, which solves every k on
-//!   the shared-base engine, must reproduce every rebuild row (see
+//!   the shared-base engine, must reproduce every rebuild row in objective
+//!   bits, area, nodes and simplex pivots (see
 //!   [`bist_bench::sweep::service_cross_check`]);
 //! * the RTL gate: every module of every chained design is exercised in its
 //!   scheduled session and observed in its signature register (see

@@ -12,18 +12,18 @@
 //! | Table 3 (method comparison) | [`table3`] | `repro_sweep`, `repro_all` |
 //! | k-sweep: rebuild vs chained engine, exactness, service and Table 3 gates (ours, `BENCH_sweep.json`) | [`sweep`] | `repro_sweep`, `repro_all` |
 //! | RTL netlists + simulated BIST coverage of every swept design (ours, `BENCH_rtl.json`, `goldens/rtl/`) | [`rtl`] | `repro_sweep`, `repro_all` |
-//! | Presolve + cut pool vs no reduction (ours, `BENCH_presolve.json`) | [`presolve`] | `repro_presolve` |
-//! | Service cache + resume (ours, `BENCH_service.json`) | [`service`] | `repro_service` |
 //!
 //! Tables 2 and 3 and the RTL artifacts are rendered from one node-budgeted
 //! k-sweep ([`sweep::run_gated`]), which solves each circuit's reference and
 //! every k once. Figures 1–3 solve figure1 to proven optimality.
 //!
 //! Every solve here is exact or node-budgeted, so every design and work
-//! counter is deterministic. The binaries read the node budget through one
+//! counter is deterministic. The sweep reads its node budget through one
 //! [`bist_ilp::Budget::from_env`] call ([`workload::budget_from_env`]):
-//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`) sets it, each binary
-//! supplying its own default.
+//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`) sets it, and the default
+//! is [`workload::DEFAULT_SWEEP_NODES`]. Its gates ([`sweep::gate_failures`],
+//! the engine-vs-rebuild cross-check among them) are the harness's only
+//! gates.
 //! Wall-clock performance is measured by the separate `perfbench/`
 //! workspace, the repository benchmark. The paper ran CPLEX 6.0 under a
 //! 24-CPU-hour cap, so its runtimes are not comparable with anything here.
@@ -31,10 +31,8 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod presolve;
 pub mod report;
 pub mod rtl;
-pub mod service;
 pub mod sweep;
 pub mod table1;
 pub mod table2;
@@ -43,4 +41,4 @@ pub mod workload;
 
 pub use sweep::CircuitSweep;
 pub use table3::MethodRow;
-pub use workload::{budget_from_env, small_circuits, sweep_circuits};
+pub use workload::{budget_from_env, sweep_circuits};

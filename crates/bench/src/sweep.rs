@@ -17,8 +17,9 @@
 //! reports is computed one way.
 //!
 //! The engine without chaining runs searches bit-identical to the rebuild
-//! variant; [`service_cross_check`] holds it to that, because the job
-//! service solves every `k` through exactly that engine path. The chained
+//! variant; [`service_cross_check`] holds it to that (objective bits, area,
+//! nodes and simplex pivots on every row), because the job service solves
+//! every `k` through exactly that engine path. The chained
 //! variant starts every solve from an equal-or-better incumbent; on
 //! instances solved to proven optimality its objectives are identical, but
 //! under a node cap the stronger initial pruning redirects the search, and
@@ -30,7 +31,7 @@
 //! quality before the tree search even starts. Wall-clock is measured by
 //! `perfbench/`, never here.
 
-use bist_core::engine::SynthesisEngine;
+use bist_core::engine::{par_map_ordered, SynthesisEngine};
 use bist_core::{synthesis, BistDesign, CoreError, ReferenceDesign, SynthesisConfig};
 use bist_dfg::SynthesisInput;
 
@@ -252,18 +253,19 @@ pub fn run_circuit(
     })
 }
 
-/// Runs [`run_circuit`] over the given circuits.
+/// Runs [`run_circuit`] over the given circuits, one circuit per core. The
+/// node budget keeps every solve deterministic, so the records do not
+/// depend on scheduling; they come back in circuit order.
 ///
 /// # Errors
 ///
-/// Propagates the first synthesis error.
+/// Propagates the first synthesis error, in circuit order.
 pub fn run_all(
     circuits: &[(&str, SynthesisInput)],
     config: &SynthesisConfig,
 ) -> Result<Vec<CircuitSweep>, CoreError> {
-    circuits
-        .iter()
-        .map(|(name, input)| run_circuit(name, input, config))
+    par_map_ordered(circuits, |(name, input)| run_circuit(name, input, config))
+        .into_iter()
         .collect()
 }
 
@@ -327,12 +329,14 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
 
 /// Re-runs the sweep through the `advbist::service` job queue — one
 /// node-budgeted [`SynthesisJob`](advbist::service::SynthesisJob) per
-/// circuit — and verifies the reported rows against the rebuild rows:
-/// identical objectives and areas per k, every solve within the per-job
-/// node budget, every job completed. The service solves each k on the
-/// shared-base engine without chaining, so this is both the front-door
-/// acceptance gate (the service must *serve* exactly what the solver
-/// computes) and the engine-vs-rebuild cross-check.
+/// circuit — and verifies the reported rows against the rebuild rows: per
+/// k the same objective bits, area, node count and simplex pivot count,
+/// every solve within the per-job node budget, every job completed. The
+/// service solves each k on the shared-base engine without chaining (the
+/// per-k path of [`SynthesisEngine::sweep_parallel`]), so this is both the
+/// front-door acceptance gate (the service must *serve* exactly what the
+/// solver computes) and the engine-vs-rebuild cross-check: the shared
+/// reduced base must repeat every rebuild search, not only its answer.
 ///
 /// # Errors
 ///
@@ -384,12 +388,24 @@ pub fn service_cross_check(
         }
         for (row, rebuild) in report.rows.iter().zip(&sweep.rebuild) {
             if row.k != rebuild.sessions
-                || (row.objective - rebuild.objective).abs() > 1e-9
+                || row.objective.to_bits() != rebuild.objective.to_bits()
                 || row.area != rebuild.area
+                || row.nodes != rebuild.nodes
+                || row.lp_pivots != rebuild.lp_pivots
             {
                 return Err(format!(
-                    "job {} k={}: service objective {} / area {} vs rebuild objective {} / area {}",
-                    report.name, row.k, row.objective, row.area, rebuild.objective, rebuild.area
+                    "job {} k={}: service objective {} / area {} / {} nodes / {} pivots vs \
+                     rebuild objective {} / area {} / {} nodes / {} pivots",
+                    report.name,
+                    row.k,
+                    row.objective,
+                    row.area,
+                    row.nodes,
+                    row.lp_pivots,
+                    rebuild.objective,
+                    rebuild.area,
+                    rebuild.nodes,
+                    rebuild.lp_pivots
                 ));
             }
             if row.nodes > node_limit {
@@ -540,7 +556,8 @@ pub fn run_gated() -> Result<(), Vec<String>> {
     let rows: usize = sweeps.iter().map(|s| s.rebuild.len()).sum();
     println!(
         "service gate: one job-queue batch reproduced all {rows} rebuild sweep rows \
-         (identical objectives, per-job node budgets honoured)."
+         (identical objective bits, areas, node and pivot counts; per-job node budgets \
+         honoured)."
     );
     println!(
         "rtl gate: every module of every design is exercised in its scheduled session \
@@ -602,10 +619,20 @@ mod tests {
         let config = workload::sweep_config(80);
         let sweeps = run_all(&circuits, &config).unwrap();
         service_cross_check(&circuits, &sweeps, 80).unwrap();
-        // A diverging expectation must be caught, not silently accepted.
-        let mut broken = sweeps.clone();
-        broken[0].rebuild[0].objective += 1.0;
-        assert!(service_cross_check(&circuits, &broken, 80).is_err());
+        // A diverging expectation must be caught, not silently accepted: one
+        // rebuild row off by one in objective, area, nodes or pivots.
+        let nudges: [fn(&mut SweepKRow); 4] = [
+            |row| row.objective += 1.0,
+            |row| row.area += 1,
+            |row| row.nodes += 1,
+            |row| row.lp_pivots += 1,
+        ];
+        for nudge in nudges {
+            let mut broken = sweeps.clone();
+            nudge(&mut broken[0].rebuild[1]);
+            let error = service_cross_check(&circuits, &broken, 80).unwrap_err();
+            assert!(error.starts_with("job figure1 k=2:"), "{error}");
+        }
     }
 
     #[test]

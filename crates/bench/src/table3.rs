@@ -39,6 +39,10 @@ pub struct MethodRow {
     pub area: u64,
     /// Area overhead in percent (column OH).
     pub overhead_percent: f64,
+    /// Whether this is an ILP row (`Ref.` or `ADVBIST`) whose solve stopped
+    /// at its budget before proving optimality. Heuristic rows are never
+    /// marked.
+    pub unproven: bool,
 }
 
 fn method_row(
@@ -47,6 +51,7 @@ fn method_row(
     sessions: usize,
     area: &AreaBreakdown,
     reference: u64,
+    unproven: bool,
 ) -> MethodRow {
     use bist_datapath::TestRegisterKind as K;
     MethodRow {
@@ -61,6 +66,7 @@ fn method_row(
         mux_inputs: area.mux_inputs,
         area: area.total(),
         overhead_percent: area.overhead_percent(reference),
+        unproven,
     }
 }
 
@@ -88,14 +94,14 @@ pub fn run_circuit(
     let ralloc = synthesize_ralloc(input, k, cost)?;
     let bits = synthesize_bits(input, k, cost)?;
     Ok([
-        ("Ref.", &sweep.reference.area),
-        ("ADVBIST", &advbist.area),
-        ("ADVAN", &advan.area),
-        ("RALLOC", &ralloc.area),
-        ("BITS", &bits.area),
+        ("Ref.", &sweep.reference.area, !sweep.reference.optimal),
+        ("ADVBIST", &advbist.area, !advbist.optimal),
+        ("ADVAN", &advan.area, false),
+        ("RALLOC", &ralloc.area, false),
+        ("BITS", &bits.area, false),
     ]
     .into_iter()
-    .map(|(method, area)| method_row(name, method, k, area, reference_area))
+    .map(|(method, area, unproven)| method_row(name, method, k, area, reference_area, unproven))
     .collect())
 }
 
@@ -117,7 +123,9 @@ pub fn run_all(
     Ok(rows)
 }
 
-/// Renders rows in the layout of the paper's Table 3.
+/// Renders rows in the layout of the paper's Table 3. As in Table 2, an ILP
+/// row whose optimality was not proven ([`MethodRow::unproven`]) is marked
+/// with `*` after its area.
 pub fn render(rows: &[MethodRow]) -> String {
     let mut out = String::new();
     out.push_str("Table 3: Performance of various high level BIST synthesis systems\n");
@@ -130,7 +138,7 @@ pub fn render(rows: &[MethodRow]) -> String {
         }
         last_circuit = &row.circuit;
         out.push_str(&format!(
-            "{:<10} {:<9} {:>2} {:>2} {:>2} {:>2} {:>2} {:>3} {:>6} {:>7.1}\n",
+            "{:<10} {:<9} {:>2} {:>2} {:>2} {:>2} {:>2} {:>3} {:>6}{}{:>7.1}\n",
             row.circuit,
             row.method,
             row.registers,
@@ -140,6 +148,7 @@ pub fn render(rows: &[MethodRow]) -> String {
             row.cbilbos,
             row.mux_inputs,
             row.area,
+            if row.unproven { "*" } else { " " },
             row.overhead_percent
         ));
     }
@@ -201,6 +210,9 @@ mod tests {
         let text = render(&rows);
         assert!(text.contains("ADVBIST"));
         assert!(text.contains("RALLOC"));
+        // Solved exactly, no row is marked unproven.
+        assert!(rows.iter().all(|r| !r.unproven));
+        assert!(!text.contains('*'), "{text}");
     }
 
     #[test]
@@ -210,6 +222,17 @@ mod tests {
         let rows = run_circuit("tseng", &input, sweep::tseng_at_60_nodes(), &cost).unwrap();
         let violations = advbist_wins(&rows);
         assert!(violations.is_empty(), "{violations:?}");
+        // tseng k=3 needs thousands of nodes to prove, so at 60 nodes the
+        // ADVBIST row is marked; the heuristic rows never are.
+        let advbist = rows.iter().find(|r| r.method == "ADVBIST").unwrap();
+        assert!(advbist.unproven);
+        let text = render(&rows);
+        let line = text.lines().find(|l| l.contains("ADVBIST")).unwrap();
+        assert!(line.contains(&format!(" {}*", advbist.area)), "{text}");
+        for method in ["ADVAN", "RALLOC", "BITS"] {
+            let line = text.lines().find(|l| l.contains(method)).unwrap();
+            assert!(!line.contains('*'), "{text}");
+        }
     }
 
     #[test]

@@ -7,12 +7,6 @@ use bist_ilp::{BoundMode, Budget, SolverConfig};
 /// Default per-solve node budget of the deterministic sweep comparison.
 pub const DEFAULT_SWEEP_NODES: u64 = 1000;
 
-/// figure1, tseng and paulin: the circuits the presolve and service gates
-/// run on.
-pub fn small_circuits() -> Vec<(&'static str, SynthesisInput)> {
-    benchmarks::small()
-}
-
 /// figure1 followed by the paper's six evaluation circuits in table order:
 /// the circuits the k-sweep, Tables 2–3 and the RTL goldens cover.
 pub fn sweep_circuits() -> Vec<(&'static str, SynthesisInput)> {
@@ -61,7 +55,6 @@ mod tests {
             names,
             vec!["figure1", "tseng", "paulin", "fir6", "iir3", "dct4", "wavelet6"]
         );
-        assert_eq!(small_circuits().len(), 3);
     }
 
     #[test]

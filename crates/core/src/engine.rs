@@ -433,31 +433,83 @@ mod tests {
 
     #[test]
     fn engine_matches_rebuild_on_figure1() {
-        let input = benchmarks::figure1();
-        let config = SynthesisConfig::exact();
-        let rebuild: Vec<_> = (1..=input.binding().num_modules())
-            .map(|k| synthesis::synthesize_bist(&input, k, &config).unwrap())
-            .collect();
-        let engine = SynthesisEngine::new(&input, &config).unwrap();
-        for (outcomes, label) in [
-            (engine.sweep_chained().unwrap(), "chained"),
-            (engine.sweep_parallel().unwrap(), "parallel"),
-        ] {
-            assert_eq!(outcomes.len(), rebuild.len(), "{label}");
-            for (outcome, baseline) in outcomes.iter().zip(&rebuild) {
-                assert_eq!(outcome.design.sessions, baseline.sessions, "{label}");
+        use bist_ilp::{BoundMode, Budget};
+        let with = |mode: BoundMode, budget: Budget| {
+            let mut config = SynthesisConfig::exact();
+            config.solver.bound_mode = mode;
+            config.solver.budget = budget;
+            config
+        };
+        // figure1 solved exactly under both bound modes; tseng and paulin
+        // node-capped under propagation bounds, which solve no LPs (their LP
+        // rows are the sweep's service gate).
+        let cases = [
+            (
+                "figure1",
+                benchmarks::figure1(),
+                with(BoundMode::LpRelaxation, Budget::unlimited()),
+            ),
+            (
+                "figure1",
+                benchmarks::figure1(),
+                with(BoundMode::Propagation, Budget::unlimited()),
+            ),
+            (
+                "tseng",
+                benchmarks::tseng(),
+                with(BoundMode::Propagation, Budget::nodes(200)),
+            ),
+            (
+                "paulin",
+                benchmarks::paulin(),
+                with(BoundMode::Propagation, Budget::nodes(200)),
+            ),
+        ];
+        for (name, input, config) in &cases {
+            let mode = config.solver.bound_mode;
+            let rebuild: Vec<_> = (1..=input.binding().num_modules())
+                .map(|k| synthesis::synthesize_bist(input, k, config).unwrap())
+                .collect();
+            let engine = SynthesisEngine::new(input, config).unwrap();
+            // Unchained, the engine repeats every rebuild search exactly.
+            let parallel = engine.sweep_parallel().unwrap();
+            assert_eq!(parallel.len(), rebuild.len(), "{name} {mode:?}");
+            for (outcome, baseline) in parallel.iter().zip(&rebuild) {
+                let (design, k) = (&outcome.design, baseline.sessions);
+                assert_eq!(design.sessions, k, "{name} {mode:?}");
+                assert_eq!(
+                    design.objective.to_bits(),
+                    baseline.objective.to_bits(),
+                    "{name} k={k} {mode:?}: engine {} vs rebuild {}",
+                    design.objective,
+                    baseline.objective
+                );
+                assert_eq!(
+                    design.stats.nodes, baseline.stats.nodes,
+                    "{name} k={k} {mode:?}"
+                );
+                assert_eq!(
+                    design.stats.lp_pivots, baseline.stats.lp_pivots,
+                    "{name} k={k} {mode:?}"
+                );
+            }
+            // Chained, it starts from a stronger incumbent and searches a
+            // different tree; solved exactly, it lands on the same optima.
+            if config.solver.budget.node_limit.is_some() {
+                continue;
+            }
+            for (outcome, baseline) in engine.sweep_chained().unwrap().iter().zip(&rebuild) {
+                let k = baseline.sessions;
                 assert!(
                     (outcome.design.objective - baseline.objective).abs() < 1e-6,
-                    "{label} k={}: engine {} vs rebuild {}",
-                    baseline.sessions,
+                    "chained {name} k={k} {mode:?}: engine {} vs rebuild {}",
                     outcome.design.objective,
                     baseline.objective
                 );
                 assert_eq!(
                     outcome.design.area.total(),
                     baseline.area.total(),
-                    "{label} k={}",
-                    baseline.sessions
+                    "chained {name} k={k} {mode:?}"
                 );
             }
         }
@@ -500,39 +552,53 @@ mod tests {
 
     #[test]
     fn engine_reduces_the_base_once_and_lowers_node_counts() {
-        use bist_ilp::{BoundMode, SolverConfig};
+        use bist_ilp::reduce::prefix_reductions_on_thread;
+        // Exact solves under LP bounds, with and without reduce+cuts.
         let input = benchmarks::figure1();
-        let reduce_config = SynthesisConfig {
-            solver: SolverConfig::exact().with_bound_mode(BoundMode::LpRelaxation),
-            ..SynthesisConfig::default()
-        };
+        let reduce_config = SynthesisConfig::exact();
         let mut plain_config = reduce_config.clone();
         plain_config.solver.presolve = false;
         plain_config.solver.cuts = false;
+        let sessions = input.binding().num_modules();
+        let ks = 1..=sessions;
 
-        let reduced_engine = SynthesisEngine::new(&input, &reduce_config).unwrap();
-        let plain_engine = SynthesisEngine::new(&input, &plain_config).unwrap();
+        // The counter is thread-local, so every solve it watches runs on
+        // this thread. The engine reduces the base once, at construction,
+        // and its per-k solves clone the reduced base ...
+        let before = prefix_reductions_on_thread();
+        let engine = SynthesisEngine::new(&input, &reduce_config).unwrap();
+        let reduced: Vec<_> = ks.clone().map(|k| engine.synthesize(k).unwrap()).collect();
+        assert_eq!(prefix_reductions_on_thread() - before, 1);
+        // ... while the rebuild path reduces once per k.
+        let before = prefix_reductions_on_thread();
+        for k in ks.clone() {
+            synthesis::synthesize_bist(&input, k, &reduce_config).unwrap();
+        }
+        assert_eq!(prefix_reductions_on_thread() - before, sessions);
+
         // The base reduction exists exactly when presolve is on, and it must
         // actually shrink the base model.
+        let plain_engine = SynthesisEngine::new(&input, &plain_config).unwrap();
         assert!(plain_engine.base_reduce_report().is_none());
-        let report = reduced_engine.base_reduce_report().expect("base reduced");
+        let report = engine.base_reduce_report().expect("base reduced");
         assert!(report.var_reduction_ratio() > 0.0, "{report:?}");
 
-        // At equal bound mode, reduce+cuts must strictly lower the total
-        // branch-and-bound node count of the sweep (the PR-2 acceptance
-        // criterion), without changing any objective.
-        let reduced_sweep = reduced_engine.sweep_parallel().unwrap();
-        let plain_sweep = plain_engine.sweep_parallel().unwrap();
-        let reduced_nodes: u64 = reduced_sweep.iter().map(|o| o.design.stats.nodes).sum();
-        let plain_nodes: u64 = plain_sweep.iter().map(|o| o.design.stats.nodes).sum();
-        assert!(
-            reduced_nodes < plain_nodes,
-            "reduce+cuts explored {reduced_nodes} nodes vs {plain_nodes} without"
-        );
-        for (reduced, plain) in reduced_sweep.iter().zip(&plain_sweep) {
-            assert!((reduced.design.objective - plain.design.objective).abs() < 1e-6);
-            assert!(reduced.design.stats.presolve_vars_removed > 0);
+        // reduce+cuts explores no more nodes than the plain solver at any k
+        // and strictly fewer over the sweep, without changing any objective.
+        let plain: Vec<_> = ks.map(|k| plain_engine.synthesize(k).unwrap()).collect();
+        for (reduced, plain) in reduced.iter().zip(&plain) {
+            assert!(
+                reduced.stats.nodes <= plain.stats.nodes,
+                "k={}: reduce+cuts explored {} nodes vs {} without",
+                reduced.sessions,
+                reduced.stats.nodes,
+                plain.stats.nodes
+            );
+            assert!((reduced.objective - plain.objective).abs() < 1e-6);
+            assert!(reduced.stats.presolve_vars_removed > 0);
         }
+        let total = |designs: &[BistDesign]| designs.iter().map(|d| d.stats.nodes).sum::<u64>();
+        assert!(total(&reduced) < total(&plain));
     }
 
     #[test]

@@ -367,9 +367,10 @@ thread_local! {
 }
 
 /// Number of [`reduce_prefix`] runs performed by the *current thread* since
-/// it started. The presolve benchmark measures the delta of this counter
+/// it started. `bist-core`'s engine tests read the delta of this counter
 /// around an engine sweep to verify — rather than assume — that the shared
 /// base model is reduced exactly once per circuit and never again per k.
+/// Work done on other threads (a parallel sweep's workers) is not counted.
 pub fn prefix_reductions_on_thread() -> usize {
     PREFIX_REDUCTIONS.with(|c| c.get())
 }

@@ -215,24 +215,9 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// Seconds until the incumbent first reached `target` (minimisation
-    /// sense: first improvement with `objective <= target + tol`). `None`
-    /// when the solve never got there.
-    pub fn seconds_to_target(&self, target: f64, tol: f64) -> Option<f64> {
-        self.improvements
-            .iter()
-            .find(|imp| imp.objective <= target + tol)
-            .map(|imp| imp.seconds)
-    }
-
-    /// Seconds until the final incumbent was found (0 when it came from a
-    /// warm start; `None` when no incumbent exists).
-    pub fn seconds_to_best(&self) -> Option<f64> {
-        self.improvements.last().map(|imp| imp.seconds)
-    }
-
     /// Nodes explored until the incumbent first reached `target`
-    /// (minimisation sense). Unlike the wall-clock variant this is fully
+    /// (minimisation sense: first improvement with `objective <= target +
+    /// tol`). `None` when the solve never got there. Node counts are
     /// deterministic, which is what the sweep benchmark asserts on.
     pub fn nodes_to_target(&self, target: f64, tol: f64) -> Option<u64> {
         self.improvements

@@ -170,6 +170,9 @@ pub struct JobRow {
     pub optimal: bool,
     /// Branch-and-bound nodes explored by this solve.
     pub nodes: u64,
+    /// Simplex pivots across this solve's LP relaxations (after a resume,
+    /// only the pivots spent since the snapshot).
+    pub lp_pivots: u64,
     /// Wall-clock seconds of this solve.
     pub seconds: f64,
 }
@@ -658,6 +661,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
                     area: outcome.design.area.total(),
                     optimal: outcome.design.optimal,
                     nodes: outcome.design.stats.nodes,
+                    lp_pivots: outcome.design.stats.lp_pivots,
                     seconds: outcome.seconds,
                 };
                 match outcome.design.snapshot {
@@ -791,6 +795,7 @@ mod tests {
             assert_eq!(a.area, b.area);
             assert_eq!(a.optimal, b.optimal);
             assert_eq!(a.nodes, b.nodes);
+            assert_eq!(a.lp_pivots, b.lp_pivots);
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, warm[0].cache_hits);
@@ -936,6 +941,7 @@ mod tests {
             area: k as u64,
             optimal: true,
             nodes: 1,
+            lp_pivots: 0,
             seconds: 0.0,
         };
         for fingerprint in 0..3u64 {
