@@ -3,8 +3,8 @@
 //! [`bist_bench::sweep::run_gated`]; `repro_sweep` runs that part alone).
 //! Exits 1 when any gate fails.
 //!
-//! The sweep's node budget comes from `BIST_NODE_LIMIT` (legacy
-//! `BIST_SWEEP_NODES`, default 1000 nodes per solve).
+//! The sweep's node budget comes from `BIST_NODE_LIMIT` (default 1000
+//! nodes per solve).
 
 use bist_datapath::CostModel;
 

@@ -20,8 +20,8 @@
 //! Every solve here is exact or node-budgeted, so every design and work
 //! counter is deterministic. The sweep reads its node budget through one
 //! [`bist_ilp::Budget::from_env`] call ([`workload::budget_from_env`]):
-//! `BIST_NODE_LIMIT` (legacy `BIST_SWEEP_NODES`) sets it, and the default
-//! is [`workload::DEFAULT_SWEEP_NODES`]. Its gates ([`sweep::gate_failures`],
+//! `BIST_NODE_LIMIT` sets it, and the default is
+//! [`workload::DEFAULT_SWEEP_NODES`]. Its gates ([`sweep::gate_failures`],
 //! the engine-vs-rebuild cross-check among them) are the harness's only
 //! gates.
 //! Wall-clock performance is measured by the separate `perfbench/`

@@ -6,8 +6,9 @@
 //! *deterministic node budget* (see [`crate::workload::sweep_config`]):
 //!
 //! * the non-BIST **reference** design, once;
-//! * the **rebuild** sweep — a fresh formulation per `k`, solved
-//!   sequentially with the left-edge warm start (the seed behaviour);
+//! * the **rebuild** sweep — a fresh engine per `k`
+//!   ([`bist_core::synthesis::synthesize_bist`]), solved sequentially with
+//!   the left-edge warm start;
 //! * the **chained** sweep — the shared-base engine, sequentially, with the
 //!   k−1 incumbent chained in as an extra warm start.
 //!
@@ -203,7 +204,7 @@ pub fn run_circuit(
     input: &SynthesisInput,
     config: &SynthesisConfig,
 ) -> Result<CircuitSweep, CoreError> {
-    // Rebuild baseline: a fresh formulation per k, solved sequentially.
+    // Rebuild baseline: a fresh engine per k, solved sequentially.
     let rebuild = (1..=input.binding().num_modules())
         .map(|k| {
             synthesis::synthesize_bist(input, k, config)

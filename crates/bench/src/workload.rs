@@ -16,9 +16,9 @@ pub fn sweep_circuits() -> Vec<(&'static str, SynthesisInput)> {
 }
 
 /// Reads the harness [`Budget`] from the environment (`BIST_NODE_LIMIT`,
-/// `BIST_TIME_LIMIT_SECS`, `BIST_DEADLINE_SECS`, legacy `BIST_SWEEP_NODES`
-/// — see [`Budget::from_env`] for precedence), exiting with a diagnostic on
-/// malformed values so CI never silently runs with the wrong budget.
+/// `BIST_TIME_LIMIT_SECS`, `BIST_DEADLINE_SECS` — see [`Budget::from_env`]),
+/// exiting with a diagnostic on malformed values so CI never silently runs
+/// with the wrong budget.
 pub fn budget_from_env() -> Budget {
     match Budget::from_env() {
         Ok(budget) => budget,

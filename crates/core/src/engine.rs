@@ -26,13 +26,14 @@
 //!    ([`SynthesisEngine::sweep_parallel`]), collecting results in
 //!    deterministic ascending-k order.
 //!
-//! The rebuild path runs the very same reduction code on the very same
-//! prefix (see [`crate::synthesis`]), so the parallel sweep runs searches
-//! identical to independent per-k solves under any deterministic budget
-//! (node limits, or exact solves) — the engine just pays the base reduction
-//! once per circuit instead of once per k — and the chained sweep can only
-//! return equal-or-better designs
-//! — its extra warm-start candidate strengthens the initial incumbent.
+//! The engine is the one way a synthesis solve runs: the rebuild path
+//! ([`crate::synthesis::synthesize_bist`]) and the standalone reference
+//! ([`crate::reference::synthesize_reference`]) are each a fresh engine per
+//! call. So the parallel sweep runs searches identical to independent per-k
+//! rebuilds under any deterministic budget (node limits, or exact solves) —
+//! the engine just pays the base reduction once per circuit instead of once
+//! per k — and the chained sweep can only return equal-or-better designs —
+//! its extra warm-start candidate strengthens the initial incumbent.
 //! Under a *wall-clock* time limit the usual caveats apply: concurrent
 //! solves share the machine and an earlier incumbent changes where the
 //! budget is spent, so per-k results may differ from a sequential rebuild.
@@ -58,7 +59,7 @@ use std::time::Instant;
 use bist_dfg::allocate::RegisterAssignment;
 use bist_dfg::SynthesisInput;
 use bist_ilp::reduce::{reduce_prefix, ReduceOptions, ReduceReport, ReducedModel};
-use bist_ilp::{SolveEvent, SolveSnapshot};
+use bist_ilp::{SolveEvent, SolveSnapshot, SolverConfig};
 
 use crate::config::SynthesisConfig;
 use crate::error::CoreError;
@@ -162,16 +163,15 @@ pub struct SynthesisEngine<'a> {
     base: BistFormulation<'a>,
     /// The base model after the reducing presolve, computed once per
     /// circuit; every per-k solve clones it and replays the BIST delta
-    /// through its variable map. `None` when the solver configuration
-    /// disables presolve.
-    reduced_base: Option<ReducedModel>,
+    /// through its variable map.
+    reduced_base: ReducedModel,
 }
 
 impl<'a> SynthesisEngine<'a> {
     /// Builds the circuit-level base model (register assignment +
-    /// interconnect + multiplexer sizing) once, and — unless presolve is
-    /// disabled — runs the reducing pipeline on it once, so the per-k
-    /// sweeps clone the *reduced* base instead of the raw one.
+    /// interconnect + multiplexer sizing) once, and runs the reducing
+    /// pipeline on it once, so the per-k solves clone the *reduced* base
+    /// instead of the raw one.
     ///
     /// # Errors
     ///
@@ -181,14 +181,12 @@ impl<'a> SynthesisEngine<'a> {
         let mut base = BistFormulation::new(input, config)?;
         base.add_interconnect();
         base.add_mux_sizing();
-        let reduced_base = config.solver.presolve.then(|| {
-            reduce_prefix(
-                &base.model,
-                base.model.num_constraints(),
-                base.model.num_vars(),
-                &ReduceOptions::base(),
-            )
-        });
+        let reduced_base = reduce_prefix(
+            &base.model,
+            base.model.num_constraints(),
+            base.model.num_vars(),
+            &ReduceOptions::base(),
+        );
         Ok(Self {
             input,
             config,
@@ -202,11 +200,11 @@ impl<'a> SynthesisEngine<'a> {
         &self.base
     }
 
-    /// Reduction counters of the shared base model, or `None` when presolve
-    /// is disabled. The reduction runs exactly once per engine (i.e. once
-    /// per circuit), in [`SynthesisEngine::new`].
-    pub fn base_reduce_report(&self) -> Option<&ReduceReport> {
-        self.reduced_base.as_ref().map(|r| &r.report)
+    /// Reduction counters of the shared base model. The reduction runs
+    /// exactly once per engine (i.e. once per circuit), in
+    /// [`SynthesisEngine::new`].
+    pub fn base_reduce_report(&self) -> &ReduceReport {
+        &self.reduced_base.report
     }
 
     /// Number of modules, i.e. the maximal session count `N` of the sweep.
@@ -223,18 +221,8 @@ impl<'a> SynthesisEngine<'a> {
     pub fn synthesize_reference(&self) -> Result<ReferenceDesign, CoreError> {
         let mut formulation = self.base.clone();
         formulation.set_reference_objective();
-        let mut solver_config = self.config.solver.clone();
-        if self.config.warm_start {
-            if let Some(values) = formulation.baseline_warm_values() {
-                solver_config.initial_solutions.push(values);
-            }
-        }
-        solve_reference_formulation(
-            self.config,
-            &formulation,
-            &solver_config,
-            self.reduced_base.as_ref(),
-        )
+        let solver_config = self.solver_config(&formulation);
+        solve_reference_formulation(&formulation, &self.reduced_base, &solver_config)
     }
 
     /// Synthesises the ADVBIST design for one `k`, reusing the base model.
@@ -294,10 +282,8 @@ impl<'a> SynthesisEngine<'a> {
     /// objective, variable bounds and integrality), before any presolve.
     /// Two engines produce the same fingerprint for a given `k` exactly
     /// when they were built from the same circuit and configuration — this
-    /// is the key the job service's cross-job [`SolveCache`] shares results
-    /// under.
-    ///
-    /// [`SolveCache`]: https://docs.rs/advbist
+    /// is the key the job service's cross-job solve cache
+    /// (`advbist::service::SolveCache`) shares results under.
     ///
     /// # Errors
     ///
@@ -328,6 +314,19 @@ impl<'a> SynthesisEngine<'a> {
         self.synthesize_inner(k, previous, Some(observer), false, None)
     }
 
+    /// The solver configuration of one solve of `formulation`: the
+    /// configured solver settings plus, with [`SynthesisConfig::warm_start`],
+    /// the sequential baseline design as the first warm-start candidate.
+    fn solver_config(&self, formulation: &BistFormulation<'_>) -> SolverConfig {
+        let mut solver_config = self.config.solver.clone();
+        if self.config.warm_start {
+            if let Some(values) = formulation.baseline_warm_values() {
+                solver_config.initial_solutions.push(values);
+            }
+        }
+        solver_config
+    }
+
     fn synthesize_inner(
         &self,
         k: usize,
@@ -341,16 +340,11 @@ impl<'a> SynthesisEngine<'a> {
         formulation.add_bist(k)?;
         formulation.set_bist_objective();
 
-        let mut solver_config = self.config.solver.clone();
+        let mut solver_config = self.solver_config(&formulation);
         if snapshots {
             solver_config.budget.snapshot = Some(true);
         }
         solver_config.resume = resume;
-        if self.config.warm_start {
-            if let Some(values) = formulation.baseline_warm_values() {
-                solver_config.initial_solutions.push(values);
-            }
-        }
         let mut chained = false;
         if let Some(previous) = previous {
             if let Some(values) = formulation.warm_values_for_assignment(previous) {
@@ -362,15 +356,8 @@ impl<'a> SynthesisEngine<'a> {
             }
         }
 
-        let (design, registers) = solve_bist_formulation(
-            self.input,
-            self.config,
-            &formulation,
-            &solver_config,
-            k,
-            self.reduced_base.as_ref(),
-            observer,
-        )?;
+        let (design, registers) =
+            solve_bist_formulation(&formulation, &self.reduced_base, &solver_config, observer)?;
         Ok(SweepOutcome {
             design,
             seconds: start.elapsed().as_secs_f64(),
@@ -533,9 +520,20 @@ mod tests {
         let config = SynthesisConfig::exact();
         let standalone = crate::reference::synthesize_reference(&input, &config).unwrap();
         let engine = SynthesisEngine::new(&input, &config).unwrap();
+        // The engine's reference solve after a BIST solve on the same
+        // engine: the shared base must come out of it untouched.
+        engine.synthesize(1).unwrap();
         let via_engine = engine.synthesize_reference().unwrap();
-        assert_eq!(standalone.area.total(), via_engine.area.total());
         assert!(via_engine.optimal);
+        assert_eq!(standalone.area.total(), via_engine.area.total());
+        // The final incumbent's objective, bit for bit.
+        let objective = |stats: &bist_ilp::SolveStats| {
+            stats.improvements.last().map(|imp| imp.objective.to_bits())
+        };
+        assert!(objective(&via_engine.stats).is_some());
+        assert_eq!(objective(&standalone.stats), objective(&via_engine.stats));
+        assert_eq!(standalone.stats.nodes, via_engine.stats.nodes);
+        assert_eq!(standalone.stats.lp_pivots, via_engine.stats.lp_pivots);
     }
 
     #[test]
@@ -553,12 +551,11 @@ mod tests {
     #[test]
     fn engine_reduces_the_base_once_and_lowers_node_counts() {
         use bist_ilp::reduce::prefix_reductions_on_thread;
-        // Exact solves under LP bounds, with and without reduce+cuts.
+        use bist_ilp::solver::BranchAndBound;
+        // Exact solves under LP bounds, through the engine (reduce and cuts
+        // on) and through the raw branch and bound (cuts off).
         let input = benchmarks::figure1();
-        let reduce_config = SynthesisConfig::exact();
-        let mut plain_config = reduce_config.clone();
-        plain_config.solver.presolve = false;
-        plain_config.solver.cuts = false;
+        let config = SynthesisConfig::exact();
         let sessions = input.binding().num_modules();
         let ks = 1..=sessions;
 
@@ -566,39 +563,51 @@ mod tests {
         // this thread. The engine reduces the base once, at construction,
         // and its per-k solves clone the reduced base ...
         let before = prefix_reductions_on_thread();
-        let engine = SynthesisEngine::new(&input, &reduce_config).unwrap();
+        let engine = SynthesisEngine::new(&input, &config).unwrap();
         let reduced: Vec<_> = ks.clone().map(|k| engine.synthesize(k).unwrap()).collect();
         assert_eq!(prefix_reductions_on_thread() - before, 1);
-        // ... while the rebuild path reduces once per k.
+        // ... while the rebuild path, a fresh engine per k, reduces once
+        // per k.
         let before = prefix_reductions_on_thread();
         for k in ks.clone() {
-            synthesis::synthesize_bist(&input, k, &reduce_config).unwrap();
+            synthesis::synthesize_bist(&input, k, &config).unwrap();
         }
         assert_eq!(prefix_reductions_on_thread() - before, sessions);
 
-        // The base reduction exists exactly when presolve is on, and it must
-        // actually shrink the base model.
-        let plain_engine = SynthesisEngine::new(&input, &plain_config).unwrap();
-        assert!(plain_engine.base_reduce_report().is_none());
-        let report = engine.base_reduce_report().expect("base reduced");
+        // The base reduction must actually shrink the base model.
+        let report = engine.base_reduce_report();
         assert!(report.var_reduction_ratio() > 0.0, "{report:?}");
 
-        // reduce+cuts explores no more nodes than the plain solver at any k
-        // and strictly fewer over the sweep, without changing any objective.
-        let plain: Vec<_> = ks.map(|k| plain_engine.synthesize(k).unwrap()).collect();
+        // reduce+cuts explores no more nodes than the raw branch and bound
+        // with cuts off (same unreduced per-k model, same warm start) at
+        // any k and strictly fewer over the sweep, without changing any
+        // objective.
+        let plain: Vec<_> = ks
+            .map(|k| {
+                let mut formulation = engine.base().clone();
+                formulation.add_bist(k).unwrap();
+                formulation.set_bist_objective();
+                let solver_config = engine.solver_config(&formulation).with_cuts(false);
+                BranchAndBound::new(&formulation.model, solver_config)
+                    .run()
+                    .unwrap()
+            })
+            .collect();
         for (reduced, plain) in reduced.iter().zip(&plain) {
+            assert!(plain.is_optimal());
             assert!(
-                reduced.stats.nodes <= plain.stats.nodes,
+                reduced.stats.nodes <= plain.stats().nodes,
                 "k={}: reduce+cuts explored {} nodes vs {} without",
                 reduced.sessions,
                 reduced.stats.nodes,
-                plain.stats.nodes
+                plain.stats().nodes
             );
-            assert!((reduced.objective - plain.objective).abs() < 1e-6);
+            assert!((reduced.objective - plain.objective()).abs() < 1e-6);
             assert!(reduced.stats.presolve_vars_removed > 0);
         }
-        let total = |designs: &[BistDesign]| designs.iter().map(|d| d.stats.nodes).sum::<u64>();
-        assert!(total(&reduced) < total(&plain));
+        let reduced_total: u64 = reduced.iter().map(|d| d.stats.nodes).sum();
+        let plain_total: u64 = plain.iter().map(|s| s.stats().nodes).sum();
+        assert!(reduced_total < plain_total);
     }
 
     #[test]
@@ -640,8 +649,14 @@ mod tests {
             .unwrap();
         assert_eq!(observed.design.area.total(), blind.area.total());
         assert!((observed.design.objective - blind.objective).abs() < 1e-9);
-        // The stream ends with Done and carried at least one incumbent
-        // (the warm start at minimum), whose final value is the objective.
+        // The stream ends with its one Done and carried at least one
+        // incumbent (the warm start at minimum), whose final value is the
+        // objective.
+        let done = events
+            .iter()
+            .filter(|e| matches!(e, SolveEvent::Done { .. }))
+            .count();
+        assert_eq!(done, 1);
         assert!(matches!(events.last(), Some(SolveEvent::Done { .. })));
         let last_incumbent = events
             .iter()

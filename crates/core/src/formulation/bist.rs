@@ -35,11 +35,6 @@ impl BistFormulation<'_> {
                 modules: num_modules,
             });
         }
-        // Everything added from here on is the per-k delta; remember where
-        // the shared circuit-level base ends.
-        if self.base_dims.is_none() {
-            self.base_dims = Some((self.model.num_constraints(), self.model.num_vars()));
-        }
         self.num_sessions = k;
 
         // ------------------------------------------------------------------

@@ -53,12 +53,6 @@ pub struct BistFormulation<'a> {
     pub(crate) num_registers: usize,
     /// The ILP model under construction.
     pub model: Model,
-    /// `(rows, vars)` of the model when the circuit-level base (register
-    /// assignment + interconnect + mux sizing) was complete, recorded by the
-    /// first [`BistFormulation::add_bist`] call. Everything past the
-    /// watermark is the per-k BIST delta, which the solve path replays
-    /// through the reduced base's variable map.
-    pub(crate) base_dims: Option<(usize, usize)>,
 
     // Register assignment.
     pub(crate) x: BTreeMap<(usize, usize), VarId>,
@@ -118,7 +112,6 @@ impl<'a> BistFormulation<'a> {
             lifetimes,
             num_registers,
             model: Model::new(format!("advbist_{}", input.name())),
-            base_dims: None,
             x: BTreeMap::new(),
             baseline,
             swap: BTreeMap::new(),
@@ -148,14 +141,6 @@ impl<'a> BistFormulation<'a> {
     /// Number of data path registers of the formulation.
     pub fn num_registers(&self) -> usize {
         self.num_registers
-    }
-
-    /// `(rows, vars)` of the circuit-level base model — the prefix shared by
-    /// every k-test session. Before any BIST delta is added the whole model
-    /// is the base.
-    pub fn base_dims(&self) -> (usize, usize) {
-        self.base_dims
-            .unwrap_or((self.model.num_constraints(), self.model.num_vars()))
     }
 
     /// Number of sub-test sessions (0 until [`BistFormulation::add_bist`] is

@@ -9,9 +9,10 @@
 
 use bist_datapath::{AreaBreakdown, Datapath};
 use bist_dfg::SynthesisInput;
-use bist_ilp::{SolveStats, SolverConfig, Status};
+use bist_ilp::{ReducedModel, SolveStats, SolverConfig};
 
 use crate::config::SynthesisConfig;
+use crate::engine::SynthesisEngine;
 use crate::error::CoreError;
 use crate::extract;
 use crate::formulation::BistFormulation;
@@ -35,7 +36,9 @@ pub struct ReferenceDesign {
 /// left-edge register assignment is converted into a complete feasible
 /// assignment of the model and handed to the solver as its initial
 /// incumbent, so this function returns a valid data path no worse than the
-/// left-edge design even under a tight time limit.
+/// left-edge design even under a tight time limit. It builds a fresh
+/// [`SynthesisEngine`]; [`SynthesisEngine::synthesize_reference`] on an
+/// existing engine runs the same solve on its shared base.
 ///
 /// # Errors
 ///
@@ -46,44 +49,20 @@ pub fn synthesize_reference(
     input: &SynthesisInput,
     config: &SynthesisConfig,
 ) -> Result<ReferenceDesign, CoreError> {
-    let mut formulation = BistFormulation::new(input, config)?;
-    formulation.add_interconnect();
-    formulation.add_mux_sizing();
-    formulation.set_reference_objective();
-
-    let mut solver_config = config.solver.clone();
-    if config.warm_start {
-        if let Some(values) = formulation.baseline_warm_values() {
-            solver_config.initial_solutions.push(values);
-        }
-    }
-    solve_reference_formulation(config, &formulation, &solver_config, None)
+    SynthesisEngine::new(input, config)?.synthesize_reference()
 }
 
-/// Solves a fully-built reference formulation and extracts the design.
-/// Shared by [`synthesize_reference`] and the layered
-/// [`crate::engine::SynthesisEngine`] (which hands in its shared reduced
-/// base model).
+/// Solves a fully-built reference formulation over the engine's reduced
+/// base model and extracts the design.
 pub(crate) fn solve_reference_formulation(
-    config: &SynthesisConfig,
     formulation: &BistFormulation<'_>,
+    reduced_base: &ReducedModel,
     solver_config: &SolverConfig,
-    reduced_base: Option<&bist_ilp::ReducedModel>,
 ) -> Result<ReferenceDesign, CoreError> {
-    let solution =
-        crate::synthesis::solve_formulation(formulation, solver_config, reduced_base, None)?;
-
-    let (chosen, optimal) = match solution.status() {
-        Status::Optimal => (solution, true),
-        Status::Feasible => (solution, false),
-        Status::Interrupted if solution.is_feasible() => (solution, false),
-        Status::Interrupted => return Err(CoreError::Interrupted),
-        Status::Infeasible => return Err(CoreError::Infeasible { sessions: 0 }),
-        _ => return Err(CoreError::NoSolutionWithinLimits),
-    };
-
+    let (chosen, optimal) =
+        crate::synthesis::solve_formulation(formulation, reduced_base, solver_config, None)?;
     let datapath = extract::datapath(formulation, &chosen)?;
-    let area = datapath.area(&config.cost);
+    let area = datapath.area(&formulation.config.cost);
     Ok(ReferenceDesign {
         datapath,
         area,

@@ -1,4 +1,10 @@
 //! ADVBIST synthesis: one optimal BIST data path per k-test session.
+//!
+//! Every solve runs on the [`SynthesisEngine`]'s one pipeline: formulate,
+//! reduce the circuit's base model, replay the per-k BIST delta through the
+//! reduction, warm-start, branch and bound, then extract and validate the
+//! design. [`synthesize_bist`] is the rebuild-per-k path: a fresh engine per
+//! `k`, the reference the engine's sweeps are checked against.
 
 use bist_datapath::report::DesignReport;
 use bist_datapath::validate::validate_design;
@@ -7,7 +13,7 @@ use bist_dfg::allocate::RegisterAssignment;
 use bist_dfg::lifetime::LifetimeTable;
 use bist_dfg::SynthesisInput;
 use bist_ilp::reduce::{self, ReduceOptions, ReducedModel};
-use bist_ilp::{Solution, SolveEvent, SolveSession, SolveStats, SolverConfig, Status};
+use bist_ilp::{Solution, SolveEvent, SolveStats, SolverConfig, Status};
 
 use crate::config::SynthesisConfig;
 use crate::engine::SynthesisEngine;
@@ -71,6 +77,11 @@ impl BistDesign {
 /// design is at least as good as what a sequential flow would produce; the
 /// branch and bound then spends its budget improving on it concurrently.
 ///
+/// This is the rebuild-per-k path: a fresh [`SynthesisEngine`] per call,
+/// which formulates and reduces the circuit's base model again for every
+/// `k`. Solving several `k` on one engine pays for the base once and runs
+/// the very same searches.
+///
 /// # Errors
 ///
 /// * [`CoreError::InvalidSessionCount`] if `k` is not in `1..=N`,
@@ -84,117 +95,65 @@ pub fn synthesize_bist(
     k: usize,
     config: &SynthesisConfig,
 ) -> Result<BistDesign, CoreError> {
-    let mut formulation = BistFormulation::new(input, config)?;
-    formulation.add_interconnect();
-    formulation.add_mux_sizing();
-    formulation.add_bist(k)?;
-    formulation.set_bist_objective();
-
-    let mut solver_config = config.solver.clone();
-    if config.warm_start {
-        if let Some(values) = formulation.baseline_warm_values() {
-            solver_config.initial_solutions.push(values);
-        }
-    }
-    solve_bist_formulation(input, config, &formulation, &solver_config, k, None, None)
-        .map(|(d, _)| d)
+    SynthesisEngine::new(input, config)?.synthesize(k)
 }
 
-/// Solves a fully-built formulation through the reducing presolve, as one
-/// observable solve session.
-///
-/// With [`SolverConfig::presolve`] enabled (the default) the circuit-level
-/// base prefix of the model (everything before the BIST delta, see
-/// [`BistFormulation::base_dims`]) is reduced, and the delta rows plus the
-/// objective are replayed through the variable map and reduced once more;
-/// the branch and bound then explores the reduced model and the
-/// solution is lifted back. The caller may pass a pre-computed reduced base
-/// (the [`SynthesisEngine`] builds it once per circuit); when `None`, the
-/// reduction is computed here from the same prefix, so the rebuild-per-k
-/// path and the engine run bit-identical searches.
+/// Solves a fully-built formulation on top of `reduced_base`, the reduction
+/// of its circuit-level base model: the rows past the base (the per-k BIST
+/// delta) and the objective are replayed through the base's variable map
+/// and reduced once more, the branch and bound explores the reduced model,
+/// and the solution is lifted back. Returns the solution to extract and
+/// whether it is proven optimal.
 ///
 /// The solver's budget and cancellation token travel inside
 /// `solver_config`; `observer`, when given, receives the live
-/// [`SolveEvent`] stream of the underlying search (including the final
-/// [`SolveEvent::Done`]).
+/// [`SolveEvent`] stream of the underlying search, ending with its one
+/// [`SolveEvent::Done`].
 ///
 /// # Errors
 ///
-/// Propagates solver errors.
+/// Propagates solver errors, and maps a solve that holds no design to
+/// [`CoreError::Interrupted`], [`CoreError::Infeasible`] or
+/// [`CoreError::NoSolutionWithinLimits`].
 pub(crate) fn solve_formulation(
     formulation: &BistFormulation<'_>,
+    reduced_base: &ReducedModel,
     solver_config: &SolverConfig,
-    reduced_base: Option<&ReducedModel>,
-    mut observer: Option<&mut dyn FnMut(&SolveEvent)>,
-) -> Result<Solution, CoreError> {
-    if !solver_config.presolve {
-        // The plain path *is* a solve session (which emits `Done` itself).
-        let session = SolveSession::with_config(&formulation.model, solver_config.clone());
-        return Ok(match observer.as_mut() {
-            Some(observer) => session.on_event(|event| observer(event)).solve()?,
-            None => session.solve()?,
-        });
-    }
-    let computed;
-    let base = match reduced_base {
-        Some(base) => base,
-        None => {
-            let (rows, vars) = formulation.base_dims();
-            computed =
-                reduce::reduce_prefix(&formulation.model, rows, vars, &ReduceOptions::base());
-            &computed
-        }
-    };
+    observer: Option<&mut dyn FnMut(&SolveEvent)>,
+) -> Result<(Solution, bool), CoreError> {
     // Replay the BIST delta and the objective through the base's variable
     // map, then run the pipeline once more so the delta rows (the
     // aggregated OR/BILBO structure) get reduced and disaggregated too.
-    let extended = base.extend(&formulation.model)?;
+    let extended = reduced_base.extend(&formulation.model)?;
     let full = extended.compose(reduce::reduce(&extended.model, &ReduceOptions::full()));
-    let solution = match observer.as_mut() {
-        Some(observer) => {
-            let mut forward = |event: &SolveEvent| observer(event);
-            reduce::solve_reduced_with_events(
-                &formulation.model,
-                &full,
-                solver_config,
-                Some(&mut forward),
-            )?
-        }
-        None => reduce::solve_reduced(&formulation.model, &full, solver_config)?,
-    };
-    if let Some(observer) = observer.as_mut() {
-        observer(&SolveEvent::done(&solution));
-    }
-    Ok(solution)
-}
-
-/// Solves a fully-built BIST formulation, extracts the design and validates
-/// it. Shared by the per-k rebuild path above and the layered
-/// [`SynthesisEngine`]; also returns the register assignment so sweeps can
-/// chain it into the next solve.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_bist_formulation(
-    input: &SynthesisInput,
-    config: &SynthesisConfig,
-    formulation: &BistFormulation<'_>,
-    solver_config: &SolverConfig,
-    k: usize,
-    reduced_base: Option<&ReducedModel>,
-    observer: Option<&mut dyn FnMut(&SolveEvent)>,
-) -> Result<(BistDesign, RegisterAssignment), CoreError> {
-    let solution = solve_formulation(formulation, solver_config, reduced_base, observer)?;
-
-    let (chosen, optimal) = match solution.status() {
-        Status::Optimal => (solution, true),
-        Status::Feasible => (solution, false),
+    let solution =
+        reduce::solve_reduced_with_events(&formulation.model, &full, solver_config, observer)?;
+    match solution.status() {
+        Status::Optimal => Ok((solution, true)),
+        Status::Feasible => Ok((solution, false)),
         // A cancelled solve that already holds an incumbent still yields a
         // valid (non-optimal) design; with no incumbent there is nothing to
         // extract.
-        Status::Interrupted if solution.is_feasible() => (solution, false),
-        Status::Interrupted => return Err(CoreError::Interrupted),
-        Status::Infeasible => return Err(CoreError::Infeasible { sessions: k }),
-        _ => return Err(CoreError::NoSolutionWithinLimits),
-    };
+        Status::Interrupted if solution.is_feasible() => Ok((solution, false)),
+        Status::Interrupted => Err(CoreError::Interrupted),
+        Status::Infeasible => Err(CoreError::Infeasible {
+            sessions: formulation.num_sessions(),
+        }),
+        _ => Err(CoreError::NoSolutionWithinLimits),
+    }
+}
+
+/// Solves a fully-built BIST formulation, extracts the design and validates
+/// it. Also returns the register assignment so sweeps can chain it into the
+/// next solve.
+pub(crate) fn solve_bist_formulation(
+    formulation: &BistFormulation<'_>,
+    reduced_base: &ReducedModel,
+    solver_config: &SolverConfig,
+    observer: Option<&mut dyn FnMut(&SolveEvent)>,
+) -> Result<(BistDesign, RegisterAssignment), CoreError> {
+    let (chosen, optimal) = solve_formulation(formulation, reduced_base, solver_config, observer)?;
+    let (input, config) = (formulation.input, formulation.config);
 
     let registers = extract::register_assignment(formulation, &chosen);
     let mut datapath = extract::datapath(formulation, &chosen)?;
@@ -216,7 +175,7 @@ pub(crate) fn solve_bist_formulation(
             datapath,
             plan,
             area,
-            sessions: k,
+            sessions: formulation.num_sessions(),
             optimal,
             objective: chosen.objective(),
             stats: chosen.stats().clone(),

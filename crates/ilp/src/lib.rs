@@ -34,10 +34,13 @@
 //!   rounding at shallow nodes) and wall-clock limits,
 //! * a CPLEX-style `.lp` file writer ([`lpfile`]) for debugging and for
 //!   feeding the very same model to an external solver if one is available,
-//! * a [`session`] layer — [`SolveSession`] with a unified [`Budget`]
-//!   (nodes + wall-clock + absolute deadline), a shareable [`CancelToken`]
-//!   checked inside the search loop, and a live [`SolveEvent`] stream —
-//!   the API the `advbist` job service is built on,
+//! * one solve configuration, [`SolverConfig`], carrying a unified
+//!   [`Budget`] (nodes + wall-clock + absolute deadline) and a shareable
+//!   [`CancelToken`] checked inside the search loop (see [`session`]), and
+//!   one solve path — [`Model::solve`], or [`Model::solve_observed`] for a
+//!   live [`SolveEvent`] stream — that always reduces the model before the
+//!   branch and bound; `bist-core`'s `SynthesisEngine`, which the `advbist`
+//!   job service runs, solves through the same path,
 //! * [`snapshot`]s: an early-stopped search captured as an in-memory
 //!   [`SolveSnapshot`] (switched on by [`Budget::snapshot`]), shared as
 //!   `Arc<SolveSnapshot>` within the process and resumed through
@@ -84,7 +87,7 @@ pub use error::IlpError;
 pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId, VarKind};
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
-pub use session::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
+pub use session::{Budget, BudgetError, CancelToken, SolveEvent};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};
 pub use snapshot::{model_fingerprint, SolveSnapshot};
 pub use solution::{ColdLpCounts, CutCounts, Improvement, Solution, SolveStats, Status};

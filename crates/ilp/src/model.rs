@@ -2,6 +2,8 @@
 
 use crate::error::IlpError;
 use crate::expr::LinExpr;
+use crate::reduce::{self, ReduceOptions};
+use crate::session::SolveEvent;
 use crate::solution::Solution;
 use crate::solver::SolverConfig;
 
@@ -390,18 +392,45 @@ impl Model {
 
     /// Solves the model with the given configuration.
     ///
-    /// With [`SolverConfig::presolve`] enabled (the default) the model is
-    /// first rewritten by the reducing pipeline ([`crate::reduce`]) and the
-    /// branch and bound explores the reduced model; the returned solution is
-    /// lifted back to this model's variable indexing, so callers never see
-    /// the reduction.
+    /// The model is first rewritten by the reducing pipeline
+    /// ([`crate::reduce`]) and the branch and bound explores the reduced
+    /// model; the returned solution is lifted back to this model's variable
+    /// indexing, so callers never see the reduction. Budget, cancellation
+    /// and resume all travel inside `config`.
     ///
     /// # Errors
     ///
     /// Returns an error if the model is malformed; infeasibility and time
     /// limits are reported through [`Solution::status`], not as errors.
     pub fn solve(&self, config: &SolverConfig) -> Result<Solution, IlpError> {
-        crate::session::solve_with_events(self, config, None)
+        self.solve_with_sink(config, None)
+    }
+
+    /// [`Model::solve`] with a live [`SolveEvent`] stream: `observer` runs
+    /// synchronously on the solving thread for every event, and the last
+    /// event is the solve's one [`SolveEvent::Done`]. An observer that
+    /// raises the configuration's [`crate::CancelToken`] stops the search
+    /// with the best incumbent found so far.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Model::solve`].
+    pub fn solve_observed(
+        &self,
+        config: &SolverConfig,
+        observer: &mut dyn FnMut(&SolveEvent),
+    ) -> Result<Solution, IlpError> {
+        self.solve_with_sink(config, Some(observer))
+    }
+
+    fn solve_with_sink(
+        &self,
+        config: &SolverConfig,
+        sink: Option<&mut dyn FnMut(&SolveEvent)>,
+    ) -> Result<Solution, IlpError> {
+        self.validate()?;
+        let reduced = reduce::reduce(self, &ReduceOptions::full());
+        reduce::solve_reduced_with_events(self, &reduced, config, sink)
     }
 }
 

@@ -868,7 +868,15 @@ fn finalize(
 /// the original variable indexing: warm-start candidates are projected into
 /// the reduced space, the branch and bound runs on the reduced model (cut
 /// pool included, per the configuration), and the returned [`Solution`]
-/// carries original-space values and the original-space objective.
+/// carries original-space values and the original-space objective. This is
+/// the one solve path: [`Model::solve`] and the synthesis engine both end
+/// here.
+///
+/// `sink`, when given, receives the live [`SolveEvent`] stream of the
+/// search and, last, the solve's one [`SolveEvent::Done`]. Incumbent
+/// objectives streamed from the reduced search match the lifted
+/// original-space objectives (the reduction folds eliminated terms into the
+/// objective constant), so observers never see reduced-space values.
 ///
 /// When the reduction decided every variable, the solve is skipped entirely
 /// and the lifted assignment is returned as optimal with a root (`nodes = 0`)
@@ -878,28 +886,26 @@ fn finalize(
 /// # Errors
 ///
 /// Propagates structural solver errors, exactly like [`Model::solve`].
-pub fn solve_reduced(
-    original: &Model,
-    reduced: &ReducedModel,
-    config: &SolverConfig,
-) -> Result<Solution, IlpError> {
-    solve_reduced_with_events(original, reduced, config, None)
-}
-
-/// [`solve_reduced`] with a live [`SolveEvent`] sink threaded into the
-/// branch and bound over the reduced model. Incumbent objectives streamed
-/// from the reduced search match the lifted original-space objectives (the
-/// reduction folds eliminated terms into the objective constant), so
-/// observers never see reduced-space values.
-///
-/// # Errors
-///
-/// Same contract as [`solve_reduced`].
 pub fn solve_reduced_with_events(
     original: &Model,
     reduced: &ReducedModel,
     config: &SolverConfig,
     mut sink: Option<&mut dyn FnMut(&SolveEvent)>,
+) -> Result<Solution, IlpError> {
+    let solution = solve_and_lift(original, reduced, config, &mut sink)?;
+    if let Some(sink) = sink {
+        sink(&SolveEvent::done(&solution));
+    }
+    Ok(solution)
+}
+
+/// [`solve_reduced_with_events`] up to, but without, the final
+/// [`SolveEvent::Done`].
+fn solve_and_lift(
+    original: &Model,
+    reduced: &ReducedModel,
+    config: &SolverConfig,
+    sink: &mut Option<&mut dyn FnMut(&SolveEvent)>,
 ) -> Result<Solution, IlpError> {
     let vars_removed = reduced
         .original_vars()
@@ -955,16 +961,11 @@ pub fn solve_reduced_with_events(
         .filter_map(|v| reduced.project(v))
         .collect();
 
-    let inner = match sink.as_mut() {
-        Some(sink) => {
-            // Fresh forwarding closure: see `session::solve_with_events`.
-            let mut forward = |event: &SolveEvent| sink(event);
-            BranchAndBound::new(&reduced.model, inner_config)
-                .with_event_sink(&mut forward)
-                .run()?
-        }
-        None => BranchAndBound::new(&reduced.model, inner_config).run()?,
-    };
+    let mut search = BranchAndBound::new(&reduced.model, inner_config);
+    if let Some(sink) = sink.as_mut() {
+        search = search.with_event_sink(&mut **sink);
+    }
+    let inner = search.run()?;
     let mut stats = inner.stats().clone();
     stats.presolve_vars_removed = vars_removed;
     stats.presolve_rows_removed = rows_removed;
@@ -993,7 +994,6 @@ mod tests {
         let raw = BranchAndBound::new(
             model,
             SolverConfig {
-                presolve: false,
                 cuts: false,
                 ..SolverConfig::exact()
             },
@@ -1001,7 +1001,7 @@ mod tests {
         .run()
         .unwrap();
         let reduced = reduce(model, &ReduceOptions::full());
-        let via = solve_reduced(model, &reduced, &SolverConfig::exact()).unwrap();
+        let via = solve_reduced_with_events(model, &reduced, &SolverConfig::exact(), None).unwrap();
         (raw, via)
     }
 
@@ -1033,7 +1033,7 @@ mod tests {
                 VarDisposition::Fixed(v) if v.abs() < 1e-9
             ));
         }
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
+        let sol = solve_reduced_with_events(&m, &reduced, &SolverConfig::exact(), None).unwrap();
         assert!(sol.is_optimal());
         assert_eq!(sol.values(), &[1.0, 0.0, 0.0]);
         assert_eq!(sol.objective(), 0.0);
@@ -1075,7 +1075,7 @@ mod tests {
         assert!(reduced.report.dominated_rows >= 1);
         assert_eq!(reduced.model.num_constraints(), 1);
         assert_eq!(reduced.row_map()[0], None);
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
+        let sol = solve_reduced_with_events(&m, &reduced, &SolverConfig::exact(), None).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() + 1.0).abs() < 1e-9);
     }
@@ -1097,7 +1097,7 @@ mod tests {
             max_activity <= row.rhs + 1.0 + 1e-9,
             "tightened to a clique"
         );
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
+        let sol = solve_reduced_with_events(&m, &reduced, &SolverConfig::exact(), None).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() + 2.0).abs() < 1e-9);
     }
@@ -1111,7 +1111,7 @@ mod tests {
         m.set_objective([(x, 1.0)], Sense::Minimize);
         let reduced = reduce(&m, &ReduceOptions::full());
         assert!(reduced.report.infeasible);
-        let sol = solve_reduced(&m, &reduced, &SolverConfig::exact()).unwrap();
+        let sol = solve_reduced_with_events(&m, &reduced, &SolverConfig::exact(), None).unwrap();
         assert_eq!(sol.status(), Status::Infeasible);
     }
 
@@ -1144,7 +1144,7 @@ mod tests {
         assert_eq!(extended.model.num_vars(), 2); // y and z
         let delta_row = extended.model.constraints().last().unwrap();
         assert!((delta_row.rhs - 1.0).abs() < 1e-9, "x folded into the rhs");
-        let sol = solve_reduced(&m, &extended, &SolverConfig::exact()).unwrap();
+        let sol = solve_reduced_with_events(&m, &extended, &SolverConfig::exact(), None).unwrap();
         assert!(sol.is_optimal());
         assert!((sol.objective() - 1.0).abs() < 1e-9); // y = 1, z = 0
         assert_eq!(sol.values(), &[1.0, 1.0, 0.0]);

@@ -1,21 +1,23 @@
-//! Session-oriented solving: budgets, cancellation and a live event stream.
+//! Budgets, cancellation and a live event stream for one solve.
 //!
-//! A [`SolveSession`] is the front door for interactive and service-style
-//! callers. Where [`crate::Model::solve`] is a blocking one-shot call, a
-//! session carries:
+//! Every solve is configured by one [`crate::SolverConfig`] and started by
+//! [`crate::Model::solve`], or by [`crate::Model::solve_observed`] when the
+//! caller wants to watch it. The configuration carries:
 //!
 //! * a first-class [`Budget`] — node limit, wall-clock limit and absolute
-//!   deadline in one value, replacing ad-hoc env-var plumbing,
+//!   deadline in one value ([`crate::SolverConfig::with_budget`]),
 //! * a shareable [`CancelToken`], checked inside the branch-and-bound loop,
 //!   so another thread (or an event observer) can stop the search while the
-//!   best incumbent found so far is preserved,
-//! * an observer stream of [`SolveEvent`]s emitted *live* from the solver —
-//!   incumbent improvements, dual-bound progress, cut rounds, node
-//!   milestones and completion — instead of only post-hoc
-//!   [`crate::SolveStats`].
+//!   best incumbent found so far is preserved
+//!   ([`crate::SolverConfig::with_cancel`]),
+//! * optionally a snapshot to resume ([`crate::SolverConfig::with_resume`]).
+//!
+//! An observed solve streams [`SolveEvent`]s *live* from the solver —
+//! incumbent improvements, dual-bound progress, cut rounds, node milestones
+//! and completion — instead of only post-hoc [`crate::SolveStats`].
 //!
 //! ```
-//! use bist_ilp::{Model, Sense, SolverConfig, SolveSession, SolveEvent, Budget};
+//! use bist_ilp::{Budget, Model, Sense, SolveEvent, SolverConfig};
 //!
 //! # fn main() -> Result<(), bist_ilp::IlpError> {
 //! let mut model = Model::new("tiny");
@@ -24,15 +26,13 @@
 //! model.add_leq([(x, 1.0), (y, 1.0)], 1.0, "cap");
 //! model.set_objective([(x, 1.0), (y, 2.0)], Sense::Maximize);
 //!
-//! let config = SolverConfig::default().with_budget(Budget::unlimited().with_nodes(10_000));
+//! let config = SolverConfig::default().with_budget(Budget::nodes(10_000));
 //! let mut incumbents = 0;
-//! let solution = SolveSession::with_config(&model, config)
-//!     .on_event(|event| {
-//!         if let SolveEvent::Incumbent { .. } = event {
-//!             incumbents += 1;
-//!         }
-//!     })
-//!     .solve()?;
+//! let solution = model.solve_observed(&config, &mut |event| {
+//!     if let SolveEvent::Incumbent { .. } = event {
+//!         incumbents += 1;
+//!     }
+//! })?;
 //! assert!(solution.is_optimal());
 //! assert!(incumbents >= 1);
 //! # Ok(())
@@ -44,10 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::error::IlpError;
-use crate::model::Model;
 use crate::solution::{Solution, Status};
-use crate::solver::{BranchAndBound, SolverConfig};
 
 /// Smallest accepted wall-clock budget: sub-millisecond values are clamped
 /// up so a `BIST_TIME_LIMIT_SECS=0` run still performs the root work.
@@ -197,7 +194,6 @@ impl Budget {
     /// | Variable | Meaning |
     /// |----------|---------|
     /// | `BIST_NODE_LIMIT` | node limit per solve (integer ≥ 1) |
-    /// | `BIST_SWEEP_NODES` | legacy alias for the node limit; `BIST_NODE_LIMIT` takes precedence |
     /// | `BIST_TIME_LIMIT_SECS` | wall-clock limit per solve in seconds (fractions allowed, clamped to ≥ 1 ms) |
     /// | `BIST_DEADLINE_SECS` | absolute deadline, given as seconds from now |
     /// | `BIST_CACHE_MB` | job-service solve-cache capacity in MiB (integer; `0` disables the cache) |
@@ -215,27 +211,27 @@ impl Budget {
         Self::from_lookup(|key| std::env::var(key).ok())
     }
 
-    /// The testable core of [`Budget::from_env`]: same parsing and
-    /// precedence rules over an arbitrary variable lookup.
+    /// The testable core of [`Budget::from_env`]: the same parsing rules
+    /// over an arbitrary variable lookup.
     ///
     /// # Errors
     ///
     /// Same contract as [`Budget::from_env`].
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, BudgetError> {
         let mut budget = Budget::unlimited();
-        // Canonical node limit beats the legacy sweep-specific name.
-        for var in ["BIST_NODE_LIMIT", "BIST_SWEEP_NODES"] {
-            if let Some(raw) = get(var) {
-                let nodes: u64 = raw
-                    .trim()
-                    .parse()
-                    .map_err(|_| BudgetError::new(var, &raw, "expected an integer"))?;
-                if nodes == 0 {
-                    return Err(BudgetError::new(var, &raw, "node limit must be at least 1"));
-                }
-                budget.node_limit = Some(nodes);
-                break;
+        if let Some(raw) = get("BIST_NODE_LIMIT") {
+            let nodes: u64 = raw
+                .trim()
+                .parse()
+                .map_err(|_| BudgetError::new("BIST_NODE_LIMIT", &raw, "expected an integer"))?;
+            if nodes == 0 {
+                return Err(BudgetError::new(
+                    "BIST_NODE_LIMIT",
+                    &raw,
+                    "node limit must be at least 1",
+                ));
             }
+            budget.node_limit = Some(nodes);
         }
         if let Some(raw) = get("BIST_TIME_LIMIT_SECS") {
             let secs = parse_seconds("BIST_TIME_LIMIT_SECS", &raw)?;
@@ -371,7 +367,8 @@ pub enum SolveEvent {
         nodes: u64,
         /// Cuts accepted in this round.
         added: u64,
-        /// Total cuts in the pool after this round.
+        /// Total cuts in the pool after this round; after a resume this
+        /// includes the restored cuts.
         total: u64,
     },
     /// A branch-and-bound node was popped. Emitted for every node, so an
@@ -383,7 +380,8 @@ pub enum SolveEvent {
         /// Current incumbent objective, if any.
         incumbent: Option<f64>,
     },
-    /// The solve finished; always the last event of a session.
+    /// The solve finished: the last event of an observed solve, emitted
+    /// exactly once.
     Done {
         /// Final status.
         status: Status,
@@ -404,7 +402,7 @@ pub enum SolveEvent {
 impl SolveEvent {
     /// The [`SolveEvent::Done`] event closing a solve that returned
     /// `solution`.
-    pub fn done(solution: &Solution) -> Self {
+    pub(crate) fn done(solution: &Solution) -> Self {
         let stats = solution.stats();
         SolveEvent::Done {
             status: solution.status(),
@@ -416,155 +414,11 @@ impl SolveEvent {
     }
 }
 
-/// Event observer callbacks attached to a [`SolveSession`].
-type Observer<'m> = Box<dyn FnMut(&SolveEvent) + 'm>;
-
-/// A configured handle on one solve of a model: budget, cancellation and
-/// live events in one place. See the [module documentation](self) for an
-/// end-to-end example.
-pub struct SolveSession<'m> {
-    model: &'m Model,
-    config: SolverConfig,
-    observers: Vec<Observer<'m>>,
-}
-
-impl<'m> SolveSession<'m> {
-    /// A session over `model` with the default [`SolverConfig`].
-    pub fn new(model: &'m Model) -> Self {
-        Self::with_config(model, SolverConfig::default())
-    }
-
-    /// A session over `model` with an explicit configuration (a struct
-    /// literal over [`SolverConfig::default`], or its `with_*` setters).
-    pub fn with_config(model: &'m Model, config: SolverConfig) -> Self {
-        Self {
-            model,
-            config,
-            observers: Vec::new(),
-        }
-    }
-
-    /// Replaces the session's budget. Its [`Budget::snapshot`] switch
-    /// decides whether a solve that stops early (cancellation, node
-    /// budget, time budget or deadline) captures a resumable
-    /// [`crate::SolveSnapshot`]; the captured snapshot is returned on the
-    /// solution (see [`Solution::snapshot`]).
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Resumes a previous solve from its snapshot instead of starting a
-    /// fresh tree. The session must target the same model content the
-    /// snapshot was captured from, or the solve fails with
-    /// [`IlpError::Snapshot`]. Presolve must also match: a
-    /// snapshot captured with presolve on fingerprints the *reduced*
-    /// instance, so resume it from a presolve-enabled session (the
-    /// default).
-    pub fn resume(mut self, snapshot: Arc<crate::snapshot::SolveSnapshot>) -> Self {
-        self.config.resume = Some(snapshot);
-        self
-    }
-
-    /// Returns a token that cancels this session's solve. The first call
-    /// installs a fresh token; later calls return clones of the same one.
-    pub fn cancel_token(&mut self) -> CancelToken {
-        self.config
-            .cancel
-            .get_or_insert_with(CancelToken::new)
-            .clone()
-    }
-
-    /// Registers an event observer. Observers are invoked in registration
-    /// order, synchronously from the solver thread.
-    pub fn on_event(mut self, observer: impl FnMut(&SolveEvent) + 'm) -> Self {
-        self.observers.push(Box::new(observer));
-        self
-    }
-
-    /// The session's solver configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Runs the solve.
-    ///
-    /// # Errors
-    ///
-    /// Structural model errors only; infeasibility, limits and cancellation
-    /// are reported through [`Solution::status`].
-    pub fn solve(mut self) -> Result<Solution, IlpError> {
-        let mut observers = std::mem::take(&mut self.observers);
-        if observers.is_empty() {
-            return solve_with_events(self.model, &self.config, None);
-        }
-        let mut fan_out = |event: &SolveEvent| {
-            for observer in observers.iter_mut() {
-                observer(event);
-            }
-        };
-        solve_with_events(self.model, &self.config, Some(&mut fan_out))
-    }
-}
-
-impl fmt::Debug for SolveSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolveSession")
-            .field("model", &self.model.name())
-            .field("config", &self.config)
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
-
-/// The shared solve path behind [`Model::solve`] and
-/// [`SolveSession::solve`]: validate, run the reducing presolve when
-/// enabled, solve (streaming events into `sink`) and emit the final
-/// [`SolveEvent::Done`].
-pub(crate) fn solve_with_events(
-    model: &Model,
-    config: &SolverConfig,
-    mut sink: Option<&mut dyn FnMut(&SolveEvent)>,
-) -> Result<Solution, IlpError> {
-    model.validate()?;
-    // Forward through a fresh closure per layer: `&mut dyn FnMut` is
-    // invariant, so handing the borrowed sink itself down would pin its
-    // borrow past the inner call and block the final `Done` emission.
-    let solution = if config.presolve {
-        let reduced = crate::reduce::reduce(model, &crate::reduce::ReduceOptions::full());
-        match sink.as_mut() {
-            Some(sink) => {
-                let mut forward = |event: &SolveEvent| sink(event);
-                crate::reduce::solve_reduced_with_events(
-                    model,
-                    &reduced,
-                    config,
-                    Some(&mut forward),
-                )?
-            }
-            None => crate::reduce::solve_reduced_with_events(model, &reduced, config, None)?,
-        }
-    } else {
-        match sink.as_mut() {
-            Some(sink) => {
-                let mut forward = |event: &SolveEvent| sink(event);
-                BranchAndBound::new(model, config.clone())
-                    .with_event_sink(&mut forward)
-                    .run()?
-            }
-            None => BranchAndBound::new(model, config.clone()).run()?,
-        }
-    };
-    if let Some(sink) = sink.as_mut() {
-        sink(&SolveEvent::done(&solution));
-    }
-    Ok(solution)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
+    use crate::model::{Model, Sense};
+    use crate::solver::SolverConfig;
 
     fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
         move |key| {
@@ -581,18 +435,6 @@ mod tests {
         assert!(budget.is_unlimited());
         assert!(!budget.nodes_exhausted(u64::MAX - 1));
         assert!(!budget.time_expired(Instant::now()));
-    }
-
-    #[test]
-    fn budget_canonical_node_var_beats_legacy_alias() {
-        let both = Budget::from_lookup(lookup(&[
-            ("BIST_NODE_LIMIT", "7"),
-            ("BIST_SWEEP_NODES", "99"),
-        ]))
-        .unwrap();
-        assert_eq!(both.node_limit, Some(7));
-        let legacy_only = Budget::from_lookup(lookup(&[("BIST_SWEEP_NODES", "99")])).unwrap();
-        assert_eq!(legacy_only.node_limit, Some(99));
     }
 
     #[test]
@@ -713,11 +555,18 @@ mod tests {
             Sense::Minimize,
         );
         let mut events: Vec<SolveEvent> = Vec::new();
-        let solution = SolveSession::with_config(&m, SolverConfig::exact())
-            .on_event(|event| events.push(event.clone()))
-            .solve()
+        let solution = m
+            .solve_observed(&SolverConfig::exact(), &mut |event| {
+                events.push(event.clone())
+            })
             .unwrap();
         assert!(solution.is_optimal());
+        // Exactly one Done, and it is the last event.
+        let done = events
+            .iter()
+            .filter(|e| matches!(e, SolveEvent::Done { .. }))
+            .count();
+        assert_eq!(done, 1);
         assert!(matches!(events.last(), Some(SolveEvent::Done { .. })));
         let incumbents: Vec<f64> = events
             .iter()
@@ -771,18 +620,16 @@ mod tests {
     }
 
     #[test]
-    fn session_without_observers_matches_model_solve() {
+    fn observed_solve_matches_the_blind_solve() {
         let mut m = Model::new("plain");
         let x = m.add_binary("x");
         let y = m.add_binary("y");
         m.add_leq([(x, 1.0), (y, 1.0)], 1.0, "cap");
         m.set_objective([(x, 3.0), (y, 2.0)], Sense::Maximize);
         let config = SolverConfig::exact();
-        let via_session = SolveSession::with_config(&m, config.clone())
-            .solve()
-            .unwrap();
-        let via_model = m.solve(&config).unwrap();
-        assert_eq!(via_session.objective(), via_model.objective());
-        assert_eq!(via_session.status(), via_model.status());
+        let observed = m.solve_observed(&config, &mut |_| {}).unwrap();
+        let blind = m.solve(&config).unwrap();
+        assert_eq!(observed.objective(), blind.objective());
+        assert_eq!(observed.status(), blind.status());
     }
 }

@@ -7,9 +7,10 @@
 //! accepted cut pool, and the compact [`Basis`] each open node re-solves
 //! from. Snapshots are produced by an interrupted or limit-stopped solve
 //! when [`crate::Budget::snapshot`] is `Some(true)`, shared as
-//! `Arc<SolveSnapshot>`, and consumed by [`crate::SolverConfig::resume`] /
-//! [`crate::SolveSession::resume`]. A snapshot is a plain value: it is
-//! never written out or parsed back, so it carries no format version.
+//! `Arc<SolveSnapshot>`, and consumed by [`crate::SolverConfig::resume`]
+//! (set with [`crate::SolverConfig::with_resume`]). A snapshot is a plain
+//! value: it is never written out or parsed back, so it carries no format
+//! version.
 //!
 //! # Exactness
 //!
@@ -45,7 +46,7 @@ use crate::sparse::SparseModel;
 /// coefficient, bound, kind or objective weight separates them. This is
 /// the identity the `advbist` job-service cache keys on. (It is *not* the
 /// same hash a [`SolveSnapshot`] records — snapshots fingerprint the
-/// possibly presolve-reduced instance the tree was actually built on.)
+/// reduced instance the tree was actually built on.)
 pub fn model_fingerprint(model: &Model) -> u64 {
     let sense_factor = match model.sense() {
         Sense::Minimize => 1.0,
@@ -228,7 +229,6 @@ mod tests {
                     up: vec![0.0, 0.1, 0.0],
                     down: vec![0.2, 0.0, 0.0],
                 }),
-                pivots: 42,
             }),
         }
     }

@@ -155,17 +155,10 @@ pub struct SolveStats {
     pub lp_basis_refactorizations: u64,
     /// Number of LP relaxations solved.
     pub lp_solves: u64,
-    /// Simplex iterations of each *node relaxation* LP, in the order the
-    /// nodes were popped (the root cut loop contributes the root's entry).
-    /// Strong-branching probes and leaf completion LPs are not node
-    /// relaxations and are excluded.
-    pub node_lp_pivots: Vec<u64>,
     /// Node LPs and root cut rounds re-solved with the dual simplex from a
     /// stored basis. Strong-branching probes are counted apart, in
     /// [`SolveStats::strong_branch_solves`].
     pub warm_lp_solves: u64,
-    /// Simplex iterations spent inside warm (dual-simplex) re-solves.
-    pub warm_lp_pivots: u64,
     /// Cold LP solves by reason; their total is `lp_solves −
     /// warm_lp_solves − strong_branch_solves`.
     pub cold_lp: ColdLpCounts,
@@ -185,9 +178,6 @@ pub struct SolveStats {
     pub gap: f64,
     /// True when the wall-clock or node limit stopped the search.
     pub limit_reached: bool,
-    /// Cutting planes added to the row set (root and shallow-node Gomory
-    /// rounds).
-    pub cuts: u64,
     /// Cuts emitted during this solve, counted per kind.
     pub cuts_emitted: CutCounts,
     /// Cuts sitting in the active row set when the solve finished, per
@@ -197,8 +187,7 @@ pub struct SolveStats {
     /// when [`crate::SolverConfig::record_cuts`] is on (used by the cut
     /// validity test suite; empty otherwise).
     pub emitted_cuts: Vec<CutRow>,
-    /// Variables eliminated by the reducing presolve before the search
-    /// (0 when presolve is off).
+    /// Variables eliminated by the reducing presolve before the search.
     pub presolve_vars_removed: u64,
     /// Rows removed by the reducing presolve before the search.
     pub presolve_rows_removed: u64,
@@ -351,8 +340,8 @@ impl Solution {
     }
 
     /// The resumable snapshot captured when this solve stopped early, if
-    /// any. Feed it to [`crate::SolveSession::resume`] (or
-    /// [`crate::SolverConfig::resume`]) to continue the same tree.
+    /// any. Feed it to [`crate::SolverConfig::with_resume`] to continue the
+    /// same tree.
     pub fn snapshot(&self) -> Option<&SolveSnapshot> {
         self.snapshot.as_deref()
     }

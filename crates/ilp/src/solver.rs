@@ -149,10 +149,6 @@ pub struct SolverConfig {
     /// synthesis engine pushes the sequential baseline design first and the
     /// chained k−1 sweep incumbent after it.
     pub initial_solutions: Vec<Vec<f64>>,
-    /// Run the reducing presolve pipeline ([`crate::reduce`]) and solve the
-    /// reduced model instead of the raw one (solutions are lifted back
-    /// transparently). On by default.
-    pub presolve: bool,
     /// Keep a cut pool ([`crate::cuts`]): Gomory mixed-integer cuts read
     /// off the optimal basis in the root loop and at shallow nodes. On by
     /// default. Gomory cuts need LP bases, so under
@@ -184,7 +180,6 @@ impl Default for SolverConfig {
             max_lp_pivots: 50_000,
             record_cuts: false,
             initial_solutions: Vec::new(),
-            presolve: true,
             cuts: true,
             eager_tree_cuts: false,
             resume: None,
@@ -231,12 +226,6 @@ impl SolverConfig {
     /// [`SolverConfig::initial_solutions`]).
     pub fn with_warm_candidate(mut self, values: Vec<f64>) -> Self {
         self.initial_solutions.push(values);
-        self
-    }
-
-    /// Builder-style toggle for the reducing presolve.
-    pub fn with_presolve(mut self, enabled: bool) -> Self {
-        self.presolve = enabled;
         self
     }
 
@@ -407,7 +396,6 @@ pub(crate) struct CachedRootLp {
     pub(crate) objective: f64,
     pub(crate) values: Vec<f64>,
     pub(crate) reduced_costs: Option<ReducedCosts>,
-    pub(crate) pivots: u64,
 }
 
 /// The branch-and-bound engine. Construct with [`BranchAndBound::new`] and
@@ -523,8 +511,10 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Streams [`SolveEvent`]s into `sink` during the run. Most callers
-    /// attach observers through [`crate::SolveSession`] instead.
+    /// Streams [`SolveEvent`]s into `sink` during the run. This raw search
+    /// never emits the closing [`SolveEvent::Done`]: callers that want it
+    /// solve through [`crate::Model::solve_observed`] or
+    /// [`crate::reduce::solve_reduced_with_events`] instead.
     pub fn with_event_sink(mut self, sink: &'a mut dyn FnMut(&SolveEvent)) -> Self {
         self.events = Some(sink);
         self
@@ -638,13 +628,13 @@ impl<'a> BranchAndBound<'a> {
         if accepted.is_empty() {
             return None;
         }
-        stats.cuts += accepted.len() as u64;
+        let added = accepted.len() as u64;
+        self.cut_rows.extend(accepted);
         self.emit(SolveEvent::CutRound {
             nodes: stats.nodes,
-            added: accepted.len() as u64,
-            total: stats.cuts,
+            added,
+            total: self.cut_rows.len() as u64,
         });
-        self.cut_rows.extend(accepted);
         self.rebuild_matrix();
         stats.propagations += 1;
         Some(self.propagator.propagate(domains) != PropagationResult::Infeasible)
@@ -724,7 +714,6 @@ impl<'a> BranchAndBound<'a> {
             objective: lp.objective,
             values: lp.values,
             reduced_costs: lp.reduced_costs,
-            pivots: lp.pivots,
         });
         self.root_basis = basis.map(Rc::new);
     }
@@ -1400,15 +1389,12 @@ impl<'a> BranchAndBound<'a> {
         };
         let (lp_objective, lp_values, lp_rc, basis) = match cached {
             // The cached LP was solved from the basis the root node holds.
-            Some(root) => {
-                stats.node_lp_pivots.push(root.pivots);
-                (
-                    root.objective,
-                    root.values,
-                    root.reduced_costs,
-                    node.parent_basis.clone(),
-                )
-            }
+            Some(root) => (
+                root.objective,
+                root.values,
+                root.reduced_costs,
+                node.parent_basis.clone(),
+            ),
             None => match self.solve_node_lp(node, stats) {
                 SolvedNodeLp::Infeasible => return NodeBound::Infeasible,
                 SolvedNodeLp::NoBound => {
@@ -1485,7 +1471,6 @@ impl<'a> BranchAndBound<'a> {
             &node.domains,
             stats,
         );
-        stats.node_lp_pivots.push(lp.pivots);
         match lp.status {
             LpStatus::Infeasible => SolvedNodeLp::Infeasible,
             LpStatus::Optimal => SolvedNodeLp::Optimal {
@@ -1547,7 +1532,6 @@ impl<'a> BranchAndBound<'a> {
             return self.cold_lp(domains, Cold::UnusableBasis, stats);
         };
         tally_lp(stats, &lp);
-        stats.warm_lp_pivots += lp.pivots;
         match lp.status {
             LpStatus::Infeasible | LpStatus::Optimal => {
                 stats.lp_solves += 1;
@@ -2000,17 +1984,10 @@ mod tests {
                 .collect::<Vec<_>>(),
             Sense::Minimize,
         );
-        let config = SolverConfig::exact().with_presolve(false).with_cuts(false);
-        let sol = m.solve(&config).expect("solve");
+        let config = SolverConfig::exact().with_cuts(false);
+        let sol = BranchAndBound::new(&m, config).run().expect("solve");
         assert!(sol.is_optimal());
         let stats = sol.stats();
-        // One per-node iteration record per node-relaxation LP, never more
-        // than the LP solve count, and their sum never exceeds the global
-        // pivot total (which also counts strong-branching probes).
-        assert!(!stats.node_lp_pivots.is_empty());
-        assert!(stats.node_lp_pivots.len() as u64 <= stats.lp_solves);
-        assert!(stats.node_lp_pivots.iter().sum::<u64>() <= stats.lp_pivots);
-        assert!(stats.warm_lp_pivots <= stats.lp_pivots);
         // Without a cut loop the root node is the one node without a
         // parent basis.
         assert_eq!(stats.cold_lp.no_parent_basis, 1);
@@ -2201,15 +2178,15 @@ mod tests {
 
     #[test]
     fn node_triggered_cancellation_stops_deterministically_with_incumbent() {
-        use crate::session::SolveSession;
         let (m, warm) = deep_model();
         // Propagation bounds keep the tree deep enough to cancel into.
         let config = SolverConfig::exact()
             .with_bound_mode(BoundMode::Propagation)
-            .with_presolve(false)
             .with_cuts(false)
             .with_warm_candidate(warm.clone());
-        let optimal = m.solve(&config).expect("reference solve");
+        let optimal = BranchAndBound::new(&m, config.clone())
+            .run()
+            .expect("reference solve");
         assert!(optimal.is_optimal());
         assert!(
             optimal.stats().nodes > 3,
@@ -2220,18 +2197,18 @@ mod tests {
         // The observer raises the token at the third node milestone; the
         // loop notices at the next pop, so exactly 3 nodes are explored —
         // no sleeps, no wall-clock, fully deterministic.
-        let mut session = SolveSession::with_config(&m, config);
-        let token = session.cancel_token();
+        let token = CancelToken::new();
         let observer_token = token.clone();
-        let sol = session
-            .on_event(move |event| {
-                if let SolveEvent::NodeMilestone { nodes, .. } = event {
-                    if *nodes >= 3 {
-                        observer_token.cancel();
-                    }
+        let mut observer = move |event: &SolveEvent| {
+            if let SolveEvent::NodeMilestone { nodes, .. } = event {
+                if *nodes >= 3 {
+                    observer_token.cancel();
                 }
-            })
-            .solve()
+            }
+        };
+        let sol = BranchAndBound::new(&m, config.with_cancel(token.clone()))
+            .with_event_sink(&mut observer)
+            .run()
             .expect("cancelled solve");
         assert!(token.is_cancelled());
         assert_eq!(sol.status(), Status::Interrupted);
@@ -2246,8 +2223,9 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_interrupts_before_any_node() {
-        // Through the default (presolve) path: the token installed in the
-        // outer config must reach the reduced model's search.
+        // Through `Model::solve`, which always reduces first: the token
+        // installed in the outer config must reach the reduced model's
+        // search.
         let (m, _) = deep_model();
         let token = CancelToken::new();
         token.cancel();
@@ -2261,26 +2239,24 @@ mod tests {
     fn expired_deadline_returns_without_descending_past_the_root() {
         let (m, warm) = deep_model();
         let config = SolverConfig::exact()
-            .with_presolve(false)
             .with_cuts(false)
             .with_budget(Budget::unlimited().with_deadline(Instant::now()))
             .with_warm_candidate(warm.clone());
-        let sol = m.solve(&config).expect("solve");
+        let sol = BranchAndBound::new(&m, config).run().expect("solve");
         // The warm incumbent is kept, but the tree is never entered: no
         // nodes, no LPs, no cut rounds.
         assert_eq!(sol.stats().nodes, 0);
         assert_eq!(sol.stats().lp_solves, 0);
-        assert_eq!(sol.stats().cuts, 0);
+        assert_eq!(sol.stats().cuts_emitted.total(), 0);
         assert!(sol.stats().limit_reached);
         assert_eq!(sol.status(), Status::Feasible);
         assert_eq!(sol.values(), &warm[..]);
 
         // Without a warm start nothing is known at all.
         let bare = SolverConfig::exact()
-            .with_presolve(false)
             .with_cuts(false)
             .with_budget(Budget::unlimited().with_deadline(Instant::now()));
-        let sol = m.solve(&bare).expect("solve");
+        let sol = BranchAndBound::new(&m, bare).run().expect("solve");
         assert_eq!(sol.stats().nodes, 0);
         assert_eq!(sol.status(), Status::Unknown);
     }

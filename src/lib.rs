@@ -16,10 +16,13 @@
 //! | [`baselines`] | the ADVAN / RALLOC / BITS comparison heuristics |
 //! | [`service`] | the concurrent job-queue front door (batched synthesis with budgets, cancellation, deadlines) |
 //!
-//! The session-oriented solve surface — [`SolveSession`], [`Budget`],
-//! [`CancelToken`], [`SolveEvent`] — is re-exported at the crate root; the
-//! README's *"API: sessions, budgets, events"* section has the migration
-//! table from the pre-session entry points.
+//! The solve surface's small types — [`Budget`], [`CancelToken`],
+//! [`SolveEvent`], [`SolveSnapshot`] — are re-exported at the crate root.
+//! One [`ilp::SolverConfig`] configures every solve: a model is solved with
+//! [`ilp::Model::solve`] or, with a live event stream,
+//! [`ilp::Model::solve_observed`]; a circuit with [`core::SynthesisEngine`],
+//! which the [`service`] runs. The README's *"API: sessions, budgets,
+//! events"* section shows both.
 //!
 //! # Quick start
 //!
@@ -60,7 +63,7 @@ pub use bist_ilp as ilp;
 pub use bist_rtl as rtl;
 
 pub use bist_ilp::{
-    model_fingerprint, Budget, BudgetError, CancelToken, SolveEvent, SolveSession, SolveSnapshot,
+    model_fingerprint, Budget, BudgetError, CancelToken, SolveEvent, SolveSnapshot,
 };
 
 /// The paper this workspace reproduces.

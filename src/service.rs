@@ -466,8 +466,8 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Digest of everything in the job's configuration that shapes the search
-/// but is *not* covered by the model fingerprint: branching and bounding
-/// rules, cut settings, presolve toggles, warm-start policy. Budget,
+/// but is *not* covered by the model fingerprint: bounding rules, cut
+/// settings, warm-start policy. Budget,
 /// cancellation and per-call warm-start values are normalised out — the
 /// budget's node limit is keyed separately, and the service never chains
 /// per-call seeds.

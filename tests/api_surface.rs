@@ -7,7 +7,7 @@
 
 // Every name here must resolve from the facade root — that *is* the test.
 use advbist::service::{JobHandle, JobOutcome, JobReport, JobRow, JobService, SynthesisJob};
-use advbist::{Budget, BudgetError, CancelToken, SolveEvent, SolveSession};
+use advbist::{Budget, BudgetError, CancelToken, SolveEvent};
 
 #[test]
 fn facade_re_exports_resolve_and_are_usable() {
@@ -22,18 +22,17 @@ fn facade_re_exports_resolve_and_are_usable() {
     let token: CancelToken = CancelToken::new();
     assert!(!token.clone().is_cancelled());
 
-    // SolveSession over an ILP model, with an event observer.
+    // An observed solve of an ILP model.
     let mut model = advbist::ilp::Model::new("surface");
     let x = model.add_binary("x");
     model.set_objective([(x, 1.0)], advbist::ilp::Sense::Maximize);
     let mut saw_done = false;
-    let solution = SolveSession::with_config(&model, advbist::ilp::SolverConfig::exact())
-        .on_event(|event| {
+    let solution = model
+        .solve_observed(&advbist::ilp::SolverConfig::exact(), &mut |event| {
             if matches!(event, SolveEvent::Done { .. }) {
                 saw_done = true;
             }
         })
-        .solve()
         .expect("solve");
     assert!(solution.is_optimal());
     assert!(saw_done);

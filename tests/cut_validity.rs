@@ -2,14 +2,15 @@
 //! relaxation but must never cut off an integer-feasible point. Every cut
 //! the solver emits — Gomory mixed-integer cuts — is checked against (a) **every** feasible 0/1 point of brute-forceable PRNG
 //! models and (b) the proven integer optimum of each pinned corpus
-//! instance, solved without presolve so cut indices and solution values
-//! share one variable space.
+//! instance, solved by the raw branch and bound (no reduce) so cut indices
+//! and solution values share one variable space.
 
 mod common;
 
 use advbist::core::formulation::BistFormulation;
 use advbist::core::SynthesisConfig;
-use advbist::ilp::{CutRow, Model, SolverConfig};
+use advbist::ilp::solver::BranchAndBound;
+use advbist::ilp::{CutRow, Model, Solution, SolverConfig};
 use common::corpus::CORPUS;
 use common::random_binary_model;
 
@@ -30,13 +31,16 @@ fn assert_cuts_satisfied(cuts: &[CutRow], values: &[f64], context: &str) {
     }
 }
 
-/// The exact solver configuration the validity checks run under: presolve
-/// off (cut indices must mean original model columns), cut separation on,
-/// and the emitted rows recorded into the stats.
+/// The exact solver configuration the validity checks run under: cut
+/// separation on and the emitted rows recorded into the stats.
 fn recording_config() -> SolverConfig {
-    SolverConfig::exact()
-        .with_presolve(false)
-        .with_record_cuts(true)
+    SolverConfig::exact().with_record_cuts(true)
+}
+
+/// The raw branch and bound over `model` itself, without the reduce
+/// pipeline, so cut indices mean original model columns.
+fn solve_raw(model: &Model, config: SolverConfig) -> Solution {
+    BranchAndBound::new(model, config).run().unwrap()
 }
 
 /// On PRNG 0-1 models small enough to enumerate, **no feasible integer
@@ -49,7 +53,7 @@ fn no_emitted_cut_excludes_a_feasible_point_on_prng_models() {
     for seed in 0..60u64 {
         let model = random_binary_model(seed.wrapping_mul(7451) + 13, 8, 6);
         let expected = common::brute_force(&model);
-        let solution = model.solve(&recording_config()).unwrap();
+        let solution = solve_raw(&model, recording_config());
         let cuts = &solution.stats().emitted_cuts;
         total_cuts += cuts.len() as u64;
         if let Some(best) = expected {
@@ -81,7 +85,7 @@ fn no_emitted_cut_excludes_a_feasible_point_on_prng_models() {
     );
 }
 
-/// Over the pinned 12-instance corpus (solved raw, without presolve), the
+/// Over the pinned 12-instance corpus (solved raw, without reduce), the
 /// proven integer optimum must satisfy every cut emitted on the way to it —
 /// including Gomory rows derived at tree nodes, whose validity argument
 /// (root-box unshifting) this pins end to end.
@@ -96,10 +100,7 @@ fn corpus_optima_satisfy_every_emitted_cut() {
         formulation.add_mux_sizing();
         formulation.add_bist(case.sessions).expect(case.name);
         formulation.set_bist_objective();
-        let solution = formulation
-            .model
-            .solve(&recording_config())
-            .expect(case.name);
+        let solution = solve_raw(&formulation.model, recording_config());
         assert!(solution.is_optimal(), "{}: not solved exactly", case.name);
         emitted += solution.stats().emitted_cuts.len() as u64;
         assert_cuts_satisfied(&solution.stats().emitted_cuts, solution.values(), case.name);
@@ -121,11 +122,9 @@ fn corpus_optima_satisfy_every_emitted_cut() {
 #[test]
 fn cut_recording_is_off_by_default_and_side_effect_free() {
     let model: Model = random_binary_model(0xc0ffee, 8, 6);
-    let plain = model
-        .solve(&SolverConfig::exact().with_presolve(false))
-        .unwrap();
+    let plain = solve_raw(&model, SolverConfig::exact());
     assert!(plain.stats().emitted_cuts.is_empty());
-    let recorded = model.solve(&recording_config()).unwrap();
+    let recorded = solve_raw(&model, recording_config());
     assert_eq!(plain.stats().nodes, recorded.stats().nodes);
     assert_eq!(plain.objective().to_bits(), recorded.objective().to_bits());
     assert_eq!(

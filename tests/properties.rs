@@ -16,7 +16,7 @@ use advbist::dfg::allocate::left_edge;
 use advbist::dfg::benchmarks::{random_dfg, RandomDfgConfig};
 use advbist::dfg::lifetime::{InputTiming, LifetimeTable};
 use advbist::ilp::propagate::Domains;
-use advbist::ilp::reduce::{reduce, solve_reduced, ReduceOptions, VarDisposition};
+use advbist::ilp::reduce::{reduce, solve_reduced_with_events, ReduceOptions, VarDisposition};
 use advbist::ilp::simplex::{resolve_with_basis, solve_lp_basis, LpStatus};
 use advbist::ilp::sparse::SparseModel;
 use advbist::ilp::{BoundMode, CmpOp, Model, SolverConfig};
@@ -177,7 +177,7 @@ fn reduce_and_lift_preserve_the_brute_force_optimum() {
         }
         for mode in modes {
             let config = SolverConfig::exact().with_bound_mode(mode);
-            let solution = solve_reduced(&model, &reduced, &config).unwrap();
+            let solution = solve_reduced_with_events(&model, &reduced, &config, None).unwrap();
             match expected {
                 None => assert!(
                     !solution.is_feasible(),

@@ -4,7 +4,7 @@
 //! Over the pinned 12-instance corpus (see `common::corpus`), every case is
 //! solved cold once, then interrupted at nodes 1, 3 and N/2 with snapshot
 //! capture on; each captured `Arc<SolveSnapshot>` is handed to a fresh
-//! engine/session, and the resumed solve must reach the **identical
+//! engine or solve, and the resumed solve must reach the **identical
 //! objective, identical total node count and the golden optimal area** of
 //! the uninterrupted run — a resumed tree explores no node twice and loses
 //! none.
@@ -15,7 +15,7 @@ use advbist::core::engine::SynthesisEngine;
 use advbist::core::{CoreError, SynthesisConfig};
 use advbist::dfg::benchmarks;
 use advbist::ilp::{IlpError, Model, Sense, SolverConfig};
-use advbist::{Budget, SolveSession};
+use advbist::{Budget, CancelToken};
 use common::corpus::CORPUS;
 
 #[test]
@@ -102,7 +102,7 @@ fn corpus_resumes_reach_the_uninterrupted_tree_exactly() {
     }
 }
 
-/// A branchy pure-ILP instance for the session-level resume: maximise a
+/// A branchy pure-ILP instance for the model-level resume: maximise a
 /// value under a knapsack row plus pairwise conflicts, sized to take a few
 /// dozen nodes.
 fn knapsack_model() -> Model {
@@ -128,12 +128,18 @@ fn knapsack_model_weighted(x7_value: f64) -> Model {
     model
 }
 
+/// The default solver configuration under `budget`.
+fn budgeted(budget: Budget) -> SolverConfig {
+    SolverConfig::default().with_budget(budget)
+}
+
 #[test]
 fn fresh_session_resumes_a_captured_snapshot() {
     let model = knapsack_model();
-    let cold = SolveSession::new(&model)
-        .budget(SolverConfig::default().budget.with_snapshot(true))
-        .solve()
+    let cold = model
+        .solve(&budgeted(
+            SolverConfig::default().budget.with_snapshot(true),
+        ))
         .expect("cold solve");
     assert!(cold.is_optimal());
     assert!(cold.snapshot().is_none());
@@ -141,17 +147,15 @@ fn fresh_session_resumes_a_captured_snapshot() {
     assert!(total_nodes > 3, "instance must branch (got {total_nodes})");
 
     for interrupt in [1, 3, total_nodes / 2] {
-        let partial = SolveSession::new(&model)
-            .budget(Budget::nodes(interrupt).with_snapshot(true))
-            .solve()
+        let partial = model
+            .solve(&budgeted(Budget::nodes(interrupt).with_snapshot(true)))
             .expect("interrupted solve");
         let snapshot = partial.shared_snapshot().expect("snapshot captured");
         assert_eq!(snapshot.nodes(), interrupt);
 
-        // A *fresh* session over the same model, resuming the capture.
-        let resumed = SolveSession::new(&model)
-            .resume(snapshot)
-            .solve()
+        // A *fresh* solve of the same model, resuming the capture.
+        let resumed = model
+            .solve(&SolverConfig::default().with_resume(snapshot))
             .expect("resumed solve");
         assert!(resumed.is_optimal());
         assert!(resumed.stats().resumed);
@@ -168,9 +172,8 @@ fn fresh_session_resumes_a_captured_snapshot() {
 #[test]
 fn resume_rejects_a_snapshot_of_a_different_instance() {
     let model = knapsack_model();
-    let partial = SolveSession::new(&model)
-        .budget(Budget::nodes(1).with_snapshot(true))
-        .solve()
+    let partial = model
+        .solve(&budgeted(Budget::nodes(1).with_snapshot(true)))
         .expect("interrupted solve");
     let snapshot = partial.shared_snapshot().expect("snapshot captured");
 
@@ -178,9 +181,8 @@ fn resume_rejects_a_snapshot_of_a_different_instance() {
     // differs, so the resume must fail loudly instead of continuing a tree
     // that belongs to another instance.
     let other = knapsack_model_weighted(12.5);
-    let err = SolveSession::new(&other)
-        .resume(snapshot)
-        .solve()
+    let err = other
+        .solve(&SolverConfig::default().with_resume(snapshot))
         .expect_err("mismatched snapshot must be rejected");
     let message = err.to_string();
     assert!(
@@ -209,9 +211,8 @@ fn resume_rejects_a_snapshot_of_a_different_instance() {
 #[test]
 fn snapshot_capture_is_off_by_default() {
     let model = knapsack_model();
-    let partial = SolveSession::new(&model)
-        .budget(Budget::nodes(2))
-        .solve()
+    let partial = model
+        .solve(&budgeted(Budget::nodes(2)))
         .expect("interrupted solve");
     assert!(!partial.is_optimal());
     assert!(partial.snapshot().is_none());
@@ -225,9 +226,8 @@ fn budget_snapshot_knob_flows_through_the_solver_config() {
     // does not.
     let model = knapsack_model();
     let solve = |snapshot: bool| {
-        SolveSession::new(&model)
-            .budget(Budget::nodes(2).with_snapshot(snapshot))
-            .solve()
+        model
+            .solve(&budgeted(Budget::nodes(2).with_snapshot(snapshot)))
             .expect("solve")
     };
     let on = solve(true);
@@ -252,25 +252,25 @@ fn resumed_siblings_share_one_stored_parent_basis() {
         bound_mode: advbist::ilp::BoundMode::LpRelaxation,
         ..SolverConfig::default()
     };
-    let cold = SolveSession::with_config(&model, config.clone())
-        .solve()
-        .expect("cold solve");
+    let cold = model.solve(&config).expect("cold solve");
     assert!(cold.is_optimal());
     let total_nodes = cold.stats().nodes;
     let mut shared = 0;
     for interrupt in 1..total_nodes {
-        let partial = SolveSession::with_config(&model, config.clone())
-            .budget(Budget::nodes(interrupt).with_snapshot(true))
-            .solve()
+        let partial = model
+            .solve(
+                &config
+                    .clone()
+                    .with_budget(Budget::nodes(interrupt).with_snapshot(true)),
+            )
             .expect("interrupted solve");
         let snapshot = partial.shared_snapshot().expect("snapshot captured");
         assert!(snapshot.stored_bases() <= snapshot.open_nodes());
         if snapshot.stored_bases() < snapshot.open_nodes() {
             shared += 1;
         }
-        let resumed = SolveSession::with_config(&model, config.clone())
-            .resume(snapshot)
-            .solve()
+        let resumed = model
+            .solve(&config.clone().with_resume(snapshot))
             .expect("resumed solve");
         assert_eq!(resumed.stats().nodes, total_nodes, "@{interrupt}");
         assert_eq!(
@@ -305,18 +305,25 @@ fn resume_after_an_in_tree_cut_install_matches_the_uninterrupted_run() {
     // The empty knapsack is feasible; a warm incumbent enables the eager
     // rounds.
     .with_warm_candidate(vec![0.0; 10]);
-    let mut installs = Vec::new();
-    let cold = SolveSession::with_config(&model, config.clone())
-        .on_event(|event| {
-            if let SolveEvent::CutRound { nodes, .. } = event {
-                if *nodes > 0 {
-                    installs.push(*nodes);
-                }
+    fn cut_rounds(events: &mut Vec<SolveEvent>) -> impl FnMut(&SolveEvent) + '_ {
+        move |event| {
+            if let SolveEvent::CutRound { .. } = event {
+                events.push(event.clone());
             }
-        })
-        .solve()
+        }
+    }
+    let mut cold_rounds = Vec::new();
+    let cold = model
+        .solve_observed(&config, &mut cut_rounds(&mut cold_rounds))
         .expect("cold solve");
     assert!(cold.is_optimal());
+    let installs: Vec<u64> = cold_rounds
+        .iter()
+        .filter_map(|event| match event {
+            SolveEvent::CutRound { nodes, .. } if *nodes > 0 => Some(*nodes),
+            _ => None,
+        })
+        .collect();
     assert!(
         !installs.is_empty(),
         "no in-tree cut install to interrupt after"
@@ -325,24 +332,28 @@ fn resume_after_an_in_tree_cut_install_matches_the_uninterrupted_run() {
     for &node in &installs {
         // Cancel right after the installing node: its children, which hold
         // the pre-install basis, are the top of the captured frontier.
-        let mut session = SolveSession::with_config(&model, config.clone())
-            .budget(Budget::unlimited().with_snapshot(true));
-        let token = session.cancel_token();
-        let partial = session
-            .on_event(move |event| {
+        let token = CancelToken::new();
+        let interrupted = config
+            .clone()
+            .with_budget(Budget::unlimited().with_snapshot(true))
+            .with_cancel(token.clone());
+        let partial = model
+            .solve_observed(&interrupted, &mut |event| {
                 if let SolveEvent::NodeMilestone { nodes, .. } = event {
                     if *nodes >= node {
                         token.cancel();
                     }
                 }
             })
-            .solve()
             .expect("interrupted solve");
         assert_eq!(partial.stats().nodes, node);
         let snapshot = partial.shared_snapshot().expect("snapshot captured");
-        let resumed = SolveSession::with_config(&model, config.clone())
-            .resume(snapshot)
-            .solve()
+        let mut resumed_rounds = Vec::new();
+        let resumed = model
+            .solve_observed(
+                &config.clone().with_resume(snapshot),
+                &mut cut_rounds(&mut resumed_rounds),
+            )
             .expect("resumed solve");
         assert!(resumed.is_optimal(), "@{node}");
         assert_eq!(resumed.stats().nodes, cold.stats().nodes, "@{node}");
@@ -358,5 +369,14 @@ fn resume_after_an_in_tree_cut_install_matches_the_uninterrupted_run() {
             "@{node}"
         );
         assert_eq!(resumed.stats().cold_lp.unusable_basis, 0, "@{node}");
+        // The resumed run's cut rounds are the uninterrupted run's rounds
+        // after the interrupt, pool totals included: the pool it continues
+        // holds the cuts installed before the interrupt.
+        let after: Vec<SolveEvent> = cold_rounds
+            .iter()
+            .filter(|event| matches!(event, SolveEvent::CutRound { nodes, .. } if *nodes > node))
+            .cloned()
+            .collect();
+        assert_eq!(resumed_rounds, after, "@{node}");
     }
 }
