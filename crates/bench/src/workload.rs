@@ -17,8 +17,8 @@ pub fn sweep_circuits() -> Vec<(&'static str, SynthesisInput)> {
 
 /// Reads the harness [`Budget`] from the environment (`BIST_NODE_LIMIT`,
 /// `BIST_TIME_LIMIT_SECS`, `BIST_DEADLINE_SECS` — see [`Budget::from_env`]),
-/// exiting with a diagnostic on malformed values so CI never silently runs
-/// with the wrong budget.
+/// exiting with a diagnostic on malformed values or an unknown `BIST_*`
+/// name so CI never silently runs with the wrong budget.
 pub fn budget_from_env() -> Budget {
     match Budget::from_env() {
         Ok(budget) => budget,

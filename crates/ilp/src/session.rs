@@ -39,6 +39,7 @@
 //! # }
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -202,21 +203,65 @@ impl Budget {
     /// Unset variables leave the corresponding limit unset. Malformed values
     /// are an error — they are *not* silently replaced by defaults, so a
     /// typo in a CI configuration fails loudly instead of running with the
-    /// wrong budget.
+    /// wrong budget. So is any other variable whose name starts with
+    /// `BIST_`: a misspelt or retired name (such as the old
+    /// `BIST_SWEEP_NODES`) would otherwise run with the default budget.
     ///
     /// # Errors
     ///
     /// Returns a [`BudgetError`] naming the offending variable and value.
     pub fn from_env() -> Result<Self, BudgetError> {
-        Self::from_lookup(|key| std::env::var(key).ok())
+        Self::from_vars(std::env::vars_os().filter_map(|(name, value)| {
+            Some((name.into_string().ok()?, value.into_string().ok()?))
+        }))
     }
 
-    /// The testable core of [`Budget::from_env`]: the same parsing rules
-    /// over an arbitrary variable lookup.
+    /// The testable core of [`Budget::from_env`]: the same rules over an
+    /// arbitrary set of `(name, value)` variables. Variables outside the
+    /// `BIST_` prefix are ignored; an unknown `BIST_*` name is an error
+    /// (the alphabetically first, when there are several).
     ///
     /// # Errors
     ///
     /// Same contract as [`Budget::from_env`].
+    pub fn from_vars(
+        vars: impl IntoIterator<Item = (String, String)>,
+    ) -> Result<Self, BudgetError> {
+        let vars: BTreeMap<String, String> = vars
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("BIST_"))
+            .collect();
+        if let Some((name, value)) = vars.iter().find(|(name, _)| !Self::reads(name)) {
+            return Err(BudgetError::new(
+                name,
+                value,
+                "unknown budget variable; expected BIST_NODE_LIMIT, BIST_TIME_LIMIT_SECS, \
+                 BIST_DEADLINE_SECS, BIST_CACHE_MB or BIST_SNAPSHOT",
+            ));
+        }
+        Self::from_lookup(|key| vars.get(key).cloned())
+    }
+
+    /// Whether `name` is one of the variables [`Budget::from_lookup`]
+    /// reads.
+    fn reads(name: &str) -> bool {
+        matches!(
+            name,
+            "BIST_NODE_LIMIT"
+                | "BIST_TIME_LIMIT_SECS"
+                | "BIST_DEADLINE_SECS"
+                | "BIST_CACHE_MB"
+                | "BIST_SNAPSHOT"
+        )
+    }
+
+    /// The parsing rules of [`Budget::from_env`] over an arbitrary variable
+    /// lookup. It asks only for the names it reads, so unlike
+    /// [`Budget::from_vars`] it cannot reject an unknown one.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Budget::from_env`], unknown names aside.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, BudgetError> {
         let mut budget = Budget::unlimited();
         if let Some(raw) = get("BIST_NODE_LIMIT") {
@@ -491,6 +536,44 @@ mod tests {
         let err = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "yes")])).unwrap_err();
         assert_eq!(err.var, "BIST_SNAPSHOT");
         assert!(err.reason.contains("true/false"));
+    }
+
+    #[test]
+    fn unknown_bist_variables_fail_loudly() {
+        let vars = |pairs: &[(&str, &str)]| {
+            Budget::from_vars(pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())))
+        };
+        // The retired node-budget alias alone is rejected with its name and
+        // value, instead of running with the default budget.
+        let err = vars(&[("BIST_SWEEP_NODES", "50")]).unwrap_err();
+        assert_eq!(
+            (err.var.as_str(), err.value.as_str()),
+            ("BIST_SWEEP_NODES", "50")
+        );
+        assert!(err.reason.contains("unknown"), "{err}");
+        // An unknown name fails even next to a valid known one.
+        let err = vars(&[("BIST_NODE_LIMIT", "50"), ("BIST_NODE_LIMT", "50")]).unwrap_err();
+        assert_eq!(err.var, "BIST_NODE_LIMT");
+        // The five known names still parse, and other variables are no
+        // business of the budget.
+        let budget = vars(&[
+            ("BIST_NODE_LIMIT", "50"),
+            ("BIST_TIME_LIMIT_SECS", "2.5"),
+            ("BIST_DEADLINE_SECS", "60"),
+            ("BIST_CACHE_MB", "8"),
+            ("BIST_SNAPSHOT", "on"),
+            ("PATH", "/bin"),
+            ("XBIST_NODE_LIMIT", "x"),
+        ])
+        .unwrap();
+        assert_eq!(budget.node_limit, Some(50));
+        assert_eq!(budget.time_limit, Some(Duration::from_secs_f64(2.5)));
+        assert!(budget.deadline.is_some());
+        assert_eq!((budget.cache_mb, budget.snapshot), (Some(8), Some(true)));
+        assert!(vars(&[]).unwrap().is_unlimited());
+        // Malformed values of known names keep their own diagnostics.
+        let err = vars(&[("BIST_NODE_LIMIT", "garbage")]).unwrap_err();
+        assert_eq!(err.var, "BIST_NODE_LIMIT");
     }
 
     #[test]

@@ -25,27 +25,41 @@
 //!   as a product of sparse *eta* matrices: each pivot appends one eta
 //!   vector, and the file is periodically collapsed by refactorization
 //!   (Gauss-Jordan over the basic columns with partial pivoting), which
-//!   bounds both memory and accumulated rounding error. A stored [`Basis`]
-//!   is compact: the column statuses and the basic set, one byte per column
+//!   bounds both memory and accumulated rounding error. An eta file is
+//!   flat: pivot rows, pivots, term offsets, term rows and term values in
+//!   five arrays, with no allocation per eta. A stored [`Basis`] is
+//!   compact: the column statuses and the basic set, one byte per column
 //!   plus four per row, with no eta file. A warm start refactorizes it;
 //!   the column order (sparsest first, then by index) and the pivot rule
 //!   make that factor a deterministic function of the basic set, so a warm
-//!   start never walks etas inherited from its ancestors.
+//!   start never walks etas inherited from its ancestors. A warm kernel
+//!   borrows its factor's eta file as the base and keeps its own pivots in
+//!   an update file, so one factor serves Gomory separation and every
+//!   strong-branching probe without a copy.
 //!
-//! Nearly all of a node LP's time is BTRAN (one serial dot product per
-//! eta), refactorization and FTRAN. The kernel is built to compute exactly
-//! the bits the plain dense code computes, because this search is
-//! degenerate: a single changed rounding moves pivots, nodes and even the
-//! areas and proofs of capped solves. Within that contract:
+//! A warm start is nearly all refactorization, and a dual iteration is
+//! mostly BTRAN (one serial dot product per eta), then the update loops,
+//! the ratio test and FTRAN. The kernel is built to compute exactly the
+//! bits the plain dense code computes, because this search is degenerate:
+//! a single changed rounding moves pivots, nodes and even the areas and
+//! proofs of capped solves. Within that contract:
 //!
 //! * refactorization eliminates each basic column over the rows it has
-//!   touched instead of all `m` rows, so a slack column (most basic
-//!   columns are slacks) costs `O(1)`; the dense elimination stays in the
-//!   unit tests as the reference it must match bit for bit;
+//!   touched instead of all `m` rows, kept as a bitset it walks in row
+//!   order, and a single-entry column on a free row (most basic columns are
+//!   slacks) pivots in `O(1)`; the dense elimination stays in the unit
+//!   tests as the reference it must match bit for bit;
+//! * after each FTRAN one branch-free pass lists the column's nonzero rows,
+//!   and the ratio test, the value and devex-weight updates and the new
+//!   eta walk that list instead of all `m` rows;
 //! * two BTRANs over the same eta file share one pass with two
 //!   accumulators — ρ and `y` in the dual simplex, and a primal devex
 //!   pivot's ρ together with the next iteration's `y` — which hides the
 //!   latency of the serial dot product.
+//!
+//! What is left is BTRAN: the product form makes it a chain of serial dot
+//! products, and only a different factorization (LU) would shorten it — at
+//! the price of different roundings, and so a different search.
 //!
 //! Two entry points share the kernel:
 //!
@@ -70,6 +84,9 @@
 //! the near-degenerate max-violation columns of the BIST formulations.
 //! While the phase measure stalls, pricing falls back to Bland's
 //! anti-cycling rule (counted in [`LpSolution::bland_pivots`]).
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::model::CmpOp;
 use crate::propagate::Domains;
@@ -287,7 +304,10 @@ impl Basis {
         }
         let basic: Vec<usize> = self.basic.iter().map(|&c| c as usize).collect();
         let mut w = vec![0.0; matrix.num_rows()];
-        let (order, etas) = factorize(matrix, &basic, &mut w)?;
+        let factored = factorize(matrix, &basic, &mut w);
+        #[cfg(test)]
+        tests::audit_warm_factor(matrix, &basic, factored.as_ref());
+        let (order, etas) = factored?;
         Some(Factor {
             basis: self,
             order,
@@ -300,14 +320,15 @@ impl Basis {
 /// file that [`Kernel::refactorize`] builds for its basic set. The factor
 /// does not depend on any bounds, so warm kernels built from one factor
 /// under different boxes compute the same bits as kernels that each
-/// refactorize the basis themselves. The solver factors a node's basis once
+/// refactorize the basis themselves. A warm kernel borrows the factor's
+/// eta file instead of copying it. The solver factors a node's basis once
 /// and shares it between Gomory separation and every strong-branching
 /// probe.
 pub(crate) struct Factor<'b> {
     basis: &'b Basis,
     /// Basic column of each row.
     order: Vec<usize>,
-    etas: Vec<Eta>,
+    etas: EtaFile,
 }
 
 impl Factor<'_> {
@@ -419,124 +440,172 @@ enum ColStatus {
     Upper,
 }
 
-/// One product-form eta: after the pivot `B_new⁻¹ = E⁻¹ · B_old⁻¹`, where
-/// `E` is the identity except for column `row`, which holds the FTRANed
-/// entering column `w`.
-#[derive(Debug, Clone)]
-struct Eta {
-    row: u32,
-    /// `w[row]` — the pivot element.
-    pivot: f64,
-    /// Off-pivot nonzeros of `w` as `(row, value)`.
-    terms: Vec<(u32, f64)>,
+/// A product-form eta file in flat arrays. Eta `k` stands for the pivot
+/// `B_new⁻¹ = E⁻¹ · B_old⁻¹`, where `E` is the identity except for column
+/// `rows[k]`, which holds the FTRANed entering column `w`: `pivots[k]` is
+/// `w[rows[k]]`, and the off-pivot nonzeros of `w` are the terms
+/// `(term_rows[t], term_vals[t])` for `t` in `ends[k - 1]..ends[k]` (from 0
+/// for the first eta). One file holds a whole factorization without an
+/// allocation per eta.
+#[derive(Debug, Clone, Default)]
+struct EtaFile {
+    rows: Vec<u32>,
+    pivots: Vec<f64>,
+    /// End of each eta's terms in `term_rows` / `term_vals`.
+    ends: Vec<usize>,
+    term_rows: Vec<u32>,
+    term_vals: Vec<f64>,
 }
 
-impl Eta {
-    /// Applies `E⁻¹` to `v` in place (forward transformation step).
-    #[inline]
-    fn ftran(&self, v: &mut [f64]) {
-        let r = self.row as usize;
-        if v[r] == 0.0 {
-            return;
-        }
-        let p = v[r] / self.pivot;
-        v[r] = p;
-        for &(i, a) in &self.terms {
-            v[i as usize] -= a * p;
-        }
+impl EtaFile {
+    fn len(&self) -> usize {
+        self.rows.len()
     }
 
-    /// [`Eta::ftran`] on a vector whose nonzeros are listed in `nz`
-    /// (`seen[i]` marks the listed rows): every row the step writes joins
-    /// the list. The arithmetic is exactly that of [`Eta::ftran`].
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.pivots.clear();
+        self.ends.clear();
+        self.term_rows.clear();
+        self.term_vals.clear();
+    }
+
+    /// The off-pivot terms of eta `k`.
     #[inline]
-    fn ftran_tracked(&self, v: &mut [f64], nz: &mut Vec<usize>, seen: &mut [bool]) {
-        let r = self.row as usize;
-        if v[r] == 0.0 {
+    fn terms(&self, k: usize) -> (&[u32], &[f64]) {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        let span = start..self.ends[k];
+        (&self.term_rows[span.clone()], &self.term_vals[span])
+    }
+
+    /// Appends an off-pivot term to the eta being built.
+    #[inline]
+    fn push_term(&mut self, row: usize, value: f64) {
+        self.term_rows.push(row as u32);
+        self.term_vals.push(value);
+    }
+
+    /// Closes the eta being built over the terms pushed since the last one.
+    /// An exact identity eta (unit pivot, no off-pivot term) is dropped:
+    /// applying it would be a no-op, and skipping it keeps the
+    /// factorization of a mostly-slack basis near-empty.
+    fn finish(&mut self, row: usize, pivot: f64) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        if pivot == 1.0 && self.term_rows.len() == start {
             return;
         }
-        let p = v[r] / self.pivot;
-        v[r] = p;
-        for &(i, a) in &self.terms {
-            let i = i as usize;
-            v[i] -= a * p;
-            if !seen[i] {
-                seen[i] = true;
-                nz.push(i);
+        self.rows.push(row as u32);
+        self.pivots.push(pivot);
+        self.ends.push(self.term_rows.len());
+    }
+
+    /// Appends the eta of pivot `row` of the FTRANed column `w`, reading
+    /// only the rows `rows` yields, which must be ascending and include
+    /// every nonzero of `w`. Negligible entries are dropped.
+    fn push(&mut self, row: usize, w: &[f64], rows: impl IntoIterator<Item = usize>) {
+        for i in rows {
+            let a = w[i];
+            if i != row && a.abs() > DROP_TOL {
+                self.push_term(i, a);
+            }
+        }
+        self.finish(row, w[row]);
+    }
+
+    /// FTRAN over the whole file in place: applies every `E⁻¹` to `v`, in
+    /// file order.
+    fn ftran(&self, v: &mut [f64]) {
+        self.ftran_reporting(v, |_| {});
+    }
+
+    /// [`EtaFile::ftran`], calling `written` on every row an eta term
+    /// writes.
+    #[inline]
+    fn ftran_reporting(&self, v: &mut [f64], mut written: impl FnMut(usize)) {
+        for (k, (&r, &pivot)) in self.rows.iter().zip(&self.pivots).enumerate() {
+            let r = r as usize;
+            if v[r] == 0.0 {
+                continue;
+            }
+            let p = v[r] / pivot;
+            v[r] = p;
+            let (rows, vals) = self.terms(k);
+            for (&i, &a) in rows.iter().zip(vals) {
+                let i = i as usize;
+                v[i] -= a * p;
+                written(i);
             }
         }
     }
 
-    /// Applies `E⁻ᵀ` to `v` in place (backward transformation step).
-    #[inline]
-    fn btran(&self, v: &mut [f64]) {
-        let r = self.row as usize;
-        let mut s = v[r];
-        for &(i, a) in &self.terms {
-            s -= a * v[i as usize];
+    /// BTRAN over the etas `etas` of the file in place: applies each
+    /// `E⁻ᵀ` to `v`, last eta first.
+    fn btran_over(&self, etas: Range<usize>, v: &mut [f64]) {
+        for k in etas.rev() {
+            let r = self.rows[k] as usize;
+            let (rows, vals) = self.terms(k);
+            let mut s = v[r];
+            for (&i, &a) in rows.iter().zip(vals) {
+                s -= a * v[i as usize];
+            }
+            v[r] = s / self.pivots[k];
         }
-        v[r] = s / self.pivot;
     }
 
-    /// [`Eta::btran`] on two vectors in one pass over the terms. Each
-    /// accumulator sees exactly the operations of its own `btran`, so both
+    /// Two [`EtaFile::btran_over`] passes in one walk over the terms. Each
+    /// accumulator sees exactly the operations of its own pass, so both
     /// results are bit-identical to two separate calls; the two serial dot
     /// products simply overlap in the pipeline.
-    #[inline]
+    fn btran2_over(&self, etas: Range<usize>, u: &mut [f64], v: &mut [f64]) {
+        for k in etas.rev() {
+            let r = self.rows[k] as usize;
+            let (rows, vals) = self.terms(k);
+            let mut s = u[r];
+            let mut t = v[r];
+            for (&i, &a) in rows.iter().zip(vals) {
+                let i = i as usize;
+                s -= a * u[i];
+                t -= a * v[i];
+            }
+            u[r] = s / self.pivots[k];
+            v[r] = t / self.pivots[k];
+        }
+    }
+
+    /// BTRAN over the whole file in place.
+    fn btran(&self, v: &mut [f64]) {
+        self.btran_over(0..self.len(), v);
+    }
+
+    /// Two BTRANs over the whole file in one pass.
     fn btran2(&self, u: &mut [f64], v: &mut [f64]) {
-        let r = self.row as usize;
-        let mut s = u[r];
-        let mut t = v[r];
-        for &(i, a) in &self.terms {
-            let i = i as usize;
-            s -= a * u[i];
-            t -= a * v[i];
-        }
-        u[r] = s / self.pivot;
-        v[r] = t / self.pivot;
+        self.btran2_over(0..self.len(), u, v);
     }
 }
 
-/// BTRAN over an eta file in place: `v ← B⁻ᵀ·v`.
-fn btran_file(etas: &[Eta], v: &mut [f64]) {
-    for eta in etas.iter().rev() {
-        eta.btran(v);
-    }
-}
-
-/// Two BTRANs over one eta file in a single pass (see [`Eta::btran2`]).
-fn btran_file2(etas: &[Eta], u: &mut [f64], v: &mut [f64]) {
-    for eta in etas.iter().rev() {
-        eta.btran2(u, v);
-    }
-}
-
-/// Builds an eta from a dense FTRANed column, dropping negligible entries.
-/// Returns `None` for an exact identity eta (unit pivot, no off-pivot
-/// entries) — applying it would be a no-op, and skipping it keeps the
-/// factorization of a mostly-slack basis near-empty.
-fn make_eta(row: usize, w: &[f64]) -> Option<Eta> {
-    make_eta_over(row, w, 0..w.len())
-}
-
-/// [`make_eta`] reading only the rows `rows` yields, which must be in
-/// ascending order and include every nonzero of `w`.
-fn make_eta_over(row: usize, w: &[f64], rows: impl Iterator<Item = usize>) -> Option<Eta> {
-    let mut terms = Vec::new();
-    for i in rows {
-        let a = w[i];
-        if i != row && a.abs() > DROP_TOL {
-            terms.push((i as u32, a));
+/// Calls `f` on the index of every set bit of `marks`, in ascending order.
+#[inline]
+fn for_each_marked(marks: &[u64], mut f: impl FnMut(usize)) {
+    for (k, &word) in marks.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(k * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
         }
     }
-    if w[row] == 1.0 && terms.is_empty() {
-        return None;
+}
+
+/// The rows where `w` is nonzero, ascending, written to the front of `nz`
+/// (which is at least as long as `w`) in one branch-free pass; returns
+/// their count. The sparse update loops of an iteration walk this list
+/// instead of all `m` rows: every row they skip holds a zero.
+fn nonzero_rows(w: &[f64], nz: &mut [u32]) -> usize {
+    let mut count = 0;
+    for (i, &wi) in w.iter().enumerate() {
+        nz[count] = i as u32;
+        count += usize::from(wi != 0.0);
     }
-    Some(Eta {
-        row: row as u32,
-        pivot: w[row],
-        terms,
-    })
+    count
 }
 
 /// Content hash guarding [`Basis`] reuse: the matrix's cached row hash
@@ -570,12 +639,13 @@ fn fold_instance(matrix_hash: u64, objective: &[f64], objective_constant: f64) -
 /// index. The order depends on the basic set alone, not on its row order.
 fn refactor_order(matrix: &SparseModel, basic: &[usize]) -> Vec<usize> {
     let n = matrix.num_vars();
-    let mut cols = basic.to_vec();
-    cols.sort_by_key(|&c| {
-        let nnz = if c < n { matrix.col(c).0.len() } else { 1 };
-        (nnz, c)
-    });
-    cols
+    let mut keys: Vec<(usize, usize)> = basic
+        .iter()
+        .map(|&c| (if c < n { matrix.occurrences(c) } else { 1 }, c))
+        .collect();
+    // Columns are distinct, so the unstable sort is the stable order.
+    keys.sort_unstable();
+    keys.into_iter().map(|(_, c)| c).collect()
 }
 
 /// Gauss-Jordan factorization of the basic columns `basic` (structurals
@@ -584,66 +654,78 @@ fn refactor_order(matrix: &SparseModel, basic: &[usize]) -> Vec<usize> {
 /// file of the inverse, or `None` when the basis proves numerically
 /// singular. `w` is an all-zero scratch vector of length `m`.
 ///
-/// Each column is eliminated over the list of rows it has touched rather
-/// than over all `m` rows, so a column whose FTRAN stays sparse — a slack,
-/// most of all — costs time in its nonzeros, not in `m`. The arithmetic,
-/// the pivot choice (largest magnitude, lowest row on ties) and the
-/// emitted etas are bit for bit those of the dense elimination, which the
-/// unit tests keep as the reference.
+/// Each column is eliminated over the rows it has touched rather than over
+/// all `m` rows, so a column whose FTRAN stays sparse costs time in its
+/// nonzeros, not in `m`. The touched rows are a bitset, set without a
+/// branch as the column is scattered and FTRANed; the pivot search and the
+/// new eta's terms walk it in ascending row order. A single-entry column
+/// on a row no earlier column pivoted on — a slack, most of all, and most
+/// basic columns are slacks — meets no eta that could apply to it, so it
+/// pivots on its own row without touching `w`. The arithmetic, the pivot
+/// choice (largest magnitude, lowest row on ties) and the emitted etas are
+/// bit for bit those of the dense elimination, which the unit tests keep
+/// as the reference.
 fn factorize(
     matrix: &SparseModel,
     basic: &[usize],
     w: &mut [f64],
-) -> Option<(Vec<usize>, Vec<Eta>)> {
+) -> Option<(Vec<usize>, EtaFile)> {
     let (n, m) = (matrix.num_vars(), matrix.num_rows());
-    let mut etas: Vec<Eta> = Vec::new();
+    let mut etas = EtaFile::default();
     let mut assigned = vec![false; m];
     let mut order = vec![usize::MAX; m];
     // Rows of `w` written while building the current column.
-    let mut touched: Vec<usize> = Vec::new();
-    let mut seen = vec![false; m];
+    let mut touched = vec![0u64; m.div_ceil(64)];
     for c in refactor_order(matrix, basic) {
-        if c < n {
-            let (rows, vals) = matrix.col(c);
-            for (&r, &a) in rows.iter().zip(vals) {
-                let r = r as usize;
-                w[r] = a;
-                if !seen[r] {
-                    seen[r] = true;
-                    touched.push(r);
-                }
-            }
+        let slack_row;
+        let (rows, vals) = if c < n {
+            matrix.col(c)
         } else {
-            let r = c - n;
-            w[r] = 1.0;
-            seen[r] = true;
-            touched.push(r);
+            slack_row = [(c - n) as u32];
+            (&slack_row[..], &[1.0][..])
+        };
+        if let (&[r], &[a]) = (rows, vals) {
+            let r = r as usize;
+            // Etas only pivot on assigned rows, and only an eta pivoting
+            // on `r` could apply to `a·e_r`.
+            if !assigned[r] {
+                if a.abs() <= PIVOT_TOL {
+                    return None;
+                }
+                assigned[r] = true;
+                order[r] = c;
+                etas.finish(r, a);
+                continue;
+            }
         }
-        for eta in &etas {
-            eta.ftran_tracked(w, &mut touched, &mut seen);
+        for (&r, &a) in rows.iter().zip(vals) {
+            let r = r as usize;
+            w[r] = a;
+            touched[r / 64] |= 1 << (r % 64);
         }
-        touched.sort_unstable();
+        etas.ftran_reporting(w, |i| touched[i / 64] |= 1 << (i % 64));
         let mut best = PIVOT_TOL;
         let mut row = usize::MAX;
-        for &i in &touched {
+        for_each_marked(&touched, |i| {
             if !assigned[i] && w[i].abs() > best {
                 best = w[i].abs();
                 row = i;
             }
-        }
+        });
         if row == usize::MAX {
             return None;
         }
         assigned[row] = true;
         order[row] = c;
-        if let Some(eta) = make_eta_over(row, w, touched.iter().copied()) {
-            etas.push(eta);
-        }
-        for &i in &touched {
-            w[i] = 0.0;
-            seen[i] = false;
-        }
-        touched.clear();
+        let pivot = w[row];
+        for_each_marked(&touched, |i| {
+            let a = std::mem::replace(&mut w[i], 0.0);
+            if i != row && a.abs() > DROP_TOL {
+                etas.push_term(i, a);
+            }
+        });
+        etas.finish(row, pivot);
+        touched.fill(0);
     }
     Some((order, etas))
 }
@@ -690,12 +772,15 @@ struct Kernel<'a> {
     basis: Vec<usize>,
     /// Current value of every column.
     x: Vec<f64>,
-    etas: Vec<Eta>,
-    /// Length of the eta file right after the last (re)factorization; only
-    /// the *update* etas beyond it count towards the refactorization
-    /// trigger (a product-form refactorization itself emits up to one eta
-    /// per basic column).
-    base_etas: usize,
+    /// The eta file of the last (re)factorization, borrowed from the
+    /// [`Factor`] a warm start began from until the kernel refactorizes.
+    base: Cow<'a, EtaFile>,
+    /// The etas of the pivots since the base factorization; only these
+    /// count towards the refactorization trigger (a product-form
+    /// refactorization itself emits up to one eta per basic column). The
+    /// basis inverse is the base file followed by this one: FTRAN walks
+    /// the base first, BTRAN the updates first.
+    updates: EtaFile,
     counters: Counters,
     /// Dense scratch vector (length `m`), threaded through FTRANs.
     scratch: Vec<f64>,
@@ -759,8 +844,8 @@ impl<'a> Kernel<'a> {
             status: vec![ColStatus::Lower; ncols],
             basis: Vec::new(),
             x: vec![0.0; ncols],
-            etas: Vec::new(),
-            base_etas: 0,
+            base: Cow::default(),
+            updates: EtaFile::default(),
             counters: Counters::default(),
             scratch: vec![0.0; m],
             weights: vec![1.0; ncols],
@@ -781,22 +866,22 @@ impl<'a> Kernel<'a> {
         k
     }
 
-    /// Warm start from a factored basis: statuses, row order and eta file
-    /// are restored, nonbasic values snap to the (possibly changed) bounds
-    /// and the basic values are recomputed through the factorization. Devex
-    /// weights start a fresh reference framework (all ones).
+    /// Warm start from a factored basis: statuses and row order are
+    /// restored, the factor's eta file becomes the (borrowed) base file,
+    /// nonbasic values snap to the (possibly changed) bounds and the basic
+    /// values are recomputed through the factorization. Devex weights start
+    /// a fresh reference framework (all ones).
     fn warm(
         matrix: &'a SparseModel,
         objective: &'a [f64],
         objective_constant: f64,
         domains: &Domains,
-        factor: &Factor,
+        factor: &'a Factor,
     ) -> Self {
         let mut k = Self::shell(matrix, objective, objective_constant, domains);
         k.status.copy_from_slice(&factor.basis.status);
         k.basis.clone_from(&factor.order);
-        k.etas.clone_from(&factor.etas);
-        k.base_etas = k.etas.len();
+        k.base = Cow::Borrowed(&factor.etas);
         k.snap_nonbasics();
         k.compute_basics();
         k
@@ -850,15 +935,26 @@ impl<'a> Kernel<'a> {
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
         self.scatter_col(j, &mut w);
-        for eta in &self.etas {
-            eta.ftran(&mut w);
-        }
+        self.ftran(&mut w);
         w
+    }
+
+    /// FTRAN in place: `v ← B⁻¹·v`.
+    fn ftran(&self, v: &mut [f64]) {
+        self.base.ftran(v);
+        self.updates.ftran(v);
     }
 
     /// BTRAN in place: `v ← B⁻ᵀ·v`.
     fn btran(&self, v: &mut [f64]) {
-        btran_file(&self.etas, v);
+        self.updates.btran(v);
+        self.base.btran(v);
+    }
+
+    /// Two BTRANs in one pass over each file.
+    fn btran2(&self, u: &mut [f64], v: &mut [f64]) {
+        self.updates.btran2(u, v);
+        self.base.btran2(u, v);
     }
 
     /// Loads the basic costs priced by [`Kernel::run_phase`] into `y`
@@ -925,9 +1021,7 @@ impl<'a> Kernel<'a> {
                 t[j - self.n] -= xj;
             }
         }
-        for eta in &self.etas {
-            eta.ftran(&mut t);
-        }
+        self.ftran(&mut t);
         for (i, &v) in t.iter().enumerate() {
             self.x[self.basis[i]] = v;
         }
@@ -938,8 +1032,8 @@ impl<'a> Kernel<'a> {
     /// structural nonbasic at a bound — the cold start, also the recovery
     /// point after a failed refactorization.
     fn reset_to_slack_basis(&mut self) {
-        self.etas.clear();
-        self.base_etas = 0;
+        self.base = Cow::default();
+        self.updates.clear();
         self.weights.fill(1.0);
         self.row_weights.fill(1.0);
         self.basis = (self.n..self.ncols).collect();
@@ -963,11 +1057,11 @@ impl<'a> Kernel<'a> {
     /// Collapses the eta file: re-factorizes the current basis from scratch
     /// ([`factorize`]). Returns `false` when the basis proves numerically
     /// singular, in which case the state is unchanged except for the
-    /// cleared eta file and the caller must reset or abandon.
+    /// cleared eta files and the caller must reset or abandon.
     fn refactorize(&mut self) -> bool {
         self.counters.refactorizations += 1;
-        self.etas.clear();
-        self.base_etas = 0;
+        self.base = Cow::default();
+        self.updates.clear();
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
         let factor = factorize(self.matrix, &self.basis, &mut w);
@@ -976,8 +1070,7 @@ impl<'a> Kernel<'a> {
             return false;
         };
         self.basis = order;
-        self.etas = etas;
-        self.base_etas = self.etas.len();
+        self.base = Cow::Owned(etas);
         self.compute_basics();
         true
     }
@@ -1017,6 +1110,8 @@ impl<'a> Kernel<'a> {
         let mut y = vec![0.0f64; self.m];
         // Pivot-row scratch for the devex weight update.
         let mut rho = vec![0.0f64; self.m];
+        // Nonzero rows of the FTRANed entering column.
+        let mut nz = vec![0u32; self.m];
         // Degeneracy guard: devex pricing switches to Bland's rule while
         // the phase measure (infeasibility sum in phase 1, objective in
         // phase 2) has made no progress for `STALL_LIMIT` iterations, and
@@ -1039,7 +1134,7 @@ impl<'a> Kernel<'a> {
             if *pivots >= max_pivots {
                 return Inner::IterationLimit;
             }
-            if self.etas.len() >= self.base_etas + REFACTOR_EVERY {
+            if self.updates.len() >= REFACTOR_EVERY {
                 y_ready = false;
                 if !self.refactorize() {
                     return Inner::Stalled;
@@ -1119,6 +1214,8 @@ impl<'a> Kernel<'a> {
                 -1.0
             };
             let w = self.ftran_col(q);
+            let nonzeros = nonzero_rows(&w, &mut nz);
+            let nz = &nz[..nonzeros];
 
             // Ratio test. The entering variable moves `t ≥ 0` along `dir`;
             // basic `i` changes by `−dir·w[i]·t`. A feasible basic blocks at
@@ -1130,7 +1227,9 @@ impl<'a> Kernel<'a> {
             let mut leave: Option<usize> = None;
             let mut leave_to = 0.0f64;
             let mut best_piv = 0.0f64;
-            for (i, &wi) in w.iter().enumerate() {
+            for &i in nz {
+                let i = i as usize;
+                let wi = w[i];
                 // Same pivot-magnitude guard as the dual ratio test: a
                 // blocking row with a near-zero entry would put that entry
                 // on the diagonal of an eta and amplify rounding error by
@@ -1213,10 +1312,9 @@ impl<'a> Kernel<'a> {
                     self.counters.flips += 1;
                     // Bound flip: the entering column crosses its box and
                     // settles on the opposite bound; the basis is unchanged.
-                    for (i, &wi) in w.iter().enumerate() {
-                        if wi != 0.0 {
-                            self.x[self.basis[i]] -= dir * t * wi;
-                        }
+                    for &i in nz {
+                        let i = i as usize;
+                        self.x[self.basis[i]] -= dir * t * w[i];
                     }
                     if dir > 0.0 {
                         self.x[q] = self.upper[q];
@@ -1232,10 +1330,9 @@ impl<'a> Kernel<'a> {
                 Some(r) => {
                     self.counters.primal += 1;
                     self.counters.bland += u64::from(use_bland);
-                    for (i, &wi) in w.iter().enumerate() {
-                        if wi != 0.0 {
-                            self.x[self.basis[i]] -= dir * t * wi;
-                        }
+                    for &i in nz {
+                        let i = i as usize;
+                        self.x[self.basis[i]] -= dir * t * w[i];
                     }
                     let leaving = self.basis[r];
                     self.x[q] += dir * t;
@@ -1246,31 +1343,32 @@ impl<'a> Kernel<'a> {
                         ColStatus::Upper
                     };
                     self.status[q] = ColStatus::Basic;
-                    let old_file = self.etas.len();
-                    if let Some(eta) = make_eta(r, &w) {
-                        self.etas.push(eta);
-                    }
+                    let old_file = self.updates.len();
+                    self.updates.push(r, &w, nz.iter().map(|&i| i as usize));
                     self.basis[r] = q;
                     if !use_bland {
                         // Reference-framework update (Forrest–Goldfarb):
-                        // the pivot row ρ of the *old* basis (the eta file
+                        // the pivot row ρ of the *old* basis (the eta files
                         // before this pivot's eta) rescales every nonbasic
                         // weight, the leaving column inherits the entering
                         // one's weight through the pivot element. Unless
                         // the next iteration refactorizes, its duals share
                         // ρ's pass: the new basis' BTRAN is this pivot's
-                        // eta followed by the old file.
+                        // eta followed by the old files.
                         let alpha_rq = w[r];
                         let gamma_q = self.weights[q].max(1.0);
                         rho.fill(0.0);
                         rho[r] = 1.0;
-                        if self.etas.len() < self.base_etas + REFACTOR_EVERY {
+                        let new_file = self.updates.len();
+                        if new_file < REFACTOR_EVERY {
                             self.load_basic_costs(phase1, &mut y);
-                            btran_file(&self.etas[old_file..], &mut y);
-                            btran_file2(&self.etas[..old_file], &mut rho, &mut y);
+                            self.updates.btran_over(old_file..new_file, &mut y);
+                            self.updates.btran2_over(0..old_file, &mut rho, &mut y);
+                            self.base.btran2(&mut rho, &mut y);
                             y_ready = true;
                         } else {
-                            btran_file(&self.etas[..old_file], &mut rho);
+                            self.updates.btran_over(0..old_file, &mut rho);
+                            self.base.btran(&mut rho);
                         }
                         let mut peak = 1.0f64;
                         for j in 0..self.ncols {
@@ -1337,6 +1435,8 @@ impl<'a> Kernel<'a> {
     fn run_dual(&mut self, max_pivots: u64, pivots: &mut u64) -> Inner {
         let mut rho = vec![0.0f64; self.m];
         let mut y = vec![0.0f64; self.m];
+        // Nonzero rows of the FTRANed entering column.
+        let mut nz = vec![0u32; self.m];
         let mut stalls = 0u32;
         // Degeneracy guard, mirroring `run_phase`: the dual objective (the
         // basic point's primal objective value) is non-decreasing along
@@ -1352,7 +1452,7 @@ impl<'a> Kernel<'a> {
             if *pivots >= max_pivots {
                 return Inner::IterationLimit;
             }
-            if self.etas.len() >= self.base_etas + REFACTOR_EVERY && !self.refactorize() {
+            if self.updates.len() >= REFACTOR_EVERY && !self.refactorize() {
                 return Inner::Stalled;
             }
             let measure = -self.objective_now();
@@ -1404,11 +1504,11 @@ impl<'a> Kernel<'a> {
             };
 
             // ρ = B⁻ᵀ·e_r gives the pivot row; y = B⁻ᵀ·c_B the duals. Both
-            // BTRANs share one pass over the eta file.
+            // BTRANs share one pass over each eta file.
             rho.fill(0.0);
             rho[r] = 1.0;
             self.load_basic_costs(false, &mut y);
-            btran_file2(&self.etas, &mut rho, &mut y);
+            self.btran2(&mut rho, &mut y);
 
             // Dual ratio test: among nonbasic columns whose movement pushes
             // `x_B[r]` towards its violated bound, the smallest
@@ -1484,6 +1584,8 @@ impl<'a> Kernel<'a> {
                 continue;
             }
             let t = ((self.x[b_r] - target) / (dirj * alpha)).max(0.0);
+            let nonzeros = nonzero_rows(&w, &mut nz);
+            let nz = &nz[..nonzeros];
 
             *pivots += 1;
             let range = self.upper[q] - self.lower[q];
@@ -1493,10 +1595,9 @@ impl<'a> Kernel<'a> {
                 // variable past its opposite bound, so flip it across the
                 // box instead and keep looking; the leaving row stays
                 // infeasible (but strictly less so).
-                for (i, &wi) in w.iter().enumerate() {
-                    if wi != 0.0 {
-                        self.x[self.basis[i]] -= dirj * range * wi;
-                    }
+                for &i in nz {
+                    let i = i as usize;
+                    self.x[self.basis[i]] -= dirj * range * w[i];
                 }
                 self.x[q] = if dirj > 0.0 {
                     self.upper[q]
@@ -1520,11 +1621,12 @@ impl<'a> Kernel<'a> {
                 // inherits a rescaled weight through the pivot element.
                 let gamma_r = self.row_weights[r].max(1.0);
                 let mut peak = 1.0f64;
-                for (i, &wi) in w.iter().enumerate() {
-                    if i == r || wi == 0.0 {
+                for &i in nz {
+                    let i = i as usize;
+                    if i == r {
                         continue;
                     }
-                    let ratio = wi / alpha;
+                    let ratio = w[i] / alpha;
                     let candidate = ratio * ratio * gamma_r;
                     if candidate > self.row_weights[i] {
                         self.row_weights[i] = candidate;
@@ -1538,10 +1640,9 @@ impl<'a> Kernel<'a> {
                     self.row_weights.fill(1.0);
                 }
             }
-            for (i, &wi) in w.iter().enumerate() {
-                if wi != 0.0 {
-                    self.x[self.basis[i]] -= dirj * t * wi;
-                }
+            for &i in nz {
+                let i = i as usize;
+                self.x[self.basis[i]] -= dirj * t * w[i];
             }
             self.x[q] += dirj * t;
             self.x[b_r] = target;
@@ -1551,9 +1652,7 @@ impl<'a> Kernel<'a> {
                 ColStatus::Upper
             };
             self.status[q] = ColStatus::Basic;
-            if let Some(eta) = make_eta(r, &w) {
-                self.etas.push(eta);
-            }
+            self.updates.push(r, &w, nz.iter().map(|&i| i as usize));
             self.basis[r] = q;
             self.scratch = w;
         }
@@ -2528,50 +2627,155 @@ mod tests {
 
     // ---- bit-identity of the kernel's linear algebra ----
 
+    /// The dense Gauss-Jordan factorization [`factorize`] must reproduce
+    /// bit for bit: every column is zero-filled, FTRANed over the whole
+    /// file, pivot-scanned over all `m` rows and turned into an eta over
+    /// all `m` rows.
+    fn factorize_dense(matrix: &SparseModel, basic: &[usize]) -> Option<(Vec<usize>, EtaFile)> {
+        let (n, m) = (matrix.num_vars(), matrix.num_rows());
+        let mut etas = EtaFile::default();
+        let mut assigned = vec![false; m];
+        let mut order = vec![usize::MAX; m];
+        let mut w = vec![0.0; m];
+        for c in refactor_order(matrix, basic) {
+            w.fill(0.0);
+            if c < n {
+                let (rows, vals) = matrix.col(c);
+                for (&r, &a) in rows.iter().zip(vals) {
+                    w[r as usize] = a;
+                }
+            } else {
+                w[c - n] = 1.0;
+            }
+            etas.ftran(&mut w);
+            let mut best = PIVOT_TOL;
+            let mut row = usize::MAX;
+            for (i, &wi) in w.iter().enumerate() {
+                if !assigned[i] && wi.abs() > best {
+                    best = wi.abs();
+                    row = i;
+                }
+            }
+            if row == usize::MAX {
+                return None;
+            }
+            assigned[row] = true;
+            order[row] = c;
+            etas.push(row, &w, 0..m);
+        }
+        Some((order, etas))
+    }
+
+    thread_local! {
+        /// While armed (`Some`), the number of warm-start factorizations
+        /// [`audit_warm_factor`] has checked on this thread.
+        static AUDITED: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Checks a warm start's factorization of `basic` against
+    /// [`factorize_dense`] while the audit is armed.
+    pub(super) fn audit_warm_factor(
+        matrix: &SparseModel,
+        basic: &[usize],
+        factored: Option<&(Vec<usize>, EtaFile)>,
+    ) {
+        let Some(count) = AUDITED.get() else {
+            return;
+        };
+        let dense = factorize_dense(matrix, basic);
+        let bits = |f: Option<&(Vec<usize>, EtaFile)>| f.map(|(o, e)| (o.clone(), eta_bits(e)));
+        assert!(
+            bits(factored) == bits(dense.as_ref()),
+            "warm-start factorization {count} differs from the dense reference"
+        );
+        AUDITED.set(Some(count + 1));
+    }
+
+    #[test]
+    fn every_warm_start_of_a_real_solve_factorizes_like_the_dense_reference() {
+        use crate::{BoundMode, Budget, LinExpr, SolverConfig};
+        use bist_core::{SynthesisConfig, SynthesisEngine};
+        use bist_dfg::benchmarks;
+
+        let sweep = SolverConfig {
+            budget: Budget::nodes(200),
+            bound_mode: BoundMode::LpRelaxation,
+            ..SolverConfig::default()
+        };
+        let cases = [
+            ("figure1", benchmarks::figure1(), 2, SolverConfig::exact()),
+            ("tseng", benchmarks::tseng(), 1, sweep),
+        ];
+        for (name, input, k, mut config) in cases {
+            let synthesis = SynthesisConfig::exact();
+            let engine = SynthesisEngine::new(&input, &synthesis).unwrap();
+            let mut formulation = engine.base().clone();
+            formulation.add_bist(k).unwrap();
+            formulation.set_bist_objective();
+            config
+                .initial_solutions
+                .extend(formulation.baseline_warm_values());
+            // The formulation is built over the library build of this
+            // crate, whose types differ from this test build's: rebuild the
+            // model through its public accessors.
+            let source = &formulation.model;
+            let mut model = Model::new(source.name());
+            let vars: Vec<_> = source
+                .vars()
+                .iter()
+                .map(|def| {
+                    let (lower, upper) = (def.kind.lower(), def.kind.upper());
+                    match (def.kind.is_integral(), lower, upper) {
+                        (true, 0.0, 1.0) => model.add_binary(def.name.as_str()),
+                        (true, ..) => model.add_integer(&def.name, lower as i64, upper as i64),
+                        (false, ..) => model.add_continuous(&def.name, lower, upper),
+                    }
+                })
+                .collect();
+            for row in source.constraints() {
+                let terms: Vec<_> = row.expr.iter().map(|(v, a)| (vars[v.index()], a)).collect();
+                let op = match row.op.as_str() {
+                    "<=" => CmpOp::Le,
+                    ">=" => CmpOp::Ge,
+                    _ => CmpOp::Eq,
+                };
+                model.add_constraint(terms, op, row.rhs, row.name.as_str());
+            }
+            let mut objective: LinExpr = source
+                .objective()
+                .iter()
+                .map(|(v, a)| (vars[v.index()], a))
+                .collect::<Vec<_>>()
+                .into();
+            objective.add_constant(source.objective().offset());
+            let sense = match format!("{:?}", source.sense()).as_str() {
+                "Maximize" => Sense::Maximize,
+                _ => Sense::Minimize,
+            };
+            model.set_objective(objective, sense);
+
+            AUDITED.set(Some(0));
+            let solution = model.solve(&config).unwrap();
+            let audited = AUDITED.replace(None).unwrap();
+            assert!(
+                audited >= 50,
+                "{name} k={k}: only {audited} warm starts audited ({} nodes)",
+                solution.stats().nodes
+            );
+        }
+    }
+
     impl Kernel<'_> {
-        /// The dense Gauss-Jordan refactorization [`Kernel::refactorize`]
-        /// must reproduce bit for bit: every column is zero-filled,
-        /// FTRANed, pivot-scanned and turned into an eta over all `m` rows.
+        /// [`Kernel::refactorize`] over [`factorize_dense`].
         fn refactorize_dense(&mut self) -> bool {
             self.counters.refactorizations += 1;
-            self.etas.clear();
-            let cols = refactor_order(self.matrix, &self.basis);
-            let mut assigned = vec![false; self.m];
-            let mut new_basis = vec![usize::MAX; self.m];
-            let mut w = std::mem::take(&mut self.scratch);
-            let mut ok = true;
-            for &c in &cols {
-                w.fill(0.0);
-                self.scatter_col(c, &mut w);
-                for eta in &self.etas {
-                    eta.ftran(&mut w);
-                }
-                let mut best = PIVOT_TOL;
-                let mut row = usize::MAX;
-                for (i, &wi) in w.iter().enumerate() {
-                    if !assigned[i] && wi.abs() > best {
-                        best = wi.abs();
-                        row = i;
-                    }
-                }
-                if row == usize::MAX {
-                    ok = false;
-                    break;
-                }
-                assigned[row] = true;
-                new_basis[row] = c;
-                if let Some(eta) = make_eta(row, &w) {
-                    self.etas.push(eta);
-                }
-            }
-            self.scratch = w;
-            if !ok {
-                self.etas.clear();
-                self.base_etas = 0;
+            self.base = Cow::default();
+            self.updates.clear();
+            let Some((order, etas)) = factorize_dense(self.matrix, &self.basis) else {
                 return false;
-            }
-            self.basis = new_basis;
-            self.base_etas = self.etas.len();
+            };
+            self.basis = order;
+            self.base = Cow::Owned(etas);
             self.compute_basics();
             true
         }
@@ -2685,11 +2889,12 @@ mod tests {
 
     type EtaBits = (u32, u64, Vec<(u32, u64)>);
 
-    fn eta_bits(etas: &[Eta]) -> Vec<EtaBits> {
-        etas.iter()
-            .map(|e| {
-                let terms = e.terms.iter().map(|&(i, a)| (i, a.to_bits())).collect();
-                (e.row, e.pivot.to_bits(), terms)
+    fn eta_bits(etas: &EtaFile) -> Vec<EtaBits> {
+        (0..etas.len())
+            .map(|k| {
+                let (rows, vals) = etas.terms(k);
+                let terms = rows.iter().zip(vals).map(|(&i, a)| (i, a.to_bits()));
+                (etas.rows[k], etas.pivots[k].to_bits(), terms.collect())
             })
             .collect()
     }
@@ -2720,11 +2925,12 @@ mod tests {
         let ok = sparse.refactorize();
         assert_eq!(ok, dense.refactorize_dense(), "singularity verdicts differ");
         assert_eq!(sparse.basis, dense.basis);
-        assert_eq!(sparse.base_etas, dense.base_etas);
-        assert_eq!(eta_bits(&sparse.etas), eta_bits(&dense.etas));
+        assert_eq!(sparse.base.len(), dense.base.len());
+        assert_eq!(eta_bits(&sparse.base), eta_bits(&dense.base));
+        assert_eq!((sparse.updates.len(), dense.updates.len()), (0, 0));
         let x_bits = |k: &Kernel| k.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(x_bits(&sparse), x_bits(&dense));
-        ok.then(|| sparse.etas.iter().map(|e| e.terms.len()).sum())
+        ok.then(|| sparse.base.term_rows.len())
     }
 
     #[test]
@@ -2798,43 +3004,128 @@ mod tests {
             assert!(!dense.refactorize_dense());
             assert_eq!(sparse.basis, basis);
             assert_eq!(dense.basis, basis);
-            assert!(sparse.etas.is_empty() && dense.etas.is_empty());
-            assert_eq!((sparse.base_etas, dense.base_etas), (0, 0));
+            assert_eq!((sparse.base.len(), dense.base.len()), (0, 0));
+            assert_eq!((sparse.updates.len(), dense.updates.len()), (0, 0));
         }
     }
 
     /// A random eta file over `m` rows in which every eta reads the rows
     /// of its neighbours in the file (and a few random ones), so
     /// consecutive BTRAN steps feed each other.
-    fn chained_etas(mix: &mut Mix, m: usize, len: usize) -> Vec<Eta> {
+    fn chained_etas(mix: &mut Mix, m: usize, len: usize) -> EtaFile {
         let rows: Vec<usize> = (0..len).map(|_| mix.below(m)).collect();
-        (0..len)
-            .map(|k| {
-                let row = rows[k];
-                let mut picked: Vec<usize> = Vec::new();
-                for neighbour in [k.wrapping_sub(1), k + 1] {
-                    if let Some(&r) = rows.get(neighbour) {
-                        picked.push(r);
-                    }
+        let mut etas = EtaFile::default();
+        for k in 0..len {
+            let row = rows[k];
+            let mut picked: Vec<usize> = Vec::new();
+            for neighbour in [k.wrapping_sub(1), k + 1] {
+                if let Some(&r) = rows.get(neighbour) {
+                    picked.push(r);
                 }
-                for _ in 0..mix.below(6) {
-                    picked.push(mix.below(m));
-                }
-                picked.sort_unstable();
-                picked.dedup();
-                picked.retain(|&i| i != row);
-                let pivot = mix.coeff();
-                let terms = picked
-                    .into_iter()
-                    .map(|i| (i as u32, mix.coeff()))
-                    .collect();
-                Eta {
-                    row: row as u32,
-                    pivot,
-                    terms,
-                }
-            })
-            .collect()
+            }
+            for _ in 0..mix.below(6) {
+                picked.push(mix.below(m));
+            }
+            picked.sort_unstable();
+            picked.dedup();
+            picked.retain(|&i| i != row);
+            let pivot = mix.coeff();
+            for i in picked {
+                etas.push_term(i, mix.coeff());
+            }
+            etas.finish(row, pivot);
+        }
+        etas
+    }
+
+    #[test]
+    fn single_entry_columns_take_the_fast_path_bit_for_bit() {
+        // Rows 0..4. Column 0 is a non-unit structural singleton on row 0,
+        // column 1 a unit structural singleton on row 1, column 2 spans
+        // rows 0 and 3, and column 3 is a second singleton on row 0.
+        let matrix = SparseModel::from_rows(
+            4,
+            [
+                (vec![(0, 2.5), (2, 0.75), (3, -1.25)], CmpOp::Le, 4.0),
+                (vec![(1, 1.0)], CmpOp::Ge, 0.5),
+                (vec![(2, 0.0)], CmpOp::Le, 1.0),
+                (vec![(2, -3.0)], CmpOp::Eq, 1.0),
+            ],
+        );
+        let slack = |r: usize| 4 + r;
+        // Singletons on free rows pivot where they stand: the non-unit one
+        // leaves a term-free eta, the unit one and the slack none at all;
+        // column 2 then meets column 0's eta and pivots on row 3.
+        let basic = [2, slack(2), 1, 0];
+        let (order, etas) = factorize(&matrix, &basic, &mut [0.0; 4]).expect("nonsingular");
+        assert_eq!(order, vec![0, 1, slack(2), 2]);
+        let eta_0 = (0, 2.5f64.to_bits(), vec![]);
+        let eta_3 = (3, (-3.0f64).to_bits(), vec![(0, (0.75f64 / 2.5).to_bits())]);
+        assert_eq!(eta_bits(&etas), vec![eta_0, eta_3]);
+        let dense = factorize_dense(&matrix, &basic).expect("nonsingular");
+        assert_eq!((order, eta_bits(&etas)), (dense.0, eta_bits(&dense.1)));
+        // A second singleton on a row already taken is singular, whichever
+        // path sees it, and so is a singleton below the pivot tolerance.
+        assert!(factorize(&matrix, &[0, 3, slack(1), slack(3)], &mut [0.0; 4]).is_none());
+        assert!(factorize_dense(&matrix, &[0, 3, slack(1), slack(3)]).is_none());
+        let tiny = SparseModel::from_rows(1, [(vec![(0, 1e-9)], CmpOp::Le, 1.0)]);
+        assert!(factorize(&tiny, &[0], &mut [0.0]).is_none());
+        assert!(factorize_dense(&tiny, &[0]).is_none());
+    }
+
+    /// The etas `range` of `file` as a file of their own.
+    fn sub_file(file: &EtaFile, range: Range<usize>) -> EtaFile {
+        let mut out = EtaFile::default();
+        for k in range {
+            let (rows, vals) = file.terms(k);
+            for (&i, &a) in rows.iter().zip(vals) {
+                out.push_term(i as usize, a);
+            }
+            out.finish(file.rows[k] as usize, file.pivots[k]);
+        }
+        out
+    }
+
+    #[test]
+    fn a_borrowed_base_and_an_update_file_transform_like_one_file() {
+        // A warm kernel walks the factor's file it borrows and its own
+        // update file; every transformation must equal the same pass over
+        // the two files concatenated, bit for bit.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..50u64 {
+            let mut mix = Mix(5000 + seed);
+            let m = 8 + mix.below(40);
+            let len = 1 + mix.below(80);
+            let whole = chained_etas(&mut mix, m, len);
+            let split = mix.below(whole.len() + 1);
+            let base = sub_file(&whole, 0..split);
+            let matrix = random_matrix(&mut mix, m, m + 4, 2);
+            let objective = vec![0.0; m + 4];
+            let domains = box_domains(m + 4);
+            let slacks: Vec<usize> = (0..m).map(|i| m + 4 + i).collect();
+            let mut kernel = kernel_with_basis(&matrix, &objective, &domains, &slacks, &mut mix);
+            kernel.base = Cow::Borrowed(&base);
+            kernel.updates = sub_file(&whole, split..whole.len());
+
+            let v: Vec<f64> = (0..m)
+                .map(|_| if mix.below(3) == 0 { 0.0 } else { mix.coeff() })
+                .collect();
+            let mut u = vec![0.0; m];
+            u[mix.below(m)] = 1.0;
+            let (mut f_one, mut f_two) = (v.clone(), v.clone());
+            whole.ftran(&mut f_one);
+            kernel.ftran(&mut f_two);
+            assert_eq!(bits(&f_two), bits(&f_one), "seed {seed}: FTRAN");
+            let (mut b_one, mut b_two) = (v.clone(), v.clone());
+            whole.btran(&mut b_one);
+            kernel.btran(&mut b_two);
+            assert_eq!(bits(&b_two), bits(&b_one), "seed {seed}: BTRAN");
+            let (mut u_one, mut v_one, mut u_two, mut v_two) = (u.clone(), v.clone(), u, v);
+            whole.btran2(&mut u_one, &mut v_one);
+            kernel.btran2(&mut u_two, &mut v_two);
+            assert_eq!(bits(&u_two), bits(&u_one), "seed {seed}: fused ρ");
+            assert_eq!(bits(&v_two), bits(&v_one), "seed {seed}: fused y");
+        }
     }
 
     #[test]
@@ -2853,10 +3144,10 @@ mod tests {
                 .collect();
 
             let (mut rho_seq, mut y_seq) = (rho.clone(), y.clone());
-            btran_file(&etas, &mut rho_seq);
-            btran_file(&etas, &mut y_seq);
+            etas.btran(&mut rho_seq);
+            etas.btran(&mut y_seq);
             let (mut rho_fused, mut y_fused) = (rho.clone(), y.clone());
-            btran_file2(&etas, &mut rho_fused, &mut y_fused);
+            etas.btran2(&mut rho_fused, &mut y_fused);
             assert_eq!(bits(&rho_fused), bits(&rho_seq), "seed {seed}: ρ");
             assert_eq!(bits(&y_fused), bits(&y_seq), "seed {seed}: y");
 
@@ -2864,10 +3155,10 @@ mod tests {
             // eta, fused with y over the whole file (newest eta first).
             let old = etas.len() - 1;
             let mut rho_old = rho.clone();
-            btran_file(&etas[..old], &mut rho_old);
+            etas.btran_over(0..old, &mut rho_old);
             let (mut rho_split, mut y_split) = (rho.clone(), y.clone());
-            btran_file(&etas[old..], &mut y_split);
-            btran_file2(&etas[..old], &mut rho_split, &mut y_split);
+            etas.btran_over(old..etas.len(), &mut y_split);
+            etas.btran2_over(0..old, &mut rho_split, &mut y_split);
             assert_eq!(bits(&rho_split), bits(&rho_old), "seed {seed}: old-file ρ");
             assert_eq!(bits(&y_split), bits(&y_seq), "seed {seed}: new-file y");
         }

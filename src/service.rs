@@ -168,10 +168,15 @@ pub struct JobRow {
     pub area: u64,
     /// Whether the ILP proved the design optimal within the job's budget.
     pub optimal: bool,
-    /// Branch-and-bound nodes explored by this solve.
+    /// Branch-and-bound nodes of this solve's tree. After a resume
+    /// ([`SolveStats::resumed`](bist_ilp::SolveStats::resumed)) this counts
+    /// the whole tree, the snapshot's capture point included, so it equals
+    /// the uninterrupted solve's count.
     pub nodes: u64,
-    /// Simplex pivots across this solve's LP relaxations (after a resume,
-    /// only the pivots spent since the snapshot).
+    /// Simplex pivots across this solve's LP relaxations. After a resume
+    /// this counts only the pivots spent since the snapshot, like every
+    /// other solver counter, so it is not comparable with an uninterrupted
+    /// solve's count the way [`JobRow::nodes`] is.
     pub lp_pivots: u64,
     /// Wall-clock seconds of this solve.
     pub seconds: f64,
