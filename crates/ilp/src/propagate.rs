@@ -12,10 +12,20 @@
 //! The fixpoint is computed with a row worklist over the shared
 //! [`SparseModel`]: when a bound of variable `j` tightens, only the rows the
 //! CSC column of `j` names are re-examined, instead of sweeping every row of
-//! the model each round as the seed implementation did. On the BIST
-//! assignment models (thousands of rows, a handful of variables per row)
-//! this turns each branch-and-bound node from `O(rounds · nnz)` into work
-//! proportional to the bounds that actually move.
+//! the model each round as the seed implementation did.
+//!
+//! # Cost
+//!
+//! One row evaluation costs `O(row length)`: its activity bound, one
+//! tightening attempt per term, and an emptiness check over the variables
+//! this row just moved. That check is exact because of an invariant:
+//! `run_worklist` returns at entry on an empty box and after any row that
+//! empties it, so every row evaluation starts on a non-empty box, and only a
+//! bound the current row moved can have emptied it. A call costs one scan of
+//! the box and one pass over the row marks to set up, then the lengths of
+//! the rows its moved bounds wake. A scan of the whole box at the end of
+//! every row evaluation would add `O(variables)` to each of them, although
+//! most row evaluations move no bound at all.
 
 use std::collections::VecDeque;
 
@@ -174,14 +184,16 @@ impl Domains {
     }
 }
 
+/// Bound on the amortised number of full row sweeps per call: a worklist
+/// stops after `MAX_ROUNDS` times the row count of row evaluations, which
+/// guards against slow convergence on badly scaled models.
+const MAX_ROUNDS: usize = 64;
+
 /// The propagation engine: a compiled, index-based sparse image of the model
 /// rows, shared with the LP relaxation and the branching rules.
 #[derive(Debug, Clone)]
 pub struct Propagator {
     matrix: SparseModel,
-    /// Bound on the amortised number of full row sweeps per call; guards
-    /// against slow convergence on badly scaled models.
-    pub max_rounds: usize,
 }
 
 /// Result of a propagation fixpoint.
@@ -201,10 +213,7 @@ impl Propagator {
 
     /// Wraps an already-compiled sparse matrix.
     pub fn from_matrix(matrix: SparseModel) -> Self {
-        Self {
-            matrix,
-            max_rounds: 64,
-        }
+        Self { matrix }
     }
 
     /// The compiled sparse constraint matrix.
@@ -237,6 +246,11 @@ impl Propagator {
         domains: &mut Domains,
         seed_vars: Option<&[usize]>,
     ) -> PropagationResult {
+        // The one whole-box scan of a call. From here on the box stays
+        // non-empty between row evaluations: a row that empties it returns
+        // `Infeasible` at once. So each row evaluation starts on a non-empty
+        // box, and its own emptiness check need only look at the bounds it
+        // moved (see `emptied`).
         if domains.is_infeasible() {
             return PropagationResult::Infeasible;
         }
@@ -264,8 +278,8 @@ impl Propagator {
         // The worklist converges for the same reason the round-based sweep
         // does (bounds only ever tighten), but badly scaled rows can tighten
         // by vanishing amounts for a long time; cap the total row
-        // evaluations at the equivalent of `max_rounds` full sweeps.
-        let budget = self.max_rounds.saturating_mul(m);
+        // evaluations at the equivalent of `MAX_ROUNDS` full sweeps.
+        let budget = MAX_ROUNDS.saturating_mul(m);
         let mut evaluations = 0usize;
         let mut changed_vars: Vec<usize> = Vec::new();
 
@@ -290,12 +304,9 @@ impl Propagator {
                 }
             }
         }
-
-        if domains.is_infeasible() {
-            PropagationResult::Infeasible
-        } else {
-            PropagationResult::Consistent
-        }
+        // Every row evaluation ended on a non-empty box, whether the queue
+        // ran dry or the evaluation cap stopped it.
+        PropagationResult::Consistent
     }
 }
 
@@ -343,6 +354,7 @@ fn propagate_upper(row: RowRef<'_>, domains: &mut Domains, changed: &mut Vec<usi
     if min_act > row.rhs + EPS {
         return RowResult::Infeasible;
     }
+    let moved = changed.len();
     for (i, a) in row.terms() {
         if a.abs() < EPS {
             continue;
@@ -366,11 +378,7 @@ fn propagate_upper(row: RowRef<'_>, domains: &mut Domains, changed: &mut Vec<usi
             changed.push(i);
         }
     }
-    if domains.is_infeasible() {
-        RowResult::Infeasible
-    } else {
-        RowResult::Consistent
-    }
+    emptied(domains, &changed[moved..])
 }
 
 /// Propagates `Σ aᵢ·xᵢ >= rhs`.
@@ -379,6 +387,7 @@ fn propagate_lower(row: RowRef<'_>, domains: &mut Domains, changed: &mut Vec<usi
     if max_act < row.rhs - EPS {
         return RowResult::Infeasible;
     }
+    let moved = changed.len();
     for (i, a) in row.terms() {
         if a.abs() < EPS {
             continue;
@@ -401,7 +410,18 @@ fn propagate_lower(row: RowRef<'_>, domains: &mut Domains, changed: &mut Vec<usi
             changed.push(i);
         }
     }
-    if domains.is_infeasible() {
+    emptied(domains, &changed[moved..])
+}
+
+/// Whether a row evaluation emptied the box, given `moved`, the variables
+/// whose bounds it tightened. The evaluation started on a non-empty box (the
+/// invariant of `run_worklist`), so a variable it did not move is still
+/// non-empty, and this answers what a scan of the whole box would.
+fn emptied(domains: &Domains, moved: &[usize]) -> RowResult {
+    if moved
+        .iter()
+        .any(|&j| domains.lower(j) > domains.upper(j) + EPS)
+    {
         RowResult::Infeasible
     } else {
         RowResult::Consistent
@@ -569,6 +589,459 @@ mod tests {
         for v in &vars[5..] {
             assert_eq!(seeded.fixed_value(v.index()), Some(0.0));
         }
+    }
+
+    /// Row propagation that decides emptiness by scanning the whole box at
+    /// the end of every row evaluation and of the worklist, with no
+    /// invariant to lean on. The propagator must match it bit for bit. It
+    /// shares `activity_bounds` and the `Domains` tightening with the
+    /// propagator.
+    fn reference_propagate(
+        prop: &Propagator,
+        domains: &mut Domains,
+        seed_vars: Option<&[usize]>,
+    ) -> PropagationResult {
+        if domains.is_infeasible() {
+            return PropagationResult::Infeasible;
+        }
+        let matrix = prop.matrix();
+        let m = matrix.num_rows();
+        if m == 0 {
+            return PropagationResult::Consistent;
+        }
+        let (mut queued, mut queue) = match seed_vars {
+            None => (vec![true; m], (0..m as u32).collect::<VecDeque<u32>>()),
+            Some(vars) => {
+                let mut queued = vec![false; m];
+                let mut queue = VecDeque::new();
+                for &j in vars {
+                    for &r in matrix.rows_of_var(j) {
+                        if !queued[r as usize] {
+                            queued[r as usize] = true;
+                            queue.push_back(r);
+                        }
+                    }
+                }
+                (queued, queue)
+            }
+        };
+        let budget = MAX_ROUNDS.saturating_mul(m);
+        let mut evaluations = 0usize;
+        let mut changed_vars: Vec<usize> = Vec::new();
+        while let Some(i) = queue.pop_front() {
+            if evaluations >= budget {
+                break;
+            }
+            evaluations += 1;
+            queued[i as usize] = false;
+            changed_vars.clear();
+            let row = matrix.row(i as usize);
+            if reference_row(row, domains, &mut changed_vars) == RowResult::Infeasible {
+                return PropagationResult::Infeasible;
+            }
+            for &j in &changed_vars {
+                for &r in matrix.rows_of_var(j) {
+                    if !queued[r as usize] {
+                        queued[r as usize] = true;
+                        queue.push_back(r);
+                    }
+                }
+            }
+        }
+        if domains.is_infeasible() {
+            PropagationResult::Infeasible
+        } else {
+            PropagationResult::Consistent
+        }
+    }
+
+    fn reference_row(
+        row: RowRef<'_>,
+        domains: &mut Domains,
+        changed: &mut Vec<usize>,
+    ) -> RowResult {
+        if matches!(row.op, CmpOp::Le | CmpOp::Eq)
+            && reference_upper(row, domains, changed) == RowResult::Infeasible
+        {
+            return RowResult::Infeasible;
+        }
+        if matches!(row.op, CmpOp::Ge | CmpOp::Eq)
+            && reference_lower(row, domains, changed) == RowResult::Infeasible
+        {
+            return RowResult::Infeasible;
+        }
+        RowResult::Consistent
+    }
+
+    fn reference_upper(
+        row: RowRef<'_>,
+        domains: &mut Domains,
+        changed: &mut Vec<usize>,
+    ) -> RowResult {
+        let (min_act, _) = activity_bounds(row, domains);
+        if min_act > row.rhs + EPS {
+            return RowResult::Infeasible;
+        }
+        for (i, a) in row.terms() {
+            if a.abs() < EPS {
+                continue;
+            }
+            let own_min = if a >= 0.0 {
+                a * domains.lower(i)
+            } else {
+                a * domains.upper(i)
+            };
+            let slack = row.rhs - (min_act - own_min);
+            let tightened = if a > 0.0 {
+                domains.tighten_upper(i, slack / a)
+            } else {
+                domains.tighten_lower(i, slack / a)
+            };
+            if tightened {
+                changed.push(i);
+            }
+        }
+        if domains.is_infeasible() {
+            RowResult::Infeasible
+        } else {
+            RowResult::Consistent
+        }
+    }
+
+    fn reference_lower(
+        row: RowRef<'_>,
+        domains: &mut Domains,
+        changed: &mut Vec<usize>,
+    ) -> RowResult {
+        let (_, max_act) = activity_bounds(row, domains);
+        if max_act < row.rhs - EPS {
+            return RowResult::Infeasible;
+        }
+        for (i, a) in row.terms() {
+            if a.abs() < EPS {
+                continue;
+            }
+            let own_max = if a >= 0.0 {
+                a * domains.upper(i)
+            } else {
+                a * domains.lower(i)
+            };
+            let need = row.rhs - (max_act - own_max);
+            let tightened = if a > 0.0 {
+                domains.tighten_lower(i, need / a)
+            } else {
+                domains.tighten_upper(i, need / a)
+            };
+            if tightened {
+                changed.push(i);
+            }
+        }
+        if domains.is_infeasible() {
+            RowResult::Infeasible
+        } else {
+            RowResult::Consistent
+        }
+    }
+
+    /// Every bound of the box as bit patterns.
+    fn bits(domains: &Domains) -> Vec<(u64, u64)> {
+        (0..domains.len())
+            .map(|i| (domains.lower(i).to_bits(), domains.upper(i).to_bits()))
+            .collect()
+    }
+
+    /// Runs the propagator and the reference on copies of `domains` and
+    /// requires the same verdict and the same bits; returns the
+    /// propagator's result.
+    fn propagate_both(
+        prop: &Propagator,
+        domains: &Domains,
+        seed_vars: Option<&[usize]>,
+    ) -> (PropagationResult, Domains) {
+        let mut fast = domains.clone();
+        let verdict = match seed_vars {
+            None => prop.propagate(&mut fast),
+            Some(vars) => prop.propagate_seeded(&mut fast, vars),
+        };
+        let mut slow = domains.clone();
+        let expected = reference_propagate(prop, &mut slow, seed_vars);
+        assert_eq!(verdict, expected, "verdicts differ");
+        assert_eq!(bits(&fast), bits(&slow), "bounds differ");
+        (verdict, fast)
+    }
+
+    /// SplitMix64, the seeded generator of the random propagation models.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Uniform in [0, 1) with a full-width mantissa.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A coefficient of either sign: a small integer or a fractional
+        /// magnitude in [0.25, 4).
+        fn coeff(&mut self) -> f64 {
+            let magnitude = if self.below(3) == 0 {
+                (1 + self.below(3)) as f64
+            } else {
+                0.25 + 3.75 * self.unit()
+            };
+            if self.below(2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+    }
+
+    /// A random box and matrix. Variables are binaries, general integers
+    /// and continuous variables, a quarter of whose bounds are infinite.
+    /// Rows are `≤`, `≥` or `=` over two to five variables, with right-hand
+    /// sides inside the activity range of the declared box. In a quarter of
+    /// the models the first row is a knife edge: its right-hand side lies
+    /// 0.9·EPS past its activity bound, so the activity check passes and
+    /// then every term with a coefficient below 0.9 in magnitude empties
+    /// its variable's domain.
+    fn random_instance(mix: &mut Mix) -> (Propagator, Domains) {
+        let n = 3 + mix.below(10);
+        let mut domains = Domains {
+            lower: Vec::with_capacity(n),
+            upper: Vec::with_capacity(n),
+            integral: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
+            let (lower, upper, integral) = match mix.below(3) {
+                0 => (0.0, 1.0, true),
+                1 => {
+                    let lower = mix.below(7) as f64 - 3.0;
+                    (lower, lower + mix.below(7) as f64, true)
+                }
+                _ => {
+                    let lower = 4.0 * mix.unit() - 2.0;
+                    let upper = lower + 4.0 * mix.unit();
+                    let lower = if mix.below(4) == 0 {
+                        f64::NEG_INFINITY
+                    } else {
+                        lower
+                    };
+                    let upper = if mix.below(4) == 0 {
+                        f64::INFINITY
+                    } else {
+                        upper
+                    };
+                    (lower, upper, false)
+                }
+            };
+            domains.lower.push(lower);
+            domains.upper.push(upper);
+            domains.integral.push(integral);
+        }
+
+        let m = 2 + mix.below(9);
+        let knife_edge = mix.below(4) == 0;
+        let mut rows = Vec::with_capacity(m);
+        for r in 0..m {
+            let len = 2 + mix.below(n.min(5) - 1);
+            let mut vars: Vec<usize> = (0..n).collect();
+            for t in 0..len {
+                let pick = t + mix.below(n - t);
+                vars.swap(t, pick);
+            }
+            vars.truncate(len);
+            vars.sort_unstable();
+            let scale = if r == 0 && knife_edge { 0.25 } else { 1.0 };
+            let terms: Vec<(usize, f64)> = vars.iter().map(|&j| (j, scale * mix.coeff())).collect();
+            // The activity range, summed in row order as `activity_bounds`
+            // sums it.
+            let (min, max) = terms.iter().fold((0.0, 0.0), |(min, max), &(j, a)| {
+                if a >= 0.0 {
+                    (min + a * domains.lower[j], max + a * domains.upper[j])
+                } else {
+                    (min + a * domains.upper[j], max + a * domains.lower[j])
+                }
+            });
+            let (op, rhs) = if r == 0 && knife_edge && min.is_finite() {
+                (CmpOp::Le, min - 0.9 * EPS)
+            } else if r == 0 && knife_edge && max.is_finite() {
+                (CmpOp::Ge, max + 0.9 * EPS)
+            } else {
+                let t = 0.2 + 0.8 * mix.unit();
+                match mix.below(6) {
+                    0..=2 if min.is_finite() => (
+                        CmpOp::Le,
+                        if max.is_finite() {
+                            min + t * (max - min)
+                        } else {
+                            min + 4.0 * t
+                        },
+                    ),
+                    3 | 4 if max.is_finite() => (
+                        CmpOp::Ge,
+                        if min.is_finite() {
+                            max - t * (max - min)
+                        } else {
+                            max - 4.0 * t
+                        },
+                    ),
+                    // The activity at a random point of the box (a finite
+                    // stand-in for an infinite bound).
+                    _ => {
+                        let rhs = terms
+                            .iter()
+                            .map(|&(j, a)| {
+                                let (l, u) =
+                                    (domains.lower[j].max(-3.0), domains.upper[j].min(3.0));
+                                let x = l + mix.unit() * (u - l);
+                                a * if domains.integral[j] { x.round() } else { x }
+                            })
+                            .sum();
+                        (CmpOp::Eq, rhs)
+                    }
+                }
+            };
+            rows.push((terms, op, rhs));
+        }
+        (
+            Propagator::from_matrix(SparseModel::from_rows(n, rows)),
+            domains,
+        )
+    }
+
+    #[test]
+    fn propagation_matches_the_whole_box_reference_bit_for_bit_on_random_models() {
+        let (mut consistent, mut emptied_by_a_row, mut seeded, mut seeded_moves) = (0, 0, 0, 0);
+        for seed in 0..3000u64 {
+            let mut mix = Mix(seed);
+            let (prop, declared) = random_instance(&mut mix);
+            let (verdict, fixpoint) = propagate_both(&prop, &declared, None);
+            if verdict == PropagationResult::Infeasible {
+                // A row's activity check returns on a box that is still
+                // non-empty; an empty box means a row's tightening emptied it.
+                emptied_by_a_row += usize::from(fixpoint.is_infeasible());
+                continue;
+            }
+            consistent += 1;
+            let free: Vec<usize> = (0..fixpoint.len())
+                .filter(|&j| !fixpoint.is_fixed(j))
+                .collect();
+            if free.is_empty() {
+                continue;
+            }
+            // Fix a free variable at a random point of its domain, within
+            // three of its finite bound where the other one is infinite.
+            let j = free[mix.below(free.len())];
+            let (lower, upper) = (fixpoint.lower(j), fixpoint.upper(j));
+            let l = if lower.is_finite() {
+                lower
+            } else {
+                upper.min(0.0) - 3.0
+            };
+            let u = if upper.is_finite() {
+                upper
+            } else {
+                l.max(0.0) + 3.0
+            };
+            let x = l + mix.unit() * (u - l);
+            let value = if fixpoint.is_integral(j) {
+                x.round().clamp(lower, upper)
+            } else {
+                x
+            };
+            let mut fixed = fixpoint.clone();
+            assert!(
+                fixed.fix(j, value),
+                "seed {seed}: {value} lies in the domain of {j}"
+            );
+            let (_, after) = propagate_both(&prop, &fixed, Some(&[j]));
+            seeded += 1;
+            seeded_moves += usize::from(bits(&after) != bits(&fixed));
+        }
+        // The models exercise every path: fixpoints, rows whose tightening
+        // empties a domain, and seeded calls that move bounds.
+        assert!(consistent >= 500, "{consistent} consistent models");
+        assert!(
+            emptied_by_a_row >= 300,
+            "{emptied_by_a_row} domains emptied by a row"
+        );
+        assert!(seeded >= 500, "{seeded} seeded calls");
+        assert!(
+            seeded_moves >= 200,
+            "{seeded_moves} seeded calls that moved a bound"
+        );
+    }
+
+    #[test]
+    fn a_row_that_empties_a_domain_is_infeasible_wherever_the_emptied_term_sits() {
+        // 0.5·x + y ≤ −0.8·EPS over an integral x ∈ [0, 1] and a continuous
+        // y ∈ [0, 10]. The activity check passes (0 ≤ rhs + EPS); then x's
+        // upper bound rounds down to −1, which empties it, and y's falls to
+        // −0.8·EPS, which does not. Listing x first puts a moved bound after
+        // the emptied one; listing y first empties x after tightening y.
+        let x_first = vec![(0, 0.5), (1, 1.0)];
+        let y_first = vec![(1, 1.0), (0, 0.5)];
+        for terms in [x_first, y_first] {
+            let matrix = SparseModel::from_rows(2, [(terms, CmpOp::Le, -0.8 * EPS)]);
+            let prop = Propagator::from_matrix(matrix);
+            let declared = Domains {
+                lower: vec![0.0, 0.0],
+                upper: vec![1.0, 10.0],
+                integral: vec![true, false],
+            };
+            for seed_vars in [None, Some(&[0usize][..]), Some(&[1usize][..])] {
+                let (verdict, after) = propagate_both(&prop, &declared, seed_vars);
+                assert_eq!(verdict, PropagationResult::Infeasible);
+                assert_eq!(after.upper(0), -1.0);
+                assert_eq!(after.upper(1).to_bits(), (-0.8 * EPS).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_slowly_converging_pair_of_rows_stops_at_the_evaluation_cap() {
+        // x ≤ 0.99·y and y ≤ 0.99·x over [0, 1]²: the two rows wake each
+        // other, and evaluation k lowers one upper bound to 0.99^k, x on odd
+        // k and y on even. The fixpoint lies about 900 evaluations away,
+        // past the cap of MAX_ROUNDS · 2 = 128.
+        let matrix = SparseModel::from_rows(
+            2,
+            [
+                (vec![(0, 1.0), (1, -0.99)], CmpOp::Le, 0.0),
+                (vec![(1, 1.0), (0, -0.99)], CmpOp::Le, 0.0),
+            ],
+        );
+        let prop = Propagator::from_matrix(matrix);
+        let unit_box = Domains {
+            lower: vec![0.0; 2],
+            upper: vec![1.0; 2],
+            integral: vec![false; 2],
+        };
+        let power = |k: usize| (0..k).fold(1.0f64, |u, _| 0.99 * u);
+        let cap = 2 * MAX_ROUNDS;
+
+        let (verdict, capped) = propagate_both(&prop, &unit_box, None);
+        assert_eq!(verdict, PropagationResult::Consistent);
+        assert_eq!(capped.upper(0).to_bits(), power(cap - 1).to_bits());
+        assert_eq!(capped.upper(1).to_bits(), power(cap).to_bits());
+
+        // The cap, not a fixpoint, ended the call: a seeded call goes on
+        // from there for another full allowance.
+        let (verdict, again) = propagate_both(&prop, &capped, Some(&[1]));
+        assert_eq!(verdict, PropagationResult::Consistent);
+        assert_eq!(again.upper(0).to_bits(), power(2 * cap - 1).to_bits());
+        assert_eq!(again.upper(1).to_bits(), power(2 * cap).to_bits());
     }
 
     #[test]

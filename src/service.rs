@@ -66,7 +66,8 @@
 //! ```
 
 use std::ops::RangeInclusive;
-use std::sync::{Arc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use bist_core::engine::{par_map_ordered_bounded, SynthesisEngine};
@@ -146,7 +147,9 @@ pub enum JobOutcome {
     /// deadline are kept.
     DeadlineExpired,
     /// A synthesis failed (infeasible instance, invalid k, limits expired
-    /// with no design, ...). The message is the underlying error.
+    /// with no design, ...) or the job panicked. The message is the
+    /// underlying error or the panic message; a panicked job reports no
+    /// rows.
     Failed(String),
 }
 
@@ -351,8 +354,17 @@ impl SolveCache {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("solve cache poisoned")
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            // A job panicked while it held the lock, so the entries may be
+            // half-updated: drop them. The counters only ever grow, so
+            // they stay.
+            let mut inner = poisoned.into_inner();
+            inner.entries.clear();
+            inner.bytes = 0;
+            self.inner.clear_poison();
+            inner
+        })
     }
 
     /// Looks up the given instance: a finished row under this exact node
@@ -540,7 +552,10 @@ impl JobService {
 
     /// Runs the whole batch and returns one report per job, in submission
     /// order regardless of thread scheduling. Jobs are independent: a
-    /// failed, cancelled or deadline-capped job never affects the others.
+    /// failed, cancelled or deadline-capped job never affects the others,
+    /// and neither does a panicking one, which reports
+    /// [`JobOutcome::Failed`] with the panic message. A panic while the
+    /// job held the cache's lock empties the cache.
     ///
     /// Without an explicit [`JobService::with_cache`], a fresh
     /// [`SolveCache`] is created for the batch, sized at the largest
@@ -563,7 +578,26 @@ impl JobService {
             Arc::new(SolveCache::new(mb))
         });
         par_map_ordered_bounded(&self.jobs, workers, |(job, token)| {
-            run_job(job, token, &cache)
+            let start = Instant::now();
+            panic::catch_unwind(AssertUnwindSafe(|| run_job(job, token, &cache))).unwrap_or_else(
+                |payload| {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("no message");
+                    JobReport {
+                        name: job.name.clone(),
+                        outcome: JobOutcome::Failed(format!("job panicked: {message}")),
+                        rows: Vec::new(),
+                        seconds: start.elapsed().as_secs_f64(),
+                        snapshot_captured: false,
+                        cache_hits: 0,
+                        cache_misses: 0,
+                        cache_evictions: 0,
+                    }
+                },
+            )
         })
     }
 }
@@ -609,6 +643,8 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
         Ok(engine) => engine,
         Err(e) => return finish(JobOutcome::Failed(e.to_string()), Vec::new(), counters),
     };
+    #[cfg(test)]
+    tests::panic_trigger(job, cache);
     let sessions = job.sessions.clone().unwrap_or(1..=engine.max_sessions());
 
     let mut rows = Vec::new();
@@ -719,6 +755,18 @@ mod tests {
 
     fn exact_job(name: &str, input: SynthesisInput) -> SynthesisJob {
         SynthesisJob::new(name, input).with_config(bist_core::SynthesisConfig::exact())
+    }
+
+    /// The name of a job that panics while it holds the cache's lock.
+    const PANICKING_JOB: &str = "panics holding the cache lock";
+
+    /// Called by `run_job` once the job's engine is built: a job named
+    /// [`PANICKING_JOB`] takes the cache's lock and panics, poisoning it.
+    pub(super) fn panic_trigger(job: &SynthesisJob, cache: &SolveCache) {
+        if job.name == PANICKING_JOB {
+            let _held = cache.lock();
+            panic!("injected panic in {:?}", job.name);
+        }
     }
 
     #[test]
@@ -966,6 +1014,55 @@ mod tests {
         // Re-storing an existing key replaces it instead of growing.
         cache.insert_row(3, 7, None, &row(2));
         assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_poisoned_cache_recovers() {
+        let job =
+            |name: &str| exact_job(name, benchmarks::figure1()).with_budget(Budget::nodes(500));
+        for workers in [1, 2] {
+            let cache = Arc::new(SolveCache::new(64));
+            let mut service = JobService::new()
+                .with_workers(workers)
+                .with_cache(cache.clone());
+            service.submit(job("before"));
+            service.submit(job(PANICKING_JOB));
+            service.submit(job("after"));
+            let reports = service.run();
+            assert_eq!(reports.len(), 3);
+            assert!(reports[0].outcome.is_completed());
+            assert!(reports[2].outcome.is_completed());
+            assert_eq!(reports[0].rows.len(), 2);
+            assert_eq!(reports[2].rows.len(), 2);
+            match &reports[1].outcome {
+                JobOutcome::Failed(message) => {
+                    assert!(message.contains("injected panic"), "{message}")
+                }
+                other => panic!("expected a failure, got {other:?}"),
+            }
+            assert!(reports[1].rows.is_empty());
+            // With two workers the jobs interleave freely; every check but
+            // this one holds in any order.
+            if workers == 1 {
+                // The job after the panic found the lock poisoned, so the
+                // rows the first job stored were dropped and it solved again.
+                assert_eq!((reports[2].cache_hits, reports[2].cache_misses), (0, 2));
+            }
+
+            // A second batch on the same cache replays what it holds.
+            let mut again = JobService::new().with_cache(cache.clone());
+            again.submit(job("again"));
+            let replay = again.run();
+            assert!(replay[0].outcome.is_completed());
+            assert_eq!((replay[0].cache_hits, replay[0].cache_misses), (2, 0));
+            for (a, b) in reports[0].rows.iter().zip(&replay[0].rows) {
+                assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+                assert_eq!(a.nodes, b.nodes);
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, 2);
+            assert_eq!(stats.bytes, 2 * ROW_ENTRY_BYTES);
+        }
     }
 
     #[test]
