@@ -24,7 +24,6 @@ pub fn cold_lp_json(counts: &bist_ilp::ColdLpCounts) -> String {
         .u64("no_parent_basis", counts.no_parent_basis)
         .u64("unusable_basis", counts.unusable_basis)
         .u64("over_budget", counts.over_budget)
-        .u64("leaf", counts.leaf)
         .finish()
 }
 

@@ -446,8 +446,8 @@ pub fn render(sweeps: &[CircuitSweep]) -> String {
     }
     out.push_str("\ncold LP solves by reason, summed over k\n");
     out.push_str(&format!(
-        "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11} {:>5}\n",
-        "Ckt", "variant", "root", "no-basis", "unusable", "over-budget", "leaf"
+        "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11}\n",
+        "Ckt", "variant", "root", "no-basis", "unusable", "over-budget"
     ));
     for s in sweeps {
         for (variant, rows) in [("rebuild", &s.rebuild), ("chained", &s.chained)] {
@@ -456,14 +456,13 @@ pub fn render(sweeps: &[CircuitSweep]) -> String {
                 cold += row.cold_lp;
             }
             out.push_str(&format!(
-                "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11} {:>5}\n",
+                "{:<10} {:<8} {:>5} {:>9} {:>9} {:>11}\n",
                 s.circuit,
                 variant,
                 cold.root,
                 cold.no_parent_basis,
                 cold.unusable_basis,
-                cold.over_budget,
-                cold.leaf
+                cold.over_budget
             ));
         }
     }

@@ -80,19 +80,18 @@ mod tests {
     use crate::simplex::{solve_lp_basis, LpStatus};
     use crate::sparse::SparseModel;
 
-    /// The Gomory cuts read off the optimal root basis of `m`, with
-    /// `integral` marking the integer columns.
-    fn root_gomory_cuts(m: &Model, integral: &[bool]) -> Vec<(Vec<(usize, f64)>, f64)> {
+    /// The Gomory cuts read off the optimal root basis of `m` over the box
+    /// `domains`.
+    fn root_gomory_cuts(m: &Model, domains: &Domains) -> Vec<(Vec<(usize, f64)>, f64)> {
         let matrix = SparseModel::from_model(m);
         let objective: Vec<f64> = m.vars().iter().map(|v| v.objective).collect();
-        let domains = Domains::from_model(m);
-        let (lp, basis) = solve_lp_basis(&matrix, &objective, 0.0, &domains, 1_000);
+        let (lp, basis) = solve_lp_basis(&matrix, &objective, 0.0, domains, 1_000);
         assert_eq!(lp.status, LpStatus::Optimal);
         let basis = basis.expect("optimal basis");
         let factor = basis
             .factor(&matrix, &objective, 0.0)
             .expect("factorizable");
-        factor.gomory_cuts(&matrix, &objective, 0.0, &domains, &domains, integral, 8)
+        factor.gomory_cuts(&matrix, &objective, 0.0, domains, domains, 8)
     }
 
     #[test]
@@ -104,7 +103,7 @@ mod tests {
         let b = m.add_binary("b");
         m.add_leq([(a, 1.0), (b, 1.0)], 1.0, "cap");
         m.set_objective([(a, -1.0), (b, -2.0)], Sense::Minimize);
-        assert!(root_gomory_cuts(&m, &[true, true]).is_empty());
+        assert!(root_gomory_cuts(&m, &Domains::from_model(&m)).is_empty());
     }
 
     #[test]
@@ -112,11 +111,12 @@ mod tests {
         // The LP optimum is fractional, but on continuous columns: Gomory
         // cuts need integral basic variables.
         let mut m = Model::new("cont");
-        let x = m.add_continuous("x", 0.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 1.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_leq([(x, 1.0), (y, 1.0)], 1.5, "row");
         m.set_objective([(x, -1.0), (y, -1.0)], Sense::Minimize);
-        assert!(root_gomory_cuts(&m, &[false, false]).is_empty());
+        let continuous = Domains::from_bounds(&[(0.0, 1.0, false); 2]);
+        assert!(root_gomory_cuts(&m, &continuous).is_empty());
     }
 
     fn row(terms: &[(usize, f64)], rhs: f64) -> CutRow {

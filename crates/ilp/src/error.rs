@@ -17,15 +17,6 @@ pub enum IlpError {
         /// Human readable location (constraint name or "objective").
         location: String,
     },
-    /// Lower bound exceeds upper bound for a variable.
-    InvalidBounds {
-        /// Variable name.
-        name: String,
-        /// Declared lower bound.
-        lower: f64,
-        /// Declared upper bound.
-        upper: f64,
-    },
     /// A solve-state snapshot could not be applied: its variable count or
     /// content fingerprint shows it belongs to a different instance than
     /// the one being resumed (see [`crate::snapshot::SolveSnapshot`]).
@@ -47,9 +38,6 @@ impl fmt::Display for IlpError {
             IlpError::InvalidCoefficient { location } => {
                 write!(f, "non-finite coefficient in {location}")
             }
-            IlpError::InvalidBounds { name, lower, upper } => {
-                write!(f, "invalid bounds for variable {name}: [{lower}, {upper}]")
-            }
             IlpError::Snapshot { message } => {
                 write!(f, "cannot resume from snapshot: {message}")
             }
@@ -67,12 +55,10 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let err = IlpError::UnknownVariable { index: 3, len: 2 };
         assert!(err.to_string().contains("unknown variable"));
-        let err = IlpError::InvalidBounds {
-            name: "x".into(),
-            lower: 2.0,
-            upper: 1.0,
+        let err = IlpError::InvalidCoefficient {
+            location: "cap".into(),
         };
-        assert!(err.to_string().contains('x'));
+        assert!(err.to_string().contains("cap"));
         let err = IlpError::Snapshot {
             message: "fingerprint mismatch".into(),
         };

@@ -10,7 +10,7 @@
 use crate::propagate::{Domains, PropagationResult, Propagator};
 
 /// Tries to build a feasible assignment by repeatedly fixing an unfixed
-/// integral variable to its objective-cheapest bound and propagating.
+/// variable to its objective-cheapest bound and propagating.
 ///
 /// When fixing a variable to the preferred value makes the box infeasible the
 /// dive backtracks that single decision and tries the opposite bound; if both
@@ -39,7 +39,7 @@ pub fn greedy_dive(
     order.sort_by(|&a, &b| occurrence[b].cmp(&occurrence[a]).then(a.cmp(&b)));
 
     for &j in &order {
-        if !domains.is_integral(j) || domains.is_fixed(j) {
+        if domains.is_fixed(j) {
             continue;
         }
         let lower = domains.lower(j);
@@ -66,22 +66,7 @@ pub fn greedy_dive(
         }
         return None;
     }
-
-    if !domains.all_integral_fixed() {
-        return None;
-    }
-    // Continuous variables (if any) sit at their cheapest bound.
-    let mut values = domains.assignment();
-    for j in 0..n {
-        if !domains.is_integral(j) && !domains.is_fixed(j) {
-            values[j] = if objective[j] >= 0.0 {
-                domains.lower(j)
-            } else {
-                domains.upper(j)
-            };
-        }
-    }
-    Some(values)
+    Some(domains.assignment())
 }
 
 /// Rounds a fractional LP solution to the nearest integers and repairs it by
@@ -96,7 +81,7 @@ pub fn round_and_repair(
     // Fix the near-integral variables first; leave fractional ones to the dive.
     let mut fixed = Vec::new();
     for (j, &v) in lp_values.iter().enumerate() {
-        if !domains.is_integral(j) || domains.is_fixed(j) {
+        if domains.is_fixed(j) {
             continue;
         }
         if (v - v.round()).abs() <= 1e-4 {

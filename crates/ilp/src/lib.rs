@@ -1,4 +1,4 @@
-//! # bist-ilp — a pure-Rust 0-1 / mixed integer linear programming solver
+//! # bist-ilp — a pure-Rust 0-1 integer linear programming solver
 //!
 //! This crate is the substitute for the commercial CPLEX 6.0 solver used in
 //! the DAC'99 paper *"On ILP Formulations for Built-In Self-Testable Data
@@ -7,8 +7,8 @@
 //! small-to-medium 0-1 programs plus a time-limited best-effort mode for the
 //! larger benchmark circuits, and that is exactly what this crate provides:
 //!
-//! * a [`Model`] builder with binary, general integer and continuous
-//!   variables, linear constraints and a linear objective,
+//! * a [`Model`] builder with binary variables, linear constraints and a
+//!   linear objective,
 //! * a shared [`sparse`] CSR+CSC image of the constraint matrix consumed by
 //!   every solver kernel,
 //! * a sparse bounded-variable **revised [`simplex`]** solver for the LP
@@ -85,7 +85,7 @@ pub mod sparse;
 pub use cuts::{CutGenerator, CutRow};
 pub use error::IlpError;
 pub use expr::LinExpr;
-pub use model::{CmpOp, Constraint, Model, Sense, VarId, VarKind};
+pub use model::{CmpOp, Constraint, Model, Sense, VarId};
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
 pub use session::{Budget, BudgetError, CancelToken, SolveEvent};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};

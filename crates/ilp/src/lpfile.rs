@@ -5,16 +5,16 @@
 //! generated BIST model can be inspected by hand or handed to an external
 //! solver for cross-checking our built-in branch and bound.
 
-use crate::model::{CmpOp, Model, Sense, VarKind};
+use crate::model::{CmpOp, Model, Sense};
 use std::fmt::Write as _;
 
 /// Renders the model in CPLEX LP format.
 ///
 /// Variable names are sanitised (characters outside `[A-Za-z0-9_]` become
 /// `_`) and deduplicated by suffixing the variable index, because the LP
-/// format requires unique identifiers. Integer and continuous variables get
-/// a `Bounds` line from their declared box; binaries get none, because the
-/// `Binaries` section implies `[0, 1]`.
+/// format requires unique identifiers. Every variable is listed in the
+/// `Binaries` section, which implies its `[0, 1]` box, so the text has no
+/// `Bounds` section.
 pub fn to_lp_string(model: &Model) -> String {
     let names: Vec<String> = model
         .vars()
@@ -57,43 +57,9 @@ pub fn to_lp_string(model: &Model) -> String {
         let _ = writeln!(out, " {op} {}", c.rhs);
     }
 
-    out.push_str("Bounds\n");
-    for (i, v) in model.vars().iter().enumerate() {
-        match v.kind {
-            VarKind::Binary => {}
-            VarKind::Integer { lower, upper } => {
-                let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
-            }
-            VarKind::Continuous { lower, upper } => {
-                let _ = writeln!(out, " {lower} <= {} <= {upper}", names[i]);
-            }
-        }
-    }
-
-    let generals: Vec<&str> = model
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| matches!(v.kind, VarKind::Integer { .. }))
-        .map(|(i, _)| names[i].as_str())
-        .collect();
-    if !generals.is_empty() {
-        out.push_str("Generals\n");
-        for name in generals {
-            let _ = writeln!(out, " {name}");
-        }
-    }
-
-    let binaries: Vec<&str> = model
-        .vars()
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| matches!(v.kind, VarKind::Binary))
-        .map(|(i, _)| names[i].as_str())
-        .collect();
-    if !binaries.is_empty() {
+    if !names.is_empty() {
         out.push_str("Binaries\n");
-        for name in binaries {
+        for name in &names {
             let _ = writeln!(out, " {name}");
         }
     }
@@ -137,16 +103,14 @@ mod tests {
     fn lp_output_contains_all_sections() {
         let mut m = Model::new("demo");
         let x = m.add_binary("x[0,1]");
-        let y = m.add_integer("mux size", 0, 4);
-        let z = m.add_continuous("slack", 0.0, 2.0);
+        let y = m.add_binary("mux size");
+        let z = m.add_binary("slack");
         m.add_leq([(x, 1.0), (y, 2.0)], 3.0, "cap");
         m.add_geq([(z, 1.0), (x, -1.0)], 0.0, "link");
         m.set_objective([(x, 5.0), (y, 1.0)], Sense::Minimize);
         let text = to_lp_string(&m);
         assert!(text.contains("Minimize"));
         assert!(text.contains("Subject To"));
-        assert!(text.contains("Bounds"));
-        assert!(text.contains("Generals"));
         assert!(text.contains("Binaries"));
         assert!(text.contains("End"));
         // names are sanitised
@@ -169,13 +133,12 @@ mod tests {
 
     #[test]
     fn writes_every_variable_kind_and_row_sense() {
-        // A binary, an integer and a continuous variable under `<=`, `>=`
-        // and `=` rows. The binary gets no bounds line: the `Binaries`
-        // section implies its [0, 1] box.
+        // Binaries under `<=`, `>=` and `=` rows. No variable gets a bounds
+        // line: the `Binaries` section implies each [0, 1] box.
         let mut m = Model::new("all_kinds");
         let x = m.add_binary("x[0,1]");
-        let y = m.add_integer("y", -2, 7);
-        let z = m.add_continuous("z", 0.5, 2.5);
+        let y = m.add_binary("y");
+        let z = m.add_binary("z");
         m.add_leq([(x, 1.0), (y, 2.0)], 3.0, "cap");
         m.add_geq([(z, 1.0), (x, -1.0)], 0.0, "link");
         m.add_eq([(y, 1.0)], 4.0, "pin");
@@ -188,13 +151,10 @@ Subject To
  c0_cap_0: + 1 x_0_1__0 + 2 y_1 <= 3
  c1_link_1: - 1 x_0_1__0 + 1 z_2 >= 0
  c2_pin_2: + 1 y_1 = 4
-Bounds
- -2 <= y_1 <= 7
- 0.5 <= z_2 <= 2.5
-Generals
- y_1
 Binaries
  x_0_1__0
+ y_1
+ z_2
 End
 ";
         assert_eq!(to_lp_string(&m), expected);

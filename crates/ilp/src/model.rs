@@ -21,59 +21,12 @@ impl VarId {
     }
 }
 
-/// The domain of a model variable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VarKind {
-    /// A 0/1 variable.
-    Binary,
-    /// A general integer variable with inclusive bounds.
-    Integer {
-        /// Inclusive lower bound.
-        lower: i64,
-        /// Inclusive upper bound.
-        upper: i64,
-    },
-    /// A continuous variable with inclusive bounds.
-    Continuous {
-        /// Inclusive lower bound.
-        lower: f64,
-        /// Inclusive upper bound.
-        upper: f64,
-    },
-}
-
-impl VarKind {
-    /// Whether the variable is required to take an integral value.
-    pub fn is_integral(&self) -> bool {
-        !matches!(self, VarKind::Continuous { .. })
-    }
-
-    /// Lower bound as a float.
-    pub fn lower(&self) -> f64 {
-        match *self {
-            VarKind::Binary => 0.0,
-            VarKind::Integer { lower, .. } => lower as f64,
-            VarKind::Continuous { lower, .. } => lower,
-        }
-    }
-
-    /// Upper bound as a float.
-    pub fn upper(&self) -> f64 {
-        match *self {
-            VarKind::Binary => 1.0,
-            VarKind::Integer { upper, .. } => upper as f64,
-            VarKind::Continuous { upper, .. } => upper,
-        }
-    }
-}
-
-/// Definition of one model variable.
+/// Definition of one model variable. Every variable is binary: it takes
+/// the value 0 or 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarDef {
     /// Human readable name, used in `.lp` output and diagnostics.
     pub name: String,
-    /// Domain of the variable.
-    pub kind: VarKind,
     /// Objective coefficient (filled in by [`Model::set_objective`]).
     pub objective: f64,
 }
@@ -145,9 +98,9 @@ pub enum Sense {
     Maximize,
 }
 
-/// An integer linear programming model.
+/// A 0-1 integer linear programming model.
 ///
-/// The model owns its variables, constraints and objective. It is built
+/// The model owns its binary variables, constraints and objective. It is built
 /// incrementally and solved with [`Model::solve`]; the same model may be
 /// solved several times with different [`SolverConfig`]s.
 #[derive(Debug, Clone, Default)]
@@ -175,24 +128,9 @@ impl Model {
 
     /// Adds a binary (0/1) variable and returns its handle.
     pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
-        self.push_var(name.into(), VarKind::Binary)
-    }
-
-    /// Adds a bounded general-integer variable.
-    pub fn add_integer(&mut self, name: impl Into<String>, lower: i64, upper: i64) -> VarId {
-        self.push_var(name.into(), VarKind::Integer { lower, upper })
-    }
-
-    /// Adds a bounded continuous variable.
-    pub fn add_continuous(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.push_var(name.into(), VarKind::Continuous { lower, upper })
-    }
-
-    fn push_var(&mut self, name: String, kind: VarKind) -> VarId {
         let id = VarId(self.vars.len());
         self.vars.push(VarDef {
-            name,
-            kind,
+            name: name.into(),
             objective: 0.0,
         });
         id
@@ -206,19 +144,6 @@ impl Model {
     /// Number of constraints in the model.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Number of binary variables.
-    pub fn num_binary(&self) -> usize {
-        self.vars
-            .iter()
-            .filter(|v| matches!(v.kind, VarKind::Binary))
-            .count()
-    }
-
-    /// Number of integer (including binary) variables.
-    pub fn num_integral(&self) -> usize {
-        self.vars.iter().filter(|v| v.kind.is_integral()).count()
     }
 
     /// The variable definitions, indexed by [`VarId::index`].
@@ -320,23 +245,13 @@ impl Model {
         self.sense = sense;
     }
 
-    /// Validates structural well-formedness: finite coefficients, bound
-    /// consistency and variable indices in range.
+    /// Validates structural well-formedness: finite coefficients and
+    /// variable indices in range.
     ///
     /// # Errors
     ///
     /// Returns the first problem encountered.
     pub fn validate(&self) -> Result<(), IlpError> {
-        for def in &self.vars {
-            let (lo, hi) = (def.kind.lower(), def.kind.upper());
-            if lo > hi || !lo.is_finite() || !hi.is_finite() {
-                return Err(IlpError::InvalidBounds {
-                    name: def.name.clone(),
-                    lower: lo,
-                    upper: hi,
-                });
-            }
-        }
         if !self.objective.is_finite() {
             return Err(IlpError::InvalidCoefficient {
                 location: "objective".into(),
@@ -373,17 +288,14 @@ impl Model {
         self.objective.evaluate(values)
     }
 
-    /// Whether a dense assignment satisfies every constraint and every
-    /// variable domain (integrality included) within `tol`.
+    /// Whether a dense assignment satisfies every constraint and puts
+    /// every variable within `tol` of 0 or 1.
     pub fn is_feasible(&self, values: &[f64], tol: f64) -> bool {
         if values.len() != self.vars.len() {
             return false;
         }
-        for (def, &val) in self.vars.iter().zip(values) {
-            if val < def.kind.lower() - tol || val > def.kind.upper() + tol {
-                return false;
-            }
-            if def.kind.is_integral() && (val - val.round()).abs() > tol {
+        for &val in values {
+            if val < -tol || val > 1.0 + tol || (val - val.round()).abs() > tol {
                 return false;
             }
         }
@@ -442,14 +354,11 @@ mod tests {
     fn building_a_model() {
         let mut m = Model::new("m");
         let x = m.add_binary("x");
-        let y = m.add_integer("y", 0, 5);
-        let z = m.add_continuous("z", -1.0, 1.0);
-        assert_eq!(m.num_vars(), 3);
-        assert_eq!(m.num_binary(), 1);
-        assert_eq!(m.num_integral(), 2);
-        assert_eq!(m.var(x).kind.upper(), 1.0);
-        assert_eq!(m.var(y).kind.upper(), 5.0);
-        assert_eq!(m.var(z).kind.lower(), -1.0);
+        let y = m.add_binary("y");
+        assert_eq!(m.num_vars(), 2);
+        assert_eq!((x.index(), y.index()), (0, 1));
+        assert_eq!(m.var(y).name, "y");
+        assert_eq!(m.var(x).objective, 0.0);
         assert_eq!(m.var_by_name("y"), Some(y));
         assert_eq!(m.var_by_name("nope"), None);
     }
@@ -466,17 +375,24 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_bounds_and_nan() {
-        let mut m = Model::new("m");
-        m.add_continuous("bad", 2.0, 1.0);
-        assert!(matches!(m.validate(), Err(IlpError::InvalidBounds { .. })));
-
+    fn validation_catches_nan_and_unknown_variables() {
         let mut m = Model::new("m");
         let x = m.add_binary("x");
         m.add_leq([(x, f64::NAN)], 1.0, "c");
         assert!(matches!(
             m.validate(),
             Err(IlpError::InvalidCoefficient { .. })
+        ));
+
+        let mut other = Model::new("other");
+        other.add_binary("a");
+        let b = other.add_binary("b");
+        let mut m = Model::new("m");
+        m.add_binary("x");
+        m.add_leq([(b, 1.0)], 1.0, "c");
+        assert!(matches!(
+            m.validate(),
+            Err(IlpError::UnknownVariable { index: 1, len: 1 })
         ));
     }
 
@@ -489,6 +405,9 @@ mod tests {
         assert!(m.is_feasible(&[1.0, 0.0], 1e-9));
         assert!(!m.is_feasible(&[1.0, 1.0], 1e-9));
         assert!(!m.is_feasible(&[0.5, 0.0], 1e-9));
+        // Values outside the [0, 1] box.
+        assert!(!m.is_feasible(&[-1.0, 0.0], 1e-9));
+        assert!(!m.is_feasible(&[0.0, 2.0], 1e-9));
         assert!(!m.is_feasible(&[1.0], 1e-9));
     }
 

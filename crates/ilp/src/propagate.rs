@@ -33,7 +33,9 @@ use crate::model::{CmpOp, Model};
 use crate::sparse::{RowRef, SparseModel};
 use crate::EPS;
 
-/// Current lower/upper bounds of every model variable.
+/// Current lower/upper bounds of every variable, and which variables must
+/// take integral values. A model's box is all binaries
+/// ([`Domains::from_model`]); the LP kernel and the propagator take any box.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Domains {
     lower: Vec<f64>,
@@ -42,15 +44,25 @@ pub struct Domains {
 }
 
 impl Domains {
-    /// Domains initialised from the declared variable bounds of a model.
+    /// The box of a model's variables: every one integral in [0, 1].
     pub fn from_model(model: &Model) -> Self {
-        let lower = model.vars().iter().map(|v| v.kind.lower()).collect();
-        let upper = model.vars().iter().map(|v| v.kind.upper()).collect();
-        let integral = model.vars().iter().map(|v| v.kind.is_integral()).collect();
+        let n = model.num_vars();
         Self {
-            lower,
-            upper,
-            integral,
+            lower: vec![0.0; n],
+            upper: vec![1.0; n],
+            integral: vec![true; n],
+        }
+    }
+
+    /// A box from explicit `(lower, upper, integral)` triples, for the
+    /// kernel, propagator and Gomory tests that need other boxes than a
+    /// model's.
+    #[cfg(test)]
+    pub(crate) fn from_bounds(bounds: &[(f64, f64, bool)]) -> Self {
+        Self {
+            lower: bounds.iter().map(|b| b.0).collect(),
+            upper: bounds.iter().map(|b| b.1).collect(),
+            integral: bounds.iter().map(|b| b.2).collect(),
         }
     }
 
@@ -95,11 +107,6 @@ impl Domains {
         } else {
             None
         }
-    }
-
-    /// Whether every integral variable is fixed.
-    pub fn all_integral_fixed(&self) -> bool {
-        (0..self.len()).all(|i| !self.integral[i] || self.is_fixed(i))
     }
 
     /// Whether every variable is fixed.
@@ -436,16 +443,19 @@ mod tests {
     #[test]
     fn domains_reflect_declared_bounds() {
         let mut m = Model::new("m");
+        m.add_binary("a");
         m.add_binary("b");
-        m.add_integer("i", -2, 7);
-        m.add_continuous("c", 0.5, 2.5);
         let d = Domains::from_model(&m);
-        assert_eq!(d.lower(0), 0.0);
-        assert_eq!(d.upper(0), 1.0);
-        assert_eq!(d.lower(1), -2.0);
-        assert_eq!(d.upper(1), 7.0);
-        assert!(!d.is_integral(2));
+        assert_eq!(d.len(), 2);
+        for j in 0..2 {
+            assert_eq!((d.lower(j), d.upper(j)), (0.0, 1.0));
+            assert!(d.is_integral(j));
+        }
+        let d = Domains::from_bounds(&[(-2.0, 7.0, true), (0.5, 2.5, false)]);
+        assert_eq!((d.lower(0), d.upper(0)), (-2.0, 7.0));
         assert!(d.is_integral(0));
+        assert_eq!((d.lower(1), d.upper(1)), (0.5, 2.5));
+        assert!(!d.is_integral(1));
     }
 
     #[test]
@@ -504,13 +514,11 @@ mod tests {
     #[test]
     fn integral_rounding_of_bounds() {
         // 2x <= 3 over an integer x in [0, 5] gives x <= 1.
-        let mut m = Model::new("m");
-        let x = m.add_integer("x", 0, 5);
-        m.add_leq([(x, 2.0)], 3.0, "c");
-        let prop = Propagator::new(&m);
-        let mut d = Domains::from_model(&m);
+        let matrix = SparseModel::from_rows(1, [(vec![(0, 2.0)], CmpOp::Le, 3.0)]);
+        let prop = Propagator::from_matrix(matrix);
+        let mut d = Domains::from_bounds(&[(0.0, 5.0, true)]);
         prop.propagate(&mut d);
-        assert_eq!(d.upper(x.index()), 1.0);
+        assert_eq!(d.upper(0), 1.0);
     }
 
     #[test]
@@ -553,14 +561,14 @@ mod tests {
     fn assignment_of_fully_fixed_domains() {
         let mut m = Model::new("m");
         let x = m.add_binary("x");
-        let y = m.add_integer("y", 0, 4);
+        let y = m.add_binary("y");
         m.add_geq([(x, 1.0)], 1.0, "c1");
-        m.add_eq([(y, 1.0)], 3.0, "c2");
+        m.add_eq([(x, 1.0), (y, 1.0)], 1.0, "c2");
         let prop = Propagator::new(&m);
         let mut d = Domains::from_model(&m);
         prop.propagate(&mut d);
-        assert!(d.all_integral_fixed());
-        assert_eq!(d.assignment(), vec![1.0, 3.0]);
+        assert!(d.all_fixed());
+        assert_eq!(d.assignment(), vec![1.0, 0.0]);
     }
 
     #[test]
@@ -995,11 +1003,7 @@ mod tests {
         for terms in [x_first, y_first] {
             let matrix = SparseModel::from_rows(2, [(terms, CmpOp::Le, -0.8 * EPS)]);
             let prop = Propagator::from_matrix(matrix);
-            let declared = Domains {
-                lower: vec![0.0, 0.0],
-                upper: vec![1.0, 10.0],
-                integral: vec![true, false],
-            };
+            let declared = Domains::from_bounds(&[(0.0, 1.0, true), (0.0, 10.0, false)]);
             for seed_vars in [None, Some(&[0usize][..]), Some(&[1usize][..])] {
                 let (verdict, after) = propagate_both(&prop, &declared, seed_vars);
                 assert_eq!(verdict, PropagationResult::Infeasible);
@@ -1023,11 +1027,7 @@ mod tests {
             ],
         );
         let prop = Propagator::from_matrix(matrix);
-        let unit_box = Domains {
-            lower: vec![0.0; 2],
-            upper: vec![1.0; 2],
-            integral: vec![false; 2],
-        };
+        let unit_box = Domains::from_bounds(&[(0.0, 1.0, false); 2]);
         let power = |k: usize| (0..k).fold(1.0f64, |u, _| 0.99 * u);
         let cap = 2 * MAX_ROUNDS;
 

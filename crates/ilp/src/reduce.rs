@@ -31,17 +31,13 @@
 //! this is how the synthesis engine reduces a circuit's base model once and
 //! replays every per-k BIST delta through the variable map.
 //!
-//! Domains the pipeline tightens are written into the reduced model's
-//! *declared variable bounds*, never synthesized as extra rows. The revised
-//! simplex kernel keeps variable boxes implicit (nonbasic-at-bound status,
-//! no bound rows at all), so a tightened declared bound flows straight into
-//! the kernel's per-column bound arrays at zero matrix cost — and
-//! [`crate::lpfile::to_lp_string`] of the reduced model exports the
-//! tightened box through the text format.
+//! Every variable is binary, so a domain the pipeline tightens is a fixing:
+//! the variable leaves the reduced model, and every variable it keeps
+//! still spans its whole [0, 1] box.
 
 use crate::error::IlpError;
 use crate::expr::LinExpr;
-use crate::model::{CmpOp, Model, VarId, VarKind};
+use crate::model::{CmpOp, Model, VarId};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::SolveEvent;
 use crate::solution::{Improvement, Solution, Status};
@@ -232,15 +228,7 @@ impl ReducedModel {
 
         // Delta variables are appended unchanged and always kept.
         for def in &full.vars()[self.prefix_vars..] {
-            let reduced_index = match def.kind {
-                VarKind::Binary => out.model.add_binary(def.name.clone()),
-                VarKind::Integer { lower, upper } => {
-                    out.model.add_integer(def.name.clone(), lower, upper)
-                }
-                VarKind::Continuous { lower, upper } => {
-                    out.model.add_continuous(def.name.clone(), lower, upper)
-                }
-            };
+            let reduced_index = out.model.add_binary(def.name.clone());
             out.kept.push(out.dispositions.len());
             out.dispositions
                 .push(VarDisposition::Kept(reduced_index.index()));
@@ -521,12 +509,6 @@ fn drop_dominated_packing_rows(
     domains: &Domains,
     report: &mut ReduceReport,
 ) -> bool {
-    let binary = |j: usize| {
-        domains.is_integral(j)
-            && !domains.is_fixed(j)
-            && domains.lower(j) >= -EPS
-            && domains.upper(j) <= 1.0 + EPS
-    };
     // Packing rows: Σ x ≤ 1 with unit coefficients over unfixed binaries
     // (terms on variables fixed at 0 vanish; a member fixed at 1 forces the
     // rest to 0 and the row dies in the redundancy pass instead).
@@ -545,9 +527,6 @@ fn drop_dominated_packing_rows(
                     return None;
                 }
                 continue;
-            }
-            if !binary(j) {
-                return None;
             }
             support.insert(j);
         }
@@ -628,11 +607,7 @@ fn tighten_row(row: &mut WorkRow, domains: &Domains) -> usize {
         for t in 0..row.terms.len() {
             let (j, raw) = row.terms[t];
             let a = sign * raw;
-            let is_binary = domains.is_integral(j)
-                && !domains.is_fixed(j)
-                && domains.lower(j).abs() <= EPS
-                && (domains.upper(j) - 1.0).abs() <= EPS;
-            if !is_binary || a <= EPS {
+            if domains.is_fixed(j) || a <= EPS {
                 continue;
             }
             if umax - a <= rhs + EPS && umax > rhs + EPS {
@@ -667,12 +642,6 @@ fn tighten_row(row: &mut WorkRow, domains: &Domains) -> usize {
 /// park the indicator at `Σ/M` instead of at the maximum (minimum) of its
 /// terms.
 fn disaggregate(rows: &mut Vec<WorkRow>, domains: &Domains, report: &mut ReduceReport) -> bool {
-    let binary = |j: usize| {
-        domains.is_integral(j)
-            && !domains.is_fixed(j)
-            && domains.lower(j).abs() <= EPS
-            && (domains.upper(j) - 1.0).abs() <= EPS
-    };
     let mut appended: Vec<WorkRow> = Vec::new();
     let mut changed = false;
     for row in rows.iter_mut().filter(|r| r.alive) {
@@ -686,7 +655,7 @@ fn disaggregate(rows: &mut Vec<WorkRow>, domains: &Domains, report: &mut ReduceR
         }
         // Split the live terms of the normalised view; skip the row if any
         // term sits on a fixed variable with a non-zero value (propagation
-        // will simplify it first) or on a non-binary variable.
+        // will simplify it first) or has a vanishing coefficient.
         let mut positives: Vec<(usize, f64)> = Vec::new();
         let mut negatives: Vec<(usize, f64)> = Vec::new();
         let mut eligible = true;
@@ -699,7 +668,7 @@ fn disaggregate(rows: &mut Vec<WorkRow>, domains: &Domains, report: &mut ReduceR
                 }
                 continue; // fixed at zero: the term vanishes
             }
-            if !binary(j) || c.abs() <= EPS {
+            if c.abs() <= EPS {
                 eligible = false;
                 break;
             }
@@ -778,16 +747,8 @@ fn finalize(
             report.fixed_vars += 1;
             continue;
         }
-        let (lo, hi) = (domains.lower(j), domains.upper(j));
-        let id = match def.kind {
-            VarKind::Binary if lo.abs() <= EPS && (hi - 1.0).abs() <= EPS => {
-                reduced.add_binary(def.name.clone())
-            }
-            VarKind::Binary | VarKind::Integer { .. } => {
-                reduced.add_integer(def.name.clone(), lo.round() as i64, hi.round() as i64)
-            }
-            VarKind::Continuous { .. } => reduced.add_continuous(def.name.clone(), lo, hi),
-        };
+        // An unfixed binary still spans its whole [0, 1] box.
+        let id = reduced.add_binary(def.name.clone());
         dispositions.push(VarDisposition::Kept(id.index()));
         kept.push(j);
     }

@@ -72,12 +72,6 @@ pub struct Budget {
     pub time_limit: Option<Duration>,
     /// Absolute point in time after which the search stops.
     pub deadline: Option<Instant>,
-    /// Capacity of the job service's cross-job solve cache in MiB
-    /// (`Some(0)` disables the cache, `None` = service default). Not a
-    /// solve limit — it travels on the budget because the budget is the
-    /// one environment-configured value every service entry point already
-    /// threads through (`BIST_CACHE_MB`).
-    pub cache_mb: Option<u64>,
     /// Whether early-stopped solves capture a resumable
     /// [`crate::SolveSnapshot`]: the one capture switch. Only `Some(true)`
     /// captures; `None` and `Some(false)` do not, in a plain session and
@@ -138,20 +132,14 @@ impl Budget {
         self
     }
 
-    /// Sets the service solve-cache capacity in MiB (0 disables it).
-    pub fn with_cache_mb(mut self, mb: u64) -> Self {
-        self.cache_mb = Some(mb);
-        self
-    }
-
     /// Sets whether early-stopped solves capture a resumable snapshot.
     pub fn with_snapshot(mut self, enabled: bool) -> Self {
         self.snapshot = Some(enabled);
         self
     }
 
-    /// Whether no limit of any kind is configured. The cache and snapshot
-    /// knobs are policy, not limits, and do not count.
+    /// Whether no limit of any kind is configured. The snapshot switch is
+    /// policy, not a limit, and does not count.
     pub fn is_unlimited(&self) -> bool {
         self.node_limit.is_none() && self.time_limit.is_none() && self.deadline.is_none()
     }
@@ -197,7 +185,6 @@ impl Budget {
     /// | `BIST_NODE_LIMIT` | node limit per solve (integer ≥ 1) |
     /// | `BIST_TIME_LIMIT_SECS` | wall-clock limit per solve in seconds (fractions allowed, clamped to ≥ 1 ms) |
     /// | `BIST_DEADLINE_SECS` | absolute deadline, given as seconds from now |
-    /// | `BIST_CACHE_MB` | job-service solve-cache capacity in MiB (integer; `0` disables the cache) |
     /// | `BIST_SNAPSHOT` | snapshot capture on early stop: `1`/`true`/`on` or `0`/`false`/`off` |
     ///
     /// Unset variables leave the corresponding limit unset. Malformed values
@@ -236,7 +223,7 @@ impl Budget {
                 name,
                 value,
                 "unknown budget variable; expected BIST_NODE_LIMIT, BIST_TIME_LIMIT_SECS, \
-                 BIST_DEADLINE_SECS, BIST_CACHE_MB or BIST_SNAPSHOT",
+                 BIST_DEADLINE_SECS or BIST_SNAPSHOT",
             ));
         }
         Self::from_lookup(|key| vars.get(key).cloned())
@@ -247,11 +234,7 @@ impl Budget {
     fn reads(name: &str) -> bool {
         matches!(
             name,
-            "BIST_NODE_LIMIT"
-                | "BIST_TIME_LIMIT_SECS"
-                | "BIST_DEADLINE_SECS"
-                | "BIST_CACHE_MB"
-                | "BIST_SNAPSHOT"
+            "BIST_NODE_LIMIT" | "BIST_TIME_LIMIT_SECS" | "BIST_DEADLINE_SECS" | "BIST_SNAPSHOT"
         )
     }
 
@@ -285,12 +268,6 @@ impl Budget {
         if let Some(raw) = get("BIST_DEADLINE_SECS") {
             let secs = parse_seconds("BIST_DEADLINE_SECS", &raw)?;
             budget.deadline = Some(Instant::now() + Duration::from_secs_f64(secs));
-        }
-        if let Some(raw) = get("BIST_CACHE_MB") {
-            let mb: u64 = raw.trim().parse().map_err(|_| {
-                BudgetError::new("BIST_CACHE_MB", &raw, "expected an integer number of MiB")
-            })?;
-            budget.cache_mb = Some(mb);
         }
         if let Some(raw) = get("BIST_SNAPSHOT") {
             budget.snapshot = Some(match raw.trim() {
@@ -504,19 +481,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_cache_and_snapshot_knobs_parse_strictly() {
+    fn budget_snapshot_knob_parses_strictly() {
         let unset = Budget::from_lookup(lookup(&[])).unwrap();
-        assert_eq!(unset.cache_mb, None);
         assert_eq!(unset.snapshot, None);
 
-        let set = Budget::from_lookup(lookup(&[("BIST_CACHE_MB", "64"), ("BIST_SNAPSHOT", "1")]))
-            .unwrap();
-        assert_eq!(set.cache_mb, Some(64));
+        let set = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "1")])).unwrap();
         assert_eq!(set.snapshot, Some(true));
-        // 0 MiB is a valid value meaning "cache disabled", not an error.
-        let off = Budget::from_lookup(lookup(&[("BIST_CACHE_MB", "0"), ("BIST_SNAPSHOT", "off")]))
-            .unwrap();
-        assert_eq!(off.cache_mb, Some(0));
+        let off = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "off")])).unwrap();
         assert_eq!(off.snapshot, Some(false));
         for raw in ["true", "on"] {
             let b = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", raw)])).unwrap();
@@ -527,14 +498,10 @@ mod tests {
             assert_eq!(b.snapshot, Some(false), "{raw}");
         }
 
-        // Malformed values fail loudly, naming the variable.
-        let err = Budget::from_lookup(lookup(&[("BIST_CACHE_MB", "plenty")])).unwrap_err();
-        assert_eq!(err.var, "BIST_CACHE_MB");
-        assert!(err.to_string().contains("plenty"));
-        let err = Budget::from_lookup(lookup(&[("BIST_CACHE_MB", "-1")])).unwrap_err();
-        assert_eq!(err.var, "BIST_CACHE_MB");
+        // A malformed value fails loudly, naming the variable.
         let err = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "yes")])).unwrap_err();
         assert_eq!(err.var, "BIST_SNAPSHOT");
+        assert!(err.to_string().contains("yes"));
         assert!(err.reason.contains("true/false"));
     }
 
@@ -554,13 +521,20 @@ mod tests {
         // An unknown name fails even next to a valid known one.
         let err = vars(&[("BIST_NODE_LIMIT", "50"), ("BIST_NODE_LIMT", "50")]).unwrap_err();
         assert_eq!(err.var, "BIST_NODE_LIMT");
-        // The five known names still parse, and other variables are no
+        // So does the retired solve-cache size: a batch's cache is sized
+        // through the job service, not the budget.
+        let err = vars(&[("BIST_CACHE_MB", "8")]).unwrap_err();
+        assert_eq!(
+            (err.var.as_str(), err.value.as_str()),
+            ("BIST_CACHE_MB", "8")
+        );
+        assert!(err.reason.contains("unknown"), "{err}");
+        // The four known names still parse, and other variables are no
         // business of the budget.
         let budget = vars(&[
             ("BIST_NODE_LIMIT", "50"),
             ("BIST_TIME_LIMIT_SECS", "2.5"),
             ("BIST_DEADLINE_SECS", "60"),
-            ("BIST_CACHE_MB", "8"),
             ("BIST_SNAPSHOT", "on"),
             ("PATH", "/bin"),
             ("XBIST_NODE_LIMIT", "x"),
@@ -569,7 +543,7 @@ mod tests {
         assert_eq!(budget.node_limit, Some(50));
         assert_eq!(budget.time_limit, Some(Duration::from_secs_f64(2.5)));
         assert!(budget.deadline.is_some());
-        assert_eq!((budget.cache_mb, budget.snapshot), (Some(8), Some(true)));
+        assert_eq!(budget.snapshot, Some(true));
         assert!(vars(&[]).unwrap().is_unlimited());
         // Malformed values of known names keep their own diagnostics.
         let err = vars(&[("BIST_NODE_LIMIT", "garbage")]).unwrap_err();
@@ -579,16 +553,13 @@ mod tests {
     #[test]
     fn budget_determinism_ignores_policy_knobs() {
         assert!(Budget::nodes(10).is_deterministic());
-        assert!(Budget::nodes(10).with_cache_mb(64).is_deterministic());
+        assert!(Budget::nodes(10).with_snapshot(true).is_deterministic());
         assert!(!Budget::time(Duration::from_secs(1)).is_deterministic());
         assert!(!Budget::nodes(10)
             .with_deadline_in(Duration::from_secs(1))
             .is_deterministic());
-        // Policy knobs do not make an unlimited budget "limited".
-        assert!(Budget::unlimited()
-            .with_cache_mb(1)
-            .with_snapshot(true)
-            .is_unlimited());
+        // The snapshot switch does not make an unlimited budget "limited".
+        assert!(Budget::unlimited().with_snapshot(true).is_unlimited());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! factorized basis and a dual-simplex warm-start path that re-solves a
 //! child node's LP from its parent's optimal [`Basis`] after bound changes.
 //!
-//! The branch-and-bound solver uses this module to compute dual bounds and to
-//! finish off nodes whose integral variables are all fixed but which still
-//! contain continuous variables. Three design decisions define the kernel:
+//! The branch-and-bound solver uses this module to compute the dual bounds
+//! of its nodes. Three design decisions define the kernel:
 //!
 //! * **Implicit bounds.** Every variable of the BIST formulations is boxed,
 //!   and earlier revisions materialised each box side as an explicit tableau
@@ -373,14 +372,13 @@ impl Factor<'_> {
     ///
     /// `domains` is the box the basis was solved under (the node box);
     /// `global` is the root box the cuts must stay valid over — pass the
-    /// same reference twice when separating at the root. `integral[j]`
-    /// marks the integer-constrained structurals. Rows whose basic variable
+    /// same reference twice when separating at the root — and says which
+    /// structurals are integer-constrained. Rows whose basic variable
     /// is an integral structural with fractional value are scanned
     /// most-fractional first, and at most `max_cuts` cuts are returned. The
     /// basis must match the instance (same fingerprint discipline as
     /// [`resolve_with_basis`]); on any mismatch the result is empty rather
     /// than wrong.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gomory_cuts(
         &self,
         matrix: &SparseModel,
@@ -388,11 +386,9 @@ impl Factor<'_> {
         objective_constant: f64,
         domains: &Domains,
         global: &Domains,
-        integral: &[bool],
         max_cuts: usize,
     ) -> Vec<(Vec<(usize, f64)>, f64)> {
         if max_cuts == 0
-            || integral.len() != domains.len()
             || global.len() != domains.len()
             || self.basis.vars != domains.len()
             || !self.basis.fits(matrix, objective, objective_constant)
@@ -404,7 +400,7 @@ impl Factor<'_> {
         let mut candidates: Vec<(f64, usize)> = Vec::new();
         for r in 0..kernel.m {
             let b = kernel.basis[r];
-            if b >= kernel.n || !integral[b] {
+            if b >= kernel.n || !global.is_integral(b) {
                 continue;
             }
             let frac = kernel.x[b] - kernel.x[b].floor();
@@ -421,7 +417,7 @@ impl Factor<'_> {
             if cuts.len() >= max_cuts {
                 break;
             }
-            if let Some(cut) = kernel.gomory_from_row(r, global, integral, &mut rho) {
+            if let Some(cut) = kernel.gomory_from_row(r, global, &mut rho) {
                 cuts.push(cut);
             }
         }
@@ -1830,7 +1826,6 @@ impl Kernel<'_> {
         &self,
         r: usize,
         global: &Domains,
-        integral: &[bool],
         rho: &mut [f64],
     ) -> Option<(Vec<(usize, f64)>, f64)> {
         let b = self.basis[r];
@@ -1875,9 +1870,8 @@ impl Kernel<'_> {
                 self.x[j] - bound
             };
             beta += shifted * t_now;
-            let int_term = j < self.n
-                && integral.get(j).copied().unwrap_or(false)
-                && (bound - bound.round()).abs() <= FEAS_TOL;
+            let int_term =
+                j < self.n && global.is_integral(j) && (bound - bound.round()).abs() <= FEAS_TOL;
             terms.push(GomoryTerm {
                 col: j,
                 shifted,
@@ -1981,15 +1975,23 @@ mod tests {
         )
     }
 
+    /// [`relax`] over the continuous box `bounds` instead of the model's
+    /// binary one.
+    fn relax_in(model: &Model, bounds: &[(f64, f64)]) -> (SparseModel, Vec<f64>, f64, Domains) {
+        let (rows, obj, k, _) = relax(model);
+        let continuous: Vec<_> = bounds.iter().map(|&(lo, hi)| (lo, hi, false)).collect();
+        (rows, obj, k, Domains::from_bounds(&continuous))
+    }
+
     #[test]
     fn simple_minimisation() {
         // min x + y  s.t.  x + y >= 1,  0 <= x,y <= 1   => objective 1
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 1.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, 1.0), (y, 1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 1.0); 2]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-6);
@@ -2000,11 +2002,11 @@ mod tests {
         // max 3x + 2y  s.t. x + y <= 4, x <= 2, y <= 3  (x,y >= 0)
         // optimum x=2, y=2 -> 10; we solve min of the negation.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 2.0);
-        let y = m.add_continuous("y", 0.0, 3.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_leq([(x, 1.0), (y, 1.0)], 4.0, "cap");
         m.set_objective([(x, -3.0), (y, -2.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 2.0), (0.0, 3.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(
@@ -2021,11 +2023,11 @@ mod tests {
         // min 2x + 3y  s.t.  x + y = 5, x <= 3, y <= 4
         // optimum x=3, y=2 -> 12
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 3.0);
-        let y = m.add_continuous("y", 0.0, 4.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_eq([(x, 1.0), (y, 1.0)], 5.0, "sum");
         m.set_objective([(x, 2.0), (y, 3.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 3.0), (0.0, 4.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 12.0).abs() < 1e-6);
@@ -2035,10 +2037,10 @@ mod tests {
     fn infeasible_lp() {
         // x >= 2 with x <= 1 is infeasible.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 1.0);
+        let x = m.add_binary("x");
         m.add_geq([(x, 1.0)], 2.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 1.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
@@ -2047,11 +2049,11 @@ mod tests {
     fn fixed_variables_stay_at_their_value() {
         // min x + y s.t. x + y >= 3 with y fixed at 2 => x = 1.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 5.0);
-        let y = m.add_continuous("y", 0.0, 5.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_geq([(x, 1.0), (y, 1.0)], 3.0, "c");
         m.set_objective([(x, 1.0), (y, 1.0)], Sense::Minimize);
-        let (rows, obj, k, mut dom) = relax(&m);
+        let (rows, obj, k, mut dom) = relax_in(&m, &[(0.0, 5.0); 2]);
         dom.fix(y.index(), 2.0);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -2081,10 +2083,10 @@ mod tests {
     fn negative_rhs_rows_are_handled() {
         // -x <= -1  (i.e. x >= 1) with x in [0, 2], min x => 1.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 2.0);
+        let x = m.add_binary("x");
         m.add_leq([(x, -1.0)], -1.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 2.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-6);
@@ -2094,14 +2096,14 @@ mod tests {
     fn degenerate_lp_terminates() {
         // Several redundant constraints through the same vertex.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_leq([(x, 1.0), (y, 1.0)], 2.0, "a");
         m.add_leq([(x, 2.0), (y, 2.0)], 4.0, "b");
         m.add_leq([(x, 1.0)], 2.0, "c");
         m.add_leq([(y, 1.0)], 2.0, "d");
         m.set_objective([(x, -1.0), (y, -1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 10.0); 2]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 2.0).abs() < 1e-6);
@@ -2112,14 +2114,14 @@ mod tests {
         // A model whose only row mentions no free variable must still be
         // feasibility-checked against the fixed values.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, 4.0);
+        let x = m.add_binary("x");
         m.add_geq([(x, 1.0)], 3.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (rows, obj, k, mut dom) = relax(&m);
+        let (rows, obj, k, mut dom) = relax_in(&m, &[(0.0, 4.0)]);
         dom.fix(x.index(), 1.0); // violates x >= 3
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Infeasible);
-        let (rows, obj, k, mut dom) = relax(&m);
+        let (rows, obj, k, mut dom) = relax_in(&m, &[(0.0, 4.0)]);
         dom.fix(x.index(), 3.5);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
@@ -2133,20 +2135,20 @@ mod tests {
         // case instead of looping: min -x with x in [0, +inf) and a
         // non-binding row.
         let mut m = Model::new("m");
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, 1.0);
+        let x = m.add_binary("x");
+        let y = m.add_binary("y");
         m.add_geq([(x, 1.0), (y, 1.0)], 1.0, "c");
         m.set_objective([(x, -1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, f64::INFINITY), (0.0, 1.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Unbounded);
         assert!(sol.values.is_empty());
         // The same box with a finite ceiling solves at that ceiling.
         let mut m2 = Model::new("m2");
-        let x2 = m2.add_continuous("x", 0.0, 1e12);
+        let x2 = m2.add_binary("x");
         m2.add_geq([(x2, 1.0)], 1.0, "c");
         m2.set_objective([(x2, -1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m2);
+        let (rows, obj, k, dom) = relax_in(&m2, &[(0.0, 1e12)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 1e12).abs() < 1.0);
@@ -2157,9 +2159,7 @@ mod tests {
         // A chain model long enough to force more pivots than the eta-file
         // limit, so at least one mid-solve refactorization must happen.
         let mut m = Model::new("chain");
-        let vars: Vec<_> = (0..120)
-            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 10.0))
-            .collect();
+        let vars: Vec<_> = (0..120).map(|i| m.add_binary(format!("x{i}"))).collect();
         for w in vars.windows(2) {
             m.add_geq([(w[0], 1.0), (w[1], 1.0)], 1.0, "link");
         }
@@ -2170,7 +2170,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             Sense::Minimize,
         );
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 10.0); 120]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 100_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(sol.pivots > 0);
@@ -2283,9 +2283,7 @@ mod tests {
         // Tighten bounds one variable at a time, re-solving from the
         // previous basis each step, and compare against cold solves.
         let mut m = Model::new("m");
-        let vars: Vec<_> = (0..5)
-            .map(|i| m.add_integer(format!("x{i}"), 0, 3))
-            .collect();
+        let vars: Vec<_> = (0..5).map(|i| m.add_binary(format!("x{i}"))).collect();
         m.add_leq(
             vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
             7.0,
@@ -2299,7 +2297,8 @@ mod tests {
                 .collect::<Vec<_>>(),
             Sense::Minimize,
         );
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, _) = relax(&m);
+        let dom = Domains::from_bounds(&[(0.0, 3.0, true); 5]);
         let (root, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(root.status, LpStatus::Optimal);
         let mut basis = basis.unwrap();
@@ -2330,15 +2329,14 @@ mod tests {
         // re-solvable as a tightened one — the old bound-row kernel had to
         // reject this case.
         let mut m = Model::new("m");
-        let x = m.add_integer("x", 1, 3);
+        let x = m.add_binary("x");
         m.add_leq([(x, 1.0)], 2.0, "c");
         m.set_objective([(x, 1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, _) = relax(&m);
+        let dom = Domains::from_bounds(&[(1.0, 3.0, true)]);
         let (_, basis) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         let basis = basis.unwrap();
-        let mut m2 = Model::new("m2");
-        m2.add_integer("x", 0, 3);
-        let relaxed = Domains::from_model(&m2);
+        let relaxed = Domains::from_bounds(&[(0.0, 3.0, true)]);
         let (warm, _) =
             resolve_with_basis(&rows, &obj, k, &basis, &relaxed, 10_000).expect("compatible");
         assert_eq!(warm.status, LpStatus::Optimal);
@@ -2494,16 +2492,14 @@ mod tests {
         // beats the slack's ratio of 19), not a pivot — the dense bound-row
         // kernel needed a real pivot per bound move.
         let mut m = Model::new("m");
-        let vars: Vec<_> = (0..20)
-            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 1.0))
-            .collect();
+        let vars: Vec<_> = (0..20).map(|i| m.add_binary(format!("x{i}"))).collect();
         m.add_geq(
             vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
             19.0,
             "cover",
         );
         m.set_objective([(vars[0], 0.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m);
+        let (rows, obj, k, dom) = relax_in(&m, &[(0.0, 1.0); 20]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(
@@ -2521,10 +2517,10 @@ mod tests {
         // prefers its upper bound starts there, so a loose maximisation
         // solves with no simplex work at all.
         let mut m2 = Model::new("m2");
-        let y = m2.add_continuous("y", 0.0, 5.0);
+        let y = m2.add_binary("y");
         m2.add_leq([(y, 1.0)], 100.0, "loose");
         m2.set_objective([(y, -1.0)], Sense::Minimize);
-        let (rows, obj, k, dom) = relax(&m2);
+        let (rows, obj, k, dom) = relax_in(&m2, &[(0.0, 5.0)]);
         let (sol, _) = solve_lp_basis(&rows, &obj, k, &dom, 10_000);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective + 5.0).abs() < 1e-9);
@@ -2559,7 +2555,7 @@ mod tests {
         assert!((sol.objective + 1.5).abs() < 1e-9);
         let basis = basis.expect("optimal basis");
         let factor = basis.factor(&rows, &obj, k).expect("factorizable");
-        let cuts = factor.gomory_cuts(&rows, &obj, k, &dom, &dom, &[true, true], 8);
+        let cuts = factor.gomory_cuts(&rows, &obj, k, &dom, &dom, 8);
         assert_eq!(cuts.len(), 1, "exactly one fractional row");
         let (terms, rhs) = &cuts[0];
         let mut dense = [0.0f64; 2];
@@ -2613,15 +2609,7 @@ mod tests {
         let (other_rows, other_obj, other_k, other_dom) = relax(&other);
         assert!(basis.factor(&other_rows, &other_obj, other_k).is_none());
         let factor = basis.factor(&rows, &obj, k).expect("factorizable");
-        let cuts = factor.gomory_cuts(
-            &other_rows,
-            &other_obj,
-            other_k,
-            &other_dom,
-            &other_dom,
-            &[true, true],
-            8,
-        );
+        let cuts = factor.gomory_cuts(&other_rows, &other_obj, other_k, &other_dom, &other_dom, 8);
         assert!(cuts.is_empty(), "stale basis must yield no cuts");
     }
 
@@ -2723,14 +2711,7 @@ mod tests {
             let vars: Vec<_> = source
                 .vars()
                 .iter()
-                .map(|def| {
-                    let (lower, upper) = (def.kind.lower(), def.kind.upper());
-                    match (def.kind.is_integral(), lower, upper) {
-                        (true, 0.0, 1.0) => model.add_binary(def.name.as_str()),
-                        (true, ..) => model.add_integer(&def.name, lower as i64, upper as i64),
-                        (false, ..) => model.add_continuous(&def.name, lower, upper),
-                    }
-                })
+                .map(|def| model.add_binary(def.name.as_str()))
                 .collect();
             for row in source.constraints() {
                 let terms: Vec<_> = row.expr.iter().map(|(v, a)| (vars[v.index()], a)).collect();
@@ -2901,11 +2882,8 @@ mod tests {
 
     /// Continuous domains `x_j ∈ [0, 1 + j]`.
     fn box_domains(n: usize) -> Domains {
-        let mut model = Model::new("box");
-        for j in 0..n {
-            model.add_continuous(format!("x{j}"), 0.0, 1.0 + j as f64);
-        }
-        Domains::from_model(&model)
+        let bounds: Vec<_> = (0..n).map(|j| (0.0, 1.0 + j as f64, false)).collect();
+        Domains::from_bounds(&bounds)
     }
 
     /// Refactorizes the same basis with the sparse kernel and the dense

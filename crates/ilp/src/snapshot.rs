@@ -40,10 +40,10 @@ use crate::solver::{CachedRootLp, PseudoCosts};
 use crate::sparse::SparseModel;
 
 /// Content fingerprint of a model: a hash over the sparse constraint
-/// matrix, the variable boxes and kinds, and the internal
+/// matrix, the variables' integral [0, 1] boxes, and the internal
 /// (minimisation-sense) objective with its constant. Two models that are
 /// structurally and numerically identical collide; a single changed
-/// coefficient, bound, kind or objective weight separates them. This is
+/// coefficient or objective weight separates them. This is
 /// the identity the `advbist` job-service cache keys on. (It is *not* the
 /// same hash a [`SolveSnapshot`] records — snapshots fingerprint the
 /// reduced instance the tree was actually built on.)
@@ -63,10 +63,12 @@ pub fn model_fingerprint(model: &Model) -> u64 {
         &objective,
         sense_factor * model.objective().offset(),
     );
-    for var in model.vars() {
-        crate::sparse::fnv_fold(&mut h, var.kind.lower().to_bits());
-        crate::sparse::fnv_fold(&mut h, var.kind.upper().to_bits());
-        crate::sparse::fnv_fold(&mut h, u64::from(var.kind.is_integral()));
+    // Each variable's integral [0, 1] box stays folded in, so the
+    // fingerprints `tests/corpus.rs` pins keep their values.
+    for _ in model.vars() {
+        crate::sparse::fnv_fold(&mut h, 0.0f64.to_bits());
+        crate::sparse::fnv_fold(&mut h, 1.0f64.to_bits());
+        crate::sparse::fnv_fold(&mut h, 1);
     }
     h
 }

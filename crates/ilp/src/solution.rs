@@ -16,8 +16,6 @@ pub enum Status {
     Feasible,
     /// The model was proven to have no feasible solution.
     Infeasible,
-    /// The relaxation is unbounded in the optimisation direction.
-    Unbounded,
     /// The limits expired before any feasible solution was found; nothing is
     /// known about feasibility.
     Unknown,
@@ -56,8 +54,8 @@ pub struct Improvement {
     /// The new incumbent objective, in the model's external sense.
     pub objective: f64,
     /// Which layer produced the incumbent: `"warm-start"`, `"dive"`,
-    /// `"root-lp"`, `"node-lp"`, `"rounding"`, `"presolve"` (the reducing
-    /// presolve decided every variable) or `"lp"` (pure LP models).
+    /// `"root-lp"`, `"node-lp"`, `"rounding"` or `"presolve"` (the reducing
+    /// presolve decided every variable).
     pub source: &'static str,
 }
 
@@ -93,8 +91,7 @@ impl CutCounts {
 /// dual simplex from a stored basis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdLpCounts {
-    /// The first root cut round, or the one LP of a model without integral
-    /// variables.
+    /// The first root cut round.
     pub root: u64,
     /// A node without a parent basis: the root node when the cut loop
     /// handed it no LP, or a child whose parent was bounded by propagation
@@ -106,15 +103,12 @@ pub struct ColdLpCounts {
     pub unusable_basis: u64,
     /// A warm re-solve that ran over its pivot budget.
     pub over_budget: u64,
-    /// Leaf completion: the continuous remainder of a node whose integral
-    /// variables are all fixed.
-    pub leaf: u64,
 }
 
 impl ColdLpCounts {
     /// Sum over every reason: the number of cold solves.
     pub fn total(&self) -> u64 {
-        self.root + self.no_parent_basis + self.unusable_basis + self.over_budget + self.leaf
+        self.root + self.no_parent_basis + self.unusable_basis + self.over_budget
     }
 }
 
@@ -124,7 +118,6 @@ impl std::ops::AddAssign for ColdLpCounts {
         self.no_parent_basis += other.no_parent_basis;
         self.unusable_basis += other.unusable_basis;
         self.over_budget += other.over_budget;
-        self.leaf += other.leaf;
     }
 }
 
@@ -363,7 +356,6 @@ mod tests {
         assert!(Status::Feasible.has_solution());
         assert!(!Status::Infeasible.has_solution());
         assert!(!Status::Unknown.has_solution());
-        assert!(!Status::Unbounded.has_solution());
         assert!(!Status::Interrupted.has_solution());
         assert!(Status::Interrupted.is_interrupted());
         assert!(!Status::Feasible.is_interrupted());

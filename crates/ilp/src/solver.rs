@@ -1,6 +1,7 @@
-//! Branch-and-bound solver for mixed 0-1 / integer linear programs.
+//! Branch-and-bound solver for 0-1 integer linear programs.
 //!
-//! The solver explores a binary search tree over the integral variables. At
+//! The solver explores a binary search tree over the model's binary
+//! variables, fixing one at 0 and at 1 in each branching. At
 //! every node it runs bound propagation, computes a dual (lower) bound —
 //! either from the LP relaxation, from the objective over the propagated box,
 //! or a depth-dependent hybrid of the two — and prunes nodes that cannot beat
@@ -25,7 +26,7 @@
 //!   every branching; nodes without LP values branch on the most
 //!   constrained variable instead.
 //! * **Reduced-cost bound fixing** — at LP nodes with an incumbent, duals
-//!   prove some integral variables cannot leave their bound in any
+//!   prove some variables cannot leave their bound in any
 //!   improving solution; the tightened bounds feed the propagation
 //!   worklist.
 
@@ -105,6 +106,15 @@ fn tally_lp(stats: &mut SolveStats, lp: &LpSolution) {
     stats.bland_pivots += lp.bland_pivots;
     stats.lp_bound_flips += lp.bound_flips;
     stats.lp_basis_refactorizations += lp.refactorizations;
+}
+
+/// `values` rounded to the nearest integers when every one already lies
+/// within [`INT_EPS`] of one: an integral LP point as a 0-1 assignment.
+fn rounded_if_integral(values: &[f64]) -> Option<Vec<f64>> {
+    values
+        .iter()
+        .all(|v| (v - v.round()).abs() <= INT_EPS)
+        .then(|| values.iter().map(|v| v.round()).collect())
 }
 
 /// How dual bounds are computed at branch-and-bound nodes.
@@ -428,14 +438,11 @@ pub struct BranchAndBound<'a> {
     /// Gomory cut is unshifted to, so cuts derived at tree nodes stay valid
     /// for the whole tree and for the shared pool.
     root_box: Domains,
-    /// Per-variable integrality of the root box (Gomory candidate mask).
-    integral_mask: Vec<bool>,
     /// Whether the internal objective can only take integer values (every
-    /// nonzero coefficient is an integer on an integral variable, and the
-    /// constant is an integer). When true, every dual bound rounds up to
-    /// the next integer — the classic integral-objective strengthening,
-    /// and on the paper's transistor-count objectives the step that turns
-    /// a 0.4-area LP gap into a closed node.
+    /// coefficient and the constant are integers). When true, every dual
+    /// bound rounds up to the next integer — the classic integral-objective
+    /// strengthening, and on the paper's transistor-count objectives the
+    /// step that turns a 0.4-area LP gap into a closed node.
     integral_objective: bool,
     /// The last root LP solved by the cut loop, valid for the *current*
     /// matrix; the root node consumes it instead of re-solving the most
@@ -476,15 +483,11 @@ impl<'a> BranchAndBound<'a> {
         let occurrence: Vec<usize> = (0..model.num_vars())
             .map(|j| propagator.matrix().occurrences(j))
             .collect();
-        let cut_source = (config.cuts && model.num_integral() > 0).then(CutGenerator::new);
+        let cut_source = config.cuts.then(CutGenerator::new);
         let num_vars = model.num_vars();
         let root_box = Domains::from_model(model);
-        let integral_mask: Vec<bool> = (0..num_vars).map(|j| root_box.is_integral(j)).collect();
-        let integral_objective = objective_constant.fract() == 0.0
-            && objective
-                .iter()
-                .enumerate()
-                .all(|(j, &c)| c == 0.0 || (c.fract() == 0.0 && integral_mask[j]));
+        let integral_objective =
+            objective_constant.fract() == 0.0 && objective.iter().all(|c| c.fract() == 0.0);
         let base_fingerprint =
             instance_fingerprint(propagator.matrix(), &objective, objective_constant);
         Self {
@@ -500,7 +503,6 @@ impl<'a> BranchAndBound<'a> {
             tree_separations_left: TREE_SEPARATIONS,
             eager_separation: false,
             root_box,
-            integral_mask,
             integral_objective,
             root_lp_cache: None,
             root_basis: None,
@@ -598,7 +600,6 @@ impl<'a> BranchAndBound<'a> {
             self.objective_constant,
             domains,
             &self.root_box,
-            &self.integral_mask,
             GOMORY_PER_ROUND,
         );
         let mut accepted = Vec::new();
@@ -672,7 +673,8 @@ impl<'a> BranchAndBound<'a> {
             }
             // An integral root relaxation is a solved instance: log it as an
             // incumbent improvement and stop separating.
-            if self.try_integral_incumbent(&lp.values, domains, incumbent, stats, start) {
+            if let Some(values) = rounded_if_integral(&lp.values) {
+                self.offer_incumbent(values, "root-lp", incumbent, stats, start);
                 self.cache_root_lp(lp, basis);
                 return true;
             }
@@ -718,38 +720,6 @@ impl<'a> BranchAndBound<'a> {
         self.root_basis = basis.map(Rc::new);
     }
 
-    /// If `values` is integral over the box, round it, check feasibility and
-    /// update the incumbent. Returns whether the point was integral.
-    fn try_integral_incumbent(
-        &mut self,
-        lp_values: &[f64],
-        domains: &Domains,
-        incumbent: &mut Option<(f64, Vec<f64>)>,
-        stats: &mut SolveStats,
-        start: Instant,
-    ) -> bool {
-        let integral = (0..domains.len()).all(|j| {
-            !domains.is_integral(j) || (lp_values[j] - lp_values[j].round()).abs() <= INT_EPS
-        });
-        if !integral {
-            return false;
-        }
-        let mut values = lp_values.to_vec();
-        for (j, v) in values.iter_mut().enumerate() {
-            if domains.is_integral(j) {
-                *v = v.round();
-            }
-        }
-        if self.model.is_feasible(&values, 1e-6) {
-            let obj = self.internal_objective(&values);
-            if incumbent.as_ref().map(|(b, _)| obj < *b).unwrap_or(true) {
-                *incumbent = Some((obj, values));
-                self.record_improvement(stats, start, obj, "root-lp");
-            }
-        }
-        true
-    }
-
     /// Runs the search and returns the best solution found.
     ///
     /// # Errors
@@ -777,13 +747,7 @@ impl<'a> BranchAndBound<'a> {
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
 
         for warm in std::mem::take(&mut self.config.initial_solutions) {
-            if self.model.is_feasible(&warm, 1e-6) {
-                let obj = self.internal_objective(&warm);
-                if incumbent.as_ref().map(|(b, _)| obj < *b).unwrap_or(true) {
-                    incumbent = Some((obj, warm));
-                    self.record_improvement(&mut stats, start, obj, "warm-start");
-                }
-            }
+            self.offer_incumbent(warm, "warm-start", &mut incumbent, &mut stats, start);
         }
         // Eager in-tree separation only pays for itself when there is budget
         // left to exploit the tightened bound: under a tiny node cap the
@@ -808,46 +772,8 @@ impl<'a> BranchAndBound<'a> {
 
         if !skip_root_work {
             if let Some(values) = greedy_dive(&self.propagator, &root, &self.objective) {
-                if self.model.is_feasible(&values, 1e-6) {
-                    let obj = self.internal_objective(&values);
-                    if incumbent.as_ref().map(|(b, _)| obj < *b).unwrap_or(true) {
-                        incumbent = Some((obj, values));
-                        self.record_improvement(&mut stats, start, obj, "dive");
-                    }
-                }
+                self.offer_incumbent(values, "dive", &mut incumbent, &mut stats, start);
             }
-        }
-
-        // Pure LP case: no integral variables at all. A raised token or an
-        // already-spent budget skips even the single LP solve — prompt
-        // return stays bounded by the warm-candidate scan above.
-        if self.model.num_integral() == 0 {
-            if skip_root_work {
-                let interrupted = self.is_cancelled();
-                stats.time = start.elapsed();
-                stats.limit_reached = true;
-                stats.gap = f64::INFINITY;
-                stats.best_bound = self.sense_factor * f64::NEG_INFINITY;
-                return Ok(match incumbent {
-                    Some((obj, values)) => {
-                        let status = if interrupted {
-                            Status::Interrupted
-                        } else {
-                            Status::Feasible
-                        };
-                        Solution::new(status, values, self.sense_factor * obj, stats)
-                    }
-                    None => {
-                        let status = if interrupted {
-                            Status::Interrupted
-                        } else {
-                            Status::Unknown
-                        };
-                        Solution::without_values(status, stats)
-                    }
-                });
-            }
-            return Ok(self.solve_pure_lp(&root, start, stats, incumbent));
         }
 
         // Seed the cut pool at the root: read Gomory cuts off the root LP's
@@ -904,9 +830,6 @@ impl<'a> BranchAndBound<'a> {
         mut stats: SolveStats,
     ) -> Result<Solution, IlpError> {
         let fail = |message: String| IlpError::Snapshot { message };
-        if self.model.num_integral() == 0 {
-            return Err(fail("pure LP solves are never snapshotted".into()));
-        }
         if snap.num_vars != self.model.num_vars() {
             return Err(fail(format!(
                 "snapshot has {} variables, model has {}",
@@ -1012,54 +935,52 @@ impl<'a> BranchAndBound<'a> {
 
             let incumbent_obj = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
             let parent_bound = node.bound;
-            let bound =
-                match self.node_bound(&node, &mut stats, incumbent_obj, &mut incumbent, start) {
-                    NodeBound::Infeasible => {
-                        // An LP-infeasible child is the strongest possible
-                        // degradation signal for its branching variable.
-                        if let Some(j) = node.branched {
-                            if node.parent_bound_is_lp && node.branch_step > INT_EPS {
-                                self.pseudo
-                                    .record(j, node.branch_up, INFEASIBLE_DEGRADATION);
-                            }
+            let bound = match self.node_bound(&node, &mut stats, &mut incumbent, start) {
+                NodeBound::Infeasible => {
+                    // An LP-infeasible child is the strongest possible
+                    // degradation signal for its branching variable.
+                    if let Some(j) = node.branched {
+                        if node.parent_bound_is_lp && node.branch_step > INT_EPS {
+                            self.pseudo
+                                .record(j, node.branch_up, INFEASIBLE_DEGRADATION);
                         }
+                    }
+                    continue;
+                }
+                NodeBound::Bound { value, lp } => {
+                    node.bound = value;
+                    if node.depth == 0 {
+                        root_bound = value;
+                        self.emit_bound_improved(stats.nodes, value);
+                    }
+                    // Learn the observed dual-bound degradation of the
+                    // branching that created this node.
+                    if let (Some(j), true) = (node.branched, lp.is_some()) {
+                        if node.parent_bound_is_lp
+                            && node.branch_step > INT_EPS
+                            && parent_bound > f64::NEG_INFINITY
+                        {
+                            let degradation = ((value - parent_bound) / node.branch_step).max(0.0);
+                            self.pseudo.record(j, node.branch_up, degradation);
+                        }
+                    }
+                    // Prune against the integrality-strengthened bound:
+                    // the raw value stays on the node (pseudo-cost
+                    // degradations want the smooth signal), but an
+                    // integer objective cannot land strictly between
+                    // consecutive integers, so the rounded-up bound is
+                    // the one the incumbent has to beat.
+                    let strengthened = self.strengthen_bound(value);
+                    if strengthened >= incumbent_obj - EPS {
+                        pruned_bound_min = pruned_bound_min.min(strengthened);
                         continue;
                     }
-                    NodeBound::Bound { value, lp } => {
-                        node.bound = value;
-                        if node.depth == 0 {
-                            root_bound = value;
-                            self.emit_bound_improved(stats.nodes, value);
-                        }
-                        // Learn the observed dual-bound degradation of the
-                        // branching that created this node.
-                        if let (Some(j), true) = (node.branched, lp.is_some()) {
-                            if node.parent_bound_is_lp
-                                && node.branch_step > INT_EPS
-                                && parent_bound > f64::NEG_INFINITY
-                            {
-                                let degradation =
-                                    ((value - parent_bound) / node.branch_step).max(0.0);
-                                self.pseudo.record(j, node.branch_up, degradation);
-                            }
-                        }
-                        // Prune against the integrality-strengthened bound:
-                        // the raw value stays on the node (pseudo-cost
-                        // degradations want the smooth signal), but an
-                        // integer objective cannot land strictly between
-                        // consecutive integers, so the rounded-up bound is
-                        // the one the incumbent has to beat.
-                        let strengthened = self.strengthen_bound(value);
-                        if strengthened >= incumbent_obj - EPS {
-                            pruned_bound_min = pruned_bound_min.min(strengthened);
-                            continue;
-                        }
-                        lp
-                    }
-                };
+                    lp
+                }
+            };
 
             // Reduced-cost bound fixing: with an incumbent in hand, the LP
-            // duals prove some integral variables cannot leave their bound
+            // duals prove some variables cannot leave their bound
             // in any improving solution. Tightened bounds feed the regular
             // propagation worklist.
             let incumbent_now = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
@@ -1107,16 +1028,9 @@ impl<'a> BranchAndBound<'a> {
                 }
             }
 
-            if node.domains.all_integral_fixed() {
-                if let Some(values) = self.complete_assignment(&node.domains, &mut stats) {
-                    if self.model.is_feasible(&values, 1e-6) {
-                        let obj = self.internal_objective(&values);
-                        if obj < incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY) {
-                            incumbent = Some((obj, values));
-                            self.record_improvement(&mut stats, start, obj, "node-lp");
-                        }
-                    }
-                }
+            if node.domains.all_fixed() {
+                let values = node.domains.assignment();
+                self.offer_incumbent(values, "node-lp", &mut incumbent, &mut stats, start);
                 continue;
             }
 
@@ -1246,55 +1160,31 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    fn solve_pure_lp(
-        &mut self,
-        root: &Domains,
-        start: Instant,
-        mut stats: SolveStats,
-        incumbent: Option<(f64, Vec<f64>)>,
-    ) -> Solution {
-        let (lp, _) = self.cold_lp(root, Cold::Root, &mut stats);
-        stats.time = start.elapsed();
-        match lp.status {
-            LpStatus::Optimal => {
-                stats.best_bound = self.sense_factor * lp.objective;
-                // The root relaxation *is* the solution here; log it as an
-                // improvement so time-to-target metrics cover root-solved
-                // instances, not only branched incumbents.
-                let beats_warm = incumbent
-                    .as_ref()
-                    .map(|(b, _)| lp.objective < *b - EPS)
-                    .unwrap_or(true);
-                if beats_warm {
-                    self.record_improvement(&mut stats, start, lp.objective, "lp");
-                }
-                Solution::new(
-                    Status::Optimal,
-                    lp.values,
-                    self.sense_factor * lp.objective,
-                    stats,
-                )
-            }
-            LpStatus::Infeasible => Solution::without_values(Status::Infeasible, stats),
-            LpStatus::Unbounded => Solution::without_values(Status::Unbounded, stats),
-            LpStatus::IterationLimit => {
-                stats.limit_reached = true;
-                Solution::without_values(Status::Unknown, stats)
-            }
-        }
-    }
-
-    /// Logs an incumbent improvement (external objective sense) into the
-    /// stats so callers can compute time-to-target metrics and attribute
-    /// the incumbent to the layer that produced it, and streams it to any
+    /// The one door to the incumbent: `values` replaces it when it is
+    /// feasible and its objective is strictly better. An improvement is
+    /// logged into the stats (external objective sense) so callers can
+    /// compute time-to-target metrics and attribute the incumbent to
+    /// `source`, the layer that produced it, and is streamed to any
     /// attached event sink.
-    fn record_improvement(
+    fn offer_incumbent(
         &mut self,
+        values: Vec<f64>,
+        source: &'static str,
+        incumbent: &mut Option<(f64, Vec<f64>)>,
         stats: &mut SolveStats,
         start: Instant,
-        internal_obj: f64,
-        source: &'static str,
     ) {
+        if !self.model.is_feasible(&values, 1e-6) {
+            return;
+        }
+        let internal_obj = self.internal_objective(&values);
+        let improves = incumbent
+            .as_ref()
+            .is_none_or(|(best, _)| internal_obj < *best);
+        if !improves {
+            return;
+        }
+        *incumbent = Some((internal_obj, values));
         let objective = self.sense_factor * internal_obj;
         stats.improvements.push(crate::solution::Improvement {
             nodes: stats.nodes,
@@ -1359,7 +1249,6 @@ impl<'a> BranchAndBound<'a> {
         &mut self,
         node: &Node,
         stats: &mut SolveStats,
-        incumbent_obj: f64,
         incumbent: &mut Option<(f64, Vec<f64>)>,
         start: Instant,
     ) -> NodeBound {
@@ -1411,39 +1300,17 @@ impl<'a> BranchAndBound<'a> {
                 } => (objective, values, reduced_costs, basis),
             },
         };
-        // If the relaxation happens to be integral it is a feasible MILP
+        // If the relaxation happens to be integral it is a feasible 0-1
         // solution; use it to tighten the incumbent.
-        let integral = (0..node.domains.len()).all(|j| {
-            !node.domains.is_integral(j) || (lp_values[j] - lp_values[j].round()).abs() <= INT_EPS
-        });
-        if integral {
-            let mut values = lp_values.clone();
-            for (j, v) in values.iter_mut().enumerate() {
-                if node.domains.is_integral(j) {
-                    *v = v.round();
-                }
-            }
-            if self.model.is_feasible(&values, 1e-6) {
-                let obj = self.internal_objective(&values);
-                if obj < incumbent_obj {
-                    *incumbent = Some((obj, values));
-                    self.record_improvement(stats, start, obj, "node-lp");
-                }
-            }
+        if let Some(values) = rounded_if_integral(&lp_values) {
+            self.offer_incumbent(values, "node-lp", incumbent, stats, start);
         } else if node.depth <= 2 {
             // Try an LP-guided rounding heuristic near the top of the tree,
             // where it is most likely to pay off.
             if let Some(values) =
                 round_and_repair(&self.propagator, &node.domains, &lp_values, &self.objective)
             {
-                if self.model.is_feasible(&values, 1e-6) {
-                    let obj = self.internal_objective(&values);
-                    let current = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
-                    if obj < current {
-                        *incumbent = Some((obj, values));
-                        self.record_improvement(stats, start, obj, "rounding");
-                    }
-                }
+                self.offer_incumbent(values, "rounding", incumbent, stats, start);
             }
         }
         let value = if self.eager_separation {
@@ -1568,24 +1435,8 @@ impl<'a> BranchAndBound<'a> {
             Cold::NoParentBasis => &mut counts.no_parent_basis,
             Cold::UnusableBasis => &mut counts.unusable_basis,
             Cold::OverBudget => &mut counts.over_budget,
-            Cold::Leaf => &mut counts.leaf,
         } += 1;
         (lp, basis)
-    }
-
-    fn complete_assignment(&self, domains: &Domains, stats: &mut SolveStats) -> Option<Vec<f64>> {
-        let has_free_continuous =
-            (0..domains.len()).any(|j| !domains.is_integral(j) && !domains.is_fixed(j));
-        if !has_free_continuous {
-            return Some(domains.assignment());
-        }
-        // Optimise the remaining continuous variables with the integral part
-        // fixed.
-        let (lp, _) = self.cold_lp(domains, Cold::Leaf, stats);
-        match lp.status {
-            LpStatus::Optimal => Some(lp.values),
-            _ => None,
-        }
     }
 
     /// Picks the branching variable by pseudo-cost (reliability) branching:
@@ -1606,7 +1457,7 @@ impl<'a> BranchAndBound<'a> {
     ) -> Option<usize> {
         let domains = &node.domains;
         let candidates: Vec<usize> = (0..domains.len())
-            .filter(|&j| domains.is_integral(j) && !domains.is_fixed(j))
+            .filter(|&j| !domains.is_fixed(j))
             .collect();
         if candidates.is_empty() {
             return None;
@@ -1731,83 +1582,37 @@ impl<'a> BranchAndBound<'a> {
         probed
     }
 
+    /// Pushes the two children of `node` that fix the unfixed binary `j`
+    /// at 0 and at 1, the preferred one last so depth-first search explores
+    /// it first: the side the LP value leans to or, without an LP, the
+    /// objective-cheaper one.
     fn push_children(&self, frontier: &mut Vec<Node>, node: &Node, j: usize, lp: Option<&NodeLp>) {
-        let lower = node.domains.lower(j);
-        let upper = node.domains.upper(j);
-        debug_assert!(upper > lower + EPS);
-        let lp_values = lp.map(|l| l.values.as_slice());
+        debug_assert!(node.domains.lower(j) == 0.0 && node.domains.upper(j) == 1.0);
+        let v_lp = lp.map(|l| l.values[j]);
         let parent_basis = lp.and_then(|l| l.basis.as_ref());
-        let parent_bound_is_lp = lp.is_some();
-        let v_lp = lp_values.map(|v| v[j]);
-
-        if upper - lower <= 1.0 + EPS {
-            // Binary-style split: fix to each bound. Push the preferred value
-            // last so depth-first search explores it first.
-            let preferred = if let Some(v) = v_lp {
-                if v >= 0.5 * (lower + upper) {
-                    upper
-                } else {
-                    lower
-                }
-            } else if self.objective[j] >= 0.0 {
-                lower
-            } else {
-                upper
-            };
-            let other = if (preferred - lower).abs() < EPS {
-                upper
-            } else {
-                lower
-            };
-            for value in [other, preferred] {
-                let branch_up = (value - upper).abs() < EPS;
-                let branch_step = v_lp
-                    .map(|v| if branch_up { upper - v } else { v - lower }.max(0.0))
-                    .unwrap_or(0.0);
-                let mut domains = node.domains.clone();
-                if domains.fix(j, value) {
-                    frontier.push(Node {
-                        domains,
-                        depth: node.depth + 1,
-                        bound: node.bound,
-                        branched: Some(j),
-                        parent_basis: parent_basis.cloned(),
-                        parent_bound_is_lp,
-                        branch_up,
-                        branch_step,
-                    });
-                }
-            }
-        } else {
-            // Interval split around the LP value or the midpoint.
-            let pivot = v_lp.unwrap_or(0.5 * (lower + upper));
-            let split = pivot.floor().clamp(lower, upper - 1.0);
-            let mut down = node.domains.clone();
-            down.tighten_upper(j, split);
-            let mut up = node.domains.clone();
-            up.tighten_lower(j, split + 1.0);
-            for (domains, branch_up) in [(up, true), (down, false)] {
-                let branch_step = v_lp
-                    .map(|v| {
-                        if branch_up {
-                            (split + 1.0 - v).max(0.0)
-                        } else {
-                            (v - split).max(0.0)
-                        }
-                    })
-                    .unwrap_or(0.0);
-                if !domains.is_infeasible() {
-                    frontier.push(Node {
-                        domains,
-                        depth: node.depth + 1,
-                        bound: node.bound,
-                        branched: Some(j),
-                        parent_basis: parent_basis.cloned(),
-                        parent_bound_is_lp,
-                        branch_up,
-                        branch_step,
-                    });
-                }
+        let preferred = match v_lp {
+            Some(v) if v >= 0.5 => 1.0,
+            Some(_) => 0.0,
+            None if self.objective[j] >= 0.0 => 0.0,
+            None => 1.0,
+        };
+        for value in [1.0 - preferred, preferred] {
+            let branch_up = value == 1.0;
+            let branch_step = v_lp
+                .map(|v| if branch_up { 1.0 - v } else { v }.max(0.0))
+                .unwrap_or(0.0);
+            let mut domains = node.domains.clone();
+            if domains.fix(j, value) {
+                frontier.push(Node {
+                    domains,
+                    depth: node.depth + 1,
+                    bound: node.bound,
+                    branched: Some(j),
+                    parent_basis: parent_basis.cloned(),
+                    parent_bound_is_lp: lp.is_some(),
+                    branch_up,
+                    branch_step,
+                });
             }
         }
     }
@@ -1835,7 +1640,7 @@ fn reduced_cost_fixing(
     }
     #[allow(clippy::needless_range_loop)]
     for j in 0..domains.len() {
-        if !domains.is_integral(j) || domains.is_fixed(j) {
+        if domains.is_fixed(j) {
             continue;
         }
         let lower = domains.lower(j);
@@ -1904,7 +1709,6 @@ enum Cold {
     NoParentBasis,
     UnusableBasis,
     OverBudget,
-    Leaf,
 }
 
 #[cfg(test)]
@@ -2052,40 +1856,6 @@ mod tests {
     }
 
     #[test]
-    fn general_integer_variables() {
-        // min 3x + 2y  s.t.  x + y >= 7, x <= 4, y <= 5, x,y integer
-        // best: x=2, y=5 -> 16.
-        let mut m = Model::new("int");
-        let x = m.add_integer("x", 0, 4);
-        let y = m.add_integer("y", 0, 5);
-        m.add_geq([(x, 1.0), (y, 1.0)], 7.0, "need");
-        m.set_objective([(x, 3.0), (y, 2.0)], Sense::Minimize);
-        for config in exact_configs() {
-            let sol = m.solve(&config).expect("solve");
-            assert!(sol.is_optimal());
-            assert_eq!(sol.int_value(x), 2);
-            assert_eq!(sol.int_value(y), 5);
-            assert!((sol.objective() - 16.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn mixed_integer_continuous() {
-        // min y - x_c  s.t. x_c <= 2.5*y, x_c <= 1.7, y binary.
-        // y=1, x_c=1.7 -> -0.7 ; y=0 -> 0. Optimal -0.7.
-        let mut m = Model::new("mix");
-        let y = m.add_binary("y");
-        let xc = m.add_continuous("xc", 0.0, 1.7);
-        m.add_leq([(xc, 1.0), (y, -2.5)], 0.0, "link");
-        m.set_objective([(y, 1.0), (xc, -1.0)], Sense::Minimize);
-        let sol = m.solve(&SolverConfig::exact()).expect("solve");
-        assert!(sol.is_optimal());
-        assert!((sol.objective() + 0.7).abs() < 1e-6);
-        assert!(sol.is_one(y));
-        assert!((sol.value(xc) - 1.7).abs() < 1e-6);
-    }
-
-    #[test]
     fn warm_start_is_used() {
         let mut m = Model::new("warm");
         let x = m.add_binary("x");
@@ -2124,21 +1894,22 @@ mod tests {
     }
 
     #[test]
-    fn pure_lp_model() {
-        let mut m = Model::new("lp");
-        let x = m.add_continuous("x", 0.0, 10.0);
-        let y = m.add_continuous("y", 0.0, 10.0);
-        m.add_leq([(x, 1.0), (y, 2.0)], 14.0, "a");
-        m.add_leq([(x, 3.0), (y, -1.0)], 0.0, "b");
-        m.set_objective([(x, 3.0), (y, 4.0)], Sense::Maximize);
-        let sol = m.solve(&SolverConfig::exact()).expect("solve");
-        assert!(sol.is_optimal());
-        // optimum at x=2, y=6 -> 30
-        assert!(
-            (sol.objective() - 30.0).abs() < 1e-5,
-            "got {}",
-            sol.objective()
-        );
+    fn a_model_without_variables_solves_at_its_objective_constant() {
+        // Nothing to branch on: the objective constant is the optimum, both
+        // through the reduce-first solve and through a raw search.
+        for sense in [Sense::Minimize, Sense::Maximize] {
+            let mut m = Model::new("constant");
+            m.set_objective(crate::LinExpr::constant(7.0), sense);
+            for config in exact_configs() {
+                let sol = m.solve(&config).expect("solve");
+                assert_eq!(sol.status(), Status::Optimal, "{sense:?}");
+                assert_eq!(sol.objective(), 7.0, "{sense:?}");
+                let raw = BranchAndBound::new(&m, config).run().expect("raw solve");
+                assert_eq!(raw.status(), Status::Optimal, "{sense:?}");
+                assert_eq!(raw.objective(), 7.0, "{sense:?}");
+                assert!(raw.values().is_empty());
+            }
+        }
     }
 
     /// A minimisation model that needs a deep search under the exact

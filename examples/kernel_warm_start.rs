@@ -13,8 +13,9 @@
 //! cargo run --release --example kernel_warm_start
 //! ```
 //!
-//! The numbers are wall-clock on the machine that runs it, so they vary
-//! with its speed and load; nothing checks them.
+//! The rows column is a deterministic count. The timings are wall-clock on
+//! the machine that runs it, so they vary with its speed and load; nothing
+//! checks them.
 
 use std::error::Error;
 use std::time::Instant;

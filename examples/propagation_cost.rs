@@ -26,7 +26,7 @@ use advbist::core::{SynthesisConfig, SynthesisEngine};
 use advbist::dfg::benchmarks;
 use advbist::ilp::propagate::{Domains, PropagationResult, Propagator};
 use advbist::ilp::reduce::{reduce, reduce_prefix};
-use advbist::ilp::{ReduceOptions, Sense, VarKind};
+use advbist::ilp::{ReduceOptions, Sense};
 
 fn main() -> Result<(), Box<dyn Error>> {
     println!(
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             let (mut infeasible, mut moved) = (0usize, 0usize);
             let mut call_us = Vec::new();
             for (j, var) in model.vars().iter().enumerate() {
-                if !matches!(var.kind, VarKind::Binary) || root.is_fixed(j) {
+                if root.is_fixed(j) {
                     continue;
                 }
                 let cost = match model.sense() {

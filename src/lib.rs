@@ -8,7 +8,7 @@
 //!
 //! | Re-export | Contents |
 //! |-----------|----------|
-//! | [`ilp`] | pure-Rust branch-and-bound MILP solver (the CPLEX substitute) |
+//! | [`ilp`] | pure-Rust branch-and-bound 0-1 ILP solver (the CPLEX substitute) |
 //! | [`dfg`] | scheduled data-flow graphs, lifetimes, the benchmark suite |
 //! | [`datapath`] | RTL/BIST structure model, Table 1 cost model, validator |
 //! | [`rtl`] | netlist emitter, Verilog writer, cycle-level BIST simulator |

@@ -38,8 +38,8 @@
 //! for **deterministic** budgets ([`Budget::is_deterministic`] — no
 //! wall-clock limit, no deadline), a hit is bit-identical to the solve it
 //! replaced, and memory is bounded by an LRU budget
-//! (`BIST_CACHE_MB` / [`Budget::cache_mb`], default
-//! [`SolveCache::DEFAULT_CAPACITY_MB`]; `0` disables caching for that job).
+//! ([`SolveCache::DEFAULT_CAPACITY_MB`] for a batch's own cache, or the
+//! capacity of the one passed to [`JobService::with_cache`]).
 //! Snapshot capture is opt-in per job via `BIST_SNAPSHOT` /
 //! [`Budget::snapshot`] (`Some(true)` captures). Snapshots live only in
 //! the cache of the running process; nothing writes them out.
@@ -76,7 +76,8 @@ use bist_dfg::SynthesisInput;
 use bist_ilp::{Budget, CancelToken, SolveSnapshot};
 
 /// One unit of work for the service: a circuit, the k-test sessions to
-/// synthesise, a per-job [`Budget`] and the synthesis configuration.
+/// synthesise and the synthesis configuration, whose solver budget is the
+/// job's.
 #[derive(Debug, Clone)]
 pub struct SynthesisJob {
     /// Caller-chosen job name, echoed in the [`JobReport`].
@@ -86,28 +87,24 @@ pub struct SynthesisJob {
     /// The k-range to sweep; `None` means the full `1..=N` sweep (`N` =
     /// number of modules).
     pub sessions: Option<RangeInclusive<usize>>,
-    /// Per-job solve budget. The node and wall-clock limits apply to each
-    /// ILP solve of the job; the absolute deadline spans the whole job
-    /// (every solve shares it, and remaining k values are skipped once it
-    /// passes).
-    pub budget: Budget,
     /// Synthesis configuration (cost model, warm starts, solver options).
-    /// Its solver budget and cancellation slots are overwritten by the
-    /// job's own budget and token when the job runs.
+    /// `config.solver.budget` is the job's budget: its node and wall-clock
+    /// limits apply to each ILP solve of the job, and its absolute deadline
+    /// spans the whole job (every solve shares it, and remaining k values
+    /// are skipped once it passes). The solver's cancellation slot is
+    /// overwritten by the job's own token when the job runs.
     pub config: SynthesisConfig,
 }
 
 impl SynthesisJob {
     /// A job synthesising every k-test session of `input` under the
-    /// default configuration's budget.
+    /// default configuration and its budget.
     pub fn new(name: impl Into<String>, input: SynthesisInput) -> Self {
-        let config = SynthesisConfig::default();
         Self {
             name: name.into(),
             input,
             sessions: None,
-            budget: config.solver.budget,
-            config,
+            config: SynthesisConfig::default(),
         }
     }
 
@@ -117,19 +114,18 @@ impl SynthesisJob {
         self
     }
 
-    /// Sets the per-job budget.
+    /// Sets the job's budget, `config.solver.budget`.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
+        self.config.solver.budget = budget;
         self
     }
 
-    /// Replaces the synthesis configuration *and* adopts its solver budget
-    /// (`config.solver.budget`), so a job configured with, say,
-    /// [`SynthesisConfig::exact`](bist_core::SynthesisConfig::exact) really
-    /// runs unlimited. Call [`SynthesisJob::with_budget`] *after* this to
+    /// Replaces the synthesis configuration, budget included: a job
+    /// configured with, say,
+    /// [`SynthesisConfig::exact`](bist_core::SynthesisConfig::exact) runs
+    /// unlimited. Call [`SynthesisJob::with_budget`] *after* this to
     /// override the budget independently.
     pub fn with_config(mut self, config: SynthesisConfig) -> Self {
-        self.budget = config.solver.budget;
         self.config = config;
         self
     }
@@ -323,8 +319,8 @@ pub struct SolveCache {
 }
 
 impl SolveCache {
-    /// Default byte budget in MiB when no job specifies
-    /// [`Budget::cache_mb`].
+    /// Byte budget in MiB of the cache a batch creates for itself (see
+    /// [`JobService::run`]).
     pub const DEFAULT_CAPACITY_MB: u64 = 64;
 
     /// A cache bounded at `capacity_mb` MiB of approximate entry footprint.
@@ -558,25 +554,14 @@ impl JobService {
     /// job held the cache's lock empties the cache.
     ///
     /// Without an explicit [`JobService::with_cache`], a fresh
-    /// [`SolveCache`] is created for the batch, sized at the largest
-    /// nonzero [`Budget::cache_mb`] any job requests (default
-    /// [`SolveCache::DEFAULT_CAPACITY_MB`]). A job's `Some(0)` opts only
-    /// that job out of the cache.
+    /// [`SolveCache`] of [`SolveCache::DEFAULT_CAPACITY_MB`] is created for
+    /// the batch.
     pub fn run(self) -> Vec<JobReport> {
         let workers = self.max_workers.unwrap_or(usize::MAX);
-        let cache = self.cache.clone().unwrap_or_else(|| {
-            // A job that opts out with `Some(0)` skips the cache on its
-            // own (see `run_job`); it must not size the batch's cache to
-            // nothing for the jobs that did not.
-            let mb = self
-                .jobs
-                .iter()
-                .filter_map(|(job, _)| job.budget.cache_mb)
-                .filter(|&mb| mb > 0)
-                .max()
-                .unwrap_or(SolveCache::DEFAULT_CAPACITY_MB);
-            Arc::new(SolveCache::new(mb))
-        });
+        let cache = self
+            .cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(SolveCache::new(SolveCache::DEFAULT_CAPACITY_MB)));
         par_map_ordered_bounded(&self.jobs, workers, |(job, token)| {
             let start = Instant::now();
             panic::catch_unwind(AssertUnwindSafe(|| run_job(job, token, &cache))).unwrap_or_else(
@@ -614,18 +599,16 @@ struct JobCounters {
 /// Runs one job on the calling worker thread.
 fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobReport {
     let start = Instant::now();
+    let budget = job.config.solver.budget;
     let mut config = job.config.clone();
-    config.solver.budget = job.budget;
     config.solver.cancel = Some(token.clone());
 
     let mut counters = JobCounters::default();
     // The cache is consulted only when a replayed result is provably
     // identical to a fresh solve: the budget must be deterministic (node
     // limits are part of the key; wall-clock limits and deadlines are not
-    // reproducible), and the job must not have opted out.
-    let cache_enabled = cache.capacity_bytes() > 0
-        && job.budget.is_deterministic()
-        && job.budget.cache_mb != Some(0);
+    // reproducible).
+    let cache_enabled = cache.capacity_bytes() > 0 && budget.is_deterministic();
     let digest = config_digest(&job.config);
 
     let finish = |outcome: JobOutcome, rows: Vec<JobRow>, counters: JobCounters| JobReport {
@@ -655,7 +638,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
         if token.is_cancelled() {
             return finish(JobOutcome::Cancelled, rows, counters);
         }
-        if job.budget.deadline_passed() {
+        if budget.deadline_passed() {
             return finish(JobOutcome::DeadlineExpired, rows, counters);
         }
 
@@ -667,7 +650,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
                 Ok(fingerprint) => fingerprint,
                 Err(e) => return finish(JobOutcome::Failed(e.to_string()), rows, counters),
             };
-            match cache.probe(fingerprint, digest, job.budget.node_limit) {
+            match cache.probe(fingerprint, digest, budget.node_limit) {
                 Some(CachePayload::Row(row)) => {
                     counters.hits += 1;
                     rows.push(JobRow {
@@ -685,9 +668,8 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
             key = Some(fingerprint);
         }
 
-        // `config.solver.budget` is the job's budget, so a job with
-        // `Budget::snapshot == Some(true)` captures on either path; a
-        // resumed solve always captures again.
+        // A job whose budget has `Budget::snapshot == Some(true)` captures
+        // on either path; a resumed solve always captures again.
         let resumed = resume.is_some();
         let result = if resumed {
             engine.synthesize_resumable(k, None, resume)
@@ -722,7 +704,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
                     None => {
                         if let Some(fingerprint) = key {
                             counters.evictions +=
-                                cache.insert_row(fingerprint, digest, job.budget.node_limit, &row);
+                                cache.insert_row(fingerprint, digest, budget.node_limit, &row);
                             if resumed {
                                 cache.remove_snapshot(fingerprint, digest);
                             }
@@ -737,7 +719,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
             // Limits expired with nothing in hand *because the job's
             // deadline passed mid-solve*: that is the deadline outcome,
             // not a hard failure.
-            Err(CoreError::NoSolutionWithinLimits) if job.budget.deadline_passed() => {
+            Err(CoreError::NoSolutionWithinLimits) if budget.deadline_passed() => {
                 return finish(JobOutcome::DeadlineExpired, rows, counters)
             }
             Err(e) => return finish(JobOutcome::Failed(e.to_string()), rows, counters),
@@ -949,37 +931,6 @@ mod tests {
             assert_eq!(reports[0].cache_misses, 0);
         }
         assert_eq!(cache.stats().entries, 0);
-
-        // A per-job opt-out (`BIST_CACHE_MB=0`) has the same effect even
-        // under a deterministic budget.
-        let mut service = JobService::new().with_cache(cache.clone());
-        service.submit(
-            exact_job("optout", benchmarks::figure1())
-                .with_budget(Budget::unlimited().with_cache_mb(0)),
-        );
-        let reports = service.run();
-        assert_eq!(reports[0].cache_hits + reports[0].cache_misses, 0);
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn one_opting_out_job_leaves_the_batch_cache_on() {
-        // The only job that sets `cache_mb` opts itself out with 0. The
-        // batch's own cache must still serve the other two jobs: the
-        // second solves and stores both rows, the third replays them.
-        let mut service = JobService::new().with_workers(1);
-        let budget = Budget::nodes(500);
-        service.submit(
-            exact_job("optout", benchmarks::figure1()).with_budget(budget.with_cache_mb(0)),
-        );
-        service.submit(exact_job("cold", benchmarks::figure1()).with_budget(budget));
-        service.submit(exact_job("warm", benchmarks::figure1()).with_budget(budget));
-        let reports = service.run();
-        let probes: Vec<(u64, u64)> = reports
-            .iter()
-            .map(|r| (r.cache_hits, r.cache_misses))
-            .collect();
-        assert_eq!(probes, [(0, 0), (0, 2), (2, 0)]);
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn figure1_sweep_lp_cold_solves_each_have_one_reason() {
     // Every LP is warm (a dual re-solve from a stored basis), a
     // strong-branching probe, or cold; each cold solve is counted under
     // exactly one reason. Per k, in order: first root cut round, node
-    // without a parent basis, unusable basis, warm re-solve over budget,
-    // leaf completion. Both roots exhaust their cut rounds, so the root
+    // without a parent basis, unusable basis, warm re-solve over budget.
+    // Both roots exhaust their cut rounds, so the root
     // node starts cold; the chained k=2 solve overruns one warm budget.
     let reasons: Vec<_> = figure1_sweep_lp()
         .iter()
@@ -116,11 +116,10 @@ fn figure1_sweep_lp_cold_solves_each_have_one_reason() {
                 cold.no_parent_basis,
                 cold.unusable_basis,
                 cold.over_budget,
-                cold.leaf,
             )
         })
         .collect();
-    assert_eq!(reasons, [(1, 1, 0, 0, 0), (1, 1, 0, 1, 0)]);
+    assert_eq!(reasons, [(1, 1, 0, 0), (1, 1, 0, 1)]);
 }
 
 /// The composed reduced model of every figure1 and paper-circuit solve, as

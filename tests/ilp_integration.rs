@@ -64,12 +64,12 @@ fn bist_models_serialise_to_lp_format() {
     assert!(text.contains("eq7"));
     assert!(text.contains("eq10"));
     assert!(text.contains("End"));
-    // Every model variable appears in the Binaries section or bounds.
+    // Every model variable appears in the Binaries section.
     assert!(text.len() > 10_000, "the figure1 BIST model is non-trivial");
 
     // The structure is readable off the text: one `Subject To` line per
     // constraint, carrying that constraint's terms and rhs, and one
-    // `Binaries` line per binary variable.
+    // `Binaries` line per variable.
     let section = |header: &str| -> Vec<&str> {
         text.lines()
             .skip_while(|line| *line != header)
@@ -87,7 +87,7 @@ fn bist_models_serialise_to_lp_format() {
         let rhs: f64 = tokens[tokens.len() - 1].parse().expect("numeric rhs");
         assert_eq!(rhs, c.rhs, "{}", c.name);
     }
-    assert_eq!(section("Binaries").len(), formulation.model.num_binary());
+    assert_eq!(section("Binaries").len(), formulation.model.num_vars());
 }
 
 #[test]
