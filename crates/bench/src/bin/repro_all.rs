@@ -4,7 +4,8 @@
 //! Exits 1 when any gate fails.
 //!
 //! The sweep's node budget comes from `BIST_NODE_LIMIT` (default 1000
-//! nodes per solve).
+//! nodes per solve); a malformed value or any other `BIST_*` name exits 2
+//! before the sweep starts.
 
 use bist_datapath::CostModel;
 

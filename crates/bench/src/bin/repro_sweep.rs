@@ -17,6 +17,10 @@
 //!   [`bist_bench::rtl::run_circuit`]);
 //! * Table 3's claim: ADVBIST is never worse than any heuristic baseline
 //!   (see [`bist_bench::table3::advbist_wins`]).
+//!
+//! The node budget comes from `BIST_NODE_LIMIT` (default 1000 nodes per
+//! solve); a malformed value or any other `BIST_*` name exits 2 before the
+//! first solve.
 
 fn main() {
     if let Err(failures) = bist_bench::sweep::run_gated() {

@@ -18,10 +18,11 @@
 //! every k once. Figures 1–3 solve figure1 to proven optimality.
 //!
 //! Every solve here is exact or node-budgeted, so every design and work
-//! counter is deterministic. The sweep reads its node budget through one
-//! [`bist_ilp::Budget::from_env`] call ([`workload::budget_from_env`]):
-//! `BIST_NODE_LIMIT` sets it, and the default is
-//! [`workload::DEFAULT_SWEEP_NODES`]. Its gates ([`sweep::gate_failures`],
+//! counter is deterministic. The sweep reads its node budget from the
+//! environment once, before its first solve: `BIST_NODE_LIMIT` sets it, the
+//! default is [`workload::DEFAULT_SWEEP_NODES`], and a malformed value or
+//! any other `BIST_*` name exits with status 2. It is the one environment
+//! variable the workspace reads. Its gates ([`sweep::gate_failures`],
 //! the engine-vs-rebuild cross-check among them) are the harness's only
 //! gates.
 //! Wall-clock performance is measured by the separate `perfbench/`
@@ -41,4 +42,4 @@ pub mod workload;
 
 pub use sweep::CircuitSweep;
 pub use table3::MethodRow;
-pub use workload::{budget_from_env, sweep_circuits};
+pub use workload::sweep_circuits;

@@ -495,12 +495,13 @@ pub fn gate_failures(
     failures
 }
 
-/// The whole sweep gate, as `repro_sweep` and `repro_all` run it. It reads
-/// the node budget from the environment (`BIST_NODE_LIMIT`, default
-/// [`DEFAULT_SWEEP_NODES`]), solves every sweep circuit once, prints Tables
-/// 2 and 3, the rebuild-vs-chained comparison and the RTL summary, and
-/// writes `BENCH_sweep.json`, `BENCH_rtl.json` and `goldens/rtl/` to the
-/// working directory. Then it applies [`gate_failures`].
+/// The whole sweep gate, as `repro_sweep` and `repro_all` run it. It first
+/// reads the node budget from the environment (`BIST_NODE_LIMIT`, default
+/// [`DEFAULT_SWEEP_NODES`]; a bad value or another `BIST_*` name exits 2),
+/// then solves every sweep circuit once, prints Tables 2 and 3, the
+/// rebuild-vs-chained comparison and the RTL summary, and writes
+/// `BENCH_sweep.json`, `BENCH_rtl.json` and `goldens/rtl/` to the working
+/// directory. Then it applies [`gate_failures`].
 ///
 /// # Errors
 ///
@@ -508,10 +509,7 @@ pub fn gate_failures(
 /// validation error, an artifact that could not be written, or a gate
 /// failure.
 pub fn run_gated() -> Result<(), Vec<String>> {
-    let node_limit = crate::budget_from_env()
-        .or_nodes(DEFAULT_SWEEP_NODES)
-        .node_limit
-        .expect("or_nodes fills the limit");
+    let node_limit = crate::workload::read_node_limit();
     eprintln!("# sweep node budget: {node_limit} nodes/solve (set BIST_NODE_LIMIT to change)");
     let circuits = crate::workload::sweep_circuits();
     let config = crate::workload::sweep_config(node_limit);

@@ -19,9 +19,6 @@ pub struct SynthesisConfig {
     /// Apply the Section 3.5 search-space reduction (pre-assign a maximum
     /// clique of mutually incompatible variables to distinct registers).
     pub search_space_reduction: bool,
-    /// Model pseudo-input-port swapping for commutative operations
-    /// (Eq. (3)); operations with a constant operand are never swapped.
-    pub commutative_swapping: bool,
     /// Solve the register-assignment-only ILP first and use its solution to
     /// warm-start the full concurrent model. Guarantees a feasible design
     /// even when the time limit is too small to explore the joint space.
@@ -45,7 +42,6 @@ impl Default for SynthesisConfig {
             num_registers: None,
             input_timing: InputTiming::JustInTime,
             search_space_reduction: true,
-            commutative_swapping: false,
             warm_start: true,
             rtl_validation: false,
             solver: SolverConfig {
@@ -107,18 +103,6 @@ impl SynthesisConfig {
         self
     }
 
-    /// Builder-style toggle for commutative-port swapping.
-    pub fn with_commutative_swapping(mut self, enabled: bool) -> Self {
-        self.commutative_swapping = enabled;
-        self
-    }
-
-    /// Builder-style setter for the solver configuration.
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Builder-style toggle for the simulated RTL validation pass.
     pub fn with_rtl_validation(mut self, enabled: bool) -> Self {
         self.rtl_validation = enabled;
@@ -142,11 +126,9 @@ mod tests {
     fn builders_compose() {
         let config = SynthesisConfig::exact()
             .with_registers(6)
-            .with_search_space_reduction(false)
-            .with_commutative_swapping(true);
+            .with_search_space_reduction(false);
         assert_eq!(config.num_registers, Some(6));
         assert!(!config.search_space_reduction);
-        assert!(config.commutative_swapping);
         assert!(config.solver.budget.is_unlimited());
         let boxed = SynthesisConfig::time_boxed(Duration::from_secs(5));
         assert_eq!(boxed.solver.budget.time_limit, Some(Duration::from_secs(5)));

@@ -1,4 +1,4 @@
-//! Interconnection assignment: Section 3.1 of the paper, Eqs. (1)–(3).
+//! Interconnection assignment: Section 3.1 of the paper, Eqs. (1)–(2).
 //!
 //! Two families of constraints govern every potential wire:
 //!
@@ -14,10 +14,10 @@
 //!   Eq. (1) aggregates to `z_{rml} ≤ Σ_v x_{vr}` over the edges of that
 //!   port; the two forms are equivalent for 0-1 variables.
 //!
-//! Commutative operations (Eq. (3)) may swap their two input ports; we model
-//! the pseudo-input-port permutation with one swap variable per eligible
-//! operation. Operations with a constant operand keep their ports fixed so
-//! that the hard-wired constant stays on its declared port.
+//! Eq. (3), the pseudo-input-port swapping of commutative operations, is not
+//! modelled: every operand is wired to the port the DFG declares for it.
+//! Modelling it would need a per-operation port order carried through
+//! extraction, the data path, its validation and the RTL emitter.
 
 use std::collections::BTreeMap;
 
@@ -63,19 +63,6 @@ impl BistFormulation<'_> {
             }
         }
 
-        // Swap variables for eligible commutative operations.
-        if self.config.commutative_swapping {
-            for o in dfg.op_ids() {
-                let op = dfg.op(o);
-                let class = self.input.binding().module(self.input.module_of(o)).class;
-                let all_variable = op.inputs.iter().all(|&v| !dfg.var(v).is_constant());
-                if op.kind.is_commutative() && class.is_commutative() && all_variable {
-                    let w = self.model.add_binary(format!("swap[{}]", op.name));
-                    self.swap.insert(o.index(), w);
-                }
-            }
-        }
-
         // z_{rml}: register -> module input port.
         for &(m, l) in &self.register_fed_ports.clone() {
             for r in 0..self.num_registers {
@@ -90,41 +77,16 @@ impl BistFormulation<'_> {
         let mut reachable: BTreeMap<(usize, usize, usize), LinExpr> = BTreeMap::new();
         for (v, o, l) in dfg.input_edges() {
             let m = self.input.module_of(o).index();
-            let swap_var = self.swap.get(&o.index()).copied();
             for r in 0..self.num_registers {
                 let x = self.x[&(v.index(), r)];
-                match swap_var {
-                    None => {
-                        let z = self.z_in[&(r, m, l)];
-                        // z >= x  (required connection)
-                        self.model.add_geq(
-                            [(z, 1.0), (x, -1.0)],
-                            0.0,
-                            format!("req[{},R{r},M{m},p{l}]", dfg.var(v).name),
-                        );
-                        reachable.entry((m, l, r)).or_default().add_term(x, 1.0);
-                    }
-                    Some(w) => {
-                        // Unswapped: connection needed on the declared port.
-                        let z_same = self.z_in[&(r, m, l)];
-                        self.model.add_geq(
-                            [(z_same, 1.0), (x, -1.0), (w, 1.0)],
-                            0.0,
-                            format!("req_ns[{},R{r},M{m},p{l}]", dfg.var(v).name),
-                        );
-                        // Swapped: connection needed on the other port.
-                        let other = 1 - l;
-                        let z_other = self.z_in[&(r, m, other)];
-                        self.model.add_geq(
-                            [(z_other, 1.0), (x, -1.0), (w, -1.0)],
-                            -1.0,
-                            format!("req_sw[{},R{r},M{m},p{other}]", dfg.var(v).name),
-                        );
-                        // The edge can justify a wire on either port.
-                        reachable.entry((m, l, r)).or_default().add_term(x, 1.0);
-                        reachable.entry((m, other, r)).or_default().add_term(x, 1.0);
-                    }
-                }
+                let z = self.z_in[&(r, m, l)];
+                // z >= x  (required connection)
+                self.model.add_geq(
+                    [(z, 1.0), (x, -1.0)],
+                    0.0,
+                    format!("req[{},R{r},M{m},p{l}]", dfg.var(v).name),
+                );
+                reachable.entry((m, l, r)).or_default().add_term(x, 1.0);
             }
         }
         for (&(m, l, r), justification) in &reachable {
@@ -198,7 +160,6 @@ mod tests {
         assert_eq!(f.z_out.len(), 6);
         assert!(f.constant_only_ports.is_empty());
         assert_eq!(f.register_fed_ports.len(), 4);
-        assert!(f.swap.is_empty(), "swapping disabled by default");
     }
 
     #[test]
@@ -218,15 +179,5 @@ mod tests {
                 assert!(!f.z_in.contains_key(&(r, m, l)));
             }
         }
-    }
-
-    #[test]
-    fn swapping_creates_variables_for_commutative_ops() {
-        let input = benchmarks::figure1();
-        let config = SynthesisConfig::default().with_commutative_swapping(true);
-        let mut f = BistFormulation::new(&input, &config).unwrap();
-        f.add_interconnect();
-        // All four figure1 operations are add/mul with variable operands.
-        assert_eq!(f.swap.len(), 4);
     }
 }

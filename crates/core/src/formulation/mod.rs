@@ -8,7 +8,7 @@
 //!    reduction (this module),
 //! 2. **interconnection assignment** — the `z_{rml}` / `z_{mr}` variables,
 //!    the required-connection constraints and the no-adverse-path
-//!    constraints, Eqs. (1)–(3) ([`interconnect`](self)),
+//!    constraints, Eqs. (1)–(2) ([`interconnect`](self)),
 //! 3. **multiplexer assignment** — Eqs. (4)–(5) plus the one-hot size
 //!    selectors that make the non-linear Table 1(b) cost exact
 //!    ([`mux`](self)),
@@ -59,7 +59,6 @@ pub struct BistFormulation<'a> {
     pub(crate) baseline: RegisterAssignment,
 
     // Interconnect.
-    pub(crate) swap: BTreeMap<usize, VarId>,
     pub(crate) z_in: BTreeMap<(usize, usize, usize), VarId>,
     pub(crate) z_out: BTreeMap<(usize, usize), VarId>,
     pub(crate) register_fed_ports: Vec<PortKey>,
@@ -114,7 +113,6 @@ impl<'a> BistFormulation<'a> {
             model: Model::new(format!("advbist_{}", input.name())),
             x: BTreeMap::new(),
             baseline,
-            swap: BTreeMap::new(),
             z_in: BTreeMap::new(),
             z_out: BTreeMap::new(),
             register_fed_ports: Vec::new(),
@@ -152,12 +150,6 @@ impl<'a> BistFormulation<'a> {
     /// Lifetime table of the synthesis input under the configured timing.
     pub fn lifetimes(&self) -> &LifetimeTable {
         &self.lifetimes
-    }
-
-    /// The left-edge register assignment used for the search-space reduction
-    /// and as a warm-start / fallback design.
-    pub fn baseline_assignment(&self) -> &RegisterAssignment {
-        &self.baseline
     }
 
     /// The `x_{vr}` variable for a (variable, register) pair, if it exists.

@@ -60,12 +60,6 @@ impl RegisterAssignment {
         }
         true
     }
-
-    /// The dense register map (`None` for constants), indexed by
-    /// [`VarId::index`].
-    pub fn register_map(&self) -> &[Option<usize>] {
-        &self.register_of
-    }
 }
 
 /// Runs the left-edge algorithm on a lifetime table.

@@ -79,15 +79,6 @@ impl ModuleClass {
             ModuleClass::Shifter => matches!(kind, OpKind::Shift),
         }
     }
-
-    /// Whether the modules of this class compute a commutative function for
-    /// every operation they support (relevant for Eq. (3) of the paper).
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            ModuleClass::Adder | ModuleClass::Multiplier | ModuleClass::Logic
-        )
-    }
 }
 
 impl fmt::Display for ModuleClass {
@@ -299,8 +290,6 @@ mod tests {
         assert!(!ModuleClass::Logic.supports(OpKind::Mul));
         assert_eq!(ModuleClass::of(OpKind::Less), ModuleClass::Comparator);
         assert_eq!(ModuleClass::of_with_alu(OpKind::Less), ModuleClass::Alu);
-        assert!(ModuleClass::Multiplier.is_commutative());
-        assert!(!ModuleClass::Alu.is_commutative());
     }
 
     #[test]

@@ -55,16 +55,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Whether the two input ports may be swapped without changing the
-    /// result (Section 3.1, Eq. (3) of the paper models these with
-    /// pseudo-input ports).
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            OpKind::Add | OpKind::Mul | OpKind::And | OpKind::Or | OpKind::Xor
-        )
-    }
-
     /// Number of input operands (all supported operations are binary).
     pub fn arity(self) -> usize {
         2
@@ -442,16 +432,6 @@ impl SynthesisInput {
         ops.sort_by_key(|&o| self.schedule.step_of(o));
         ops
     }
-
-    /// Input edges `(v, o, l)` restricted to the operations of one module:
-    /// the register-to-module connections the data path must provide.
-    pub fn module_input_edges(&self, module: ModuleId) -> Vec<(VarId, OpId, PortIndex)> {
-        self.dfg
-            .input_edges()
-            .into_iter()
-            .filter(|&(_, o, _)| self.binding.module_of(o) == module)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -502,10 +482,6 @@ mod tests {
 
     #[test]
     fn op_kind_properties() {
-        assert!(OpKind::Add.is_commutative());
-        assert!(OpKind::Mul.is_commutative());
-        assert!(!OpKind::Sub.is_commutative());
-        assert!(!OpKind::Less.is_commutative());
         assert_eq!(OpKind::Add.arity(), 2);
         assert_eq!(OpKind::Mul.to_string(), "mul");
     }

@@ -166,20 +166,6 @@ impl LifetimeTable {
         self.max_horizontal_crossing()
     }
 
-    /// All incompatible variable pairs (each pair once, `a < b`).
-    pub fn incompatible_pairs(&self) -> Vec<(VarId, VarId)> {
-        let n = self.lifetimes.len();
-        let mut pairs = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if self.conflicts(VarId(a), VarId(b)) {
-                    pairs.push((VarId(a), VarId(b)));
-                }
-            }
-        }
-        pairs
-    }
-
     /// A maximum clique of mutually incompatible variables: the variables
     /// alive on the most crowded boundary. Used for the search-space
     /// reduction of Section 3.5 (pre-assigning them to distinct registers).

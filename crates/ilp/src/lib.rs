@@ -87,7 +87,7 @@ pub use error::IlpError;
 pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId};
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
-pub use session::{Budget, BudgetError, CancelToken, SolveEvent};
+pub use session::{Budget, CancelToken, SolveEvent};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};
 pub use snapshot::{model_fingerprint, SolveSnapshot};
 pub use solution::{ColdLpCounts, CutCounts, Improvement, Solution, SolveStats, Status};

@@ -116,7 +116,7 @@ impl Domains {
 
     /// Fixes variable `i` to `value`.
     ///
-    /// Returns `false` (leaving the domain empty-marked) if `value` lies
+    /// Returns `false`, leaving the domain unchanged, if `value` lies
     /// outside the current bounds.
     pub fn fix(&mut self, i: usize, value: f64) -> bool {
         if value < self.lower[i] - EPS || value > self.upper[i] + EPS {

@@ -12,6 +12,11 @@
 //!   ([`crate::SolverConfig::with_cancel`]),
 //! * optionally a snapshot to resume ([`crate::SolverConfig::with_resume`]).
 //!
+//! This crate reads no environment variables: a caller builds its
+//! [`Budget`] in code and passes it in. The experiment harness
+//! (`bist-bench`) is the one place that reads a budget variable,
+//! `BIST_NODE_LIMIT`.
+//!
 //! An observed solve streams [`SolveEvent`]s *live* from the solver —
 //! incumbent improvements, dual-bound progress, cut rounds, node milestones
 //! and completion — instead of only post-hoc [`crate::SolveStats`].
@@ -39,23 +44,11 @@
 //! # }
 //! ```
 
-use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::solution::{Solution, Status};
-
-/// Smallest accepted wall-clock budget: sub-millisecond values are clamped
-/// up so a `BIST_TIME_LIMIT_SECS=0` run still performs the root work.
-const MIN_TIME_LIMIT: Duration = Duration::from_millis(1);
-
-/// Largest accepted seconds value in the budget environment variables
-/// (~31 years). Beyond this, `Duration::from_secs_f64` /
-/// `Instant + Duration` would panic instead of producing the designed
-/// loud [`BudgetError`], so the parser rejects it first.
-const MAX_BUDGET_SECS: f64 = 1e9;
 
 /// A unified solve budget: node limit, wall-clock limit and absolute
 /// deadline. All three are optional and combine conjunctively — the solve
@@ -76,7 +69,7 @@ pub struct Budget {
     /// [`crate::SolveSnapshot`]: the one capture switch. Only `Some(true)`
     /// captures; `None` and `Some(false)` do not, in a plain session and
     /// in the job service alike (a job that resumes a cached snapshot
-    /// captures again regardless). Set from `BIST_SNAPSHOT`.
+    /// captures again regardless).
     pub snapshot: Option<bool>,
 }
 
@@ -111,24 +104,6 @@ impl Budget {
     /// Sets the absolute deadline.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the deadline to `from_now` in the future.
-    pub fn with_deadline_in(self, from_now: Duration) -> Self {
-        self.with_deadline(Instant::now() + from_now)
-    }
-
-    /// Fills in the node limit only when none is set (used by harness
-    /// binaries to layer their defaults under the environment).
-    pub fn or_nodes(mut self, limit: u64) -> Self {
-        self.node_limit.get_or_insert(limit);
-        self
-    }
-
-    /// Fills in the wall-clock limit only when none is set.
-    pub fn or_time(mut self, limit: Duration) -> Self {
-        self.time_limit.get_or_insert(limit);
         self
     }
 
@@ -175,167 +150,7 @@ impl Budget {
     pub fn deadline_passed(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// Reads the budget from the process environment.
-    ///
-    /// Recognised variables:
-    ///
-    /// | Variable | Meaning |
-    /// |----------|---------|
-    /// | `BIST_NODE_LIMIT` | node limit per solve (integer ≥ 1) |
-    /// | `BIST_TIME_LIMIT_SECS` | wall-clock limit per solve in seconds (fractions allowed, clamped to ≥ 1 ms) |
-    /// | `BIST_DEADLINE_SECS` | absolute deadline, given as seconds from now |
-    /// | `BIST_SNAPSHOT` | snapshot capture on early stop: `1`/`true`/`on` or `0`/`false`/`off` |
-    ///
-    /// Unset variables leave the corresponding limit unset. Malformed values
-    /// are an error — they are *not* silently replaced by defaults, so a
-    /// typo in a CI configuration fails loudly instead of running with the
-    /// wrong budget. So is any other variable whose name starts with
-    /// `BIST_`: a misspelt or retired name (such as the old
-    /// `BIST_SWEEP_NODES`) would otherwise run with the default budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BudgetError`] naming the offending variable and value.
-    pub fn from_env() -> Result<Self, BudgetError> {
-        Self::from_vars(std::env::vars_os().filter_map(|(name, value)| {
-            Some((name.into_string().ok()?, value.into_string().ok()?))
-        }))
-    }
-
-    /// The testable core of [`Budget::from_env`]: the same rules over an
-    /// arbitrary set of `(name, value)` variables. Variables outside the
-    /// `BIST_` prefix are ignored; an unknown `BIST_*` name is an error
-    /// (the alphabetically first, when there are several).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Budget::from_env`].
-    pub fn from_vars(
-        vars: impl IntoIterator<Item = (String, String)>,
-    ) -> Result<Self, BudgetError> {
-        let vars: BTreeMap<String, String> = vars
-            .into_iter()
-            .filter(|(name, _)| name.starts_with("BIST_"))
-            .collect();
-        if let Some((name, value)) = vars.iter().find(|(name, _)| !Self::reads(name)) {
-            return Err(BudgetError::new(
-                name,
-                value,
-                "unknown budget variable; expected BIST_NODE_LIMIT, BIST_TIME_LIMIT_SECS, \
-                 BIST_DEADLINE_SECS or BIST_SNAPSHOT",
-            ));
-        }
-        Self::from_lookup(|key| vars.get(key).cloned())
-    }
-
-    /// Whether `name` is one of the variables [`Budget::from_lookup`]
-    /// reads.
-    fn reads(name: &str) -> bool {
-        matches!(
-            name,
-            "BIST_NODE_LIMIT" | "BIST_TIME_LIMIT_SECS" | "BIST_DEADLINE_SECS" | "BIST_SNAPSHOT"
-        )
-    }
-
-    /// The parsing rules of [`Budget::from_env`] over an arbitrary variable
-    /// lookup. It asks only for the names it reads, so unlike
-    /// [`Budget::from_vars`] it cannot reject an unknown one.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Budget::from_env`], unknown names aside.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Self, BudgetError> {
-        let mut budget = Budget::unlimited();
-        if let Some(raw) = get("BIST_NODE_LIMIT") {
-            let nodes: u64 = raw
-                .trim()
-                .parse()
-                .map_err(|_| BudgetError::new("BIST_NODE_LIMIT", &raw, "expected an integer"))?;
-            if nodes == 0 {
-                return Err(BudgetError::new(
-                    "BIST_NODE_LIMIT",
-                    &raw,
-                    "node limit must be at least 1",
-                ));
-            }
-            budget.node_limit = Some(nodes);
-        }
-        if let Some(raw) = get("BIST_TIME_LIMIT_SECS") {
-            let secs = parse_seconds("BIST_TIME_LIMIT_SECS", &raw)?;
-            budget.time_limit = Some(Duration::from_secs_f64(secs).max(MIN_TIME_LIMIT));
-        }
-        if let Some(raw) = get("BIST_DEADLINE_SECS") {
-            let secs = parse_seconds("BIST_DEADLINE_SECS", &raw)?;
-            budget.deadline = Some(Instant::now() + Duration::from_secs_f64(secs));
-        }
-        if let Some(raw) = get("BIST_SNAPSHOT") {
-            budget.snapshot = Some(match raw.trim() {
-                "1" | "true" | "on" => true,
-                "0" | "false" | "off" => false,
-                _ => {
-                    return Err(BudgetError::new(
-                        "BIST_SNAPSHOT",
-                        &raw,
-                        "expected 0/1, true/false or on/off",
-                    ))
-                }
-            });
-        }
-        Ok(budget)
-    }
 }
-
-fn parse_seconds(var: &str, raw: &str) -> Result<f64, BudgetError> {
-    let secs: f64 = raw
-        .trim()
-        .parse()
-        .map_err(|_| BudgetError::new(var, raw, "expected a number of seconds"))?;
-    if !secs.is_finite() || secs < 0.0 {
-        return Err(BudgetError::new(
-            var,
-            raw,
-            "seconds must be finite and non-negative",
-        ));
-    }
-    if secs > MAX_BUDGET_SECS {
-        return Err(BudgetError::new(
-            var,
-            raw,
-            "seconds exceed the supported maximum (1e9)",
-        ));
-    }
-    Ok(secs)
-}
-
-/// A malformed budget variable in the environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetError {
-    /// The environment variable that failed to parse.
-    pub var: String,
-    /// Its raw value.
-    pub value: String,
-    /// What was expected.
-    pub reason: String,
-}
-
-impl BudgetError {
-    fn new(var: &str, value: &str, reason: &str) -> Self {
-        Self {
-            var: var.to_string(),
-            value: value.to_string(),
-            reason: reason.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for BudgetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid {}={:?}: {}", self.var, self.value, self.reason)
-    }
-}
-
-impl std::error::Error for BudgetError {}
 
 /// A shareable cancellation flag. Cloning is cheap (an [`Arc`] bump) and
 /// every clone observes the same flag, so a token handed to another thread,
@@ -442,112 +257,38 @@ mod tests {
     use crate::model::{Model, Sense};
     use crate::solver::SolverConfig;
 
-    fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |key| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
     #[test]
     fn budget_from_lookup_defaults_to_unlimited() {
-        let budget = Budget::from_lookup(lookup(&[])).unwrap();
+        // A budget with no limit set never stops a solve.
+        let budget = Budget::default();
+        assert_eq!(budget, Budget::unlimited());
         assert!(budget.is_unlimited());
         assert!(!budget.nodes_exhausted(u64::MAX - 1));
         assert!(!budget.time_expired(Instant::now()));
+        assert!(!budget.deadline_passed());
     }
 
     #[test]
-    fn budget_parse_failures_name_the_variable() {
-        let err = Budget::from_lookup(lookup(&[("BIST_NODE_LIMIT", "lots")])).unwrap_err();
-        assert_eq!(err.var, "BIST_NODE_LIMIT");
-        assert!(err.to_string().contains("lots"));
-        let err = Budget::from_lookup(lookup(&[("BIST_NODE_LIMIT", "0")])).unwrap_err();
-        assert!(err.reason.contains("at least 1"));
-        let err = Budget::from_lookup(lookup(&[("BIST_TIME_LIMIT_SECS", "fast")])).unwrap_err();
-        assert_eq!(err.var, "BIST_TIME_LIMIT_SECS");
-        let err = Budget::from_lookup(lookup(&[("BIST_TIME_LIMIT_SECS", "-3")])).unwrap_err();
-        assert!(err.reason.contains("non-negative"));
-        let err = Budget::from_lookup(lookup(&[("BIST_DEADLINE_SECS", "inf")])).unwrap_err();
-        assert_eq!(err.var, "BIST_DEADLINE_SECS");
-        // Values `Duration::from_secs_f64` would panic on must come back as
-        // errors, not panics.
-        let err = Budget::from_lookup(lookup(&[("BIST_TIME_LIMIT_SECS", "1e20")])).unwrap_err();
-        assert!(err.reason.contains("maximum"));
-        let err = Budget::from_lookup(lookup(&[("BIST_DEADLINE_SECS", "1e20")])).unwrap_err();
-        assert!(err.reason.contains("maximum"));
+    fn budget_or_combinators_only_fill_gaps() {
+        // Each builder sets its own field and leaves the others as they were.
+        let budget = Budget::nodes(5).with_time(Duration::from_secs(9));
+        assert_eq!(budget.node_limit, Some(5));
+        assert_eq!(budget.time_limit, Some(Duration::from_secs(9)));
+        assert_eq!((budget.deadline, budget.snapshot), (None, None));
+        assert!(budget.nodes_exhausted(5));
+        assert!(!budget.nodes_exhausted(4));
     }
 
     #[test]
-    fn budget_snapshot_knob_parses_strictly() {
-        let unset = Budget::from_lookup(lookup(&[])).unwrap();
-        assert_eq!(unset.snapshot, None);
-
-        let set = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "1")])).unwrap();
-        assert_eq!(set.snapshot, Some(true));
-        let off = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "off")])).unwrap();
-        assert_eq!(off.snapshot, Some(false));
-        for raw in ["true", "on"] {
-            let b = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", raw)])).unwrap();
-            assert_eq!(b.snapshot, Some(true), "{raw}");
-        }
-        for raw in ["false", "0"] {
-            let b = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", raw)])).unwrap();
-            assert_eq!(b.snapshot, Some(false), "{raw}");
-        }
-
-        // A malformed value fails loudly, naming the variable.
-        let err = Budget::from_lookup(lookup(&[("BIST_SNAPSHOT", "yes")])).unwrap_err();
-        assert_eq!(err.var, "BIST_SNAPSHOT");
-        assert!(err.to_string().contains("yes"));
-        assert!(err.reason.contains("true/false"));
-    }
-
-    #[test]
-    fn unknown_bist_variables_fail_loudly() {
-        let vars = |pairs: &[(&str, &str)]| {
-            Budget::from_vars(pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())))
-        };
-        // The retired node-budget alias alone is rejected with its name and
-        // value, instead of running with the default budget.
-        let err = vars(&[("BIST_SWEEP_NODES", "50")]).unwrap_err();
-        assert_eq!(
-            (err.var.as_str(), err.value.as_str()),
-            ("BIST_SWEEP_NODES", "50")
-        );
-        assert!(err.reason.contains("unknown"), "{err}");
-        // An unknown name fails even next to a valid known one.
-        let err = vars(&[("BIST_NODE_LIMIT", "50"), ("BIST_NODE_LIMT", "50")]).unwrap_err();
-        assert_eq!(err.var, "BIST_NODE_LIMT");
-        // So does the retired solve-cache size: a batch's cache is sized
-        // through the job service, not the budget.
-        let err = vars(&[("BIST_CACHE_MB", "8")]).unwrap_err();
-        assert_eq!(
-            (err.var.as_str(), err.value.as_str()),
-            ("BIST_CACHE_MB", "8")
-        );
-        assert!(err.reason.contains("unknown"), "{err}");
-        // The four known names still parse, and other variables are no
-        // business of the budget.
-        let budget = vars(&[
-            ("BIST_NODE_LIMIT", "50"),
-            ("BIST_TIME_LIMIT_SECS", "2.5"),
-            ("BIST_DEADLINE_SECS", "60"),
-            ("BIST_SNAPSHOT", "on"),
-            ("PATH", "/bin"),
-            ("XBIST_NODE_LIMIT", "x"),
-        ])
-        .unwrap();
-        assert_eq!(budget.node_limit, Some(50));
-        assert_eq!(budget.time_limit, Some(Duration::from_secs_f64(2.5)));
-        assert!(budget.deadline.is_some());
-        assert_eq!(budget.snapshot, Some(true));
-        assert!(vars(&[]).unwrap().is_unlimited());
-        // Malformed values of known names keep their own diagnostics.
-        let err = vars(&[("BIST_NODE_LIMIT", "garbage")]).unwrap_err();
-        assert_eq!(err.var, "BIST_NODE_LIMIT");
+    fn budget_time_values_are_clamped_and_deadline_is_absolute() {
+        // The smallest wall-clock limit, zero, has expired as soon as the
+        // solve starts.
+        assert!(Budget::time(Duration::ZERO).time_expired(Instant::now()));
+        // The deadline is absolute: once past, it has expired for every
+        // solve, whenever that solve started.
+        let past = Budget::unlimited().with_deadline(Instant::now());
+        assert!(past.deadline_passed());
+        assert!(past.time_expired(Instant::now()));
     }
 
     #[test]
@@ -556,32 +297,10 @@ mod tests {
         assert!(Budget::nodes(10).with_snapshot(true).is_deterministic());
         assert!(!Budget::time(Duration::from_secs(1)).is_deterministic());
         assert!(!Budget::nodes(10)
-            .with_deadline_in(Duration::from_secs(1))
+            .with_deadline(Instant::now() + Duration::from_secs(1))
             .is_deterministic());
         // The snapshot switch does not make an unlimited budget "limited".
         assert!(Budget::unlimited().with_snapshot(true).is_unlimited());
-    }
-
-    #[test]
-    fn budget_time_values_are_clamped_and_deadline_is_absolute() {
-        let budget = Budget::from_lookup(lookup(&[
-            ("BIST_TIME_LIMIT_SECS", "0"),
-            ("BIST_DEADLINE_SECS", "0"),
-        ]))
-        .unwrap();
-        assert_eq!(budget.time_limit, Some(MIN_TIME_LIMIT));
-        assert!(budget.deadline_passed());
-    }
-
-    #[test]
-    fn budget_or_combinators_only_fill_gaps() {
-        let budget = Budget::nodes(5)
-            .or_nodes(100)
-            .or_time(Duration::from_secs(9));
-        assert_eq!(budget.node_limit, Some(5));
-        assert_eq!(budget.time_limit, Some(Duration::from_secs(9)));
-        assert!(budget.nodes_exhausted(5));
-        assert!(!budget.nodes_exhausted(4));
     }
 
     #[test]

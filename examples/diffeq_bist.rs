@@ -6,25 +6,21 @@
 //! time, less hardware). ADVBIST emits one area-minimal design per k so the
 //! designer can pick a point on that curve.
 //!
-//! Run with (budget in seconds per ILP solve, default 5):
+//! Every ILP solve runs under a fixed budget of 1000 branch-and-bound nodes,
+//! so every column but `time(s)` is the same on every machine. Run with:
 //! ```text
-//! BIST_TIME_LIMIT_SECS=10 cargo run --release --example diffeq_bist
+//! cargo run --release --example diffeq_bist
 //! ```
 
 use std::error::Error;
-use std::time::Duration;
 
 use advbist::core::{reference, synthesis, SynthesisConfig};
 use advbist::dfg::benchmarks;
 use advbist::Budget;
 
-fn budget() -> Result<Budget, Box<dyn Error>> {
-    Ok(Budget::from_env()?.or_time(Duration::from_secs(5)))
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
     let input = benchmarks::paulin();
-    let config = SynthesisConfig::budgeted(budget()?);
+    let config = SynthesisConfig::budgeted(Budget::nodes(1000));
 
     println!(
         "paulin: {} operations on {} modules, {} control steps",

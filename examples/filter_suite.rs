@@ -2,13 +2,13 @@
 //! ADVBIST against the three heuristic baselines at the maximal test-session
 //! count — a runnable slice of Table 3.
 //!
-//! Run with (budget in seconds per ILP solve, default 5):
+//! Every ILP solve runs under a fixed budget of 1000 branch-and-bound nodes,
+//! so the table is the same on every machine. Run with:
 //! ```text
-//! BIST_TIME_LIMIT_SECS=10 cargo run --release --example filter_suite
+//! cargo run --release --example filter_suite
 //! ```
 
 use std::error::Error;
-use std::time::Duration;
 
 use advbist::baselines::{synthesize_advan, synthesize_bits, synthesize_ralloc};
 use advbist::core::{reference, synthesis, SynthesisConfig};
@@ -16,12 +16,8 @@ use advbist::datapath::report::DesignReport;
 use advbist::dfg::benchmarks;
 use advbist::Budget;
 
-fn budget() -> Result<Budget, Box<dyn Error>> {
-    Ok(Budget::from_env()?.or_time(Duration::from_secs(5)))
-}
-
 fn main() -> Result<(), Box<dyn Error>> {
-    let config = SynthesisConfig::budgeted(budget()?);
+    let config = SynthesisConfig::budgeted(Budget::nodes(1000));
     let circuits = vec![
         ("fir6", benchmarks::fir6()),
         ("iir3", benchmarks::iir3()),

@@ -40,8 +40,8 @@
 //! replaced, and memory is bounded by an LRU budget
 //! ([`SolveCache::DEFAULT_CAPACITY_MB`] for a batch's own cache, or the
 //! capacity of the one passed to [`JobService::with_cache`]).
-//! Snapshot capture is opt-in per job via `BIST_SNAPSHOT` /
-//! [`Budget::snapshot`] (`Some(true)` captures). Snapshots live only in
+//! Snapshot capture is opt-in per job via [`Budget::snapshot`]
+//! (`Some(true)` captures). Snapshots live only in
 //! the cache of the running process; nothing writes them out.
 //! Hit/miss/eviction counters are reported per job on the [`JobReport`]
 //! and globally via [`SolveCache::stats`].

@@ -7,16 +7,13 @@
 
 // Every name here must resolve from the facade root — that *is* the test.
 use advbist::service::{JobHandle, JobOutcome, JobReport, JobRow, JobService, SynthesisJob};
-use advbist::{Budget, BudgetError, CancelToken, SolveEvent};
+use advbist::{Budget, CancelToken, SolveEvent};
 
 #[test]
 fn facade_re_exports_resolve_and_are_usable() {
-    // Budget: construction and combinators.
-    let budget: Budget = Budget::nodes(10).or_time(std::time::Duration::from_secs(1));
+    // Budget: construction and builders.
+    let budget: Budget = Budget::nodes(10).with_time(std::time::Duration::from_secs(1));
     assert_eq!(budget.node_limit, Some(10));
-    let parse_failure: Result<Budget, BudgetError> =
-        Budget::from_lookup(|key| (key == "BIST_NODE_LIMIT").then(|| "bogus".to_string()));
-    assert!(parse_failure.is_err());
 
     // CancelToken: shared flag semantics.
     let token: CancelToken = CancelToken::new();

@@ -10,7 +10,9 @@ use advbist::datapath::validate::{validate_design, validate_structure};
 use advbist::datapath::TestRegisterKind;
 use advbist::dfg::benchmarks;
 use advbist::dfg::lifetime::LifetimeTable;
+use advbist::dfg::InputTiming;
 use advbist::ilp::BoundMode;
+use advbist::rtl::{validate_simulated, SimConfig};
 
 fn quick(limit_ms: u64) -> SynthesisConfig {
     SynthesisConfig::time_boxed(Duration::from_millis(limit_ms))
@@ -88,6 +90,44 @@ fn figure1_solver_variants_reach_the_same_optimum() {
         match &expected_areas {
             Some(expected) => assert_eq!(&areas, expected, "{label}"),
             None => expected_areas = Some(areas),
+        }
+    }
+}
+
+#[test]
+fn figure1_input_timing_and_register_count_solve_exactly() {
+    // The two synthesis options that change the model itself: inputs held
+    // from control step 0, and one register above the minimum. Each design
+    // must pass both validators, be proven optimal and cost exactly the
+    // objective it was extracted from.
+    let input = benchmarks::figure1();
+    let from_start = SynthesisConfig {
+        input_timing: InputTiming::FromStart,
+        ..SynthesisConfig::exact()
+    };
+    let variants = [
+        ("inputs from start", from_start, [1440, 1392]),
+        (
+            "four registers",
+            SynthesisConfig::exact().with_registers(4),
+            [1360, 1344],
+        ),
+    ];
+    for (label, config, areas) in variants {
+        let lifetimes = LifetimeTable::with_timing(&input, config.input_timing).unwrap();
+        for (k, area) in (1..=2).zip(areas) {
+            let design = synthesis::synthesize_bist(&input, k, &config).unwrap();
+            assert!(design.optimal, "{label}, k = {k}");
+            validate_design(&design.datapath, &design.plan, &input, &lifetimes)
+                .unwrap_or_else(|e| panic!("{label}, k = {k}: {e}"));
+            validate_simulated(&design.datapath, &design.plan, &SimConfig::default())
+                .unwrap_or_else(|e| panic!("{label}, k = {k}: {e}"));
+            assert_eq!(
+                design.area.total() as f64,
+                design.objective,
+                "{label}, k = {k}"
+            );
+            assert_eq!(design.area.total(), area, "{label}, k = {k}");
         }
     }
 }

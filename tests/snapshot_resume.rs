@@ -221,9 +221,8 @@ fn snapshot_capture_is_off_by_default() {
 
 #[test]
 fn budget_snapshot_knob_flows_through_the_solver_config() {
-    // `Budget::snapshot` (the BIST_SNAPSHOT env knob) is the one capture
-    // switch, and it must reach the search: Some(true) captures, Some(false)
-    // does not.
+    // `Budget::snapshot` is the one capture switch, and it must reach the
+    // search: Some(true) captures, Some(false) does not.
     let model = knapsack_model();
     let solve = |snapshot: bool| {
         model
