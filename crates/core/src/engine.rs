@@ -428,8 +428,9 @@ mod tests {
             config
         };
         // figure1 solved exactly under both bound modes; tseng and paulin
-        // node-capped under propagation bounds, which solve no LPs (their LP
-        // rows are the sweep's service gate).
+        // node-capped with LP bounds at the root only, so below the root
+        // they solve no LPs (their LP rows are the sweep's service gate).
+        let root_lp = BoundMode::Hybrid { lp_depth: 0 };
         let cases = [
             (
                 "figure1",
@@ -439,17 +440,17 @@ mod tests {
             (
                 "figure1",
                 benchmarks::figure1(),
-                with(BoundMode::Propagation, Budget::unlimited()),
+                with(root_lp, Budget::unlimited()),
             ),
             (
                 "tseng",
                 benchmarks::tseng(),
-                with(BoundMode::Propagation, Budget::nodes(200)),
+                with(root_lp, Budget::nodes(200)),
             ),
             (
                 "paulin",
                 benchmarks::paulin(),
-                with(BoundMode::Propagation, Budget::nodes(200)),
+                with(root_lp, Budget::nodes(200)),
             ),
         ];
         for (name, input, config) in &cases {

@@ -27,7 +27,8 @@
 //! * [`cuts`]: Gomory mixed-integer cuts read off the optimal root and
 //!   shallow-node bases, deduplicated through one pool,
 //! * a depth-first branch-and-bound [`solver`] with configurable bounding
-//!   (LP relaxation, propagation-only, or hybrid), pseudo-cost /
+//!   (LP relaxation everywhere, or down to a depth and propagation bounds
+//!   below it), pseudo-cost /
 //!   reliability branching with strong-branching initialisation,
 //!   warm-started node LPs, reduced-cost bound fixing against the
 //!   incumbent, the [`heuristics`] (a greedy dive before the search and LP

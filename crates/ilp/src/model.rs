@@ -175,12 +175,6 @@ impl Model {
         &self.vars[var.index()]
     }
 
-    /// Looks a variable up by name (linear scan; intended for tests and
-    /// diagnostics, not hot paths).
-    pub fn var_by_name(&self, name: &str) -> Option<VarId> {
-        self.vars.iter().position(|v| v.name == name).map(VarId)
-    }
-
     /// Adds a generic constraint `expr op rhs`.
     ///
     /// The constant part of `expr` is moved to the right-hand side so the
@@ -359,8 +353,6 @@ mod tests {
         assert_eq!((x.index(), y.index()), (0, 1));
         assert_eq!(m.var(y).name, "y");
         assert_eq!(m.var(x).objective, 0.0);
-        assert_eq!(m.var_by_name("y"), Some(y));
-        assert_eq!(m.var_by_name("nope"), None);
     }
 
     #[test]

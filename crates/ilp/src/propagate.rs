@@ -155,16 +155,6 @@ impl Domains {
         }
     }
 
-    /// Overwrites both bounds of variable `i` verbatim — no integrality
-    /// rounding, no tightening-only check. Used exclusively by the snapshot
-    /// resume path, which must reinstate the *exact* bit patterns a node's
-    /// box held at capture time (routing restores through `tighten_*` would
-    /// re-round already-rounded bounds and could move them by an ulp).
-    pub(crate) fn restore_bounds(&mut self, i: usize, lower: f64, upper: f64) {
-        self.lower[i] = lower;
-        self.upper[i] = upper;
-    }
-
     /// Whether the box is empty (some variable has lower > upper).
     pub fn is_infeasible(&self) -> bool {
         self.lower

@@ -109,14 +109,6 @@ impl ReduceReport {
         }
         self.fixed_vars as f64 / self.original_vars as f64
     }
-
-    /// Fraction of original rows removed, in `[0, 1]`.
-    pub fn row_reduction_ratio(&self) -> f64 {
-        if self.original_rows == 0 {
-            return 0.0;
-        }
-        (self.redundant_rows + self.dominated_rows) as f64 / self.original_rows as f64
-    }
 }
 
 /// A reduced model together with the maps back to the original indexing.
@@ -1135,7 +1127,6 @@ mod tests {
         let report = &reduced.report;
         assert!(report.var_reduction_ratio() > 0.0);
         assert!(report.var_reduction_ratio() <= 1.0);
-        assert!(report.row_reduction_ratio() <= 1.0);
         assert!(report.rounds >= 1);
     }
 }

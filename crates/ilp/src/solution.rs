@@ -32,11 +32,6 @@ impl Status {
     pub fn has_solution(self) -> bool {
         matches!(self, Status::Optimal | Status::Feasible)
     }
-
-    /// Whether the solve was stopped by cancellation.
-    pub fn is_interrupted(self) -> bool {
-        self == Status::Interrupted
-    }
 }
 
 /// One incumbent improvement during the search: when it happened and what
@@ -313,15 +308,6 @@ impl Solution {
         self.value(var) > 0.5
     }
 
-    /// Rounded integer value of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no assignment is available or `var` is out of range.
-    pub fn int_value(&self, var: VarId) -> i64 {
-        self.value(var).round() as i64
-    }
-
     /// The dense assignment vector (empty when no solution is available).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -357,8 +343,6 @@ mod tests {
         assert!(!Status::Infeasible.has_solution());
         assert!(!Status::Unknown.has_solution());
         assert!(!Status::Interrupted.has_solution());
-        assert!(Status::Interrupted.is_interrupted());
-        assert!(!Status::Feasible.is_interrupted());
     }
 
     #[test]
@@ -388,7 +372,6 @@ mod tests {
         assert_eq!(sol.objective(), 42.0);
         assert!(sol.is_one(VarId(0)));
         assert!(!sol.is_one(VarId(1)));
-        assert_eq!(sol.int_value(VarId(2)), 3);
         assert_eq!(sol.values().len(), 3);
     }
 

@@ -3,9 +3,9 @@
 //! The solver explores a binary search tree over the model's binary
 //! variables, fixing one at 0 and at 1 in each branching. At
 //! every node it runs bound propagation, computes a dual (lower) bound —
-//! either from the LP relaxation, from the objective over the propagated box,
-//! or a depth-dependent hybrid of the two — and prunes nodes that cannot beat
-//! the incumbent. A greedy propagation-repaired dive supplies an early
+//! from the LP relaxation, or below a configured depth from the objective
+//! over the propagated box — and prunes nodes that cannot beat the
+//! incumbent. A greedy propagation-repaired dive supplies an early
 //! incumbent, which matters a great deal for the highly constrained BIST
 //! assignment models this crate was written for.
 //!
@@ -14,7 +14,7 @@
 //! * **Depth-first node order** — open nodes live on a stack, and the
 //!   preferred child of every branching is explored first.
 //! * **Warm-started node LPs** — each child node owns its parent's compact
-//!   optimal [`Basis`] (siblings share it through an `Rc`) and re-solves
+//!   optimal [`Basis`] (siblings share it through an `Arc`) and re-solves
 //!   its LP with the dual simplex from it instead of running two-phase
 //!   primal from scratch. A basis stored before a cut install is extended
 //!   over the appended rows. Cold solves remain only where no usable
@@ -30,7 +30,6 @@
 //!   improving solution; the tightened bounds feed the propagation
 //!   worklist.
 
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +43,7 @@ use crate::simplex::{
     instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, Factor, LpSolution, LpStatus,
     ReducedCosts,
 };
-use crate::snapshot::{SnapshotNode, SolveSnapshot};
+use crate::snapshot::SolveSnapshot;
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
 use crate::{EPS, INT_EPS};
@@ -120,14 +119,11 @@ fn rounded_if_integral(values: &[f64]) -> Option<Vec<f64>> {
 /// How dual bounds are computed at branch-and-bound nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundMode {
-    /// Objective bound over the propagated variable box only. Cheapest, and
-    /// surprisingly effective on the assignment-heavy BIST models, but the
-    /// weakest bound.
-    Propagation,
     /// Solve the LP relaxation at every node. Strongest bound, most work.
     LpRelaxation,
     /// Solve the LP relaxation at nodes of depth `lp_depth` or shallower and
-    /// fall back to the propagation bound deeper in the tree.
+    /// fall back to the propagation bound (the objective over the
+    /// propagated variable box) deeper in the tree.
     Hybrid {
         /// Maximum depth at which the LP relaxation is still solved.
         lp_depth: usize,
@@ -161,8 +157,7 @@ pub struct SolverConfig {
     pub initial_solutions: Vec<Vec<f64>>,
     /// Keep a cut pool ([`crate::cuts`]): Gomory mixed-integer cuts read
     /// off the optimal basis in the root loop and at shallow nodes. On by
-    /// default. Gomory cuts need LP bases, so under
-    /// [`BoundMode::Propagation`] no cut is ever installed.
+    /// default.
     pub cuts: bool,
     /// Run shallow in-tree Gomory rounds from the first descent instead of
     /// waiting for the node counter to mature. Off by default: early extra
@@ -252,10 +247,10 @@ impl SolverConfig {
     }
 }
 
-/// A branch-and-bound node.
+/// A branch-and-bound node. A [`SolveSnapshot`] holds the open ones.
 #[derive(Debug, Clone)]
-struct Node {
-    domains: Domains,
+pub(crate) struct Node {
+    pub(crate) domains: Domains,
     depth: usize,
     /// Dual bound inherited from the parent (minimisation objective).
     bound: f64,
@@ -264,9 +259,12 @@ struct Node {
     /// propagation can be seeded with just this variable's rows.
     branched: Option<usize>,
     /// The parent's optimal LP basis, if its LP solved to optimality; the
-    /// node's LP re-solves from it with the dual simplex. The root node
-    /// holds the basis of the cut loop's cached LP.
-    parent_basis: Option<Rc<Basis>>,
+    /// node's LP re-solves from it with the dual simplex.
+    pub(crate) parent_basis: Option<Arc<Basis>>,
+    /// An LP already solved over this node's box and the current rows,
+    /// which the node takes instead of solving its own: the root carries
+    /// the cut loop's final LP, the most expensive one of the tree.
+    pub(crate) lp: Option<NodeLp>,
     /// Whether the inherited `bound` came from an LP relaxation (pseudo-cost
     /// updates only compare LP bounds with LP bounds).
     parent_bound_is_lp: bool,
@@ -278,56 +276,27 @@ struct Node {
     branch_step: f64,
 }
 
-/// Captures an open node as bound deltas against the model's root box.
-/// Bit-pattern comparison (not `==`) so a signed-zero tightening is still
-/// restored exactly. The parent basis is stored once in `bases`, however
-/// many siblings share it, and the node records its index there.
-fn snapshot_node(node: &Node, base: &Domains, bases: &mut Vec<Rc<Basis>>) -> SnapshotNode {
-    let deltas = (0..base.len())
-        .filter_map(|j| {
-            let (lo, hi) = (node.domains.lower(j), node.domains.upper(j));
-            (lo.to_bits() != base.lower(j).to_bits() || hi.to_bits() != base.upper(j).to_bits())
-                .then_some((j, lo, hi))
-        })
-        .collect();
-    let parent_basis = node.parent_basis.as_ref().map(|basis| {
-        bases
-            .iter()
-            .position(|stored| Rc::ptr_eq(stored, basis))
-            .unwrap_or_else(|| {
-                bases.push(Rc::clone(basis));
-                bases.len() - 1
-            })
-    });
-    SnapshotNode {
-        deltas,
-        depth: node.depth,
-        bound: node.bound,
-        branched: node.branched,
-        parent_basis,
-        parent_bound_is_lp: node.parent_bound_is_lp,
-        branch_up: node.branch_up,
-        branch_step: node.branch_step,
+impl Node {
+    /// The root node over `domains`.
+    pub(crate) fn root(domains: Domains) -> Self {
+        Self {
+            domains,
+            depth: 0,
+            bound: f64::NEG_INFINITY,
+            branched: None,
+            parent_basis: None,
+            lp: None,
+            parent_bound_is_lp: false,
+            branch_up: false,
+            branch_step: 0.0,
+        }
     }
-}
 
-/// Rebuilds an open node from its captured bound deltas and the restored
-/// snapshot `bases`. Bounds are restored verbatim (no re-tightening), so the
-/// resumed node's domains are bit-identical to the captured ones.
-fn restore_node(snap: &SnapshotNode, base: &Domains, bases: &[Rc<Basis>]) -> Node {
-    let mut domains = base.clone();
-    for &(j, lo, hi) in &snap.deltas {
-        domains.restore_bounds(j, lo, hi);
-    }
-    Node {
-        domains,
-        depth: snap.depth,
-        bound: snap.bound,
-        branched: snap.branched,
-        parent_basis: snap.parent_basis.map(|i| Rc::clone(&bases[i])),
-        parent_bound_is_lp: snap.parent_bound_is_lp,
-        branch_up: snap.branch_up,
-        branch_step: snap.branch_step,
+    /// The LP bases this node holds: its parent's, and that of an LP it
+    /// carries.
+    pub(crate) fn bases(&self) -> impl Iterator<Item = &Arc<Basis>> {
+        let lp_basis = self.lp.as_ref().and_then(|lp| lp.basis.as_ref());
+        self.parent_basis.iter().chain(lp_basis)
     }
 }
 
@@ -398,16 +367,6 @@ impl PseudoCosts {
     }
 }
 
-/// The root relaxation the cut loop already solved for the current row set,
-/// handed to the root node so the most expensive LP of the tree is not
-/// repeated.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedRootLp {
-    pub(crate) objective: f64,
-    pub(crate) values: Vec<f64>,
-    pub(crate) reduced_costs: Option<ReducedCosts>,
-}
-
 /// The branch-and-bound engine. Construct with [`BranchAndBound::new`] and
 /// call [`BranchAndBound::run`]; most users go through [`Model::solve`].
 pub struct BranchAndBound<'a> {
@@ -444,13 +403,6 @@ pub struct BranchAndBound<'a> {
     /// strengthening, and on the paper's transistor-count objectives the
     /// step that turns a 0.4-area LP gap into a closed node.
     integral_objective: bool,
-    /// The last root LP solved by the cut loop, valid for the *current*
-    /// matrix; the root node consumes it instead of re-solving the most
-    /// expensive LP of the tree.
-    root_lp_cache: Option<CachedRootLp>,
-    /// The basis of [`Self::root_lp_cache`], which the root node takes as
-    /// its own.
-    root_basis: Option<Rc<Basis>>,
     /// Pseudo-cost state of the branching rule.
     pseudo: PseudoCosts,
     /// Live event sink (see [`SolveEvent`]); `None` when nobody listens.
@@ -504,8 +456,6 @@ impl<'a> BranchAndBound<'a> {
             eager_separation: false,
             root_box,
             integral_objective,
-            root_lp_cache: None,
-            root_basis: None,
             pseudo: PseudoCosts::new(num_vars),
             events: None,
             last_bound_emitted: f64::NEG_INFINITY,
@@ -642,14 +592,15 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Root cut loop: solve the root LP, read Gomory cuts off its optimal
-    /// basis, tighten and repeat. The first round solves cold; every later
-    /// round re-solves warm from the previous round's basis, extended over
-    /// the cuts that round installed. Returns `false` when the root becomes
-    /// infeasible (only possible numerically, since cuts preserve every
-    /// integer point).
+    /// basis, tighten the root's box and repeat. The first round solves
+    /// cold; every later round re-solves warm from the previous round's
+    /// basis, extended over the cuts that round installed. A round that
+    /// installs nothing leaves its LP, valid for the final row set, on the
+    /// root node. Returns `false` when the root becomes infeasible (only
+    /// possible numerically, since cuts preserve every integer point).
     fn root_cuts(
         &mut self,
-        domains: &mut Domains,
+        root: &mut Node,
         stats: &mut SolveStats,
         incumbent: &mut Option<(f64, Vec<f64>)>,
         start: Instant,
@@ -662,7 +613,7 @@ impl<'a> BranchAndBound<'a> {
             if self.is_cancelled() || self.config.budget.time_expired(start) {
                 return true;
             }
-            let (lp, basis) = self.relaxation(previous.as_ref(), Cold::Root, domains, stats);
+            let (lp, basis) = self.relaxation(previous.as_ref(), Cold::Root, &root.domains, stats);
             match lp.status {
                 LpStatus::Infeasible => return false,
                 // Each cut round re-solves the root relaxation over a
@@ -675,13 +626,15 @@ impl<'a> BranchAndBound<'a> {
             // incumbent improvement and stop separating.
             if let Some(values) = rounded_if_integral(&lp.values) {
                 self.offer_incumbent(values, "root-lp", incumbent, stats, start);
-                self.cache_root_lp(lp, basis);
+                root.lp = Some(NodeLp::new(lp, basis));
                 return true;
             }
             let installed = basis
                 .as_ref()
                 .and_then(|b| self.factor(b))
-                .and_then(|factor| self.install_gomory(&factor, &lp.values, domains, stats));
+                .and_then(|factor| {
+                    self.install_gomory(&factor, &lp.values, &mut root.domains, stats)
+                });
             match installed {
                 Some(true) => {
                     previous = basis;
@@ -693,7 +646,7 @@ impl<'a> BranchAndBound<'a> {
             // No violated cuts: this LP is valid for the final row set, so
             // hand it to the root node instead of having it re-solve the
             // identical relaxation.
-            self.cache_root_lp(lp, basis);
+            root.lp = Some(NodeLp::new(lp, basis));
             return true;
         }
         true
@@ -707,17 +660,6 @@ impl<'a> BranchAndBound<'a> {
             &self.objective,
             self.objective_constant,
         )
-    }
-
-    /// Records the cut loop's final LP and its basis for the root node to
-    /// consume.
-    fn cache_root_lp(&mut self, lp: LpSolution, basis: Option<Basis>) {
-        self.root_lp_cache = Some(CachedRootLp {
-            objective: lp.objective,
-            values: lp.values,
-            reduced_costs: lp.reduced_costs,
-        });
-        self.root_basis = basis.map(Rc::new);
     }
 
     /// Runs the search and returns the best solution found.
@@ -734,9 +676,9 @@ impl<'a> BranchAndBound<'a> {
             return self.run_resumed(&snapshot, start, stats);
         }
 
-        let mut root = Domains::from_model(self.model);
+        let mut root = Node::root(Domains::from_model(self.model));
         stats.propagations += 1;
-        if self.propagator.propagate(&mut root) == PropagationResult::Infeasible {
+        if self.propagator.propagate(&mut root.domains) == PropagationResult::Infeasible {
             stats.time = start.elapsed();
             stats.best_bound = f64::INFINITY;
             return Ok(Solution::without_values(Status::Infeasible, stats));
@@ -771,41 +713,20 @@ impl<'a> BranchAndBound<'a> {
         let skip_root_work = self.config.budget.time_expired(start) || self.is_cancelled();
 
         if !skip_root_work {
-            if let Some(values) = greedy_dive(&self.propagator, &root, &self.objective) {
+            if let Some(values) = greedy_dive(&self.propagator, &root.domains, &self.objective) {
                 self.offer_incumbent(values, "dive", &mut incumbent, &mut stats, start);
             }
         }
 
         // Seed the cut pool at the root: read Gomory cuts off the root LP's
         // basis, tighten, repeat. The accepted cuts join the shared row set
-        // for the whole search. Propagation-only runs skip this — their
-        // point is to avoid the simplex, and without LP bases there is
-        // nothing to read cuts off.
-        let mut root_closed = false;
-        if self.cut_source.is_some()
-            && self.use_lp_at(0)
+        // for the whole search. Cuts preserve every integer point, so a
+        // root the loop closes has no integer solution (modulo numerics,
+        // in which case the incumbent already in hand is the answer).
+        let root_closed = self.cut_source.is_some()
             && !skip_root_work
-            && !self.root_cuts(&mut root, &mut stats, &mut incumbent, start)
-        {
-            // Cuts preserve every integer point, so an empty root box means
-            // the model has no integer solution (modulo numerics, in which
-            // case the incumbent already in hand is the answer).
-            root_closed = true;
-        }
-
-        let mut frontier = Vec::new();
-        if !root_closed {
-            frontier.push(Node {
-                domains: root,
-                depth: 0,
-                bound: f64::NEG_INFINITY,
-                branched: None,
-                parent_basis: self.root_basis.take(),
-                parent_bound_is_lp: false,
-                branch_up: false,
-                branch_step: 0.0,
-            });
-        }
+            && !self.root_cuts(&mut root, &mut stats, &mut incumbent, start);
+        let frontier = if root_closed { Vec::new() } else { vec![root] };
 
         self.search(
             frontier,
@@ -819,8 +740,8 @@ impl<'a> BranchAndBound<'a> {
 
     /// Resumes a snapshotted search: checks the snapshot belongs to this
     /// exact instance, reinstalls the captured cut pool and pseudo-cost
-    /// tables, rebuilds the open frontier from the per-node bound deltas
-    /// and parent bases, and re-enters the main loop. Root
+    /// tables, clones the open frontier out of the snapshot (which stays
+    /// intact for other resumes) and re-enters the main loop. Root
     /// preprocessing (warm candidates, dive, root cut loop) is skipped on
     /// purpose — the restored state already reflects it.
     fn run_resumed(
@@ -854,23 +775,13 @@ impl<'a> BranchAndBound<'a> {
         self.eager_separation = snap.eager_separation;
         self.last_bound_emitted = snap.last_bound_emitted;
         self.pseudo = snap.pseudo.clone();
-        self.root_lp_cache = snap.root_lp.clone();
-
-        let base = Domains::from_model(self.model);
-        let bases: Vec<Rc<Basis>> = snap.bases.iter().cloned().map(Rc::new).collect();
-        let frontier = snap
-            .frontier
-            .iter()
-            .map(|node| restore_node(node, &base, &bases))
-            .collect();
         // The node counter continues from the capture point, so node
         // budgets keep their whole-tree meaning across interrupts.
         stats.nodes = snap.nodes;
         stats.resumed = true;
-        let incumbent = snap.incumbent.clone();
         self.search(
-            frontier,
-            incumbent,
+            snap.frontier.clone(),
+            snap.incumbent.clone(),
             snap.root_bound,
             snap.pruned_bound_min,
             start,
@@ -935,7 +846,7 @@ impl<'a> BranchAndBound<'a> {
 
             let incumbent_obj = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
             let parent_bound = node.bound;
-            let bound = match self.node_bound(&node, &mut stats, &mut incumbent, start) {
+            let bound = match self.node_bound(&mut node, &mut stats, &mut incumbent, start) {
                 NodeBound::Infeasible => {
                     // An LP-infeasible child is the strongest possible
                     // degradation signal for its branching variable.
@@ -1125,9 +1036,10 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
-    /// Captures the open search state as a [`SolveSnapshot`].
-    /// `frontier` already contains the node that was in hand when the stop
-    /// was detected, so the restored frontier pops it first.
+    /// Captures the open search state as a [`SolveSnapshot`], moving the
+    /// frontier into it. `frontier` already contains the node that was in
+    /// hand when the stop was detected, so the restored frontier pops it
+    /// first.
     fn capture_snapshot(
         &self,
         frontier: Vec<Node>,
@@ -1136,12 +1048,6 @@ impl<'a> BranchAndBound<'a> {
         root_bound: f64,
         pruned_bound_min: f64,
     ) -> SolveSnapshot {
-        let base = Domains::from_model(self.model);
-        let mut bases = Vec::new();
-        let frontier = frontier
-            .iter()
-            .map(|node| snapshot_node(node, &base, &mut bases))
-            .collect();
         SolveSnapshot {
             fingerprint: self.base_fingerprint,
             num_vars: self.model.num_vars(),
@@ -1155,8 +1061,6 @@ impl<'a> BranchAndBound<'a> {
             eager_separation: self.eager_separation,
             cuts: self.cut_rows.clone(),
             pseudo: self.pseudo.clone(),
-            bases: bases.iter().map(|basis| (**basis).clone()).collect(),
-            root_lp: self.root_lp_cache.clone(),
         }
     }
 
@@ -1239,7 +1143,6 @@ impl<'a> BranchAndBound<'a> {
 
     fn use_lp_at(&self, depth: usize) -> bool {
         match self.config.bound_mode {
-            BoundMode::Propagation => false,
             BoundMode::LpRelaxation => true,
             BoundMode::Hybrid { lp_depth } => depth <= lp_depth,
         }
@@ -1247,7 +1150,7 @@ impl<'a> BranchAndBound<'a> {
 
     fn node_bound(
         &mut self,
-        node: &Node,
+        node: &mut Node,
         stats: &mut SolveStats,
         incumbent: &mut Option<(f64, Vec<f64>)>,
         start: Instant,
@@ -1268,22 +1171,10 @@ impl<'a> BranchAndBound<'a> {
                 lp: None,
             };
         }
-        // The root cut loop may already have solved this exact relaxation;
-        // consume its result instead of repeating the most expensive LP of
-        // the tree.
-        let cached = if node.depth == 0 {
-            self.root_lp_cache.take()
-        } else {
-            None
-        };
-        let (lp_objective, lp_values, lp_rc, basis) = match cached {
-            // The cached LP was solved from the basis the root node holds.
-            Some(root) => (
-                root.objective,
-                root.values,
-                root.reduced_costs,
-                node.parent_basis.clone(),
-            ),
+        // A node that carries its LP (the root, from the cut loop) takes it
+        // instead of repeating the most expensive LP of the tree.
+        let lp = match node.lp.take() {
+            Some(lp) => lp,
             None => match self.solve_node_lp(node, stats) {
                 SolvedNodeLp::Infeasible => return NodeBound::Infeasible,
                 SolvedNodeLp::NoBound => {
@@ -1292,40 +1183,30 @@ impl<'a> BranchAndBound<'a> {
                         lp: None,
                     }
                 }
-                SolvedNodeLp::Optimal {
-                    objective,
-                    values,
-                    reduced_costs,
-                    basis,
-                } => (objective, values, reduced_costs, basis),
+                SolvedNodeLp::Optimal(lp) => lp,
             },
         };
         // If the relaxation happens to be integral it is a feasible 0-1
         // solution; use it to tighten the incumbent.
-        if let Some(values) = rounded_if_integral(&lp_values) {
+        if let Some(values) = rounded_if_integral(&lp.values) {
             self.offer_incumbent(values, "node-lp", incumbent, stats, start);
         } else if node.depth <= 2 {
             // Try an LP-guided rounding heuristic near the top of the tree,
             // where it is most likely to pay off.
             if let Some(values) =
-                round_and_repair(&self.propagator, &node.domains, &lp_values, &self.objective)
+                round_and_repair(&self.propagator, &node.domains, &lp.values, &self.objective)
             {
                 self.offer_incumbent(values, "rounding", incumbent, stats, start);
             }
         }
         let value = if self.eager_separation {
-            self.strengthen_bound(lp_objective).max(prop_bound)
+            self.strengthen_bound(lp.objective).max(prop_bound)
         } else {
-            lp_objective.max(prop_bound)
+            lp.objective.max(prop_bound)
         };
         NodeBound::Bound {
             value,
-            lp: Some(NodeLp {
-                objective: lp_objective,
-                values: lp_values,
-                reduced_costs: lp_rc,
-                basis,
-            }),
+            lp: Some(lp),
         }
     }
 
@@ -1340,12 +1221,7 @@ impl<'a> BranchAndBound<'a> {
         );
         match lp.status {
             LpStatus::Infeasible => SolvedNodeLp::Infeasible,
-            LpStatus::Optimal => SolvedNodeLp::Optimal {
-                objective: lp.objective,
-                values: lp.values,
-                reduced_costs: lp.reduced_costs,
-                basis: basis.map(Rc::new),
-            },
+            LpStatus::Optimal => SolvedNodeLp::Optimal(NodeLp::new(lp, basis)),
             LpStatus::Unbounded | LpStatus::IterationLimit => SolvedNodeLp::NoBound,
         }
     }
@@ -1445,7 +1321,7 @@ impl<'a> BranchAndBound<'a> {
     /// degradation per unit of fractionality; unobserved variables are
     /// initialised at shallow depth by strong branching (both child LPs
     /// solved warm from the node's basis under a small pivot budget). Nodes
-    /// without LP values (propagation-only bounds), or whose LP point is
+    /// without LP values (propagation bounds alone), or whose LP point is
     /// integral on every candidate, branch on the most constrained variable.
     /// `factor` is the node basis' factor if separation already built it.
     fn select_branch_var<'b>(
@@ -1469,8 +1345,8 @@ impl<'a> BranchAndBound<'a> {
                 .max_by_key(|&j| (self.occurrence[j], usize::MAX - j))
         };
         let Some(lp) = lp else {
-            // Propagation-only nodes carry no LP point to learn from; use
-            // the static structural rule.
+            // Nodes bounded by propagation alone carry no LP point to learn
+            // from; use the static structural rule.
             return most_constrained(&candidates);
         };
         let fractional: Vec<(usize, f64)> = candidates
@@ -1609,6 +1485,7 @@ impl<'a> BranchAndBound<'a> {
                     bound: node.bound,
                     branched: Some(j),
                     parent_basis: parent_basis.cloned(),
+                    lp: None,
                     parent_bound_is_lp: lp.is_some(),
                     branch_up,
                     branch_step,
@@ -1668,16 +1545,28 @@ fn reduced_cost_fixing(
 
 /// The LP relaxation solved at a node, as consumed by reduced-cost fixing,
 /// cut separation, branching and child creation.
-struct NodeLp {
+#[derive(Debug, Clone)]
+pub(crate) struct NodeLp {
     /// Optimal LP objective (minimisation sense).
-    objective: f64,
+    pub(crate) objective: f64,
     /// Optimal LP point over the original variables.
-    values: Vec<f64>,
-    /// Reduced costs at optimality (`None` only for a root LP restored
-    /// from a snapshot that carried none).
-    reduced_costs: Option<ReducedCosts>,
+    pub(crate) values: Vec<f64>,
+    /// Reduced costs at optimality.
+    pub(crate) reduced_costs: Option<ReducedCosts>,
     /// The optimal basis, which the node's children inherit.
-    basis: Option<Rc<Basis>>,
+    pub(crate) basis: Option<Arc<Basis>>,
+}
+
+impl NodeLp {
+    /// An optimal relaxation `lp` with its `basis`.
+    fn new(lp: LpSolution, basis: Option<Basis>) -> Self {
+        Self {
+            objective: lp.objective,
+            values: lp.values,
+            reduced_costs: lp.reduced_costs,
+            basis: basis.map(Arc::new),
+        }
+    }
 }
 
 enum NodeBound {
@@ -1693,12 +1582,7 @@ enum SolvedNodeLp {
     /// the caller falls back to the propagation bound.
     NoBound,
     /// The relaxation solved to optimality.
-    Optimal {
-        objective: f64,
-        values: Vec<f64>,
-        reduced_costs: Option<ReducedCosts>,
-        basis: Option<Rc<Basis>>,
-    },
+    Optimal(NodeLp),
 }
 
 /// Why an LP is solved cold; each maps to one [`crate::ColdLpCounts`]
@@ -1719,7 +1603,7 @@ mod tests {
     fn exact_configs() -> Vec<SolverConfig> {
         vec![
             SolverConfig::exact(),
-            SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
+            SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 0 }),
             SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 2 }),
         ]
     }
@@ -1870,22 +1754,13 @@ mod tests {
 
     #[test]
     fn node_limit_yields_feasible_or_unknown() {
-        let mut m = Model::new("limited");
-        let vars: Vec<_> = (0..30).map(|i| m.add_binary(format!("x{i}"))).collect();
-        for w in vars.chunks(3) {
-            m.add_geq(
-                w.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
-                1.0,
-                "chunk",
-            );
-        }
-        m.set_objective(
-            vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
-            Sense::Minimize,
-        );
+        let (m, _) = odd_cycle_cover();
+        // Root Gomory rounds would close the cycles; without them the root
+        // LP stays fractional and the one-node budget stops the search.
         let config = SolverConfig {
             budget: Budget::nodes(1),
-            bound_mode: BoundMode::Propagation,
+            bound_mode: BoundMode::Hybrid { lp_depth: 0 },
+            cuts: false,
             ..SolverConfig::default()
         };
         let sol = m.solve(&config).expect("solve");
@@ -1912,47 +1787,37 @@ mod tests {
         }
     }
 
-    /// A minimisation model that needs a deep search under the exact
-    /// configuration, plus a known feasible all-ones warm start — the
-    /// fixture for the cancellation and deadline tests.
-    fn deep_model() -> (Model, Vec<f64>) {
-        let mut m = Model::new("deep");
-        let vars: Vec<_> = (0..18).map(|i| m.add_binary(format!("x{i}"))).collect();
-        for w in vars.windows(5).step_by(2) {
-            m.add_geq(w.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(), 2.0, "need");
-        }
-        for (c, w) in vars.chunks(6).enumerate() {
-            m.add_leq(
-                w.iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v, 1.0 + ((i + c) % 3) as f64))
-                    .collect::<Vec<_>>(),
-                7.0,
-                "cap",
-            );
+    /// Weighted vertex covers of three disjoint 5-cycles. The root LP puts
+    /// one half on every vertex, so a search without cuts has to branch,
+    /// and covering every vertex is a known feasible warm start — the
+    /// fixture for the node-limit, cancellation and deadline tests.
+    fn odd_cycle_cover() -> (Model, Vec<f64>) {
+        let mut m = Model::new("odd-cycles");
+        let vars: Vec<_> = (0..15).map(|i| m.add_binary(format!("x{i}"))).collect();
+        for cycle in vars.chunks(5) {
+            for (i, &v) in cycle.iter().enumerate() {
+                m.add_geq([(v, 1.0), (cycle[(i + 1) % 5], 1.0)], 1.0, "edge");
+            }
         }
         m.set_objective(
             vars.iter()
                 .enumerate()
-                .map(|(i, &v)| (v, 1.0 + (i % 5) as f64 + 0.1 * (i % 7) as f64))
+                .map(|(i, &v)| (v, 1.0 + 0.1 * (i % 3) as f64))
                 .collect::<Vec<_>>(),
             Sense::Minimize,
         );
-        // Every other variable set: each 5-window holds ≥ 2 ones and each
-        // capacity chunk stays within budget.
-        let warm: Vec<f64> = (0..vars.len())
-            .map(|i| if i % 2 == 0 { 1.0 } else { 0.0 })
-            .collect();
+        let warm = vec![1.0; vars.len()];
         assert!(m.is_feasible(&warm, 1e-6));
         (m, warm)
     }
 
     #[test]
     fn node_triggered_cancellation_stops_deterministically_with_incumbent() {
-        let (m, warm) = deep_model();
-        // Propagation bounds keep the tree deep enough to cancel into.
+        let (m, warm) = odd_cycle_cover();
+        // LP bounds at the root only keep the tree deep enough to cancel
+        // into.
         let config = SolverConfig::exact()
-            .with_bound_mode(BoundMode::Propagation)
+            .with_bound_mode(BoundMode::Hybrid { lp_depth: 0 })
             .with_cuts(false)
             .with_warm_candidate(warm.clone());
         let optimal = BranchAndBound::new(&m, config.clone())
@@ -1997,7 +1862,7 @@ mod tests {
         // Through `Model::solve`, which always reduces first: the token
         // installed in the outer config must reach the reduced model's
         // search.
-        let (m, _) = deep_model();
+        let (m, _) = odd_cycle_cover();
         let token = CancelToken::new();
         token.cancel();
         let config = SolverConfig::exact().with_cancel(token);
@@ -2008,7 +1873,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_returns_without_descending_past_the_root() {
-        let (m, warm) = deep_model();
+        let (m, warm) = odd_cycle_cover();
         let config = SolverConfig::exact()
             .with_cuts(false)
             .with_budget(Budget::unlimited().with_deadline(Instant::now()))

@@ -32,7 +32,9 @@
 //!   (see [`bist_ilp::SolveSnapshot`]), held in memory as the very
 //!   `Arc<SolveSnapshot>` the solve captured; a hit *continues* the
 //!   snapshotted branch-and-bound tree instead of starting over, so no
-//!   node is ever explored twice.
+//!   node is ever explored twice. A resumed solve counts nodes from the
+//!   capture point, so a snapshot that has explored more nodes than the
+//!   job's node limit is a miss.
 //!
 //! The cache changes performance, never results: entries are only consulted
 //! for **deterministic** budgets ([`Budget::is_deterministic`] — no
@@ -280,7 +282,8 @@ struct CacheKey {
     digest: u64,
     /// The per-solve node budget, for row entries: a node-limited result is
     /// only valid for the same limit. Snapshots carry `None` — a frontier
-    /// is resumable under any budget.
+    /// is resumable under any budget that covers the nodes it has already
+    /// explored, which [`SolveCache::probe`] checks.
     node_limit: Option<u64>,
     kind: EntryKind,
 }
@@ -364,14 +367,22 @@ impl SolveCache {
     }
 
     /// Looks up the given instance: a finished row under this exact node
-    /// limit first, then a resumable snapshot. A hit refreshes the entry's
-    /// LRU position; hit/miss counters update either way.
+    /// limit first, then a resumable snapshot that has not explored more
+    /// nodes than the limit allows (a resumed solve's node counter starts
+    /// at the capture point). A hit refreshes the entry's LRU position;
+    /// hit/miss counters update either way.
     fn probe(
         &self,
         fingerprint: u64,
         digest: u64,
         node_limit: Option<u64>,
     ) -> Option<CachePayload> {
+        let within_limit = |entry: &CacheEntry| match &entry.payload {
+            CachePayload::Snapshot(snapshot) => {
+                node_limit.is_none_or(|limit| snapshot.nodes() <= limit)
+            }
+            CachePayload::Row(_) => true,
+        };
         let mut inner = self.lock();
         for kind in [EntryKind::Row, EntryKind::Snapshot] {
             let key = CacheKey {
@@ -383,7 +394,11 @@ impl SolveCache {
                 },
                 kind,
             };
-            if let Some(idx) = inner.entries.iter().position(|e| e.key == key) {
+            if let Some(idx) = inner
+                .entries
+                .iter()
+                .position(|e| e.key == key && within_limit(e))
+            {
                 let entry = inner.entries.remove(idx);
                 let payload = entry.payload.clone();
                 inner.entries.push(entry);
@@ -914,6 +929,41 @@ mod tests {
         assert_eq!(row.nodes, cold.stats.nodes);
         assert_eq!(row.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(row.area, cold.area.total());
+    }
+
+    #[test]
+    fn a_snapshot_past_a_smaller_node_budget_is_a_miss() {
+        // A snapshot taken at 200 nodes has already spent a 20-node budget:
+        // resuming it would hand the job a 200-node design. The job must
+        // solve cold instead and get exactly what a cold 20-node solve gets.
+        let tseng = || exact_job("tseng", benchmarks::tseng()).with_sessions(1..=1);
+        let run = |cache: &Arc<SolveCache>, job: SynthesisJob| {
+            let mut service = JobService::new().with_cache(cache.clone());
+            service.submit(job);
+            service.run().remove(0)
+        };
+        let cache = Arc::new(SolveCache::new(64));
+        let captured = run(
+            &cache,
+            tseng().with_budget(Budget::nodes(200).with_snapshot(true)),
+        );
+        assert!(captured.snapshot_captured);
+        let small = run(&cache, tseng().with_budget(Budget::nodes(20)));
+        let cold = run(
+            &Arc::new(SolveCache::new(64)),
+            tseng().with_budget(Budget::nodes(20)),
+        );
+        assert_eq!((small.cache_hits, small.cache_misses), (0, 1));
+        let (row, cold_row) = (&small.rows[0], &cold.rows[0]);
+        assert_eq!(row.nodes, 20);
+        assert_eq!(row.objective.to_bits(), cold_row.objective.to_bits());
+        assert_eq!(
+            (row.area, row.nodes, row.lp_pivots),
+            (cold_row.area, cold_row.nodes, cold_row.lp_pivots)
+        );
+        // A budget at or past the capture point still resumes the tree.
+        let larger = run(&cache, tseng().with_budget(Budget::nodes(400)));
+        assert_eq!((larger.cache_hits, larger.cache_misses), (1, 0));
     }
 
     #[test]

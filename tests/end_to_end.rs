@@ -70,8 +70,8 @@ fn figure1_solver_variants_reach_the_same_optimum() {
             },
         ),
         (
-            "propagation bounds",
-            with_bound_mode(BoundMode::Propagation),
+            "LP bounds at the root only",
+            with_bound_mode(BoundMode::Hybrid { lp_depth: 0 }),
         ),
         (
             "hybrid bounds",

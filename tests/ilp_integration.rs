@@ -18,7 +18,7 @@ fn solver_matches_brute_force() {
         let expected = brute_force(&model);
         for config in [
             SolverConfig::exact(),
-            SolverConfig::exact().with_bound_mode(BoundMode::Propagation),
+            SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 0 }),
             SolverConfig::exact().with_bound_mode(BoundMode::Hybrid { lp_depth: 2 }),
         ] {
             let solution = model.solve(&config).unwrap();

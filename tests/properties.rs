@@ -152,16 +152,12 @@ fn advbist_designs_are_always_valid() {
 
 /// The reducing presolve pipeline is optimum-preserving: on random small 0-1
 /// models, solving the explicitly reduced model and lifting the solution
-/// back must reproduce the brute-force optimum, for **all three** dual-bound
+/// back must reproduce the brute-force optimum, for **both** dual-bound
 /// modes, and the lifted assignment must be feasible for the *original*
 /// model (the round trip through `var_map` loses nothing).
 #[test]
 fn reduce_and_lift_preserve_the_brute_force_optimum() {
-    let modes = [
-        BoundMode::Propagation,
-        BoundMode::LpRelaxation,
-        BoundMode::Hybrid { lp_depth: 2 },
-    ];
+    let modes = [BoundMode::LpRelaxation, BoundMode::Hybrid { lp_depth: 2 }];
     for seed in 0..40u64 {
         let model = random_binary_model(seed.wrapping_mul(6151) + 3, 8, 6);
         let expected = brute_force(&model);
@@ -430,16 +426,13 @@ fn revised_kernel_agrees_with_legacy_dense_tableau_on_reduced_models() {
 }
 
 /// Both branching paths are exact: on random small 0-1 models the solver
-/// reaches the brute-force optimum under **all three** dual-bound modes,
+/// reaches the brute-force optimum under **both** dual-bound modes,
 /// branching on pseudo-costs where the mode supplies LP values and falling
-/// back to the most-constrained variable where it does not.
+/// back to the most-constrained variable where it does not (the hybrid
+/// mode below its LP depth).
 #[test]
 fn branch_rules_agree_with_brute_force_across_bound_modes() {
-    let modes = [
-        BoundMode::Propagation,
-        BoundMode::LpRelaxation,
-        BoundMode::Hybrid { lp_depth: 2 },
-    ];
+    let modes = [BoundMode::LpRelaxation, BoundMode::Hybrid { lp_depth: 2 }];
     for seed in 0..25u64 {
         let model = random_binary_model(seed.wrapping_mul(4243) + 9, 8, 6);
         let expected = brute_force(&model);
@@ -468,16 +461,13 @@ fn branch_rules_agree_with_brute_force_across_bound_modes() {
 }
 
 /// Branch and bound agrees with exhaustive enumeration on random small 0-1
-/// models for **all three** dual-bound modes — the propagation-only bound,
-/// the LP-relaxation bound and the depth-limited hybrid. Every mode must be
-/// an exact oracle; only their cost profiles may differ.
+/// models for **both** dual-bound modes — the LP-relaxation bound and the
+/// depth-limited hybrid, which falls back to the propagation bound below
+/// its LP depth. Every mode must be an exact oracle; only their cost
+/// profiles may differ.
 #[test]
 fn bound_modes_agree_with_brute_force() {
-    let modes = [
-        BoundMode::Propagation,
-        BoundMode::LpRelaxation,
-        BoundMode::Hybrid { lp_depth: 2 },
-    ];
+    let modes = [BoundMode::LpRelaxation, BoundMode::Hybrid { lp_depth: 2 }];
     for seed in 0..40u64 {
         let model = random_binary_model(seed.wrapping_mul(7919) + 17, 8, 6);
         let expected = brute_force(&model);
