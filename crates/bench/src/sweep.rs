@@ -265,9 +265,11 @@ pub fn run_all(
     circuits: &[(&str, SynthesisInput)],
     config: &SynthesisConfig,
 ) -> Result<Vec<CircuitSweep>, CoreError> {
-    par_map_ordered(circuits, |(name, input)| run_circuit(name, input, config))
-        .into_iter()
-        .collect()
+    par_map_ordered(circuits, usize::MAX, |(name, input)| {
+        run_circuit(name, input, config)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The committed capped objectives of every chained sweep row that the
@@ -333,11 +335,12 @@ pub fn exactness_violations(sweeps: &[CircuitSweep], node_limit: u64) -> Vec<Str
 /// circuit — and verifies the reported rows against the rebuild rows: per
 /// k the same objective bits, area, node count and simplex pivot count,
 /// every solve within the per-job node budget, every job completed. The
-/// service solves each k on the shared-base engine without chaining (the
-/// per-k path of [`SynthesisEngine::sweep_parallel`]), so this is both the
-/// front-door acceptance gate (the service must *serve* exactly what the
-/// solver computes) and the engine-vs-rebuild cross-check: the shared
-/// reduced base must repeat every rebuild search, not only its answer.
+/// service solves each k on the shared-base engine without chaining
+/// ([`SynthesisEngine::synthesize_seeded`] with no k−1 design), so this is
+/// both the front-door acceptance gate (the service must *serve* exactly
+/// what the solver computes) and the engine-vs-rebuild cross-check: the
+/// shared reduced base must repeat every rebuild search, not only its
+/// answer.
 ///
 /// # Errors
 ///

@@ -21,22 +21,18 @@
 //!    is re-dressed with a greedy role assignment for `k` sessions and
 //!    handed to the solver *alongside* the sequential left-edge baseline,
 //!    so every solve starts from the best known design
-//!    ([`SynthesisEngine::sweep_chained`]),
-//! 4. or fans the independent per-k solves out across a scoped thread pool
-//!    ([`SynthesisEngine::sweep_parallel`]), collecting results in
-//!    deterministic ascending-k order.
+//!    ([`SynthesisEngine::sweep_chained`], the one sweep).
 //!
-//! The engine is the one way a synthesis solve runs: the rebuild path
-//! ([`crate::synthesis::synthesize_bist`]) and the standalone reference
-//! ([`crate::reference::synthesize_reference`]) are each a fresh engine per
-//! call. So the parallel sweep runs searches identical to independent per-k
-//! rebuilds under any deterministic budget (node limits, or exact solves) —
-//! the engine just pays the base reduction once per circuit instead of once
-//! per k — and the chained sweep can only return equal-or-better designs —
-//! its extra warm-start candidate strengthens the initial incumbent.
-//! Under a *wall-clock* time limit the usual caveats apply: concurrent
-//! solves share the machine and an earlier incumbent changes where the
-//! budget is spent, so per-k results may differ from a sequential rebuild.
+//! The engine is the one place a solve's model is built and reduced
+//! ([`SynthesisEngine::reduced_model`] hands out the per-k one). The
+//! rebuild path ([`crate::synthesis::synthesize_bist`]) and the standalone
+//! reference ([`crate::reference::synthesize_reference`]) are each a fresh
+//! engine per call, so an unchained [`SynthesisEngine::synthesize`] repeats
+//! the rebuild search of its `k` exactly under any deterministic budget
+//! (node limits, or exact solves) — the engine just pays the base reduction
+//! once per circuit. The chained sweep's k−1 candidate strengthens the
+//! initial incumbent: solved exactly it lands on the same optima, under a
+//! node cap it searches a different tree.
 //!
 //! **Warm bases and the per-k delta replay.** Every per-k solve re-solves
 //! its child-node LPs with the bounded dual simplex from the parent's basis
@@ -58,7 +54,7 @@ use std::time::Instant;
 
 use bist_dfg::allocate::RegisterAssignment;
 use bist_dfg::SynthesisInput;
-use bist_ilp::reduce::{reduce_prefix, ReduceOptions, ReduceReport, ReducedModel};
+use bist_ilp::reduce::{self, reduce_prefix, ReduceOptions, ReduceReport, ReducedModel};
 use bist_ilp::{SolveEvent, SolveSnapshot, SolverConfig};
 
 use crate::config::SynthesisConfig;
@@ -68,33 +64,17 @@ use crate::reference::{solve_reference_formulation, ReferenceDesign};
 use crate::synthesis::{solve_bist_formulation, BistDesign};
 
 /// Maps `f` over `items` on a scoped thread pool and returns the results in
-/// item order, independent of scheduling. The worker count is capped at the
-/// machine's available parallelism so wall-clock-limited work is not diluted
-/// by oversubscription; with one worker this is exactly the sequential loop.
-/// Shared by the engine's parallel sweep and the benchmark harness's
-/// per-circuit fan-out.
+/// item order, independent of scheduling. At most `max_workers` scoped
+/// threads run at once, further capped at the machine's available
+/// parallelism (so wall-clock-limited work is not diluted by
+/// oversubscription) and the item count; with one worker this is exactly
+/// the sequential loop. The job service passes its worker cap, the
+/// benchmark harness's per-circuit fan-out `usize::MAX`.
 ///
 /// # Panics
 ///
 /// Panics if `f` panics on a worker thread.
-pub fn par_map_ordered<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_ordered_bounded(items, usize::MAX, f)
-}
-
-/// [`par_map_ordered`] with an explicit worker-pool bound: at most
-/// `max_workers` scoped threads run at once (still additionally capped at
-/// the machine's available parallelism and the item count). The job
-/// service uses this to keep a batch from monopolising the host.
-///
-/// # Panics
-///
-/// Panics if `f` panics on a worker thread.
-pub fn par_map_ordered_bounded<T, R, F>(items: &[T], max_workers: usize, f: F) -> Vec<R>
+pub fn par_map_ordered<T, R, F>(items: &[T], max_workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -162,8 +142,8 @@ pub struct SynthesisEngine<'a> {
     config: &'a SynthesisConfig,
     base: BistFormulation<'a>,
     /// The base model after the reducing presolve, computed once per
-    /// circuit; every per-k solve clones it and replays the BIST delta
-    /// through its variable map.
+    /// circuit; every solve clones it and replays its delta through the
+    /// variable map.
     reduced_base: ReducedModel,
 }
 
@@ -222,7 +202,7 @@ impl<'a> SynthesisEngine<'a> {
         let mut formulation = self.base.clone();
         formulation.set_reference_objective();
         let solver_config = self.solver_config(&formulation);
-        solve_reference_formulation(&formulation, &self.reduced_base, &solver_config)
+        solve_reference_formulation(&formulation, &self.reduce(&formulation)?, &solver_config)
     }
 
     /// Synthesises the ADVBIST design for one `k`, reusing the base model.
@@ -289,10 +269,36 @@ impl<'a> SynthesisEngine<'a> {
     ///
     /// [`CoreError::InvalidSessionCount`] if `k` is not in `1..=N`.
     pub fn model_fingerprint(&self, k: usize) -> Result<u64, CoreError> {
+        Ok(bist_ilp::model_fingerprint(&self.formulation(k)?.model))
+    }
+
+    /// The reduced per-k model: the model every solve of `k` on this
+    /// engine branches on, before its cut pool and warm starts. Its
+    /// variable map leads back to the full per-k formulation.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidSessionCount`] if `k` is not in `1..=N`.
+    pub fn reduced_model(&self, k: usize) -> Result<ReducedModel, CoreError> {
+        self.reduce(&self.formulation(k)?)
+    }
+
+    /// The full per-k formulation: a clone of the base plus the BIST layer
+    /// for `k` sessions (Eqs. 6–23) and the BIST objective.
+    fn formulation(&self, k: usize) -> Result<BistFormulation<'a>, CoreError> {
         let mut formulation = self.base.clone();
         formulation.add_bist(k)?;
         formulation.set_bist_objective();
-        Ok(bist_ilp::model_fingerprint(&formulation.model))
+        Ok(formulation)
+    }
+
+    /// Reduces a full formulation on top of the reduced base: the rows past
+    /// the base and the objective are replayed through the base's variable
+    /// map, then the pipeline runs once more so the delta rows (the
+    /// aggregated OR/BILBO structure) get reduced and disaggregated too.
+    fn reduce(&self, formulation: &BistFormulation<'_>) -> Result<ReducedModel, CoreError> {
+        let extended = self.reduced_base.extend(&formulation.model)?;
+        Ok(extended.compose(reduce::reduce(&extended.model, &ReduceOptions::full())))
     }
 
     /// [`SynthesisEngine::synthesize_seeded`] with a live [`SolveEvent`]
@@ -336,10 +342,7 @@ impl<'a> SynthesisEngine<'a> {
         resume: Option<Arc<SolveSnapshot>>,
     ) -> Result<SweepOutcome, CoreError> {
         let start = Instant::now();
-        let mut formulation = self.base.clone();
-        formulation.add_bist(k)?;
-        formulation.set_bist_objective();
-
+        let formulation = self.formulation(k)?;
         let mut solver_config = self.solver_config(&formulation);
         if snapshots {
             solver_config.budget.snapshot = Some(true);
@@ -356,8 +359,9 @@ impl<'a> SynthesisEngine<'a> {
             }
         }
 
+        let reduced = self.reduce(&formulation)?;
         let (design, registers) =
-            solve_bist_formulation(&formulation, &self.reduced_base, &solver_config, observer)?;
+            solve_bist_formulation(&formulation, &reduced, &solver_config, observer)?;
         Ok(SweepOutcome {
             design,
             seconds: start.elapsed().as_secs_f64(),
@@ -381,33 +385,6 @@ impl<'a> SynthesisEngine<'a> {
             outcomes.push(outcome);
         }
         Ok(outcomes)
-    }
-
-    /// Runs the full sweep `k = 1..=N` across a scoped thread pool. Results
-    /// are collected in ascending-k order, so the output is deterministic
-    /// regardless of scheduling.
-    ///
-    /// The worker count is capped at the machine's available parallelism so
-    /// wall-clock-limited solves are not diluted by oversubscription; on a
-    /// single-core host this is exactly the sequential per-k loop. Each
-    /// solve uses the same warm-start candidates as an independent
-    /// [`crate::synthesis::synthesize_bist`] call, so the per-k results are
-    /// identical to independent rebuild solves under any deterministic
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error (by ascending `k`) of any synthesis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (which only happens if the solve
-    /// itself panics).
-    pub fn sweep_parallel(&self) -> Result<Vec<SweepOutcome>, CoreError> {
-        let ks: Vec<usize> = (1..=self.max_sessions()).collect();
-        par_map_ordered(&ks, |&k| self.synthesize_seeded(k, None))
-            .into_iter()
-            .collect()
     }
 }
 
@@ -460,10 +437,9 @@ mod tests {
                 .collect();
             let engine = SynthesisEngine::new(input, config).unwrap();
             // Unchained, the engine repeats every rebuild search exactly.
-            let parallel = engine.sweep_parallel().unwrap();
-            assert_eq!(parallel.len(), rebuild.len(), "{name} {mode:?}");
-            for (outcome, baseline) in parallel.iter().zip(&rebuild) {
-                let (design, k) = (&outcome.design, baseline.sessions);
+            for baseline in &rebuild {
+                let k = baseline.sessions;
+                let design = engine.synthesize(k).unwrap();
                 assert_eq!(design.sessions, k, "{name} {mode:?}");
                 assert_eq!(
                     design.objective.to_bits(),
@@ -538,11 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_under_time_budget_returns_all_k() {
+    fn chained_sweep_under_time_budget_returns_all_k() {
         let input = benchmarks::tseng();
         let config = SynthesisConfig::time_boxed(Duration::from_millis(200));
         let engine = SynthesisEngine::new(&input, &config).unwrap();
-        let outcomes = engine.sweep_parallel().unwrap();
+        let outcomes = engine.sweep_chained().unwrap();
         assert_eq!(outcomes.len(), 3);
         for (i, outcome) in outcomes.iter().enumerate() {
             assert_eq!(outcome.design.sessions, i + 1);
@@ -585,9 +561,7 @@ mod tests {
         // objective.
         let plain: Vec<_> = ks
             .map(|k| {
-                let mut formulation = engine.base().clone();
-                formulation.add_bist(k).unwrap();
-                formulation.set_bist_objective();
+                let formulation = engine.formulation(k).unwrap();
                 let solver_config = engine.solver_config(&formulation).with_cuts(false);
                 BranchAndBound::new(&formulation.model, solver_config)
                     .run()
@@ -622,7 +596,7 @@ mod tests {
             ..SynthesisConfig::default()
         };
         let engine = SynthesisEngine::new(&input, &config).unwrap();
-        let outcomes = engine.sweep_parallel().unwrap();
+        let outcomes = engine.sweep_chained().unwrap();
         let total = |counter: fn(&bist_ilp::SolveStats) -> u64| -> u64 {
             outcomes.iter().map(|o| counter(&o.design.stats)).sum()
         };

@@ -52,15 +52,15 @@ pub fn synthesize_reference(
     SynthesisEngine::new(input, config)?.synthesize_reference()
 }
 
-/// Solves a fully-built reference formulation over the engine's reduced
-/// base model and extracts the design.
+/// Solves a fully-built reference formulation through `reduced`, its
+/// reduction by the engine, and extracts the design.
 pub(crate) fn solve_reference_formulation(
     formulation: &BistFormulation<'_>,
-    reduced_base: &ReducedModel,
+    reduced: &ReducedModel,
     solver_config: &SolverConfig,
 ) -> Result<ReferenceDesign, CoreError> {
     let (chosen, optimal) =
-        crate::synthesis::solve_formulation(formulation, reduced_base, solver_config, None)?;
+        crate::synthesis::solve_formulation(formulation, reduced, solver_config, None)?;
     let datapath = extract::datapath(formulation, &chosen)?;
     let area = datapath.area(&formulation.config.cost);
     Ok(ReferenceDesign {

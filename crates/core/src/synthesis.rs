@@ -4,7 +4,7 @@
 //! reduce the circuit's base model, replay the per-k BIST delta through the
 //! reduction, warm-start, branch and bound, then extract and validate the
 //! design. [`synthesize_bist`] is the rebuild-per-k path: a fresh engine per
-//! `k`, the reference the engine's sweeps are checked against.
+//! `k`, the reference the engine's per-k solves are checked against.
 
 use bist_datapath::report::DesignReport;
 use bist_datapath::validate::validate_design;
@@ -12,7 +12,7 @@ use bist_datapath::{AreaBreakdown, Datapath, TestPlan};
 use bist_dfg::allocate::RegisterAssignment;
 use bist_dfg::lifetime::LifetimeTable;
 use bist_dfg::SynthesisInput;
-use bist_ilp::reduce::{self, ReduceOptions, ReducedModel};
+use bist_ilp::reduce::{solve_reduced_with_events, ReducedModel};
 use bist_ilp::{Solution, SolveEvent, SolveStats, SolverConfig, Status};
 
 use crate::config::SynthesisConfig;
@@ -98,12 +98,10 @@ pub fn synthesize_bist(
     SynthesisEngine::new(input, config)?.synthesize(k)
 }
 
-/// Solves a fully-built formulation on top of `reduced_base`, the reduction
-/// of its circuit-level base model: the rows past the base (the per-k BIST
-/// delta) and the objective are replayed through the base's variable map
-/// and reduced once more, the branch and bound explores the reduced model,
-/// and the solution is lifted back. Returns the solution to extract and
-/// whether it is proven optimal.
+/// Solves a fully-built formulation through `reduced`, its reduction by the
+/// engine: the branch and bound explores the reduced model and the solution
+/// is lifted back. Returns the solution to extract and whether it is proven
+/// optimal.
 ///
 /// The solver's budget and cancellation token travel inside
 /// `solver_config`; `observer`, when given, receives the live
@@ -117,17 +115,11 @@ pub fn synthesize_bist(
 /// [`CoreError::NoSolutionWithinLimits`].
 pub(crate) fn solve_formulation(
     formulation: &BistFormulation<'_>,
-    reduced_base: &ReducedModel,
+    reduced: &ReducedModel,
     solver_config: &SolverConfig,
     observer: Option<&mut dyn FnMut(&SolveEvent)>,
 ) -> Result<(Solution, bool), CoreError> {
-    // Replay the BIST delta and the objective through the base's variable
-    // map, then run the pipeline once more so the delta rows (the
-    // aggregated OR/BILBO structure) get reduced and disaggregated too.
-    let extended = reduced_base.extend(&formulation.model)?;
-    let full = extended.compose(reduce::reduce(&extended.model, &ReduceOptions::full()));
-    let solution =
-        reduce::solve_reduced_with_events(&formulation.model, &full, solver_config, observer)?;
+    let solution = solve_reduced_with_events(&formulation.model, reduced, solver_config, observer)?;
     match solution.status() {
         Status::Optimal => Ok((solution, true)),
         Status::Feasible => Ok((solution, false)),
@@ -148,11 +140,11 @@ pub(crate) fn solve_formulation(
 /// next solve.
 pub(crate) fn solve_bist_formulation(
     formulation: &BistFormulation<'_>,
-    reduced_base: &ReducedModel,
+    reduced: &ReducedModel,
     solver_config: &SolverConfig,
     observer: Option<&mut dyn FnMut(&SolveEvent)>,
 ) -> Result<(BistDesign, RegisterAssignment), CoreError> {
-    let (chosen, optimal) = solve_formulation(formulation, reduced_base, solver_config, observer)?;
+    let (chosen, optimal) = solve_formulation(formulation, reduced, solver_config, observer)?;
     let (input, config) = (formulation.input, formulation.config);
 
     let registers = extract::register_assignment(formulation, &chosen);
@@ -188,17 +180,13 @@ pub(crate) fn solve_bist_formulation(
 /// Synthesises one design per k-test session, k = 1..=N (N = number of
 /// modules) — the sweep reported in Table 2 of the paper.
 ///
-/// The sweep runs on the layered [`SynthesisEngine`]: the circuit-level base
-/// model is built once and every `k` applies its BIST delta onto a clone,
-/// with the solves spread across a scoped thread pool capped at the
-/// machine's available parallelism (on a single core this is exactly the
-/// sequential loop). Note that with a wall-clock limit ([`SolverConfig::budget`])
-/// concurrent solves share the machine, trading some per-solve search depth
-/// for sweep wall-clock; under deterministic budgets (node limits) the per-k
-/// results are identical to independent solves. Results are returned in
-/// ascending-k order regardless of thread scheduling. Calling
-/// [`synthesize_bist`] for each `k` gives the sequential rebuild-per-k
-/// behaviour (the benchmark baseline).
+/// This is [`SynthesisEngine::sweep_chained`] on a fresh engine: the
+/// circuit-level base model is built and reduced once, and k = 1..=N are
+/// solved in ascending order, each warm-started with the k−1 design as well
+/// as the sequential baseline. Given the configuration of the reproduction
+/// harness (`bist_bench::workload::sweep_config`), it returns the very
+/// designs its Table 2 reports. Calling [`synthesize_bist`] for each `k`
+/// gives the unchained rebuild-per-k solves instead.
 ///
 /// # Errors
 ///
@@ -209,7 +197,7 @@ pub fn synthesize_all_sessions(
 ) -> Result<Vec<BistDesign>, CoreError> {
     let engine = SynthesisEngine::new(input, config)?;
     Ok(engine
-        .sweep_parallel()?
+        .sweep_chained()?
         .into_iter()
         .map(|outcome| outcome.design)
         .collect())
@@ -278,6 +266,34 @@ mod tests {
         assert_eq!(designs.len(), 2);
         assert_eq!(designs[0].sessions, 1);
         assert_eq!(designs[1].sessions, 2);
+    }
+
+    #[test]
+    fn all_sessions_is_the_chained_sweep_on_tseng() {
+        use bist_ilp::Budget;
+        let input = benchmarks::tseng();
+        let config = SynthesisConfig::budgeted(Budget::nodes(1000));
+        let designs = synthesize_all_sessions(&input, &config).unwrap();
+        let engine = SynthesisEngine::new(&input, &config).unwrap();
+        let chained = engine.sweep_chained().unwrap();
+        assert_eq!(designs.len(), chained.len());
+        for (design, outcome) in designs.iter().zip(&chained) {
+            let k = outcome.design.sessions;
+            assert_eq!(design.sessions, k);
+            assert_eq!(
+                design.objective.to_bits(),
+                outcome.design.objective.to_bits(),
+                "k={k}: all sessions {} vs chained {}",
+                design.objective,
+                outcome.design.objective
+            );
+            assert_eq!(design.area.total(), outcome.design.area.total(), "k={k}");
+            assert_eq!(design.stats.nodes, outcome.design.stats.nodes, "k={k}");
+            assert_eq!(
+                design.stats.lp_pivots, outcome.design.stats.lp_pivots,
+                "k={k}"
+            );
+        }
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! im = ar*bi + ai*br + ci
 //! ```
 //!
-//! Run with:
+//! Every ILP solve runs to proven optimality, so the output is the same on
+//! every machine; the whole run takes a few seconds. Run with:
 //! ```text
 //! cargo run --release --example custom_dfg
 //! ```
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::time::Duration;
 
 use advbist::core::{reference, synthesis, SynthesisConfig};
 use advbist::dfg::lifetime::LifetimeTable;
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         lifetimes.min_registers()
     );
 
-    let config = SynthesisConfig::time_boxed(Duration::from_secs(5));
+    let config = SynthesisConfig::exact();
     let reference = reference::synthesize_reference(&input, &config)?;
     println!("reference area: {} transistors", reference.area.total());
 

@@ -1,12 +1,12 @@
 //! Kernel micro-benchmark: what a warm start costs in the LP kernel.
 //!
-//! For each per-k tseng and paulin model, reduced the way the synthesis
-//! engine reduces it before branching, this solves the LP relaxation cold
-//! from the slack basis and then re-solves it 200 times from its own optimal
-//! basis under unchanged bounds. Those warm starts take zero pivots, so each
-//! one is a factorization of the basis plus the extraction of the solution.
-//! The table lists the rows, the cold solve's microseconds per pivot and the
-//! median warm start.
+//! For each tseng and paulin k, this takes the reduced model the synthesis
+//! engine branches on (`SynthesisEngine::reduced_model`), solves its LP
+//! relaxation cold from the slack basis and then re-solves it 200 times from
+//! its own optimal basis under unchanged bounds. Those warm starts take zero
+//! pivots, so each one is a factorization of the basis plus the extraction
+//! of the solution. The table lists the rows, the cold solve's microseconds
+//! per pivot and the median warm start.
 //!
 //! Run with:
 //! ```text
@@ -23,9 +23,8 @@ use std::time::Instant;
 use advbist::core::{SynthesisConfig, SynthesisEngine};
 use advbist::dfg::benchmarks;
 use advbist::ilp::propagate::Domains;
-use advbist::ilp::reduce::{reduce, reduce_prefix};
 use advbist::ilp::simplex::{resolve_with_basis, solve_lp_basis};
-use advbist::ilp::{ReduceOptions, SparseModel};
+use advbist::ilp::SparseModel;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let warm_starts = 200;
@@ -39,23 +38,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     ] {
         let config = SynthesisConfig::default();
         let engine = SynthesisEngine::new(&input, &config)?;
-        let base = &engine.base().model;
-        let reduced_base = reduce_prefix(
-            base,
-            base.num_constraints(),
-            base.num_vars(),
-            &ReduceOptions::base(),
-        );
         for k in 1..=engine.max_sessions() {
-            let mut formulation = engine.base().clone();
-            formulation.add_bist(k)?;
-            formulation.set_bist_objective();
-            // The same two steps the engine takes before every solve: the
-            // per-k delta through the base's reduction, then one more pass.
-            let extended = reduced_base.extend(&formulation.model)?;
-            let model = extended
-                .compose(reduce(&extended.model, &ReduceOptions::full()))
-                .model;
+            let model = engine.reduced_model(k)?.model;
             let matrix = SparseModel::from_model(&model);
             let objective: Vec<f64> = model.vars().iter().map(|v| v.objective).collect();
             let constant = model.objective().offset();

@@ -1,14 +1,14 @@
 //! Propagation micro-benchmark: what one seeded propagation call costs.
 //!
-//! For each per-k tseng and paulin model, reduced the way the synthesis
-//! engine reduces it before branching, this propagates the root box to a
-//! fixpoint and then probes every binary the root leaves unfixed: on a copy
-//! of the root box it fixes the binary at its cheaper bound (the one its
-//! objective coefficient prefers) and times `Propagator::propagate_seeded`
-//! from that one variable, as a branch-and-bound child does. The table lists
-//! the rows and variables, the probes, how many of them propagation proved
-//! infeasible, the bounds the consistent probes moved in all, and the median
-//! call.
+//! For each tseng and paulin k, this takes the reduced model the synthesis
+//! engine branches on (`SynthesisEngine::reduced_model`), propagates its
+//! root box to a fixpoint and then probes every binary the root leaves
+//! unfixed: on a copy of the root box it fixes the binary at its cheaper
+//! bound (the one its objective coefficient prefers) and times
+//! `Propagator::propagate_seeded` from that one variable, as a
+//! branch-and-bound child does. The table lists the rows and variables, the
+//! probes, how many of them propagation proved infeasible, the bounds the
+//! consistent probes moved in all, and the median call.
 //!
 //! Run with:
 //! ```text
@@ -25,8 +25,7 @@ use std::time::Instant;
 use advbist::core::{SynthesisConfig, SynthesisEngine};
 use advbist::dfg::benchmarks;
 use advbist::ilp::propagate::{Domains, PropagationResult, Propagator};
-use advbist::ilp::reduce::{reduce, reduce_prefix};
-use advbist::ilp::{ReduceOptions, Sense};
+use advbist::ilp::Sense;
 
 fn main() -> Result<(), Box<dyn Error>> {
     println!(
@@ -39,23 +38,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     ] {
         let config = SynthesisConfig::default();
         let engine = SynthesisEngine::new(&input, &config)?;
-        let base = &engine.base().model;
-        let reduced_base = reduce_prefix(
-            base,
-            base.num_constraints(),
-            base.num_vars(),
-            &ReduceOptions::base(),
-        );
         for k in 1..=engine.max_sessions() {
-            let mut formulation = engine.base().clone();
-            formulation.add_bist(k)?;
-            formulation.set_bist_objective();
-            // The same two steps the engine takes before every solve: the
-            // per-k delta through the base's reduction, then one more pass.
-            let extended = reduced_base.extend(&formulation.model)?;
-            let model = extended
-                .compose(reduce(&extended.model, &ReduceOptions::full()))
-                .model;
+            let model = engine.reduced_model(k)?.model;
             let propagator = Propagator::new(&model);
             let mut root = Domains::from_model(&model);
             if propagator.propagate(&mut root) == PropagationResult::Infeasible {

@@ -10,10 +10,10 @@
 //! deadline-cap individual jobs without touching the rest of the batch.
 //!
 //! A job runs its k-range on one shared [`SynthesisEngine`] — the circuit
-//! base model is built and reduced once per job, exactly like
-//! [`synthesize_all_sessions`](bist_core::synthesis::synthesize_all_sessions)
-//! — so under a deterministic (node-limited) budget the reported
-//! objectives are identical to the engine sweep's.
+//! base model is built and reduced once per job — and solves each `k`
+//! unchained ([`SynthesisEngine::synthesize_seeded`] with no k−1 design), so
+//! under a deterministic (node-limited) budget every row equals an
+//! independent [`SynthesisEngine::synthesize`] of its `k`.
 //!
 //! # The cross-job solve cache
 //!
@@ -72,7 +72,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use bist_core::engine::{par_map_ordered_bounded, SynthesisEngine};
+use bist_core::engine::{par_map_ordered, SynthesisEngine};
 use bist_core::{CoreError, SynthesisConfig};
 use bist_dfg::SynthesisInput;
 use bist_ilp::{Budget, CancelToken, SolveSnapshot};
@@ -577,7 +577,7 @@ impl JobService {
             .cache
             .clone()
             .unwrap_or_else(|| Arc::new(SolveCache::new(SolveCache::DEFAULT_CAPACITY_MB)));
-        par_map_ordered_bounded(&self.jobs, workers, |(job, token)| {
+        par_map_ordered(&self.jobs, workers, |(job, token)| {
             let start = Instant::now();
             panic::catch_unwind(AssertUnwindSafe(|| run_job(job, token, &cache))).unwrap_or_else(
                 |payload| {
@@ -770,7 +770,10 @@ mod tests {
     fn batch_reproduces_the_engine_sweep_in_submission_order() {
         let input = benchmarks::figure1();
         let config = bist_core::SynthesisConfig::exact();
-        let sweep = bist_core::synthesis::synthesize_all_sessions(&input, &config).unwrap();
+        let engine = SynthesisEngine::new(&input, &config).unwrap();
+        let sweep: Vec<_> = (1..=engine.max_sessions())
+            .map(|k| engine.synthesize(k).unwrap())
+            .collect();
 
         let mut service = JobService::new().with_workers(2);
         service.submit(exact_job("full", benchmarks::figure1()));
@@ -782,12 +785,14 @@ mod tests {
         assert_eq!(reports[1].name, "k1-only");
         assert!(reports.iter().all(|r| r.outcome.is_completed()));
 
-        // The full job mirrors the engine sweep row for row.
+        // The full job mirrors the unchained per-k solves row for row.
         assert_eq!(reports[0].rows.len(), sweep.len());
         for (row, design) in reports[0].rows.iter().zip(&sweep) {
             assert_eq!(row.k, design.sessions);
-            assert!((row.objective - design.objective).abs() < 1e-9);
+            assert_eq!(row.objective.to_bits(), design.objective.to_bits());
             assert_eq!(row.area, design.area.total());
+            assert_eq!(row.nodes, design.stats.nodes);
+            assert_eq!(row.lp_pivots, design.stats.lp_pivots);
             assert!(row.optimal);
         }
         // The k-restricted job produced exactly its requested row.
