@@ -258,20 +258,6 @@ impl<'a> SynthesisEngine<'a> {
         self.synthesize_inner(k, previous, None, true, resume)
     }
 
-    /// Content fingerprint of the full per-k model (constraint matrix,
-    /// objective, variable bounds and integrality), before any presolve.
-    /// Two engines produce the same fingerprint for a given `k` exactly
-    /// when they were built from the same circuit and configuration — this
-    /// is the key the job service's cross-job solve cache
-    /// (`advbist::service::SolveCache`) shares results under.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidSessionCount`] if `k` is not in `1..=N`.
-    pub fn model_fingerprint(&self, k: usize) -> Result<u64, CoreError> {
-        Ok(bist_ilp::model_fingerprint(&self.formulation(k)?.model))
-    }
-
     /// The reduced per-k model: the model every solve of `k` on this
     /// engine branches on, before its cut pool and warm starts. Its
     /// variable map leads back to the full per-k formulation.

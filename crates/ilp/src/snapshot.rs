@@ -49,10 +49,11 @@ use crate::sparse::SparseModel;
 /// matrix, the variables' integral [0, 1] boxes, and the internal
 /// (minimisation-sense) objective with its constant. Two models that are
 /// structurally and numerically identical collide; a single changed
-/// coefficient or objective weight separates them. This is
-/// the identity the `advbist` job-service cache keys on. (It is *not* the
-/// same hash a [`SolveSnapshot`] records — snapshots fingerprint the
-/// reduced instance the tree was actually built on.)
+/// coefficient or objective weight separates them. `tests/corpus.rs` pins
+/// it on every reduced per-k model of the benchmark circuits, so a change
+/// to the formulation or to reduce shows as a moved fingerprint. (It is
+/// *not* the same hash a [`SolveSnapshot`] records — snapshots fingerprint
+/// the reduced instance the tree was actually built on.)
 pub fn model_fingerprint(model: &Model) -> u64 {
     let sense_factor = match model.sense() {
         Sense::Minimize => 1.0,
@@ -225,6 +226,26 @@ mod tests {
             ],
             pseudo: PseudoCosts::new(3),
         }
+    }
+
+    #[test]
+    fn one_coefficient_change_moves_the_model_fingerprint() {
+        let build = |c: f64| {
+            let mut model = Model::new("probe");
+            let x = model.add_binary("x");
+            let y = model.add_binary("y");
+            model.add_leq(vec![(x, 1.0), (y, c)], 1.0, "cap");
+            model.set_objective(vec![(x, 1.0), (y, 2.0)], Sense::Maximize);
+            model
+        };
+        assert_eq!(
+            model_fingerprint(&build(1.0)),
+            model_fingerprint(&build(1.0))
+        );
+        assert_ne!(
+            model_fingerprint(&build(1.0)),
+            model_fingerprint(&build(1.5))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The job-service front door: a batch of synthesis jobs with per-job
 //! budgets, deadlines and cancellation, answered in submission order —
 //! followed by an interrupt → resume round trip through the service's
-//! fingerprint-keyed solve cache.
+//! solve cache, and a replay of the finished row from it.
 //!
 //! Run with:
 //! ```text
@@ -81,17 +81,32 @@ fn main() -> Result<(), Box<dyn Error>> {
         interrupted.rows[0].nodes, interrupted.snapshot_captured
     );
 
-    let mut second = JobService::new().with_cache(cache);
-    second.submit(
-        SynthesisJob::new("resumed", benchmarks::tseng())
-            .with_config(SynthesisConfig::exact())
-            .with_sessions(1..=1),
-    );
-    let resumed = &second.run()[0];
+    let finish = || {
+        let mut service = JobService::new().with_cache(cache.clone());
+        service.submit(
+            SynthesisJob::new("resumed", benchmarks::tseng())
+                .with_config(SynthesisConfig::exact())
+                .with_sessions(1..=1),
+        );
+        service.run().remove(0)
+    };
+    let resumed = finish();
     let row = &resumed.rows[0];
     println!(
         "    resumed from the cache ({} hit), finished at {:>4} total nodes{}",
         resumed.cache_hits,
+        row.nodes,
+        if row.optimal { ", optimal" } else { "" }
+    );
+
+    // The same job once more: its row is cached now, so the job answers
+    // from the cache without building a model or solving.
+    let replayed = finish();
+    let row = &replayed.rows[0];
+    println!(
+        "    replayed from the cache ({} hit, {} misses), {} total nodes{}",
+        replayed.cache_hits,
+        replayed.cache_misses,
         row.nodes,
         if row.optimal { ", optimal" } else { "" }
     );

@@ -62,7 +62,7 @@ pub use bist_dfg as dfg;
 pub use bist_ilp as ilp;
 pub use bist_rtl as rtl;
 
-pub use bist_ilp::{model_fingerprint, Budget, CancelToken, SolveEvent, SolveSnapshot};
+pub use bist_ilp::{Budget, CancelToken, SolveEvent, SolveSnapshot};
 
 /// The paper this workspace reproduces.
 pub const PAPER: &str =

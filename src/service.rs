@@ -10,20 +10,24 @@
 //! deadline-cap individual jobs without touching the rest of the batch.
 //!
 //! A job runs its k-range on one shared [`SynthesisEngine`] — the circuit
-//! base model is built and reduced once per job — and solves each `k`
-//! unchained ([`SynthesisEngine::synthesize_seeded`] with no k−1 design), so
-//! under a deterministic (node-limited) budget every row equals an
-//! independent [`SynthesisEngine::synthesize`] of its `k`.
+//! base model is built and reduced once per job, on the first `k` the cache
+//! cannot answer — and solves each `k` unchained
+//! ([`SynthesisEngine::synthesize_seeded`] with no k−1 design), so under a
+//! deterministic (node-limited) budget every row equals an independent
+//! [`SynthesisEngine::synthesize`] of its `k`.
 //!
 //! # The cross-job solve cache
 //!
-//! The service keeps a fingerprint-keyed [`SolveCache`] shared by every
-//! worker of a batch (and, via [`JobService::with_cache`], across batches).
-//! Each per-k instance is keyed by a content hash of its full model —
-//! constraint matrix, objective, variable bounds and integrality — plus a
-//! digest of the solver configuration, so two jobs that happen to submit
-//! the same circuit × k × config pay for one solve. The cache stores two
-//! kinds of entries:
+//! The service keeps a [`SolveCache`] shared by every worker of a batch
+//! (and, via [`JobService::with_cache`], across batches). Each per-k
+//! instance is keyed by a hash of the job's own instance — its
+//! [`SynthesisInput`] and the configuration fields the model is built
+//! from (cost model, register count, input timing, search-space
+//! reduction) — with `k` folded in, plus a digest of the solver
+//! configuration, so two jobs that submit the same circuit × k × config
+//! pay for one solve. The key comes from the job, not from a built model:
+//! a job whose every `k` hits never builds an engine, so a hit costs a hash
+//! and a lookup. The cache stores two kinds of entries:
 //!
 //! * **finished rows** — the deterministic result of a completed (or
 //!   node-budget-exhausted) solve, keyed additionally by the node limit;
@@ -32,9 +36,10 @@
 //!   (see [`bist_ilp::SolveSnapshot`]), held in memory as the very
 //!   `Arc<SolveSnapshot>` the solve captured; a hit *continues* the
 //!   snapshotted branch-and-bound tree instead of starting over, so no
-//!   node is ever explored twice. A resumed solve counts nodes from the
-//!   capture point, so a snapshot that has explored more nodes than the
-//!   job's node limit is a miss.
+//!   node is ever explored twice. The solver checks a resumed snapshot
+//!   against the fingerprint of the instance it solves. A resumed solve
+//!   counts nodes from the capture point, so a snapshot that has explored
+//!   more nodes than the job's node limit is a miss.
 //!
 //! The cache changes performance, never results: entries are only consulted
 //! for **deterministic** budgets ([`Budget::is_deterministic`] — no
@@ -273,8 +278,8 @@ enum EntryKind {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CacheKey {
-    /// Content fingerprint of the full per-k model
-    /// ([`SynthesisEngine::model_fingerprint`]).
+    /// Hash of the job's instance ([`instance_key`]: its input and the
+    /// settings its model is built from) with `k` folded in.
     fingerprint: u64,
     /// Digest of the solver configuration (branching, bounding, cuts, …)
     /// minus its budget/cancellation/warm-start slots — two jobs only share
@@ -309,10 +314,11 @@ struct CacheInner {
 /// Approximate heap footprint charged per finished-row entry.
 const ROW_ENTRY_BYTES: u64 = 96;
 
-/// A bounded, fingerprint-keyed cache of solve results and resumable solve
-/// snapshots, shared by every worker of a [`JobService`] batch. Clone the
-/// [`Arc`] and pass it to several services ([`JobService::with_cache`]) to
-/// share solves across batches — for example between repeated submissions
+/// A bounded cache of solve results and resumable solve snapshots, keyed
+/// by the job's instance, `k` and solver configuration, shared by every
+/// worker of a [`JobService`] batch. Clone the [`Arc`] and pass it to
+/// several services ([`JobService::with_cache`]) to share solves across
+/// batches — for example between repeated submissions
 /// of overlapping k-ranges. See the [module documentation](self) for the
 /// soundness rules (deterministic budgets only; hits are bit-identical).
 #[derive(Debug)]
@@ -483,9 +489,11 @@ impl SolveCache {
     }
 }
 
-/// 64-bit FNV-1a over a byte string, for the configuration digest.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// The FNV-1a offset basis: the 64-bit hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over a byte string, continuing from `hash`.
+fn fnv64(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -493,9 +501,27 @@ fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Hash of everything a job's per-k models are built from: its input and
+/// the model-building settings (cost model, register count, input timing,
+/// search-space reduction). `run_job` folds `k` in to key one per-k
+/// instance. None of these types holds a hash map, so their `Debug` form,
+/// and with it the key, is deterministic.
+fn instance_key(job: &SynthesisJob) -> u64 {
+    let config = &job.config;
+    let text = format!(
+        "{:?}|{:?}|{:?}|{:?}|{}",
+        job.input,
+        config.cost,
+        config.num_registers,
+        config.input_timing,
+        config.search_space_reduction
+    );
+    fnv64(FNV_OFFSET, text.as_bytes())
+}
+
 /// Digest of everything in the job's configuration that shapes the search
-/// but is *not* covered by the model fingerprint: bounding rules, cut
-/// settings, warm-start policy. Budget,
+/// but is *not* covered by the instance key: bounding rules, cut settings,
+/// warm-start policy. Budget,
 /// cancellation and per-call warm-start values are normalised out — the
 /// budget's node limit is keyed separately, and the service never chains
 /// per-call seeds.
@@ -505,7 +531,8 @@ fn config_digest(config: &SynthesisConfig) -> u64 {
     solver.cancel = None;
     solver.initial_solutions = Vec::new();
     solver.resume = None;
-    fnv64(format!("{:?}|warm_start={}", solver, config.warm_start).as_bytes())
+    let text = format!("{:?}|warm_start={}", solver, config.warm_start);
+    fnv64(FNV_OFFSET, text.as_bytes())
 }
 
 /// The job-queue front door: submit a batch, run it over a bounded worker
@@ -613,6 +640,8 @@ struct JobCounters {
 
 /// Runs one job on the calling worker thread.
 fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobReport {
+    #[cfg(test)]
+    tests::panic_trigger(job, cache);
     let start = Instant::now();
     let budget = job.config.solver.budget;
     let mut config = job.config.clone();
@@ -625,6 +654,7 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
     // reproducible).
     let cache_enabled = cache.capacity_bytes() > 0 && budget.is_deterministic();
     let digest = config_digest(&job.config);
+    let instance = instance_key(job);
 
     let finish = |outcome: JobOutcome, rows: Vec<JobRow>, counters: JobCounters| JobReport {
         name: job.name.clone(),
@@ -637,34 +667,31 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
         cache_evictions: counters.evictions,
     };
 
-    let engine = match SynthesisEngine::new(&job.input, &config) {
-        Ok(engine) => engine,
-        Err(e) => return finish(JobOutcome::Failed(e.to_string()), Vec::new(), counters),
-    };
-    #[cfg(test)]
-    tests::panic_trigger(job, cache);
-    let sessions = job.sessions.clone().unwrap_or(1..=engine.max_sessions());
-
+    // Built on the first k the cache cannot answer, so a job whose every k
+    // hits never formulates, reduces or hashes a model.
+    let mut engine = None;
+    let max_sessions = job.input.binding().num_modules();
     let mut rows = Vec::new();
-    for k in sessions {
+    let mut outcome = JobOutcome::Completed;
+    for k in job.sessions.clone().unwrap_or(1..=max_sessions) {
         // Deterministic front-door checks between solves: a pre-cancelled
         // job or pre-expired deadline produces zero rows without touching
         // the solver (no timing races).
         if token.is_cancelled() {
-            return finish(JobOutcome::Cancelled, rows, counters);
+            outcome = JobOutcome::Cancelled;
+            break;
         }
         if budget.deadline_passed() {
-            return finish(JobOutcome::DeadlineExpired, rows, counters);
+            outcome = JobOutcome::DeadlineExpired;
+            break;
         }
 
         let probe_start = Instant::now();
         let mut resume = None;
-        let mut key = None;
-        if cache_enabled {
-            let fingerprint = match engine.model_fingerprint(k) {
-                Ok(fingerprint) => fingerprint,
-                Err(e) => return finish(JobOutcome::Failed(e.to_string()), rows, counters),
-            };
+        // A k outside `1..=N` is never probed: the engine rejects it below.
+        let key = (cache_enabled && (1..=max_sessions).contains(&k))
+            .then(|| fnv64(instance, &k.to_le_bytes()));
+        if let Some(fingerprint) = key {
             match cache.probe(fingerprint, digest, budget.node_limit) {
                 Some(CachePayload::Row(row)) => {
                     counters.hits += 1;
@@ -680,8 +707,14 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
                 }
                 None => counters.misses += 1,
             }
-            key = Some(fingerprint);
         }
+        let engine = match &engine {
+            Some(engine) => engine,
+            None => match SynthesisEngine::new(&job.input, &config) {
+                Ok(built) => engine.insert(built),
+                Err(e) => return finish(JobOutcome::Failed(e.to_string()), rows, counters),
+            },
+        };
 
         // A job whose budget has `Budget::snapshot == Some(true)` captures
         // on either path; a resumed solve always captures again.
@@ -740,7 +773,15 @@ fn run_job(job: &SynthesisJob, token: &CancelToken, cache: &SolveCache) -> JobRe
             Err(e) => return finish(JobOutcome::Failed(e.to_string()), rows, counters),
         }
     }
-    finish(JobOutcome::Completed, rows, counters)
+    // A job that answered no k (an empty k-range, or cancelled or past its
+    // deadline before the first) still builds the engine, so a config the
+    // engine rejects fails it whatever its k-range or token.
+    if rows.is_empty() && engine.is_none() {
+        if let Err(e) = SynthesisEngine::new(&job.input, &config) {
+            return finish(JobOutcome::Failed(e.to_string()), rows, counters);
+        }
+    }
+    finish(outcome, rows, counters)
 }
 
 #[cfg(test)]
@@ -757,7 +798,7 @@ mod tests {
     /// The name of a job that panics while it holds the cache's lock.
     const PANICKING_JOB: &str = "panics holding the cache lock";
 
-    /// Called by `run_job` once the job's engine is built: a job named
+    /// Called by `run_job` before anything else: a job named
     /// [`PANICKING_JOB`] takes the cache's lock and panics, poisoning it.
     pub(super) fn panic_trigger(job: &SynthesisJob, cache: &SolveCache) {
         if job.name == PANICKING_JOB {
@@ -859,45 +900,205 @@ mod tests {
 
     #[test]
     fn one_coefficient_change_misses_the_cache() {
-        // The cache key is the full-model content fingerprint: two models
-        // colliding on every dimension but a single coefficient must not
-        // share entries. Checked at the fingerprint level (the exact key)…
-        use bist_ilp::{model_fingerprint, Model, Sense};
-        let build = |c: f64| {
-            let mut model = Model::new("probe");
-            let x = model.add_binary("x");
-            let y = model.add_binary("y");
-            model.add_leq(vec![(x, 1.0), (y, c)], 1.0, "cap");
-            model.set_objective(vec![(x, 1.0), (y, 2.0)], Sense::Maximize);
-            model
-        };
-        assert_eq!(
-            model_fingerprint(&build(1.0)),
-            model_fingerprint(&build(1.0))
-        );
-        assert_ne!(
-            model_fingerprint(&build(1.0)),
-            model_fingerprint(&build(1.5))
-        );
-
-        // …and end to end: the same circuit under a different cost model
-        // (different objective coefficients, identical model shape) must
-        // miss a warm cache instead of replaying the other model's rows.
+        // The key hashes the job's input and every setting its model or
+        // search depends on; one left out would serve another model's row.
+        // So each single change below must miss a warm cache, while a
+        // change the model never reads must still hit.
+        use bist_core::SynthesisConfig;
         use bist_datapath::CostModel;
-        let cache = Arc::new(SolveCache::new(64));
-        let mut first = JobService::new().with_cache(cache.clone());
-        first.submit(exact_job("8bit", benchmarks::figure1()));
-        first.run();
-        let mut second = JobService::new().with_cache(cache.clone());
-        second.submit(
-            SynthesisJob::new("16bit", benchmarks::figure1()).with_config(
-                bist_core::SynthesisConfig::exact().with_cost(CostModel::for_width(16)),
+        use bist_dfg::{InputTiming, Schedule};
+        use bist_ilp::BoundMode;
+        let base = || {
+            exact_job("figure1", benchmarks::figure1())
+                .with_sessions(1..=1)
+                .with_budget(Budget::nodes(100))
+        };
+        let with = |change: fn(&mut SynthesisConfig)| {
+            let mut job = base();
+            change(&mut job.config);
+            job
+        };
+        // The final addition one step later: a valid schedule, longer
+        // lifetimes for its two operands.
+        let figure1 = benchmarks::figure1();
+        let rescheduled = SynthesisInput::new(
+            figure1.dfg().clone(),
+            Schedule::from_steps(vec![0, 1, 2, 4]),
+            figure1.binding().clone(),
+        )
+        .unwrap();
+        let cache = SolveCache::new(64);
+        let token = CancelToken::new();
+        let first = run_job(&base(), &token, &cache);
+        assert_eq!((first.cache_hits, first.cache_misses), (0, 1));
+
+        let misses = [
+            ("16-bit costs", with(|c| c.cost = CostModel::for_width(16))),
+            ("4 registers", with(|c| c.num_registers = Some(4))),
+            (
+                "inputs from start",
+                with(|c| c.input_timing = InputTiming::FromStart),
             ),
-        );
-        let reports = second.run();
-        assert!(reports[0].outcome.is_completed());
-        assert_eq!(reports[0].cache_hits, 0);
-        assert_eq!(reports[0].cache_misses, reports[0].rows.len() as u64);
+            (
+                "no search-space reduction",
+                with(|c| c.search_space_reduction = false),
+            ),
+            ("no warm start", with(|c| c.warm_start = false)),
+            (
+                "another bound mode",
+                with(|c| c.solver.bound_mode = BoundMode::Hybrid { lp_depth: 0 }),
+            ),
+            (
+                "one operation rescheduled",
+                SynthesisJob {
+                    input: rescheduled,
+                    ..base()
+                },
+            ),
+        ];
+        for (change, job) in misses {
+            let report = run_job(&job, &token, &cache);
+            assert!(
+                report.outcome.is_completed(),
+                "{change}: {:?}",
+                report.outcome
+            );
+            assert_eq!((report.cache_hits, report.cache_misses), (0, 1), "{change}");
+        }
+        let hits = [
+            (
+                "job name",
+                SynthesisJob {
+                    name: "renamed".into(),
+                    ..base()
+                },
+            ),
+            ("RTL validation", with(|c| c.rtl_validation = true)),
+        ];
+        for (change, job) in hits {
+            let report = run_job(&job, &token, &cache);
+            assert_eq!((report.cache_hits, report.cache_misses), (1, 0), "{change}");
+            assert_eq!(
+                report.rows[0].objective.to_bits(),
+                first.rows[0].objective.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_job_whose_every_k_hits_builds_no_engine() {
+        // Every `SynthesisEngine::new` reduces one base model, and the
+        // counter of base reductions is per thread, so the jobs run on
+        // this thread instead of a service worker.
+        use bist_ilp::reduce::prefix_reductions_on_thread;
+        let cache = SolveCache::new(64);
+        let token = CancelToken::new();
+        let run = |ks: RangeInclusive<usize>| {
+            let job = SynthesisJob::new("tseng", benchmarks::tseng())
+                .with_config(bist_core::SynthesisConfig::budgeted(Budget::nodes(50)))
+                .with_sessions(ks);
+            let before = prefix_reductions_on_thread();
+            let report = run_job(&job, &token, &cache);
+            assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+            let counts = (report.cache_hits, report.cache_misses);
+            (report, counts, prefix_reductions_on_thread() - before)
+        };
+        let same = |a: &JobRow, b: &JobRow| {
+            assert_eq!(a.k, b.k);
+            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+            assert_eq!(
+                (a.area, a.nodes, a.lp_pivots),
+                (b.area, b.nodes, b.lp_pivots)
+            );
+        };
+        let (first, counts, built) = run(1..=2);
+        assert_eq!((counts, built), ((0, 2), 1));
+        let (replay, counts, built) = run(1..=2);
+        assert_eq!((counts, built), ((2, 0), 0));
+        for (a, b) in first.rows.iter().zip(&replay.rows) {
+            same(a, b);
+        }
+        // One cached k and one new one: one engine, built for k = 3.
+        let (mixed, counts, built) = run(2..=3);
+        assert_eq!((counts, built), ((1, 1), 1));
+        same(&mixed.rows[0], &first.rows[1]);
+        assert_eq!(mixed.rows[1].k, 3);
+    }
+
+    #[test]
+    fn a_k_outside_the_circuit_fails_after_the_rows_before_it() {
+        // figure1 has N = 2 modules. With a warm cache k = 2 is a hit and
+        // the engine is first built for k = 3; with the cache off k = 2 is
+        // solved. Either way k = 2's row stays, the job fails on k = 3 with
+        // the engine's error, and k = 3 counts no probe.
+        let job = |ks| {
+            exact_job("past N", benchmarks::figure1())
+                .with_budget(Budget::nodes(100))
+                .with_sessions(ks)
+        };
+        let token = CancelToken::new();
+        let warm = SolveCache::new(64);
+        run_job(&job(1..=2), &token, &warm);
+        let expected = CoreError::InvalidSessionCount {
+            requested: 3,
+            modules: 2,
+        };
+        for (cache, probes) in [(&warm, (1, 0)), (&SolveCache::new(0), (0, 0))] {
+            let report = run_job(&job(2..=3), &token, cache);
+            assert_eq!(report.outcome, JobOutcome::Failed(expected.to_string()));
+            assert_eq!(report.rows.len(), 1);
+            assert_eq!(report.rows[0].k, 2);
+            assert_eq!((report.cache_hits, report.cache_misses), probes);
+        }
+    }
+
+    #[test]
+    fn a_config_the_engine_rejects_fails_the_job_even_with_no_k_to_solve() {
+        // figure1 needs 3 registers. A job that reaches no solve (an empty
+        // k-range, or cancelled first) still builds the engine, so it
+        // fails with the engine's error too.
+        let expected = CoreError::TooFewRegisters {
+            requested: 1,
+            minimum: 3,
+        };
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for capacity in [64, 0] {
+            // `RangeInclusive::new(2, 1)` is empty.
+            for ks in [None, Some(1..=1), Some(RangeInclusive::new(2, 1))] {
+                for token in [CancelToken::new(), cancelled.clone()] {
+                    let mut job = exact_job("one register", benchmarks::figure1())
+                        .with_budget(Budget::nodes(100));
+                    job.config.num_registers = Some(1);
+                    job.sessions = ks.clone();
+                    let report = run_job(&job, &token, &SolveCache::new(capacity));
+                    assert_eq!(
+                        report.outcome,
+                        JobOutcome::Failed(expected.to_string()),
+                        "capacity {capacity}, k-range {ks:?}, cancelled {}",
+                        token.is_cancelled()
+                    );
+                    assert!(report.rows.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pre_cancelled_job_answers_nothing_even_from_a_warm_cache() {
+        let job = exact_job("cancelled", benchmarks::figure1()).with_budget(Budget::nodes(100));
+        let warm = SolveCache::new(64);
+        assert!(run_job(&job, &CancelToken::new(), &warm)
+            .outcome
+            .is_completed());
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        for cache in [&warm, &SolveCache::new(0)] {
+            let report = run_job(&job, &cancelled, cache);
+            assert_eq!(report.outcome, JobOutcome::Cancelled);
+            assert!(report.rows.is_empty());
+            assert_eq!((report.cache_hits, report.cache_misses), (0, 0));
+        }
     }
 
     #[test]
