@@ -32,9 +32,10 @@
 //! quality before the tree search even starts. Wall-clock is measured by
 //! `perfbench/`, never here.
 
-use bist_core::engine::{par_map_ordered, SynthesisEngine};
+use bist_core::engine::SynthesisEngine;
 use bist_core::{synthesis, BistDesign, CoreError, ReferenceDesign, SynthesisConfig};
 use bist_dfg::SynthesisInput;
+use bist_ilp::par_map_ordered;
 
 use crate::report::json;
 use crate::table3::MethodRow;

@@ -63,59 +63,6 @@ use crate::formulation::BistFormulation;
 use crate::reference::{solve_reference_formulation, ReferenceDesign};
 use crate::synthesis::{solve_bist_formulation, BistDesign};
 
-/// Maps `f` over `items` on a scoped thread pool and returns the results in
-/// item order, independent of scheduling. At most `max_workers` scoped
-/// threads run at once, further capped at the machine's available
-/// parallelism (so wall-clock-limited work is not diluted by
-/// oversubscription) and the item count; with one worker this is exactly
-/// the sequential loop. The job service passes its worker cap, the
-/// benchmark harness's per-circuit fan-out `usize::MAX`.
-///
-/// # Panics
-///
-/// Panics if `f` panics on a worker thread.
-pub fn par_map_ordered<T, R, F>(items: &[T], max_workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(max_workers)
-        .min(items.len())
-        .max(1);
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let result = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker thread panicked")
-        })
-        .collect()
-}
-
 /// One solve of a sweep: the design plus how it was obtained.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {

@@ -74,6 +74,7 @@ pub mod expr;
 pub mod heuristics;
 pub mod lpfile;
 pub mod model;
+pub mod parallel;
 pub mod propagate;
 pub mod reduce;
 pub mod session;
@@ -87,6 +88,7 @@ pub use cuts::{CutGenerator, CutRow};
 pub use error::IlpError;
 pub use expr::LinExpr;
 pub use model::{CmpOp, Constraint, Model, Sense, VarId};
+pub use parallel::par_map_ordered;
 pub use reduce::{ReduceOptions, ReduceReport, ReducedModel, VarDisposition};
 pub use session::{Budget, CancelToken, SolveEvent};
 pub use simplex::{Basis, LpSolution, LpStatus, ReducedCosts};

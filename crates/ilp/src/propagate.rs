@@ -36,11 +36,28 @@ use crate::EPS;
 /// Current lower/upper bounds of every variable, and which variables must
 /// take integral values. A model's box is all binaries
 /// ([`Domains::from_model`]); the LP kernel and the propagator take any box.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Domains {
     lower: Vec<f64>,
     upper: Vec<f64>,
     integral: Vec<bool>,
+}
+
+impl Clone for Domains {
+    fn clone(&self) -> Self {
+        Self {
+            lower: self.lower.clone(),
+            upper: self.upper.clone(),
+            integral: self.integral.clone(),
+        }
+    }
+
+    /// Copies `source` into this box's vectors, keeping their capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.lower.clone_from(&source.lower);
+        self.upper.clone_from(&source.upper);
+        self.integral.clone_from(&source.integral);
+    }
 }
 
 impl Domains {

@@ -160,6 +160,17 @@ pub struct LpSolution {
 }
 
 impl LpSolution {
+    /// The solve's iteration counters.
+    pub(crate) fn counters(&self) -> Counters {
+        Counters {
+            primal: self.primal_pivots,
+            dual: self.dual_pivots,
+            flips: self.bound_flips,
+            refactorizations: self.refactorizations,
+            bland: self.bland_pivots,
+        }
+    }
+
     fn no_solution(status: LpStatus, counters: Counters) -> Self {
         Self {
             status,
@@ -176,15 +187,33 @@ impl LpSolution {
     }
 }
 
-/// Iteration counters of one kernel run.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    primal: u64,
-    dual: u64,
-    flips: u64,
-    refactorizations: u64,
+/// Iteration counters of one kernel run (see the [`LpSolution`] fields of
+/// the same names).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Counters {
+    /// Primal simplex basis changes.
+    pub(crate) primal: u64,
+    /// Dual simplex basis changes.
+    pub(crate) dual: u64,
+    /// Bound flips.
+    pub(crate) flips: u64,
+    /// Factorizations.
+    pub(crate) refactorizations: u64,
     /// Basis-change pivots priced by the Bland fallback.
-    bland: u64,
+    pub(crate) bland: u64,
+}
+
+/// What a strong-branching probe reads of a warm re-solve
+/// ([`Factor::probe`]): no point, no reduced costs and no basis.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LpProbe {
+    /// Solve status.
+    pub(crate) status: LpStatus,
+    /// The objective [`LpSolution::objective`] would report: meaningful
+    /// when `status` is `Optimal`, infinite otherwise.
+    pub(crate) objective: f64,
+    /// Iteration counters.
+    pub(crate) counters: Counters,
 }
 
 /// Primal feasibility tolerance: a variable this far outside its bounds
@@ -352,7 +381,15 @@ impl Factor<'_> {
                 None,
             ));
         }
-        let mut kernel = Kernel::warm(matrix, objective, objective_constant, domains, self);
+        let buffers = KernelBuffers::default();
+        let mut kernel = Kernel::warm(
+            matrix,
+            objective,
+            objective_constant,
+            domains,
+            self,
+            buffers,
+        );
         let mut pivots = 0u64;
         Some(match kernel.run_dual(max_pivots, &mut pivots) {
             Inner::Optimal => {
@@ -364,6 +401,48 @@ impl Factor<'_> {
                 None,
             ),
         })
+    }
+
+    /// [`Factor::resolve`] for a strong-branching probe, which reads only
+    /// the status, the objective and the counters: it builds no point, no
+    /// reduced costs and no basis, and the kernel works in `buffers`, whose
+    /// capacity it keeps for the next probe. Status, objective bits and
+    /// counters equal those of [`Factor::resolve`].
+    pub(crate) fn probe(
+        &self,
+        matrix: &SparseModel,
+        objective: &[f64],
+        objective_constant: f64,
+        domains: &Domains,
+        max_pivots: u64,
+        buffers: &mut KernelBuffers,
+    ) -> Option<LpProbe> {
+        if self.basis.vars != domains.len()
+            || !self.basis.fits(matrix, objective, objective_constant)
+        {
+            return None;
+        }
+        if domains.is_infeasible() {
+            return Some(LpProbe {
+                status: LpStatus::Infeasible,
+                objective: f64::INFINITY,
+                counters: Counters::default(),
+            });
+        }
+        let taken = std::mem::take(buffers);
+        let mut kernel = Kernel::warm(matrix, objective, objective_constant, domains, self, taken);
+        let mut pivots = 0u64;
+        let inner = kernel.run_dual(max_pivots, &mut pivots);
+        let probe = LpProbe {
+            status: inner.status(),
+            objective: match inner {
+                Inner::Optimal => kernel.objective_at_box(),
+                _ => f64::INFINITY,
+            },
+            counters: kernel.counters,
+        };
+        *buffers = kernel.into_buffers();
+        Some(probe)
     }
 
     /// Reads Gomory mixed-integer cuts off the fractional rows of the
@@ -396,7 +475,15 @@ impl Factor<'_> {
         {
             return Vec::new();
         }
-        let kernel = Kernel::warm(matrix, objective, objective_constant, domains, self);
+        let buffers = KernelBuffers::default();
+        let kernel = Kernel::warm(
+            matrix,
+            objective,
+            objective_constant,
+            domains,
+            self,
+            buffers,
+        );
         let mut candidates: Vec<(f64, usize)> = Vec::new();
         for r in 0..kernel.m {
             let b = kernel.basis[r];
@@ -454,6 +541,17 @@ struct EtaFile {
 }
 
 impl EtaFile {
+    /// An empty file with room for `etas` etas of `terms` terms in all.
+    fn with_capacity(etas: usize, terms: usize) -> Self {
+        Self {
+            rows: Vec::with_capacity(etas),
+            pivots: Vec::with_capacity(etas),
+            ends: Vec::with_capacity(etas),
+            term_rows: Vec::with_capacity(terms),
+            term_vals: Vec::with_capacity(terms),
+        }
+    }
+
     fn len(&self) -> usize {
         self.rows.len()
     }
@@ -631,22 +729,36 @@ fn fold_instance(matrix_hash: u64, objective: &[f64], objective_constant: f64) -
     h
 }
 
-/// Basic columns in refactorization order: sparsest first, ties by column
-/// index. The order depends on the basic set alone, not on its row order.
-fn refactor_order(matrix: &SparseModel, basic: &[usize]) -> Vec<usize> {
+/// Writes the basic columns to `keys` in refactorization order, as
+/// `(nonzeros, column)`: sparsest first, ties by column index. The order
+/// depends on the basic set alone, not on its row order.
+fn refactor_keys(matrix: &SparseModel, basic: &[usize], keys: &mut Vec<(usize, usize)>) {
     let n = matrix.num_vars();
-    let mut keys: Vec<(usize, usize)> = basic
-        .iter()
-        .map(|&c| (if c < n { matrix.occurrences(c) } else { 1 }, c))
-        .collect();
+    keys.clear();
+    keys.extend(
+        basic
+            .iter()
+            .map(|&c| (if c < n { matrix.occurrences(c) } else { 1 }, c)),
+    );
     // Columns are distinct, so the unstable sort is the stable order.
     keys.sort_unstable();
-    keys.into_iter().map(|(_, c)| c).collect()
+}
+
+/// What [`factorize_into`] writes: the basic column of each row and the eta
+/// file of the inverse, and the scratch it works in.
+#[derive(Debug, Default)]
+struct Refactor {
+    order: Vec<usize>,
+    etas: EtaFile,
+    keys: Vec<(usize, usize)>,
+    assigned: Vec<bool>,
+    /// Rows of `w` written while building the current column.
+    touched: Vec<u64>,
 }
 
 /// Gauss-Jordan factorization of the basic columns `basic` (structurals
-/// below `num_vars`, slacks above) with partial pivoting, in
-/// [`refactor_order`]. Returns the basic column of each row and the eta
+/// below `num_vars`, slacks above) with partial pivoting, in the order of
+/// [`refactor_keys`]. Returns the basic column of each row and the eta
 /// file of the inverse, or `None` when the basis proves numerically
 /// singular. `w` is an all-zero scratch vector of length `m`.
 ///
@@ -666,13 +778,32 @@ fn factorize(
     basic: &[usize],
     w: &mut [f64],
 ) -> Option<(Vec<usize>, EtaFile)> {
+    let mut out = Refactor::default();
+    factorize_into(matrix, basic, w, &mut out).then_some((out.order, out.etas))
+}
+
+/// [`factorize`] into the vectors of `out`, reusing their capacity; returns
+/// whether the basis is nonsingular.
+fn factorize_into(
+    matrix: &SparseModel,
+    basic: &[usize],
+    w: &mut [f64],
+    out: &mut Refactor,
+) -> bool {
     let (n, m) = (matrix.num_vars(), matrix.num_rows());
-    let mut etas = EtaFile::default();
-    let mut assigned = vec![false; m];
-    let mut order = vec![usize::MAX; m];
-    // Rows of `w` written while building the current column.
-    let mut touched = vec![0u64; m.div_ceil(64)];
-    for c in refactor_order(matrix, basic) {
+    let Refactor {
+        order,
+        etas,
+        keys,
+        assigned,
+        touched,
+    } = out;
+    etas.clear();
+    refill(order, m, usize::MAX);
+    refill(assigned, m, false);
+    refill(touched, m.div_ceil(64), 0);
+    refactor_keys(matrix, basic, keys);
+    for &(_, c) in keys.iter() {
         let slack_row;
         let (rows, vals) = if c < n {
             matrix.col(c)
@@ -686,7 +817,7 @@ fn factorize(
             // on `r` could apply to `a·e_r`.
             if !assigned[r] {
                 if a.abs() <= PIVOT_TOL {
-                    return None;
+                    return false;
                 }
                 assigned[r] = true;
                 order[r] = c;
@@ -702,19 +833,19 @@ fn factorize(
         etas.ftran_reporting(w, |i| touched[i / 64] |= 1 << (i % 64));
         let mut best = PIVOT_TOL;
         let mut row = usize::MAX;
-        for_each_marked(&touched, |i| {
+        for_each_marked(touched, |i| {
             if !assigned[i] && w[i].abs() > best {
                 best = w[i].abs();
                 row = i;
             }
         });
         if row == usize::MAX {
-            return None;
+            return false;
         }
         assigned[row] = true;
         order[row] = c;
         let pivot = w[row];
-        for_each_marked(&touched, |i| {
+        for_each_marked(touched, |i| {
             let a = std::mem::replace(&mut w[i], 0.0);
             if i != row && a.abs() > DROP_TOL {
                 etas.push_term(i, a);
@@ -723,7 +854,7 @@ fn factorize(
         etas.finish(row, pivot);
         touched.fill(0);
     }
-    Some((order, etas))
+    true
 }
 
 /// Inner loop outcome (richer than [`LpStatus`]: `Stalled` marks a
@@ -781,10 +912,82 @@ struct Kernel<'a> {
     /// Dense scratch vector (length `m`), threaded through FTRANs.
     scratch: Vec<f64>,
     /// Primal devex reference weights, one per column (meaningful for
-    /// nonbasic columns). Reset to 1 with each new reference framework.
+    /// nonbasic columns). Reset to 1 with each new reference framework;
+    /// empty unless the kernel started cold.
     weights: Vec<f64>,
-    /// Dual devex reference weights, one per basis row.
+    /// Dual devex reference weights, one per basis row; empty until
+    /// [`Kernel::run_dual`] runs.
     row_weights: Vec<f64>,
+    /// The vectors the simplex loops write.
+    loops: LoopVectors,
+    /// What a refactorization writes.
+    refactor: Refactor,
+}
+
+/// The vectors a warm [`Kernel`] works in. A kernel takes them over when
+/// it is built ([`Kernel::warm`]) and hands them back
+/// ([`Kernel::into_buffers`]) with their capacity, so a thread that runs
+/// many warm re-solves, as a node's strong-branching probes do, allocates
+/// them once. Empty buffers are allocated as the kernel needs them.
+#[derive(Debug, Default)]
+pub(crate) struct KernelBuffers {
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    status: Vec<ColStatus>,
+    basis: Vec<usize>,
+    x: Vec<f64>,
+    updates: EtaFile,
+    scratch: Vec<f64>,
+    row_weights: Vec<f64>,
+    loops: LoopVectors,
+    refactor: Refactor,
+}
+
+impl KernelBuffers {
+    /// Buffers for warm kernels over the instance of `factor`, with every
+    /// vector a kernel writes allocated on the calling thread: only eta
+    /// terms past the reserved ones can grow them.
+    pub(crate) fn for_factor(factor: &Factor) -> Self {
+        let (n, m) = (factor.basis.vars, factor.basis.rows());
+        let ncols = n + m;
+        Self {
+            lower: Vec::with_capacity(ncols),
+            upper: Vec::with_capacity(ncols),
+            status: Vec::with_capacity(ncols),
+            basis: Vec::with_capacity(m),
+            x: Vec::with_capacity(ncols),
+            updates: EtaFile::with_capacity(REFACTOR_EVERY, m),
+            scratch: Vec::with_capacity(m),
+            row_weights: Vec::with_capacity(m),
+            loops: LoopVectors {
+                rho: Vec::with_capacity(m),
+                y: Vec::with_capacity(m),
+                nz: Vec::with_capacity(m),
+            },
+            refactor: Refactor {
+                order: Vec::with_capacity(m),
+                etas: EtaFile::with_capacity(m, m),
+                keys: Vec::with_capacity(m),
+                assigned: Vec::with_capacity(m),
+                touched: Vec::with_capacity(m.div_ceil(64)),
+            },
+        }
+    }
+}
+
+/// The vectors a simplex loop writes every iteration: the pivot row ρ, the
+/// duals `y` and the nonzero rows of the FTRANed entering column.
+#[derive(Debug, Default)]
+struct LoopVectors {
+    rho: Vec<f64>,
+    y: Vec<f64>,
+    nz: Vec<u32>,
+}
+
+/// Sets `v` to `len` copies of `value`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl<'a> Kernel<'a> {
@@ -795,13 +998,45 @@ impl<'a> Kernel<'a> {
         objective_constant: f64,
         domains: &Domains,
     ) -> Self {
+        Self::shell_in(
+            matrix,
+            objective,
+            objective_constant,
+            domains,
+            KernelBuffers::default(),
+        )
+    }
+
+    /// [`Kernel::shell`] in the vectors of `buffers`. The devex weights are
+    /// left to the simplex that reads them.
+    fn shell_in(
+        matrix: &'a SparseModel,
+        objective: &'a [f64],
+        objective_constant: f64,
+        domains: &Domains,
+        buffers: KernelBuffers,
+    ) -> Self {
+        let KernelBuffers {
+            mut lower,
+            mut upper,
+            mut status,
+            mut basis,
+            mut x,
+            mut updates,
+            mut scratch,
+            row_weights,
+            loops,
+            refactor,
+        } = buffers;
         let n = domains.len();
         debug_assert_eq!(objective.len(), n);
         debug_assert_eq!(matrix.num_vars(), n);
         let m = matrix.num_rows();
         let ncols = n + m;
-        let mut lower = Vec::with_capacity(ncols);
-        let mut upper = Vec::with_capacity(ncols);
+        lower.clear();
+        upper.clear();
+        lower.reserve(ncols);
+        upper.reserve(ncols);
         for j in 0..n {
             if let Some(v) = domains.fixed_value(j) {
                 lower.push(v);
@@ -828,6 +1063,11 @@ impl<'a> Kernel<'a> {
                 }
             }
         }
+        refill(&mut status, ncols, ColStatus::Lower);
+        basis.clear();
+        refill(&mut x, ncols, 0.0);
+        updates.clear();
+        refill(&mut scratch, m, 0.0);
         Self {
             matrix,
             objective,
@@ -837,16 +1077,49 @@ impl<'a> Kernel<'a> {
             ncols,
             lower,
             upper,
-            status: vec![ColStatus::Lower; ncols],
-            basis: Vec::new(),
-            x: vec![0.0; ncols],
+            status,
+            basis,
+            x,
             base: Cow::default(),
-            updates: EtaFile::default(),
+            updates,
             counters: Counters::default(),
-            scratch: vec![0.0; m],
-            weights: vec![1.0; ncols],
-            row_weights: vec![1.0; m],
+            scratch,
+            weights: Vec::new(),
+            row_weights,
+            loops,
+            refactor,
         }
+    }
+
+    /// Hands the kernel's vectors back, the eta file of its last
+    /// refactorization included.
+    fn into_buffers(self) -> KernelBuffers {
+        let mut refactor = self.refactor;
+        if let Cow::Owned(etas) = self.base {
+            refactor.etas = etas;
+        }
+        KernelBuffers {
+            lower: self.lower,
+            upper: self.upper,
+            status: self.status,
+            basis: self.basis,
+            x: self.x,
+            updates: self.updates,
+            scratch: self.scratch,
+            row_weights: self.row_weights,
+            loops: self.loops,
+            refactor,
+        }
+    }
+
+    /// Takes the loop vectors out, zeroed over the kernel's rows; the loop
+    /// hands them back when it returns.
+    fn take_loops(&mut self) -> LoopVectors {
+        let mut loops = std::mem::take(&mut self.loops);
+        refill(&mut loops.rho, self.m, 0.0);
+        refill(&mut loops.y, self.m, 0.0);
+        refill(&mut loops.nz, self.m, 0);
+        loops
     }
 
     /// Cold start: every structural nonbasic at a bound, slack basis
@@ -862,19 +1135,20 @@ impl<'a> Kernel<'a> {
         k
     }
 
-    /// Warm start from a factored basis: statuses and row order are
-    /// restored, the factor's eta file becomes the (borrowed) base file,
-    /// nonbasic values snap to the (possibly changed) bounds and the basic
-    /// values are recomputed through the factorization. Devex weights start
-    /// a fresh reference framework (all ones).
+    /// Warm start from a factored basis, in the vectors of `buffers`:
+    /// statuses and row order are restored, the factor's eta file becomes
+    /// the (borrowed) base file, nonbasic values snap to the (possibly
+    /// changed) bounds and the basic values are recomputed through the
+    /// factorization.
     fn warm(
         matrix: &'a SparseModel,
         objective: &'a [f64],
         objective_constant: f64,
         domains: &Domains,
         factor: &'a Factor,
+        buffers: KernelBuffers,
     ) -> Self {
-        let mut k = Self::shell(matrix, objective, objective_constant, domains);
+        let mut k = Self::shell_in(matrix, objective, objective_constant, domains, buffers);
         k.status.copy_from_slice(&factor.basis.status);
         k.basis.clone_from(&factor.order);
         k.base = Cow::Borrowed(&factor.etas);
@@ -1030,9 +1304,9 @@ impl<'a> Kernel<'a> {
     fn reset_to_slack_basis(&mut self) {
         self.base = Cow::default();
         self.updates.clear();
-        self.weights.fill(1.0);
-        self.row_weights.fill(1.0);
-        self.basis = (self.n..self.ncols).collect();
+        refill(&mut self.weights, self.ncols, 1.0);
+        self.basis.clear();
+        self.basis.extend(self.n..self.ncols);
         for j in 0..self.n {
             // Start each structural at the bound its objective coefficient
             // prefers (a dual-feasible-leaning crash), which shortens phase
@@ -1056,17 +1330,20 @@ impl<'a> Kernel<'a> {
     /// cleared eta files and the caller must reset or abandon.
     fn refactorize(&mut self) -> bool {
         self.counters.refactorizations += 1;
-        self.base = Cow::default();
+        // An eta file the kernel owns is written over, not dropped.
+        if let Cow::Owned(etas) = std::mem::take(&mut self.base) {
+            self.refactor.etas = etas;
+        }
         self.updates.clear();
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
-        let factor = factorize(self.matrix, &self.basis, &mut w);
+        let factored = factorize_into(self.matrix, &self.basis, &mut w, &mut self.refactor);
         self.scratch = w;
-        let Some((order, etas)) = factor else {
+        if !factored {
             return false;
-        };
-        self.basis = order;
-        self.base = Cow::Owned(etas);
+        }
+        std::mem::swap(&mut self.basis, &mut self.refactor.order);
+        self.base = Cow::Owned(std::mem::take(&mut self.refactor.etas));
         self.compute_basics();
         true
     }
@@ -1103,11 +1380,22 @@ impl<'a> Kernel<'a> {
     /// violations (composite costs recomputed every iteration), phase 2
     /// minimises the true objective over a feasible basis.
     fn run_phase(&mut self, phase1: bool, max_pivots: u64, pivots: &mut u64) -> Inner {
-        let mut y = vec![0.0f64; self.m];
-        // Pivot-row scratch for the devex weight update.
-        let mut rho = vec![0.0f64; self.m];
-        // Nonzero rows of the FTRANed entering column.
-        let mut nz = vec![0u32; self.m];
+        let mut loops = self.take_loops();
+        let inner = self.phase_loop(&mut loops, phase1, max_pivots, pivots);
+        self.loops = loops;
+        inner
+    }
+
+    /// The iterations of [`Kernel::run_phase`]; `rho` is the pivot-row
+    /// scratch of the devex weight update.
+    fn phase_loop(
+        &mut self,
+        loops: &mut LoopVectors,
+        phase1: bool,
+        max_pivots: u64,
+        pivots: &mut u64,
+    ) -> Inner {
+        let LoopVectors { rho, y, nz } = loops;
         // Degeneracy guard: devex pricing switches to Bland's rule while
         // the phase measure (infeasibility sum in phase 1, objective in
         // phase 2) has made no progress for `STALL_LIMIT` iterations, and
@@ -1159,8 +1447,8 @@ impl<'a> Kernel<'a> {
             }
             // Price: y = B⁻ᵀ·c_B, then reduced costs over the nonbasics.
             if !y_ready {
-                self.load_basic_costs(phase1, &mut y);
-                self.btran(&mut y);
+                self.load_basic_costs(phase1, y);
+                self.btran(y);
             }
             y_ready = false;
             let use_bland = stall >= STALL_LIMIT;
@@ -1172,7 +1460,7 @@ impl<'a> Kernel<'a> {
                     continue;
                 }
                 let c = if phase1 { 0.0 } else { self.cost(j) };
-                let d = c - self.col_dot(j, &y);
+                let d = c - self.col_dot(j, y);
                 let violation = match status {
                     ColStatus::Lower => -d,
                     ColStatus::Upper => d,
@@ -1210,7 +1498,7 @@ impl<'a> Kernel<'a> {
                 -1.0
             };
             let w = self.ftran_col(q);
-            let nonzeros = nonzero_rows(&w, &mut nz);
+            let nonzeros = nonzero_rows(&w, nz);
             let nz = &nz[..nonzeros];
 
             // Ratio test. The entering variable moves `t ≥ 0` along `dir`;
@@ -1357,14 +1645,14 @@ impl<'a> Kernel<'a> {
                         rho[r] = 1.0;
                         let new_file = self.updates.len();
                         if new_file < REFACTOR_EVERY {
-                            self.load_basic_costs(phase1, &mut y);
-                            self.updates.btran_over(old_file..new_file, &mut y);
-                            self.updates.btran2_over(0..old_file, &mut rho, &mut y);
-                            self.base.btran2(&mut rho, &mut y);
+                            self.load_basic_costs(phase1, y);
+                            self.updates.btran_over(old_file..new_file, y);
+                            self.updates.btran2_over(0..old_file, rho, y);
+                            self.base.btran2(rho, y);
                             y_ready = true;
                         } else {
-                            self.updates.btran_over(0..old_file, &mut rho);
-                            self.base.btran(&mut rho);
+                            self.updates.btran_over(0..old_file, rho);
+                            self.base.btran(rho);
                         }
                         let mut peak = 1.0f64;
                         for j in 0..self.ncols {
@@ -1376,7 +1664,7 @@ impl<'a> Kernel<'a> {
                             {
                                 continue;
                             }
-                            let alpha_rj = self.col_dot(j, &rho);
+                            let alpha_rj = self.col_dot(j, rho);
                             if alpha_rj == 0.0 {
                                 continue;
                             }
@@ -1428,11 +1716,21 @@ impl<'a> Kernel<'a> {
     /// Bounded dual simplex: from a dual-feasible basis, drives the primal
     /// bound violations of the basic variables away. Used by the warm path
     /// after a child node changed variable bounds.
+    ///
+    /// Each run starts a fresh dual devex reference framework (all row
+    /// weights 1), so only kernels that run the dual simplex hold row
+    /// weights.
     fn run_dual(&mut self, max_pivots: u64, pivots: &mut u64) -> Inner {
-        let mut rho = vec![0.0f64; self.m];
-        let mut y = vec![0.0f64; self.m];
-        // Nonzero rows of the FTRANed entering column.
-        let mut nz = vec![0u32; self.m];
+        refill(&mut self.row_weights, self.m, 1.0);
+        let mut loops = self.take_loops();
+        let inner = self.dual_loop(&mut loops, max_pivots, pivots);
+        self.loops = loops;
+        inner
+    }
+
+    /// The iterations of [`Kernel::run_dual`].
+    fn dual_loop(&mut self, loops: &mut LoopVectors, max_pivots: u64, pivots: &mut u64) -> Inner {
+        let LoopVectors { rho, y, nz } = loops;
         let mut stalls = 0u32;
         // Degeneracy guard, mirroring `run_phase`: the dual objective (the
         // basic point's primal objective value) is non-decreasing along
@@ -1503,8 +1801,8 @@ impl<'a> Kernel<'a> {
             // BTRANs share one pass over each eta file.
             rho.fill(0.0);
             rho[r] = 1.0;
-            self.load_basic_costs(false, &mut y);
-            self.btran2(&mut rho, &mut y);
+            self.load_basic_costs(false, y);
+            self.btran2(rho, y);
 
             // Dual ratio test: among nonbasic columns whose movement pushes
             // `x_B[r]` towards its violated bound, the smallest
@@ -1518,7 +1816,7 @@ impl<'a> Kernel<'a> {
                 if status == ColStatus::Basic || self.is_fixed_col(j) {
                     continue;
                 }
-                let alpha = self.col_dot(j, &rho);
+                let alpha = self.col_dot(j, rho);
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -1537,7 +1835,7 @@ impl<'a> Kernel<'a> {
                 } else if movement >= 0.0 {
                     continue;
                 }
-                let d = self.cost(j) - self.col_dot(j, &y);
+                let d = self.cost(j) - self.col_dot(j, y);
                 let dmag = match status {
                     ColStatus::Lower => d.max(0.0),
                     ColStatus::Upper => (-d).max(0.0),
@@ -1580,7 +1878,7 @@ impl<'a> Kernel<'a> {
                 continue;
             }
             let t = ((self.x[b_r] - target) / (dirj * alpha)).max(0.0);
-            let nonzeros = nonzero_rows(&w, &mut nz);
+            let nonzeros = nonzero_rows(&w, nz);
             let nz = &nz[..nonzeros];
 
             *pivots += 1;
@@ -1654,25 +1952,33 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Extracts the optimal solution, reduced costs included, from the
-    /// current state.
-    fn extract(&mut self) -> LpSolution {
-        let mut values = Vec::with_capacity(self.n);
-        for j in 0..self.n {
-            let v = if self.lower[j] <= self.upper[j] {
-                self.x[j].max(self.lower[j]).min(self.upper[j])
-            } else {
-                self.x[j]
-            };
-            values.push(v);
+    /// The value of structural `j` clamped to its box (unclamped when the
+    /// box is empty): what the solution reports.
+    #[inline]
+    fn clamped(&self, j: usize) -> f64 {
+        if self.lower[j] <= self.upper[j] {
+            self.x[j].max(self.lower[j]).min(self.upper[j])
+        } else {
+            self.x[j]
         }
-        let objective = self.objective_constant
+    }
+
+    /// The objective at the clamped point, summed in index order.
+    fn objective_at_box(&self) -> f64 {
+        self.objective_constant
             + self
                 .objective
                 .iter()
-                .zip(&values)
-                .map(|(c, v)| c * v)
-                .sum::<f64>();
+                .enumerate()
+                .map(|(j, c)| c * self.clamped(j))
+                .sum::<f64>()
+    }
+
+    /// Extracts the optimal solution, reduced costs included, from the
+    /// current state.
+    fn extract(&mut self) -> LpSolution {
+        let values = (0..self.n).map(|j| self.clamped(j)).collect();
+        let objective = self.objective_at_box();
         let reduced_costs = Some(self.reduced_costs());
         LpSolution {
             status: LpStatus::Optimal,
@@ -2615,6 +2921,13 @@ mod tests {
 
     // ---- bit-identity of the kernel's linear algebra ----
 
+    /// Basic columns in refactorization order ([`refactor_keys`]).
+    fn refactor_order(matrix: &SparseModel, basic: &[usize]) -> Vec<usize> {
+        let mut keys = Vec::new();
+        refactor_keys(matrix, basic, &mut keys);
+        keys.into_iter().map(|(_, c)| c).collect()
+    }
+
     /// The dense Gauss-Jordan factorization [`factorize`] must reproduce
     /// bit for bit: every column is zero-filled, FTRANed over the whole
     /// file, pivot-scanned over all `m` rows and turned into an eta over
@@ -3140,5 +3453,92 @@ mod tests {
             assert_eq!(bits(&rho_split), bits(&rho_old), "seed {seed}: old-file ρ");
             assert_eq!(bits(&y_split), bits(&y_seq), "seed {seed}: new-file y");
         }
+    }
+
+    /// A stored basis of `basic` over `matrix` and `objective`, with every
+    /// nonbasic column at a bound `mix` picks.
+    fn stored_basis(
+        mix: &mut Mix,
+        matrix: &SparseModel,
+        objective: &[f64],
+        basic: &[usize],
+    ) -> Basis {
+        let n = matrix.num_vars();
+        let mut status: Vec<ColStatus> = (0..n + matrix.num_rows())
+            .map(|_| [ColStatus::Lower, ColStatus::Upper][mix.below(2)])
+            .collect();
+        for &c in basic {
+            status[c] = ColStatus::Basic;
+        }
+        Basis {
+            status,
+            basic: basic.iter().map(|&c| c as u32).collect(),
+            vars: n,
+            fingerprint: instance_fingerprint(matrix, objective, 0.0),
+        }
+    }
+
+    #[test]
+    fn a_probe_reports_the_status_objective_and_counters_of_a_resolve() {
+        // One set of buffers serves every probe, over instances of
+        // different sizes, as a strong-branching worker's buffers do.
+        let mut buffers = KernelBuffers::default();
+        let mut seen = [0usize; 3];
+        let mut refactorizations = 0;
+        for seed in 0..40u64 {
+            let mut mix = Mix(9000 + seed);
+            let m = 20 + mix.below(40);
+            let n = m + mix.below(m);
+            let matrix = random_matrix(&mut mix, m, n, n / 5);
+            let objective: Vec<f64> = (0..n).map(|_| mix.coeff()).collect();
+            let domains = Domains::from_bounds(&vec![(-4.0, 4.0, false); n]);
+            // A random basis, and the optimal one when the LP is feasible.
+            let random = random_basis(&mut mix, &matrix, m / 2);
+            let mut bases = vec![stored_basis(&mut mix, &matrix, &objective, &random)];
+            bases.extend(solve_lp_basis(&matrix, &objective, 0.0, &domains, 10_000).1);
+            for basis in &bases {
+                let Some(factor) = basis.factor(&matrix, &objective, 0.0) else {
+                    continue;
+                };
+                for _ in 0..8 {
+                    let mut child = domains.clone();
+                    for _ in 0..1 + mix.below(2) {
+                        let j = mix.below(n);
+                        let bound = 2.0 * mix.below(3) as f64 - 2.0;
+                        if mix.below(2) == 0 {
+                            child.tighten_upper(j, bound);
+                        } else {
+                            child.tighten_lower(j, bound);
+                        }
+                    }
+                    let max_pivots = 20 + mix.below(200) as u64;
+                    let (lp, _) = factor
+                        .resolve(&matrix, &objective, 0.0, &child, max_pivots)
+                        .expect("the factor fits its instance");
+                    let probe = factor
+                        .probe(&matrix, &objective, 0.0, &child, max_pivots, &mut buffers)
+                        .expect("the factor fits its instance");
+                    assert_eq!(probe.status, lp.status, "seed {seed}");
+                    assert_eq!(
+                        probe.objective.to_bits(),
+                        lp.objective.to_bits(),
+                        "seed {seed}"
+                    );
+                    assert_eq!(probe.counters, lp.counters(), "seed {seed}");
+                    seen[match lp.status {
+                        LpStatus::Optimal => 0,
+                        LpStatus::Infeasible => 1,
+                        LpStatus::Unbounded | LpStatus::IterationLimit => 2,
+                    }] += 1;
+                    refactorizations += lp.refactorizations;
+                }
+            }
+        }
+        // Every outcome a probe records, and probes that refactorize.
+        assert!(seen.iter().all(|&count| count >= 50), "outcomes {seen:?}");
+        assert!(
+            refactorizations >= 20,
+            "{refactorizations} refactorizations"
+        );
     }
 }

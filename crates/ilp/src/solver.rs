@@ -25,6 +25,14 @@
 //!   shallow depth, learning per-variable dual-bound degradations from
 //!   every branching; nodes without LP values branch on the most
 //!   constrained variable instead.
+//! * **Strong-branching probes on every core** — a node's probes read only
+//!   its factored basis, its box and the rows, so they fan out over the
+//!   threads the process may use ([`crate::parallel`], the calling thread
+//!   included; inline inside another parallel fan-out and on one core).
+//!   Their outcomes are recorded in probe order, so the pseudo-costs, the
+//!   counters and the search are bit for bit those of the plain loop. Each
+//!   worker writes into buffers the searching thread allocated, so a helper
+//!   thread's own allocator holds nothing.
 //! * **Reduced-cost bound fixing** — at LP nodes with an incumbent, duals
 //!   prove some variables cannot leave their bound in any
 //!   improving solution; the tightened bounds feed the propagation
@@ -37,11 +45,12 @@ use crate::cuts::{CutGenerator, CutRow};
 use crate::error::IlpError;
 use crate::heuristics::{greedy_dive, round_and_repair};
 use crate::model::{CmpOp, Model, Sense};
+use crate::parallel::{fan_out_workers, par_map_ordered_with};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, Factor, LpSolution, LpStatus,
-    ReducedCosts,
+    instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, Counters, Factor,
+    KernelBuffers, LpSolution, LpStatus, ReducedCosts,
 };
 use crate::snapshot::SolveSnapshot;
 use crate::solution::{Solution, SolveStats, Status};
@@ -98,12 +107,12 @@ const GOMORY_MIN_EFFICACY: f64 = 1e-2;
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
 
 /// Folds one LP solve's iteration counters into the run statistics.
-fn tally_lp(stats: &mut SolveStats, lp: &LpSolution) {
-    stats.lp_pivots += lp.pivots;
-    stats.lp_primal_pivots += lp.primal_pivots;
-    stats.lp_dual_pivots += lp.dual_pivots;
-    stats.bland_pivots += lp.bland_pivots;
-    stats.lp_bound_flips += lp.bound_flips;
+fn tally_lp(stats: &mut SolveStats, lp: Counters) {
+    stats.lp_pivots += lp.primal + lp.dual;
+    stats.lp_primal_pivots += lp.primal;
+    stats.lp_dual_pivots += lp.dual;
+    stats.bland_pivots += lp.bland;
+    stats.lp_bound_flips += lp.flips;
     stats.lp_basis_refactorizations += lp.refactorizations;
 }
 
@@ -1274,7 +1283,7 @@ impl<'a> BranchAndBound<'a> {
         ) else {
             return self.cold_lp(domains, Cold::UnusableBasis, stats);
         };
-        tally_lp(stats, &lp);
+        tally_lp(stats, lp.counters());
         match lp.status {
             LpStatus::Infeasible | LpStatus::Optimal => {
                 stats.lp_solves += 1;
@@ -1304,7 +1313,7 @@ impl<'a> BranchAndBound<'a> {
             self.config.max_lp_pivots,
         );
         stats.lp_solves += 1;
-        tally_lp(stats, &lp);
+        tally_lp(stats, lp.counters());
         let counts = &mut stats.cold_lp;
         *match reason {
             Cold::Root => &mut counts.root,
@@ -1320,7 +1329,8 @@ impl<'a> BranchAndBound<'a> {
     /// degradations, where a variable's estimate is its average observed
     /// degradation per unit of fractionality; unobserved variables are
     /// initialised at shallow depth by strong branching (both child LPs
-    /// solved warm from the node's basis under a small pivot budget). Nodes
+    /// solved warm from the node's basis under a small pivot budget, on
+    /// every available thread; see [`Self::strong_branch`]). Nodes
     /// without LP values (propagation bounds alone), or whose LP point is
     /// integral on every candidate, branch on the most constrained variable.
     /// `factor` is the node basis' factor if separation already built it.
@@ -1376,11 +1386,7 @@ impl<'a> BranchAndBound<'a> {
                 factor.or_else(|| lp.basis.as_deref().and_then(|basis| self.factor(basis)))
             };
             if let Some(factor) = factor {
-                let mut probed = false;
-                for j in unreliable {
-                    probed |= self.strong_branch(&factor, &node.domains, j, lp, stats);
-                }
-                if probed {
+                if self.strong_branch(&factor, &node.domains, lp, &unreliable, stats, usize::MAX) {
                     stats.lp_basis_refactorizations += 1;
                 }
             }
@@ -1402,45 +1408,69 @@ impl<'a> BranchAndBound<'a> {
             .map(|(j, _)| j)
     }
 
-    /// Strong-branches variable `j` at an LP node: solves both child LPs
-    /// warm from the node's factored basis under a small pivot budget and
-    /// records the observed per-unit degradations as pseudo-cost
-    /// observations. Returns whether any child LP ran: none does when cuts
-    /// installed at this node outdated the basis.
+    /// Strong-branches the `candidates` at an LP node: solves both child
+    /// LPs of each, down then up, warm from the node's factored basis under
+    /// a small pivot budget, and records the observed per-unit degradations
+    /// as pseudo-cost observations. Returns whether any child LP ran: none
+    /// does when cuts installed at this node outdated the basis.
+    ///
+    /// The probes read only the factor, the node's box and the rows, so
+    /// they run on up to `max_workers` threads ([`par_map_ordered_with`]).
+    /// Their outcomes are then recorded and counted in probe order, which
+    /// makes the pseudo-cost sums, the counters and so the whole search the
+    /// same on any number of threads. Each worker writes the child box and
+    /// the kernel's vectors into buffers this thread allocates, so a helper
+    /// thread never needs memory of its own allocator.
     fn strong_branch(
         &mut self,
         factor: &Factor,
         domains: &Domains,
-        j: usize,
         lp: &NodeLp,
+        candidates: &[usize],
         stats: &mut SolveStats,
+        max_workers: usize,
     ) -> bool {
-        let mut probed = false;
-        let v = lp.values[j];
-        let floor = v.floor();
-        for up in [false, true] {
-            let mut child = domains.clone();
+        let probes: Vec<(usize, bool)> = candidates
+            .iter()
+            .flat_map(|&j| [(j, false), (j, true)])
+            .collect();
+        let workers = fan_out_workers(probes.len(), max_workers);
+        let mut buffers: Vec<(Domains, KernelBuffers)> = (0..workers)
+            .map(|_| (domains.clone(), KernelBuffers::for_factor(factor)))
+            .collect();
+        let (matrix, objective) = (self.propagator.matrix(), &self.objective[..]);
+        let objective_constant = self.objective_constant;
+        let outcomes = par_map_ordered_with(&probes, &mut buffers, |(child, kernel), &(j, up)| {
+            child.clone_from(domains);
+            let floor = lp.values[j].floor();
             let tightened = if up {
                 child.tighten_lower(j, floor + 1.0)
             } else {
                 child.tighten_upper(j, floor)
             };
             if !tightened || child.is_infeasible() {
-                continue;
+                return None;
             }
-            let Some((child_lp, _)) = factor.resolve(
-                self.propagator.matrix(),
-                &self.objective,
-                self.objective_constant,
-                &child,
+            factor.probe(
+                matrix,
+                objective,
+                objective_constant,
+                child,
                 STRONG_PIVOTS,
-            ) else {
+                kernel,
+            )
+        });
+        let mut probed = false;
+        for (&(j, up), child_lp) in probes.iter().zip(outcomes) {
+            let Some(child_lp) = child_lp else {
                 continue;
             };
             probed = true;
             stats.lp_solves += 1;
-            tally_lp(stats, &child_lp);
+            tally_lp(stats, child_lp.counters);
             stats.strong_branch_solves += 1;
+            let v = lp.values[j];
+            let floor = v.floor();
             let step = if up {
                 (floor + 1.0 - v).max(INT_EPS)
             } else {
@@ -1906,5 +1936,80 @@ mod tests {
         assert!(sol.is_optimal());
         assert!((sol.objective() - 10.0).abs() < 1e-9);
         assert!((sol.stats().best_bound - 10.0).abs() < 1e-6);
+    }
+
+    /// A seeded covering model: 60 binaries of non-integral cost, 30 rows
+    /// that each need one of four to six of them, and 6 rows that take at
+    /// most two of ten. Its LP relaxation is fractional on many variables.
+    fn covering_model() -> Model {
+        let mut state = 0x5EED_u64;
+        let mut next = move |below: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % below
+        };
+        let mut m = Model::new("cover");
+        let x: Vec<_> = (0..60).map(|j| m.add_binary(format!("x{j}"))).collect();
+        for e in 0..30 {
+            let mut sets: Vec<usize> = Vec::new();
+            while sets.len() < 4 + next(3) as usize {
+                let j = next(60) as usize;
+                if !sets.contains(&j) {
+                    sets.push(j);
+                }
+            }
+            let terms: Vec<_> = sets.iter().map(|&j| (x[j], 1.0)).collect();
+            m.add_geq(terms, 1.0, format!("cover{e}"));
+        }
+        for g in 0..6 {
+            let terms: Vec<_> = (0..10).map(|i| (x[g * 10 + i], 1.0)).collect();
+            m.add_leq(terms, 2.0, format!("pack{g}"));
+        }
+        let costs: Vec<_> = x
+            .iter()
+            .map(|&v| (v, 1.0 + next(97) as f64 / 10.0))
+            .collect();
+        m.set_objective(costs, Sense::Minimize);
+        m
+    }
+
+    #[test]
+    fn strong_branching_on_one_or_four_workers_records_the_same_observations() {
+        let model = covering_model();
+        let domains = Domains::from_model(&model);
+        let root = BranchAndBound::new(&model, SolverConfig::default());
+        let (lp, basis) = root.cold_lp(&domains, Cold::Root, &mut SolveStats::default());
+        assert_eq!(lp.status, LpStatus::Optimal);
+        let lp = NodeLp::new(lp, basis);
+        let factor = root
+            .factor(lp.basis.as_deref().expect("an optimal basis"))
+            .expect("the basis factorizes");
+        let candidates: Vec<usize> = (0..domains.len())
+            .filter(|&j| (lp.values[j] - lp.values[j].round()).abs() > INT_EPS)
+            .collect();
+        assert!(candidates.len() >= 6, "{} fractional", candidates.len());
+        // The probe list of one node, applied to a fresh search state.
+        let probe = |workers: usize| {
+            let mut search = BranchAndBound::new(&model, SolverConfig::default());
+            let mut stats = SolveStats::default();
+            let probed =
+                search.strong_branch(&factor, &domains, &lp, &candidates, &mut stats, workers);
+            let pseudo = search.pseudo;
+            let bits = |sums: &[f64]| sums.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let tables = (
+                bits(&pseudo.up_sum),
+                bits(&pseudo.down_sum),
+                pseudo.up_cnt,
+                pseudo.down_cnt,
+                bits(&pseudo.global_sum),
+                pseudo.global_cnt,
+            );
+            (probed, tables, stats)
+        };
+        let one = probe(1);
+        assert!(one.0);
+        assert_eq!(one.2.strong_branch_solves, 2 * candidates.len() as u64);
+        assert_eq!(probe(4), one);
     }
 }

@@ -77,10 +77,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use bist_core::engine::{par_map_ordered, SynthesisEngine};
+use bist_core::engine::SynthesisEngine;
 use bist_core::{CoreError, SynthesisConfig};
 use bist_dfg::SynthesisInput;
-use bist_ilp::{Budget, CancelToken, SolveSnapshot};
+use bist_ilp::{par_map_ordered, Budget, CancelToken, SolveSnapshot};
 
 /// One unit of work for the service: a circuit, the k-test sessions to
 /// synthesise and the synthesis configuration, whose solver budget is the
@@ -553,7 +553,9 @@ impl JobService {
     }
 
     /// Caps the worker pool at `workers` threads (at least 1; the
-    /// machine's available parallelism still applies as a second cap).
+    /// machine's available parallelism still applies as a second cap). On
+    /// one worker, each solve's strong-branching probes use the other
+    /// cores; on several, each job probes on its own worker thread.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.max_workers = Some(workers.max(1));
         self
