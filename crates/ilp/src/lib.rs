@@ -83,6 +83,7 @@ pub mod snapshot;
 pub mod solution;
 pub mod solver;
 pub mod sparse;
+mod speculate;
 
 pub use cuts::{CutGenerator, CutRow};
 pub use error::IlpError;

@@ -15,6 +15,15 @@
 //! its own from a slice the caller owns. The solver keeps its probe buffers
 //! there: they are allocated on the searching thread, so a helper thread
 //! writes only into memory that thread's allocator handed out.
+//!
+//! The second core has two users inside one solve. A node at
+//! strong-branching depth fans its probes out here and hands the solve's
+//! speculation helper ([`crate::speculate`]) nothing; every other LP node
+//! hands the helper the next open node's LP. The helper is a thread that
+//! lives from the solve's first task to its end, and it starts only where
+//! [`fan_out_workers`] grants a fan-out of two, so a solve inside another
+//! fan-out (a job-service worker, the harness's per-circuit workers) or on
+//! one core runs alone.
 
 use std::any::Any;
 use std::cell::Cell;

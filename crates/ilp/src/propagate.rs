@@ -238,7 +238,7 @@ impl Propagator {
     /// Runs bound propagation to fixpoint on `domains` using a row worklist
     /// seeded with every row.
     pub fn propagate(&self, domains: &mut Domains) -> PropagationResult {
-        self.run_worklist(domains, None)
+        self.run_worklist(domains, None, &mut Worklist::default())
     }
 
     /// Runs bound propagation seeded only with the rows that mention
@@ -252,13 +252,26 @@ impl Propagator {
         domains: &mut Domains,
         seed_vars: &[usize],
     ) -> PropagationResult {
-        self.run_worklist(domains, Some(seed_vars))
+        self.run_worklist(domains, Some(seed_vars), &mut Worklist::default())
+    }
+
+    /// [`Propagator::propagate_seeded`] in the vectors of `worklist`, so a
+    /// thread that propagates in a worklist another thread allocated
+    /// allocates nothing of its own.
+    pub(crate) fn propagate_seeded_in(
+        &self,
+        domains: &mut Domains,
+        seed_vars: &[usize],
+        worklist: &mut Worklist,
+    ) -> PropagationResult {
+        self.run_worklist(domains, Some(seed_vars), worklist)
     }
 
     fn run_worklist(
         &self,
         domains: &mut Domains,
         seed_vars: Option<&[usize]>,
+        worklist: &mut Worklist,
     ) -> PropagationResult {
         // The one whole-box scan of a call. From here on the box stays
         // non-empty between row evaluations: a row that empties it returns
@@ -273,11 +286,21 @@ impl Propagator {
             return PropagationResult::Consistent;
         }
 
-        let (mut queued, mut queue) = match seed_vars {
-            None => (vec![true; m], (0..m as u32).collect::<VecDeque<u32>>()),
+        let Worklist {
+            queued,
+            queue,
+            changed: changed_vars,
+        } = worklist;
+        queue.clear();
+        match seed_vars {
+            None => {
+                queued.clear();
+                queued.resize(m, true);
+                queue.extend(0..m as u32);
+            }
             Some(vars) => {
-                let mut queued = vec![false; m];
-                let mut queue = VecDeque::new();
+                queued.clear();
+                queued.resize(m, false);
                 for &j in vars {
                     for &r in self.matrix.rows_of_var(j) {
                         if !queued[r as usize] {
@@ -286,16 +309,14 @@ impl Propagator {
                         }
                     }
                 }
-                (queued, queue)
             }
-        };
+        }
         // The worklist converges for the same reason the round-based sweep
         // does (bounds only ever tighten), but badly scaled rows can tighten
         // by vanishing amounts for a long time; cap the total row
         // evaluations at the equivalent of `MAX_ROUNDS` full sweeps.
         let budget = MAX_ROUNDS.saturating_mul(m);
         let mut evaluations = 0usize;
-        let mut changed_vars: Vec<usize> = Vec::new();
 
         while let Some(i) = queue.pop_front() {
             if evaluations >= budget {
@@ -306,10 +327,10 @@ impl Propagator {
 
             changed_vars.clear();
             let row = self.matrix.row(i as usize);
-            if propagate_row(row, domains, &mut changed_vars) == RowResult::Infeasible {
+            if propagate_row(row, domains, changed_vars) == RowResult::Infeasible {
                 return PropagationResult::Infeasible;
             }
-            for &j in &changed_vars {
+            for &j in changed_vars.iter() {
                 for &r in self.matrix.rows_of_var(j) {
                     if !queued[r as usize] {
                         queued[r as usize] = true;
@@ -321,6 +342,28 @@ impl Propagator {
         // Every row evaluation ended on a non-empty box, whether the queue
         // ran dry or the evaluation cap stopped it.
         PropagationResult::Consistent
+    }
+}
+
+/// The vectors a propagation call works in: which rows are queued, the
+/// row queue, and the variables the current row moved. A row is queued at
+/// most once at a time, so a worklist with room for every row and
+/// variable never grows.
+#[derive(Debug, Default)]
+pub(crate) struct Worklist {
+    queued: Vec<bool>,
+    queue: VecDeque<u32>,
+    changed: Vec<usize>,
+}
+
+impl Worklist {
+    /// A worklist with room for propagation over `matrix`.
+    pub(crate) fn for_matrix(matrix: &SparseModel) -> Self {
+        Self {
+            queued: Vec::with_capacity(matrix.num_rows()),
+            queue: VecDeque::with_capacity(matrix.num_rows()),
+            changed: Vec::with_capacity(2 * matrix.num_vars()),
+        }
     }
 }
 

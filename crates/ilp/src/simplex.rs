@@ -334,7 +334,7 @@ impl Basis {
         let mut w = vec![0.0; matrix.num_rows()];
         let factored = factorize(matrix, &basic, &mut w);
         #[cfg(test)]
-        tests::audit_warm_factor(matrix, &basic, factored.as_ref());
+        tests::audit_warm_factor(matrix, &basic, factored.as_ref().map(|(o, e)| (&o[..], e)));
         let (order, etas) = factored?;
         Some(Factor {
             basis: self,
@@ -360,8 +360,11 @@ pub(crate) struct Factor<'b> {
 }
 
 impl Factor<'_> {
-    /// [`resolve_with_basis`] from this factor. Returns `None` when the
-    /// factored basis does not belong to the instance.
+    /// [`resolve_with_basis`] from this factor, whose eta file the kernel
+    /// borrows: the reference the single-use warm start, which owns its
+    /// file, must match. Returns `None` when the factored basis does not
+    /// belong to the instance.
+    #[cfg(test)]
     pub(crate) fn resolve(
         &self,
         matrix: &SparseModel,
@@ -393,8 +396,8 @@ impl Factor<'_> {
         let mut pivots = 0u64;
         Some(match kernel.run_dual(max_pivots, &mut pivots) {
             Inner::Optimal => {
-                let solution = kernel.extract();
-                (solution, Some(kernel.into_basis()))
+                let (solution, basis) = kernel.optimum(SolutionVectors::default());
+                (solution, Some(basis))
             }
             inner => (
                 LpSolution::no_solution(inner.status(), kernel.counters),
@@ -539,6 +542,16 @@ struct EtaFile {
     term_rows: Vec<u32>,
     term_vals: Vec<f64>,
 }
+
+/// The empty eta file of the identity, which a kernel borrows as its base
+/// until its first factorization writes one of its own.
+static IDENTITY: EtaFile = EtaFile {
+    rows: Vec::new(),
+    pivots: Vec::new(),
+    ends: Vec::new(),
+    term_rows: Vec::new(),
+    term_vals: Vec::new(),
+};
 
 impl EtaFile {
     /// An empty file with room for `etas` etas of `terms` terms in all.
@@ -948,7 +961,13 @@ impl KernelBuffers {
     /// vector a kernel writes allocated on the calling thread: only eta
     /// terms past the reserved ones can grow them.
     pub(crate) fn for_factor(factor: &Factor) -> Self {
-        let (n, m) = (factor.basis.vars, factor.basis.rows());
+        Self::for_basis(factor.basis)
+    }
+
+    /// [`KernelBuffers::for_factor`] for a warm start that factorizes
+    /// `basis` itself ([`resolve_in`]).
+    pub(crate) fn for_basis(basis: &Basis) -> Self {
+        let (n, m) = (basis.vars, basis.rows());
         let ncols = n + m;
         Self {
             lower: Vec::with_capacity(ncols),
@@ -971,6 +990,32 @@ impl KernelBuffers {
                 assigned: Vec::with_capacity(m),
                 touched: Vec::with_capacity(m.div_ceil(64)),
             },
+        }
+    }
+}
+
+/// The vectors an optimal re-solve returns: its point, its reduced costs
+/// and its [`Basis`]. [`resolve_in`] writes into them, so a thread that
+/// solves in vectors another thread allocated hands them back filled.
+#[derive(Debug, Default)]
+pub(crate) struct SolutionVectors {
+    values: Vec<f64>,
+    up: Vec<f64>,
+    down: Vec<f64>,
+    status: Vec<ColStatus>,
+    basic: Vec<u32>,
+}
+
+impl SolutionVectors {
+    /// Vectors with room for an optimal re-solve from `basis`.
+    pub(crate) fn for_basis(basis: &Basis) -> Self {
+        let n = basis.vars;
+        Self {
+            values: Vec::with_capacity(n),
+            up: Vec::with_capacity(n),
+            down: Vec::with_capacity(n),
+            status: Vec::with_capacity(basis.status.len()),
+            basic: Vec::with_capacity(basis.rows()),
         }
     }
 }
@@ -1080,7 +1125,7 @@ impl<'a> Kernel<'a> {
             status,
             basis,
             x,
-            base: Cow::default(),
+            base: Cow::Borrowed(&IDENTITY),
             updates,
             counters: Counters::default(),
             scratch,
@@ -1093,11 +1138,8 @@ impl<'a> Kernel<'a> {
 
     /// Hands the kernel's vectors back, the eta file of its last
     /// refactorization included.
-    fn into_buffers(self) -> KernelBuffers {
-        let mut refactor = self.refactor;
-        if let Cow::Owned(etas) = self.base {
-            refactor.etas = etas;
-        }
+    fn into_buffers(mut self) -> KernelBuffers {
+        self.release_base();
         KernelBuffers {
             lower: self.lower,
             upper: self.upper,
@@ -1108,7 +1150,15 @@ impl<'a> Kernel<'a> {
             scratch: self.scratch,
             row_weights: self.row_weights,
             loops: self.loops,
-            refactor,
+            refactor: self.refactor,
+        }
+    }
+
+    /// Sets the base file to the identity. A file the kernel owns goes back
+    /// to the refactorization's vectors, to be written over, not dropped.
+    fn release_base(&mut self) {
+        if let Cow::Owned(etas) = std::mem::replace(&mut self.base, Cow::Borrowed(&IDENTITY)) {
+            self.refactor.etas = etas;
         }
     }
 
@@ -1155,6 +1205,29 @@ impl<'a> Kernel<'a> {
         k.snap_nonbasics();
         k.compute_basics();
         k
+    }
+
+    /// Warm start of a [`Kernel::shell_in`] kernel that factorizes the
+    /// stored `basis` itself: the factorization is the kernel's first
+    /// [`Kernel::refactorize`], so the row order and eta file it writes are
+    /// the kernel's own, and a later refactorization writes over that file
+    /// instead of building a second one beside it. The bits are those of
+    /// [`Kernel::warm`] from the basis' [`Factor`]. Returns `false` when the
+    /// basis proves singular.
+    fn warm_from(&mut self, basis: &Basis) -> bool {
+        self.status.copy_from_slice(&basis.status);
+        self.basis.extend(basis.basic.iter().map(|&c| c as usize));
+        #[cfg(test)]
+        let basic = self.basis.clone();
+        self.snap_nonbasics();
+        let factored = self.refactorize();
+        #[cfg(test)]
+        tests::audit_warm_factor(
+            self.matrix,
+            &basic,
+            factored.then(|| (&self.basis[..], self.base.as_ref())),
+        );
+        factored
     }
 
     /// Phase-2 cost of a column (structural objective, zero on slacks).
@@ -1302,7 +1375,7 @@ impl<'a> Kernel<'a> {
     /// structural nonbasic at a bound — the cold start, also the recovery
     /// point after a failed refactorization.
     fn reset_to_slack_basis(&mut self) {
-        self.base = Cow::default();
+        self.release_base();
         self.updates.clear();
         refill(&mut self.weights, self.ncols, 1.0);
         self.basis.clear();
@@ -1330,10 +1403,7 @@ impl<'a> Kernel<'a> {
     /// cleared eta files and the caller must reset or abandon.
     fn refactorize(&mut self) -> bool {
         self.counters.refactorizations += 1;
-        // An eta file the kernel owns is written over, not dropped.
-        if let Cow::Owned(etas) = std::mem::take(&mut self.base) {
-            self.refactor.etas = etas;
-        }
+        self.release_base();
         self.updates.clear();
         let mut w = std::mem::take(&mut self.scratch);
         w.fill(0.0);
@@ -1974,13 +2044,22 @@ impl<'a> Kernel<'a> {
                 .sum::<f64>()
     }
 
-    /// Extracts the optimal solution, reduced costs included, from the
-    /// current state.
-    fn extract(&mut self) -> LpSolution {
-        let values = (0..self.n).map(|j| self.clamped(j)).collect();
+    /// The optimal solution, reduced costs included, and its basis in
+    /// compact form for descendants to re-solve from, written into the
+    /// vectors of `out`.
+    fn optimum(&mut self, out: SolutionVectors) -> (LpSolution, Basis) {
+        let SolutionVectors {
+            mut values,
+            up,
+            down,
+            mut status,
+            mut basic,
+        } = out;
+        values.clear();
+        values.extend((0..self.n).map(|j| self.clamped(j)));
         let objective = self.objective_at_box();
-        let reduced_costs = Some(self.reduced_costs());
-        LpSolution {
+        let reduced_costs = Some(self.reduced_costs(up, down));
+        let solution = LpSolution {
             status: LpStatus::Optimal,
             objective,
             values,
@@ -1991,17 +2070,30 @@ impl<'a> Kernel<'a> {
             refactorizations: self.counters.refactorizations,
             bland_pivots: self.counters.bland,
             reduced_costs,
-        }
+        };
+        status.clone_from(&self.status);
+        basic.clear();
+        basic.extend(self.basis.iter().map(|&c| c as u32));
+        let fingerprint =
+            instance_fingerprint(self.matrix, self.objective, self.objective_constant);
+        let basis = Basis {
+            status,
+            basic,
+            vars: self.n,
+            fingerprint,
+        };
+        (solution, basis)
     }
 
     /// Reduced costs of the structural columns at optimality, split into
-    /// per-variable up/down marginal costs by nonbasic status.
-    fn reduced_costs(&mut self) -> ReducedCosts {
+    /// per-variable up/down marginal costs by nonbasic status, written into
+    /// `up` and `down`.
+    fn reduced_costs(&mut self, mut up: Vec<f64>, mut down: Vec<f64>) -> ReducedCosts {
         let mut y = std::mem::take(&mut self.scratch);
         self.load_basic_costs(false, &mut y);
         self.btran(&mut y);
-        let mut up = vec![0.0f64; self.n];
-        let mut down = vec![0.0f64; self.n];
+        refill(&mut up, self.n, 0.0);
+        refill(&mut down, self.n, 0.0);
         for j in 0..self.n {
             if self.upper[j] - self.lower[j] <= EPS {
                 continue;
@@ -2018,18 +2110,6 @@ impl<'a> Kernel<'a> {
         }
         self.scratch = y;
         ReducedCosts { up, down }
-    }
-
-    /// Packages the current basis, compactly, for reuse by descendants.
-    fn into_basis(self) -> Basis {
-        let fingerprint =
-            instance_fingerprint(self.matrix, self.objective, self.objective_constant);
-        Basis {
-            status: self.status,
-            basic: self.basis.iter().map(|&c| c as u32).collect(),
-            vars: self.n,
-            fingerprint,
-        }
     }
 }
 
@@ -2058,8 +2138,8 @@ pub fn solve_lp_basis(
     let mut pivots = 0u64;
     match kernel.solve_two_phase(max_pivots, &mut pivots) {
         Inner::Optimal => {
-            let solution = kernel.extract();
-            (solution, Some(kernel.into_basis()))
+            let (solution, basis) = kernel.optimum(SolutionVectors::default());
+            (solution, Some(basis))
         }
         inner => (
             LpSolution::no_solution(inner.status(), kernel.counters),
@@ -2090,11 +2170,62 @@ pub fn resolve_with_basis(
     domains: &Domains,
     max_pivots: u64,
 ) -> Option<(LpSolution, Option<Basis>)> {
-    let factor = basis.factor(matrix, objective, objective_constant)?;
-    let (mut solution, next) =
-        factor.resolve(matrix, objective, objective_constant, domains, max_pivots)?;
-    solution.refactorizations += 1;
-    Some((solution, next))
+    resolve_in(
+        matrix,
+        objective,
+        objective_constant,
+        basis,
+        domains,
+        max_pivots,
+        &mut KernelBuffers::default(),
+        SolutionVectors::default(),
+    )
+}
+
+/// [`resolve_with_basis`] in the vectors of `buffers`, which it hands back
+/// with their capacity, writing an optimal solution and its basis into
+/// `out`. The kernel owns the eta file of its warm start
+/// ([`Kernel::warm_from`]), so it never holds two. A thread that runs it in
+/// vectors another thread allocated allocates nothing of its own; only a
+/// vector that must grow is reallocated where it came from.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn resolve_in(
+    matrix: &SparseModel,
+    objective: &[f64],
+    objective_constant: f64,
+    basis: &Basis,
+    domains: &Domains,
+    max_pivots: u64,
+    buffers: &mut KernelBuffers,
+    out: SolutionVectors,
+) -> Option<(LpSolution, Option<Basis>)> {
+    if basis.vars != domains.len() || !basis.fits(matrix, objective, objective_constant) {
+        return None;
+    }
+    let taken = std::mem::take(buffers);
+    let mut kernel = Kernel::shell_in(matrix, objective, objective_constant, domains, taken);
+    let solved = if !kernel.warm_from(basis) {
+        None
+    } else if domains.is_infeasible() {
+        Some((
+            LpSolution::no_solution(LpStatus::Infeasible, kernel.counters),
+            None,
+        ))
+    } else {
+        let mut pivots = 0u64;
+        Some(match kernel.run_dual(max_pivots, &mut pivots) {
+            Inner::Optimal => {
+                let (solution, basis) = kernel.optimum(out);
+                (solution, Some(basis))
+            }
+            inner => (
+                LpSolution::no_solution(inner.status(), kernel.counters),
+                None,
+            ),
+        })
+    };
+    *buffers = kernel.into_buffers();
+    solved
 }
 
 /// One term of a Gomory row scan: nonbasic column, its shifted tableau
@@ -2264,6 +2395,9 @@ impl Kernel<'_> {
         Some((cut, rhs_le))
     }
 }
+
+#[cfg(test)]
+pub(crate) use tests::{arm_audit, audit_armed};
 
 #[cfg(test)]
 mod tests {
@@ -2973,20 +3107,44 @@ mod tests {
         static AUDITED: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
     }
 
+    /// Whether the warm-start audit is armed on this thread.
+    pub(crate) fn audit_armed() -> bool {
+        AUDITED.get().is_some()
+    }
+
+    /// Warm starts audited on helper threads, for the search that armed
+    /// their tasks.
+    static HELPER_AUDITS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// Arms the audit on this thread while the returned guard lives, when
+    /// `armed`: a helper thread running a task of an audited search. The
+    /// guard adds the task's audits to [`HELPER_AUDITS`].
+    pub(crate) fn arm_audit(armed: bool) -> impl Drop {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                if let Some(count) = AUDITED.replace(self.0) {
+                    HELPER_AUDITS.fetch_add(count, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+        }
+        Restore(AUDITED.replace(armed.then_some(0)))
+    }
+
     /// Checks a warm start's factorization of `basic` against
     /// [`factorize_dense`] while the audit is armed.
     pub(super) fn audit_warm_factor(
         matrix: &SparseModel,
         basic: &[usize],
-        factored: Option<&(Vec<usize>, EtaFile)>,
+        factored: Option<(&[usize], &EtaFile)>,
     ) {
         let Some(count) = AUDITED.get() else {
             return;
         };
         let dense = factorize_dense(matrix, basic);
-        let bits = |f: Option<&(Vec<usize>, EtaFile)>| f.map(|(o, e)| (o.clone(), eta_bits(e)));
+        let bits = |f: Option<(&[usize], &EtaFile)>| f.map(|(o, e)| (o.to_vec(), eta_bits(e)));
         assert!(
-            bits(factored) == bits(dense.as_ref()),
+            bits(factored) == bits(dense.as_ref().map(|(o, e)| (&o[..], e))),
             "warm-start factorization {count} differs from the dense reference"
         );
         AUDITED.set(Some(count + 1));
@@ -3048,9 +3206,13 @@ mod tests {
             };
             model.set_objective(objective, sense);
 
+            // The solve joins its helper before it returns, so every task
+            // it armed has added its audits by then.
             AUDITED.set(Some(0));
+            let on_helpers = HELPER_AUDITS.load(std::sync::atomic::Ordering::Relaxed);
             let solution = model.solve(&config).unwrap();
-            let audited = AUDITED.replace(None).unwrap();
+            let audited = AUDITED.replace(None).unwrap()
+                + (HELPER_AUDITS.load(std::sync::atomic::Ordering::Relaxed) - on_helpers);
             assert!(
                 audited >= 50,
                 "{name} k={k}: only {audited} warm starts audited ({} nodes)",
@@ -3539,6 +3701,93 @@ mod tests {
         assert!(
             refactorizations >= 20,
             "{refactorizations} refactorizations"
+        );
+    }
+
+    #[test]
+    fn a_warm_start_that_owns_its_eta_file_matches_the_borrowed_factor() {
+        // The single-use warm start factorizes the stored basis into the
+        // kernel's own file and refactorizes over it; the borrowed factor's
+        // kernel builds a second file beside the one it borrows. Both must
+        // compute the same bits. One set of buffers serves every owned
+        // re-solve, over instances of different sizes.
+        let mut buffers = KernelBuffers::default();
+        let bits = |lp: &LpSolution| {
+            let values: Vec<u64> = lp.values.iter().map(|v| v.to_bits()).collect();
+            let reduced = lp.reduced_costs.as_ref().map(|rc| {
+                let up: Vec<u64> = rc.up.iter().map(|v| v.to_bits()).collect();
+                let down: Vec<u64> = rc.down.iter().map(|v| v.to_bits()).collect();
+                (up, down)
+            });
+            (
+                lp.status,
+                lp.objective.to_bits(),
+                values,
+                reduced,
+                lp.counters(),
+            )
+        };
+        let (mut optimal, mut refactorizations) = (0, 0);
+        for seed in 0..40u64 {
+            let mut mix = Mix(11_000 + seed);
+            let m = 20 + mix.below(40);
+            let n = m + mix.below(m);
+            let matrix = random_matrix(&mut mix, m, n, n / 5);
+            let objective: Vec<f64> = (0..n).map(|_| mix.coeff()).collect();
+            let domains = Domains::from_bounds(&vec![(-4.0, 4.0, false); n]);
+            let random = random_basis(&mut mix, &matrix, m / 2);
+            let mut bases = vec![stored_basis(&mut mix, &matrix, &objective, &random)];
+            bases.extend(solve_lp_basis(&matrix, &objective, 0.0, &domains, 10_000).1);
+            for basis in &bases {
+                let Some(factor) = basis.factor(&matrix, &objective, 0.0) else {
+                    continue;
+                };
+                for _ in 0..8 {
+                    let mut child = domains.clone();
+                    for _ in 0..1 + mix.below(3) {
+                        let j = mix.below(n);
+                        let bound = 2.0 * mix.below(3) as f64 - 2.0;
+                        if mix.below(2) == 0 {
+                            child.tighten_upper(j, bound);
+                        } else {
+                            child.tighten_lower(j, bound);
+                        }
+                    }
+                    let max_pivots = (2 * REFACTOR_EVERY + mix.below(400)) as u64;
+                    let (borrowed, borrowed_next) = factor
+                        .resolve(&matrix, &objective, 0.0, &child, max_pivots)
+                        .expect("the factor fits its instance");
+                    let out = SolutionVectors::default();
+                    let (mut owned, owned_next) = resolve_in(
+                        &matrix,
+                        &objective,
+                        0.0,
+                        basis,
+                        &child,
+                        max_pivots,
+                        &mut buffers,
+                        out,
+                    )
+                    .expect("the basis fits its instance");
+                    // The owned path counts its own factorization of the
+                    // stored basis; the factor was built before the call.
+                    assert_eq!(owned.refactorizations, borrowed.refactorizations + 1);
+                    owned.refactorizations -= 1;
+                    assert_eq!(bits(&owned), bits(&borrowed), "seed {seed}");
+                    assert_eq!(
+                        format!("{owned_next:?}"),
+                        format!("{borrowed_next:?}"),
+                        "seed {seed}"
+                    );
+                    optimal += usize::from(owned.status == LpStatus::Optimal);
+                    refactorizations += owned.refactorizations;
+                }
+            }
+        }
+        assert!(optimal >= 50, "{optimal} optimal re-solves");
+        assert!(
+            refactorizations >= 20,
+            "{refactorizations} refactorizations past the first"
         );
     }
 }

@@ -33,6 +33,18 @@
 //!   counters and the search are bit for bit those of the plain loop. Each
 //!   worker writes into buffers the searching thread allocated, so a helper
 //!   thread's own allocator holds nothing.
+//! * **Speculative siblings** — at each pop the search hands the next open
+//!   node, the one it pops once the popped node's subtree closes, to a
+//!   helper thread ([`crate::speculate`]), which propagates a copy of its
+//!   box and runs its warm LP attempt from the parent basis. When the
+//!   search pops that node over the same rows, it takes the helper's work
+//!   and counts it as its own, so the counters and the search are bit for
+//!   bit those of the serial loop; a node whose work is missing or read
+//!   rows a cut round has since extended does its own. The helper runs
+//!   only when the solve may use two threads, takes only nodes that solve
+//!   an LP whose children solve LPs too, and gets nothing at a node that
+//!   fans its probes out. A snapshot holds only the open nodes, never a
+//!   helper's work.
 //! * **Reduced-cost bound fixing** — at LP nodes with an incumbent, duals
 //!   prove some variables cannot leave their bound in any
 //!   improving solution; the tightened bounds feed the propagation
@@ -49,12 +61,13 @@ use crate::parallel::{fan_out_workers, par_map_ordered_with};
 use crate::propagate::{Domains, PropagationResult, Propagator};
 use crate::session::{Budget, CancelToken, SolveEvent};
 use crate::simplex::{
-    instance_fingerprint, resolve_with_basis, solve_lp_basis, Basis, Counters, Factor,
-    KernelBuffers, LpSolution, LpStatus, ReducedCosts,
+    instance_fingerprint, resolve_in, solve_lp_basis, Basis, Counters, Factor, KernelBuffers,
+    LpSolution, LpStatus, ReducedCosts, SolutionVectors,
 };
 use crate::snapshot::SolveSnapshot;
 use crate::solution::{Solution, SolveStats, Status};
 use crate::sparse::SparseModel;
+use crate::speculate::{NodeWork, Speculation, Task};
 use crate::{EPS, INT_EPS};
 
 /// Maximum Gomory rounds at the root node.
@@ -105,6 +118,45 @@ const GOMORY_MIN_EFFICACY: f64 = 1e-2;
 
 /// One materialised row handed to [`SparseModel::from_rows`].
 type DenseRow = (Vec<(usize, f64)>, CmpOp, f64);
+
+/// A node's warm LP attempt before anything is counted: the dual re-solve
+/// from its parent's basis, or `None` when that basis proves unusable.
+pub(crate) type WarmAttempt = Option<(LpSolution, Option<Basis>)>;
+
+/// The warm LP attempt of a node: a dual re-solve of `domains` from
+/// `basis`, already carried over to the rows of `matrix`, in the vectors of
+/// `buffers` and `out` (see [`resolve_in`]). It reads nothing of the
+/// search, so a helper thread runs it for a node the search has not popped
+/// yet.
+///
+/// A dual re-solve is only worth it while it stays *incremental*: a child
+/// whose propagation/fixing moved half the bounds is re-solving from
+/// scratch, and the primal does that better. So the attempt is budgeted at
+/// a small multiple of the expected incremental work, and the node's pop
+/// lets an overrun fall through to a cold solve.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn warm_attempt(
+    matrix: &SparseModel,
+    objective: &[f64],
+    objective_constant: f64,
+    max_lp_pivots: u64,
+    basis: &Basis,
+    domains: &Domains,
+    buffers: &mut KernelBuffers,
+    out: SolutionVectors,
+) -> WarmAttempt {
+    let warm_budget = max_lp_pivots.min(128 + matrix.num_rows() as u64 / 4);
+    resolve_in(
+        matrix,
+        objective,
+        objective_constant,
+        basis,
+        domains,
+        warm_budget,
+        buffers,
+        out,
+    )
+}
 
 /// Folds one LP solve's iteration counters into the run statistics.
 fn tally_lp(stats: &mut SolveStats, lp: Counters) {
@@ -381,9 +433,11 @@ impl PseudoCosts {
 pub struct BranchAndBound<'a> {
     model: &'a Model,
     config: SolverConfig,
-    propagator: Propagator,
+    /// The rows, shared with the speculative tasks that read them; a cut
+    /// install replaces it.
+    propagator: Arc<Propagator>,
     /// Minimisation objective coefficients (sign-flipped for maximisation).
-    objective: Vec<f64>,
+    objective: Arc<[f64]>,
     objective_constant: f64,
     sense_factor: f64,
     occurrence: Vec<usize>,
@@ -425,6 +479,13 @@ pub struct BranchAndBound<'a> {
     /// the resume path checks. Cut rows are excluded on purpose — they are
     /// part of the captured search state, not of the instance.
     base_fingerprint: u64,
+    /// Makes every speculative task panic, to test the re-raise.
+    #[cfg(test)]
+    speculation_panics: bool,
+    /// Lets a node that fans its probes out hand a task out too, so a cut
+    /// round at that node lands between the task and its node's pop.
+    #[cfg(test)]
+    speculate_at_fan_outs: bool,
 }
 
 impl<'a> BranchAndBound<'a> {
@@ -435,7 +496,7 @@ impl<'a> BranchAndBound<'a> {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let objective: Vec<f64> = model
+        let objective: Arc<[f64]> = model
             .vars()
             .iter()
             .map(|v| sense_factor * v.objective)
@@ -454,7 +515,7 @@ impl<'a> BranchAndBound<'a> {
         Self {
             model,
             config,
-            propagator,
+            propagator: Arc::new(propagator),
             objective,
             objective_constant,
             sense_factor,
@@ -469,6 +530,10 @@ impl<'a> BranchAndBound<'a> {
             events: None,
             last_bound_emitted: f64::NEG_INFINITY,
             base_fingerprint,
+            #[cfg(test)]
+            speculation_panics: false,
+            #[cfg(test)]
+            speculate_at_fan_outs: false,
         }
     }
 
@@ -531,8 +596,10 @@ impl<'a> BranchAndBound<'a> {
                     .map(|cut| (cut.terms.clone(), CmpOp::Le, cut.rhs)),
             )
             .collect();
-        self.propagator =
-            Propagator::from_matrix(SparseModel::from_rows(self.model.num_vars(), rows));
+        self.propagator = Arc::new(Propagator::from_matrix(SparseModel::from_rows(
+            self.model.num_vars(),
+            rows,
+        )));
         for (j, slot) in self.occurrence.iter_mut().enumerate() {
             *slot = self.propagator.matrix().occurrences(j);
         }
@@ -677,12 +744,20 @@ impl<'a> BranchAndBound<'a> {
     ///
     /// Only structural errors are reported as `Err`; infeasibility and limit
     /// expiry are encoded in the returned [`Status`].
-    pub fn run(mut self) -> Result<Solution, IlpError> {
+    pub fn run(self) -> Result<Solution, IlpError> {
+        self.run_with(true)
+    }
+
+    /// [`BranchAndBound::run`], with the deferred siblings' work handed to
+    /// a helper thread when `speculate` is set and the solve may use two
+    /// threads (see [`crate::speculate`]). The search is the same either
+    /// way, bit for bit.
+    pub(crate) fn run_with(mut self, speculate: bool) -> Result<Solution, IlpError> {
         let start = Instant::now();
         let mut stats = SolveStats::default();
 
         if let Some(snapshot) = self.config.resume.take() {
-            return self.run_resumed(&snapshot, start, stats);
+            return self.run_resumed(&snapshot, start, stats, speculate);
         }
 
         let mut root = Node::root(Domains::from_model(self.model));
@@ -744,6 +819,7 @@ impl<'a> BranchAndBound<'a> {
             f64::INFINITY,
             start,
             stats,
+            speculate,
         )
     }
 
@@ -758,6 +834,7 @@ impl<'a> BranchAndBound<'a> {
         snap: &SolveSnapshot,
         start: Instant,
         mut stats: SolveStats,
+        speculate: bool,
     ) -> Result<Solution, IlpError> {
         let fail = |message: String| IlpError::Snapshot { message };
         if snap.num_vars != self.model.num_vars() {
@@ -795,11 +872,13 @@ impl<'a> BranchAndBound<'a> {
             snap.pruned_bound_min,
             start,
             stats,
+            speculate,
         )
     }
 
     /// The main tree loop plus final bookkeeping, shared by the fresh and
     /// the resumed entry points.
+    #[allow(clippy::too_many_arguments)]
     fn search(
         mut self,
         mut frontier: Vec<Node>,
@@ -808,14 +887,22 @@ impl<'a> BranchAndBound<'a> {
         mut pruned_bound_min: f64,
         start: Instant,
         mut stats: SolveStats,
+        speculate: bool,
     ) -> Result<Solution, IlpError> {
         let mut limit_reached = false;
         let mut interrupted = false;
         // The node popped when a stop is detected is still open; it is kept
         // aside so a snapshot can return it to the frontier.
         let mut pending: Option<Node> = None;
+        // The second core, when this solve may use it, works on the next
+        // open node while this thread works on the popped one.
+        let mut speculation = (speculate && fan_out_workers(2, 2) == 2).then(Speculation::default);
 
         while let Some(mut node) = frontier.pop() {
+            // The frontier position the node was popped from keys the work
+            // a helper may have done for it.
+            let index = frontier.len();
+            let ticket = speculation.as_mut().and_then(|s| s.take(index));
             if self.is_cancelled() {
                 interrupted = true;
                 pending = Some(node);
@@ -832,8 +919,12 @@ impl<'a> BranchAndBound<'a> {
             // longer improve is dropped before it costs a propagation, an
             // LP, or a slot in the node budget.
             let popped_bound = self.strengthen_bound(node.bound);
-            if popped_bound >= incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY) - EPS {
+            let incumbent_obj = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
+            if popped_bound >= incumbent_obj - EPS {
                 pruned_bound_min = pruned_bound_min.min(popped_bound);
+                if let (Some(speculation), Some(ticket)) = (speculation.as_mut(), ticket) {
+                    speculation.discard(ticket);
+                }
                 continue;
             }
             stats.nodes += 1;
@@ -842,20 +933,51 @@ impl<'a> BranchAndBound<'a> {
                 incumbent: incumbent.as_ref().map(|(b, _)| self.sense_factor * *b),
             });
 
-            stats.propagations += 1;
-            // The parent's domains were propagated to fixpoint, so only the
-            // rows of the just-branched variable can fire initially.
-            let propagated = match node.branched {
-                Some(j) => self.propagator.propagate_seeded(&mut node.domains, &[j]),
-                None => self.propagator.propagate(&mut node.domains),
-            };
-            if propagated == PropagationResult::Infeasible {
-                continue;
-            }
+            // Hand the helper the next open node, the one popped once this
+            // node's subtree closes, then take this node's work from it if
+            // it did it over the current rows. A node that may fan its
+            // strong-branching probes out over both cores hands nothing out:
+            // the helper would compete with the probes for the second core
+            // and add a third LP's vectors to theirs.
+            let work = speculation.as_mut().and_then(|speculation| {
+                let fans_out = node.depth <= STRONG_DEPTH && self.use_lp_at(node.depth);
+                #[cfg(test)]
+                let fans_out = fans_out && !self.speculate_at_fan_outs;
+                if let Some(next) = index.checked_sub(1).filter(|_| !fans_out) {
+                    if !speculation.handed_out(next) {
+                        if let Some(task) = self.speculative_task(&frontier[next], incumbent_obj) {
+                            speculation.hand_out(next, task);
+                        }
+                    }
+                }
+                ticket.and_then(|ticket| speculation.collect(ticket, &self.propagator))
+            });
 
-            let incumbent_obj = incumbent.as_ref().map(|(b, _)| *b).unwrap_or(f64::INFINITY);
+            stats.propagations += 1;
+            let attempt = match work {
+                Some(NodeWork::Infeasible) => continue,
+                Some(NodeWork::Solved(domains, attempt)) => {
+                    node.domains = domains;
+                    Some(attempt)
+                }
+                None => {
+                    // The parent's domains were propagated to fixpoint, so
+                    // only the rows of the just-branched variable can fire
+                    // initially.
+                    let propagated = match node.branched {
+                        Some(j) => self.propagator.propagate_seeded(&mut node.domains, &[j]),
+                        None => self.propagator.propagate(&mut node.domains),
+                    };
+                    if propagated == PropagationResult::Infeasible {
+                        continue;
+                    }
+                    None
+                }
+            };
+
             let parent_bound = node.bound;
-            let bound = match self.node_bound(&mut node, &mut stats, &mut incumbent, start) {
+            let bound = match self.node_bound(&mut node, attempt, &mut stats, &mut incumbent, start)
+            {
                 NodeBound::Infeasible => {
                     // An LP-infeasible child is the strongest possible
                     // degradation signal for its branching variable.
@@ -961,6 +1083,9 @@ impl<'a> BranchAndBound<'a> {
             self.push_children(&mut frontier, &node, j, bound.as_ref());
         }
 
+        if let Some(speculation) = speculation {
+            speculation.finish();
+        }
         if !frontier.is_empty() && !interrupted {
             limit_reached = true;
         }
@@ -1157,9 +1282,12 @@ impl<'a> BranchAndBound<'a> {
         }
     }
 
+    /// The node's dual bound; `attempt` is its warm LP attempt when a
+    /// helper already ran it.
     fn node_bound(
         &mut self,
         node: &mut Node,
+        attempt: Option<WarmAttempt>,
         stats: &mut SolveStats,
         incumbent: &mut Option<(f64, Vec<f64>)>,
         start: Instant,
@@ -1184,7 +1312,7 @@ impl<'a> BranchAndBound<'a> {
         // instead of repeating the most expensive LP of the tree.
         let lp = match node.lp.take() {
             Some(lp) => lp,
-            None => match self.solve_node_lp(node, stats) {
+            None => match self.solve_node_lp(node, attempt, stats) {
                 SolvedNodeLp::Infeasible => return NodeBound::Infeasible,
                 SolvedNodeLp::NoBound => {
                     return NodeBound::Bound {
@@ -1220,14 +1348,23 @@ impl<'a> BranchAndBound<'a> {
     }
 
     /// Solves the LP relaxation of a node, warm from the parent's basis when
-    /// it has one (see [`Self::relaxation`]).
-    fn solve_node_lp(&self, node: &Node, stats: &mut SolveStats) -> SolvedNodeLp {
-        let (lp, basis) = self.relaxation(
-            node.parent_basis.as_deref(),
-            Cold::NoParentBasis,
-            &node.domains,
-            stats,
-        );
+    /// it has one (see [`Self::relaxation`]), or settles the warm `attempt`
+    /// a helper ran for it.
+    fn solve_node_lp(
+        &self,
+        node: &Node,
+        attempt: Option<WarmAttempt>,
+        stats: &mut SolveStats,
+    ) -> SolvedNodeLp {
+        let (lp, basis) = match attempt {
+            Some(attempt) => self.settle(attempt, &node.domains, stats),
+            None => self.relaxation(
+                node.parent_basis.as_deref(),
+                Cold::NoParentBasis,
+                &node.domains,
+                stats,
+            ),
+        };
         match lp.status {
             LpStatus::Infeasible => SolvedNodeLp::Infeasible,
             LpStatus::Optimal => SolvedNodeLp::Optimal(NodeLp::new(lp, basis)),
@@ -1264,23 +1401,28 @@ impl<'a> BranchAndBound<'a> {
         } else {
             parent
         };
-        // A dual re-solve is only worth it while it stays *incremental*: a
-        // child whose propagation/fixing moved half the bounds is re-solving
-        // from scratch, and the primal does that better. Budget the warm
-        // path at a small multiple of the expected incremental work and let
-        // an overrun fall through to a cold solve.
-        let warm_budget = self
-            .config
-            .max_lp_pivots
-            .min(128 + matrix.num_rows() as u64 / 4);
-        let Some((lp, next)) = resolve_with_basis(
+        let attempt = warm_attempt(
             matrix,
             &self.objective,
             self.objective_constant,
+            self.config.max_lp_pivots,
             basis,
             domains,
-            warm_budget,
-        ) else {
+            &mut KernelBuffers::default(),
+            SolutionVectors::default(),
+        );
+        self.settle(attempt, domains, stats)
+    }
+
+    /// Counts a warm LP attempt over `domains`, and falls back to a cold
+    /// solve when its basis proved unusable or it overran its budget.
+    fn settle(
+        &self,
+        attempt: WarmAttempt,
+        domains: &Domains,
+        stats: &mut SolveStats,
+    ) -> (LpSolution, Option<Basis>) {
+        let Some((lp, next)) = attempt else {
             return self.cold_lp(domains, Cold::UnusableBasis, stats);
         };
         tally_lp(stats, lp.counters());
@@ -1488,6 +1630,43 @@ impl<'a> BranchAndBound<'a> {
         probed
     }
 
+    /// The first work of the open node `node` for a helper thread, when its
+    /// pop will re-solve its LP warm, its children will solve LPs too, and
+    /// its bound does not already lose to `incumbent`. The vectors the task
+    /// returns are allocated here, on the searching thread.
+    fn speculative_task(&self, node: &Node, incumbent: f64) -> Option<Task> {
+        let branched = node.branched?;
+        let parent = node.parent_basis.as_ref()?;
+        if node.lp.is_some()
+            || !self.use_lp_at(node.depth)
+            || !self.use_lp_at(node.depth + 1)
+            || self.strengthen_bound(node.bound) >= incumbent - EPS
+        {
+            return None;
+        }
+        let matrix = self.propagator.matrix();
+        let basis = if parent.rows() < matrix.num_rows() {
+            Arc::new(parent.extended(matrix, &self.objective, self.objective_constant)?)
+        } else {
+            Arc::clone(parent)
+        };
+        Some(Task {
+            propagator: Arc::clone(&self.propagator),
+            objective: Arc::clone(&self.objective),
+            objective_constant: self.objective_constant,
+            max_lp_pivots: self.config.max_lp_pivots,
+            branched,
+            domains: node.domains.clone(),
+            kernel: KernelBuffers::for_basis(&basis),
+            vectors: SolutionVectors::for_basis(&basis),
+            basis,
+            #[cfg(test)]
+            audit: crate::simplex::audit_armed(),
+            #[cfg(test)]
+            panic: self.speculation_panics,
+        })
+    }
+
     /// Pushes the two children of `node` that fix the unfixed binary `j`
     /// at 0 and at 1, the preferred one last so depth-first search explores
     /// it first: the side the LP value leans to or, without an LP, the
@@ -1629,6 +1808,7 @@ enum Cold {
 mod tests {
     use super::*;
     use crate::model::Model;
+    use crate::speculate::{Tally, TALLY};
 
     fn exact_configs() -> Vec<SolverConfig> {
         vec![
@@ -1942,19 +2122,26 @@ mod tests {
     /// that each need one of four to six of them, and 6 rows that take at
     /// most two of ten. Its LP relaxation is fractional on many variables.
     fn covering_model() -> Model {
-        let mut state = 0x5EED_u64;
+        sized_covering_model(0x5EED, 60)
+    }
+
+    /// A covering model of `n` binaries drawn from `seed`: `n / 2` rows that
+    /// each need one of four to six of them, and `n / 10` rows that take at
+    /// most two of ten.
+    fn sized_covering_model(seed: u64, n: usize) -> Model {
+        let mut state = seed;
         let mut next = move |below: u64| {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
             (state >> 33) % below
         };
-        let mut m = Model::new("cover");
-        let x: Vec<_> = (0..60).map(|j| m.add_binary(format!("x{j}"))).collect();
-        for e in 0..30 {
+        let mut m = Model::new(format!("cover-{seed:x}-{n}"));
+        let x: Vec<_> = (0..n).map(|j| m.add_binary(format!("x{j}"))).collect();
+        for e in 0..n / 2 {
             let mut sets: Vec<usize> = Vec::new();
             while sets.len() < 4 + next(3) as usize {
-                let j = next(60) as usize;
+                let j = next(n as u64) as usize;
                 if !sets.contains(&j) {
                     sets.push(j);
                 }
@@ -1962,7 +2149,7 @@ mod tests {
             let terms: Vec<_> = sets.iter().map(|&j| (x[j], 1.0)).collect();
             m.add_geq(terms, 1.0, format!("cover{e}"));
         }
-        for g in 0..6 {
+        for g in 0..n / 10 {
             let terms: Vec<_> = (0..10).map(|i| (x[g * 10 + i], 1.0)).collect();
             m.add_leq(terms, 2.0, format!("pack{g}"));
         }
@@ -2011,5 +2198,243 @@ mod tests {
         assert!(one.0);
         assert_eq!(one.2.strong_branch_solves, 2 * candidates.len() as u64);
         assert_eq!(probe(4), one);
+    }
+
+    /// Everything a solve reports but its wall-clock: status, objective
+    /// bits, values, nodes and every [`SolveStats`] counter.
+    fn report(solution: &Solution) -> String {
+        let mut stats = solution.stats().clone();
+        stats.time = Duration::ZERO;
+        for improvement in &mut stats.improvements {
+            improvement.seconds = 0.0;
+        }
+        let values: Vec<u64> = solution.values().iter().map(|v| v.to_bits()).collect();
+        format!(
+            "{:?} {:#x} {values:?} {stats:?}",
+            solution.status(),
+            solution.objective().to_bits()
+        )
+    }
+
+    /// Solves `model` under `config` with speculation off, then on, and
+    /// checks that both report the same; returns the speculative solve and
+    /// what its searching thread took from the helper.
+    fn same_both_ways(model: &Model, config: &SolverConfig) -> (Solution, Tally) {
+        same_both_ways_at(model, config, false)
+    }
+
+    /// [`same_both_ways`], with tasks handed out at fan-out nodes too when
+    /// `at_fan_outs` is set.
+    fn same_both_ways_at(
+        model: &Model,
+        config: &SolverConfig,
+        at_fan_outs: bool,
+    ) -> (Solution, Tally) {
+        let serial = BranchAndBound::new(model, config.clone())
+            .run_with(false)
+            .expect("serial solve");
+        TALLY.set(Tally::default());
+        let mut search = BranchAndBound::new(model, config.clone());
+        search.speculate_at_fan_outs = at_fan_outs;
+        let speculative = search.run_with(true).expect("speculative solve");
+        let tally = TALLY.take();
+        assert_eq!(report(&speculative), report(&serial), "{}", model.name());
+        (speculative, tally)
+    }
+
+    /// Whether this host lets a solve start the helper.
+    fn helper_runs() -> bool {
+        fan_out_workers(2, 2) == 2
+    }
+
+    /// Seeded covering models whose trees run from 9 to 263 nodes.
+    fn speculation_models() -> Vec<Model> {
+        [
+            (60, 2),
+            (60, 3),
+            (60, 4),
+            (100, 0),
+            (100, 1),
+            (100, 5),
+            (140, 1),
+            (140, 3),
+        ]
+        .into_iter()
+        .map(|(n, seed)| sized_covering_model(0xC0DE + seed, n))
+        .collect()
+    }
+
+    /// The deepest of [`speculation_models`]: 263 nodes.
+    fn deep_model() -> Model {
+        sized_covering_model(0xC0DE, 100)
+    }
+
+    #[test]
+    fn speculation_on_and_off_search_the_same_tree() {
+        let mut taken = 0;
+        for model in speculation_models() {
+            let (solution, tally) = same_both_ways(&model, &SolverConfig::exact());
+            assert!(solution.is_optimal(), "{}", model.name());
+            assert!(solution.stats().cuts_emitted.gomory > 0, "{}", model.name());
+            taken += tally.taken;
+        }
+        let (cycles, _) = odd_cycle_cover();
+        let (solution, tally) = same_both_ways(&cycles, &SolverConfig::exact());
+        assert!(solution.is_optimal());
+        taken += tally.taken;
+        assert!(
+            !helper_runs() || taken > 0,
+            "no work was taken from the helper"
+        );
+    }
+
+    #[test]
+    fn a_cut_round_between_a_speculation_and_its_pop_makes_the_work_stale() {
+        // Eager separation installs Gomory cuts at shallow nodes from the
+        // first descent. Those nodes fan their probes out and so hand
+        // nothing out, unless told to: then a shallow node hands its
+        // sibling out before its own cut round extends the rows.
+        let mut stale = 0;
+        for model in speculation_models() {
+            let optimum = BranchAndBound::new(&model, SolverConfig::exact())
+                .run_with(false)
+                .expect("reference solve");
+            let config = SolverConfig {
+                eager_tree_cuts: true,
+                ..SolverConfig::exact().with_warm_candidate(optimum.values().to_vec())
+            };
+            let (solution, tally) = same_both_ways_at(&model, &config, true);
+            assert!(solution.is_optimal(), "{}", model.name());
+            stale += tally.stale;
+        }
+        assert!(!helper_runs() || stale > 0, "no speculation went stale");
+    }
+
+    #[test]
+    fn a_snapshot_taken_while_tasks_are_in_flight_holds_no_speculation() {
+        let model = deep_model();
+        let full = BranchAndBound::new(&model, SolverConfig::exact())
+            .run_with(false)
+            .expect("uninterrupted solve");
+        assert!(full.stats().nodes > 200, "{} nodes", full.stats().nodes);
+        for limit in [5, 17, 40, 150] {
+            let capture = |speculate: bool| {
+                let config =
+                    SolverConfig::exact().with_budget(Budget::nodes(limit).with_snapshot(true));
+                let sol = BranchAndBound::new(&model, config)
+                    .run_with(speculate)
+                    .expect("interrupted solve");
+                let snapshot = sol.snapshot().expect("a snapshot").clone();
+                (report(&sol), snapshot)
+            };
+            let (serial_report, serial) = capture(false);
+            let (report_now, snapshot) = capture(true);
+            assert_eq!(report_now, serial_report, "limit {limit}");
+            // The frontier is the serial one, node for node: the boxes the
+            // helper propagated stayed with the helper's results.
+            let frontier = |s: &SolveSnapshot| {
+                s.frontier
+                    .iter()
+                    .map(|n| {
+                        (
+                            n.depth,
+                            n.bound.to_bits(),
+                            n.domains.clone(),
+                            n.lp.is_some(),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(frontier(&snapshot), frontier(&serial), "limit {limit}");
+            let resumed = BranchAndBound::new(
+                &model,
+                SolverConfig::exact().with_resume(Arc::new(snapshot)),
+            )
+            .run_with(true)
+            .expect("resumed solve");
+            assert_eq!(resumed.objective().to_bits(), full.objective().to_bits());
+            assert_eq!(resumed.values(), full.values());
+            assert_eq!(resumed.stats().nodes, full.stats().nodes, "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_helper_task_is_re_raised_on_the_searching_thread() {
+        if !helper_runs() {
+            return;
+        }
+        let model = deep_model();
+        let mut search = BranchAndBound::new(&model, SolverConfig::exact());
+        search.speculation_panics = true;
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| search.run_with(true)))
+                .expect_err("the task's panic reaches the searching thread");
+        let message = caught
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("no message");
+        assert_eq!(message, "injected panic in a speculative task");
+
+        // As in the job service: each job solves inside its own
+        // `catch_unwind` on one worker, so a panicking job fails alone.
+        let jobs = [false, true, false];
+        let outcomes = crate::parallel::par_map_ordered(&jobs, 1, |&panics| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut search = BranchAndBound::new(&model, SolverConfig::exact());
+                search.speculation_panics = panics;
+                search.run_with(true).expect("solve").objective()
+            }))
+            .ok()
+        });
+        assert!(outcomes[0].is_some() && outcomes[2].is_some());
+        assert!(outcomes[1].is_none());
+    }
+
+    #[test]
+    fn a_stopped_solve_returns_with_the_helper_joined() {
+        let model = deep_model();
+        let stopped = |config: SolverConfig, cancel_at: Option<(u64, CancelToken)>| {
+            TALLY.set(Tally::default());
+            let mut sink = |event: &SolveEvent| {
+                if let (SolveEvent::NodeMilestone { nodes, .. }, Some((at, token))) =
+                    (event, cancel_at.as_ref())
+                {
+                    if nodes == at {
+                        token.cancel();
+                    }
+                }
+            };
+            let sol = BranchAndBound::new(&model, config)
+                .with_event_sink(&mut sink)
+                .run_with(true)
+                .expect("stopped solve");
+            let tally = TALLY.take();
+            assert_eq!(tally.started, tally.joined, "{tally:?}");
+            (sol, tally)
+        };
+
+        // Cancelled before the first pop: no helper starts.
+        let token = CancelToken::new();
+        token.cancel();
+        let (sol, tally) = stopped(SolverConfig::exact().with_cancel(token), None);
+        assert_eq!(sol.status(), Status::Interrupted);
+        assert_eq!(sol.stats().nodes, 0);
+        assert_eq!(tally.started, 0);
+
+        // Cancelled inside the tree, with tasks handed out.
+        let token = CancelToken::new();
+        let config = SolverConfig::exact().with_cancel(token.clone());
+        let (sol, tally) = stopped(config, Some((30, token)));
+        assert_eq!(sol.status(), Status::Interrupted);
+        assert_eq!(sol.stats().nodes, 30);
+        assert!(!helper_runs() || tally.started == 1, "{tally:?}");
+
+        // Deadlines that expire at or inside the tree.
+        for millis in [0, 1, 3] {
+            let deadline = Instant::now() + Duration::from_millis(millis);
+            let config =
+                SolverConfig::exact().with_budget(Budget::unlimited().with_deadline(deadline));
+            stopped(config, None);
+        }
     }
 }
